@@ -151,8 +151,8 @@ class ClusterTopology:
         if scale <= 0:
             raise ValueError("scale must be positive")
         nominal = self.spec.port_capacity
-        self.network.link(self.host_up(node, nic, side)).capacity = nominal * scale
-        self.network.link(self.host_down(node, nic, side)).capacity = nominal * scale
+        self.network.set_link_capacity(self.host_up(node, nic, side), nominal * scale)
+        self.network.set_link_capacity(self.host_down(node, nic, side), nominal * scale)
         port_side = PortSide.LEFT if side == 0 else PortSide.RIGHT
         self.nodes[node].nics[nic].ports[port_side].bandwidth_scale = scale
 

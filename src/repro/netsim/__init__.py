@@ -15,12 +15,11 @@ and 512-GPU experiments tractable.
 
 from repro.netsim.congestion import CongestionConfig, CongestionModel
 from repro.netsim.engine import EventQueue, TimerHandle
-from repro.netsim.fairness import max_min_rates
+from repro.netsim.fairness import max_min_rates, max_min_rates_reference
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.links import Link, LinkState
 from repro.netsim.network import FlowNetwork
 from repro.netsim.routing import EcmpHasher
-from repro.netsim.trace import SimTracer, TraceEvent, TraceEventType
 from repro.netsim.units import GBPS, GIB, KIB, MBPS, MIB, bits_to_gbps, gbps_to_bits
 
 __all__ = [
@@ -31,13 +30,11 @@ __all__ = [
     "Flow",
     "FlowState",
     "max_min_rates",
+    "max_min_rates_reference",
     "FlowNetwork",
     "EcmpHasher",
     "CongestionModel",
     "CongestionConfig",
-    "SimTracer",
-    "TraceEvent",
-    "TraceEventType",
     "GBPS",
     "MBPS",
     "KIB",

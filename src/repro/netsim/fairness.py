@@ -11,18 +11,42 @@ of that capacity, which integrates caps into the fixed point instead of
 clipping afterwards (clipping would fail to redistribute the freed
 bandwidth to other flows).
 
-The implementation is vectorized with numpy over a COO incidence list
-(flow, link); each filling iteration is O(links + touched incidences),
-which keeps 512-GPU collective operations (thousands of flows) fast.
+:func:`max_min_rates` is the solver the network uses.  It is scalar
+Python driven by a ``(share, local link index)`` min-heap with lazy
+invalidation: a filling iteration re-keys only the links its newly
+frozen flows cross, so a whole solve costs O(incidences · log links)
+instead of O(links) numpy work per iteration.
+
+:func:`max_min_rates_reference` is the vectorized numpy formulation it
+replaced, kept as the test oracle.  The two are **bit-for-bit equal**,
+including the key order of the returned dict, because the heap solver
+performs the same IEEE operations in the same order:
+
+* local link indices follow first appearance along the flow list, with
+  a capped flow's virtual link right after its path;
+* pending weights are summed in incidence order (flow-major, path
+  order, cap link last), as ``np.bincount`` sums them;
+* the heap pops the link ``np.argmin`` picks: the smallest share, the
+  lowest index among ties;
+* residual capacities and pending weights are decremented in the order
+  ``np.subtract.at`` applies them;
+* only the links an iteration touched can go negative, so only they are
+  clamped at zero and re-keyed.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.netsim.flows import Flow
+
+#: Links whose unfrozen weight is at or below this are done (absorbs
+#: float residue left by the weight subtractions).
+_WEIGHT_EPS = 1e-15
 
 
 def max_min_rates(
@@ -49,6 +73,109 @@ def max_min_rates(
     -------
     dict
         Mapping from ``flow.flow_id`` to allocated rate in bits/s.
+    """
+    if not flows:
+        return {}
+    overrides = cap_overrides or {}
+
+    link_index: dict[object, int] = {}
+    residual: list[float] = []
+    pending: list[float] = []
+    members: list[list[int]] = []  # per link: flow indices, incidence order
+    incidences: list[list[int]] = []  # per flow: link indices, path then cap
+    weights: list[float] = []
+
+    for f_idx, flow in enumerate(flows):
+        weight = float(flow.weight)
+        weights.append(weight)
+        crossed = []
+        for link_id in flow.path:
+            l_idx = link_index.get(link_id)
+            if l_idx is None:
+                l_idx = len(residual)
+                link_index[link_id] = l_idx
+                residual.append(float(capacities[link_id]))
+                pending.append(0.0)
+                members.append([])
+            pending[l_idx] += weight
+            members[l_idx].append(f_idx)
+            crossed.append(l_idx)
+        cap = overrides.get(flow.flow_id, flow.rate_cap)
+        if cap is not None:
+            crossed.append(len(residual))
+            residual.append(float(cap))
+            pending.append(weight)
+            members.append([f_idx])
+        incidences.append(crossed)
+
+    # key[l] is the share of link l's live heap entry, None when the link
+    # is out of the filling (no unfrozen weight left).
+    key: list[float | None] = [None] * len(residual)
+    heap: list[tuple[float, int]] = []
+    for l_idx, weight in enumerate(pending):
+        if weight > _WEIGHT_EPS:
+            share = residual[l_idx] / weight
+            key[l_idx] = share
+            heap.append((share, l_idx))
+    heapq.heapify(heap)
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+
+    num_flows = len(flows)
+    rates = [0.0] * num_flows
+    frozen = [False] * num_flows
+    remaining = num_flows
+
+    while remaining > 0 and heap:
+        level, bottleneck = heappop(heap)
+        if key[bottleneck] != level:
+            continue  # stale entry: the link was re-keyed or retired
+        if math.isinf(level):
+            break
+        key[bottleneck] = None
+        newly = [f_idx for f_idx in members[bottleneck] if not frozen[f_idx]]
+        if not newly:
+            continue  # float residue kept a fully frozen link's weight up
+        remaining -= len(newly)
+        touched: list[int] = []
+        for f_idx in newly:
+            if frozen[f_idx]:
+                continue  # the flow lists this link twice
+            frozen[f_idx] = True
+            weight = weights[f_idx]
+            rate = weight * level
+            rates[f_idx] = rate
+            for l_idx in incidences[f_idx]:
+                residual[l_idx] -= rate
+                pending[l_idx] -= weight
+                touched.append(l_idx)
+        pending[bottleneck] = 0.0
+        for l_idx in touched:
+            if residual[l_idx] < 0.0:
+                residual[l_idx] = 0.0
+            weight = pending[l_idx]
+            if weight > _WEIGHT_EPS:
+                share = residual[l_idx] / weight
+                if key[l_idx] != share:
+                    key[l_idx] = share
+                    heappush(heap, (share, l_idx))
+            else:
+                key[l_idx] = None
+
+    return {flow.flow_id: rates[f_idx] for f_idx, flow in enumerate(flows)}
+
+
+def max_min_rates_reference(
+    flows: Sequence[Flow],
+    capacities: Mapping[object, float],
+    cap_overrides: Mapping[object, float] | None = None,
+) -> dict[object, float]:
+    """Vectorized progressive filling: the oracle for :func:`max_min_rates`.
+
+    Same contract and same result, bit for bit.  Each filling iteration
+    recomputes every link's share with numpy over a COO incidence list
+    (flow, link), which makes an iteration O(links + touched
+    incidences).
     """
     if not flows:
         return {}

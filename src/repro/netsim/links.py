@@ -29,7 +29,10 @@ class Link:
     link_id:
         Unique hashable identifier, e.g. ``("up", "leaf0", "spine3")``.
     capacity:
-        Capacity in bits/s.  Must be positive.
+        Capacity in bits/s.  Must be positive.  Once the link belongs to
+        a network, change it through
+        :meth:`~repro.netsim.network.FlowNetwork.set_link_capacity`,
+        which keeps the solver's capacity map in step.
     description:
         Optional human-readable label used in reports.
     """
@@ -42,6 +45,11 @@ class Link:
     #: Windowed counter, reset by :meth:`reset_window`.  Used to compute
     #: per-port bandwidth over a sampling interval (Fig. 13).
     window_bits: float = field(default=0.0, init=False)
+    #: Called with the link after every up/down transition.  The owning
+    #: :class:`~repro.netsim.network.FlowNetwork` uses it to count the
+    #: links that are down.  Left unannotated so it is not a dataclass
+    #: field: ``asdict()`` and comparisons leave it out.
+    on_state_change = None  # Optional[Callable[[Link], None]]
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -54,11 +62,18 @@ class Link:
 
     def fail(self) -> None:
         """Take the link down; flows crossing it must be rerouted or stall."""
-        self.state = LinkState.DOWN
+        self._set_state(LinkState.DOWN)
 
     def restore(self) -> None:
         """Bring the link back up."""
-        self.state = LinkState.UP
+        self._set_state(LinkState.UP)
+
+    def _set_state(self, state: LinkState) -> None:
+        if self.state is state:
+            return
+        self.state = state
+        if self.on_state_change is not None:
+            self.on_state_change(self)
 
     def account(self, bits: float) -> None:
         """Accumulate ``bits`` of carried traffic into both counters."""

@@ -23,7 +23,7 @@ from repro.netsim.congestion import CongestionModel
 from repro.netsim.engine import EventQueue, TimerHandle
 from repro.netsim.fairness import max_min_rates
 from repro.netsim.flows import Flow, FlowState
-from repro.netsim.links import Link
+from repro.netsim.links import Link, LinkState
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 #: Flows whose remaining share falls below this fraction of their size
@@ -52,9 +52,16 @@ class FlowNetwork:
         self.flows: dict[object, Flow] = {}
         self.completed_flows: list[Flow] = []
         self.congestion = congestion
-        #: Optional :class:`~repro.netsim.trace.SimTracer` receiving
-        #: flow/link lifecycle events.
-        self.tracer = None
+        #: Link id -> capacity, kept in step with ``Link.capacity`` by
+        #: :meth:`add_link` and :meth:`set_link_capacity`; handed to the
+        #: solver as is.
+        self._capacities: dict[object, float] = {}
+        #: Links currently down.  While it is zero every ACTIVE flow is
+        #: transferring, and no path needs checking.
+        self._links_down = 0
+        #: The active flows of the last :meth:`compute_rates`, which the
+        #: loop advances and completes until the next solve.
+        self._active: list[Flow] = []
         #: Called as ``reroute_handler(link, affected_flows)`` when a link
         #: fails.  The handler may call ``flow.reroute(...)`` to keep a
         #: flow alive; flows left stalled transfer nothing.
@@ -88,8 +95,17 @@ class FlowNetwork:
         if link_id in self.links:
             raise ValueError(f"duplicate link id {link_id!r}")
         link = Link(link_id=link_id, capacity=capacity, description=description)
+        link.on_state_change = self._link_state_changed
         self.links[link_id] = link
+        self._capacities[link_id] = link.capacity
         return link
+
+    def set_link_capacity(self, link_id: object, capacity: float) -> None:
+        """Change a link's capacity; rates follow at the next event boundary."""
+        if capacity <= 0:
+            raise ValueError(f"link {link_id!r} needs positive capacity, got {capacity}")
+        self.links[link_id].capacity = capacity
+        self._capacities[link_id] = capacity
 
     def link(self, link_id: object) -> Link:
         """Look up a link by id."""
@@ -102,8 +118,6 @@ class FlowNetwork:
         """
         link = self.links[link_id]
         link.fail()
-        if self.tracer is not None:
-            self.tracer.link_changed(link_id, self.now, up=False)
         affected = [
             flow
             for flow in self.flows.values()
@@ -111,8 +125,6 @@ class FlowNetwork:
         ]
         for flow in affected:
             flow.state = FlowState.STALLED
-            if self.tracer is not None:
-                self.tracer.flow_stalled(flow, self.now, link_id)
         if self.reroute_handler is not None:
             self.reroute_handler(link, affected)
         return affected
@@ -120,8 +132,9 @@ class FlowNetwork:
     def restore_link(self, link_id: object) -> None:
         """Bring a previously failed link back up."""
         self.links[link_id].restore()
-        if self.tracer is not None:
-            self.tracer.link_changed(link_id, self.now, up=True)
+
+    def _link_state_changed(self, link: Link) -> None:
+        self._links_down += 1 if link.state is LinkState.DOWN else -1
 
     # ------------------------------------------------------------------
     # Flow management
@@ -137,8 +150,6 @@ class FlowNetwork:
         if any(not self.links[link_id].is_up for link_id in flow.path):
             flow.state = FlowState.STALLED
         self.flows[flow.flow_id] = flow
-        if self.tracer is not None:
-            self.tracer.flow_started(flow, self.now)
         self._ensure_cc_timer()
         return flow
 
@@ -150,11 +161,14 @@ class FlowNetwork:
     @property
     def active_flows(self) -> list[Flow]:
         """Flows currently transferring (not stalled, not complete)."""
+        active = FlowState.ACTIVE
+        if not self._links_down:
+            return [flow for flow in self.flows.values() if flow.state is active]
+        links = self.links
         return [
             flow
             for flow in self.flows.values()
-            if flow.state == FlowState.ACTIVE
-            and all(self.links[link_id].is_up for link_id in flow.path)
+            if flow.state is active and all(links[link_id].is_up for link_id in flow.path)
         ]
 
     # ------------------------------------------------------------------
@@ -229,7 +243,8 @@ class FlowNetwork:
     def compute_rates(self) -> dict[object, float]:
         """Instantaneous max-min fair rates of the active flows."""
         active = self.active_flows
-        capacities = {link_id: link.capacity for link_id, link in self.links.items()}
+        self._active = active
+        capacities = self._capacities
         overrides: dict[object, float] = {}
         if self.congestion is not None:
             for flow in active:
@@ -237,7 +252,7 @@ class FlowNetwork:
                 if throttle < 1.0:
                     base = flow.rate_cap
                     if base is None:
-                        base = min(self.links[link_id].capacity for link_id in flow.path)
+                        base = min(capacities[link_id] for link_id in flow.path)
                     overrides[flow.flow_id] = throttle * base
         rates = max_min_rates(active, capacities, cap_overrides=overrides)
         for flow in self.flows.values():
@@ -247,11 +262,13 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    # The three steps below run between one compute_rates() and the next,
+    # so the active flows and their rates are those of the last solve.
     def _next_completion_time(self, rates: dict[object, float]) -> Optional[float]:
         best: Optional[float] = None
-        for flow in self.flows.values():
+        for flow in self._active:
             rate = rates.get(flow.flow_id, 0.0)
-            if flow.state != FlowState.ACTIVE or rate <= 0:
+            if rate <= 0:
                 continue
             eta = self.now + flow.remaining / rate
             if best is None or eta < best:
@@ -263,22 +280,28 @@ class FlowNetwork:
             raise AssertionError(f"negative dt {dt}")
         if dt == 0:
             return
-        active = self.active_flows
+        active = self._active
+        links = self.links
+        # Flow-major, path order: each link's counters sum in the same
+        # order as one Link.account() call per incidence would.
         for flow in active:
-            rate = rates.get(flow.flow_id, 0.0)
-            transferred = rate * dt
+            transferred = rates.get(flow.flow_id, 0.0) * dt
             flow.remaining = max(0.0, flow.remaining - transferred)
             for link_id in flow.path:
-                self.links[link_id].account(transferred)
+                link = links[link_id]
+                link.bits_carried += transferred
+                link.window_bits += transferred
         if self.congestion is not None:
-            capacities = {link_id: link.capacity for link_id, link in self.links.items()}
-            self.congestion.observe(active, rates, capacities, dt)
+            self.congestion.observe(active, rates, self._capacities, dt)
 
     def _fire_completions(self) -> None:
+        # With a link down, an ACTIVE flow may sit outside the active set
+        # and still be done (its remaining bits moved off by the caller).
+        candidates = self.flows.values() if self._links_down else self._active
         finished = [
             flow
-            for flow in self.flows.values()
-            if flow.state == FlowState.ACTIVE
+            for flow in candidates
+            if flow.state is FlowState.ACTIVE
             and flow.remaining <= _COMPLETION_REL_EPS * flow.size
         ]
         for flow in finished:
@@ -291,8 +314,6 @@ class FlowNetwork:
             flow.remaining = 0.0
             del self.flows[flow.flow_id]
             self.completed_flows.append(flow)
-            if self.tracer is not None:
-                self.tracer.flow_completed(flow, self.now)
             if self.congestion is not None:
                 self.congestion.forget(flow)
         # Callbacks run after bookkeeping so they can add flows freely.
@@ -316,8 +337,7 @@ class FlowNetwork:
             self._cc_timer = None
             return
         rates = {flow.flow_id: flow.rate for flow in active}
-        capacities = {link_id: link.capacity for link_id, link in self.links.items()}
-        self.congestion.tick(active, rates, capacities)
+        self.congestion.tick(active, rates, self._capacities)
         interval = self.congestion.config.tick_interval
         self._cc_timer = self._queue.schedule(self.now + interval, self._cc_tick)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology, PathChoice
+from repro.netsim.flows import Flow
 from repro.netsim.network import FlowNetwork
 from repro.netsim.routing import FiveTuple
 from repro.netsim.units import GBPS
@@ -100,6 +101,13 @@ def test_set_port_scale_is_idempotent(topo):
     topo.set_port_scale(2, 3, 0, 0.5)
     assert topo.network.link(topo.host_up(2, 3, 0)).capacity == pytest.approx(100 * GBPS)
     assert topo.network.link(topo.host_down(2, 3, 0)).capacity == pytest.approx(100 * GBPS)
+
+
+def test_set_port_scale_reaches_the_solver(topo):
+    link_id = topo.host_up(2, 3, 0)
+    topo.network.add_flow(Flow(flow_id="f", path=[link_id], size=GBPS))
+    topo.set_port_scale(2, 3, 0, 0.25)
+    assert topo.network.compute_rates()["f"] == pytest.approx(50 * GBPS)
 
 
 def test_set_port_scale_rejects_nonpositive(topo):

@@ -258,3 +258,37 @@ def test_run_rejects_reentrant_calls():
     # The guard resets: a fresh top-level run() works afterwards.
     network.schedule(1.0, lambda: None)
     network.run(until=5.0)
+
+
+def test_set_link_capacity_changes_rates_mid_run():
+    net = build_net(("a", 10 * GBPS))
+    flow = Flow(flow_id="f", path=["a"], size=20 * GBPS)
+    net.add_flow(flow)
+    net.schedule(1.0, lambda: net.set_link_capacity("a", 5 * GBPS))
+    net.run()
+    # 10 Gb in the first second, the other 10 Gb at 5 Gbps.
+    assert net.link("a").capacity == 5 * GBPS
+    assert flow.end_time == pytest.approx(3.0)
+
+
+def test_set_link_capacity_rejects_nonpositive():
+    net = build_net(("a", GBPS))
+    with pytest.raises(ValueError):
+        net.set_link_capacity("a", 0.0)
+    assert net.link("a").capacity == GBPS
+
+
+def test_link_failed_behind_the_network_pauses_its_flows():
+    # ClusterTopology.disable_spine fails links directly: the flows stay
+    # ACTIVE but carry nothing until the link is back.
+    net = build_net(("a", GBPS))
+    flow = Flow(flow_id="f", path=["a"], size=2 * GBPS)
+    net.add_flow(flow)
+    net.schedule(1.0, net.link("a").fail)
+    net.schedule(4.0, net.link("a").restore)
+    net.run(until=2.0)
+    assert flow.state is FlowState.ACTIVE
+    assert net.active_flows == []
+    assert net.compute_rates() == {}
+    net.run()
+    assert flow.end_time == pytest.approx(5.0)

@@ -52,8 +52,12 @@ def jsonable(value):
 
 
 def state_digest(state: dict) -> str:
-    """SHA-256 over the canonical JSON encoding of a state dict."""
-    canonical = json.dumps(jsonable(state), sort_keys=True, separators=(",", ":"))
+    """SHA-256 over the canonical JSON encoding of a state dict.
+
+    ``json.dumps`` already encodes tuples as arrays, so the encoding
+    equals that of ``jsonable(state)`` without the copying pre-pass.
+    """
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -108,6 +112,8 @@ class JournalStore:
             "Mutations appended to a control-plane journal",
             labels=("kind",),
         )
+        #: The entries counter's child per entry kind, resolved once.
+        self._m_entries_by_kind: dict = {}
         self._m_size = registry.gauge(
             "controlplane_journal_size",
             "Entries currently retained in a control-plane journal",
@@ -157,7 +163,10 @@ class JournalStore:
         entry = JournalEntry(seq=self._next_seq, epoch=epoch, kind=kind, payload=payload)
         self._next_seq += 1
         self.entries.append(entry)
-        self._m_entries.labels(kind=kind).inc()
+        counter = self._m_entries_by_kind.get(kind)
+        if counter is None:
+            counter = self._m_entries_by_kind[kind] = self._m_entries.labels(kind=kind)
+        counter.inc()
         self._m_size.set(len(self.entries))
         return entry
 

@@ -15,6 +15,7 @@ from repro.core.c4d.delay_matrix import (
     MatrixFinding,
     analyze_delay_matrix,
     build_delay_matrix,
+    build_delay_matrix_reference,
 )
 from repro.core.c4d.detectors import (
     CommSlowDetector,
@@ -41,6 +42,7 @@ __all__ = [
     "MatrixFinding",
     "analyze_delay_matrix",
     "build_delay_matrix",
+    "build_delay_matrix_reference",
     "WaitChainFinding",
     "analyze_wait_chain",
     "analyze_wait_chain_smoothed",

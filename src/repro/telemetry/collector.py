@@ -4,13 +4,18 @@ Holds bounded windows of operation- and transport-layer records per
 communicator plus per-rank progress (last completed sequence number).
 The detectors in :mod:`repro.core.c4d` query this store; they never see
 simulator ground truth.
+
+Beside each operation and launch window the collector keeps a
+``seq -> records`` index, so the per-operation queries the detectors make
+every pass are lookups rather than window scans.  The index is derived
+state: it is rebuilt on restore and never serialized.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Deque, Iterable, Optional
 
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -78,6 +83,9 @@ class CentralCollector:
         self._ops: dict[str, Deque[OpRecord]] = {}
         self._launches: dict[str, Deque[OpLaunchRecord]] = {}
         self._messages: dict[str, Deque[MessageRecord]] = {}
+        #: Per communicator, seq -> its records in window order.
+        self._ops_by_seq: dict[str, dict[int, Deque[OpRecord]]] = {}
+        self._launches_by_seq: dict[str, dict[int, Deque[OpLaunchRecord]]] = {}
         self._op_window = op_window
         self._message_window = message_window
         self._tombstone_capacity = tombstone_capacity
@@ -126,6 +134,27 @@ class CentralCollector:
         window.append(record)
         self._m_ingested[kind].inc()
 
+    def _append_indexed(self, kind: str, window: Deque, index: dict, record) -> None:
+        """:meth:`_append_bounded`, keeping the window's seq index in step.
+
+        The window is FIFO, so within one seq bucket the evicted record
+        is always the bucket's front.
+        """
+        if window and len(window) == window.maxlen:
+            evicted = window[0].seq
+            bucket = index[evicted]
+            bucket.popleft()
+            if not bucket:
+                del index[evicted]
+        self._append_bounded(kind, window, record)
+        if not window:
+            return  # a zero-length window keeps nothing
+        bucket = index.get(record.seq)
+        if bucket is None:
+            index[record.seq] = deque((record,))
+        else:
+            bucket.append(record)
+
     # ------------------------------------------------------------------
     # Ingestion (called by agents)
     # ------------------------------------------------------------------
@@ -141,6 +170,8 @@ class CentralCollector:
         self._ops[record.comm_id] = deque(maxlen=self._op_window)
         self._launches[record.comm_id] = deque(maxlen=self._op_window)
         self._messages[record.comm_id] = deque(maxlen=self._message_window)
+        self._ops_by_seq[record.comm_id] = {}
+        self._launches_by_seq[record.comm_id] = {}
         self._m_ingested["communicator"].inc()
         self._m_comms.set(len(self.progress))
 
@@ -155,6 +186,8 @@ class CentralCollector:
         self._ops.pop(comm_id, None)
         self._launches.pop(comm_id, None)
         self._messages.pop(comm_id, None)
+        self._ops_by_seq.pop(comm_id, None)
+        self._launches_by_seq.pop(comm_id, None)
         self._dropped.pop(comm_id, None)  # refresh insertion order
         self._dropped[comm_id] = None
         while len(self._dropped) > self._tombstone_capacity:
@@ -172,7 +205,10 @@ class CentralCollector:
             progress.last_launch_seq.get(record.rank, -1), record.seq
         )
         progress.last_launch_time = max(progress.last_launch_time, record.launch_time)
-        self._append_bounded("launch", self._launches[record.comm_id], record)
+        comm_id = record.comm_id
+        self._append_indexed(
+            "launch", self._launches[comm_id], self._launches_by_seq[comm_id], record
+        )
 
     def ingest_op(self, record: OpRecord) -> None:
         """Record a completed per-rank operation."""
@@ -183,7 +219,8 @@ class CentralCollector:
             progress.last_seq.get(record.rank, -1), record.seq
         )
         progress.last_completion_time = max(progress.last_completion_time, record.end_time)
-        self._append_bounded("op", self._ops[record.comm_id], record)
+        comm_id = record.comm_id
+        self._append_indexed("op", self._ops[comm_id], self._ops_by_seq[comm_id], record)
 
     def ingest_message(self, record: MessageRecord) -> None:
         """Record a transport-layer message."""
@@ -208,16 +245,15 @@ class CentralCollector:
 
     def ops_for_seq(self, comm_id: str, seq: int) -> list[OpRecord]:
         """Per-rank records of one specific operation."""
-        return [r for r in self._ops.get(comm_id, ()) if r.seq == seq]
+        return list(self._ops_by_seq.get(comm_id, {}).get(seq, ()))
 
     def launches_for_seq(self, comm_id: str, seq: int) -> list[OpLaunchRecord]:
         """Per-rank startup records of one specific operation."""
-        return [r for r in self._launches.get(comm_id, ()) if r.seq == seq]
+        return list(self._launches_by_seq.get(comm_id, {}).get(seq, ()))
 
     def latest_seqs(self, comm_id: str, count: int) -> list[int]:
         """The most recent ``count`` completed sequence numbers."""
-        seqs = sorted({r.seq for r in self._ops.get(comm_id, ())})
-        return seqs[-count:]
+        return sorted(self._ops_by_seq.get(comm_id, ()))[-count:]
 
     # ------------------------------------------------------------------
     # Snapshot / restore (control-plane journaling)
@@ -290,6 +326,12 @@ class CentralCollector:
                 (MessageRecord.from_payload(p) for p in payloads),
                 maxlen=self._message_window,
             )
+        self._ops_by_seq = {
+            comm_id: _seq_index(window) for comm_id, window in self._ops.items()
+        }
+        self._launches_by_seq = {
+            comm_id: _seq_index(window) for comm_id, window in self._launches.items()
+        }
         self._dropped = {comm_id: None for comm_id in state["dropped"]}
         self._m_comms.set(len(self.progress))
 
@@ -311,3 +353,11 @@ class CentralCollector:
                 "ingest_communicator must come first"
             )
         return progress
+
+
+def _seq_index(window: Iterable) -> dict[int, Deque]:
+    """``seq -> records`` over ``window``, each bucket in window order."""
+    index: dict[int, Deque] = {}
+    for record in window:
+        index.setdefault(record.seq, deque()).append(record)
+    return index

@@ -1,8 +1,25 @@
 """Tests for the journal store: write-ahead order, fencing, compaction."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.controlplane import FencedOut, JournalStore, jsonable, state_digest
+from repro.cluster.specs import TESTBED_16_NODES
+from repro.cluster.topology import ClusterTopology
+from repro.collective.algorithms import OpType
+from repro.collective.communicator import RankLocation
+from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord
+from repro.collective.selectors import PathRequest
+from repro.controlplane import (
+    C4DControlPlane,
+    FencedOut,
+    JournalStore,
+    ResilientC4PMaster,
+    jsonable,
+    state_digest,
+)
+from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -68,3 +85,77 @@ def test_state_digest_is_canonical():
 
 def test_jsonable_converts_nested_tuples():
     assert jsonable({"k": (1, (2, 3))}) == {"k": [1, [2, 3]]}
+
+
+def jsonable_digest(state) -> str:
+    """The digest as first defined: canonical JSON of ``jsonable(state)``."""
+    canonical = json.dumps(jsonable(state), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def c4d_plane_state() -> dict:
+    """A C4D plane that ingested every record kind and flagged anomalies."""
+    metrics = MetricsRegistry()
+    plane = C4DControlPlane(
+        ClusterTopology(TESTBED_16_NODES, FlowNetwork(), ecmp_seed=0),
+        backup_nodes=[14, 15],
+        metrics=metrics,
+    )
+    ranks = tuple(RankLocation(node, 0) for node in range(4))
+    plane.ingest_communicator(CommunicatorRecord("c", 4, ranks), now=0.0)
+    for seq in range(2):
+        for node in range(4):
+            dst = (node + 1) % 4
+            duration = 4.0 if node == 1 else 1.0
+            plane.ingest_message(
+                MessageRecord(
+                    "c", seq, node, 0, dst, 0, "a", "b", 1, 1, 0, 100.0, 10.0, 10.0 + duration
+                )
+            )
+    for rank in range(3):
+        plane.ingest_launch(OpLaunchRecord("c", 2, OpType.ALLREDUCE, rank, ranks[rank], 20.0))
+    plane.evaluate(60.0)
+    assert plane.master.anomalies
+    return plane.state()
+
+
+def c4p_master_state() -> dict:
+    master = ResilientC4PMaster(
+        ClusterTopology(TESTBED_16_NODES, FlowNetwork(), ecmp_seed=1),
+        metrics=MetricsRegistry(),
+    )
+    allocs = master.allocate(
+        PathRequest("comm0", "job0", src_node=0, src_nic=0, dst_node=4, dst_nic=0, num_qps=4)
+    )
+    master.notify_link_failure(allocs[0].path[0], now=10.0)
+    master.maintenance(now=30.0)
+    return master.snapshot_state()
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [
+        lambda: {"t": (1, [2.5, (3, {"u": ("x", None)})]), "l": [(), {"e": (True,)}]},
+        c4d_plane_state,
+        c4p_master_state,
+    ],
+    ids=["nested", "c4d_plane", "c4p_master"],
+)
+def test_state_digest_equals_jsonable_digest(make_state):
+    state = make_state()
+    assert state_digest(state) == jsonable_digest(state)
+
+
+def test_entries_counter_per_kind():
+    metrics = MetricsRegistry()
+    s = JournalStore(metrics=metrics)
+    epoch = s.open_epoch()
+    for kind in ("op", "message", "op", "op"):
+        s.append(kind, {}, epoch)
+    family = next(
+        f for f in metrics.families() if f.name == "controlplane_journal_entries_total"
+    )
+    assert {labels["kind"]: child.value for labels, child in family.series()} == {
+        "op": 3.0,
+        "message": 1.0,
+    }

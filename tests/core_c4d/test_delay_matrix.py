@@ -1,9 +1,17 @@
 """Tests for the Fig. 7 delay-matrix analysis."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.collective.monitoring import MessageRecord
-from repro.core.c4d.delay_matrix import DelayMatrix, analyze_delay_matrix, build_delay_matrix
+from repro.core.c4d.delay_matrix import (
+    DelayMatrix,
+    analyze_delay_matrix,
+    build_delay_matrix,
+    build_delay_matrix_reference,
+)
 from repro.core.c4d.events import SuspectKind
 
 
@@ -110,3 +118,71 @@ def test_baseline_is_median():
 def test_workers_enumeration():
     matrix = build_delay_matrix(ring_messages(4))
     assert len(matrix.workers) == 4
+
+
+# -- the scalar median build against the np.median reference ----------
+
+#: Few distinct values, so exact ties and repeated medians are common.
+TIED = (0.5, 1.0, 1.0, 2.0, 3.0)
+#: Skipped (non-positive), unbounded and undefined samples.
+EDGE = (0.0, -1.0, math.inf, math.nan)
+sample_values = st.one_of(
+    st.sampled_from(TIED),
+    st.sampled_from(EDGE),
+    st.floats(min_value=1e-9, max_value=1e9),
+)
+pairs = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=1),
+)
+
+
+@st.composite
+def message_lists(draw):
+    """Messages on a few worker pairs, so pairs repeat an odd or even
+    number of times."""
+    records = []
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        src, src_nic, dst, dst_nic = draw(pairs)
+        records.append(
+            message(
+                src,
+                dst,
+                draw(sample_values),
+                size=draw(st.one_of(st.just(100.0), sample_values)),
+                src_nic=src_nic,
+                dst_nic=dst_nic,
+            )
+        )
+    return records
+
+
+def same_score(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a.hex() == b.hex()
+
+
+@given(message_lists())
+@settings(max_examples=300, deadline=None)
+def test_build_matches_reference_bit_for_bit(records):
+    fast = list(build_delay_matrix(records).scores.items())
+    reference = list(build_delay_matrix_reference(records).scores.items())
+    assert [key for key, _ in fast] == [key for key, _ in reference]
+    for (_, a), (_, b) in zip(fast, reference):
+        assert type(a) is float
+        assert same_score(a, b), (a, b)
+
+
+def test_build_median_of_even_count_averages_middle_pair():
+    records = [message(0, 1, d) for d in (4.0, 1.0, 3.0, 2.0)]
+    assert build_delay_matrix(records).scores[((0, 0), (1, 0))] == pytest.approx(0.025)
+
+
+def test_build_nan_sample_poisons_its_pair_only():
+    records = [message(0, 1, 1.0), message(0, 1, math.nan), message(1, 2, 1.0)]
+    scores = build_delay_matrix(records).scores
+    assert math.isnan(scores[((0, 0), (1, 0))])
+    assert scores[((1, 0), (2, 0))] == pytest.approx(0.01)

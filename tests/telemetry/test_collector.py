@@ -1,6 +1,9 @@
 """Tests for the central collector."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
@@ -253,3 +256,91 @@ def test_out_of_order_records_still_stored_for_queries():
     # Detectors query by seq regardless of arrival order.
     assert len(collector.ops_for_seq("c", 2)) == 1
     assert collector.latest_seqs("c", 10) == [2, 5]
+
+
+# -- seq-indexed queries against linear scans over a model window -------
+
+COMMS = ("a", "b")
+actions = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(("op", "launch")),
+            st.sampled_from(COMMS),
+            st.integers(min_value=0, max_value=5),  # seq, arriving out of order
+            st.integers(min_value=0, max_value=3),  # rank
+        ),
+        st.tuples(st.sampled_from(("drop", "register")), st.sampled_from(COMMS)),
+        st.just(("restore",)),
+    ),
+    max_size=60,
+)
+
+
+class ModelWindows:
+    """Bounded record windows kept the obvious way, queried by scanning."""
+
+    def __init__(self, window: int) -> None:
+        self.window = window
+        self.ops: dict[str, deque] = {}
+        self.launches: dict[str, deque] = {}
+
+    def register(self, comm: str) -> None:
+        self.ops[comm] = deque(maxlen=self.window)
+        self.launches[comm] = deque(maxlen=self.window)
+
+    def drop(self, comm: str) -> None:
+        self.ops.pop(comm, None)
+        self.launches.pop(comm, None)
+
+    def ops_for_seq(self, comm: str, seq: int) -> list:
+        return [r for r in self.ops.get(comm, ()) if r.seq == seq]
+
+    def launches_for_seq(self, comm: str, seq: int) -> list:
+        return [r for r in self.launches.get(comm, ()) if r.seq == seq]
+
+    def latest_seqs(self, comm: str, count: int) -> list:
+        return sorted({r.seq for r in self.ops.get(comm, ())})[-count:]
+
+
+@given(st.integers(min_value=0, max_value=6), actions)
+@settings(max_examples=200, deadline=None)
+def test_seq_queries_match_linear_scans(window, steps):
+    def fresh():
+        return CentralCollector(op_window=window, metrics=MetricsRegistry())
+
+    collector = fresh()
+    model = ModelWindows(window)
+    for comm in COMMS:
+        collector.ingest_communicator(comm_record(comm))
+        model.register(comm)
+    for t, step in enumerate(steps):
+        kind = step[0]
+        if kind == "op":
+            _, comm, seq, rank = step
+            collector.ingest_op(op(comm, seq, rank, end=float(t)))
+            if comm in model.ops:
+                model.ops[comm].append(op(comm, seq, rank, end=float(t)))
+        elif kind == "launch":
+            _, comm, seq, rank = step
+            collector.ingest_launch(launch(comm, seq, rank, t=float(t)))
+            if comm in model.launches:
+                model.launches[comm].append(launch(comm, seq, rank, t=float(t)))
+        elif kind == "drop":
+            collector.drop_communicator(step[1])
+            model.drop(step[1])
+        elif kind == "register":
+            collector.ingest_communicator(comm_record(step[1]))
+            model.register(step[1])
+        else:
+            restored = fresh()
+            restored.restore_state(collector.snapshot_state())
+            collector = restored
+        for comm in COMMS:
+            assert collector.ops(comm) == list(model.ops.get(comm, ()))
+            for seq in range(6):
+                assert collector.ops_for_seq(comm, seq) == model.ops_for_seq(comm, seq)
+                assert collector.launches_for_seq(comm, seq) == model.launches_for_seq(
+                    comm, seq
+                )
+            for count in range(1, 4):
+                assert collector.latest_seqs(comm, count) == model.latest_seqs(comm, count)

@@ -10,53 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.chaos.scorecard import CampaignScorecard, ScenarioScorecard
+from repro.chaos.scorecard import CampaignScorecard, EpisodeOutcome, ScenarioScorecard
+from repro.codec import encode
 from repro.collective.monitoring import MessageRecord, OpRecord
 from repro.training.lifetime import DowntimeBreakdown
-
-
-def op_record_to_dict(record: OpRecord) -> dict:
-    """Flatten an operation record into JSON-safe primitives."""
-    return {
-        "comm_id": record.comm_id,
-        "seq": record.seq,
-        "op_type": record.op_type.value,
-        "algorithm": record.algorithm.value,
-        "dtype": record.dtype,
-        "element_count": record.element_count,
-        "rank": record.rank,
-        "node": record.location.node,
-        "gpu": record.location.gpu,
-        "launch_time": record.launch_time,
-        "start_time": record.start_time,
-        "end_time": record.end_time,
-        "wait_time": record.wait_time,
-    }
-
-
-def message_record_to_dict(record: MessageRecord) -> dict:
-    """Flatten a transport record into JSON-safe primitives."""
-    return {
-        "comm_id": record.comm_id,
-        "seq": record.seq,
-        "src_node": record.src_node,
-        "src_nic": record.src_nic,
-        "dst_node": record.dst_node,
-        "dst_nic": record.dst_nic,
-        "src_ip": record.src_ip,
-        "dst_ip": record.dst_ip,
-        "qp_num": record.qp_num,
-        "src_port": record.src_port,
-        "message_index": record.message_index,
-        "size_bits": record.size_bits,
-        "post_time": record.post_time,
-        "complete_time": record.complete_time,
-        "duration": record.duration,
-    }
 
 
 def downtime_to_dict(breakdown: DowntimeBreakdown) -> dict:
@@ -79,77 +39,19 @@ def downtime_to_dict(breakdown: DowntimeBreakdown) -> dict:
 
 def scenario_scorecard_to_dict(card: ScenarioScorecard) -> dict:
     """Serialize one chaos scenario's score, including derived metrics."""
-    fabric = None
-    if card.fabric is not None:
-        m = card.fabric
-        fabric = {
-            "qps_total": m.qps_total,
-            "migrations": m.migrations,
-            "stranded": m.stranded,
-            "residual_after_deadline": m.residual_after_deadline,
-            "reroute_latency_mean": m.reroute_latency_mean,
-            "reroute_latency_max": m.reroute_latency_max,
-            "holddown_violations": m.holddown_violations,
-            "plane_violations": m.plane_violations,
-            "spine_imbalance": m.spine_imbalance,
-            "pre_fault_throughput": m.pre_fault_throughput,
-            "recovery_time": m.recovery_time,
-            "recovered_links": m.recovered_links,
-        }
-    controlplane = None
-    if card.controlplane is not None:
-        m = card.controlplane
-        controlplane = {
-            "kills": m.kills,
-            "recoveries": m.recoveries,
-            "failovers": m.failovers,
-            "replay_digest_match": m.replay_digest_match,
-            "replay_digest": m.replay_digest,
-            "entries_replayed": m.entries_replayed,
-            "journal_entries": m.journal_entries,
-            "snapshots": m.snapshots,
-            "recovery_seconds": m.recovery_seconds,
-            "duplicate_actions": m.duplicate_actions,
-            "fencing_rejections": m.fencing_rejections,
-            "stale_actions_executed": m.stale_actions_executed,
-            "blackout_false_isolations": m.blackout_false_isolations,
-            "coverage_min": m.coverage_min,
-            "backfilled_records": m.backfilled_records,
-            "baseline_recall": m.baseline_recall,
-        }
-    return {
-        "fabric": fabric,
-        "controlplane": controlplane,
-        "name": card.name,
-        "seed": card.seed,
-        "kind": card.kind,
-        "precision": card.precision,
-        "recall": card.recall,
-        "true_actions": card.true_actions,
-        "false_actions": card.false_actions,
-        "false_isolations": card.false_isolations,
-        "isolation_storms": card.isolation_storms,
-        "wasted_backups": card.wasted_backups,
-        "pool_exhaustions": card.pool_exhaustions,
-        "steps_completed": card.steps_completed,
-        "relaunches": card.relaunches,
-        "restore_fallbacks": card.restore_fallbacks,
-        "completed": card.completed,
-        "channel": dict(card.channel),
-        "episodes": [
-            {
-                "episode_id": outcome.episode_id,
-                "kind": outcome.kind,
-                "nodes": list(outcome.nodes),
-                "onset": outcome.onset,
-                "detected": outcome.detected,
-                "detected_at": outcome.detected_at,
-                "mttr_seconds": outcome.mttr_seconds,
-                "storm_nodes": list(outcome.storm_nodes),
-            }
-            for outcome in card.episodes
-        ],
-    }
+    payload = encode(card)
+    payload["precision"] = card.precision
+    payload["recall"] = card.recall
+    payload["episodes"] = [_episode_to_dict(outcome) for outcome in card.episodes]
+    return payload
+
+
+def _episode_to_dict(outcome: EpisodeOutcome) -> dict:
+    """An episode's outcome with its storm nodes in place of per-node counts."""
+    payload = encode(outcome)
+    del payload["isolations_per_node"]
+    payload["storm_nodes"] = encode(outcome.storm_nodes)
+    return payload
 
 
 def campaign_scorecard_to_dict(
@@ -175,23 +77,10 @@ def campaign_scorecard_to_dict(
     return payload
 
 
-def to_jsonable(value):
-    """Best-effort conversion of result objects to JSON-safe structures."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return {k: to_jsonable(v) for k, v in asdict(value).items()}
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if hasattr(value, "value") and not isinstance(value, (int, float, str, bool)):
-        return value.value  # enums
-    return value
-
-
 def write_json(path: str | Path, payload) -> Path:
-    """Write any JSON-able payload (dataclasses welcome) to ``path``."""
+    """Write any :func:`repro.codec.encode`-able payload to ``path``."""
     path = Path(path)
-    path.write_text(json.dumps(to_jsonable(payload), indent=2, sort_keys=True))
+    path.write_text(json.dumps(encode(payload), indent=2, sort_keys=True))
     return path
 
 
@@ -200,12 +89,8 @@ def write_records_json(
     ops: Iterable[OpRecord] = (),
     messages: Iterable[MessageRecord] = (),
 ) -> Path:
-    """Dump monitoring records to one JSON document."""
-    payload = {
-        "ops": [op_record_to_dict(r) for r in ops],
-        "messages": [message_record_to_dict(r) for r in messages],
-    }
-    return write_json(path, payload)
+    """Dump monitoring records to one JSON document, in their journal form."""
+    return write_json(path, {"ops": list(ops), "messages": list(messages)})
 
 
 def write_series_csv(

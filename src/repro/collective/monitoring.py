@@ -32,23 +32,6 @@ class CommunicatorRecord:
     size: int
     ranks: tuple[RankLocation, ...]
 
-    def to_payload(self) -> dict:
-        """JSON-safe form for journaling/snapshotting."""
-        return {
-            "comm_id": self.comm_id,
-            "size": self.size,
-            "ranks": [[loc.node, loc.gpu] for loc in self.ranks],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CommunicatorRecord":
-        """Rebuild a record from its :meth:`to_payload` form."""
-        return cls(
-            comm_id=payload["comm_id"],
-            size=payload["size"],
-            ranks=tuple(RankLocation(node, gpu) for node, gpu in payload["ranks"]),
-        )
-
 
 @dataclass(frozen=True)
 class OpLaunchRecord:
@@ -67,29 +50,6 @@ class OpLaunchRecord:
     rank: int
     location: RankLocation
     launch_time: float
-
-    def to_payload(self) -> dict:
-        """JSON-safe form for journaling/snapshotting."""
-        return {
-            "comm_id": self.comm_id,
-            "seq": self.seq,
-            "op_type": self.op_type.value,
-            "rank": self.rank,
-            "location": [self.location.node, self.location.gpu],
-            "launch_time": self.launch_time,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "OpLaunchRecord":
-        """Rebuild a record from its :meth:`to_payload` form."""
-        return cls(
-            comm_id=payload["comm_id"],
-            seq=payload["seq"],
-            op_type=OpType(payload["op_type"]),
-            rank=payload["rank"],
-            location=RankLocation(*payload["location"]),
-            launch_time=payload["launch_time"],
-        )
 
 
 @dataclass(frozen=True)
@@ -126,39 +86,6 @@ class OpRecord:
         """Time this rank spent waiting for peers before transfer began."""
         return self.start_time - self.launch_time
 
-    def to_payload(self) -> dict:
-        """JSON-safe form for journaling/snapshotting."""
-        return {
-            "comm_id": self.comm_id,
-            "seq": self.seq,
-            "op_type": self.op_type.value,
-            "algorithm": self.algorithm.value,
-            "dtype": self.dtype,
-            "element_count": self.element_count,
-            "rank": self.rank,
-            "location": [self.location.node, self.location.gpu],
-            "launch_time": self.launch_time,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "OpRecord":
-        """Rebuild a record from its :meth:`to_payload` form."""
-        return cls(
-            comm_id=payload["comm_id"],
-            seq=payload["seq"],
-            op_type=OpType(payload["op_type"]),
-            algorithm=Algorithm(payload["algorithm"]),
-            dtype=payload["dtype"],
-            element_count=payload["element_count"],
-            rank=payload["rank"],
-            location=RankLocation(*payload["location"]),
-            launch_time=payload["launch_time"],
-            start_time=payload["start_time"],
-            end_time=payload["end_time"],
-        )
-
 
 @dataclass(frozen=True)
 class MessageRecord:
@@ -187,30 +114,6 @@ class MessageRecord:
     def duration(self) -> float:
         """Transfer duration of this message."""
         return self.complete_time - self.post_time
-
-    def to_payload(self) -> dict:
-        """JSON-safe form for journaling/snapshotting."""
-        return {
-            "comm_id": self.comm_id,
-            "seq": self.seq,
-            "src_node": self.src_node,
-            "src_nic": self.src_nic,
-            "dst_node": self.dst_node,
-            "dst_nic": self.dst_nic,
-            "src_ip": self.src_ip,
-            "dst_ip": self.dst_ip,
-            "qp_num": self.qp_num,
-            "src_port": self.src_port,
-            "message_index": self.message_index,
-            "size_bits": self.size_bits,
-            "post_time": self.post_time,
-            "complete_time": self.complete_time,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MessageRecord":
-        """Rebuild a record from its :meth:`to_payload` form."""
-        return cls(**payload)
 
 
 class MonitoringSink(Protocol):

@@ -16,7 +16,6 @@ from repro.controlplane.journal import (
     JournalEntry,
     JournalStore,
     Snapshot,
-    jsonable,
     state_digest,
 )
 from repro.controlplane.lease import LeaseTable
@@ -29,6 +28,5 @@ __all__ = [
     "LeaseTable",
     "ResilientC4PMaster",
     "Snapshot",
-    "jsonable",
     "state_digest",
 ]

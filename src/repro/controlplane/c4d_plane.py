@@ -28,6 +28,7 @@ import time
 from typing import Callable, Optional
 
 from repro.cluster.topology import ClusterTopology
+from repro.codec import decode, encode
 from repro.collective.monitoring import (
     CommunicatorRecord,
     MessageRecord,
@@ -182,26 +183,26 @@ class C4DControlPlane:
         if not self._guard():
             return
         self.store.append(
-            "communicator", {"record": record.to_payload(), "now": now}, self.epoch
+            "communicator", {"record": encode(record), "now": now}, self.epoch
         )
         self.collector.ingest_communicator(record, now=now)
 
     def ingest_launch(self, record: OpLaunchRecord) -> None:
         if not self._guard():
             return
-        self.store.append("launch", {"record": record.to_payload()}, self.epoch)
+        self.store.append("launch", {"record": encode(record)}, self.epoch)
         self.collector.ingest_launch(record)
 
     def ingest_op(self, record: OpRecord) -> None:
         if not self._guard():
             return
-        self.store.append("op", {"record": record.to_payload()}, self.epoch)
+        self.store.append("op", {"record": encode(record)}, self.epoch)
         self.collector.ingest_op(record)
 
     def ingest_message(self, record: MessageRecord) -> None:
         if not self._guard():
             return
-        self.store.append("message", {"record": record.to_payload()}, self.epoch)
+        self.store.append("message", {"record": encode(record)}, self.epoch)
         self.collector.ingest_message(record)
 
     def drop_communicator(self, comm_id: str) -> None:
@@ -235,7 +236,7 @@ class C4DControlPlane:
                 "now": now,
                 "coverage": coverage,
                 "blind": blind,
-                "actions": [a.to_payload() for a in new_actions],
+                "actions": encode(new_actions),
             },
             self.epoch,
         )
@@ -342,18 +343,21 @@ class C4DControlPlane:
         payload = entry.payload
         if kind == "communicator":
             self.collector.ingest_communicator(
-                CommunicatorRecord.from_payload(payload["record"]), now=payload["now"]
+                decode(CommunicatorRecord, payload["record"]), now=payload["now"]
             )
         elif kind == "launch":
-            self.collector.ingest_launch(OpLaunchRecord.from_payload(payload["record"]))
+            self.collector.ingest_launch(decode(OpLaunchRecord, payload["record"]))
         elif kind == "op":
-            self.collector.ingest_op(OpRecord.from_payload(payload["record"]))
+            self.collector.ingest_op(decode(OpRecord, payload["record"]))
         elif kind == "message":
-            self.collector.ingest_message(MessageRecord.from_payload(payload["record"]))
+            self.collector.ingest_message(decode(MessageRecord, payload["record"]))
         elif kind == "drop":
             self.collector.drop_communicator(payload["comm_id"])
         elif kind == "evaluate":
-            actions = [SteeringAction.from_payload(p) for p in payload["actions"]]
+            actions = decode(list[SteeringAction], payload["actions"])
+            # Re-derived actions keep the epoch of the incarnation that
+            # executed them; recover() restores the plane's own epoch.
+            self.master.epoch = entry.epoch
             self.steering.begin_replay(actions)
             try:
                 self.master.evaluate(

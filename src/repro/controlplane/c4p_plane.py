@@ -21,6 +21,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology
+from repro.codec import decode, decode_pairs, encode, encode_pairs
 from repro.collective.selectors import PathRequest, QpAllocation
 from repro.controlplane.journal import FencedOut, JournalStore
 from repro.controlplane.journal import state_digest as _digest
@@ -100,18 +101,6 @@ class ResilientC4PMaster(C4PMaster):
     # ------------------------------------------------------------------
     # Journaled mutating entry points
     # ------------------------------------------------------------------
-    @staticmethod
-    def _request_payload(request: PathRequest) -> dict:
-        return {
-            "comm_id": request.comm_id,
-            "job_id": request.job_id,
-            "src_node": request.src_node,
-            "src_nic": request.src_nic,
-            "dst_node": request.dst_node,
-            "dst_nic": request.dst_nic,
-            "num_qps": request.num_qps,
-        }
-
     def allocate(self, request: PathRequest) -> list[QpAllocation]:
         if self._bypass:
             return super().allocate(request)
@@ -123,7 +112,7 @@ class ResilientC4PMaster(C4PMaster):
         qp_nums = [next(c4p_master._qp_counter) for _ in range(request.num_qps)]
         self.store.append(
             "allocate",
-            {"request": self._request_payload(request), "qp_nums": qp_nums},
+            {"request": encode(request), "qp_nums": qp_nums},
             self.epoch,
         )
         self._qp_num_override.extend(qp_nums)
@@ -153,7 +142,7 @@ class ResilientC4PMaster(C4PMaster):
             now = self.topology.network.now
         self.store.append(
             "link_failure",
-            {"link": list(link_id), "now": now, "drain": drain},
+            {"link": encode(link_id), "now": now, "drain": drain},
             self.epoch,
         )
         return super().notify_link_failure(link_id, now, drain)
@@ -171,7 +160,7 @@ class ResilientC4PMaster(C4PMaster):
             now = self.topology.network.now
         self.store.append(
             "connection_anomaly",
-            {"src": list(src_worker), "dst": list(dst_worker), "now": now},
+            {"src": encode(src_worker), "dst": encode(dst_worker), "now": now},
             self.epoch,
         )
         # Nested quarantines are re-derived by replay; suppress their
@@ -199,13 +188,7 @@ class ResilientC4PMaster(C4PMaster):
             self._suppress_journal = False
         self.store.append(
             "maintenance",
-            {
-                "now": now,
-                "probes": sorted(
-                    ([list(link), healthy] for link, healthy in self.last_probe_results.items()),
-                    key=repr,
-                ),
-            },
+            {"now": now, "probes": encode_pairs(self.last_probe_results)},
             self.epoch,
         )
         return report
@@ -272,7 +255,7 @@ class ResilientC4PMaster(C4PMaster):
         if kind == "allocate":
             self._qp_num_override.extend(payload["qp_nums"])
             try:
-                super().allocate(PathRequest(**payload["request"]))
+                super().allocate(decode(PathRequest, payload["request"]))
             except c4p_master.PathPoolExhausted:
                 # The live call failed the same way; partial state
                 # mutations are re-derived identically.
@@ -292,9 +275,7 @@ class ResilientC4PMaster(C4PMaster):
         elif kind == "maintenance":
             super().maintenance(
                 payload["now"],
-                probe_results={
-                    tuple(link): healthy for link, healthy in payload["probes"]
-                },
+                probe_results=decode_pairs(tuple, bool, payload["probes"]),
             )
         else:
             raise ValueError(f"unknown journal entry kind {kind!r}")

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.codec import encode
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 
@@ -42,20 +43,12 @@ class FencedOut(RuntimeError):
     """
 
 
-def jsonable(value):
-    """Recursively convert tuples to lists (canonical JSON form)."""
-    if isinstance(value, (tuple, list)):
-        return [jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {key: jsonable(item) for key, item in value.items()}
-    return value
-
-
 def state_digest(state: dict) -> str:
     """SHA-256 over the canonical JSON encoding of a state dict.
 
     ``json.dumps`` already encodes tuples as arrays, so the encoding
-    equals that of ``jsonable(state)`` without the copying pre-pass.
+    equals that of :func:`repro.codec.encode` of the state without the
+    copying pre-pass.
     """
     canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -69,14 +62,6 @@ class JournalEntry:
     epoch: int
     kind: str
     payload: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "epoch": self.epoch,
-            "kind": self.kind,
-            "payload": jsonable(self.payload),
-        }
 
 
 @dataclass(frozen=True)
@@ -173,7 +158,7 @@ class JournalStore:
     def snapshot(self, state: dict, epoch: int) -> Snapshot:
         """Record a full-state snapshot at the current journal position."""
         self.check_epoch(epoch)
-        snap = Snapshot(seq=self._next_seq, epoch=epoch, state=jsonable(state))
+        snap = Snapshot(seq=self._next_seq, epoch=epoch, state=encode(state))
         self.snapshots.append(snap)
         self._m_snapshots.inc()
         return snap

@@ -52,22 +52,6 @@ class Suspect:
             )
         return "unknown"
 
-    def to_payload(self) -> list:
-        """JSON-safe form for journaling/snapshotting."""
-        return [self.kind.value, self.node, self.device, self.peer_node, self.peer_device]
-
-    @classmethod
-    def from_payload(cls, payload: list) -> "Suspect":
-        """Rebuild a suspect from its :meth:`to_payload` form."""
-        kind, node, device, peer_node, peer_device = payload
-        return cls(
-            kind=SuspectKind(kind),
-            node=node,
-            device=device,
-            peer_node=peer_node,
-            peer_device=peer_device,
-        )
-
 
 @dataclass(frozen=True)
 class Anomaly:
@@ -88,32 +72,3 @@ class Anomaly:
             if suspect.node is not None and suspect.node not in nodes:
                 nodes.append(suspect.node)
         return nodes
-
-    def to_payload(self) -> dict:
-        """JSON-safe form for journaling/snapshotting.
-
-        ``evidence`` values may contain tuples; they come back as lists,
-        which is fine — evidence is excluded from equality (and digests
-        canonicalize tuples to lists anyway).
-        """
-        return {
-            "anomaly_type": self.anomaly_type.value,
-            "comm_id": self.comm_id,
-            "detected_at": self.detected_at,
-            "suspects": [s.to_payload() for s in self.suspects],
-            "evidence": {
-                key: list(value) if isinstance(value, tuple) else value
-                for key, value in self.evidence.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Anomaly":
-        """Rebuild an anomaly from its :meth:`to_payload` form."""
-        return cls(
-            anomaly_type=AnomalyType(payload["anomaly_type"]),
-            comm_id=payload["comm_id"],
-            detected_at=payload["detected_at"],
-            suspects=tuple(Suspect.from_payload(s) for s in payload["suspects"]),
-            evidence=dict(payload["evidence"]),
-        )

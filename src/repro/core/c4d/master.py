@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from repro.codec import decode, decode_pairs, encode, encode_pairs
 from repro.core.c4d.detectors import (
     CommSlowDetector,
     DetectorConfig,
@@ -22,6 +23,10 @@ from repro.core.c4d.rca import RootCauseAnalyzer
 from repro.core.c4d.steering import JobSteeringService, SteeringAction
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
+
+#: Identity of a verdict for cooldown and debounce: (type, communicator,
+#: suspects).
+_VerdictKey = tuple[AnomalyType, str, tuple[Suspect, ...]]
 
 
 class C4DMaster:
@@ -104,10 +109,10 @@ class C4DMaster:
         self.actions: list[SteeringAction] = []
         #: Verdicts withheld because the master was in degraded mode.
         self.degraded_anomalies: list[Anomaly] = []
-        self._last_reported: dict[tuple, float] = {}
+        self._last_reported: dict[_VerdictKey, float] = {}
         #: Debounce state: anomaly key -> (consecutive count, eval index
         #: of the last sighting).
-        self._pending: dict[tuple, tuple[int, int]] = {}
+        self._pending: dict[_VerdictKey, tuple[int, int]] = {}
         self._eval_index = 0
         #: Node -> time of the last steering action implicating it.
         self._node_last_action: dict[int, float] = {}
@@ -324,20 +329,6 @@ class C4DMaster:
     # ------------------------------------------------------------------
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key_payload(key: tuple) -> list:
-        anomaly_type, comm_id, suspects = key
-        return [anomaly_type.value, comm_id, [s.to_payload() for s in suspects]]
-
-    @staticmethod
-    def _key_from_payload(payload: list) -> tuple:
-        type_value, comm_id, suspects = payload
-        return (
-            AnomalyType(type_value),
-            comm_id,
-            tuple(Suspect.from_payload(s) for s in suspects),
-        )
-
     def snapshot_state(self) -> dict:
         """JSON-safe snapshot of the master's mutable detection state.
 
@@ -346,20 +337,11 @@ class C4DMaster:
         recovered master with a bumped epoch still digests identically.
         """
         return {
-            "anomalies": [a.to_payload() for a in self.anomalies],
-            "actions": [a.to_payload() for a in self.actions],
-            "degraded_anomalies": [a.to_payload() for a in self.degraded_anomalies],
-            "last_reported": sorted(
-                ([self._key_payload(key), t] for key, t in self._last_reported.items()),
-                key=repr,
-            ),
-            "pending": sorted(
-                (
-                    [self._key_payload(key), [count, last_eval]]
-                    for key, (count, last_eval) in self._pending.items()
-                ),
-                key=repr,
-            ),
+            "anomalies": encode(self.anomalies),
+            "actions": encode(self.actions),
+            "degraded_anomalies": encode(self.degraded_anomalies),
+            "last_reported": encode_pairs(self._last_reported),
+            "pending": encode_pairs(self._pending),
             "eval_index": self._eval_index,
             "node_last_action": sorted(self._node_last_action.items()),
             "detectors": {
@@ -371,18 +353,11 @@ class C4DMaster:
 
     def restore_state(self, state: dict) -> None:
         """Replace mutable state with a :meth:`snapshot_state` dict."""
-        self.anomalies = [Anomaly.from_payload(p) for p in state["anomalies"]]
-        self.actions = [SteeringAction.from_payload(p) for p in state["actions"]]
-        self.degraded_anomalies = [
-            Anomaly.from_payload(p) for p in state["degraded_anomalies"]
-        ]
-        self._last_reported = {
-            self._key_from_payload(key): t for key, t in state["last_reported"]
-        }
-        self._pending = {
-            self._key_from_payload(key): (count, last_eval)
-            for key, (count, last_eval) in state["pending"]
-        }
+        self.anomalies = decode(list[Anomaly], state["anomalies"])
+        self.actions = decode(list[SteeringAction], state["actions"])
+        self.degraded_anomalies = decode(list[Anomaly], state["degraded_anomalies"])
+        self._last_reported = decode_pairs(_VerdictKey, float, state["last_reported"])
+        self._pending = decode_pairs(_VerdictKey, tuple[int, int], state["pending"])
         self._eval_index = state["eval_index"]
         self._node_last_action = {node: t for node, t in state["node_last_action"]}
         for detector in self.detectors:

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
+from repro.codec import decode, encode
 from repro.core.c4d.events import Anomaly
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -124,34 +125,6 @@ class SteeringAction:
     #: Nodes whose isolation failed every attempt (still in the job).
     failed_isolations: tuple[int, ...] = ()
 
-    def to_payload(self) -> dict:
-        """JSON-safe form for journaling/snapshotting."""
-        return {
-            "anomaly": self.anomaly.to_payload(),
-            "isolated_nodes": list(self.isolated_nodes),
-            "replacement_nodes": list(self.replacement_nodes),
-            "ready_at": self.ready_at,
-            "pool_exhausted": self.pool_exhausted,
-            "attempts": self.attempts,
-            "backoff_seconds": self.backoff_seconds,
-            "doa_replacements": list(self.doa_replacements),
-            "failed_isolations": list(self.failed_isolations),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SteeringAction":
-        """Rebuild an action from its :meth:`to_payload` form."""
-        return cls(
-            anomaly=Anomaly.from_payload(payload["anomaly"]),
-            isolated_nodes=tuple(payload["isolated_nodes"]),
-            replacement_nodes=tuple(payload["replacement_nodes"]),
-            ready_at=payload["ready_at"],
-            pool_exhausted=payload["pool_exhausted"],
-            attempts=payload["attempts"],
-            backoff_seconds=payload["backoff_seconds"],
-            doa_replacements=tuple(payload["doa_replacements"]),
-            failed_isolations=tuple(payload["failed_isolations"]),
-        )
 
 
 def fault_key(anomaly: Anomaly) -> tuple:
@@ -429,16 +402,6 @@ class JobSteeringService:
     # ------------------------------------------------------------------
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key_payload(key: tuple) -> list:
-        kind, detail = key
-        return [kind, list(detail) if isinstance(detail, tuple) else detail]
-
-    @staticmethod
-    def _key_from_payload(payload: list) -> tuple:
-        kind, detail = payload
-        return (kind, tuple(detail) if isinstance(detail, list) else detail)
-
     def snapshot_state(self) -> dict:
         """JSON-safe snapshot of the service's logical state.
 
@@ -449,9 +412,9 @@ class JobSteeringService:
         return {
             "backup_pool": list(self.backup_pool),
             "isolated": sorted(self._isolated),
-            "actions": [a.to_payload() for a in self.actions],
+            "actions": encode(self.actions),
             "executed": [
-                [self._key_payload(key), epoch, executed_at, action.to_payload()]
+                [encode(key), epoch, executed_at, encode(action)]
                 for key, (epoch, executed_at, action) in sorted(
                     self._executed.items(), key=lambda item: repr(item[0])
                 )
@@ -464,14 +427,15 @@ class JobSteeringService:
         """Replace logical state with a :meth:`snapshot_state` dict."""
         self.backup_pool = list(state["backup_pool"])
         self._isolated = set(state["isolated"])
-        self.actions = [SteeringAction.from_payload(p) for p in state["actions"]]
+        self.actions = decode(list[SteeringAction], state["actions"])
+        # A fault key's detail is a node-id tuple or a communicator id.
         self._executed = {
-            self._key_from_payload(key): (
+            (kind, tuple(detail) if isinstance(detail, list) else detail): (
                 epoch,
                 executed_at,
-                SteeringAction.from_payload(action),
+                decode(SteeringAction, action),
             )
-            for key, epoch, executed_at, action in state["executed"]
+            for (kind, detail), epoch, executed_at, action in state["executed"]
         }
         self.dedup_window = state["dedup_window"]
         self.dedup_hits = state["dedup_hits"]

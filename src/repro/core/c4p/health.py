@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.codec import decode_pairs, encode_pairs
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 
@@ -138,33 +139,18 @@ class LinkHealthTracker:
     def snapshot_state(self) -> dict:
         """JSON-safe snapshot: link-id tuples become nested lists."""
         return {
-            "state": sorted(
-                ([list(link), state.value] for link, state in self._state.items()),
-                key=repr,
-            ),
-            "failures": sorted(
-                ([list(link), list(times)] for link, times in self._failures.items()),
-                key=repr,
-            ),
-            "quarantined_until": sorted(
-                ([list(link), t] for link, t in self._quarantined_until.items()),
-                key=repr,
-            ),
-            "streak": sorted(
-                ([list(link), n] for link, n in self._streak.items()), key=repr
-            ),
+            "state": encode_pairs(self._state),
+            "failures": encode_pairs(self._failures),
+            "quarantined_until": encode_pairs(self._quarantined_until),
+            "streak": encode_pairs(self._streak),
         }
 
     def restore_state(self, state: dict) -> None:
         """Replace the state machine with a :meth:`snapshot_state` dict."""
-        self._state = {
-            tuple(link): LinkHealthState(value) for link, value in state["state"]
-        }
-        self._failures = {tuple(link): list(times) for link, times in state["failures"]}
-        self._quarantined_until = {
-            tuple(link): t for link, t in state["quarantined_until"]
-        }
-        self._streak = {tuple(link): n for link, n in state["streak"]}
+        self._state = decode_pairs(tuple, LinkHealthState, state["state"])
+        self._failures = decode_pairs(tuple, list[float], state["failures"])
+        self._quarantined_until = decode_pairs(tuple, float, state["quarantined_until"])
+        self._streak = decode_pairs(tuple, int, state["streak"])
 
     # ------------------------------------------------------------------
     # Transitions

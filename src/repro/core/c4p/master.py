@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology, PathChoice
+from repro.codec import decode, decode_pairs, encode, encode_pairs
 from repro.collective.selectors import ROCE_DST_PORT, PathRequest, QpAllocation
 from repro.core.c4p.health import LinkHealthConfig, LinkHealthState, LinkHealthTracker
 from repro.core.c4p.probing import PathProber
@@ -501,80 +502,13 @@ class C4PMaster:
     # ------------------------------------------------------------------
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _record_payload(record: AllocationRecord) -> dict:
-        req = record.request
-        alloc = record.alloc
-        ft = alloc.five_tuple
-        return {
-            "rail": record.rail,
-            "request": {
-                "comm_id": req.comm_id,
-                "job_id": req.job_id,
-                "src_node": req.src_node,
-                "src_nic": req.src_nic,
-                "dst_node": req.dst_node,
-                "dst_nic": req.dst_nic,
-                "num_qps": req.num_qps,
-            },
-            "alloc": {
-                "qp_num": alloc.qp_num,
-                "src_port": alloc.src_port,
-                "five_tuple": [ft.src_ip, ft.dst_ip, ft.src_port, ft.dst_port, ft.protocol],
-                "choice": [
-                    alloc.choice.src_side,
-                    alloc.choice.spine,
-                    alloc.choice.up_port,
-                    alloc.choice.dst_side,
-                    alloc.choice.down_port,
-                ],
-                "path": [list(link) for link in alloc.path],
-                "weight": alloc.weight,
-            },
-        }
-
-    @staticmethod
-    def _record_from_payload(payload: dict) -> AllocationRecord:
-        alloc = payload["alloc"]
-        src_ip, dst_ip, src_port, dst_port, protocol = alloc["five_tuple"]
-        return AllocationRecord(
-            rail=payload["rail"],
-            request=PathRequest(**payload["request"]),
-            alloc=QpAllocation(
-                qp_num=alloc["qp_num"],
-                src_port=alloc["src_port"],
-                five_tuple=FiveTuple(
-                    src_ip=src_ip,
-                    dst_ip=dst_ip,
-                    src_port=src_port,
-                    dst_port=dst_port,
-                    protocol=protocol,
-                ),
-                choice=PathChoice(*alloc["choice"]),
-                path=[tuple(link) for link in alloc["path"]],
-                weight=alloc["weight"],
-            ),
-        )
-
     def snapshot_state(self) -> dict:
         """JSON-safe snapshot of all mutable traffic-engineering state."""
         return {
             "registry": self.registry.snapshot_state(),
             "health": self.health.snapshot_state(),
-            "allocated": [
-                self._record_payload(record)
-                for _qp, record in sorted(self._allocated.items())
-            ],
-            "link_strikes": sorted(
-                (
-                    [
-                        list(link),
-                        sorted([[list(src), list(dst)] for src, dst in conns], key=repr),
-                    ]
-                    for link, conns in self._link_strikes.items()
-                ),
-                key=repr,
-            ),
+            "allocated": [encode(record) for _qp, record in sorted(self._allocated.items())],
+            "link_strikes": encode_pairs(self._link_strikes),
             "synthetic_port": self._synthetic_port,
         }
 
@@ -588,14 +522,12 @@ class C4PMaster:
         self.health.restore_state(state["health"])
         self._allocated = {}
         self._link_qps = {}
-        for payload in state["allocated"]:
-            record = self._record_from_payload(payload)
+        for record in decode(list[AllocationRecord], state["allocated"]):
             self._allocated[record.alloc.qp_num] = record
             self._index(record)
-        self._link_strikes = {
-            tuple(link): {(tuple(src), tuple(dst)) for src, dst in conns}
-            for link, conns in state["link_strikes"]
-        }
+        self._link_strikes = decode_pairs(
+            tuple, set[tuple[tuple, tuple]], state["link_strikes"]
+        )
         self._synthetic_port = state["synthetic_port"]
 
     def qps_on_link(self, link_id: tuple) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cluster.topology import ClusterTopology, PathChoice
+from repro.codec import decode, decode_pairs, encode, encode_pairs
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 
@@ -190,18 +191,15 @@ class PathRegistry:
     def snapshot_state(self) -> dict:
         """JSON-safe snapshot: link-id tuples become nested lists."""
         return {
-            "link_load": sorted(
-                ([list(link), load] for link, load in self.link_load.items()),
-                key=repr,
-            ),
-            "dead_links": sorted([list(link) for link in self.dead_links], key=repr),
+            "link_load": encode_pairs(self.link_load),
+            "dead_links": encode(self.dead_links),
             "rr": self._rr,
         }
 
     def restore_state(self, state: dict) -> None:
         """Replace bookkeeping with a :meth:`snapshot_state` dict."""
-        self.link_load = {tuple(link): load for link, load in state["link_load"]}
-        self.dead_links = {tuple(link) for link in state["dead_links"]}
+        self.link_load = decode_pairs(tuple, int, state["link_load"])
+        self.dead_links = decode(set[tuple], state["dead_links"])
         self._rr = state["rr"]
         self._m_dead.set(len(self.dead_links))
         for link, load in self.link_load.items():

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Iterable, Optional
 
+from repro.codec import decode, encode
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -270,7 +271,7 @@ class CentralCollector:
             "tombstone_capacity": self._tombstone_capacity,
             "progress": {
                 comm_id: {
-                    "record": progress.record.to_payload(),
+                    "record": encode(progress.record),
                     "last_seq": sorted(progress.last_seq.items()),
                     "last_launch_seq": sorted(progress.last_launch_seq.items()),
                     "last_completion_time": progress.last_completion_time,
@@ -280,16 +281,13 @@ class CentralCollector:
                 for comm_id, progress in self.progress.items()
             },
             "ops": {
-                comm_id: [r.to_payload() for r in window]
-                for comm_id, window in self._ops.items()
+                comm_id: [encode(r) for r in window] for comm_id, window in self._ops.items()
             },
             "launches": {
-                comm_id: [r.to_payload() for r in window]
-                for comm_id, window in self._launches.items()
+                comm_id: [encode(r) for r in window] for comm_id, window in self._launches.items()
             },
             "messages": {
-                comm_id: [r.to_payload() for r in window]
-                for comm_id, window in self._messages.items()
+                comm_id: [encode(r) for r in window] for comm_id, window in self._messages.items()
             },
             "dropped": list(self._dropped),
         }
@@ -305,7 +303,7 @@ class CentralCollector:
         self._messages = {}
         for comm_id, entry in state["progress"].items():
             self.progress[comm_id] = CommProgress(
-                record=CommunicatorRecord.from_payload(entry["record"]),
+                record=decode(CommunicatorRecord, entry["record"]),
                 last_seq={rank: seq for rank, seq in entry["last_seq"]},
                 last_launch_seq={rank: seq for rank, seq in entry["last_launch_seq"]},
                 last_completion_time=entry["last_completion_time"],
@@ -313,18 +311,14 @@ class CentralCollector:
                 created_at=entry["created_at"],
             )
         for comm_id, payloads in state["ops"].items():
-            self._ops[comm_id] = deque(
-                (OpRecord.from_payload(p) for p in payloads), maxlen=self._op_window
-            )
+            self._ops[comm_id] = deque(decode(list[OpRecord], payloads), maxlen=self._op_window)
         for comm_id, payloads in state["launches"].items():
             self._launches[comm_id] = deque(
-                (OpLaunchRecord.from_payload(p) for p in payloads),
-                maxlen=self._op_window,
+                decode(list[OpLaunchRecord], payloads), maxlen=self._op_window
             )
         for comm_id, payloads in state["messages"].items():
             self._messages[comm_id] = deque(
-                (MessageRecord.from_payload(p) for p in payloads),
-                maxlen=self._message_window,
+                decode(list[MessageRecord], payloads), maxlen=self._message_window
             )
         self._ops_by_seq = {
             comm_id: _seq_index(window) for comm_id, window in self._ops.items()

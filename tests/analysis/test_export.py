@@ -6,13 +6,11 @@ import pytest
 
 from repro.analysis.export import (
     downtime_to_dict,
-    message_record_to_dict,
-    op_record_to_dict,
-    to_jsonable,
     write_json,
     write_records_json,
     write_series_csv,
 )
+from repro.codec import encode
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import MessageRecord, OpRecord
@@ -35,17 +33,24 @@ def message_record():
     )
 
 
-def test_op_record_dict_roundtrips_to_json():
-    data = op_record_to_dict(op_record())
-    assert json.loads(json.dumps(data)) == data
+def exported_records(tmp_path) -> dict:
+    path = write_records_json(
+        tmp_path / "records.json", ops=[op_record()], messages=[message_record()]
+    )
+    return json.loads(path.read_text())
+
+
+def test_op_record_dict_roundtrips_to_json(tmp_path):
+    data = exported_records(tmp_path)["ops"][0]
+    # Records export in their journal form.
+    assert data == encode(op_record())
     assert data["op_type"] == "allreduce"
-    assert data["node"] == 1 and data["gpu"] == 3
-    assert data["wait_time"] == pytest.approx(0.5)
+    assert data["location"] == [1, 3]
 
 
-def test_message_record_dict():
-    data = message_record_to_dict(message_record())
-    assert data["duration"] == pytest.approx(0.25)
+def test_message_record_dict(tmp_path):
+    data = exported_records(tmp_path)["messages"][0]
+    assert data == encode(message_record())
     assert data["qp_num"] == 9
 
 
@@ -78,8 +83,9 @@ def test_write_json_handles_dataclasses_and_enums(tmp_path):
     assert isinstance(payload["rows"], list)
 
 
-def test_to_jsonable_enum():
-    assert to_jsonable(OpType.ALLREDUCE) == "allreduce"
+def test_write_json_encodes_enums_by_value(tmp_path):
+    path = write_json(tmp_path / "enum.json", {"op": OpType.ALLREDUCE})
+    assert json.loads(path.read_text()) == {"op": "allreduce"}
 
 
 def test_write_series_csv(tmp_path):

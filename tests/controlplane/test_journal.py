@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology
+from repro.codec import encode
 from repro.collective.algorithms import OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord
@@ -16,7 +17,6 @@ from repro.controlplane import (
     FencedOut,
     JournalStore,
     ResilientC4PMaster,
-    jsonable,
     state_digest,
 )
 from repro.netsim.network import FlowNetwork
@@ -83,13 +83,13 @@ def test_state_digest_is_canonical():
     assert state_digest({"a": 1}) != state_digest({"a": 2})
 
 
-def test_jsonable_converts_nested_tuples():
-    assert jsonable({"k": (1, (2, 3))}) == {"k": [1, [2, 3]]}
+def test_encode_converts_nested_tuples():
+    assert encode({"k": (1, (2, 3))}) == {"k": [1, [2, 3]]}
 
 
 def jsonable_digest(state) -> str:
-    """The digest as first defined: canonical JSON of ``jsonable(state)``."""
-    canonical = json.dumps(jsonable(state), sort_keys=True, separators=(",", ":"))
+    """The digest as first defined: canonical JSON of the codec's encoding."""
+    canonical = json.dumps(encode(state), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

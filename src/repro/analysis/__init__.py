@@ -1,16 +1,12 @@
 """Analysis and reporting helpers for experiments and benchmarks."""
 
-from repro.analysis.export import downtime_to_dict, write_json, write_records_json, write_series_csv
-from repro.analysis.report import format_percent_table, format_table
+from repro.analysis.export import write_json
+from repro.analysis.report import format_table
 from repro.analysis.stats import Summary, summarize
 
 __all__ = [
     "summarize",
     "Summary",
     "format_table",
-    "format_percent_table",
     "write_json",
-    "write_records_json",
-    "write_series_csv",
-    "downtime_to_dict",
 ]

@@ -1,4 +1,4 @@
-"""Export monitoring records and experiment results to JSON/CSV.
+"""Export experiment results and chaos scorecards to JSON.
 
 Production C4 feeds dashboards and offline analysis from the master's
 record store; these helpers provide the equivalent serialization layer
@@ -8,33 +8,11 @@ Python.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from repro.chaos.scorecard import CampaignScorecard, EpisodeOutcome, ScenarioScorecard
 from repro.codec import encode
-from repro.collective.monitoring import MessageRecord, OpRecord
-from repro.training.lifetime import DowntimeBreakdown
-
-
-def downtime_to_dict(breakdown: DowntimeBreakdown) -> dict:
-    """Serialize a downtime breakdown including per-bucket diagnosis."""
-    return {
-        "duration_seconds": breakdown.duration_seconds,
-        "crash_count": breakdown.crash_count,
-        "post_checkpoint_seconds": breakdown.post_checkpoint_seconds,
-        "detection_seconds": breakdown.detection_seconds,
-        "diagnosis_seconds": breakdown.diagnosis_seconds,
-        "reinit_seconds": breakdown.reinit_seconds,
-        "total_seconds": breakdown.total_seconds,
-        "total_fraction": breakdown.fraction(breakdown.total_seconds),
-        "diagnosis_by_bucket": {
-            bucket.value: seconds
-            for bucket, seconds in breakdown.diagnosis_by_bucket.items()
-        },
-    }
 
 
 def scenario_scorecard_to_dict(card: ScenarioScorecard) -> dict:
@@ -84,25 +62,3 @@ def write_json(path: str | Path, payload) -> Path:
     return path
 
 
-def write_records_json(
-    path: str | Path,
-    ops: Iterable[OpRecord] = (),
-    messages: Iterable[MessageRecord] = (),
-) -> Path:
-    """Dump monitoring records to one JSON document, in their journal form."""
-    return write_json(path, {"ops": list(ops), "messages": list(messages)})
-
-
-def write_series_csv(
-    path: str | Path,
-    headers: Sequence[str],
-    rows: Iterable[Sequence],
-) -> Path:
-    """Write a simple CSV (e.g. a busbw time series for plotting)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow(row)
-    return path

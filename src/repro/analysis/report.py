@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -18,7 +18,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_percent_table(mapping: Mapping[str, float], digits: int = 2) -> str:
-    """Render a name -> fraction mapping as percentages."""
-    rows = [(name, f"{100 * value:.{digits}f}%") for name, value in mapping.items()]
-    return format_table(["component", "share"], rows)

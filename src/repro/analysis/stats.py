@@ -46,16 +46,3 @@ def summarize(values: Sequence[float]) -> Summary:
     )
 
 
-def improvement_percent(before: float, after: float) -> float:
-    """Relative improvement of ``after`` over ``before``, in percent.
-
-    A zero or negative baseline makes "percent improvement" undefined,
-    so both are rejected with a distinct message instead of surfacing as
-    a ZeroDivisionError (or a sign-flipped percentage) at a call site
-    far from the bad input.
-    """
-    if before == 0:
-        raise ValueError("improvement is undefined for a zero baseline")
-    if before < 0:
-        raise ValueError(f"before must be positive, got {before!r}")
-    return 100.0 * (after - before) / before

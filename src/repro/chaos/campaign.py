@@ -115,6 +115,16 @@ class ChaosCampaign:
         # folded into the campaign-wide plane (metrics were shared all
         # along through self.obs.registry).
         tracer = FaultTracer(metrics=self.obs.registry, grace=self.grace)
+        # One span per ground-truth episode.  Fabric scenarios inject no
+        # node faults; their runner opens spans for its link faults.
+        for episode in scenario.episodes:
+            tracer.register_fault(
+                f"{scenario.name}/{episode.episode_id}",
+                kind=episode.kind,
+                victims=episode.nodes,
+                injected_at=episode.onset,
+                windows=episode.windows,
+            )
         if scenario.kind is ScenarioKind.RECOVERY:
             card = self._run_recovery(scenario, tracer)
         elif scenario.kind is ScenarioKind.FABRIC:
@@ -133,19 +143,6 @@ class ChaosCampaign:
             card = self._run_pipeline(scenario, tracer)
         self.obs.tracer.absorb(tracer)
         return card
-
-    def _register_episodes(
-        self, scenario: ChaosScenario, tracer: FaultTracer
-    ) -> None:
-        """Open one fault span per ground-truth episode."""
-        for episode in scenario.episodes:
-            tracer.register_fault(
-                f"{scenario.name}/{episode.episode_id}",
-                kind=episode.kind,
-                victims=episode.nodes,
-                injected_at=episode.onset,
-                windows=episode.windows,
-            )
 
     # ------------------------------------------------------------------
     # PIPELINE: synthetic feed -> lossy channel -> master -> steering
@@ -176,7 +173,6 @@ class ChaosCampaign:
             collector, scenario.detector, steering=steering, metrics=registry,
             tracer=tracer,
         )
-        self._register_episodes(scenario, tracer)
         feed = SyntheticFeed(
             network,
             plane,
@@ -252,7 +248,6 @@ class ChaosCampaign:
     def _run_recovery(
         self, scenario: ChaosScenario, tracer: FaultTracer
     ) -> ScenarioScorecard:
-        self._register_episodes(scenario, tracer)
         cluster = build_cluster(ecmp_seed=scenario.seed)
         scheduler = ClusterScheduler(cluster.topology, backup_ratio=1 / 16)
         checkpointer = InMemoryCheckpointer(

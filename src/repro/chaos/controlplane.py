@@ -37,13 +37,15 @@ from repro.chaos.scorecard import (
     ControlPlaneMetrics,
     ScenarioScorecard,
     _matching_episodes,
+    _steering_action,
     score_controlplane_scenario,
+    score_pipeline_scenario,
 )
 from repro.chaos.workload import SyntheticFeed
 from repro.cluster.specs import ClusterSpec
 from repro.cluster.topology import ClusterTopology
 from repro.controlplane import C4DControlPlane, JournalStore, LeaseTable
-from repro.core.c4d.steering import fault_key
+from repro.core.c4d.steering import SteeringAction, fault_key
 from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import FaultTracer
@@ -52,12 +54,12 @@ from repro.telemetry.agent import AgentPlane
 
 def _run(
     scenario: ChaosScenario,
-    plan: ControlPlanePlan,
     registry: MetricsRegistry,
     tracer: Optional[FaultTracer],
     grace: float,
-) -> dict:
-    """One full simulation; returns everything the scorer needs."""
+) -> tuple[list[SteeringAction], SyntheticFeed, ControlPlaneMetrics]:
+    """One full simulation: the final plane's actions, the feed, the metrics."""
+    plan = scenario.controlplane
     network = FlowNetwork(metrics=registry)
     spec = ClusterSpec(num_nodes=scenario.job_nodes + scenario.backup_nodes)
     topology = ClusterTopology(spec, network, ecmp_seed=scenario.seed)
@@ -78,7 +80,6 @@ def _run(
         "duplicates": 0,
         "blackout_false_isolations": 0,
         "coverage_min": 1.0,
-        "stale_planes": [],
         "token": 0,
         "seen_keys": {},
     }
@@ -91,7 +92,7 @@ def _run(
             ctx["duplicates"] += 1
         ctx["seen_keys"][key] = network.now
         if coverage < plan.degraded_coverage_threshold and not _matching_episodes(
-            action, scenario.episodes, grace
+            _steering_action(action), scenario.episodes, grace
         ):
             ctx["blackout_false_isolations"] += len(action.isolated_nodes)
         removed = set(action.isolated_nodes)
@@ -257,26 +258,26 @@ def _run(
     if demoted is not None:
         old_plane, executed_at_demotion = demoted
         stale_executed = len(old_plane.steering.executed_actions) - executed_at_demotion
-    return {
-        "actions": list(final.steering.actions),
-        "steps_completed": feed.steps_completed,
-        "relaunches": feed.relaunches,
-        "kills": ctx["kills"],
-        "recoveries": sum(p.recoveries for p in planes),
-        "failovers": sum(p.failovers for p in planes),
-        "replay_digest_match": ctx["replay_digest_match"],
-        "replay_digest": ctx["replay_digest"],
-        "entries_replayed": ctx["entries_replayed"],
-        "journal_entries": len(store.entries),
-        "snapshots": len(store.snapshots),
-        "recovery_seconds": ctx["recovery_seconds"],
-        "duplicate_actions": ctx["duplicates"],
-        "fencing_rejections": sum(p.stale_rejections for p in planes),
-        "stale_actions_executed": stale_executed,
-        "blackout_false_isolations": ctx["blackout_false_isolations"],
-        "coverage_min": ctx["coverage_min"],
-        "backfilled_records": agent_plane.backfilled_records,
-    }
+    resilience = ControlPlaneMetrics(
+        kills=ctx["kills"],
+        recoveries=sum(p.recoveries for p in planes),
+        failovers=sum(p.failovers for p in planes),
+        replay_digest_match=ctx["replay_digest_match"],
+        replay_digest=ctx["replay_digest"],
+        entries_replayed=ctx["entries_replayed"],
+        journal_entries=len(store.entries),
+        snapshots=len(store.snapshots),
+        recovery_seconds=ctx["recovery_seconds"],
+        duplicate_actions=ctx["duplicates"],
+        fencing_rejections=sum(p.stale_rejections for p in planes),
+        stale_actions_executed=stale_executed,
+        blackout_false_isolations=ctx["blackout_false_isolations"],
+        coverage_min=ctx["coverage_min"],
+        backfilled_records=agent_plane.backfilled_records,
+        # Filled in by the caller from the fault-free run.
+        baseline_recall=0.0,
+    )
+    return list(final.steering.actions), feed, resilience
 
 
 def run_controlplane_scenario(
@@ -304,58 +305,20 @@ def run_controlplane_scenario(
         degraded_coverage_threshold=plan.degraded_coverage_threshold,
         dedup_window=plan.dedup_window,
     )
-    baseline = _run(
-        replace(scenario, controlplane=calm_plan),
-        calm_plan,
-        MetricsRegistry(),
-        None,
-        grace,
-    )
-    baseline_card = score_controlplane_scenario(
-        replace(scenario, controlplane=calm_plan),
-        baseline["actions"],
-        _resilience(baseline, baseline_recall=0.0),
-        grace=grace,
-    )
+    calm_scenario = replace(scenario, controlplane=calm_plan)
+    baseline_actions, _, _ = _run(calm_scenario, MetricsRegistry(), None, grace)
+    baseline_recall = score_pipeline_scenario(
+        calm_scenario, baseline_actions, grace=grace
+    ).recall
 
-    if tracer is not None:
-        for episode in scenario.episodes:
-            tracer.register_fault(
-                f"{scenario.name}/{episode.episode_id}",
-                kind=episode.kind,
-                victims=episode.nodes,
-                injected_at=episode.onset,
-                windows=episode.windows,
-            )
-    result = _run(scenario, plan, registry, tracer, grace)
+    actions, feed, resilience = _run(scenario, registry, tracer, grace)
     return score_controlplane_scenario(
         scenario,
-        result["actions"],
-        _resilience(result, baseline_recall=baseline_card.recall),
-        steps_completed=result["steps_completed"],
-        relaunches=result["relaunches"],
+        actions,
+        replace(resilience, baseline_recall=baseline_recall),
+        steps_completed=feed.steps_completed,
+        relaunches=feed.relaunches,
         grace=grace,
-    )
-
-
-def _resilience(result: dict, baseline_recall: float) -> ControlPlaneMetrics:
-    return ControlPlaneMetrics(
-        kills=result["kills"],
-        recoveries=result["recoveries"],
-        failovers=result["failovers"],
-        replay_digest_match=result["replay_digest_match"],
-        replay_digest=result["replay_digest"],
-        entries_replayed=result["entries_replayed"],
-        journal_entries=result["journal_entries"],
-        snapshots=result["snapshots"],
-        recovery_seconds=result["recovery_seconds"],
-        duplicate_actions=result["duplicate_actions"],
-        fencing_rejections=result["fencing_rejections"],
-        stale_actions_executed=result["stale_actions_executed"],
-        blackout_false_isolations=result["blackout_false_isolations"],
-        coverage_min=result["coverage_min"],
-        backfilled_records=result["backfilled_records"],
-        baseline_recall=baseline_recall,
     )
 
 

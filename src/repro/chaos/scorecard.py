@@ -268,31 +268,55 @@ def _action_targets(action: SteeringAction) -> set[int]:
     return targets
 
 
+@dataclass(frozen=True)
+class _Action:
+    """A steering action or a recovery event, as the scorer sees it."""
+
+    detected_at: float
+    #: Nodes the action accused; one inside an active episode makes it true.
+    targets: set[int]
+    isolated: tuple[int, ...]
+    replacements: tuple[int, ...]
+    doa: tuple[int, ...]
+    pool_exhausted: bool
+    #: When the job ran again (the end of the MTTR interval).
+    ready_at: float
+
+
+def _steering_action(action: SteeringAction) -> _Action:
+    return _Action(
+        detected_at=action.anomaly.detected_at,
+        targets=_action_targets(action),
+        isolated=action.isolated_nodes,
+        replacements=action.replacement_nodes,
+        doa=action.doa_replacements,
+        pool_exhausted=action.pool_exhausted,
+        ready_at=action.ready_at,
+    )
+
+
 def _matching_episodes(
-    action: SteeringAction, episodes: Sequence[Episode], grace: float
+    action: _Action, episodes: Sequence[Episode], grace: float
 ) -> list[Episode]:
     """Episodes an action correctly responded to."""
-    when = action.anomaly.detected_at
-    targets = _action_targets(action)
     return [
         episode
         for episode in episodes
-        if episode.active_at(when, grace=grace)
-        and targets.intersection(episode.nodes)
+        if episode.active_at(action.detected_at, grace=grace)
+        and action.targets.intersection(episode.nodes)
     ]
 
 
-def score_pipeline_scenario(
-    scenario: ChaosScenario,
-    actions: Sequence[SteeringAction],
-    channel_stats: Optional[dict] = None,
-    steps_completed: int = 0,
-    relaunches: int = 0,
-    grace: float = DEFAULT_GRACE,
+def _score(
+    scenario: ChaosScenario, actions: Sequence[_Action], grace: float, **fields
 ) -> ScenarioScorecard:
-    """Judge one pipeline run's steering actions against ground truth."""
+    """Judge normalized actions against the scenario's ground truth.
+
+    ``fields`` fills the scorecard's run-specific counters (channel,
+    progress, restore fallbacks, completion).
+    """
     episodes = scenario.episodes
-    first_match: dict[str, SteeringAction] = {}
+    first_match: dict[str, _Action] = {}
     isolations: dict[str, dict[int, int]] = {e.episode_id: {} for e in episodes}
     true_actions = 0
     false_actions = 0
@@ -301,20 +325,20 @@ def score_pipeline_scenario(
     pool_exhaustions = 0
     for action in actions:
         pool_exhaustions += int(action.pool_exhausted)
-        wasted += len(action.doa_replacements)
+        wasted += len(action.doa)
         matched = _matching_episodes(action, episodes, grace)
         if matched:
             true_actions += 1
             for episode in matched:
                 first_match.setdefault(episode.episode_id, action)
                 counts = isolations[episode.episode_id]
-                for node in action.isolated_nodes:
+                for node in action.isolated:
                     if episode.covers_node(node):
                         counts[node] = counts.get(node, 0) + 1
         else:
             false_actions += 1
-            false_isolations += len(action.isolated_nodes)
-            wasted += len(action.replacement_nodes)
+            false_isolations += len(action.isolated)
+            wasted += len(action.replacements)
     outcomes = []
     for episode in episodes:
         action = first_match.get(episode.episode_id)
@@ -325,7 +349,7 @@ def score_pipeline_scenario(
                 nodes=episode.nodes,
                 onset=episode.onset,
                 detected=action is not None,
-                detected_at=action.anomaly.detected_at if action else None,
+                detected_at=action.detected_at if action else None,
                 mttr_seconds=(action.ready_at - episode.onset) if action else None,
                 isolations_per_node=dict(isolations[episode.episode_id]),
             )
@@ -342,6 +366,23 @@ def score_pipeline_scenario(
         isolation_storms=storms,
         wasted_backups=wasted,
         pool_exhaustions=pool_exhaustions,
+        **fields,
+    )
+
+
+def score_pipeline_scenario(
+    scenario: ChaosScenario,
+    actions: Sequence[SteeringAction],
+    channel_stats: Optional[dict] = None,
+    steps_completed: int = 0,
+    relaunches: int = 0,
+    grace: float = DEFAULT_GRACE,
+) -> ScenarioScorecard:
+    """Judge one pipeline run's steering actions against ground truth."""
+    return _score(
+        scenario,
+        [_steering_action(action) for action in actions],
+        grace,
         channel=dict(channel_stats or {}),
         steps_completed=steps_completed,
         relaunches=relaunches,
@@ -422,69 +463,24 @@ def score_recovery_scenario(
     grace: float = DEFAULT_GRACE,
 ) -> ScenarioScorecard:
     """Judge one recovery run's events against ground truth."""
-    episodes = scenario.episodes
-    first_match: dict[str, tuple[float, float]] = {}  # id -> (detected, resumed)
-    isolations: dict[str, dict[int, int]] = {e.episode_id: {} for e in episodes}
-    true_actions = 0
-    false_actions = 0
-    false_isolations = 0
-    wasted = 0
-    pool_exhaustions = 0
-    restore_fallbacks = 0
-    for event in report.events:
-        pool_exhaustions += int(event.pool_exhausted)
-        wasted += len(event.doa_replacements)
-        restore_fallbacks += event.restore_fallbacks
-        targets = set(event.isolated_nodes)
-        matched = [
-            episode
-            for episode in episodes
-            if episode.active_at(event.detected_at, grace=grace)
-            and targets.intersection(episode.nodes)
-        ]
-        if matched:
-            true_actions += 1
-            for episode in matched:
-                first_match.setdefault(
-                    episode.episode_id, (event.detected_at, event.resumed_at)
-                )
-                counts = isolations[episode.episode_id]
-                for node in event.isolated_nodes:
-                    if episode.covers_node(node):
-                        counts[node] = counts.get(node, 0) + 1
-        else:
-            false_actions += 1
-            false_isolations += len(event.isolated_nodes)
-            wasted += len(event.replacement_nodes)
-    outcomes = []
-    for episode in episodes:
-        match = first_match.get(episode.episode_id)
-        outcomes.append(
-            EpisodeOutcome(
-                episode_id=episode.episode_id,
-                kind=episode.kind,
-                nodes=episode.nodes,
-                onset=episode.onset,
-                detected=match is not None,
-                detected_at=match[0] if match else None,
-                mttr_seconds=(match[1] - episode.onset) if match else None,
-                isolations_per_node=dict(isolations[episode.episode_id]),
-            )
+    actions = [
+        _Action(
+            detected_at=event.detected_at,
+            targets=set(event.isolated_nodes),
+            isolated=event.isolated_nodes,
+            replacements=event.replacement_nodes,
+            doa=event.doa_replacements,
+            pool_exhausted=event.pool_exhausted,
+            ready_at=event.resumed_at,
         )
-    storms = sum(len(o.storm_nodes) for o in outcomes)
-    return ScenarioScorecard(
-        name=scenario.name,
-        seed=scenario.seed,
-        kind=scenario.kind.value,
-        episodes=tuple(outcomes),
-        true_actions=true_actions,
-        false_actions=false_actions,
-        false_isolations=false_isolations,
-        isolation_storms=storms,
-        wasted_backups=wasted,
-        pool_exhaustions=pool_exhaustions,
+        for event in report.events
+    ]
+    return _score(
+        scenario,
+        actions,
+        grace,
         steps_completed=report.completed_steps,
         relaunches=len(report.events),
-        restore_fallbacks=restore_fallbacks,
+        restore_fallbacks=sum(event.restore_fallbacks for event in report.events),
         completed=report.finished,
     )

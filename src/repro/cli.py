@@ -58,6 +58,7 @@ def _run_chaos(
     # Imported lazily: the chaos stack is not needed for 'list'/'run'.
     from repro.analysis.export import campaign_scorecard_to_dict, write_json
     from repro.chaos import ChaosCampaign, ScenarioKind, default_campaign
+    from repro.codec import encode
 
     started = perf_counter()
     scenarios = default_campaign(seed)
@@ -74,41 +75,17 @@ def _run_chaos(
     print(f"--- chaos: {len(campaign.scenarios)} adversarial scenarios, seed {seed} ---")
     card = campaign.run()
     for scenario in card.scenarios:
-        if scenario.fabric is not None:
-            m = scenario.fabric
-            recovery = f"{m.recovery_time:.0f}s" if m.recovery_time is not None else "-"
-            print(
-                f"{scenario.name:24s} qps={m.qps_total} migrations={m.migrations} "
-                f"residual={m.residual_after_deadline} stranded={m.stranded} "
-                f"reroute_max={m.reroute_latency_max:.1f}s "
-                f"holddown_violations={m.holddown_violations} "
-                f"plane_violations={m.plane_violations} "
-                f"spine_imbalance={m.spine_imbalance:.2f} "
-                f"recovery={recovery} recovered_links={m.recovered_links}"
-            )
-            continue
-        if scenario.controlplane is not None:
-            m = scenario.controlplane
-            recovery = (
-                f"{m.recovery_seconds:.0f}s" if m.recovery_seconds is not None else "-"
-            )
-            print(
-                f"{scenario.name:24s} recall={scenario.recall:.2f} "
-                f"digest_match={m.replay_digest_match} "
-                f"duplicates={m.duplicate_actions} stale={m.stale_actions_executed} "
-                f"fenced={m.fencing_rejections} "
-                f"blackout_false_isolations={m.blackout_false_isolations} "
-                f"coverage_min={m.coverage_min:.2f} recovery={recovery} "
-                f"replayed={m.entries_replayed} backfilled={m.backfilled_records}"
-            )
-            continue
         mttr = ", ".join(f"{v:.0f}s" for v in scenario.mttr_values) or "-"
-        print(
+        line = (
             f"{scenario.name:24s} precision={scenario.precision:.2f} "
             f"recall={scenario.recall:.2f} storms={scenario.isolation_storms} "
             f"false_isolations={scenario.false_isolations} "
             f"wasted_backups={scenario.wasted_backups} mttr=[{mttr}]"
         )
+        metrics = scenario.fabric or scenario.controlplane
+        if metrics is not None:
+            line += "".join(f" {key}={value}" for key, value in encode(metrics).items())
+        print(line)
     stats = card.mttr_stats()
     print(
         f"campaign: precision={card.precision:.2f} recall={card.recall:.2f} "

@@ -123,11 +123,6 @@ class FaultEvent:
     cascade_id: Optional[int] = None
 
     @property
-    def user_view(self) -> str:
-        """What the job logs show for this fault."""
-        return USER_VIEW.get(self.fault_type, "NCCL Error")
-
-    @property
     def end_time(self) -> Optional[float]:
         """When a transient fault clears (None for permanent faults)."""
         if self.duration is None:
@@ -304,52 +299,9 @@ class FaultInjector:
         events.sort(key=lambda e: (e.time, e.component or 0))
         return events
 
-    def sample_checkpoint_corruptions(
-        self,
-        duration_seconds: float,
-        expected_events: float = 1.0,
-    ) -> list[FaultEvent]:
-        """Poisson-sample checkpoint-corruption events over a window.
-
-        Each event marks one point in time at which the newest snapshot
-        on disk/host memory is silently damaged; the recovery pipeline
-        must detect this at restore time and fall back to an older one.
-        """
-        if duration_seconds <= 0:
-            raise ValueError("duration must be positive")
-        if expected_events < 0:
-            raise ValueError("expected_events must be non-negative")
-        count = int(self._rng.poisson(expected_events))
-        times = np.sort(self._rng.uniform(0.0, duration_seconds, size=count))
-        return [
-            FaultEvent(
-                time=float(t),
-                fault_type=FaultType.CHECKPOINT_CORRUPTION,
-                fault_class=FaultClass.DEGRADE,
-                is_local=False,
-            )
-            for t in times
-        ]
-
     # ------------------------------------------------------------------
     # Degradations (runtime-slowdown experiments)
     # ------------------------------------------------------------------
-    def degrade_gpu(
-        self, topology: ClusterTopology, node: int, gpu: int, scale: float
-    ) -> FaultEvent:
-        """Make one GPU compute at ``scale`` of nominal speed."""
-        if not 0 < scale <= 1:
-            raise ValueError("scale must be in (0, 1]")
-        topology.node(node).gpus[gpu].compute_scale = scale
-        return FaultEvent(
-            time=topology.network.now,
-            fault_type=FaultType.SLOW_GPU,
-            fault_class=FaultClass.DEGRADE,
-            is_local=True,
-            component=node,
-            device=gpu,
-        )
-
     def degrade_nic_port(
         self, topology: ClusterTopology, node: int, nic: int, side: int, scale: float
     ) -> FaultEvent:
@@ -362,49 +314,6 @@ class FaultInjector:
             is_local=True,
             component=node,
             device=nic,
-        )
-
-    def degrade_host(self, topology: ClusterTopology, node: int, slowdown: float) -> FaultEvent:
-        """Inflate a node's non-communication time by ``slowdown`` (>1)."""
-        if slowdown < 1:
-            raise ValueError("slowdown must be >= 1")
-        topology.node(node).host_slowdown = slowdown
-        return FaultEvent(
-            time=topology.network.now,
-            fault_type=FaultType.SLOW_HOST,
-            fault_class=FaultClass.DEGRADE,
-            is_local=True,
-            component=node,
-        )
-
-    def fail_uplink(
-        self, topology: ClusterTopology, rail: int, side: int, spine: int, port: int
-    ) -> FaultEvent:
-        """Kill one leaf→spine physical link (Fig. 12's induced failure)."""
-        link_id = topology.leaf_up(rail, side, spine, port)
-        topology.network.fail_link(link_id)
-        return FaultEvent(
-            time=topology.network.now,
-            fault_type=FaultType.LINK_FAILURE,
-            fault_class=FaultClass.DEGRADE,
-            is_local=False,
-            component=None,
-        )
-
-    def fail_spine(self, topology: ClusterTopology, rail: int, spine: int) -> FaultEvent:
-        """Take every fabric link of one spine down at once.
-
-        Models an unannounced spine maintenance or a spine switch dying —
-        the correlated-fabric analogue of :meth:`sample_cascades`.
-        """
-        for link_id in spine_fabric_links(topology.spec, rail, spine):
-            topology.network.fail_link(link_id)
-        return FaultEvent(
-            time=topology.network.now,
-            fault_type=FaultType.LINK_FAILURE,
-            fault_class=FaultClass.DEGRADE,
-            is_local=False,
-            component=None,
         )
 
     def pick_victims(self, candidates: Sequence[int], count: int) -> list[int]:

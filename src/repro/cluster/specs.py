@@ -121,37 +121,6 @@ class ClusterSpec:
         """
         return 2 * self.nics_per_node * self.nvlink_busbw_gbps * GBPS
 
-    def with_oversubscription(self, ratio: float) -> "ClusterSpec":
-        """Copy of this spec with a different oversubscription ratio."""
-        return ClusterSpec(
-            num_nodes=self.num_nodes,
-            gpus_per_node=self.gpus_per_node,
-            nics_per_node=self.nics_per_node,
-            port_gbps=self.port_gbps,
-            rails=self.rails,
-            spines_per_rail=self.spines_per_rail,
-            uplink_ports_per_spine=self.uplink_ports_per_spine,
-            uplink_port_gbps=self.uplink_port_gbps,
-            oversubscription=ratio,
-            nvlink_busbw_gbps=self.nvlink_busbw_gbps,
-        )
-
-    def with_nodes(self, num_nodes: int) -> "ClusterSpec":
-        """Copy of this spec with a different node count."""
-        return ClusterSpec(
-            num_nodes=num_nodes,
-            gpus_per_node=self.gpus_per_node,
-            nics_per_node=self.nics_per_node,
-            port_gbps=self.port_gbps,
-            rails=self.rails,
-            spines_per_rail=self.spines_per_rail,
-            uplink_ports_per_spine=self.uplink_ports_per_spine,
-            uplink_port_gbps=self.uplink_port_gbps,
-            oversubscription=self.oversubscription,
-            nvlink_busbw_gbps=self.nvlink_busbw_gbps,
-        )
-
-
 #: The paper's controlled testbed: 16 nodes / 128 GPUs, 8 dedicated leaf
 #: switches (4 rail pairs), 1:1 oversubscription (Table II, §IV-A).
 TESTBED_16_NODES = ClusterSpec(num_nodes=16)

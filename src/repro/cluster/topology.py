@@ -275,20 +275,6 @@ class ClusterTopology:
 
         return PathChoice(src_side, spine, up_port, dst_side, down_port)
 
-    def ecmp_path(
-        self,
-        src_node: int,
-        src_nic: int,
-        dst_node: int,
-        dst_nic: int,
-        five_tuple: FiveTuple,
-        src_side: Optional[int] = None,
-        include_nvlink: bool = True,
-    ) -> list[tuple]:
-        """ECMP-resolved path as an ordered list of link ids."""
-        choice = self.ecmp_choice(src_node, src_nic, dst_node, dst_nic, five_tuple, src_side)
-        return self.resolve_path(src_node, src_nic, dst_node, dst_nic, choice, include_nvlink)
-
     # ------------------------------------------------------------------
     # Introspection used by C4P and reports
     # ------------------------------------------------------------------

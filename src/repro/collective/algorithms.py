@@ -98,15 +98,3 @@ def busbw(op: OpType, n_ranks: int, size_bits: float, seconds: float) -> float:
     return traffic_factor(op, n_ranks) * size_bits / seconds
 
 
-def ring_edge_bits(op: OpType, n_ranks: int, size_bits: float, channels: int) -> float:
-    """Bits each inter-node ring edge carries per channel for one op."""
-    if channels < 1:
-        raise ValueError("channels must be >= 1")
-    return traffic_factor(op, n_ranks) * size_bits / channels
-
-
-def alltoall_pair_bits(n_ranks: int, size_bits: float) -> float:
-    """Bits exchanged between each ordered rank pair in an alltoall."""
-    if n_ranks < 2:
-        return 0.0
-    return size_bits / n_ranks

@@ -1,10 +1,9 @@
-"""Topology-aware rank placement helpers.
+"""Topology-aware rank placement.
 
 The paper's first-line mitigation for traffic collisions is placing
 communicating ranks close together (§III-B: NVLink first, then
-topology-aware scheduling).  These helpers build the node-contiguous
-rank orderings the collective engine expects, and the parallel-group
-decompositions (DP/TP/PP) the training layer uses.
+topology-aware scheduling).  :func:`contiguous_ranks` builds the
+node-contiguous rank ordering the collective engine expects.
 """
 
 from __future__ import annotations
@@ -30,41 +29,3 @@ def contiguous_ranks(nodes: Sequence[int], gpus_per_node: int) -> list[RankLocat
     ]
 
 
-def tp_groups(nodes: Sequence[int], gpus_per_node: int, tp_size: int) -> list[list[RankLocation]]:
-    """Tensor-parallel groups: ``tp_size`` consecutive GPUs per group.
-
-    With ``tp_size == gpus_per_node`` each group is one full node and TP
-    traffic never leaves NVLink (the reference configuration).
-    """
-    if gpus_per_node % tp_size != 0:
-        raise ValueError("tp_size must divide gpus_per_node")
-    groups: list[list[RankLocation]] = []
-    for node in nodes:
-        for base in range(0, gpus_per_node, tp_size):
-            groups.append(
-                [RankLocation(node=node, gpu=base + i) for i in range(tp_size)]
-            )
-    return groups
-
-
-def dp_groups(nodes: Sequence[int], gpus_per_node: int, tp_size: int) -> list[list[RankLocation]]:
-    """Data-parallel groups: same position across TP groups.
-
-    For the common ``tp_size == gpus_per_node`` case this yields one DP
-    group per GPU index, each spanning every node on one rail — so the
-    eight concurrent DP allreduces together exercise all eight NICs.
-    """
-    if gpus_per_node % tp_size != 0:
-        raise ValueError("tp_size must divide gpus_per_node")
-    groups: list[list[RankLocation]] = []
-    for gpu in range(gpus_per_node):
-        groups.append([RankLocation(node=node, gpu=gpu) for node in nodes])
-    return groups
-
-
-def pp_stage_nodes(nodes: Sequence[int], pp_size: int) -> list[list[int]]:
-    """Split nodes into ``pp_size`` contiguous pipeline stages."""
-    if len(nodes) % pp_size != 0:
-        raise ValueError("pp_size must divide the node count")
-    per_stage = len(nodes) // pp_size
-    return [list(nodes[i * per_stage : (i + 1) * per_stage]) for i in range(pp_size)]

@@ -13,7 +13,6 @@ turns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.collective.selectors import PathRequest, QpAllocation
 from repro.netsim.flows import Flow, FlowState
@@ -78,30 +77,3 @@ class Connection:
             if flow.metadata.get("qp") is alloc:
                 flow.weight = weight
 
-    def move_remaining(
-        self,
-        source: QpAllocation,
-        target: QpAllocation,
-        fraction: float = 1.0,
-    ) -> float:
-        """Shift remaining in-flight bits from one QP's flow to another's.
-
-        Returns the number of bits moved.  Used when a QP's path dies or
-        congests: instead of waiting on the slow path, the balancer moves
-        the unfinished work to the healthy QP.
-        """
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        src_flow: Optional[Flow] = None
-        dst_flow: Optional[Flow] = None
-        for flow in self.active_flows:
-            if flow.metadata.get("qp") is source:
-                src_flow = flow
-            elif flow.metadata.get("qp") is target:
-                dst_flow = flow
-        if src_flow is None or dst_flow is None:
-            return 0.0
-        moved = src_flow.remaining * fraction
-        src_flow.remaining -= moved
-        dst_flow.remaining += moved
-        return moved

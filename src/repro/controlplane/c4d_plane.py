@@ -83,10 +83,7 @@ class C4DControlPlane:
         steering_config: Optional[SteeringConfig] = None,
         steering_faults: Optional[SteeringFaultModel] = None,
         dedup_window: float = 900.0,
-        cooldown: float = 300.0,
         degraded_coverage_threshold: float = 0.6,
-        rca=None,
-        c4p=None,
         active: bool = True,
         standby: bool = False,
         action_listener: Optional[Callable[[SteeringAction, float], None]] = None,
@@ -101,10 +98,7 @@ class C4DControlPlane:
         self._steering_config = steering_config
         self._steering_faults = steering_faults
         self._dedup_window = dedup_window
-        self._cooldown = cooldown
         self._degraded_threshold = degraded_coverage_threshold
-        self.rca = rca
-        self.c4p = c4p
         self.action_listener = action_listener
         self._metrics = metrics
         self.tracer = tracer
@@ -154,9 +148,6 @@ class C4DControlPlane:
             self.collector,
             config=self._detector_config,
             steering=self.steering,
-            rca=self.rca,
-            cooldown=self._cooldown,
-            c4p=self.c4p,
             degraded_coverage_threshold=self._degraded_threshold,
             metrics=self._metrics,
             tracer=self.tracer,
@@ -264,23 +255,6 @@ class C4DControlPlane:
         self.store.snapshot(self.state(), self.epoch)
         return True
 
-    def attach_snapshots(
-        self, network, interval: float, until: Optional[float] = None
-    ) -> None:
-        """Arm periodic snapshots on the simulation event loop.
-
-        The first snapshot fires at ``interval + 0.9`` — deliberately
-        off the evaluation/feed grids so perturbed-schedule replays
-        cannot reorder it against same-timestamp events.
-        """
-
-        def tick() -> None:
-            self.snapshot()
-            if until is None or network.now + interval <= until:
-                network.schedule(interval, tick)
-
-        network.schedule(interval + 0.9, tick)
-
     # ------------------------------------------------------------------
     # Recovery / failover
     # ------------------------------------------------------------------
@@ -309,18 +283,14 @@ class C4DControlPlane:
             self.steering.restore_state(snap.state["steering"])
             seq = snap.seq
         entries = self.store.entries_after(seq)
-        # Replay must not re-emit detections to the tracer, re-submit to
-        # RCA, or re-strike C4P links — those all happened pre-crash.
+        # Replay must not re-emit detections to the tracer — those all
+        # happened pre-crash.
         self.master.tracer = None
-        self.master.rca = None
-        self.master.c4p = None
         try:
             for entry in entries:
                 self._replay_entry(entry)
         finally:
             self.master.tracer = self.tracer
-            self.master.rca = self.rca
-            self.master.c4p = self.c4p
         self.master.epoch = self.epoch
         self.entries_replayed += len(entries)
         self.replay_seconds = time.perf_counter() - started  # repro: noqa[SIM001]

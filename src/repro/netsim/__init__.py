@@ -20,7 +20,7 @@ from repro.netsim.flows import Flow, FlowState
 from repro.netsim.links import Link, LinkState
 from repro.netsim.network import FlowNetwork
 from repro.netsim.routing import EcmpHasher
-from repro.netsim.units import GBPS, GIB, KIB, MBPS, MIB, bits_to_gbps, gbps_to_bits
+from repro.netsim.units import GBPS, GIB, KIB, MBPS, MIB
 
 __all__ = [
     "EventQueue",
@@ -40,6 +40,4 @@ __all__ = [
     "KIB",
     "MIB",
     "GIB",
-    "gbps_to_bits",
-    "bits_to_gbps",
 ]

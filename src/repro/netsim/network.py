@@ -346,13 +346,6 @@ class FlowNetwork:
         for link in self.links.values():
             link.reset_window()
 
-    def link_window_rates(self, window_seconds: float) -> dict[object, float]:
-        """Per-link average rate in bits/s over the current window."""
-        return {
-            link_id: link.window_rate(window_seconds)
-            for link_id, link in self.links.items()
-        }
-
     def stalled_flows(self) -> list[Flow]:
         """Flows currently stalled on a failed link."""
         return [f for f in self.flows.values() if f.state == FlowState.STALLED]

@@ -69,33 +69,3 @@ class EcmpHasher:
             raise ValueError("num_choices must be positive")
         return self.hash_value(five_tuple, stage) % num_choices
 
-    def find_port_for_choice(
-        self,
-        base: FiveTuple,
-        num_choices: int,
-        wanted: int,
-        stage: str = "",
-        port_range: range = range(49152, 65536),
-    ) -> int:
-        """Search for a UDP source port that hashes to ``wanted``.
-
-        This is the path-probing primitive of C4P: the master probes
-        source ports until it finds one that lands each stage's decision
-        on the desired next hop.  Raises ``LookupError`` if no port in
-        ``port_range`` works (practically impossible for sane fan-outs).
-        """
-        if not 0 <= wanted < num_choices:
-            raise ValueError(f"wanted index {wanted} out of range for {num_choices} choices")
-        for port in port_range:
-            candidate = FiveTuple(
-                src_ip=base.src_ip,
-                dst_ip=base.dst_ip,
-                src_port=port,
-                dst_port=base.dst_port,
-                protocol=base.protocol,
-            )
-            if self.choose(candidate, num_choices, stage) == wanted:
-                return port
-        raise LookupError(
-            f"no source port in {port_range} hashes to choice {wanted}/{num_choices}"
-        )

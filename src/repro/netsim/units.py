@@ -1,4 +1,4 @@
-"""Unit conventions and conversion helpers for the simulator.
+"""Unit conventions and constants for the simulator.
 
 Conventions used across :mod:`repro.netsim` and everything built on it:
 
@@ -6,8 +6,8 @@ Conventions used across :mod:`repro.netsim` and everything built on it:
 * data sizes are in **bits** (float, to allow fluid fractions),
 * bandwidth/rate is in **bits per second**.
 
-The helpers below exist so call sites can speak in the units the paper
-uses (Gbps for link speeds, MiB/GiB for collective message sizes).
+The constants below let call sites speak in the units the paper uses
+(Gbps for link speeds, MiB/GiB for collective message sizes).
 """
 
 #: One gigabit per second, in bits/s.
@@ -24,23 +24,3 @@ MIB = 1024 * KIB
 
 #: One gibibyte, in bits.
 GIB = 1024 * MIB
-
-
-def gbps_to_bits(gbps: float) -> float:
-    """Convert a rate in Gbps to bits/s."""
-    return gbps * GBPS
-
-
-def bits_to_gbps(bits_per_second: float) -> float:
-    """Convert a rate in bits/s to Gbps."""
-    return bits_per_second / GBPS
-
-
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert a size in bytes to bits."""
-    return num_bytes * 8
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a size in bits to bytes."""
-    return num_bits / 8

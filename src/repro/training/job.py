@@ -165,11 +165,6 @@ class TrainingJob:
         self.crashed_nodes.add(node_id)
 
     @property
-    def is_stalled(self) -> bool:
-        """True once a crash has poisoned the step loop."""
-        return bool(self.crashed_nodes)
-
-    @property
     def current_step(self) -> int:
         """The absolute step index currently in flight (or next to run)."""
         return self._step_index

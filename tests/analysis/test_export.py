@@ -1,20 +1,12 @@
-"""Tests for JSON/CSV export helpers."""
+"""Tests for the JSON export helpers."""
 
 import json
 
-import pytest
-
-from repro.analysis.export import (
-    downtime_to_dict,
-    write_json,
-    write_records_json,
-    write_series_csv,
-)
+from repro.analysis.export import write_json
 from repro.codec import encode
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import MessageRecord, OpRecord
-from repro.training.lifetime import BASELINE_OPERATIONS, LifetimeConfig, simulate_lifetime
 
 
 def op_record():
@@ -34,8 +26,8 @@ def message_record():
 
 
 def exported_records(tmp_path) -> dict:
-    path = write_records_json(
-        tmp_path / "records.json", ops=[op_record()], messages=[message_record()]
+    path = write_json(
+        tmp_path / "records.json", {"ops": [op_record()], "messages": [message_record()]}
     )
     return json.loads(path.read_text())
 
@@ -54,25 +46,6 @@ def test_message_record_dict(tmp_path):
     assert data["qp_num"] == 9
 
 
-def test_downtime_dict():
-    breakdown = simulate_lifetime(LifetimeConfig(seed=1), BASELINE_OPERATIONS)
-    data = downtime_to_dict(breakdown)
-    assert data["crash_count"] == breakdown.crash_count
-    assert data["total_fraction"] == pytest.approx(
-        breakdown.total_seconds / breakdown.duration_seconds
-    )
-    json.dumps(data)  # must be serializable
-
-
-def test_write_records_json(tmp_path):
-    path = write_records_json(
-        tmp_path / "records.json", ops=[op_record()], messages=[message_record()]
-    )
-    payload = json.loads(path.read_text())
-    assert len(payload["ops"]) == 1
-    assert len(payload["messages"]) == 1
-
-
 def test_write_json_handles_dataclasses_and_enums(tmp_path):
     from repro.experiments import table1
 
@@ -88,10 +61,3 @@ def test_write_json_encodes_enums_by_value(tmp_path):
     assert json.loads(path.read_text()) == {"op": "allreduce"}
 
 
-def test_write_series_csv(tmp_path):
-    path = write_series_csv(
-        tmp_path / "series.csv", ["t", "busbw"], [(0.0, 362.0), (0.1, 355.5)]
-    )
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,busbw"
-    assert len(lines) == 3

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.report import format_percent_table, format_table
-from repro.analysis.stats import improvement_percent, summarize
+from repro.analysis.report import format_table
+from repro.analysis.stats import summarize
 
 
 def test_summarize_basic():
@@ -41,18 +41,6 @@ def test_summarize_accepts_generators():
         summarize(v for v in ())
 
 
-def test_improvement_percent():
-    assert improvement_percent(100.0, 115.0) == pytest.approx(15.0)
-    assert improvement_percent(200.0, 100.0) == pytest.approx(-50.0)
-
-
-def test_improvement_validates():
-    with pytest.raises(ValueError, match="zero baseline"):
-        improvement_percent(0.0, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        improvement_percent(-5.0, 1.0)
-
-
 def test_format_table_alignment():
     out = format_table(["a", "bb"], [["x", 1], ["yyyy", 22]])
     lines = out.splitlines()
@@ -61,6 +49,3 @@ def test_format_table_alignment():
     assert "yyyy" in lines[3]
 
 
-def test_format_percent_table():
-    out = format_percent_table({"Total": 0.3119})
-    assert "31.19%" in out

@@ -11,16 +11,24 @@ import pytest
 from repro.analysis.export import campaign_scorecard_to_dict
 from repro.chaos import (
     ChaosCampaign,
+    ChaosScenario,
+    ScenarioKind,
     checkpoint_corruption_scenario,
     crash_under_loss_scenario,
     default_campaign,
     episodes_from_faults,
     flapping_scenario,
 )
-from repro.chaos.scorecard import score_pipeline_scenario
+from repro.chaos.scorecard import (
+    EpisodeOutcome,
+    ScenarioScorecard,
+    score_pipeline_scenario,
+    score_recovery_scenario,
+)
 from repro.cluster.faults import FaultClass, FaultEvent, FaultInjector, FaultType
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.steering import SteeringAction
+from repro.training.recovery import RecoveryEvent, RecoveryReport
 
 
 # ----------------------------------------------------------------------
@@ -88,8 +96,6 @@ def _action(nodes, detected_at, ready_at=None, replacements=()):
 
 
 def _scenario_with_one_episode():
-    from repro.chaos import ChaosScenario
-
     fault = FaultEvent(
         100.0,
         FaultType.FLAPPING_HOST,
@@ -138,6 +144,81 @@ def test_score_respects_grace_window():
     late = _action([3], detected_at=320.0)  # window closed at 300
     assert score_pipeline_scenario(scenario, [late], grace=100.0).precision == 1.0
     assert score_pipeline_scenario(scenario, [late], grace=10.0).precision == 0.0
+
+
+def test_score_recovery_report_pins_every_field():
+    crash = FaultEvent(100.0, FaultType.CUDA_ERROR, FaultClass.CRASH, True, 3)
+    missed = FaultEvent(1000.0, FaultType.ECC_NVLINK_ERROR, FaultClass.CRASH, True, 6)
+    scenario = ChaosScenario(
+        name="unit-recovery", seed=4, kind=ScenarioKind.RECOVERY, faults=(crash, missed)
+    )
+
+    def event(detected_at, isolated, replacements=(), **extra):
+        return RecoveryEvent(
+            crash_time=100.0,
+            detected_at=detected_at,
+            isolated_nodes=isolated,
+            replacement_nodes=replacements,
+            resumed_at=detected_at + 180.0,
+            restored_step=0,
+            lost_steps=0,
+            **extra,
+        )
+
+    report = RecoveryReport(
+        completed_steps=40,
+        target_steps=50,
+        events=[
+            # True: cures node 3, one spare was dead on arrival, the newest
+            # snapshot was corrupt.
+            event(150.0, (3,), (8,), doa_replacements=(9,), restore_fallbacks=1),
+            # True again on the same node (a storm), with the pool empty.
+            event(400.0, (3,), pool_exhausted=True),
+            # False: node 5 is healthy, so its replacement is wasted.
+            event(500.0, (5,), (10,), restore_fallbacks=2),
+        ],
+    )
+    card = score_recovery_scenario(scenario, report)
+    assert card == ScenarioScorecard(
+        name="unit-recovery",
+        seed=4,
+        kind="recovery",
+        episodes=(
+            EpisodeOutcome(
+                episode_id="single0",
+                kind="cuda_error",
+                nodes=(3,),
+                onset=100.0,
+                detected=True,
+                detected_at=150.0,
+                mttr_seconds=230.0,
+                isolations_per_node={3: 2},
+            ),
+            EpisodeOutcome(
+                episode_id="single1",
+                kind="ecc_nvlink_error",
+                nodes=(6,),
+                onset=1000.0,
+                detected=False,
+            ),
+        ),
+        true_actions=2,
+        false_actions=1,
+        false_isolations=1,
+        isolation_storms=1,
+        wasted_backups=2,
+        pool_exhaustions=1,
+        channel={},
+        steps_completed=40,
+        relaunches=3,
+        restore_fallbacks=3,
+        completed=False,
+        fabric=None,
+        controlplane=None,
+    )
+    assert card.precision == pytest.approx(2 / 3)
+    assert card.recall == 0.5
+    assert card.mttr_values == (230.0,)
 
 
 # ----------------------------------------------------------------------

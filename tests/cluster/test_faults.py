@@ -101,37 +101,9 @@ def topo():
     return ClusterTopology(TESTBED_16_NODES, FlowNetwork(), ecmp_seed=0)
 
 
-def test_degrade_gpu(topo):
-    event = FaultInjector(seed=0).degrade_gpu(topo, node=2, gpu=5, scale=0.4)
-    assert topo.node(2).gpus[5].compute_scale == 0.4
-    assert event.fault_type is FaultType.SLOW_GPU
-    assert event.component == 2 and event.device == 5
-
-
-def test_degrade_gpu_validates_scale(topo):
-    with pytest.raises(ValueError):
-        FaultInjector().degrade_gpu(topo, 0, 0, 0.0)
-
-
 def test_degrade_nic_port(topo):
     FaultInjector(seed=0).degrade_nic_port(topo, node=1, nic=3, side=1, scale=0.25)
     assert topo.network.link(topo.host_up(1, 3, 1)).capacity == pytest.approx(50 * GBPS)
-
-
-def test_degrade_host(topo):
-    FaultInjector(seed=0).degrade_host(topo, node=7, slowdown=3.0)
-    assert topo.node(7).host_slowdown == 3.0
-
-
-def test_degrade_host_validates(topo):
-    with pytest.raises(ValueError):
-        FaultInjector().degrade_host(topo, 0, 0.5)
-
-
-def test_fail_uplink(topo):
-    event = FaultInjector(seed=0).fail_uplink(topo, rail=0, side=0, spine=2, port=1)
-    assert not topo.network.link(topo.leaf_up(0, 0, 2, 1)).is_up
-    assert event.fault_type is FaultType.LINK_FAILURE
 
 
 def test_pick_victims_distinct():
@@ -178,14 +150,6 @@ def test_cascade_events_share_window_and_contiguous_nodes():
     assert all(e.cascade_id == 0 for e in events)
 
 
-def test_checkpoint_corruption_events_sampled():
-    events = FaultInjector(seed=11).sample_checkpoint_corruptions(
-        duration_seconds=3600.0, expected_events=5.0
-    )
-    assert all(e.fault_type is FaultType.CHECKPOINT_CORRUPTION for e in events)
-    assert [e.time for e in events] == sorted(e.time for e in events)
-
-
 def test_active_at_respects_windows():
     event = FaultInjector(seed=0).sample_flapping(
         duration_seconds=3600.0, num_nodes=4, episodes=1
@@ -209,7 +173,6 @@ def test_adversarial_sampling_deterministic_under_seed(seed):
         return (
             injector.sample_flapping(7200.0, num_nodes=16, episodes=3),
             injector.sample_cascades(7200.0, num_nodes=16, cascades=2),
-            injector.sample_checkpoint_corruptions(7200.0, expected_events=2.0),
         )
 
     first = sample(FaultInjector(seed=seed))

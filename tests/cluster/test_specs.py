@@ -50,15 +50,9 @@ def test_nonpositive_nodes_rejected():
 
 
 def test_with_oversubscription_scales_uplinks():
-    spec = TESTBED_16_NODES.with_oversubscription(2.0)
+    spec = ClusterSpec(num_nodes=TESTBED_16_NODES.num_nodes, oversubscription=2.0)
     assert spec.uplink_capacity == pytest.approx(TESTBED_16_NODES.uplink_capacity / 2)
     assert spec.num_nodes == TESTBED_16_NODES.num_nodes
-
-
-def test_with_nodes_preserves_rest():
-    spec = TESTBED_16_NODES.with_nodes(4)
-    assert spec.num_nodes == 4
-    assert spec.port_gbps == TESTBED_16_NODES.port_gbps
 
 
 def test_pod_spec_is_one_to_one():

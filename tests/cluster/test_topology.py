@@ -64,7 +64,8 @@ def test_cross_rail_path_rejected(topo):
 
 
 def test_ecmp_path_links_exist(topo):
-    path = topo.ecmp_path(0, 0, 5, 0, FT)
+    choice = topo.ecmp_choice(0, 0, 5, 0, FT)
+    path = topo.resolve_path(0, 0, 5, 0, choice)
     for link_id in path:
         assert link_id in topo.network.links
 

@@ -6,9 +6,7 @@ from repro.collective.algorithms import (
     DEFAULT_ALGORITHM,
     Algorithm,
     OpType,
-    alltoall_pair_bits,
     busbw,
-    ring_edge_bits,
     traffic_factor,
 )
 
@@ -51,22 +49,6 @@ def test_busbw_formula():
 def test_busbw_rejects_zero_time():
     with pytest.raises(ValueError):
         busbw(OpType.ALLREDUCE, 4, 8.0, 0.0)
-
-
-def test_ring_edge_bits_split_by_channels():
-    total = ring_edge_bits(OpType.ALLREDUCE, 16, 1000.0, 1)
-    per_channel = ring_edge_bits(OpType.ALLREDUCE, 16, 1000.0, 8)
-    assert per_channel == pytest.approx(total / 8)
-
-
-def test_ring_edge_bits_rejects_bad_channels():
-    with pytest.raises(ValueError):
-        ring_edge_bits(OpType.ALLREDUCE, 16, 1000.0, 0)
-
-
-def test_alltoall_pair_bits():
-    assert alltoall_pair_bits(10, 100.0) == pytest.approx(10.0)
-    assert alltoall_pair_bits(1, 100.0) == 0.0
 
 
 def test_every_op_has_default_algorithm():

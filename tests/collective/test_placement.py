@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.collective.placement import contiguous_ranks, dp_groups, pp_stage_nodes, tp_groups
+from repro.collective.placement import contiguous_ranks
 
 
 def test_contiguous_order():
@@ -15,37 +15,3 @@ def test_contiguous_validates_gpus():
         contiguous_ranks([0], 0)
 
 
-def test_tp_groups_full_node():
-    groups = tp_groups([0, 1], 8, 8)
-    assert len(groups) == 2
-    assert all(len(g) == 8 for g in groups)
-    assert all(r.node == groups[0][0].node for r in groups[0])
-
-
-def test_tp_groups_half_node():
-    groups = tp_groups([0], 8, 4)
-    assert len(groups) == 2
-    assert [r.gpu for r in groups[1]] == [4, 5, 6, 7]
-
-
-def test_tp_size_must_divide():
-    with pytest.raises(ValueError):
-        tp_groups([0], 8, 3)
-
-
-def test_dp_groups_rail_aligned():
-    groups = dp_groups([0, 1, 2], 8, 8)
-    assert len(groups) == 8
-    for gpu, group in enumerate(groups):
-        assert all(r.gpu == gpu for r in group)
-        assert [r.node for r in group] == [0, 1, 2]
-
-
-def test_pp_stage_nodes():
-    stages = pp_stage_nodes([0, 1, 2, 3], 2)
-    assert stages == [[0, 1], [2, 3]]
-
-
-def test_pp_must_divide():
-    with pytest.raises(ValueError):
-        pp_stage_nodes([0, 1, 2], 2)

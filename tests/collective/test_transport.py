@@ -64,26 +64,6 @@ def test_observe_rate_ignores_nonpositive(conn):
     assert conn.qp_rate_ewma == {}
 
 
-def test_move_remaining(conn):
-    a, b = conn.allocations
-    fa = Flow(flow_id="fa", path=list(a.path), size=10.0, metadata={"qp": a})
-    fb = Flow(flow_id="fb", path=list(b.path), size=10.0, metadata={"qp": b})
-    conn.active_flows.extend([fa, fb])
-    moved = conn.move_remaining(a, b, fraction=0.5)
-    assert moved == pytest.approx(5.0)
-    assert fa.remaining == pytest.approx(5.0)
-    assert fb.remaining == pytest.approx(15.0)
-
-
-def test_move_remaining_without_flows(conn):
-    assert conn.move_remaining(conn.allocations[0], conn.allocations[1]) == 0.0
-
-
-def test_move_remaining_validates_fraction(conn):
-    with pytest.raises(ValueError):
-        conn.move_remaining(conn.allocations[0], conn.allocations[1], fraction=0.0)
-
-
 def test_prune_finished(conn):
     from repro.netsim.flows import FlowState
 

@@ -155,8 +155,7 @@ def test_window_rates():
     net.add_flow(Flow(flow_id="f", path=["a"], size=10 * GBPS))
     net.reset_link_windows()
     net.run(until=0.5)
-    rates = net.link_window_rates(0.5)
-    assert rates["a"] == pytest.approx(10 * GBPS)
+    assert net.link("a").window_rate(0.5) == pytest.approx(10 * GBPS)
 
 
 def test_weights_respected_in_network():

@@ -47,25 +47,3 @@ def test_distribution_roughly_uniform():
         assert abs(count - expected) < expected * 0.25
 
 
-def test_find_port_for_choice():
-    hasher = EcmpHasher(seed=2)
-    base = FiveTuple(src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=0, dst_port=4791)
-    for wanted in range(8):
-        port = hasher.find_port_for_choice(base, 8, wanted, stage="up")
-        ft = FiveTuple(src_ip=base.src_ip, dst_ip=base.dst_ip, src_port=port, dst_port=4791)
-        assert hasher.choose(ft, 8, stage="up") == wanted
-
-
-def test_find_port_invalid_wanted():
-    hasher = EcmpHasher()
-    base = FiveTuple(src_ip="a", dst_ip="b", src_port=0, dst_port=4791)
-    with pytest.raises(ValueError):
-        hasher.find_port_for_choice(base, 4, 4)
-
-
-def test_find_port_exhaustion_raises():
-    hasher = EcmpHasher(seed=0)
-    base = FiveTuple(src_ip="a", dst_ip="b", src_port=0, dst_port=4791)
-    # A port range of width 1 almost surely misses a 1-in-2^16 target.
-    with pytest.raises(LookupError):
-        hasher.find_port_for_choice(base, 1 << 16, 12345, port_range=range(50000, 50001))

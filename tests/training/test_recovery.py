@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.c4d.detectors import DetectorConfig
-from repro.core.c4d.steering import SteeringConfig
+from repro.core.c4d.steering import SteeringConfig, SteeringFaultModel
 from repro.training.job import JobSpec
 from repro.training.memory_checkpoint import InMemoryCheckpointer
 from repro.training.models import GPT_22B
@@ -97,3 +97,52 @@ def test_second_crash_uses_no_more_backups_gracefully():
     assert second.replacement_nodes == ()  # pool exhausted
     allocation = scheduler.allocation_of("job")
     assert len(allocation.nodes) == 3
+
+
+def test_steering_faults_pin_every_event_and_node_order():
+    # Two spares (nodes 14 and 15) under injected steering faults.  The
+    # first crash pays two failed isolation attempts (15 s + 30 s of
+    # backoff) and a dead-on-arrival spare before node 15 takes node 1's
+    # place; the second crash finds the pool empty and shrinks the job.
+    scenario = build_cluster(ecmp_seed=2)
+    scheduler = ClusterScheduler(scenario.topology, backup_ratio=1 / 8)
+    orchestrator = RecoveryOrchestrator(
+        scenario.topology,
+        scheduler,
+        SPEC,
+        detector_config=DetectorConfig(hang_timeout=20.0),
+        steering_config=SteeringConfig(isolation_seconds=30, restart_seconds=30),
+        checkpointer=InMemoryCheckpointer(interval_steps=3, save_seconds=0.1),
+        evaluation_interval=5.0,
+        steering_faults=SteeringFaultModel(
+            isolation_failure_rate=0.5, replacement_doa_rate=0.5, seed=2
+        ),
+    )
+    report = orchestrator.start(num_nodes=4, total_steps=30)
+    scenario.network.schedule(8.0, lambda: orchestrator.crash_node(1))
+    scenario.network.schedule(200.0, lambda: orchestrator.crash_node(2))
+    scenario.network.run(until=1500.0)
+
+    assert report.finished and report.completed_steps == 30
+    first, second = report.events
+    assert first.crash_time == 8.0 and first.detected_at == 30.0
+    assert first.isolated_nodes == (1,)
+    assert first.replacement_nodes == (15,)
+    assert first.doa_replacements == (14,)
+    assert first.isolation_attempts == 3
+    assert first.backoff_seconds == 45.0
+    assert first.pool_exhausted is False
+    assert first.resumed_at == 135.0
+    assert (first.restored_step, first.lost_steps, first.restore_fallbacks) == (0, 3, 0)
+    assert second.crash_time == 200.0 and second.detected_at == 225.0
+    assert second.isolated_nodes == (2,)
+    assert second.replacement_nodes == ()
+    assert second.doa_replacements == ()
+    assert second.isolation_attempts == 1
+    assert second.backoff_seconds == 0.0
+    assert second.pool_exhausted is True
+    assert second.resumed_at == 285.0
+    assert (second.restored_step, second.lost_steps, second.restore_fallbacks) == (18, 2, 0)
+    # Node order decides rank placement: the spare takes the isolated
+    # node's position, and an unreplaced node is dropped in place.
+    assert scheduler.allocation_of("job").nodes == (0, 15, 3)

@@ -28,7 +28,7 @@ def main() -> None:
     scenario = build_cluster(ecmp_seed=2)
     scheduler = ClusterScheduler(scenario.topology, backup_ratio=1 / 16)
     print(f"cluster: {scenario.topology.spec.num_nodes} nodes, "
-          f"{len(scheduler.backup_pool)} reserved as backups "
+          f"{len(scheduler.backup_nodes)} reserved as backups "
           f"(paper: 8 spares per 128 servers)")
 
     spec = JobSpec("gpt22b", GPT_22B, ParallelismPlan(tp=8, dp=4), global_batch=64)
@@ -59,8 +59,9 @@ def main() -> None:
         print(f"crash #{index + 1} at t={event.crash_time:.0f}s:")
         print(f"  detected in {event.detection_seconds:.0f}s "
               f"(paper: tens of seconds vs ~30 min elastic-agent timeout)")
-        print(f"  isolated node(s) {list(event.isolated_nodes)}, "
-              f"backup(s) {list(event.replacement_nodes) or 'pool exhausted -> DP shrinks'}")
+        action = event.action
+        print(f"  isolated node(s) {list(action.isolated_nodes)}, "
+              f"backup(s) {list(action.replacement_nodes) or 'pool exhausted -> DP shrinks'}")
         print(f"  restored from step {event.restored_step} "
               f"({event.lost_steps} step(s) of work lost; ckpt every 3)")
         print(f"  training resumed after {event.downtime_seconds:.0f}s of downtime")

@@ -183,41 +183,17 @@ class ChaosCampaign:
         )
         feed.symptom_observer = tracer.observe_symptom
 
-        # Closing the loop: when steering acts, the current incarnation
-        # is torn down, its communicator deregistered (straggler records
-        # still in flight are discarded), and the job relaunches on the
-        # survivors plus replacements once the action completes.
-        state = {"nodes": list(feed.nodes), "token": 0, "seen": 0}
-
-        def handle_action(action) -> None:
-            removed = set(action.isolated_nodes)
-            state["nodes"] = [
-                n for n in state["nodes"] if n not in removed
-            ] + list(action.replacement_nodes)
-            old_comm = feed.comm_id
-            feed.halt()
-            collector.drop_communicator(old_comm)
-            state["token"] += 1
-            token = state["token"]
-
-            def relaunch() -> None:
-                # Superseded by a newer action's relaunch plan.
-                if token == state["token"] and state["nodes"]:
-                    feed.relaunch(state["nodes"])
-
-            # A hair past ready_at: steering latencies and the master's
-            # evaluation grid are both round numbers, so an exact-ready_at
-            # relaunch ties with an evaluation tick — whether the relaunch
-            # registration (and the feed grid it anchors) lands before or
-            # after that evaluation would then hinge on timer tie-breaking
-            # alone (a racecheck divergence).
-            network.schedule(max(0.0, action.ready_at - network.now) + 1e-3, relaunch)
+        # Closing the loop: when steering acts, the feed tears the
+        # current incarnation down and relaunches on the survivors plus
+        # replacements once the action completes.
+        seen = 0
 
         def tick() -> None:
+            nonlocal seen
             master.evaluate(network.now)
-            while state["seen"] < len(steering.actions):
-                handle_action(steering.actions[state["seen"]])
-                state["seen"] += 1
+            for action in steering.actions[seen:]:
+                feed.apply_action(action, collector.drop_communicator)
+            seen = len(steering.actions)
             if network.now + scenario.evaluation_interval <= scenario.duration:
                 network.schedule(scenario.evaluation_interval, tick)
 
@@ -282,8 +258,7 @@ class ChaosCampaign:
         # The orchestrator's report carries the lifecycle the tracer
         # needs; replay it as detection/steer/recover stage observations.
         for event in report.events:
-            tracer.detection(event.detected_at, event.isolated_nodes)
-            tracer.action(
-                event.detected_at, event.isolated_nodes, ready_at=event.resumed_at
-            )
+            isolated = event.action.isolated_nodes
+            tracer.detection(event.detected_at, isolated)
+            tracer.action(event.detected_at, isolated, ready_at=event.action.ready_at)
         return score_recovery_scenario(scenario, report, grace=self.grace)

@@ -80,7 +80,6 @@ def _run(
         "duplicates": 0,
         "blackout_false_isolations": 0,
         "coverage_min": 1.0,
-        "token": 0,
         "seen_keys": {},
     }
 
@@ -95,23 +94,9 @@ def _run(
             _steering_action(action), scenario.episodes, grace
         ):
             ctx["blackout_false_isolations"] += len(action.isolated_nodes)
-        removed = set(action.isolated_nodes)
-        state["nodes"] = [n for n in state["nodes"] if n not in removed] + list(
-            action.replacement_nodes
+        feed.apply_action(
+            action, lambda comm_id: ctx["plane"].drop_communicator(comm_id)
         )
-        old_comm = feed.comm_id
-        feed.halt()
-        ctx["plane"].drop_communicator(old_comm)
-        ctx["token"] += 1
-        token = ctx["token"]
-
-        def relaunch() -> None:
-            if token == ctx["token"] and state["nodes"]:
-                feed.relaunch(state["nodes"])
-
-        # A hair past ready_at, off the round-number grids (same
-        # rationale as the pipeline runner).
-        network.schedule(max(0.0, action.ready_at - network.now) + 1e-3, relaunch)
 
     def build_plane(active: bool, standby: bool = False) -> C4DControlPlane:
         return C4DControlPlane(
@@ -140,15 +125,14 @@ def _run(
     agent_plane = AgentPlane(
         ctx["plane"], network=network, leases=leases, metrics=registry
     )
-    state = {"nodes": list(range(scenario.job_nodes))}
-    for node in state["nodes"]:
+    for node in range(scenario.job_nodes):
         agent_plane.agent(node)
         leases.register(node, 0.0)
 
     feed = SyntheticFeed(
         network,
         agent_plane,
-        nodes=state["nodes"],
+        nodes=range(scenario.job_nodes),
         faults=scenario.faults,
         step_seconds=scenario.step_seconds,
         seed=scenario.seed,

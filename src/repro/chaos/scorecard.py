@@ -26,13 +26,8 @@ from typing import Optional, Sequence
 
 from repro.chaos.scenario import ChaosScenario, Episode
 from repro.core.c4d.steering import SteeringAction
+from repro.obs.trace import DEFAULT_GRACE
 from repro.training.recovery import RecoveryReport
-
-#: Seconds past an episode window's end during which a detection still
-#: counts as true.  Debounce, evaluation cadence and telemetry latency
-#: all sit between fault onset and action; a flapping window can close
-#: in the meantime without making the (correct) detection a ghost.
-DEFAULT_GRACE = 240.0
 
 
 @dataclass(frozen=True)
@@ -464,14 +459,10 @@ def score_recovery_scenario(
 ) -> ScenarioScorecard:
     """Judge one recovery run's events against ground truth."""
     actions = [
-        _Action(
+        replace(
+            _steering_action(event.action),
             detected_at=event.detected_at,
-            targets=set(event.isolated_nodes),
-            isolated=event.isolated_nodes,
-            replacements=event.replacement_nodes,
-            doa=event.doa_replacements,
-            pool_exhausted=event.pool_exhausted,
-            ready_at=event.resumed_at,
+            targets=set(event.action.isolated_nodes),
         )
         for event in report.events
     ]

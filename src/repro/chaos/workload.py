@@ -32,6 +32,15 @@ from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, OpLaunchRecord, OpRecord
 
+#: Duration of one step's collective, in simulated seconds.
+OP_SECONDS = 0.5
+#: Launch lateness of a node inside an active degradation window.
+DEGRADED_LATENESS = 2.0
+#: Benign per-rank launch jitter (uniform, seconds).
+JITTER = 0.02
+#: Communicator ids are ``chaos#<incarnation>``.
+COMM_PREFIX = "chaos"
+
 
 class SyntheticFeed:
     """Emits monitoring records for one job under injected faults.
@@ -49,10 +58,6 @@ class SyntheticFeed:
         Ground-truth fault events shaping the records.
     step_seconds:
         Simulated time per training step (one collective per step).
-    degraded_lateness:
-        Launch lateness of a node inside an active degradation window.
-    jitter:
-        Benign per-rank launch jitter (uniform, seconds).
     """
 
     def __init__(
@@ -62,10 +67,6 @@ class SyntheticFeed:
         nodes: Sequence[int],
         faults: Sequence[FaultEvent] = (),
         step_seconds: float = 5.0,
-        op_seconds: float = 0.5,
-        degraded_lateness: float = 2.0,
-        jitter: float = 0.02,
-        comm_prefix: str = "chaos",
         seed: int = 0,
     ) -> None:
         self.network = network
@@ -73,11 +74,11 @@ class SyntheticFeed:
         self.nodes: list[int] = list(nodes)
         self.faults = list(faults)
         self.step_seconds = step_seconds
-        self.op_seconds = op_seconds
-        self.degraded_lateness = degraded_lateness
-        self.jitter = jitter
-        self.comm_prefix = comm_prefix
         self._rng = np.random.default_rng(seed)
+        #: Nodes of the next incarnation once steering's pending action
+        #: completes, and that relaunch's token (a newer action wins).
+        self._planned: list[int] = list(self.nodes)
+        self._relaunch_token = 0
         self._incarnation = 0
         self._seq = 0
         self._halted = True
@@ -107,7 +108,7 @@ class SyntheticFeed:
             and f.active_at(now)
             for f in self.faults
         )
-        return self.degraded_lateness if degraded else 0.0
+        return DEGRADED_LATENESS if degraded else 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -128,6 +129,37 @@ class SyntheticFeed:
         self._register()
         self.network.schedule(self.step_seconds, self._tick)
 
+    def apply_action(self, action, drop_communicator) -> None:
+        """Tear the incarnation down for a steering action; relaunch after.
+
+        The next incarnation runs on the survivors plus the action's
+        replacements.  ``drop_communicator(comm_id)`` deregisters the old
+        communicator, so straggler records still in flight are discarded.
+        """
+        removed = set(action.isolated_nodes)
+        self._planned = [n for n in self._planned if n not in removed] + list(
+            action.replacement_nodes
+        )
+        self.halt()
+        drop_communicator(self._comm_id)
+        self._relaunch_token += 1
+        token = self._relaunch_token
+
+        def relaunch() -> None:
+            # Superseded by a newer action's relaunch plan.
+            if token == self._relaunch_token and self._planned:
+                self.relaunch(self._planned)
+
+        # A hair past ready_at: steering latencies and the master's
+        # evaluation grid are both round numbers, so an exact-ready_at
+        # relaunch ties with an evaluation tick — whether the relaunch
+        # registration (and the feed grid it anchors) lands before or
+        # after that evaluation would then hinge on timer tie-breaking
+        # alone (a racecheck divergence).
+        self.network.schedule(
+            max(0.0, action.ready_at - self.network.now) + 1e-3, relaunch
+        )
+
     @property
     def comm_id(self) -> str:
         """The current incarnation's communicator id."""
@@ -137,7 +169,7 @@ class SyntheticFeed:
         self._incarnation += 1
         self._seq = 0
         self._halted = False
-        self._comm_id = f"{self.comm_prefix}#{self._incarnation}"
+        self._comm_id = f"{COMM_PREFIX}#{self._incarnation}"
         ranks = tuple(RankLocation(node, 0) for node in self.nodes)
         self.sink.on_communicator(
             CommunicatorRecord(self._comm_id, len(self.nodes), ranks)
@@ -164,7 +196,7 @@ class SyntheticFeed:
                 self.symptom_observer(now, node)
             launch_time = (
                 now
-                + float(self._rng.uniform(0.0, self.jitter))
+                + float(self._rng.uniform(0.0, JITTER))
                 + lateness
             )
             launches[rank] = launch_time
@@ -183,7 +215,7 @@ class SyntheticFeed:
             # steps.  The hang detector must notice from the records.
             return
         start = max(launches.values())
-        end = start + self.op_seconds
+        end = start + OP_SECONDS
         for rank, node in enumerate(self.nodes):
             self.sink.on_op(
                 OpRecord(

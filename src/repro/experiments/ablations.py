@@ -43,10 +43,10 @@ class AblationResult:
     registry_ecmp: Summary
 
 
-def _single_allreduce(selector_factory, ecmp_seed: int, **context_kwargs) -> float:
+def _single_allreduce(make_selector, ecmp_seed: int, **context_kwargs) -> float:
     scenario = build_cluster(ecmp_seed=ecmp_seed)
     context = CollectiveContext(
-        scenario.topology, selector=selector_factory(scenario), **context_kwargs
+        scenario.topology, selector=make_selector(scenario), **context_kwargs
     )
     comm = context.communicator(contiguous_ranks(range(4), 8))
     handle = context.run_op(comm, OpType.ALLREDUCE, 1 * GIB)

@@ -32,8 +32,10 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 STAGES = ("inject", "first_record", "detect", "steer", "recover")
 
 #: Seconds past a fault window's end during which a detection still
-#: matches it (mirrors the chaos scorecard's DEFAULT_GRACE).
-DEFAULT_TRACE_GRACE = 240.0
+#: counts as true.  Debounce, evaluation cadence and telemetry latency
+#: all sit between fault onset and action; a flapping window can close
+#: in the meantime without making the (correct) detection a ghost.
+DEFAULT_GRACE = 240.0
 
 #: MTTD/MTTR bucket bounds: detection is expected within tens of
 #: seconds, recovery within minutes (Table III's accounting).
@@ -133,7 +135,7 @@ class FaultTracer:
     """
 
     def __init__(
-        self, metrics: Optional[MetricsRegistry] = None, grace: float = DEFAULT_TRACE_GRACE
+        self, metrics: Optional[MetricsRegistry] = None, grace: float = DEFAULT_GRACE
     ) -> None:
         registry = get_registry(metrics)
         self.grace = grace

@@ -30,7 +30,7 @@ class C4Agent:
     node_id: int
     collector: CentralCollector
     records_forwarded: int = 0
-    #: Pending (kind, record) pairs when the plane runs in buffered mode.
+    #: Pending (kind, record) pairs held while the master is suspended.
     buffer: list = field(default_factory=list)
     #: Optional lossy agent→master transport.
     channel: object = None
@@ -55,7 +55,7 @@ class C4Agent:
         self._ship(self.collector.ingest_message, record)
 
     def enqueue(self, kind: str, record) -> None:
-        """Hold a record until the next flush (buffered mode)."""
+        """Hold a record until the next flush (master suspended)."""
         self.buffer.append((kind, record))
 
     def flush(self) -> int:
@@ -80,12 +80,6 @@ class AgentPlane:
     them (op records to the rank's node, message records to the sender)
     and forwarded to the shared :class:`CentralCollector`.
 
-    By default forwarding is immediate.  Passing ``network`` and
-    ``flush_interval`` switches to buffered mode: agents accumulate
-    records locally and ship them every ``flush_interval`` simulated
-    seconds — the reporting delay a real deployment pays, which adds
-    directly onto C4D's detection latency.
-
     Passing ``channel`` (an
     :class:`~repro.telemetry.unreliable.UnreliableChannel`) routes every
     forward through a lossy transport that drops, delays, and duplicates
@@ -107,25 +101,17 @@ class AgentPlane:
         collector: CentralCollector,
         clock=None,
         network=None,
-        flush_interval: float | None = None,
         channel=None,
         leases=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if flush_interval is not None:
-            if network is None:
-                raise ValueError("buffered mode needs a network for flush timers")
-            if flush_interval <= 0:
-                raise ValueError("flush_interval must be positive")
         if channel is not None and network is None:
             raise ValueError("a lossy channel needs a network for its timers")
         self.collector = collector
         self.agents: dict[int, C4Agent] = {}
         self.network = network
-        self.flush_interval = flush_interval
         self.channel = channel
         self.leases = leases
-        self._flush_armed = False
         #: True while the master is down: records buffer locally.
         self.suspended = False
         #: Communicator registrations held back during a suspension.
@@ -164,11 +150,6 @@ class AgentPlane:
 
         self._clock = clock or (lambda: 0.0)
 
-    @property
-    def buffered(self) -> bool:
-        """True when records wait for the periodic flush."""
-        return self.flush_interval is not None
-
     def flush_all(self) -> int:
         """Flush every agent's buffer; returns total records shipped."""
         flushed = sum(agent.flush() for agent in self.agents.values())
@@ -188,39 +169,20 @@ class AgentPlane:
             return
         agent = self.agent(node_id)
         if self.suspended:
-            # Master downtime: hold the record locally regardless of
-            # mode; resume() backfills it.  No heartbeat either — a
-            # dead/unreachable master hears nothing.
+            # Master downtime: hold the record locally; resume()
+            # backfills it.  No heartbeat either — a dead/unreachable
+            # master hears nothing.
             agent.enqueue(kind, record)
             self._m_buffered.inc()
             return
         self._beat(node_id)
-        if not self.buffered:
-            if kind == "op":
-                agent.forward_op(record)
-            elif kind == "launch":
-                agent.forward_launch(record)
-            else:
-                agent.forward_message(record)
-            self._m_forwarded.inc()
-            return
-        agent.enqueue(kind, record)
-        self._m_buffered.inc()
-        self._arm_flush()
-
-    def _arm_flush(self) -> None:
-        if self._flush_armed or not self.buffered:
-            return
-        self._flush_armed = True
-        self.network.schedule(self.flush_interval, self._flush_tick)
-
-    def _flush_tick(self) -> None:
-        self._flush_armed = False
-        self.flush_all()
-        # Re-arm only when new records are already waiting; otherwise the
-        # next enqueue re-arms (keeps the event loop free to terminate).
-        if any(agent.buffer for agent in self.agents.values()):
-            self._arm_flush()
+        if kind == "op":
+            agent.forward_op(record)
+        elif kind == "launch":
+            agent.forward_launch(record)
+        else:
+            agent.forward_message(record)
+        self._m_forwarded.inc()
 
     def agent(self, node_id: int) -> C4Agent:
         """The (lazily created) agent of one node."""

@@ -8,12 +8,12 @@ nodes and restart the job from the most recent valid checkpoint."
 
 :class:`RecoveryOrchestrator` wires every piece together on the event
 loop: a monitored :class:`~repro.training.job.TrainingJob`, the periodic
-C4D master, the scheduler's backup pool, and the in-memory checkpointer.
+C4D master, the job steering service, and the in-memory checkpointer.
 When a worker crashes mid-run the job's next collective hangs; C4D
-localizes the missing rank; the orchestrator isolates the node, swaps in
-a backup, pays the isolation+restart latency, restores from the last
-snapshot, and resumes — and the resulting timeline decomposes into
-exactly Table III's downtime components.
+localizes the missing rank; the steering service isolates the node and
+swaps in a backup; the orchestrator pays the isolation+restart latency,
+restores from the last snapshot, and resumes — and the resulting
+timeline decomposes into exactly Table III's downtime components.
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ from repro.collective.context import CollectiveContext
 from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.events import Anomaly, AnomalyType
 from repro.core.c4d.master import C4DMaster
-from repro.core.c4d.steering import SteeringConfig, SteeringFaultModel
+from repro.core.c4d.steering import (
+    JobSteeringService,
+    SteeringAction,
+    SteeringConfig,
+    SteeringFaultModel,
+)
 from repro.telemetry.agent import AgentPlane
 from repro.telemetry.collector import CentralCollector
 from repro.training.job import JobSpec, TrainingJob
@@ -36,6 +41,9 @@ from repro.training.scheduler import ClusterScheduler
 
 logger = logging.getLogger(__name__)
 
+#: The orchestrated job's name in the scheduler and its communicator prefix.
+JOB_NAME = "job"
+
 
 @dataclass(frozen=True)
 class RecoveryEvent:
@@ -43,21 +51,11 @@ class RecoveryEvent:
 
     crash_time: float
     detected_at: float
-    isolated_nodes: tuple[int, ...]
-    replacement_nodes: tuple[int, ...]
-    resumed_at: float
+    #: What the steering service did: isolations, replacements, retries,
+    #: dead-on-arrival spares, and when the job runs again (``ready_at``).
+    action: SteeringAction
     restored_step: int
     lost_steps: int
-    #: The backup pool could not cover every isolated node; the job
-    #: restarted on a shrunk world.
-    pool_exhausted: bool = False
-    #: Isolation attempts across all nodes (>len(isolated_nodes) when
-    #: injected steering faults forced retries).
-    isolation_attempts: int = 0
-    #: Extra downtime paid to isolation-retry backoff, in seconds.
-    backoff_seconds: float = 0.0
-    #: Backups drawn but dead on arrival (wasted spares).
-    doa_replacements: tuple[int, ...] = ()
     #: Corrupted snapshots skipped before a valid restore point was
     #: found (0 = newest snapshot restored cleanly).
     restore_fallbacks: int = 0
@@ -70,7 +68,7 @@ class RecoveryEvent:
     @property
     def downtime_seconds(self) -> float:
         """Crash-to-resume wall time."""
-        return self.resumed_at - self.crash_time
+        return self.action.ready_at - self.crash_time
 
 
 @dataclass
@@ -95,7 +93,8 @@ class RecoveryOrchestrator:
     scenario_topology:
         The cluster topology (its network drives the clock).
     scheduler:
-        Node allocator with a backup pool.
+        Node allocator; its reserved spares seed the steering service's
+        backup pool.
     spec:
         The training job.
     detector_config / steering_config:
@@ -104,10 +103,6 @@ class RecoveryOrchestrator:
         Snapshot engine; the job resumes from its latest snapshot.
     evaluation_interval:
         How often the C4D master evaluates, in simulated seconds.
-    selector_factory:
-        Optional callable returning a fresh PathSelector for each
-        (re)incarnation of the job (pass a C4P selector factory to run
-        the full C4 deployment).
     steering_faults:
         Optional failure injection for the recovery actions themselves
         (isolation timeouts retried with capped exponential backoff,
@@ -123,8 +118,6 @@ class RecoveryOrchestrator:
         steering_config: Optional[SteeringConfig] = None,
         checkpointer: Optional[InMemoryCheckpointer] = None,
         evaluation_interval: float = 5.0,
-        selector_factory=None,
-        job_name: str = "job",
         steering_faults: Optional[SteeringFaultModel] = None,
     ) -> None:
         self.topology = topology
@@ -132,12 +125,17 @@ class RecoveryOrchestrator:
         self.scheduler = scheduler
         self.spec = spec
         self.detector_config = detector_config or DetectorConfig(hang_timeout=30.0)
-        self.steering_config = steering_config or SteeringConfig()
         self.checkpointer = checkpointer or InMemoryCheckpointer(interval_steps=10)
         self.evaluation_interval = evaluation_interval
-        self.selector_factory = selector_factory or (lambda: None)
-        self.job_name = job_name
-        self.steering_faults = steering_faults
+        # Every hang verdict of the current incarnation is acted on, so
+        # the steering service suppresses no duplicates.
+        self.steering = JobSteeringService(
+            topology,
+            backup_nodes=list(scheduler.backup_nodes),
+            config=steering_config,
+            faults=steering_faults,
+            dedup_window=0.0,
+        )
 
         self.collector = CentralCollector()
         self.agent_plane = AgentPlane(self.collector, clock=lambda: self.network.now)
@@ -146,7 +144,7 @@ class RecoveryOrchestrator:
         self.job: Optional[TrainingJob] = None
         self._target_steps = 0
         self._incarnation = 0
-        self._comm_prefix = job_name
+        self._comm_prefix = JOB_NAME
         self._crash_time: Optional[float] = None
         self._watching = False
 
@@ -163,7 +161,7 @@ class RecoveryOrchestrator:
             raise RuntimeError("orchestrator already started")
         self._target_steps = total_steps
         self.report = RecoveryReport(completed_steps=0, target_steps=total_steps)
-        allocation = self.scheduler.allocate(self.job_name, num_nodes)
+        allocation = self.scheduler.allocate(JOB_NAME, num_nodes)
         self._launch(list(allocation.nodes), total_steps, restored_step=0)
         self._arm_watchdog()
         return self.report
@@ -180,10 +178,9 @@ class RecoveryOrchestrator:
     # ------------------------------------------------------------------
     def _launch(self, nodes: list[int], remaining_steps: int, restored_step: int) -> None:
         self._incarnation += 1
-        self._comm_prefix = f"{self.job_name}#{self._incarnation}"
+        self._comm_prefix = f"{JOB_NAME}#{self._incarnation}"
         context = CollectiveContext(
             self.topology,
-            selector=self.selector_factory(),
             sink=self.agent_plane,
             job_id=self._comm_prefix,
         )
@@ -273,78 +270,24 @@ class RecoveryOrchestrator:
         comm_ids = anomaly.evidence.get("comm_ids", ())
         return any(str(comm_id).startswith(self._comm_prefix) for comm_id in comm_ids)
 
-    def _isolate_with_retries(self, node_id: int) -> tuple[bool, int, float]:
-        """Isolate one node, retrying with capped exponential backoff.
-
-        Returns ``(succeeded, attempts, backoff_paid_seconds)``.
-        """
-        attempts = 0
-        backoff = 0.0
-        while attempts < self.steering_config.max_isolation_attempts:
-            attempts += 1
-            if self.steering_faults is None or not self.steering_faults.isolation_fails():
-                self.topology.node(node_id).isolate()
-                return True, attempts, backoff
-            if attempts < self.steering_config.max_isolation_attempts:
-                backoff += self.steering_config.retry_backoff(attempts - 1)
-        logger.warning(
-            "isolation of node %d failed after %d attempts; node stays in job",
-            node_id,
-            attempts,
-        )
-        return False, attempts, backoff
-
-    def _replace_with_health_check(self, node_id: int) -> tuple[Optional[int], list[int]]:
-        """Swap in a backup, drawing again past dead-on-arrival spares."""
-        doa: list[int] = []
-        current = node_id
-        while True:
-            replacement = self.scheduler.replace_node(self.job_name, current)
-            if replacement is None:
-                return None, doa
-            if self.steering_faults is None or not self.steering_faults.replacement_dead():
-                return replacement, doa
-            logger.warning(
-                "backup node %d dead on arrival; drawing next", replacement
-            )
-            self.topology.node(replacement).isolate()
-            doa.append(replacement)
-            current = replacement
-
     def _recover(self, anomaly: Anomaly) -> None:
         assert self.job is not None and self.report is not None
         detected_at = self.network.now
         crash_time = self._crash_time if self._crash_time is not None else detected_at
-        # Isolate and replace through the scheduler's backup pool.
-        isolated = []
-        replacements = []
-        doa: list[int] = []
-        total_attempts = 0
-        total_backoff = 0.0
-        allocation = self.scheduler.allocation_of(self.job_name)
-        allocated_nodes = allocation.nodes if allocation is not None else ()
-        for node_id in anomaly.suspect_nodes:
-            if node_id not in allocated_nodes:
-                continue
-            ok, attempts, backoff = self._isolate_with_retries(node_id)
-            total_attempts += attempts
-            total_backoff += backoff
-            if not ok:
-                continue
-            isolated.append(node_id)
-            replacement, dead = self._replace_with_health_check(node_id)
-            doa.extend(dead)
-            if replacement is not None:
-                replacements.append(replacement)
-        pool_exhausted = len(replacements) < len(isolated)
-        if pool_exhausted:
-            logger.warning(
-                "backup pool exhausted for job %r: %d isolated, %d replaced; "
-                "restarting on a shrunk world",
-                self.job_name,
-                len(isolated),
-                len(replacements),
-            )
+        action = self.steering.handle(anomaly, detected_at)
+        assert action is not None  # dedup_window=0.0 suppresses nothing
+        # The job keeps its node order: each replacement takes its
+        # isolated node's position (rank placement follows node order);
+        # an isolated node left without a replacement is dropped.
+        swap = dict(zip(action.isolated_nodes, action.replacement_nodes))
+        allocation = self.scheduler.reassign(
+            JOB_NAME,
+            [
+                swap.get(node_id, node_id)
+                for node_id in self.scheduler.allocation_of(JOB_NAME).nodes
+                if node_id in swap or node_id not in action.isolated_nodes
+            ],
+        )
         # Restore point: the newest *valid* snapshot completed before the
         # crash; corrupted ones are skipped (fallback chain).
         snapshot = self.checkpointer.restore(crash_time)
@@ -357,33 +300,21 @@ class RecoveryOrchestrator:
             )
         restored_step = snapshot.step + 1 if snapshot is not None else 0
         lost = max(0, self.job.current_step - restored_step)
-        delay = (
-            self.steering_config.isolation_seconds
-            + total_backoff
-            + self.steering_config.restart_seconds
-        )
-        resumed_at = detected_at + delay
         self.report.events.append(
             RecoveryEvent(
                 crash_time=crash_time,
                 detected_at=detected_at,
-                isolated_nodes=tuple(isolated),
-                replacement_nodes=tuple(replacements),
-                resumed_at=resumed_at,
+                action=action,
                 restored_step=restored_step,
                 lost_steps=lost,
-                pool_exhausted=pool_exhausted,
-                isolation_attempts=total_attempts,
-                backoff_seconds=total_backoff,
-                doa_replacements=tuple(doa),
                 restore_fallbacks=restore_fallbacks,
             )
         )
         self._crash_time = None
-        nodes = list(self.scheduler.allocation_of(self.job_name).nodes)
+        nodes = list(allocation.nodes)
         remaining = self._target_steps - restored_step
 
         def relaunch() -> None:
             self._launch(nodes, remaining, restored_step=restored_step)
 
-        self.network.schedule(delay, relaunch)
+        self.network.schedule_at(action.ready_at, relaunch)

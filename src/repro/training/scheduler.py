@@ -7,14 +7,15 @@ training on any of the 128 servers within this 136-server pool."  The
 scheduler partitions the cluster into an active pool and a backup pool
 (1 backup server per 16 active by default), places jobs on contiguous
 healthy nodes (topology-aware placement keeps ring edges short), and
-swaps isolated nodes for backups when C4D's steering service asks.
+records the node set a job is left with after C4D's job steering service
+(which owns the backup pool) has swapped its isolated nodes for spares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology
 
@@ -40,7 +41,8 @@ class ClusterScheduler:
         The cluster.
     backup_ratio:
         Fraction of nodes reserved as spares; the paper's 8-per-128 is
-        1/16.  The highest-numbered nodes form the backup pool.
+        1/16.  The highest-numbered nodes are reserved as
+        ``backup_nodes``; the job steering service draws from them.
     """
 
     def __init__(self, topology: ClusterTopology, backup_ratio: float = 1 / 16) -> None:
@@ -50,7 +52,7 @@ class ClusterScheduler:
         total = topology.spec.num_nodes
         num_backups = math.ceil(total * backup_ratio) if backup_ratio > 0 else 0
         self._active_pool: list[int] = list(range(total - num_backups))
-        self.backup_pool: list[int] = list(range(total - num_backups, total))
+        self.backup_nodes: tuple[int, ...] = tuple(range(total - num_backups, total))
         self._allocations: dict[str, Allocation] = {}
         self._busy: set[int] = set()
 
@@ -113,6 +115,21 @@ class ClusterScheduler:
             raise SchedulingError(f"no allocation for job {job_name!r}")
         self._busy.difference_update(allocation.nodes)
 
+    def reassign(self, job_name: str, nodes: Sequence[int]) -> Allocation:
+        """Record the nodes a job runs on after steering swapped some.
+
+        Nodes leaving the job are no longer busy (isolated ones stay
+        unschedulable until repaired); nodes joining it become busy.
+        """
+        allocation = self._allocations.get(job_name)
+        if allocation is None:
+            raise SchedulingError(f"no allocation for job {job_name!r}")
+        self._busy.difference_update(allocation.nodes)
+        allocation = Allocation(job_name=job_name, nodes=tuple(nodes))
+        self._allocations[job_name] = allocation
+        self._busy.update(allocation.nodes)
+        return allocation
+
     @staticmethod
     def _contiguous_run(free: list[int], count: int) -> Optional[list[int]]:
         run: list[int] = []
@@ -123,38 +140,3 @@ class ClusterScheduler:
             if len(run) == count:
                 return run
         return None
-
-    # ------------------------------------------------------------------
-    # Failure handling (driven by C4D steering)
-    # ------------------------------------------------------------------
-    def replace_node(self, job_name: str, failed_node: int) -> Optional[int]:
-        """Swap an isolated node for a backup in a job's allocation.
-
-        Returns the replacement node id, or None when the backup pool is
-        empty (the job keeps the hole; callers decide whether to shrink
-        or queue).  The failed node is *not* returned to any pool — it
-        goes to repair via :meth:`return_repaired`.
-        """
-        allocation = self._allocations.get(job_name)
-        if allocation is None or failed_node not in allocation.nodes:
-            raise SchedulingError(
-                f"node {failed_node} is not allocated to job {job_name!r}"
-            )
-        self._busy.discard(failed_node)
-        replacement: Optional[int] = None
-        if self.backup_pool:
-            replacement = self.backup_pool.pop(0)
-            self._busy.add(replacement)
-        new_nodes = tuple(
-            replacement if node_id == failed_node else node_id
-            for node_id in allocation.nodes
-            if replacement is not None or node_id != failed_node
-        )
-        self._allocations[job_name] = Allocation(job_name=job_name, nodes=new_nodes)
-        return replacement
-
-    def return_repaired(self, node_id: int) -> None:
-        """A repaired node re-enters service as a backup."""
-        self.topology.node(node_id).restore()
-        if node_id not in self.backup_pool:
-            self.backup_pool.append(node_id)

@@ -6,6 +6,8 @@ with precision >= 0.9 and zero isolation storms, and a corrupted
 checkpoint must be survived by falling back through the snapshot chain.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.export import campaign_scorecard_to_dict
@@ -153,16 +155,15 @@ def test_score_recovery_report_pins_every_field():
         name="unit-recovery", seed=4, kind=ScenarioKind.RECOVERY, faults=(crash, missed)
     )
 
-    def event(detected_at, isolated, replacements=(), **extra):
+    def event(detected_at, isolated, replacements=(), restore_fallbacks=0, **steering):
+        action = _action(isolated, detected_at, replacements=replacements)
         return RecoveryEvent(
             crash_time=100.0,
             detected_at=detected_at,
-            isolated_nodes=isolated,
-            replacement_nodes=replacements,
-            resumed_at=detected_at + 180.0,
+            action=replace(action, **steering),
             restored_step=0,
             lost_steps=0,
-            **extra,
+            restore_fallbacks=restore_fallbacks,
         )
 
     report = RecoveryReport(

@@ -1,7 +1,5 @@
 """Tests for the C4 agent plane."""
 
-import pytest
-
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
@@ -66,66 +64,3 @@ def test_clock_stamps_registration():
     plane = AgentPlane(collector, clock=lambda: now["t"])
     plane.on_communicator(CommunicatorRecord("c", 1, (RankLocation(0, 0),)))
     assert collector.progress["c"].created_at == 42.0
-
-
-def test_buffered_mode_requires_network():
-    import pytest
-
-    with pytest.raises(ValueError):
-        AgentPlane(CentralCollector(), flush_interval=1.0)
-
-
-def test_buffered_mode_delays_delivery():
-    from repro.netsim.network import FlowNetwork
-
-    net = FlowNetwork()
-    collector = CentralCollector()
-    plane = AgentPlane(collector, network=net, flush_interval=2.0)
-    plane.on_communicator(CommunicatorRecord("c", 1, (RankLocation(0, 0),)))
-    plane.on_op(
-        OpRecord(
-            comm_id="c", seq=0, op_type=OpType.ALLREDUCE, algorithm=Algorithm.RING,
-            dtype="fp16", element_count=1, rank=0, location=RankLocation(0, 0),
-            launch_time=0.0, start_time=0.0, end_time=0.1,
-        )
-    )
-    # Not yet delivered.
-    assert collector.ops("c") == []
-    net.run(until=2.5)
-    assert len(collector.ops("c")) == 1
-
-
-def test_buffered_flush_all_is_manual_escape_hatch():
-    from repro.netsim.network import FlowNetwork
-
-    net = FlowNetwork()
-    collector = CentralCollector()
-    plane = AgentPlane(collector, network=net, flush_interval=100.0)
-    plane.on_communicator(CommunicatorRecord("c", 1, (RankLocation(2, 0),)))
-    plane.on_op_launch(
-        OpLaunchRecord(
-            comm_id="c", seq=0, op_type=OpType.ALLREDUCE, rank=0,
-            location=RankLocation(2, 0), launch_time=0.0,
-        )
-    )
-    assert collector.progress["c"].max_launch_seq == -1
-    shipped = plane.flush_all()
-    assert shipped == 1
-    assert collector.progress["c"].max_launch_seq == 0
-
-
-def test_buffered_flush_timer_disarms_when_idle():
-    from repro.netsim.network import FlowNetwork
-
-    net = FlowNetwork()
-    collector = CentralCollector()
-    plane = AgentPlane(collector, network=net, flush_interval=1.0)
-    plane.on_communicator(CommunicatorRecord("c", 1, (RankLocation(0, 0),)))
-    plane.on_op_launch(
-        OpLaunchRecord(
-            comm_id="c", seq=0, op_type=OpType.ALLREDUCE, rank=0,
-            location=RankLocation(0, 0), launch_time=0.0,
-        )
-    )
-    net.run()  # must terminate (timer disarms after the flush)
-    assert net.now == pytest.approx(1.0)

@@ -50,8 +50,8 @@ def test_crash_is_detected_isolated_and_survived():
     # Detection within hang timeout + evaluation cadence ("tens of
     # seconds", not PyTorch's 30 minutes).
     assert event.detection_seconds <= 30.0
-    assert event.isolated_nodes == (2,)
-    assert event.replacement_nodes == (15,)  # the testbed's backup node
+    assert event.action.isolated_nodes == (2,)
+    assert event.action.replacement_nodes == (15,)  # the testbed's backup node
     # Post-checkpoint loss bounded by the snapshot cadence.
     assert event.lost_steps <= 3
     # The cluster state reflects the swap.
@@ -93,8 +93,8 @@ def test_second_crash_uses_no_more_backups_gracefully():
     scenario.network.run(until=900.0)
     assert len(report.events) == 2
     second = report.events[1]
-    assert second.isolated_nodes == (0,)
-    assert second.replacement_nodes == ()  # pool exhausted
+    assert second.action.isolated_nodes == (0,)
+    assert second.action.replacement_nodes == ()  # pool exhausted
     allocation = scheduler.allocation_of("job")
     assert len(allocation.nodes) == 3
 
@@ -126,22 +126,22 @@ def test_steering_faults_pin_every_event_and_node_order():
     assert report.finished and report.completed_steps == 30
     first, second = report.events
     assert first.crash_time == 8.0 and first.detected_at == 30.0
-    assert first.isolated_nodes == (1,)
-    assert first.replacement_nodes == (15,)
-    assert first.doa_replacements == (14,)
-    assert first.isolation_attempts == 3
-    assert first.backoff_seconds == 45.0
-    assert first.pool_exhausted is False
-    assert first.resumed_at == 135.0
+    assert first.action.isolated_nodes == (1,)
+    assert first.action.replacement_nodes == (15,)
+    assert first.action.doa_replacements == (14,)
+    assert first.action.attempts == 3
+    assert first.action.backoff_seconds == 45.0
+    assert first.action.pool_exhausted is False
+    assert first.action.ready_at == 135.0
     assert (first.restored_step, first.lost_steps, first.restore_fallbacks) == (0, 3, 0)
     assert second.crash_time == 200.0 and second.detected_at == 225.0
-    assert second.isolated_nodes == (2,)
-    assert second.replacement_nodes == ()
-    assert second.doa_replacements == ()
-    assert second.isolation_attempts == 1
-    assert second.backoff_seconds == 0.0
-    assert second.pool_exhausted is True
-    assert second.resumed_at == 285.0
+    assert second.action.isolated_nodes == (2,)
+    assert second.action.replacement_nodes == ()
+    assert second.action.doa_replacements == ()
+    assert second.action.attempts == 1
+    assert second.action.backoff_seconds == 0.0
+    assert second.action.pool_exhausted is True
+    assert second.action.ready_at == 285.0
     assert (second.restored_step, second.lost_steps, second.restore_fallbacks) == (18, 2, 0)
     # Node order decides rank placement: the spare takes the isolated
     # node's position, and an unreplaced node is dropped in place.

@@ -17,13 +17,13 @@ def build(num_nodes=16, backup_ratio=1 / 16):
 def test_paper_backup_provisioning():
     # 136-node pool -> 128 active + 8 backups at the paper's 1/16 ratio.
     topo, scheduler = build(num_nodes=16, backup_ratio=1 / 16)
-    assert len(scheduler.backup_pool) == 1
+    assert scheduler.backup_nodes == (15,)
     assert scheduler.active_capacity == 15
 
 
 def test_zero_backup_ratio():
     _topo, scheduler = build(backup_ratio=0.0)
-    assert scheduler.backup_pool == []
+    assert scheduler.backup_nodes == ()
     assert scheduler.active_capacity == 16
 
 
@@ -91,44 +91,21 @@ def test_fragmented_fallback():
     assert len(allocation.nodes) == 4  # lowest free even nodes
 
 
-def test_replace_node_uses_backup():
-    topo, scheduler = build()
-    allocation = scheduler.allocate("job", 4)
-    failed = allocation.nodes[2]
-    topo.node(failed).isolate()
-    replacement = scheduler.replace_node("job", failed)
-    assert replacement == 15  # the testbed's single backup
-    new_allocation = scheduler.allocation_of("job")
-    assert failed not in new_allocation.nodes
-    assert replacement in new_allocation.nodes
-    assert len(new_allocation.nodes) == 4
-
-
-def test_replace_node_pool_empty_shrinks():
-    topo, scheduler = build(backup_ratio=0.0)
-    allocation = scheduler.allocate("job", 4)
-    failed = allocation.nodes[0]
-    replacement = scheduler.replace_node("job", failed)
-    assert replacement is None
-    assert len(scheduler.allocation_of("job").nodes) == 3
-
-
-def test_replace_node_validates_membership():
+def test_reassign_records_nodes_and_busy_set():
     _topo, scheduler = build()
-    scheduler.allocate("job", 2)
+    scheduler.allocate("job", 4)
+    allocation = scheduler.reassign("job", (0, 15, 3))
+    assert allocation.nodes == (0, 15, 3)
+    assert scheduler.allocation_of("job") == allocation
+    # Nodes 1 and 2 left the job, so they are free again.
+    assert scheduler.free_nodes()[:4] == [1, 2, 4, 5]
+    assert scheduler.utilization() == pytest.approx(2 / 15)
+
+
+def test_reassign_unknown_job():
+    _topo, scheduler = build()
     with pytest.raises(SchedulingError):
-        scheduler.replace_node("job", 10)
-
-
-def test_return_repaired_restores_and_pools():
-    topo, scheduler = build()
-    allocation = scheduler.allocate("job", 4)
-    failed = allocation.nodes[0]
-    topo.node(failed).isolate()
-    scheduler.replace_node("job", failed)
-    scheduler.return_repaired(failed)
-    assert topo.node(failed).is_schedulable
-    assert failed in scheduler.backup_pool
+        scheduler.reassign("ghost", (0,))
 
 
 def test_utilization():

@@ -15,9 +15,9 @@ from repro.workloads.generator import build_cluster
 SPEC = JobSpec("train", GPT_22B, ParallelismPlan(tp=8, dp=4), global_batch=64)
 
 
-def build_orchestrator(checkpoint_interval=3):
+def build_orchestrator(checkpoint_interval=3, backup_ratio=1 / 16, steering_faults=None):
     scenario = build_cluster(ecmp_seed=2)
-    scheduler = ClusterScheduler(scenario.topology, backup_ratio=1 / 16)
+    scheduler = ClusterScheduler(scenario.topology, backup_ratio=backup_ratio)
     orchestrator = RecoveryOrchestrator(
         scenario.topology,
         scheduler,
@@ -26,6 +26,7 @@ def build_orchestrator(checkpoint_interval=3):
         steering_config=SteeringConfig(isolation_seconds=30, restart_seconds=30),
         checkpointer=InMemoryCheckpointer(interval_steps=checkpoint_interval, save_seconds=0.1),
         evaluation_interval=5.0,
+        steering_faults=steering_faults,
     )
     return scenario, scheduler, orchestrator
 
@@ -104,16 +105,8 @@ def test_steering_faults_pin_every_event_and_node_order():
     # first crash pays two failed isolation attempts (15 s + 30 s of
     # backoff) and a dead-on-arrival spare before node 15 takes node 1's
     # place; the second crash finds the pool empty and shrinks the job.
-    scenario = build_cluster(ecmp_seed=2)
-    scheduler = ClusterScheduler(scenario.topology, backup_ratio=1 / 8)
-    orchestrator = RecoveryOrchestrator(
-        scenario.topology,
-        scheduler,
-        SPEC,
-        detector_config=DetectorConfig(hang_timeout=20.0),
-        steering_config=SteeringConfig(isolation_seconds=30, restart_seconds=30),
-        checkpointer=InMemoryCheckpointer(interval_steps=3, save_seconds=0.1),
-        evaluation_interval=5.0,
+    scenario, scheduler, orchestrator = build_orchestrator(
+        backup_ratio=1 / 8,
         steering_faults=SteeringFaultModel(
             isolation_failure_rate=0.5, replacement_doa_rate=0.5, seed=2
         ),

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.topology import ClusterTopology, PathChoice
-from repro.netsim.routing import FiveTuple
 
 #: RoCEv2 destination UDP port used in probe five-tuples.
 ROCE_DST_PORT = 4791
@@ -64,15 +63,16 @@ class PathProber:
         wanted_up = choice.spine * spec.uplink_ports_per_spine + choice.up_port
         wanted_down = choice.dst_side * spec.uplink_ports_per_spine + choice.down_port
         hasher = self.topology.ecmp
+        hash_up = hasher.port_hasher(
+            src_ip, dst_ip, ROCE_DST_PORT, stage=f"up:{rail}:{choice.src_side}"
+        )
+        hash_down = hasher.port_hasher(
+            src_ip, dst_ip, ROCE_DST_PORT, stage=f"down:{rail}:{choice.spine}"
+        )
         for port in port_range:
-            five_tuple = FiveTuple(
-                src_ip=src_ip, dst_ip=dst_ip, src_port=port, dst_port=ROCE_DST_PORT
-            )
-            up = hasher.choose(five_tuple, up_fanout, stage=f"up:{rail}:{choice.src_side}")
-            if up != wanted_up:
+            if hash_up(port) % up_fanout != wanted_up:
                 continue
-            down = hasher.choose(five_tuple, down_fanout, stage=f"down:{rail}:{choice.spine}")
-            if down == wanted_down:
+            if hash_down(port) % down_fanout == wanted_down:
                 return port
         raise LookupError(
             f"no source port in {port_range} steers onto {choice} (rail {rail})"

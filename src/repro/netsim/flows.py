@@ -33,7 +33,10 @@ class Flow:
     flow_id:
         Unique hashable identifier.
     path:
-        Sequence of link ids the flow traverses, in order.
+        Sequence of link ids the flow traverses, in order.  Change it by
+        replacing it (``flow.path = [...]`` or :meth:`reroute`), never
+        by mutating the list in place: the network notices a new path
+        object, not an edited one.
     size:
         Total bits to transfer.  Must be positive.
     weight:

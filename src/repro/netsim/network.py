@@ -3,9 +3,10 @@
 :class:`FlowNetwork` is the heart of the substrate.  Upper layers
 (collective transport, training jobs) add links once at construction and
 then add flows over time; the network advances simulated time from one
-event to the next, recomputing weighted max-min fair rates between
-events and invoking completion callbacks (which typically launch the
-next round of flows, modelling back-to-back collective operations).
+event to the next, recomputing weighted max-min fair rates when an
+event changed a solver input, and invoking completion callbacks (which
+typically launch the next round of flows, modelling back-to-back
+collective operations).
 
 Link failures are first-class: :meth:`FlowNetwork.fail_link` stalls the
 flows whose path crosses the dead link and hands them to an optional
@@ -62,6 +63,14 @@ class FlowNetwork:
         #: The active flows of the last :meth:`compute_rates`, which the
         #: loop advances and completes until the next solve.
         self._active: list[Flow] = []
+        #: The last solve's rates, and each flow's ``(flow, path, weight,
+        #: rate_cap, state)`` as that solve saw them, in ``flows`` order.
+        self._rates: dict[object, float] = {}
+        self._solved: list[tuple] = []
+        #: Set by every change the network sees (a flow added or
+        #: completed, a link failed, restored or resized): the next
+        #: :meth:`compute_rates` solves without rechecking the flows.
+        self._stale = True
         #: Called as ``reroute_handler(link, affected_flows)`` when a link
         #: fails.  The handler may call ``flow.reroute(...)`` to keep a
         #: flow alive; flows left stalled transfer nothing.
@@ -106,6 +115,7 @@ class FlowNetwork:
             raise ValueError(f"link {link_id!r} needs positive capacity, got {capacity}")
         self.links[link_id].capacity = capacity
         self._capacities[link_id] = capacity
+        self._stale = True
 
     def link(self, link_id: object) -> Link:
         """Look up a link by id."""
@@ -135,6 +145,7 @@ class FlowNetwork:
 
     def _link_state_changed(self, link: Link) -> None:
         self._links_down += 1 if link.state is LinkState.DOWN else -1
+        self._stale = True
 
     # ------------------------------------------------------------------
     # Flow management
@@ -150,6 +161,7 @@ class FlowNetwork:
         if any(not self.links[link_id].is_up for link_id in flow.path):
             flow.state = FlowState.STALLED
         self.flows[flow.flow_id] = flow
+        self._stale = True
         self._ensure_cc_timer()
         return flow
 
@@ -241,7 +253,19 @@ class FlowNetwork:
         self._m_wall_seconds.inc(time.perf_counter() - wall_start)  # repro: noqa[SIM001]
 
     def compute_rates(self) -> dict[object, float]:
-        """Instantaneous max-min fair rates of the active flows."""
+        """Instantaneous max-min fair rates of the active flows.
+
+        Without a congestion model, a call whose solver inputs equal the
+        last solve's returns that solve's dict: the same flows in the
+        same order, each with the same path object, weight, rate cap and
+        state, over the same link states and capacities.  Change a
+        flow's path by replacing it (``flow.path = [...]`` or
+        :meth:`Flow.reroute`), never by mutating the list in place, and
+        do not mutate the returned dict.
+        """
+        if self.congestion is None and not self._stale and not self._flows_changed():
+            return self._rates
+        self._stale = False
         active = self.active_flows
         self._active = active
         capacities = self._capacities
@@ -255,9 +279,30 @@ class FlowNetwork:
                         base = min(capacities[link_id] for link_id in flow.path)
                     overrides[flow.flow_id] = throttle * base
         rates = max_min_rates(active, capacities, cap_overrides=overrides)
+        solved = []
         for flow in self.flows.values():
             flow.rate = rates.get(flow.flow_id, 0.0)
+            solved.append((flow, flow.path, flow.weight, flow.rate_cap, flow.state))
+        self._rates = rates
+        self._solved = solved
         return rates
+
+    def _flows_changed(self) -> bool:
+        """Whether a flow changed behind the network since the last solve."""
+        if len(self.flows) != len(self._solved):
+            return True
+        for current, (flow, path, weight, rate_cap, state) in zip(
+            self.flows.values(), self._solved
+        ):
+            if (
+                current is not flow
+                or flow.path is not path
+                or flow.weight != weight
+                or flow.rate_cap != rate_cap
+                or flow.state is not state
+            ):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Internals
@@ -304,6 +349,8 @@ class FlowNetwork:
             if flow.state is FlowState.ACTIVE
             and flow.remaining <= _COMPLETION_REL_EPS * flow.size
         ]
+        if finished:
+            self._stale = True
         for flow in finished:
             flow.state = FlowState.COMPLETED
             flow.end_time = self.now

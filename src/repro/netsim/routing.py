@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,35 @@ class EcmpHasher:
         switch; without this, the spine and leaf stages would always
         agree).
         """
-        payload = (
-            f"{self._seed}|{stage}|{five_tuple.src_ip}|{five_tuple.dst_ip}"
-            f"|{five_tuple.src_port}|{five_tuple.dst_port}|{five_tuple.protocol}"
-        ).encode()
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        hash_port = self.port_hasher(
+            five_tuple.src_ip, five_tuple.dst_ip, five_tuple.dst_port,
+            five_tuple.protocol, stage,
+        )
+        return hash_port(five_tuple.src_port)
+
+    def port_hasher(
+        self, src_ip: str, dst_ip: str, dst_port: int, protocol: int = 17,
+        stage: str = "",
+    ) -> Callable[[int], int]:
+        """:meth:`hash_value` as a function of the source port alone.
+
+        The fields before the source port are hashed once; each call
+        copies that state and hashes only ``port|dst_port|protocol``.
+        blake2b streams, so ``port_hasher(...)(port)`` equals
+        ``hash_value(FiveTuple(src_ip, dst_ip, port, dst_port, protocol),
+        stage)``.  Source-port searches call it thousands of times.
+        """
+        prefix = hashlib.blake2b(
+            f"{self._seed}|{stage}|{src_ip}|{dst_ip}|".encode(), digest_size=8
+        )
+        suffix = f"|{dst_port}|{protocol}"
+
+        def hash_port(port: int) -> int:
+            state = prefix.copy()
+            state.update(f"{port}{suffix}".encode())
+            return int.from_bytes(state.digest(), "little")
+
+        return hash_port
 
     def choose(self, five_tuple: FiveTuple, num_choices: int, stage: str = "") -> int:
         """Pick an index in ``[0, num_choices)`` for this flow at this stage."""

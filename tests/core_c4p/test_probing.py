@@ -91,3 +91,34 @@ def test_reprobe_reports_per_link_state(prober):
 
 def test_reprobe_empty_is_noop(prober):
     assert prober.reprobe([]) == {}
+
+
+def linear_port_scan(topo, src_ip, dst_ip, rail, choice, port_range=range(49152, 65536)):
+    """The one-tuple-per-port search, hashing every field for every port."""
+    spec = topo.spec
+    up_fanout = spec.spines_per_rail * spec.uplink_ports_per_spine
+    down_fanout = 2 * spec.uplink_ports_per_spine
+    wanted_up = choice.spine * spec.uplink_ports_per_spine + choice.up_port
+    wanted_down = choice.dst_side * spec.uplink_ports_per_spine + choice.down_port
+    for port in port_range:
+        ft = FiveTuple(src_ip=src_ip, dst_ip=dst_ip, src_port=port, dst_port=4791)
+        if topo.ecmp.choose(ft, up_fanout, stage=f"up:{rail}:{choice.src_side}") != wanted_up:
+            continue
+        if topo.ecmp.choose(ft, down_fanout, stage=f"down:{rail}:{choice.spine}") == wanted_down:
+            return port
+    raise LookupError(port_range)
+
+
+@pytest.mark.parametrize("ecmp_seed", [0, 4])
+def test_find_source_port_matches_linear_scan_for_every_route(ecmp_seed):
+    topo = ClusterTopology(TESTBED_16_NODES, FlowNetwork(), ecmp_seed=ecmp_seed)
+    prober = PathProber(topo)
+    rail = 3
+    src_ip = topo.node(2).nics[rail].ip_address
+    dst_ip = topo.node(9).nics[rail].ip_address
+    choices = [result.choice for result in prober.full_mesh(rail)]
+    assert len(choices) == len(set(choices)) == 512
+    for choice in choices:
+        assert prober.find_source_port(src_ip, dst_ip, rail, choice) == linear_port_scan(
+            topo, src_ip, dst_ip, rail, choice
+        )

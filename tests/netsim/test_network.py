@@ -291,3 +291,54 @@ def test_link_failed_behind_the_network_pauses_its_flows():
     assert net.compute_rates() == {}
     net.run()
     assert flow.end_time == pytest.approx(5.0)
+
+
+@pytest.fixture
+def solve_count(monkeypatch):
+    """Count the max-min solves the network runs."""
+    from repro.netsim import network
+
+    calls = []
+    solve = network.max_min_rates
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(network, "max_min_rates", counting)
+    return lambda: len(calls)
+
+
+def test_noop_timers_over_fixed_flows_cost_one_solve(solve_count):
+    net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS))
+    net.add_flow(Flow(flow_id="f1", path=["a", "b"], size=1000 * GBPS))
+    net.add_flow(Flow(flow_id="f2", path=["b"], size=1000 * GBPS, weight=3.0))
+    for i in range(50):
+        net.schedule(0.1 * (i + 1), lambda: None)
+    net.run(until=10.0)
+    assert net.compute_rates() == {"f1": 2.5 * GBPS, "f2": 7.5 * GBPS}
+    assert solve_count() == 1
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        (lambda net, f: setattr(f, "weight", 3.0), {"f": 7.5 * GBPS, "g": 2.5 * GBPS}),
+        (lambda net, f: setattr(f, "path", ["b"]), {"f": 10 * GBPS, "g": 10 * GBPS}),
+        (lambda net, f: f.reroute(["b"]), {"f": 10 * GBPS, "g": 10 * GBPS}),
+        (lambda net, f: net.link("a").fail(), {}),
+        (lambda net, f: net.set_link_capacity("a", 4 * GBPS), {"f": 2 * GBPS, "g": 2 * GBPS}),
+    ],
+    ids=["weight", "path", "reroute", "link_fail", "capacity"],
+)
+def test_every_solver_input_change_forces_a_solve(solve_count, change, expected):
+    net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS))
+    flow = Flow(flow_id="f", path=["a"], size=GBPS)
+    net.add_flow(flow)
+    net.add_flow(Flow(flow_id="g", path=["a"], size=GBPS))
+    assert net.compute_rates() == {"f": 5 * GBPS, "g": 5 * GBPS}
+    net.compute_rates()
+    assert solve_count() == 1
+    change(net, flow)
+    assert net.compute_rates() == expected
+    assert solve_count() == 2

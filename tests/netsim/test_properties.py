@@ -237,6 +237,7 @@ churn_op = st.one_of(
         st.one_of(st.none(), st.sampled_from([1.0, 3.0])),
     ),
     st.tuples(st.just("run"), st.floats(min_value=0.01, max_value=0.4)),
+    st.tuples(st.just("noop"), st.floats(min_value=0.01, max_value=0.4)),
     st.tuples(st.just("reroute"), st.integers(0, 63), churn_path),
     st.tuples(st.just("fail"), churn_link),
     st.tuples(st.just("fail_silently"), churn_link),
@@ -257,6 +258,11 @@ def apply_churn(net, op, serial):
         )
     elif kind == "run":
         net.run(until=net.now + args[0])
+    elif kind == "noop":
+        # A timer that changes nothing: the solves after it are skipped,
+        # and the shadow checks the reused rates against the reference.
+        net.schedule(args[0], lambda: None)
+        net.run(until=net.now + 2 * args[0])
     elif kind in ("fail", "fail_silently", "restore", "capacity"):
         link_id = args[0]
         if kind == "fail":

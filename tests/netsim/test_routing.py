@@ -1,5 +1,7 @@
 """Tests for deterministic ECMP hashing."""
 
+import hashlib
+
 import pytest
 
 from repro.netsim.routing import EcmpHasher, FiveTuple
@@ -47,3 +49,18 @@ def test_distribution_roughly_uniform():
         assert abs(count - expected) < expected * 0.25
 
 
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456])
+@pytest.mark.parametrize("stage", ["", "up:0:1", "down:3:5", "bond:2:0"])
+def test_port_hasher_equals_hash_value(seed, stage):
+    hasher = EcmpHasher(seed=seed)
+    hash_port = hasher.port_hasher("10.1.2.3", "10.4.5.6", 4791, stage=stage)
+    for port in (0, 1, 9, 10, 4791, 49152, 50000, 65535):
+        ft = FiveTuple(src_ip="10.1.2.3", dst_ip="10.4.5.6", src_port=port, dst_port=4791)
+        # The one hash format: every field in one blake2b pass.
+        payload = f"{seed}|{stage}|10.1.2.3|10.4.5.6|{port}|4791|17".encode()
+        one_shot = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+        assert hash_port(port) == hasher.hash_value(ft, stage) == one_shot
+    # A non-default protocol and destination port hash into the suffix.
+    tcp = FiveTuple(src_ip="a", dst_ip="b", src_port=80, dst_port=443, protocol=6)
+    assert hasher.port_hasher("a", "b", 443, 6, stage)(80) == hasher.hash_value(tcp, stage)

@@ -13,16 +13,27 @@ from repro.chaos.scenario import ScenarioKind, default_campaign
 from repro.obs.metrics import MetricsRegistry
 
 
-def run(scenario):
-    return run_controlplane_scenario(scenario, metrics=MetricsRegistry())
+def run(scenario, metrics=None):
+    return run_controlplane_scenario(
+        scenario, metrics=metrics if metrics is not None else MetricsRegistry()
+    )
+
+
+def series(metrics, name):
+    """The single unlabeled instrument of one registry family."""
+    family = next(f for f in metrics.families() if f.name == name)
+    ((_labels, child),) = family.series()
+    return child
 
 
 def test_master_kill_recovers_to_identical_digest():
-    card = run(master_kill_scenario(seed=0))
+    metrics = MetricsRegistry()
+    card = run(master_kill_scenario(seed=0), metrics)
     cp = card.controlplane
     assert cp is not None
     assert cp.kills == 1 and cp.recoveries == 1
     assert cp.failovers == 0  # cold restart, not a standby promotion
+    assert series(metrics, "controlplane_failovers_total").value == 0
     assert cp.replay_digest_match
     assert cp.entries_replayed > 0
     assert cp.duplicate_actions == 0
@@ -32,13 +43,21 @@ def test_master_kill_recovers_to_identical_digest():
 
 
 def test_failover_fences_the_stale_master():
-    card = run(failover_scenario(seed=0))
+    metrics = MetricsRegistry()
+    card = run(failover_scenario(seed=0), metrics)
     cp = card.controlplane
     assert cp.failovers == 1
+    assert cp.recoveries == 1
+    assert cp.entries_replayed == 115
     assert cp.replay_digest_match
-    # The demoted primary's post-takeover pokes were rejected, and none
-    # of its actions leaked out.
-    assert cp.fencing_rejections >= 1
+    # The demoted primary's post-takeover pokes (one evaluate, one
+    # snapshot) were rejected, and none of its actions leaked out.
+    assert cp.fencing_rejections == 2
+    assert series(metrics, "controlplane_recoveries_total").value == 1
+    assert series(metrics, "controlplane_failovers_total").value == 1
+    assert series(metrics, "controlplane_fence_rejections_total").value == 2
+    assert series(metrics, "controlplane_replayed_entries_total").value == 115
+    assert series(metrics, "controlplane_replay_seconds").count == 1
     assert cp.stale_actions_executed == 0
     assert cp.duplicate_actions == 0
     assert card.completed

@@ -117,10 +117,7 @@ def _run(
         )
 
     ctx["plane"] = build_plane(active=True)
-    planes = [ctx["plane"]]
     standby = build_plane(active=False, standby=True) if plan.failover else None
-    if standby is not None:
-        planes.append(standby)
 
     agent_plane = AgentPlane(
         ctx["plane"], network=network, leases=leases, metrics=registry
@@ -184,8 +181,6 @@ def _run(
         def recover() -> None:
             old = ctx["plane"]
             successor = standby if standby is not None else build_plane(active=False)
-            if successor not in planes:
-                planes.append(successor)
             info = successor.recover(now=network.now)
             ctx["replay_digest"] = info["digest"]
             ctx["replay_digest_match"] = info["digest"] == ctx["digest_at_kill"]
@@ -244,8 +239,8 @@ def _run(
         stale_executed = len(old_plane.steering.executed_actions) - executed_at_demotion
     resilience = ControlPlaneMetrics(
         kills=ctx["kills"],
-        recoveries=sum(p.recoveries for p in planes),
-        failovers=sum(p.failovers for p in planes),
+        recoveries=store.recoveries,
+        failovers=store.failovers,
         replay_digest_match=ctx["replay_digest_match"],
         replay_digest=ctx["replay_digest"],
         entries_replayed=ctx["entries_replayed"],
@@ -253,7 +248,7 @@ def _run(
         snapshots=len(store.snapshots),
         recovery_seconds=ctx["recovery_seconds"],
         duplicate_actions=ctx["duplicates"],
-        fencing_rejections=sum(p.stale_rejections for p in planes),
+        fencing_rejections=store.fence_rejections,
         stale_actions_executed=stale_executed,
         blackout_false_isolations=ctx["blackout_false_isolations"],
         coverage_min=ctx["coverage_min"],

@@ -15,16 +15,15 @@ behind a single write path:
   is stale (a standby was promoted, a restarted instance took over)
   demotes itself on its next write attempt instead of corrupting state.
 
-Recovery (:meth:`C4DControlPlane.recover`) claims a fresh epoch,
-rebuilds the components, restores the latest snapshot and replays the
-journal suffix.  Determinism of the stack makes the recovered state
-digest bit-identical to the pre-crash one — which the chaos scorecard
-checks.
+Recovery (:meth:`C4DControlPlane.recover`) rebuilds the components and
+runs :meth:`~repro.controlplane.journal.JournalStore.recover` on them: a
+fresh epoch, the latest snapshot, then the journal suffix.  Determinism
+of the stack makes the recovered state digest bit-identical to the
+pre-crash one — which the chaos scorecard checks.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional
 
 from repro.cluster.topology import ClusterTopology
@@ -45,7 +44,7 @@ from repro.core.c4d.steering import (
     SteeringConfig,
     SteeringFaultModel,
 )
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
 
 
@@ -106,27 +105,6 @@ class C4DControlPlane:
         self.active = False
         #: Built as a warm standby — its promotion counts as a failover.
         self._standby = standby and not active
-        #: Writes this instance attempted while fenced out.
-        self.stale_rejections = 0
-        self.entries_replayed = 0
-        self.replay_seconds = 0.0
-        self.recoveries = 0
-        self.failovers = 0
-        registry = get_registry(metrics)
-        self._m_recoveries = registry.counter(
-            "controlplane_recoveries_total",
-            "Journal-replay recoveries completed by a control plane",
-        )
-        self._m_failovers = registry.counter(
-            "controlplane_failovers_total", "Warm-standby promotions completed"
-        )
-        self._m_replayed = registry.counter(
-            "controlplane_replayed_entries_total",
-            "Journal entries replayed during recoveries",
-        )
-        self._m_replay_seconds = registry.histogram(
-            "controlplane_replay_seconds", "Wall-clock time of one journal replay"
-        )
         self._build()
         if active:
             self.epoch = self.store.open_epoch()
@@ -163,7 +141,6 @@ class C4DControlPlane:
             return True
         self.active = False
         self.store.record_fence()
-        self.stale_rejections += 1
         return False
 
     # ------------------------------------------------------------------
@@ -262,51 +239,33 @@ class C4DControlPlane:
         """Claim writership and rebuild state from the shared store.
 
         Works for both a restarted instance (crash recovery) and a warm
-        standby (failover) — the promotion is the same protocol: bump
-        the epoch (fencing out every earlier writer), restore the latest
-        snapshot, replay the journal suffix with physical side effects
-        suppressed, then start accepting writes.
+        standby (failover): both run :meth:`JournalStore.recover` on
+        freshly built components, with physical side effects suppressed
+        during replay, then start accepting writes.
         """
-        was_standby = self._standby
-        self._standby = False
-        # Wall clock here is observability-only: it times the replay
-        # itself for the recovery scorecard and never feeds simulated
-        # time or any verdict.
-        started = time.perf_counter()  # repro: noqa[SIM001]
-        self.epoch = self.store.open_epoch()
         self._build()
-        seq = 0
-        snap = self.store.latest_snapshot()
-        if snap is not None:
-            self.collector.restore_state(snap.state["collector"])
-            self.master.restore_state(snap.state["master"])
-            self.steering.restore_state(snap.state["steering"])
-            seq = snap.seq
-        entries = self.store.entries_after(seq)
         # Replay must not re-emit detections to the tracer — those all
         # happened pre-crash.
         self.master.tracer = None
         try:
-            for entry in entries:
-                self._replay_entry(entry)
+            self.epoch, replayed = self.store.recover(
+                self._restore, self._replay_entry, standby=self._standby
+            )
         finally:
             self.master.tracer = self.tracer
+        self._standby = False
         self.master.epoch = self.epoch
-        self.entries_replayed += len(entries)
-        self.replay_seconds = time.perf_counter() - started  # repro: noqa[SIM001]
-        self.recoveries += 1
-        self._m_recoveries.inc()
-        self._m_replayed.inc(len(entries))
-        self._m_replay_seconds.observe(self.replay_seconds)
-        if was_standby:
-            self.failovers += 1
-            self._m_failovers.inc()
         self.active = True
         return {
             "epoch": self.epoch,
-            "entries_replayed": len(entries),
+            "entries_replayed": replayed,
             "digest": self.state_digest(),
         }
+
+    def _restore(self, state: dict) -> None:
+        self.collector.restore_state(state["collector"])
+        self.master.restore_state(state["master"])
+        self.steering.restore_state(state["steering"])
 
     def _replay_entry(self, entry) -> None:
         kind = entry.kind

@@ -17,7 +17,6 @@ allocate paths nor trigger migrations after a takeover.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology
@@ -27,7 +26,7 @@ from repro.controlplane.journal import FencedOut, JournalStore
 from repro.controlplane.journal import state_digest as _digest
 from repro.core.c4p import master as c4p_master
 from repro.core.c4p.master import C4PMaster, DrainReport, MaintenanceReport
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry
 
 
 class ResilientC4PMaster(C4PMaster):
@@ -56,24 +55,8 @@ class ResilientC4PMaster(C4PMaster):
         self.store = store if store is not None else JournalStore(metrics=metrics)
         self.epoch = 0
         self.active = False
-        self.stale_rejections = 0
-        self.entries_replayed = 0
-        self.replay_seconds = 0.0
-        self.recoveries = 0
         self._replaying = False
         self._suppress_journal = False
-        registry = get_registry(metrics)
-        self._m_recoveries = registry.counter(
-            "controlplane_recoveries_total",
-            "Journal-replay recoveries completed by a control plane",
-        )
-        self._m_replayed = registry.counter(
-            "controlplane_replayed_entries_total",
-            "Journal entries replayed during recoveries",
-        )
-        self._m_replay_seconds = registry.histogram(
-            "controlplane_replay_seconds", "Wall-clock time of one journal replay"
-        )
         super().__init__(topology, metrics=metrics, **kwargs)
         if active:
             self.epoch = self.store.open_epoch()
@@ -87,7 +70,6 @@ class ResilientC4PMaster(C4PMaster):
             return
         self.active = False
         self.store.record_fence()
-        self.stale_rejections += 1
         raise FencedOut(
             f"c4p master epoch {self.epoch} is stale "
             f"(store is at epoch {self.store.epoch})"
@@ -208,36 +190,20 @@ class ResilientC4PMaster(C4PMaster):
 
     def recover(self, now: float = 0.0) -> dict:
         """Claim writership and rebuild state from the shared store."""
-        # Wall clock is observability-only: replay timing for the
-        # scorecard, never simulated time.
-        started = time.perf_counter()  # repro: noqa[SIM001]
-        self.epoch = self.store.open_epoch()
         saved_listener = self.migration_listener
         self.migration_listener = None
         self._replaying = True
-        entries = []
         try:
-            seq = 0
-            snap = self.store.latest_snapshot()
-            if snap is not None:
-                self.restore_state(snap.state)
-                seq = snap.seq
-            entries = self.store.entries_after(seq)
-            for entry in entries:
-                self._replay_entry(entry)
+            self.epoch, replayed = self.store.recover(
+                self.restore_state, self._replay_entry
+            )
         finally:
             self._replaying = False
             self.migration_listener = saved_listener
-        self.entries_replayed += len(entries)
-        self.replay_seconds = time.perf_counter() - started  # repro: noqa[SIM001]
-        self.recoveries += 1
-        self._m_recoveries.inc()
-        self._m_replayed.inc(len(entries))
-        self._m_replay_seconds.observe(self.replay_seconds)
         self.active = True
         return {
             "epoch": self.epoch,
-            "entries_replayed": len(entries),
+            "entries_replayed": replayed,
             "digest": self.state_digest(),
         }
 

@@ -364,19 +364,3 @@ class C4DMaster:
             snapshot = state["detectors"].get(getattr(detector, "name", ""))
             if snapshot is not None and hasattr(detector, "restore_state"):
                 detector.restore_state(snapshot)
-
-    def attach_to(self, network, interval: float = 10.0, until: Optional[float] = None) -> None:
-        """Schedule periodic evaluation on a simulation event loop.
-
-        ``network`` is a :class:`~repro.netsim.network.FlowNetwork`; the
-        master re-arms itself every ``interval`` simulated seconds until
-        ``until`` (or indefinitely while other events keep the loop
-        alive).
-        """
-
-        def tick() -> None:
-            self.evaluate(network.now)
-            if until is None or network.now + interval <= until:
-                network.schedule(interval, tick)
-
-        network.schedule(interval, tick)

@@ -328,18 +328,6 @@ class C4PMaster:
             drains=tuple(drains),
         )
 
-    def attach_to(
-        self, network, interval: float = 30.0, until: Optional[float] = None
-    ) -> None:
-        """Arm periodic :meth:`maintenance` on a simulation event loop."""
-
-        def tick() -> None:
-            self.maintenance(network.now)
-            if until is None or network.now + interval <= until:
-                network.schedule(interval, tick)
-
-        network.schedule(interval, tick)
-
     # ------------------------------------------------------------------
     # C4D -> C4P: delay-matrix link localization
     # ------------------------------------------------------------------

@@ -49,7 +49,7 @@ def test_recovery_replays_to_identical_digest():
     # The mid-history snapshot bounded replay to the suffix.
     snap = master.store.latest_snapshot()
     assert info["entries_replayed"] == len(master.store.entries_after(snap.seq))
-    assert successor.recoveries == 1
+    assert master.store.recoveries == 1
 
 
 def test_stale_master_is_fenced():
@@ -63,7 +63,7 @@ def test_stale_master_is_fenced():
     with pytest.raises(FencedOut):
         master.notify_link_failure(("x", "y"), now=50.0)
     assert master.active is False
-    assert master.stale_rejections == 2
+    assert master.store.fence_rejections == 2
 
 
 def test_recovered_master_allocates_fresh_qp_numbers():

@@ -1,4 +1,4 @@
-"""Tests for the journal store: write-ahead order, fencing, compaction."""
+"""Tests for the journal store: write-ahead order, fencing, compaction, recovery."""
 
 import hashlib
 import json
@@ -159,3 +159,57 @@ def test_entries_counter_per_kind():
         "op": 3.0,
         "message": 1.0,
     }
+
+
+def recover_calls(s, **kwargs):
+    """Run :meth:`JournalStore.recover` and record what it handed over."""
+    restored, replayed = [], []
+    epoch, count = s.recover(restored.append, replayed.append, **kwargs)
+    return epoch, count, restored, replayed
+
+
+def test_recover_restores_latest_snapshot_then_replays_suffix():
+    s = store()
+    epoch = s.open_epoch()
+    s.append("op", {"i": 0}, epoch)
+    s.snapshot({"n": 1}, epoch)
+    s.append("op", {"i": 1}, epoch)
+    s.snapshot({"n": 2}, epoch)
+    for i in range(2, 5):
+        s.append("op", {"i": i}, epoch)
+    new_epoch, count, restored, replayed = recover_calls(s)
+    assert restored == [{"n": 2}]
+    assert [e.seq for e in replayed] == [2, 3, 4]
+    assert [e.payload["i"] for e in replayed] == [2, 3, 4]
+    assert count == 3
+    assert new_epoch == s.epoch == epoch + 1
+
+
+def test_recover_without_snapshot_replays_everything():
+    s = store()
+    epoch = s.open_epoch()
+    for i in range(4):
+        s.append("op", {"i": i}, epoch)
+    new_epoch, count, restored, replayed = recover_calls(s)
+    assert restored == []
+    assert [e.seq for e in replayed] == [0, 1, 2, 3]
+    assert count == 4
+    assert new_epoch == epoch + 1
+    # The recovering writer holds the only current epoch.
+    with pytest.raises(FencedOut):
+        s.append("op", {}, epoch)
+
+
+def test_recover_counts_failovers_only_for_standby_promotions():
+    metrics = MetricsRegistry()
+    s = JournalStore(metrics=metrics)
+    s.open_epoch()
+    recover_calls(s)
+    recover_calls(s, standby=True)
+    recover_calls(s)
+    assert (s.recoveries, s.failovers) == (3, 1)
+    families = {f.name: f for f in metrics.families()}
+    assert families["controlplane_recoveries_total"].value == 3
+    assert families["controlplane_failovers_total"].value == 1
+    ((_labels, replay_seconds),) = families["controlplane_replay_seconds"].series()
+    assert replay_seconds.count == 3

@@ -116,7 +116,14 @@ def test_detection_latency_tens_of_seconds():
     hang_started_at = net.now
     ctx.run_op(comm, OpType.ALLREDUCE, 1 * GIB, absent_ranks=[0])
     master = C4DMaster(collector, DetectorConfig(hang_timeout=30.0))
-    master.attach_to(net, interval=10.0, until=net.now + 300.0)
+    until = net.now + 300.0
+
+    def evaluate_tick() -> None:
+        master.evaluate(net.now)
+        if net.now + 10.0 <= until:
+            net.schedule(10.0, evaluate_tick)
+
+    net.schedule(10.0, evaluate_tick)
     net.run(until=hang_started_at + 300.0)
     assert master.anomalies
     latency = master.anomalies[0].detected_at - hang_started_at

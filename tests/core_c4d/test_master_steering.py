@@ -157,16 +157,6 @@ def test_master_cooldown_suppresses_repeats(topo):
     assert len(master.evaluate(now=400.0)) == 1
 
 
-def test_master_attach_to_event_loop(topo):
-    collector = _hang_collector()
-    master = C4DMaster(collector, DetectorConfig(hang_timeout=30.0))
-    net = FlowNetwork()
-    master.attach_to(net, interval=10.0, until=100.0)
-    net.run(until=100.0)
-    assert master.anomalies
-    assert master.anomalies[0].detected_at <= 40.0
-
-
 def _multi_comm_straggler_collector():
     """Two communicators both implicating node 3 as a straggler."""
     from repro.collective.algorithms import Algorithm

@@ -160,7 +160,9 @@ class ChaosCampaign:
             if scenario.channel is not None
             else None
         )
-        plane = AgentPlane(collector, network=network, channel=channel, metrics=registry)
+        plane = AgentPlane(
+            collector, clock=lambda: network.now, channel=channel, metrics=registry
+        )
         backups = list(range(scenario.job_nodes, spec.num_nodes))
         steering = JobSteeringService(
             topology,

@@ -120,10 +120,10 @@ def _run(
     standby = build_plane(active=False, standby=True) if plan.failover else None
 
     agent_plane = AgentPlane(
-        ctx["plane"], network=network, leases=leases, metrics=registry
+        ctx["plane"], clock=lambda: network.now, leases=leases, metrics=registry
     )
     for node in range(scenario.job_nodes):
-        agent_plane.agent(node)
+        agent_plane.start_agent(node)
         leases.register(node, 0.0)
 
     feed = SyntheticFeed(

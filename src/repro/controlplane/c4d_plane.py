@@ -47,6 +47,15 @@ from repro.core.c4d.steering import (
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
 
+#: Journal entry kind -> the record type its payload encodes; each kind
+#: ingests through the collector's ``ingest_<kind>``.
+_RECORD_TYPES = {
+    "communicator": CommunicatorRecord,
+    "launch": OpLaunchRecord,
+    "op": OpRecord,
+    "message": MessageRecord,
+}
+
 
 class C4DControlPlane:
     """Crash-recoverable owner of the collector, master and steering.
@@ -147,31 +156,24 @@ class C4DControlPlane:
     # Ingestion (duck-types the CentralCollector API, so agents can
     # point straight at the plane)
     # ------------------------------------------------------------------
-    def ingest_communicator(self, record: CommunicatorRecord, now: float = 0.0) -> None:
+    def _ingest(self, kind: str, record, **extra) -> None:
+        """Guard, journal write-ahead, then hand to ``collector.ingest_<kind>``."""
         if not self._guard():
             return
-        self.store.append(
-            "communicator", {"record": encode(record), "now": now}, self.epoch
-        )
-        self.collector.ingest_communicator(record, now=now)
+        self.store.append(kind, {"record": encode(record), **extra}, self.epoch)
+        getattr(self.collector, "ingest_" + kind)(record, **extra)
 
-    def ingest_launch(self, record: OpLaunchRecord) -> None:
-        if not self._guard():
-            return
-        self.store.append("launch", {"record": encode(record)}, self.epoch)
-        self.collector.ingest_launch(record)
+    def ingest_communicator(self, record, now: float = 0.0) -> None:
+        self._ingest("communicator", record, now=now)
 
-    def ingest_op(self, record: OpRecord) -> None:
-        if not self._guard():
-            return
-        self.store.append("op", {"record": encode(record)}, self.epoch)
-        self.collector.ingest_op(record)
+    def ingest_launch(self, record) -> None:
+        self._ingest("launch", record)
 
-    def ingest_message(self, record: MessageRecord) -> None:
-        if not self._guard():
-            return
-        self.store.append("message", {"record": encode(record)}, self.epoch)
-        self.collector.ingest_message(record)
+    def ingest_op(self, record) -> None:
+        self._ingest("op", record)
+
+    def ingest_message(self, record) -> None:
+        self._ingest("message", record)
 
     def drop_communicator(self, comm_id: str) -> None:
         if not self._guard():
@@ -270,16 +272,11 @@ class C4DControlPlane:
     def _replay_entry(self, entry) -> None:
         kind = entry.kind
         payload = entry.payload
-        if kind == "communicator":
-            self.collector.ingest_communicator(
-                decode(CommunicatorRecord, payload["record"]), now=payload["now"]
-            )
-        elif kind == "launch":
-            self.collector.ingest_launch(decode(OpLaunchRecord, payload["record"]))
-        elif kind == "op":
-            self.collector.ingest_op(decode(OpRecord, payload["record"]))
-        elif kind == "message":
-            self.collector.ingest_message(decode(MessageRecord, payload["record"]))
+        record_type = _RECORD_TYPES.get(kind)
+        if record_type is not None:
+            extra = dict(payload)
+            record = decode(record_type, extra.pop("record"))
+            getattr(self.collector, "ingest_" + kind)(record, **extra)
         elif kind == "drop":
             self.collector.drop_communicator(payload["comm_id"])
         elif kind == "evaluate":

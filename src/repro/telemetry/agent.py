@@ -1,84 +1,32 @@
-"""C4 agents: per-node intermediaries between ACCL and the master.
+"""C4 agents: the per-node hop between ACCL and the master.
 
 In production each node runs one C4a process that tails the local
-workers' monitoring buffers and ships them to the central master.  In
-the simulation, records are delivered synchronously; the agent still
-exists as a real object so per-node concerns (batching, node attribution,
-local buffering) have a home, and so the record path matches the paper's
-architecture (ACCL → C4a → master).
+workers' monitoring buffers and ships them to the central master
+(ACCL → C4a → master, Fig. 5).  The simulation delivers records
+synchronously, so one :class:`AgentPlane` stands in for every node's
+agent: it attributes each record to the node that produced it, holds a
+per-node buffer while the master is down, and drops the records of a
+node whose agent is dead.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
 
 
-@dataclass
-class C4Agent:
-    """One node's agent: buffers and forwards records to the collector.
-
-    When ``channel`` is set, every forward goes through the lossy
-    transport (:class:`~repro.telemetry.unreliable.UnreliableChannel`)
-    instead of landing synchronously — records may arrive late,
-    duplicated, or never.
-    """
-
-    node_id: int
-    collector: CentralCollector
-    records_forwarded: int = 0
-    #: Pending (kind, record) pairs held while the master is suspended.
-    buffer: list = field(default_factory=list)
-    #: Optional lossy agent→master transport.
-    channel: object = None
-
-    def _ship(self, ingest, record) -> None:
-        if self.channel is None:
-            ingest(record)
-        else:
-            self.channel.send(lambda: ingest(record))
-        self.records_forwarded += 1
-
-    def forward_op(self, record: OpRecord) -> None:
-        """Ship an operation-completion record to the master."""
-        self._ship(self.collector.ingest_op, record)
-
-    def forward_launch(self, record: OpLaunchRecord) -> None:
-        """Ship an operation-startup record to the master."""
-        self._ship(self.collector.ingest_launch, record)
-
-    def forward_message(self, record: MessageRecord) -> None:
-        """Ship a transport-layer record to the master."""
-        self._ship(self.collector.ingest_message, record)
-
-    def enqueue(self, kind: str, record) -> None:
-        """Hold a record until the next flush (master suspended)."""
-        self.buffer.append((kind, record))
-
-    def flush(self) -> int:
-        """Push all buffered records to the master; returns the count."""
-        flushed = len(self.buffer)
-        for kind, record in self.buffer:
-            if kind == "op":
-                self.forward_op(record)
-            elif kind == "launch":
-                self.forward_launch(record)
-            else:
-                self.forward_message(record)
-        self.buffer.clear()
-        return flushed
-
-
 class AgentPlane:
-    """The full agent deployment: a MonitoringSink routing to per-node agents.
+    """The full agent deployment: one MonitoringSink for every node's agent.
 
     Plug an instance into a :class:`~repro.collective.context.CollectiveContext`
     as its ``sink``; records are attributed to the node that produced
     them (op records to the rank's node, message records to the sender)
-    and forwarded to the shared :class:`CentralCollector`.
+    and forwarded to the shared :class:`CentralCollector`.  A node's
+    agent starts at its first record, or at :meth:`start_agent`.
+
+    ``clock`` returns simulated time; it stamps communicator
+    registrations and delivery heartbeats.
 
     Passing ``channel`` (an
     :class:`~repro.telemetry.unreliable.UnreliableChannel`) routes every
@@ -90,7 +38,7 @@ class AgentPlane:
     double as a heartbeat: the producing node's lease is renewed, so the
     master's coverage view tracks which agents it is actually hearing
     from.  :meth:`suspend` / :meth:`resume` model master downtime —
-    records buffer locally and are backfilled on resume — and
+    records buffer per node and are backfilled on resume — and
     :meth:`kill_agent` / :meth:`revive_agent` model dead agents whose
     records are dropped outright (their leases then expire, which is the
     blackout signal the degraded-mode gate consumes).
@@ -100,25 +48,22 @@ class AgentPlane:
         self,
         collector: CentralCollector,
         clock=None,
-        network=None,
         channel=None,
         leases=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if channel is not None and network is None:
-            raise ValueError("a lossy channel needs a network for its timers")
         self.collector = collector
-        self.agents: dict[int, C4Agent] = {}
-        self.network = network
         self.channel = channel
         self.leases = leases
+        self._clock = clock or (lambda: 0.0)
         #: True while the master is down: records buffer locally.
         self.suspended = False
+        #: Per started node, the (kind, record) pairs held while suspended.
+        self._buffers: dict[int, list] = {}
         #: Communicator registrations held back during a suspension.
         self._pending_comms: list[tuple[CommunicatorRecord, float]] = []
         #: Nodes whose agent process is dead — their records vanish.
         self._dead_agents: set[int] = set()
-        self.records_dropped = 0
         self.backfilled_records = 0
         registry = get_registry(metrics)
         self._m_forwarded = registry.counter(
@@ -141,58 +86,40 @@ class AgentPlane:
             "telemetry_agent_backfilled_records_total",
             "Records backfilled to the master after a suspension ended",
         )
-        #: Optional callable returning simulated time, used to timestamp
-        #: communicator registration.
-        if clock is None and network is not None:
 
-            def clock():
-                return network.now
+    def start_agent(self, node_id: int) -> None:
+        """Start a node's agent before its first record (heartbeats cover it)."""
+        self._buffers.setdefault(node_id, [])
 
-        self._clock = clock or (lambda: 0.0)
-
-    def flush_all(self) -> int:
-        """Flush every agent's buffer; returns total records shipped."""
-        flushed = sum(agent.flush() for agent in self.agents.values())
-        self._m_flushes.inc()
-        self._m_forwarded.inc(flushed)
-        self._m_buffered.set(0)
-        return flushed
-
-    def _beat(self, node_id: int) -> None:
-        if self.leases is not None and node_id not in self._dead_agents:
-            self.leases.heartbeat(node_id, self._clock())
+    def _ship(self, kind: str, record) -> None:
+        """Hand one record to the collector's ``ingest_<kind>``."""
+        ingest = getattr(self.collector, "ingest_" + kind)
+        if self.channel is None:
+            ingest(record)
+        else:
+            self.channel.send(lambda: ingest(record))
 
     def _deliver(self, node_id: int, kind: str, record) -> None:
         if node_id in self._dead_agents:
-            self.records_dropped += 1
             self._m_dropped.inc()
             return
-        agent = self.agent(node_id)
+        buffer = self._buffers.get(node_id)
+        if buffer is None:
+            buffer = self._buffers[node_id] = []
         if self.suspended:
             # Master downtime: hold the record locally; resume()
             # backfills it.  No heartbeat either — a dead/unreachable
             # master hears nothing.
-            agent.enqueue(kind, record)
+            buffer.append((kind, record))
             self._m_buffered.inc()
             return
-        self._beat(node_id)
-        if kind == "op":
-            agent.forward_op(record)
-        elif kind == "launch":
-            agent.forward_launch(record)
-        else:
-            agent.forward_message(record)
+        if self.leases is not None:
+            self.leases.heartbeat(node_id, self._clock())
+        self._ship(kind, record)
         self._m_forwarded.inc()
 
-    def agent(self, node_id: int) -> C4Agent:
-        """The (lazily created) agent of one node."""
-        agent = self.agents.get(node_id)
-        if agent is None:
-            agent = C4Agent(
-                node_id=node_id, collector=self.collector, channel=self.channel
-            )
-            self.agents[node_id] = agent
-        return agent
+    def _live_nodes(self) -> list[int]:
+        return [node for node in sorted(self._buffers) if node not in self._dead_agents]
 
     # ------------------------------------------------------------------
     # Master-downtime lifecycle
@@ -204,22 +131,30 @@ class AgentPlane:
     def resume(self, now: float) -> int:
         """End a suspension: heartbeat live agents and backfill buffers.
 
-        Returns the number of records backfilled to the master.  Agents
-        re-register implicitly — the lease table treats a heartbeat from
-        an unknown node as registration, so no handshake with the new
-        master incarnation is needed.
+        Pending communicators are registered first, then each node's
+        buffer ships in arrival order.  Returns the number of records
+        backfilled to the master.  Agents re-register implicitly — the
+        lease table treats a heartbeat from an unknown node as
+        registration, so no handshake with the new master incarnation is
+        needed.
         """
         self.suspended = False
         if self.leases is not None:
-            for node_id in sorted(self.agents):
-                if node_id not in self._dead_agents:
-                    self.leases.heartbeat(node_id, now)
-        backfilled = 0
+            for node_id in self._live_nodes():
+                self.leases.heartbeat(node_id, now)
         for record, registered_at in self._pending_comms:
             self.collector.ingest_communicator(record, now=registered_at)
-            backfilled += 1
+        flushed = 0
+        for buffer in self._buffers.values():
+            for kind, record in buffer:
+                self._ship(kind, record)
+            flushed += len(buffer)
+            buffer.clear()
+        self._m_flushes.inc()
+        self._m_forwarded.inc(flushed)
+        self._m_buffered.set(0)
+        backfilled = len(self._pending_comms) + flushed
         self._pending_comms.clear()
-        backfilled += self.flush_all()
         self.backfilled_records += backfilled
         self._m_backfilled.inc(backfilled)
         return backfilled
@@ -233,21 +168,19 @@ class AgentPlane:
         """
         if self.suspended or self.leases is None:
             return 0
-        beaten = 0
-        for node_id in sorted(self.agents):
-            if node_id not in self._dead_agents:
-                self.leases.heartbeat(node_id, now)
-                beaten += 1
-        return beaten
+        live = self._live_nodes()
+        for node_id in live:
+            self.leases.heartbeat(node_id, now)
+        return len(live)
 
     def kill_agent(self, node_id: int) -> None:
         """Kill one node's agent: its records vanish, its lease decays."""
         self._dead_agents.add(node_id)
-        agent = self.agents.get(node_id)
-        if agent is not None and agent.buffer:
-            self.records_dropped += len(agent.buffer)
-            self._m_dropped.inc(len(agent.buffer))
-            agent.buffer.clear()
+        buffer = self._buffers.get(node_id)
+        if buffer:
+            self._m_dropped.inc(len(buffer))
+            self._m_buffered.dec(len(buffer))
+            buffer.clear()
 
     def revive_agent(self, node_id: int, now: float) -> None:
         """Restart a dead agent; it re-registers via its first heartbeat."""
@@ -256,10 +189,8 @@ class AgentPlane:
             self.leases.heartbeat(node_id, now)
 
     def retarget(self, collector) -> None:
-        """Point the plane (and every agent) at a new master incarnation."""
+        """Point every agent at a new master incarnation."""
         self.collector = collector
-        for agent in self.agents.values():
-            agent.collector = collector
 
     # ------------------------------------------------------------------
     # MonitoringSink interface

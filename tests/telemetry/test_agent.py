@@ -1,7 +1,5 @@
 """Tests for the C4 agent plane."""
 
-from types import SimpleNamespace
-
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
@@ -68,6 +66,15 @@ def test_nodes_become_known_at_their_first_record():
     plane.on_op(op(3))
     assert plane.beat_all(5.0) == 1
     assert leases.beats[-1] == (3, 5.0)
+
+
+def test_started_agent_heartbeats_before_its_first_record():
+    leases = BeatLog()
+    plane = AgentPlane(CentralCollector(), leases=leases)
+    plane.start_agent(6)
+    plane.start_agent(6)
+    assert plane.beat_all(2.0) == 1
+    assert leases.beats == [(6, 2.0)]
 
 
 def test_records_routed_by_producing_node():
@@ -202,6 +209,25 @@ def test_kill_agent_drops_only_that_nodes_records():
     assert registry.counter("telemetry_agent_records_dropped_total").value == 3.0
 
 
+def test_kill_agent_lowers_buffered_gauge_by_dropped_count():
+    registry = MetricsRegistry()
+    plane = AgentPlane(CentralCollector(), metrics=registry)
+    plane.on_communicator(comm())
+    plane.suspend()
+    for seq in range(3):
+        plane.on_op_launch(
+            OpLaunchRecord(
+                comm_id="c", seq=seq, op_type=OpType.ALLREDUCE, rank=2,
+                location=RankLocation(2, 0), launch_time=float(seq),
+            )
+        )
+    plane.on_op(op(1))
+    assert registry.gauge("telemetry_agent_buffered_records").value == 4.0
+    plane.kill_agent(2)
+    assert registry.counter("telemetry_agent_records_dropped_total").value == 3.0
+    assert registry.gauge("telemetry_agent_buffered_records").value == 1.0
+
+
 def test_revive_agent_heartbeats_and_delivers_again():
     collector = CentralCollector()
     leases = BeatLog()
@@ -236,7 +262,7 @@ def test_lossy_channel_delivers_through_send():
     collector = CentralCollector()
     channel = DeferredChannel()
     registry = MetricsRegistry()
-    plane = AgentPlane(collector, network=SimpleNamespace(now=0.0), channel=channel, metrics=registry)
+    plane = AgentPlane(collector, channel=channel, metrics=registry)
     # Registration is not a record: it lands synchronously.
     plane.on_communicator(comm())
     plane.on_op(op(1))

@@ -132,11 +132,11 @@ class AgentPlane:
         """End a suspension: heartbeat live agents and backfill buffers.
 
         Pending communicators are registered first, then each node's
-        buffer ships in arrival order.  Returns the number of records
-        backfilled to the master.  Agents re-register implicitly — the
-        lease table treats a heartbeat from an unknown node as
-        registration, so no handshake with the new master incarnation is
-        needed.
+        buffer ships in arrival order, nodes in the order they started.
+        Returns the number of records backfilled to the master.  Agents
+        re-register implicitly — the lease table treats a heartbeat from
+        an unknown node as registration, so no handshake with the new
+        master incarnation is needed.
         """
         self.suspended = False
         if self.leases is not None:

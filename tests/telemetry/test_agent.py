@@ -57,7 +57,7 @@ def ops_by_node(collector, comm_id="c"):
     return [(r.location.node, r.seq) for r in collector.ops(comm_id)]
 
 
-def test_nodes_become_known_at_their_first_record():
+def test_agents_created_lazily_per_node():
     collector = CentralCollector()
     leases = BeatLog()
     plane = AgentPlane(collector, leases=leases)
@@ -148,20 +148,20 @@ def test_resume_backfills_communicators_then_each_node_buffer_in_arrival_order()
     now = {"t": 0.0}
     plane = AgentPlane(collector, clock=lambda: now["t"], metrics=registry)
     plane.on_communicator(comm("a"))
-    plane.on_op(op(2, comm_id="a"))  # node 2 is known before node 5
+    plane.on_op(op(5, comm_id="a"))  # node 5 starts before node 2
     plane.suspend()
     now["t"] = 7.0
     plane.on_communicator(comm("b"))
-    plane.on_op(op(5, seq=0, comm_id="b"))
     plane.on_op(op(2, seq=0, comm_id="b"))
-    plane.on_op(op(5, seq=1, comm_id="b"))
-    plane.on_message(message(5, comm_id="b"))
+    plane.on_op(op(5, seq=0, comm_id="b"))
+    plane.on_op(op(2, seq=1, comm_id="b"))
+    plane.on_message(message(2, comm_id="b"))
     assert "b" not in collector.progress
     assert plane.resume(10.0) == 5
     # "b" registered first (else its records would be dropped as unknown),
     # stamped with its registration time, not the resume time.
     assert collector.progress["b"].created_at == 7.0
-    assert ops_by_node(collector, "b") == [(2, 0), (5, 0), (5, 1)]
+    assert ops_by_node(collector, "b") == [(5, 0), (2, 0), (2, 1)]
     assert len(collector.messages("b")) == 1
     assert plane.backfilled_records == 5
     assert registry.counter("telemetry_agent_backfilled_records_total").value == 5.0
@@ -169,8 +169,8 @@ def test_resume_backfills_communicators_then_each_node_buffer_in_arrival_order()
     assert registry.counter("telemetry_agent_records_forwarded_total").value == 5.0
     assert registry.gauge("telemetry_agent_buffered_records").value == 0.0
     # Back to live delivery.
-    plane.on_op(op(5, seq=2, comm_id="b"))
-    assert ops_by_node(collector, "b")[-1] == (5, 2)
+    plane.on_op(op(2, seq=2, comm_id="b"))
+    assert ops_by_node(collector, "b")[-1] == (2, 2)
 
 
 def test_beat_all_and_resume_heartbeat_live_agents_in_sorted_order():

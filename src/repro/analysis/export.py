@@ -32,16 +32,9 @@ def _episode_to_dict(outcome: EpisodeOutcome) -> dict:
     return payload
 
 
-def campaign_scorecard_to_dict(
-    card: CampaignScorecard, observability: dict | None = None
-) -> dict:
-    """Serialize a full chaos campaign scorecard (the ``repro chaos`` payload).
-
-    ``observability`` optionally embeds the campaign's observability
-    snapshot (``ObservabilityPlane.snapshot()``) so one archived document
-    carries both the judgment and the telemetry that explains it.
-    """
-    payload = {
+def campaign_scorecard_to_dict(card: CampaignScorecard) -> dict:
+    """Serialize a full chaos campaign scorecard (the ``repro chaos`` payload)."""
+    return {
         "precision": card.precision,
         "recall": card.recall,
         "false_isolations": card.false_isolations,
@@ -50,9 +43,6 @@ def campaign_scorecard_to_dict(
         "mttr": card.mttr_stats(),
         "scenarios": [scenario_scorecard_to_dict(s) for s in card.scenarios],
     }
-    if observability is not None:
-        payload["observability"] = observability
-    return payload
 
 
 def write_json(path: str | Path, payload) -> Path:

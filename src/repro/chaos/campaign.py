@@ -18,6 +18,12 @@ mocked:
   :class:`~repro.training.recovery.RecoveryOrchestrator` on the 16-node
   testbed, with checkpoint corruption injected right before the crash so
   restore must walk the snapshot fallback chain.
+* **FABRIC** scenarios run in :mod:`repro.chaos.fabric`: a real
+  :class:`~repro.core.c4p.master.C4PMaster` drains and migrates live QPs
+  while links die, flap and come back.
+* **CONTROLPLANE** scenarios run in :mod:`repro.chaos.controlplane`: the
+  PIPELINE feed through a journaled master that is killed, failed over,
+  partitioned or blinded.
 
 Every stochastic choice derives from scenario seeds, so a campaign's
 scorecard is reproducible bit for bit.
@@ -28,7 +34,14 @@ from __future__ import annotations
 import logging
 from typing import Optional, Sequence
 
-from repro.chaos.scenario import ChaosScenario, ScenarioKind, default_campaign
+from repro.chaos.scenario import (
+    CHAOS_STEERING,
+    EVALUATION_INTERVAL,
+    HARDENED_DETECTORS,
+    ChaosScenario,
+    ScenarioKind,
+    default_campaign,
+)
 from repro.chaos.scorecard import (
     DEFAULT_GRACE,
     CampaignScorecard,
@@ -36,7 +49,7 @@ from repro.chaos.scorecard import (
     score_pipeline_scenario,
     score_recovery_scenario,
 )
-from repro.chaos.workload import SyntheticFeed
+from repro.chaos.workload import STEP_SECONDS, SyntheticFeed
 from repro.cluster.specs import ClusterSpec
 from repro.cluster.topology import ClusterTopology
 from repro.core.c4d.master import C4DMaster
@@ -167,12 +180,12 @@ class ChaosCampaign:
         steering = JobSteeringService(
             topology,
             backup_nodes=backups,
-            config=scenario.steering,
+            config=CHAOS_STEERING,
             faults=scenario.steering_faults,
             metrics=registry,
         )
         master = C4DMaster(
-            collector, scenario.detector, steering=steering, metrics=registry,
+            collector, HARDENED_DETECTORS, steering=steering, metrics=registry,
             tracer=tracer,
         )
         feed = SyntheticFeed(
@@ -180,7 +193,6 @@ class ChaosCampaign:
             plane,
             nodes=range(scenario.job_nodes),
             faults=scenario.faults,
-            step_seconds=scenario.step_seconds,
             seed=scenario.seed,
         )
         feed.symptom_observer = tracer.observe_symptom
@@ -196,8 +208,8 @@ class ChaosCampaign:
             for action in steering.actions[seen:]:
                 feed.apply_action(action, collector.drop_communicator)
             seen = len(steering.actions)
-            if network.now + scenario.evaluation_interval <= scenario.duration:
-                network.schedule(scenario.evaluation_interval, tick)
+            if network.now + EVALUATION_INTERVAL <= scenario.duration:
+                network.schedule(EVALUATION_INTERVAL, tick)
 
         feed.start()
         # The evaluation grid is phase-shifted off the feed's step grid
@@ -207,9 +219,7 @@ class ChaosCampaign:
         # same-instant step must not depend on timer tie-breaking.  The
         # master evaluates a fraction of a step after each interval, as a
         # control plane asynchronous to the data path would.
-        network.schedule(
-            scenario.evaluation_interval + 0.1 * scenario.step_seconds, tick
-        )
+        network.schedule(EVALUATION_INTERVAL + 0.1 * STEP_SECONDS, tick)
         network.run(until=scenario.duration)
         return score_pipeline_scenario(
             scenario,
@@ -237,10 +247,10 @@ class ChaosCampaign:
             JobSpec(
                 "chaos", GPT_22B, ParallelismPlan(tp=8, dp=4), global_batch=64
             ),
-            detector_config=scenario.detector,
-            steering_config=scenario.steering,
+            detector_config=HARDENED_DETECTORS,
+            steering_config=CHAOS_STEERING,
             checkpointer=checkpointer,
-            evaluation_interval=scenario.evaluation_interval,
+            evaluation_interval=EVALUATION_INTERVAL,
             steering_faults=scenario.steering_faults,
         )
         report = orchestrator.start(num_nodes=scenario.job_nodes, total_steps=24)

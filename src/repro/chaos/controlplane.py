@@ -31,7 +31,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.chaos.scenario import ChaosScenario, ControlPlanePlan
+from repro.chaos.scenario import (
+    CHAOS_STEERING,
+    EVALUATION_INTERVAL,
+    HARDENED_DETECTORS,
+    ChaosScenario,
+    ControlPlanePlan,
+)
 from repro.chaos.scorecard import (
     DEFAULT_GRACE,
     ControlPlaneMetrics,
@@ -41,7 +47,7 @@ from repro.chaos.scorecard import (
     score_controlplane_scenario,
     score_pipeline_scenario,
 )
-from repro.chaos.workload import SyntheticFeed
+from repro.chaos.workload import STEP_SECONDS, SyntheticFeed
 from repro.cluster.specs import ClusterSpec
 from repro.cluster.topology import ClusterTopology
 from repro.controlplane import C4DControlPlane, JournalStore, LeaseTable
@@ -50,6 +56,17 @@ from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import FaultTracer
 from repro.telemetry.agent import AgentPlane
+
+#: Periodic-snapshot cadence of the journaled master.
+SNAPSHOT_INTERVAL = 60.0
+#: Agent keep-alive cadence.
+HEARTBEAT_INTERVAL = 10.0
+#: Agent lease TTL.
+LEASE_SECONDS = 30.0
+#: Lease coverage below which the master only records verdicts.
+DEGRADED_COVERAGE_THRESHOLD = 0.6
+#: Steering's dedup window; a repeat inside it is a duplicate action.
+DEDUP_WINDOW = 900.0
 
 
 def _run(
@@ -65,7 +82,7 @@ def _run(
     topology = ClusterTopology(spec, network, ecmp_seed=scenario.seed)
     backups = list(range(scenario.job_nodes, spec.num_nodes))
     store = JournalStore(metrics=registry)
-    leases = LeaseTable(lease_seconds=plan.lease_seconds, metrics=registry)
+    leases = LeaseTable(lease_seconds=LEASE_SECONDS, metrics=registry)
 
     # Mutable run context: the current master incarnation plus the
     # resilience counters the scorecard reports.
@@ -87,10 +104,10 @@ def _run(
         """Physical execution hook: relaunch the job, audit the action."""
         key = fault_key(action.anomaly)
         executed_at = ctx["seen_keys"].get(key)
-        if executed_at is not None and network.now - executed_at < plan.dedup_window:
+        if executed_at is not None and network.now - executed_at < DEDUP_WINDOW:
             ctx["duplicates"] += 1
         ctx["seen_keys"][key] = network.now
-        if coverage < plan.degraded_coverage_threshold and not _matching_episodes(
+        if coverage < DEGRADED_COVERAGE_THRESHOLD and not _matching_episodes(
             _steering_action(action), scenario.episodes, grace
         ):
             ctx["blackout_false_isolations"] += len(action.isolated_nodes)
@@ -104,11 +121,11 @@ def _run(
             backup_nodes=backups,
             store=store,
             leases=leases,
-            detector_config=scenario.detector,
-            steering_config=scenario.steering,
+            detector_config=HARDENED_DETECTORS,
+            steering_config=CHAOS_STEERING,
             steering_faults=scenario.steering_faults,
-            dedup_window=plan.dedup_window,
-            degraded_coverage_threshold=plan.degraded_coverage_threshold,
+            dedup_window=DEDUP_WINDOW,
+            degraded_coverage_threshold=DEGRADED_COVERAGE_THRESHOLD,
             active=active,
             standby=standby,
             action_listener=on_action,
@@ -131,7 +148,6 @@ def _run(
         agent_plane,
         nodes=range(scenario.job_nodes),
         faults=scenario.faults,
-        step_seconds=scenario.step_seconds,
         seed=scenario.seed,
     )
     if tracer is not None:
@@ -145,25 +161,23 @@ def _run(
         ctx["coverage_min"] = min(ctx["coverage_min"], coverage)
         if not ctx["down"]:
             ctx["plane"].evaluate(network.now)
-        if network.now + scenario.evaluation_interval <= scenario.duration:
-            network.schedule(scenario.evaluation_interval, evaluate_tick)
+        if network.now + EVALUATION_INTERVAL <= scenario.duration:
+            network.schedule(EVALUATION_INTERVAL, evaluate_tick)
 
     def heartbeat_tick() -> None:
         agent_plane.beat_all(network.now)
-        if network.now + plan.heartbeat_interval <= scenario.duration:
-            network.schedule(plan.heartbeat_interval, heartbeat_tick)
+        if network.now + HEARTBEAT_INTERVAL <= scenario.duration:
+            network.schedule(HEARTBEAT_INTERVAL, heartbeat_tick)
 
     def snapshot_tick() -> None:
         if not ctx["down"]:
             ctx["plane"].snapshot()
-        if network.now + plan.snapshot_interval <= scenario.duration:
-            network.schedule(plan.snapshot_interval, snapshot_tick)
+        if network.now + SNAPSHOT_INTERVAL <= scenario.duration:
+            network.schedule(SNAPSHOT_INTERVAL, snapshot_tick)
 
-    network.schedule(
-        scenario.evaluation_interval + 0.1 * scenario.step_seconds, evaluate_tick
-    )
-    network.schedule(plan.heartbeat_interval + 2.7, heartbeat_tick)
-    network.schedule(plan.snapshot_interval + 0.9, snapshot_tick)
+    network.schedule(EVALUATION_INTERVAL + 0.1 * STEP_SECONDS, evaluate_tick)
+    network.schedule(HEARTBEAT_INTERVAL + 2.7, heartbeat_tick)
+    network.schedule(SNAPSHOT_INTERVAL + 0.9, snapshot_tick)
 
     # ------------------------------------------------------------------
     # Scheduled control-plane faults
@@ -274,17 +288,9 @@ def run_controlplane_scenario(
     """
     if scenario.controlplane is None:
         raise ValueError(f"scenario {scenario.name} has no controlplane plan")
-    plan = scenario.controlplane
     registry = get_registry(metrics)
 
-    calm_plan = ControlPlanePlan(
-        snapshot_interval=plan.snapshot_interval,
-        heartbeat_interval=plan.heartbeat_interval,
-        lease_seconds=plan.lease_seconds,
-        degraded_coverage_threshold=plan.degraded_coverage_threshold,
-        dedup_window=plan.dedup_window,
-    )
-    calm_scenario = replace(scenario, controlplane=calm_plan)
+    calm_scenario = replace(scenario, controlplane=ControlPlanePlan())
     baseline_actions, _, _ = _run(calm_scenario, MetricsRegistry(), None, grace)
     baseline_recall = score_pipeline_scenario(
         calm_scenario, baseline_actions, grace=grace

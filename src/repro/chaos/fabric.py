@@ -39,6 +39,15 @@ from repro.obs.trace import LATENCY_BUCKETS, FaultTracer
 
 #: Effectively infinite transfer: fabric flows run for the whole scenario.
 _FLOW_SIZE = 1e18
+#: Cadence of the master's periodic :meth:`~C4PMaster.maintenance` passes.
+REPROBE_INTERVAL = 15.0
+#: Synthetic tenant load placed through the master before faults.
+CONNECTIONS = 48
+QPS_PER_CONNECTION = 2
+#: Throughput / residual sampling cadence.
+SAMPLE_INTERVAL = 5.0
+#: Fraction of pre-fault throughput that counts as recovered.
+RECOVERY_FRACTION = 0.90
 
 
 def run_fabric_scenario(
@@ -71,7 +80,7 @@ def run_fabric_scenario(
     network = FlowNetwork(metrics=registry)
     spec = TESTBED_16_NODES
     topology = ClusterTopology(spec, network, ecmp_seed=scenario.seed)
-    master = C4PMaster(topology, health_config=plan.health, metrics=registry)
+    master = C4PMaster(topology, metrics=registry)
     rng = np.random.default_rng(scenario.seed)
 
     # ------------------------------------------------------------------
@@ -79,7 +88,7 @@ def run_fabric_scenario(
     # ------------------------------------------------------------------
     flows: dict[int, Flow] = {}
     home_side: dict[int, int] = {}
-    for index in range(plan.connections):
+    for index in range(CONNECTIONS):
         src = int(rng.integers(spec.num_nodes))
         dst = int(rng.integers(spec.num_nodes - 1))
         if dst >= src:
@@ -91,7 +100,7 @@ def run_fabric_scenario(
             src_nic=plan.nic,
             dst_node=dst,
             dst_nic=plan.nic,
-            num_qps=plan.qps_per_connection,
+            num_qps=QPS_PER_CONNECTION,
         )
         for alloc in master.allocate(request):
             flow = Flow(
@@ -138,8 +147,8 @@ def run_fabric_scenario(
         samples.append((network.now, sum(rates.values())))
         for link in guarded_links(network.now):
             violations["holddown"] += len(master.qps_on_link(link))
-        if network.now + plan.sample_interval <= scenario.duration:
-            network.schedule(plan.sample_interval, sample)
+        if network.now + SAMPLE_INTERVAL <= scenario.duration:
+            network.schedule(SAMPLE_INTERVAL, sample)
 
     # Phase-shifted off the fault schedule's grid: fault times and
     # sampling cadences are both round numbers, and a sampler sharing an
@@ -147,7 +156,7 @@ def run_fabric_scenario(
     # throughput depending on timer tie-breaking alone (a racecheck
     # divergence).  Observers must never share an instant with the
     # schedule they observe.
-    network.schedule(plan.sample_interval * 0.5, sample)
+    network.schedule(SAMPLE_INTERVAL * 0.5, sample)
 
     # ------------------------------------------------------------------
     # The fault schedule (ground truth).
@@ -249,14 +258,14 @@ def run_fabric_scenario(
                 tracer.stage(fault_id, "detect", network.now, via="reprobe")
         for drain in report.drains:
             stranded_ever.update(drain.stranded)
-        if network.now + plan.reprobe_interval <= scenario.duration:
-            network.schedule(plan.reprobe_interval, maintenance_tick)
+        if network.now + REPROBE_INTERVAL <= scenario.duration:
+            network.schedule(REPROBE_INTERVAL, maintenance_tick)
 
     # The first tick is deliberately phase-shifted off the interval grid
     # so silent failures scheduled on round timestamps are detected a
     # fraction of an interval later, as in production — not at the very
     # instant they occur.
-    network.schedule(plan.reprobe_interval * 0.6, maintenance_tick)
+    network.schedule(REPROBE_INTERVAL * 0.6, maintenance_tick)
 
     network.run(until=scenario.duration)
 
@@ -288,7 +297,7 @@ def run_fabric_scenario(
     if down_events and pre_fault > 0:
         last_down = down_events[-1].time
         for t, thr in samples:
-            if t >= last_down and thr >= plan.recovery_fraction * pre_fault:
+            if t >= last_down and thr >= RECOVERY_FRACTION * pre_fault:
                 recovery_time = t - last_down
                 break
 

@@ -2,8 +2,8 @@
 
 A scenario bundles everything one adversarial run needs — the fault
 plan (the *ground truth* the scorecard judges against), the telemetry
-unreliability model, and the detector/steering hardening knobs.  Two
-scenario kinds exist:
+unreliability model, and the steering fault model.  Four scenario kinds
+exist:
 
 * ``PIPELINE`` — drives the full detect→steer pipeline: a synthetic
   monitored workload emits real monitoring records through a lossy
@@ -18,7 +18,15 @@ scenario kinds exist:
   allocated by a real :class:`~repro.core.c4p.master.C4PMaster` while
   fabric links die, flap and come back, judged on drain-and-migrate
   completeness, reroute latency, flap damping and throughput recovery
-  (the Fig. 12/13 behaviours under adversarial schedules).
+  (the Fig. 12/13 behaviours under adversarial schedules);
+* ``CONTROLPLANE`` — drives the same feed through a journaled
+  :class:`~repro.controlplane.c4d_plane.C4DControlPlane` while the
+  master itself is killed, failed over, partitioned from its telemetry
+  or blinded by dead agents.
+
+Every scenario of one kind runs with the same detector hardening
+(:data:`HARDENED_DETECTORS`), steering latencies (:data:`CHAOS_STEERING`)
+and evaluation cadence (:data:`EVALUATION_INTERVAL`).
 
 Scenario factories derive every stochastic choice from the scenario
 seed, so a campaign is reproducible end to end.
@@ -27,7 +35,7 @@ seed, so a campaign is reproducible end to end.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.faults import (
@@ -41,7 +49,6 @@ from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology
 from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.steering import SteeringConfig, SteeringFaultModel
-from repro.core.c4p.health import LinkHealthConfig
 from repro.telemetry.unreliable import ChannelConfig
 
 
@@ -153,36 +160,22 @@ class FabricPlan:
     migration_deadline:
         Seconds after each ``down`` event by which every victim QP must
         be off the dead link(s) — the residual-QP acceptance check.
-    reprobe_interval:
-        Cadence of the master's periodic :meth:`maintenance` passes.
-    connections / qps_per_connection:
-        Synthetic tenant load placed through the master before faults.
     nic:
-        NIC index the connections use; pins the load to one rail so the
-        scheduled link faults actually have victims.
-    sample_interval:
-        Throughput / residual sampling cadence.
-    recovery_fraction:
-        Fraction of pre-fault throughput that counts as recovered.
-    health:
-        Flap-damping configuration handed to the master.
+        NIC index the tenant connections use; pins the load to one rail
+        so the scheduled link faults actually have victims.
     flap_guards:
         ``(link_id, start, end)`` triples: placements of QPs onto
         ``link_id`` inside its window are hold-down violations.  Each
         window runs from just after that link's *first* failure (before
         it the link is legitimately healthy) until its last hold-down
-        expires under ``health``'s escalation schedule.
+        expires under the default
+        :class:`~repro.core.c4p.health.LinkHealthConfig` escalation
+        schedule.
     """
 
     events: tuple[FabricEvent, ...]
     migration_deadline: float = 30.0
-    reprobe_interval: float = 15.0
-    connections: int = 48
-    qps_per_connection: int = 2
     nic: int = 0
-    sample_interval: float = 5.0
-    recovery_fraction: float = 0.90
-    health: LinkHealthConfig = field(default_factory=LinkHealthConfig)
     flap_guards: tuple[tuple[tuple, float, float], ...] = ()
 
     @property
@@ -195,7 +188,7 @@ class FabricPlan:
 
 @dataclass(frozen=True)
 class ControlPlanePlan:
-    """Ground truth and judging knobs of one CONTROLPLANE scenario.
+    """The fault schedule of one CONTROLPLANE scenario.
 
     The plan schedules faults against the *control plane itself* — the
     C4D master process and its telemetry supply — rather than against
@@ -221,9 +214,9 @@ class ControlPlanePlan:
         Window during which the listed nodes' agents are dead — their
         records vanish and their leases expire, blinding the master to
         half the job while the job itself stays healthy.
-    snapshot_interval / heartbeat_interval / lease_seconds:
-        Periodic-snapshot cadence, agent keep-alive cadence, and lease
-        TTL.
+
+    The default plan schedules nothing: the calm run a scenario's recall
+    baseline comes from.
     """
 
     kill_at: Optional[float] = None
@@ -233,14 +226,9 @@ class ControlPlanePlan:
     partition: Optional[tuple[float, float]] = None
     massacre_window: Optional[tuple[float, float]] = None
     massacre_nodes: tuple[int, ...] = ()
-    snapshot_interval: float = 60.0
-    heartbeat_interval: float = 10.0
-    lease_seconds: float = 30.0
-    degraded_coverage_threshold: float = 0.6
-    dedup_window: float = 900.0
 
 
-#: Detector hardening used by default in chaos runs: debounce over two
+#: Detector hardening of every chaos run: debounce over two
 #: consecutive evaluations, ten-minute per-node action hysteresis, and
 #: slow-threshold hysteresis — the configuration the acceptance
 #: criteria (precision >= 0.9, zero isolation storms) are scored with.
@@ -250,6 +238,10 @@ HARDENED_DETECTORS = DetectorConfig(
     node_action_cooldown=600.0,
     slow_hysteresis=0.8,
 )
+#: Steering latencies of every chaos run.
+CHAOS_STEERING = SteeringConfig(isolation_seconds=60.0, restart_seconds=120.0)
+#: How often the master evaluates, in simulated seconds.
+EVALUATION_INTERVAL = 10.0
 
 
 @dataclass(frozen=True)
@@ -264,18 +256,11 @@ class ChaosScenario:
     #: Spare nodes available to the steering service.
     backup_nodes: int = 2
     duration: float = 1800.0
-    step_seconds: float = 5.0
     #: Injected ground truth.
     faults: tuple[FaultEvent, ...] = ()
     #: Telemetry unreliability (None = perfect channel).
     channel: Optional[ChannelConfig] = None
-    detector: DetectorConfig = field(default_factory=lambda: HARDENED_DETECTORS)
-    steering: SteeringConfig = field(
-        default_factory=lambda: SteeringConfig(isolation_seconds=60.0, restart_seconds=120.0)
-    )
     steering_faults: Optional[SteeringFaultModel] = None
-    #: How often the master evaluates, in simulated seconds.
-    evaluation_interval: float = 10.0
     #: RECOVERY kind: snapshots corrupted before restore.
     corrupt_newest: int = 0
     #: FABRIC kind: the fault schedule and judging knobs.
@@ -494,7 +479,6 @@ def spine_maintenance_scenario(seed: int, duration: float = 300.0) -> ChaosScena
             ),
         ),
         migration_deadline=40.0,
-        reprobe_interval=15.0,
         nic=rail,
     )
     return ChaosScenario(

@@ -419,7 +419,6 @@ def score_controlplane_scenario(
     scenario: ChaosScenario,
     actions: Sequence[SteeringAction],
     resilience: ControlPlaneMetrics,
-    channel_stats: Optional[dict] = None,
     steps_completed: int = 0,
     relaunches: int = 0,
     grace: float = DEFAULT_GRACE,
@@ -437,7 +436,6 @@ def score_controlplane_scenario(
     card = score_pipeline_scenario(
         scenario,
         actions,
-        channel_stats=channel_stats,
         steps_completed=steps_completed,
         relaunches=relaunches,
         grace=grace,

@@ -32,6 +32,8 @@ from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, OpLaunchRecord, OpRecord
 
+#: Simulated time per training step (one collective per step).
+STEP_SECONDS = 5.0
 #: Duration of one step's collective, in simulated seconds.
 OP_SECONDS = 0.5
 #: Launch lateness of a node inside an active degradation window.
@@ -56,8 +58,6 @@ class SyntheticFeed:
         Node ids hosting the job, one rank per node.
     faults:
         Ground-truth fault events shaping the records.
-    step_seconds:
-        Simulated time per training step (one collective per step).
     """
 
     def __init__(
@@ -66,14 +66,12 @@ class SyntheticFeed:
         sink,
         nodes: Sequence[int],
         faults: Sequence[FaultEvent] = (),
-        step_seconds: float = 5.0,
         seed: int = 0,
     ) -> None:
         self.network = network
         self.sink = sink
         self.nodes: list[int] = list(nodes)
         self.faults = list(faults)
-        self.step_seconds = step_seconds
         self._rng = np.random.default_rng(seed)
         #: Nodes of the next incarnation once steering's pending action
         #: completes, and that relaunch's token (a newer action wins).
@@ -116,7 +114,7 @@ class SyntheticFeed:
     def start(self) -> None:
         """Register the first incarnation and begin emitting steps."""
         self._register()
-        self.network.schedule(self.step_seconds, self._tick)
+        self.network.schedule(STEP_SECONDS, self._tick)
 
     def halt(self) -> None:
         """Stop emitting (steering tore the incarnation down)."""
@@ -127,7 +125,7 @@ class SyntheticFeed:
         self.nodes = list(nodes)
         self.relaunches += 1
         self._register()
-        self.network.schedule(self.step_seconds, self._tick)
+        self.network.schedule(STEP_SECONDS, self._tick)
 
     def apply_action(self, action, drop_communicator) -> None:
         """Tear the incarnation down for a steering action; relaunch after.
@@ -234,4 +232,4 @@ class SyntheticFeed:
             )
         self._seq += 1
         self.steps_completed += 1
-        self.network.schedule(self.step_seconds, self._tick)
+        self.network.schedule(STEP_SECONDS, self._tick)

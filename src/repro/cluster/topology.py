@@ -228,16 +228,15 @@ class ClusterTopology:
         dst_nic: int,
         five_tuple: FiveTuple,
         src_side: Optional[int] = None,
-        avoid_failed: bool = True,
     ) -> PathChoice:
         """Route a flow the way the unmodified fabric would.
 
         The bond driver hashes the flow onto a transmit port (unless
         ``src_side`` pins it), the leaf hashes onto a (spine, port)
-        uplink, and the spine hashes onto a (side, port) downlink.  With
-        ``avoid_failed`` the hash walks to the next index when it lands
-        on a dead link, modelling ECMP reconvergence (which is exactly
-        the clumpy rerouting visible in the paper's Fig. 13a).
+        uplink, and the spine hashes onto a (side, port) downlink.  Dead
+        links are left out of the hash, modelling ECMP reconvergence
+        (which is exactly the clumpy rerouting visible in the paper's
+        Fig. 13a).
         """
         rail = self.rail_of(src_nic)
         spec = self.spec
@@ -251,8 +250,7 @@ class ClusterTopology:
             (spine, k)
             for spine in range(spec.spines_per_rail)
             for k in range(spec.uplink_ports_per_spine)
-            if not avoid_failed
-            or self.network.link(self.leaf_up(rail, src_side, spine, k)).is_up
+            if self.network.link(self.leaf_up(rail, src_side, spine, k)).is_up
         ]
         if not up_members:
             raise RuntimeError(f"no live uplink on rail {rail} side {src_side}")
@@ -263,8 +261,7 @@ class ClusterTopology:
             (side, k)
             for side in (0, 1)
             for k in range(spec.uplink_ports_per_spine)
-            if not avoid_failed
-            or self.network.link(self.spine_down(rail, spine, side, k)).is_up
+            if self.network.link(self.spine_down(rail, spine, side, k)).is_up
         ]
         if not down_members:
             raise RuntimeError(f"no live downlink from spine {spine} on rail {rail}")

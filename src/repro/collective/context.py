@@ -136,13 +136,6 @@ class CollectiveContext:
         a RecordingSink, or None to disable monitoring).
     job_id:
         Tenant identifier reported to the path selector.
-    qps_per_connection:
-        QPs per connection (2 in the bonded reference configuration).
-    messages_per_op:
-        Transport-layer messages logged per QP per operation.
-    intra_node_busbw_gbps:
-        Bus bandwidth of NVLink-only collectives (single-node
-        communicators never touch the network).
     qp_work_stealing:
         Emulate the transport's chunk queue: when a QP finishes its
         share of an operation while a sibling QP still has work, half of
@@ -150,18 +143,18 @@ class CollectiveContext:
         QP.  This matches how real CCLs round-robin chunks over QPs —
         a connection's throughput approaches the *sum* of its paths'
         bandwidths instead of being gated by the slowest QP.
-    phase_latency_seconds:
-        Fixed start-up latency charged per communication phase (the
-        alpha of the alpha-beta cost model: kernel launch, rendezvous,
-        first-packet RTT).  Zero by default — the paper's experiments
-        are bandwidth-dominated — but setting it exposes the latency
-        penalty of multi-phase algorithms (halving-doubling pays
-        2log2(N) alphas where the pipelined ring pays one).
     """
 
     #: Work below this fraction of the original per-QP share is not
     #: worth re-posting (bounds the number of stealing rounds).
     MIN_STEAL_FRACTION = 0.02
+    #: QPs per connection (2 in the bonded reference configuration).
+    QPS_PER_CONNECTION = 2
+    #: Transport-layer messages logged per QP per operation.
+    MESSAGES_PER_OP = 8
+    #: Bus bandwidth of NVLink-only collectives in bits/s (single-node
+    #: communicators never touch the network).
+    INTRA_NODE_BUSBW = 2400.0 * GBPS
 
     def __init__(
         self,
@@ -169,26 +162,14 @@ class CollectiveContext:
         selector: Optional[PathSelector] = None,
         sink: Optional[MonitoringSink] = None,
         job_id: str = "job0",
-        qps_per_connection: int = 2,
-        messages_per_op: int = 8,
-        intra_node_busbw_gbps: float = 2400.0,
         qp_work_stealing: bool = True,
-        phase_latency_seconds: float = 0.0,
     ) -> None:
         self.topology = topology
         self.network = topology.network
-        self.selector: PathSelector = selector or EcmpPathSelector(
-            topology, qps_per_connection=qps_per_connection
-        )
+        self.selector: PathSelector = selector or EcmpPathSelector(topology)
         self.sink = sink
         self.job_id = job_id
-        self.qps_per_connection = qps_per_connection
-        self.messages_per_op = messages_per_op
-        self.intra_node_busbw = intra_node_busbw_gbps * GBPS
         self.qp_work_stealing = qp_work_stealing
-        if phase_latency_seconds < 0:
-            raise ValueError("phase_latency_seconds must be non-negative")
-        self.phase_latency_seconds = phase_latency_seconds
         self._connections: dict[tuple, Connection] = {}
         # All jobs share one reroute dispatcher.
         self.network.reroute_handler = _dispatch_link_down
@@ -221,7 +202,7 @@ class CollectiveContext:
                 src_nic=src_nic,
                 dst_node=dst_node,
                 dst_nic=dst_nic,
-                num_qps=self.qps_per_connection,
+                num_qps=self.QPS_PER_CONNECTION,
             )
             allocations = self.selector.allocate(request)
             conn = Connection(
@@ -327,7 +308,7 @@ class CollectiveContext:
 
         if comm.is_single_node:
             duration = (
-                traffic_factor(op_type, comm.size) * size_bits / self.intra_node_busbw
+                traffic_factor(op_type, comm.size) * size_bits / self.INTRA_NODE_BUSBW
             )
             self.network.schedule_at(
                 max(start_time + duration, now), lambda: self._finish(handle)
@@ -391,7 +372,7 @@ class CollectiveContext:
             self._start_phase(handle)
 
         if pre_bits > 0:
-            pre_duration = pre_bits / self.intra_node_busbw
+            pre_duration = pre_bits / self.INTRA_NODE_BUSBW
             self.network.schedule_at(handle.start_time + pre_duration, begin_fabric)
         elif handle.start_time > self.network.now:
             self.network.schedule_at(handle.start_time, begin_fabric)
@@ -404,7 +385,7 @@ class CollectiveContext:
             post = handle._post_intra_bits
             if post > 0:
                 self.network.schedule(
-                    post / self.intra_node_busbw, lambda: self._finish(handle)
+                    post / self.INTRA_NODE_BUSBW, lambda: self._finish(handle)
                 )
             else:
                 self._finish(handle)
@@ -454,15 +435,8 @@ class CollectiveContext:
             self._start_phase(handle)
             return
         handle._pending_flows = len(flows)
-
-        def start_flows() -> None:
-            for flow in flows:
-                self.network.add_flow(flow)
-
-        if self.phase_latency_seconds > 0:
-            self.network.schedule(self.phase_latency_seconds, start_flows)
-        else:
-            start_flows()
+        for flow in flows:
+            self.network.add_flow(flow)
 
     def _flow_done(self, handle: OpHandle, flow: Flow) -> None:
         conn: Connection = flow.metadata["connection"]
@@ -540,10 +514,10 @@ class CollectiveContext:
                 if end is None:
                     continue
                 span = max(end - handle.start_time, 0.0)
-                per_message = span / self.messages_per_op
+                per_message = span / self.MESSAGES_PER_OP
                 qp_bits = alloc.weight / conn.total_weight * handle.size_bits
-                msg_bits = qp_bits / self.messages_per_op
-                for index in range(self.messages_per_op):
+                msg_bits = qp_bits / self.MESSAGES_PER_OP
+                for index in range(self.MESSAGES_PER_OP):
                     post = handle.start_time + index * per_message
                     self.sink.on_message(
                         MessageRecord(

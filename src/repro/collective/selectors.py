@@ -75,9 +75,6 @@ class EcmpPathSelector:
     ----------
     topology:
         The built cluster.
-    qps_per_connection:
-        QPs per connection; the bonded-NIC reference configuration uses
-        two (one per physical port).
     seed:
         Salt for the deterministic ephemeral-port generator.
     """
@@ -85,13 +82,9 @@ class EcmpPathSelector:
     def __init__(
         self,
         topology: ClusterTopology,
-        qps_per_connection: int = 2,
         seed: int = 0,
     ) -> None:
-        if qps_per_connection < 1:
-            raise ValueError("qps_per_connection must be >= 1")
         self.topology = topology
-        self.qps_per_connection = qps_per_connection
         self._port_hasher = EcmpHasher(seed=seed ^ 0x5EED)
 
     def allocate(self, request: PathRequest) -> list[QpAllocation]:

@@ -4,8 +4,8 @@
 :class:`~repro.core.c4p.master.C4PMaster` and journals every mutating
 entry point — allocations (with their assigned QP numbers, so recovered
 allocations keep their identities), releases, out-of-band link
-failures, C4D connection-anomaly strikes, and maintenance passes (with
-their probe outcomes, so replay never touches the live fabric).
+failures, and maintenance passes (with their probe outcomes, so replay
+never touches the live fabric).
 
 Compound operations journal **one** entry: a maintenance pass that
 internally quarantines-and-drains journals only the pass plus its probe
@@ -129,30 +129,6 @@ class ResilientC4PMaster(C4PMaster):
         )
         return super().notify_link_failure(link_id, now, drain)
 
-    def notify_connection_anomaly(
-        self,
-        src_worker: tuple[int, int],
-        dst_worker: tuple[int, int],
-        now: Optional[float] = None,
-    ) -> tuple[tuple, ...]:
-        if self._bypass:
-            return super().notify_connection_anomaly(src_worker, dst_worker, now)
-        self._check_writer()
-        if now is None:
-            now = self.topology.network.now
-        self.store.append(
-            "connection_anomaly",
-            {"src": encode(src_worker), "dst": encode(dst_worker), "now": now},
-            self.epoch,
-        )
-        # Nested quarantines are re-derived by replay; suppress their
-        # own journaling so the journal stays one-entry-per-cause.
-        self._suppress_journal = True
-        try:
-            return super().notify_connection_anomaly(src_worker, dst_worker, now)
-        finally:
-            self._suppress_journal = False
-
     def maintenance(
         self,
         now: Optional[float] = None,
@@ -233,10 +209,6 @@ class ResilientC4PMaster(C4PMaster):
         elif kind == "link_failure":
             super().notify_link_failure(
                 tuple(payload["link"]), payload["now"], payload["drain"]
-            )
-        elif kind == "connection_anomaly":
-            super().notify_connection_anomaly(
-                tuple(payload["src"]), tuple(payload["dst"]), payload["now"]
             )
         elif kind == "maintenance":
             super().maintenance(

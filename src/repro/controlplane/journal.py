@@ -1,9 +1,9 @@
 """Write-ahead journal + snapshots for the C4 control-plane masters.
 
 The masters (C4D, C4P, the central collector) are long-lived singletons
-whose in-memory state — delay-matrix windows, steering history, strike
-counts, allocation books, link-health machines — is exactly what a crash
-loses.  This module gives them a shared durability substrate:
+whose in-memory state — delay-matrix windows, steering history,
+allocation books, link-health machines — is exactly what a crash loses.
+This module gives them a shared durability substrate:
 
 * **journal entries** are written *ahead* of the mutation they describe
   (record ingestion) or immediately after an evaluation pass with its

@@ -43,18 +43,6 @@ class C4DMaster:
         isolate-and-restart automatically.
     rca:
         Optional offline analyzer receiving every fresh anomaly.
-    cooldown:
-        Seconds during which an identical (type, comm, suspects) anomaly
-        is not re-reported — detection is continuous, action is not.
-    c4p:
-        Optional C4P master (any object with
-        ``notify_connection_anomaly(src, dst, now)``).  When the delay
-        matrix localizes a *connection* (a single hot cell implicating
-        one worker pair rather than a whole row/column), the fault is a
-        fabric property, not a compute one — so the C4D master forwards
-        it to the traffic-engineering plane, which strike-counts the
-        links under that connection and quarantines the implicated one
-        so other tenants stop placing traffic on it.
 
     Two robustness gates (configured via :class:`DetectorConfig`) sit in
     front of reporting:
@@ -70,14 +58,16 @@ class C4DMaster:
       drive repeated isolations of the same episode.
     """
 
+    #: Seconds during which an identical (type, comm, suspects) anomaly
+    #: is not re-reported — detection is continuous, action is not.
+    COOLDOWN = 300.0
+
     def __init__(
         self,
         collector: CentralCollector,
         config: Optional[DetectorConfig] = None,
         steering: Optional[JobSteeringService] = None,
         rca: Optional[RootCauseAnalyzer] = None,
-        cooldown: float = 300.0,
-        c4p=None,
         degraded_coverage_threshold: float = 0.6,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
@@ -86,8 +76,6 @@ class C4DMaster:
         self.config = config or DetectorConfig()
         self.steering = steering
         self.rca = rca
-        self.c4p = c4p
-        self.cooldown = cooldown
         #: Below this telemetry coverage fraction the master is in
         #: degraded mode: verdicts are recorded with scaled-down
         #: confidence but not acted on (a blackout must cost detection
@@ -209,7 +197,7 @@ class C4DMaster:
                     self._m_suppressed["debounce"].inc()
                     continue
                 last = self._last_reported.get(key)
-                if last is not None and now - last < self.cooldown:
+                if last is not None and now - last < self.COOLDOWN:
                     self._m_suppressed["cooldown"].inc()
                     continue
                 self._last_reported[key] = now
@@ -250,8 +238,6 @@ class C4DMaster:
                 )
             if self.rca is not None:
                 self.rca.submit(anomaly)
-            if self.c4p is not None:
-                self._forward_connection_suspects(anomaly, now)
             if self.steering is not None and anomaly.anomaly_type in (
                 AnomalyType.COMM_HANG,
                 AnomalyType.NONCOMM_HANG,
@@ -271,21 +257,6 @@ class C4DMaster:
                     targets = set(action.isolated_nodes) | set(anomaly.suspect_nodes)
                     self.tracer.action(now, tuple(targets), ready_at=action.ready_at)
         return fresh
-
-    def _forward_connection_suspects(self, anomaly: Anomaly, now: float) -> None:
-        """C4D → C4P: hand single-cell (connection) findings to traffic engineering."""
-        if anomaly.anomaly_type is not AnomalyType.COMM_SLOW:
-            return
-        for suspect in anomaly.suspects:
-            if suspect.kind is not SuspectKind.CONNECTION:
-                continue
-            if suspect.node is None or suspect.peer_node is None:
-                continue
-            self.c4p.notify_connection_anomaly(
-                (suspect.node, suspect.device or 0),
-                (suspect.peer_node, suspect.peer_device or 0),
-                now,
-            )
 
     @staticmethod
     def _aggregate_by_node(fresh: list[Anomaly], now: float) -> list[Anomaly]:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology, PathChoice
-from repro.codec import decode, decode_pairs, encode, encode_pairs
+from repro.codec import decode, encode
 from repro.collective.selectors import ROCE_DST_PORT, PathRequest, QpAllocation
 from repro.core.c4p.health import LinkHealthConfig, LinkHealthState, LinkHealthTracker
 from repro.core.c4p.probing import PathProber
@@ -103,9 +103,6 @@ class C4PMaster:
         catalogs ports rather than solving for them on demand.
     health_config:
         Flap-damping tunables for the link health state machine.
-    link_strike_threshold:
-        Distinct connection anomalies (C4D single-cell findings) that
-        must implicate a link before the master quarantines it.
     refresh_on_init:
         Probe the fabric and rebuild the dead-link catalog during
         construction (the normal start-up).  Control-plane recovery
@@ -120,7 +117,6 @@ class C4PMaster:
         enforce_plane: bool = True,
         search_ports: bool | None = None,
         health_config: Optional[LinkHealthConfig] = None,
-        link_strike_threshold: int = 2,
         refresh_on_init: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -138,15 +134,10 @@ class C4PMaster:
             # good probability; keep an 8x margin.
             search_ports = up_fanout * down_fanout <= 2048
         self.search_ports = search_ports
-        if link_strike_threshold < 1:
-            raise ValueError("link_strike_threshold must be >= 1")
-        self.link_strike_threshold = link_strike_threshold
         #: QP number -> live allocation record.
         self._allocated: dict[int, AllocationRecord] = {}
         #: Reverse index: fabric link id -> QP numbers routed over it.
         self._link_qps: dict[tuple, set[int]] = {}
-        #: Link id -> connection keys whose anomalies implicated it.
-        self._link_strikes: dict[tuple, set[tuple]] = {}
         #: Called with (request, alloc) after each drain migration, so
         #: transports can reroute in-flight traffic onto the new path.
         self.migration_listener: Optional[
@@ -186,10 +177,6 @@ class C4PMaster:
         )
         self._m_probes = obs_registry.counter(
             "c4p_maintenance_probes_total", "Links re-probed by maintenance passes"
-        )
-        self._m_strikes = obs_registry.counter(
-            "c4p_connection_strikes_total",
-            "C4D connection anomalies folded into link strike counts",
         )
         if refresh_on_init:
             self.refresh_catalog()
@@ -315,7 +302,6 @@ class C4PMaster:
             state = self.health.record_probe(link, now, healthy)
             if state is LinkHealthState.HEALTHY:
                 self.registry.mark_alive(link)
-                self._link_strikes.pop(link, None)
                 recovered.append(link)
         self._m_maintenance.inc()
         self._m_probes.inc(len(active) + len(dead))
@@ -327,53 +313,6 @@ class C4PMaster:
             stranded_qps=sum(len(d.stranded) for d in drains),
             drains=tuple(drains),
         )
-
-    # ------------------------------------------------------------------
-    # C4D -> C4P: delay-matrix link localization
-    # ------------------------------------------------------------------
-    def notify_connection_anomaly(
-        self,
-        src_worker: tuple[int, int],
-        dst_worker: tuple[int, int],
-        now: Optional[float] = None,
-    ) -> tuple[tuple, ...]:
-        """Fold a C4D single-cell (connection) anomaly into link health.
-
-        A single hot cell in the delay matrix accuses one connection;
-        its QPs cross a handful of fabric links.  One accusation cannot
-        disambiguate which of them is sick, so the master counts
-        *strikes*: each distinct accused connection adds one strike to
-        every fabric link it occupies, and a link implicated by
-        ``link_strike_threshold`` distinct connections is quarantined
-        and drained — so other tenants stop placing traffic on it.  If
-        the accusation was wrong, the periodic re-probe walks the link
-        back in through hold-down + probation.
-
-        Returns the links quarantined by this notification.
-        """
-        if now is None:
-            now = self.topology.network.now
-        src = tuple(src_worker)
-        dst = tuple(dst_worker)
-        conn_key = (src, dst)
-        links: set[tuple] = set()
-        for record in self._allocated.values():
-            req = record.request
-            if (req.src_node, req.src_nic) != src or (req.dst_node, req.dst_nic) != dst:
-                continue
-            links.update(self.registry.links_of(record.rail, record.alloc.choice))
-        self._m_strikes.inc()
-        quarantined: list[tuple] = []
-        for link in sorted(links):
-            if link in self.registry.dead_links:
-                continue
-            strikes = self._link_strikes.setdefault(link, set())
-            strikes.add(conn_key)
-            if len(strikes) >= self.link_strike_threshold:
-                self.notify_link_failure(link, now)
-                self._link_strikes.pop(link, None)
-                quarantined.append(link)
-        return tuple(quarantined)
 
     # ------------------------------------------------------------------
     # Allocation API (called by per-job selectors)
@@ -496,7 +435,6 @@ class C4PMaster:
             "registry": self.registry.snapshot_state(),
             "health": self.health.snapshot_state(),
             "allocated": [encode(record) for _qp, record in sorted(self._allocated.items())],
-            "link_strikes": encode_pairs(self._link_strikes),
             "synthetic_port": self._synthetic_port,
         }
 
@@ -513,9 +451,6 @@ class C4PMaster:
         for record in decode(list[AllocationRecord], state["allocated"]):
             self._allocated[record.alloc.qp_num] = record
             self._index(record)
-        self._link_strikes = decode_pairs(
-            tuple, set[tuple[tuple, tuple]], state["link_strikes"]
-        )
         self._synthetic_port = state["synthetic_port"]
 
     def qps_on_link(self, link_id: tuple) -> tuple[int, ...]:

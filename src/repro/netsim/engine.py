@@ -28,7 +28,7 @@ class _Entry:
 class TimerHandle:
     """Handle returned by :meth:`EventQueue.schedule`; supports cancellation."""
 
-    def __init__(self, entry: _Entry, queue: "EventQueue | None" = None) -> None:
+    def __init__(self, entry: _Entry, queue: "EventQueue") -> None:
         self._entry = entry
         self._queue = queue
 
@@ -44,12 +44,8 @@ class TimerHandle:
 
     def cancel(self) -> None:
         """Prevent the timer from firing.  Idempotent."""
-        if self._entry.cancelled:
-            return
-        if self._queue is not None:
+        if not self._entry.cancelled:
             self._queue._note_cancel(self._entry)
-        else:
-            self._entry.cancelled = True
 
 
 class EventQueue:

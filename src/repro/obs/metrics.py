@@ -40,7 +40,7 @@ DEFAULT_BUCKETS = (
 )
 
 #: Samples retained per histogram series for quantile estimation.
-DEFAULT_RESERVOIR = 2048
+RESERVOIR = 2048
 
 
 class Counter:
@@ -98,11 +98,7 @@ class Histogram:
 
     __slots__ = ("count", "sum", "min", "max", "_bounds", "_bucket_counts", "_samples")
 
-    def __init__(
-        self,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        reservoir: int = DEFAULT_RESERVOIR,
-    ) -> None:
+    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         bounds = sorted(float(b) for b in buckets)
         if not bounds or bounds[-1] != float("inf"):
             bounds.append(float("inf"))
@@ -112,7 +108,7 @@ class Histogram:
         self.max = -math.inf
         self._bounds = bounds
         self._bucket_counts = [0] * len(bounds)
-        self._samples: deque[float] = deque(maxlen=reservoir)
+        self._samples: deque[float] = deque(maxlen=RESERVOIR)
 
     def observe(self, value: float) -> None:
         """Record one sample."""

@@ -46,7 +46,6 @@ def build_cluster(
     use_c4p: bool = False,
     ecmp_seed: int = 0,
     congestion: bool = False,
-    congestion_seed: int = 0,
     disable_spines_per_rail: int = 0,
 ) -> Scenario:
     """Fresh network + topology (+ C4P master when requested).
@@ -61,9 +60,7 @@ def build_cluster(
     if congestion:
         # DCQCN manages the Ethernet fabric only; the virtual NVLink
         # stages are lossless and never ECN-marked.
-        model = CongestionModel(
-            seed=congestion_seed, link_filter=lambda link_id: link_id[0] != "nvl"
-        )
+        model = CongestionModel(link_filter=lambda link_id: link_id[0] != "nvl")
     network = FlowNetwork(congestion=model)
     topology = ClusterTopology(spec, network, ecmp_seed=ecmp_seed)
     if disable_spines_per_rail:

@@ -1,8 +1,13 @@
 """End-to-end tests for the control-plane chaos scenarios."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.export import scenario_scorecard_to_dict
 from repro.chaos import (
+    ChaosCampaign,
+    ControlPlanePlan,
     agent_massacre_scenario,
     collector_partition_scenario,
     failover_scenario,
@@ -106,3 +111,29 @@ def test_scenario_without_plan_is_rejected():
         run_controlplane_scenario(
             replace(scenario, controlplane=None), metrics=MetricsRegistry()
         )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "factory",
+    [master_kill_scenario, failover_scenario, collector_partition_scenario,
+     agent_massacre_scenario],
+)
+def test_calm_journaled_loop_equals_bare_pipeline_loop(factory, seed):
+    # With no control-plane fault scheduled, the journaled loop (leases,
+    # heartbeats, snapshots, the journaled master) must judge exactly
+    # like the bare PIPELINE loop on a perfect channel — the recall
+    # baseline may then come from either.
+    scenario = factory(seed)
+    calm = scenario_scorecard_to_dict(
+        run(replace(scenario, controlplane=ControlPlanePlan()))
+    )
+    bare_scenario = replace(scenario, kind=ScenarioKind.PIPELINE, controlplane=None)
+    bare = scenario_scorecard_to_dict(
+        ChaosCampaign([bare_scenario]).run_scenario(bare_scenario)
+    )
+    for card in (calm, bare):
+        for key in ("kind", "controlplane", "completed"):
+            del card[key]
+    assert calm["true_actions"] >= 1 and calm["steps_completed"] > 0
+    assert calm == bare

@@ -105,12 +105,12 @@ def test_op_records_one_per_rank():
 
 
 def test_message_records_per_qp():
-    net, _topo, ctx, sink = make_ctx(messages_per_op=4)
+    net, _topo, ctx, sink = make_ctx()
     comm = ctx.communicator(contiguous_ranks(range(2), 8))
     ctx.run_op(comm, OpType.ALLREDUCE, 1 * GIB)
     net.run()
-    # 2 node-edges x 8 channels x 2 QPs x 4 messages.
-    assert len(sink.messages) == 2 * 8 * 2 * 4
+    # 2 node-edges x 8 channels x 2 QPs x MESSAGES_PER_OP messages.
+    assert len(sink.messages) == 2 * 8 * 2 * CollectiveContext.MESSAGES_PER_OP
     for record in sink.messages:
         assert record.duration > 0
         assert record.size_bits > 0

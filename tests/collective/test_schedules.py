@@ -182,31 +182,3 @@ def test_send_recv_is_one_directional():
     assert scenario.network.link(("hup", 1, 0, 0)).bits_carried == 0
     assert scenario.network.link(("hup", 1, 0, 1)).bits_carried == 0
     assert handle.done
-
-
-def test_phase_latency_penalizes_multiphase_algorithms():
-    # With a per-phase alpha, halving-doubling (2 log2 N phases) pays
-    # more start-up latency than the single-phase pipelined ring.
-    durations = {}
-    for algorithm in (Algorithm.RING, Algorithm.HALVING_DOUBLING):
-        scenario = build_cluster(use_c4p=True, ecmp_seed=3)
-        context = CollectiveContext(
-            scenario.topology,
-            selector=scenario.selector(),
-            phase_latency_seconds=0.001,
-        )
-        comm = context.communicator(contiguous_ranks(range(8), 8))
-        handle = context.run_op(comm, OpType.ALLREDUCE, 1 * GIB, algorithm=algorithm)
-        scenario.network.run()
-        durations[algorithm] = handle.duration
-    # Ring: 1 alpha; HD: 6 alphas (2 * log2(8)).
-    extra = durations[Algorithm.HALVING_DOUBLING] - durations[Algorithm.RING]
-    assert 0.004 < extra < 0.007
-
-
-def test_phase_latency_validation():
-    import pytest as _pytest
-
-    scenario = build_cluster()
-    with _pytest.raises(ValueError):
-        CollectiveContext(scenario.topology, phase_latency_seconds=-1.0)

@@ -66,11 +66,6 @@ def test_ports_in_ephemeral_range(topo):
         assert 49152 <= alloc.src_port < 65536
 
 
-def test_invalid_qps_rejected(topo):
-    with pytest.raises(ValueError):
-        EcmpPathSelector(topo, qps_per_connection=0)
-
-
 def test_five_tuple_uses_nic_ips(topo):
     selector = EcmpPathSelector(topo)
     alloc = selector.allocate(request(src=2, dst=7, nic=3))[0]

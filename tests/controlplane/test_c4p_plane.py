@@ -21,14 +21,15 @@ def request(comm="comm0", src=0, dst=4, num_qps=4):
 
 
 def exercised_master(metrics):
-    """A master with allocations, a release, a failure, and maintenance."""
+    """A master with allocations, a release, two failures, and maintenance."""
     master = ResilientC4PMaster(topo(), metrics=metrics)
     allocs = master.allocate(request())
     extra = master.allocate(request(src=1, dst=5, num_qps=2))
     master.release(request(src=1, dst=5, num_qps=2), extra[:1])
     master.notify_link_failure(allocs[0].path[0], now=10.0)
     master.snapshot()
-    master.notify_connection_anomaly((0, 0), (4, 0), now=20.0)
+    # A fabric uplink under a live QP: the replayed suffix drains it.
+    master.notify_link_failure(allocs[1].path[2], now=20.0)
     master.maintenance(now=30.0)
     return master
 
@@ -57,7 +58,7 @@ def test_stale_master_is_fenced():
     master = exercised_master(metrics)
     successor = recovery_instance(master, metrics)
     successor.recover(now=40.0)
-    # A zombie C4P master may neither allocate nor strike links.
+    # A zombie C4P master may neither allocate nor fail links.
     with pytest.raises(FencedOut):
         master.allocate(request(comm="comm1", src=2, dst=6))
     with pytest.raises(FencedOut):
@@ -82,11 +83,15 @@ def test_recovered_master_allocates_fresh_qp_numbers():
 def test_compound_operations_journal_one_entry_per_cause():
     metrics = MetricsRegistry()
     master = ResilientC4PMaster(topo(), metrics=metrics)
-    master.allocate(request())
+    allocs = master.allocate(request())
     before = [e.kind for e in master.store.entries]
-    master.notify_connection_anomaly((0, 0), (4, 0), now=5.0)
-    master.maintenance(now=6.0)
+    # A silent failure: only the maintenance pass's re-probe finds it.
+    dead = allocs[0].path[2]
+    master.topology.network.fail_link(dead)
+    report = master.maintenance(now=6.0)
+    assert dead in report.newly_dead
+    assert report.migrated_qps > 0
     after = [e.kind for e in master.store.entries]
-    # Nested quarantines/drains inside the compound ops journal nothing
-    # of their own — replay re-derives them from the single cause entry.
-    assert after == before + ["connection_anomaly", "maintenance"]
+    # The nested quarantine and drain journal nothing of their own —
+    # replay re-derives them from the single maintenance entry.
+    assert after == before + ["maintenance"]

@@ -165,7 +165,6 @@ OPS = st.one_of(
     ),
     st.tuples(st.just("release"), st.integers(0, 1_000)),
     st.tuples(st.just("link_failure"), st.integers(0, 1_000), st.booleans()),
-    st.tuples(st.just("anomaly"), st.integers(0, 1_000)),
     st.tuples(st.just("maintenance"), st.integers(0, 1_000)),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("compact")),
@@ -193,13 +192,6 @@ def apply_c4p_op(master, op, now, live) -> str:
         if not links:
             return "noop"
         master.notify_link_failure(links[op[1] % len(links)], now=now, drain=op[2])
-    elif kind == "anomaly":
-        if not live:
-            return "noop"
-        request, _allocs = live[op[1] % len(live)]
-        master.notify_connection_anomaly(
-            (request.src_node, request.src_nic), (request.dst_node, request.dst_nic), now=now
-        )
     elif kind == "maintenance":
         # Probe outcomes come from the live fabric: fail one fabric link
         # physically now and then so maintenance sees a silent failure.
@@ -220,7 +212,7 @@ def test_c4p_master_recovers_at_every_journal_position(ops):
     master = c4p_master()
     crash = CrashPoints(master.store, master.state_digest)
     live = []
-    # Two connections up front, so releases, strikes and drains have
+    # Two connections up front, so releases, failures and drains have
     # something to act on from the first generated op.
     for op in (("allocate", 0, 1, 0, 4), ("allocate", 1, 1, 0, 2)):
         crash.after(apply_c4p_op(master, op, now=0.0, live=live))

@@ -151,7 +151,7 @@ def test_master_detects_and_steers(topo):
 
 def test_master_cooldown_suppresses_repeats(topo):
     collector = _hang_collector()
-    master = C4DMaster(collector, DetectorConfig(hang_timeout=30.0), cooldown=300.0)
+    master = C4DMaster(collector, DetectorConfig(hang_timeout=30.0))
     assert len(master.evaluate(now=60.0)) == 1
     assert master.evaluate(now=70.0) == []
     assert len(master.evaluate(now=400.0)) == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.specs import TESTBED_16_NODES, ClusterSpec
+from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology
 from repro.collective.selectors import PathRequest
 from repro.core.c4p.health import LinkHealthState
@@ -237,22 +237,3 @@ def test_maintenance_readmits_link_after_probation():
     assert link in report.recovered
     assert link not in master.registry.dead_links
     assert master.health.state_of(link) is LinkHealthState.HEALTHY
-
-
-def test_connection_anomaly_strikes_quarantine_shared_link():
-    # One spine, one port: every QP of a plane shares the same two
-    # fabric links, so two distinct accused connections implicate them.
-    spec = ClusterSpec(num_nodes=4, spines_per_rail=1, uplink_ports_per_spine=1)
-    topo = ClusterTopology(spec, FlowNetwork(), ecmp_seed=1)
-    master = C4PMaster(topo, search_ports=False, link_strike_threshold=2)
-    master.allocate(request(src=0, dst=1, qps=1, comm="a"))
-    master.allocate(request(src=2, dst=3, qps=1, comm="b"))
-    shared = topo.leaf_up(0, 0, 0, 0)
-    # First accusation (twice, from the same connection): below threshold.
-    assert master.notify_connection_anomaly((0, 0), (1, 0), now=1.0) == ()
-    assert master.notify_connection_anomaly((0, 0), (1, 0), now=2.0) == ()
-    assert shared not in master.registry.dead_links
-    # A second distinct connection implicating the same link: quarantine.
-    quarantined = master.notify_connection_anomaly((2, 0), (3, 0), now=3.0)
-    assert shared in quarantined
-    assert shared in master.registry.dead_links

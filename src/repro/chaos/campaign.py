@@ -5,15 +5,18 @@
 run against its injected ground truth.  Nothing in the execution path is
 mocked:
 
-* **PIPELINE** scenarios build a real cluster topology, a real central
-  collector fed through the (optionally lossy)
-  :class:`~repro.telemetry.unreliable.UnreliableChannel`, the real
-  debounced :class:`~repro.core.c4d.master.C4DMaster`, and the real
-  hardened :class:`~repro.core.c4d.steering.JobSteeringService`.  A
-  :class:`~repro.chaos.workload.SyntheticFeed` plays the monitored job;
-  the campaign closes the loop by tearing the incarnation down when
-  steering acts and relaunching on the survivors plus replacements at
-  ``ready_at``.
+* **PIPELINE** and **CONTROLPLANE** scenarios run the one feed loop,
+  :func:`~repro.chaos.controlplane.run_feed_loop`: a
+  :class:`~repro.chaos.workload.SyntheticFeed` plays the monitored job
+  on a real cluster topology, its records reach the real debounced
+  :class:`~repro.core.c4d.master.C4DMaster` and hardened
+  :class:`~repro.core.c4d.steering.JobSteeringService`, and each
+  executed steering action tears the incarnation down and relaunches it
+  on the survivors plus replacements at ``ready_at``.  PIPELINE feeds a
+  bare collector over the (optionally lossy)
+  :class:`~repro.telemetry.unreliable.UnreliableChannel`; CONTROLPLANE
+  is the same loop with a journaled master that is killed, failed over,
+  partitioned or blinded.
 * **RECOVERY** scenarios run the full
   :class:`~repro.training.recovery.RecoveryOrchestrator` on the 16-node
   testbed, with checkpoint corruption injected right before the crash so
@@ -21,9 +24,6 @@ mocked:
 * **FABRIC** scenarios run in :mod:`repro.chaos.fabric`: a real
   :class:`~repro.core.c4p.master.C4PMaster` drains and migrates live QPs
   while links die, flap and come back.
-* **CONTROLPLANE** scenarios run in :mod:`repro.chaos.controlplane`: the
-  PIPELINE feed through a journaled master that is killed, failed over,
-  partitioned or blinded.
 
 Every stochastic choice derives from scenario seeds, so a campaign's
 scorecard is reproducible bit for bit.
@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 from typing import Optional, Sequence
 
+from repro.chaos.controlplane import run_controlplane_scenario, run_feed_loop
 from repro.chaos.scenario import (
     CHAOS_STEERING,
     EVALUATION_INTERVAL,
@@ -46,20 +47,10 @@ from repro.chaos.scorecard import (
     DEFAULT_GRACE,
     CampaignScorecard,
     ScenarioScorecard,
-    score_pipeline_scenario,
     score_recovery_scenario,
 )
-from repro.chaos.workload import STEP_SECONDS, SyntheticFeed
-from repro.cluster.specs import ClusterSpec
-from repro.cluster.topology import ClusterTopology
-from repro.core.c4d.master import C4DMaster
-from repro.core.c4d.steering import JobSteeringService
-from repro.netsim.network import FlowNetwork
 from repro.obs.report import ObservabilityPlane
 from repro.obs.trace import FaultTracer
-from repro.telemetry.agent import AgentPlane
-from repro.telemetry.collector import CentralCollector
-from repro.telemetry.unreliable import UnreliableChannel
 from repro.training.job import JobSpec
 from repro.training.memory_checkpoint import InMemoryCheckpointer
 from repro.training.models import GPT_22B
@@ -147,88 +138,13 @@ class ChaosCampaign:
                 scenario, metrics=self.obs.registry, tracer=tracer
             )
         elif scenario.kind is ScenarioKind.CONTROLPLANE:
-            from repro.chaos.controlplane import run_controlplane_scenario
-
             card = run_controlplane_scenario(
                 scenario, metrics=self.obs.registry, tracer=tracer, grace=self.grace
             )
         else:
-            card = self._run_pipeline(scenario, tracer)
+            card, _ = run_feed_loop(scenario, self.obs.registry, tracer, self.grace)
         self.obs.tracer.absorb(tracer)
         return card
-
-    # ------------------------------------------------------------------
-    # PIPELINE: synthetic feed -> lossy channel -> master -> steering
-    # ------------------------------------------------------------------
-    def _run_pipeline(
-        self, scenario: ChaosScenario, tracer: FaultTracer
-    ) -> ScenarioScorecard:
-        registry = self.obs.registry
-        network = FlowNetwork(metrics=registry)
-        spec = ClusterSpec(num_nodes=scenario.job_nodes + scenario.backup_nodes)
-        topology = ClusterTopology(spec, network, ecmp_seed=scenario.seed)
-        collector = CentralCollector(metrics=registry)
-        channel = (
-            UnreliableChannel(network, scenario.channel, seed=scenario.seed)
-            if scenario.channel is not None
-            else None
-        )
-        plane = AgentPlane(
-            collector, clock=lambda: network.now, channel=channel, metrics=registry
-        )
-        backups = list(range(scenario.job_nodes, spec.num_nodes))
-        steering = JobSteeringService(
-            topology,
-            backup_nodes=backups,
-            config=CHAOS_STEERING,
-            faults=scenario.steering_faults,
-            metrics=registry,
-        )
-        master = C4DMaster(
-            collector, HARDENED_DETECTORS, steering=steering, metrics=registry,
-            tracer=tracer,
-        )
-        feed = SyntheticFeed(
-            network,
-            plane,
-            nodes=range(scenario.job_nodes),
-            faults=scenario.faults,
-            seed=scenario.seed,
-        )
-        feed.symptom_observer = tracer.observe_symptom
-
-        # Closing the loop: when steering acts, the feed tears the
-        # current incarnation down and relaunches on the survivors plus
-        # replacements once the action completes.
-        seen = 0
-
-        def tick() -> None:
-            nonlocal seen
-            master.evaluate(network.now)
-            for action in steering.actions[seen:]:
-                feed.apply_action(action, collector.drop_communicator)
-            seen = len(steering.actions)
-            if network.now + EVALUATION_INTERVAL <= scenario.duration:
-                network.schedule(EVALUATION_INTERVAL, tick)
-
-        feed.start()
-        # The evaluation grid is phase-shifted off the feed's step grid
-        # (both are round numbers, so exact-interval ticks would share
-        # instants with step emission): whether an evaluation — and the
-        # steering halt it can trigger — lands before or after a
-        # same-instant step must not depend on timer tie-breaking.  The
-        # master evaluates a fraction of a step after each interval, as a
-        # control plane asynchronous to the data path would.
-        network.schedule(EVALUATION_INTERVAL + 0.1 * STEP_SECONDS, tick)
-        network.run(until=scenario.duration)
-        return score_pipeline_scenario(
-            scenario,
-            steering.actions,
-            channel_stats=channel.stats() if channel is not None else None,
-            steps_completed=feed.steps_completed,
-            relaunches=feed.relaunches,
-            grace=self.grace,
-        )
 
     # ------------------------------------------------------------------
     # RECOVERY: crash -> detect -> isolate -> checkpoint fallback chain

@@ -1,16 +1,26 @@
-"""CONTROLPLANE chaos runner: faults aimed at the master itself.
+"""The chaos feed loop, and the CONTROLPLANE runner built on it.
 
-The other scenario kinds assume an immortal control plane and attack
-the cluster; this runner attacks the control plane.  It drives the same
-synthetic feed and agent plane as the PIPELINE kind, but the collector /
-master / steering stack lives inside a journaled
-:class:`~repro.controlplane.c4d_plane.C4DControlPlane`, and the scenario
-plan schedules master kills, warm-standby promotions, collector
-partitions and agent massacres against it.
+:func:`run_feed_loop` is the closed loop both the PIPELINE and the
+CONTROLPLANE kinds run: a :class:`~repro.chaos.workload.SyntheticFeed`
+plays the monitored job, the agent plane ships its records to the C4D
+master side, a phase-shifted tick evaluates, and every executed
+steering action tears the incarnation down and relaunches it.  The
+scenario's ``controlplane`` plan picks the master side:
 
-Judgment is two-layered.  The pipeline layer is unchanged — actions
-versus injected ground truth.  The resilience layer checks the
-invariants the journal/fencing/lease machinery exists for:
+* no plan (PIPELINE): a bare collector, the debounced
+  :class:`~repro.core.c4d.master.C4DMaster` and the hardened
+  :class:`~repro.core.c4d.steering.JobSteeringService`, fed over the
+  scenario's (optionally lossy) channel;
+* a plan (CONTROLPLANE): the same stack inside a journaled
+  :class:`~repro.controlplane.c4d_plane.C4DControlPlane` under agent
+  leases, with heartbeat and snapshot timers, and the plan's master
+  kills, warm-standby promotions, collector partitions and agent
+  massacres scheduled against it.
+
+A control-plane run is judged in two layers.  The pipeline layer is the
+PIPELINE judgment — actions versus injected ground truth.  The
+resilience layer checks the invariants the journal/fencing/lease
+machinery exists for:
 
 * recovery replays the journal to a digest **bit-identical** to the one
   captured at the instant of the kill;
@@ -19,7 +29,9 @@ invariants the journal/fencing/lease machinery exists for:
 * a fenced-out master executes nothing after its successor takes over;
 * telemetry blackouts produce **zero** false isolations — lease-derived
   coverage pushes the master into degraded mode instead;
-* post-recovery recall matches the fault-free baseline run.
+* recall matches the recall baseline: the same scenario on the bare
+  loop, which with no fault scheduled judges exactly like the journaled
+  one (``tests/chaos/test_controlplane.py``).
 
 Every chaos timestamp sits off the feed/evaluation grids, so the
 schedule-perturbation racecheck can replay these scenarios without
@@ -36,7 +48,7 @@ from repro.chaos.scenario import (
     EVALUATION_INTERVAL,
     HARDENED_DETECTORS,
     ChaosScenario,
-    ControlPlanePlan,
+    ScenarioKind,
 )
 from repro.chaos.scorecard import (
     DEFAULT_GRACE,
@@ -51,11 +63,14 @@ from repro.chaos.workload import STEP_SECONDS, SyntheticFeed
 from repro.cluster.specs import ClusterSpec
 from repro.cluster.topology import ClusterTopology
 from repro.controlplane import C4DControlPlane, JournalStore, LeaseTable
-from repro.core.c4d.steering import SteeringAction, fault_key
+from repro.core.c4d.master import C4DMaster
+from repro.core.c4d.steering import JobSteeringService, SteeringAction, fault_key
 from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import FaultTracer
 from repro.telemetry.agent import AgentPlane
+from repro.telemetry.collector import CentralCollector
+from repro.telemetry.unreliable import UnreliableChannel
 
 #: Periodic-snapshot cadence of the journaled master.
 SNAPSHOT_INTERVAL = 60.0
@@ -63,89 +78,111 @@ SNAPSHOT_INTERVAL = 60.0
 HEARTBEAT_INTERVAL = 10.0
 #: Agent lease TTL.
 LEASE_SECONDS = 30.0
-#: Lease coverage below which the master only records verdicts.
-DEGRADED_COVERAGE_THRESHOLD = 0.6
-#: Steering's dedup window; a repeat inside it is a duplicate action.
-DEDUP_WINDOW = 900.0
 
 
-def _run(
+def run_feed_loop(
     scenario: ChaosScenario,
     registry: MetricsRegistry,
     tracer: Optional[FaultTracer],
     grace: float,
-) -> tuple[list[SteeringAction], SyntheticFeed, ControlPlaneMetrics]:
-    """One full simulation: the final plane's actions, the feed, the metrics."""
+) -> tuple[ScenarioScorecard, Optional[ControlPlaneMetrics]]:
+    """Run the scenario's closed loop once and judge its steering actions.
+
+    Returns the pipeline scorecard and, when the scenario has a
+    control-plane plan, its resilience metrics with ``baseline_recall``
+    left at zero for the caller to fill in.
+    """
     plan = scenario.controlplane
     network = FlowNetwork(metrics=registry)
     spec = ClusterSpec(num_nodes=scenario.job_nodes + scenario.backup_nodes)
     topology = ClusterTopology(spec, network, ecmp_seed=scenario.seed)
     backups = list(range(scenario.job_nodes, spec.num_nodes))
-    store = JournalStore(metrics=registry)
-    leases = LeaseTable(lease_seconds=LEASE_SECONDS, metrics=registry)
+    channel = (
+        UnreliableChannel(network, scenario.channel, seed=scenario.seed)
+        if scenario.channel is not None
+        else None
+    )
 
-    # Mutable run context: the current master incarnation plus the
-    # resilience counters the scorecard reports.
-    ctx = {
-        "down": False,
-        "kills": 0,
-        "digest_at_kill": None,
-        "replay_digest_match": True,
-        "replay_digest": "",
-        "entries_replayed": 0,
-        "recovery_seconds": None,
-        "duplicates": 0,
-        "blackout_false_isolations": 0,
-        "coverage_min": 1.0,
-        "seen_keys": {},
-    }
+    # What the control-plane timers and the action audit record.
+    down = False
+    coverage_min = 1.0
+    duplicates = 0
+    blackout_false_isolations = 0
+    last_executed: dict = {}
+    digest_at_kill: Optional[str] = None
+    recovered: Optional[dict] = None
+    demoted: Optional[tuple[C4DControlPlane, int]] = None
 
-    def on_action(action, coverage) -> None:
-        """Physical execution hook: relaunch the job, audit the action."""
-        key = fault_key(action.anomaly)
-        executed_at = ctx["seen_keys"].get(key)
-        if executed_at is not None and network.now - executed_at < DEDUP_WINDOW:
-            ctx["duplicates"] += 1
-        ctx["seen_keys"][key] = network.now
-        if coverage < DEGRADED_COVERAGE_THRESHOLD and not _matching_episodes(
-            _steering_action(action), scenario.episodes, grace
-        ):
-            ctx["blackout_false_isolations"] += len(action.isolated_nodes)
-        feed.apply_action(
-            action, lambda comm_id: ctx["plane"].drop_communicator(comm_id)
-        )
+    def on_action(action: SteeringAction, coverage: float) -> None:
+        """Physical execution hook: audit the action, relaunch the job.
 
-    def build_plane(active: bool, standby: bool = False) -> C4DControlPlane:
-        return C4DControlPlane(
+        Closing the loop: the feed tears the current incarnation down
+        and relaunches on the survivors plus replacements once the
+        action completes.
+        """
+        nonlocal duplicates, blackout_false_isolations
+        if plan is not None:
+            key = fault_key(action.anomaly)
+            last = last_executed.get(key)
+            if last is not None and network.now - last < sink.steering.dedup_window:
+                duplicates += 1
+            last_executed[key] = network.now
+            if coverage < C4DMaster.DEGRADED_COVERAGE_THRESHOLD and not _matching_episodes(
+                _steering_action(action), scenario.episodes, grace
+            ):
+                blackout_false_isolations += len(action.isolated_nodes)
+        feed.apply_action(action, sink.drop_communicator)
+
+    # The master side the agents feed.  With a plan, ``sink`` is the live
+    # plane and moves to its successor on recovery.
+    if plan is None:
+        leases = None
+        sink = CentralCollector(metrics=registry)
+        steering = JobSteeringService(
             topology,
             backup_nodes=backups,
-            store=store,
-            leases=leases,
-            detector_config=HARDENED_DETECTORS,
-            steering_config=CHAOS_STEERING,
-            steering_faults=scenario.steering_faults,
-            dedup_window=DEDUP_WINDOW,
-            degraded_coverage_threshold=DEGRADED_COVERAGE_THRESHOLD,
-            active=active,
-            standby=standby,
-            action_listener=on_action,
+            config=CHAOS_STEERING,
+            faults=scenario.steering_faults,
             metrics=registry,
+        )
+        master = C4DMaster(
+            sink, HARDENED_DETECTORS, steering=steering, metrics=registry,
             tracer=tracer,
         )
+    else:
+        store = JournalStore(metrics=registry)
+        leases = LeaseTable(lease_seconds=LEASE_SECONDS, metrics=registry)
 
-    ctx["plane"] = build_plane(active=True)
-    standby = build_plane(active=False, standby=True) if plan.failover else None
+        def build_plane(active: bool, standby: bool = False) -> C4DControlPlane:
+            return C4DControlPlane(
+                topology,
+                backup_nodes=backups,
+                store=store,
+                leases=leases,
+                detector_config=HARDENED_DETECTORS,
+                steering_config=CHAOS_STEERING,
+                steering_faults=scenario.steering_faults,
+                active=active,
+                standby=standby,
+                action_listener=on_action,
+                metrics=registry,
+                tracer=tracer,
+            )
 
-    agent_plane = AgentPlane(
-        ctx["plane"], clock=lambda: network.now, leases=leases, metrics=registry
+        sink = build_plane(active=True)
+        standby = build_plane(active=False, standby=True) if plan.failover else None
+
+    agents = AgentPlane(
+        sink, clock=lambda: network.now, channel=channel, leases=leases,
+        metrics=registry,
     )
-    for node in range(scenario.job_nodes):
-        agent_plane.start_agent(node)
-        leases.register(node, 0.0)
-
+    if plan is not None:
+        for node in range(scenario.job_nodes):
+            agents.start_agent(node)
+            leases.register(node, 0.0)
     feed = SyntheticFeed(
         network,
-        agent_plane,
+        agents,
         nodes=range(scenario.job_nodes),
         faults=scenario.faults,
         seed=scenario.seed,
@@ -153,124 +190,125 @@ def _run(
     if tracer is not None:
         feed.symptom_observer = tracer.observe_symptom
 
-    # ------------------------------------------------------------------
-    # Periodic timers (all offsets off the feed/evaluation grids)
-    # ------------------------------------------------------------------
     def evaluate_tick() -> None:
-        coverage = leases.coverage(network.now)
-        ctx["coverage_min"] = min(ctx["coverage_min"], coverage)
-        if not ctx["down"]:
-            ctx["plane"].evaluate(network.now)
+        nonlocal coverage_min
+        if plan is None:
+            executed = len(steering.executed_actions)
+            master.evaluate(network.now)
+            for action in steering.executed_actions[executed:]:
+                on_action(action, 1.0)
+        else:
+            coverage_min = min(coverage_min, leases.coverage(network.now))
+            if not down:
+                sink.evaluate(network.now)
         if network.now + EVALUATION_INTERVAL <= scenario.duration:
             network.schedule(EVALUATION_INTERVAL, evaluate_tick)
 
     def heartbeat_tick() -> None:
-        agent_plane.beat_all(network.now)
+        agents.beat_all(network.now)
         if network.now + HEARTBEAT_INTERVAL <= scenario.duration:
             network.schedule(HEARTBEAT_INTERVAL, heartbeat_tick)
 
     def snapshot_tick() -> None:
-        if not ctx["down"]:
-            ctx["plane"].snapshot()
+        if not down:
+            sink.snapshot()
         if network.now + SNAPSHOT_INTERVAL <= scenario.duration:
             network.schedule(SNAPSHOT_INTERVAL, snapshot_tick)
 
+    def kill() -> None:
+        nonlocal down, digest_at_kill
+        down = True
+        digest_at_kill = sink.state_digest()
+        # Agents lose their master: records buffer node-locally and
+        # heartbeats stop arriving.
+        agents.suspend()
+
+    def recover() -> None:
+        nonlocal down, sink, recovered, demoted
+        successor = standby if standby is not None else build_plane(active=False)
+        recovered = successor.recover(now=network.now)
+        demoted = (sink, len(sink.steering.executed_actions))
+        sink = successor
+        down = False
+        agents.retarget(successor)
+        agents.resume(network.now)
+
+    def stale_poke() -> None:
+        # The zombie write: a fenced-out master re-attempting an
+        # evaluation.  It must be rejected without appending.
+        if demoted is not None:
+            demoted[0].evaluate(network.now)
+            demoted[0].snapshot()
+
+    def massacre() -> None:
+        for node in plan.massacre_nodes:
+            agents.kill_agent(node)
+
+    def revive() -> None:
+        for node in plan.massacre_nodes:
+            agents.revive_agent(node, network.now)
+
+    # The evaluation grid is phase-shifted off the feed's step grid (both
+    # are round numbers, so exact-interval ticks would share instants
+    # with step emission): whether an evaluation — and the steering halt
+    # it can trigger — lands before or after a same-instant step must not
+    # depend on timer tie-breaking.  The master evaluates a fraction of a
+    # step after each interval, as a control plane asynchronous to the
+    # data path would.  The control-plane timers and faults sit off both
+    # grids too.
     network.schedule(EVALUATION_INTERVAL + 0.1 * STEP_SECONDS, evaluate_tick)
-    network.schedule(HEARTBEAT_INTERVAL + 2.7, heartbeat_tick)
-    network.schedule(SNAPSHOT_INTERVAL + 0.9, snapshot_tick)
-
-    # ------------------------------------------------------------------
-    # Scheduled control-plane faults
-    # ------------------------------------------------------------------
-    if plan.kill_at is not None and plan.recover_at is not None:
-
-        def kill() -> None:
-            ctx["down"] = True
-            ctx["kills"] += 1
-            ctx["digest_at_kill"] = ctx["plane"].state_digest()
-            # Agents lose their master: records buffer node-locally and
-            # heartbeats stop arriving.
-            agent_plane.suspend()
-
-        def recover() -> None:
-            old = ctx["plane"]
-            successor = standby if standby is not None else build_plane(active=False)
-            info = successor.recover(now=network.now)
-            ctx["replay_digest"] = info["digest"]
-            ctx["replay_digest_match"] = info["digest"] == ctx["digest_at_kill"]
-            ctx["entries_replayed"] += info["entries_replayed"]
-            ctx["recovery_seconds"] = network.now - plan.kill_at
-            ctx["plane"] = successor
-            ctx["down"] = False
-            ctx["demoted"] = (old, len(old.steering.executed_actions))
-            agent_plane.retarget(successor)
-            agent_plane.resume(network.now)
-
-        network.schedule(plan.kill_at, kill)
-        network.schedule(plan.recover_at, recover)
-
-    if plan.stale_poke_at is not None:
-
-        def stale_poke() -> None:
-            demoted = ctx.get("demoted")
-            if demoted is None:
-                return
-            old_plane, _ = demoted
-            # The zombie write: a fenced-out master re-attempting an
-            # evaluation.  It must be rejected without appending.
-            old_plane.evaluate(network.now)
-            old_plane.snapshot()
-
-        network.schedule(plan.stale_poke_at, stale_poke)
-
-    if plan.partition is not None:
-        start, end = plan.partition
-        network.schedule(start, agent_plane.suspend)
-        network.schedule(end, lambda: agent_plane.resume(network.now))
-
-    if plan.massacre_window is not None:
-        start, end = plan.massacre_window
-
-        def massacre() -> None:
-            for node in plan.massacre_nodes:
-                agent_plane.kill_agent(node)
-
-        def revive() -> None:
-            for node in plan.massacre_nodes:
-                agent_plane.revive_agent(node, network.now)
-
-        network.schedule(start, massacre)
-        network.schedule(end, revive)
+    if plan is not None:
+        network.schedule(HEARTBEAT_INTERVAL + 2.7, heartbeat_tick)
+        network.schedule(SNAPSHOT_INTERVAL + 0.9, snapshot_tick)
+        if plan.kill_at is not None and plan.recover_at is not None:
+            network.schedule(plan.kill_at, kill)
+            network.schedule(plan.recover_at, recover)
+        if plan.stale_poke_at is not None:
+            network.schedule(plan.stale_poke_at, stale_poke)
+        if plan.partition is not None:
+            network.schedule(plan.partition[0], agents.suspend)
+            network.schedule(plan.partition[1], lambda: agents.resume(network.now))
+        if plan.massacre_window is not None:
+            network.schedule(plan.massacre_window[0], massacre)
+            network.schedule(plan.massacre_window[1], revive)
 
     feed.start()
     network.run(until=scenario.duration)
 
-    final = ctx["plane"]
-    stale_executed = 0
-    demoted = ctx.get("demoted")
-    if demoted is not None:
-        old_plane, executed_at_demotion = demoted
-        stale_executed = len(old_plane.steering.executed_actions) - executed_at_demotion
-    resilience = ControlPlaneMetrics(
-        kills=ctx["kills"],
+    card = score_pipeline_scenario(
+        scenario,
+        (steering if plan is None else sink.steering).actions,
+        channel_stats=channel.stats() if channel is not None else None,
+        steps_completed=feed.steps_completed,
+        relaunches=feed.relaunches,
+        grace=grace,
+    )
+    if plan is None:
+        return card, None
+    stale_executed = (
+        len(demoted[0].steering.executed_actions) - demoted[1] if demoted else 0
+    )
+    return card, ControlPlaneMetrics(
+        kills=int(digest_at_kill is not None),
         recoveries=store.recoveries,
         failovers=store.failovers,
-        replay_digest_match=ctx["replay_digest_match"],
-        replay_digest=ctx["replay_digest"],
-        entries_replayed=ctx["entries_replayed"],
+        replay_digest_match=recovered is None or recovered["digest"] == digest_at_kill,
+        replay_digest=recovered["digest"] if recovered is not None else "",
+        entries_replayed=recovered["entries_replayed"] if recovered is not None else 0,
         journal_entries=len(store.entries),
         snapshots=len(store.snapshots),
-        recovery_seconds=ctx["recovery_seconds"],
-        duplicate_actions=ctx["duplicates"],
+        recovery_seconds=(
+            plan.recover_at - plan.kill_at if recovered is not None else None
+        ),
+        duplicate_actions=duplicates,
         fencing_rejections=store.fence_rejections,
         stale_actions_executed=stale_executed,
-        blackout_false_isolations=ctx["blackout_false_isolations"],
-        coverage_min=ctx["coverage_min"],
-        backfilled_records=agent_plane.backfilled_records,
-        # Filled in by the caller from the fault-free run.
+        blackout_false_isolations=blackout_false_isolations,
+        coverage_min=coverage_min,
+        backfilled_records=agents.backfilled_records,
+        # Filled in by the caller from the recall baseline.
         baseline_recall=0.0,
     )
-    return list(final.steering.actions), feed, resilience
 
 
 def run_controlplane_scenario(
@@ -281,30 +319,19 @@ def run_controlplane_scenario(
 ) -> ScenarioScorecard:
     """Execute one CONTROLPLANE scenario and judge it.
 
-    The scenario runs twice: once with every control-plane fault
-    disabled (a private registry/tracer — the recall baseline), then
-    for real.  Both runs share seeds, so any recall the faulted run
-    loses is attributable to the control-plane faults alone.
+    The recall baseline runs first: the same scenario as a PIPELINE run
+    on the bare loop, with a private registry and no tracer.  Both runs
+    share seeds, so any recall the faulted run loses is attributable to
+    the control-plane faults alone.
     """
     if scenario.controlplane is None:
         raise ValueError(f"scenario {scenario.name} has no controlplane plan")
-    registry = get_registry(metrics)
-
-    calm_scenario = replace(scenario, controlplane=ControlPlanePlan())
-    baseline_actions, _, _ = _run(calm_scenario, MetricsRegistry(), None, grace)
-    baseline_recall = score_pipeline_scenario(
-        calm_scenario, baseline_actions, grace=grace
-    ).recall
-
-    actions, feed, resilience = _run(scenario, registry, tracer, grace)
+    calm = replace(scenario, kind=ScenarioKind.PIPELINE, controlplane=None)
+    baseline, _ = run_feed_loop(calm, MetricsRegistry(), None, grace)
+    card, resilience = run_feed_loop(scenario, get_registry(metrics), tracer, grace)
     return score_controlplane_scenario(
-        scenario,
-        actions,
-        replace(resilience, baseline_recall=baseline_recall),
-        steps_completed=feed.steps_completed,
-        relaunches=feed.relaunches,
-        grace=grace,
+        card, replace(resilience, baseline_recall=baseline.recall)
     )
 
 
-__all__ = ["run_controlplane_scenario"]
+__all__ = ["run_controlplane_scenario", "run_feed_loop"]

@@ -416,30 +416,18 @@ def score_fabric_scenario(
 
 
 def score_controlplane_scenario(
-    scenario: ChaosScenario,
-    actions: Sequence[SteeringAction],
-    resilience: ControlPlaneMetrics,
-    steps_completed: int = 0,
-    relaunches: int = 0,
-    grace: float = DEFAULT_GRACE,
+    card: ScenarioScorecard, resilience: ControlPlaneMetrics
 ) -> ScenarioScorecard:
-    """Judge one control-plane run: pipeline quality plus resilience.
+    """Judge one control-plane run: its pipeline card plus resilience.
 
-    The episode/action judgment reuses the pipeline scorer (the logical
-    action history spans every master incarnation — replay reconstructs
-    the pre-crash actions on the recovered master).  On top of it, the
+    ``card`` is the pipeline judgment of the run (the logical action
+    history spans every master incarnation — replay reconstructs the
+    pre-crash actions on the recovered master).  On top of it, the
     scenario only passes (``completed``) when the resilience invariants
     hold: the replayed digest matched, no action was executed twice, no
     stale master executed anything, no blackout false isolation
     happened, and recall did not fall below the fault-free baseline.
     """
-    card = score_pipeline_scenario(
-        scenario,
-        actions,
-        steps_completed=steps_completed,
-        relaunches=relaunches,
-        grace=grace,
-    )
     completed = (
         resilience.replay_digest_match
         and resilience.duplicate_actions == 0

@@ -90,8 +90,6 @@ class C4DControlPlane:
         detector_config: Optional[DetectorConfig] = None,
         steering_config: Optional[SteeringConfig] = None,
         steering_faults: Optional[SteeringFaultModel] = None,
-        dedup_window: float = 900.0,
-        degraded_coverage_threshold: float = 0.6,
         active: bool = True,
         standby: bool = False,
         action_listener: Optional[Callable[[SteeringAction, float], None]] = None,
@@ -105,8 +103,6 @@ class C4DControlPlane:
         self._detector_config = detector_config
         self._steering_config = steering_config
         self._steering_faults = steering_faults
-        self._dedup_window = dedup_window
-        self._degraded_threshold = degraded_coverage_threshold
         self.action_listener = action_listener
         self._metrics = metrics
         self.tracer = tracer
@@ -128,14 +124,12 @@ class C4DControlPlane:
             backup_nodes=self.backup_nodes,
             config=self._steering_config,
             faults=self._steering_faults,
-            dedup_window=self._dedup_window,
             metrics=self._metrics,
         )
         self.master = C4DMaster(
             self.collector,
             config=self._detector_config,
             steering=self.steering,
-            degraded_coverage_threshold=self._degraded_threshold,
             metrics=self._metrics,
             tracer=self.tracer,
         )

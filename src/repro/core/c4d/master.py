@@ -61,6 +61,11 @@ class C4DMaster:
     #: Seconds during which an identical (type, comm, suspects) anomaly
     #: is not re-reported — detection is continuous, action is not.
     COOLDOWN = 300.0
+    #: Below this telemetry coverage fraction the master is in degraded
+    #: mode: verdicts are recorded with scaled-down confidence but not
+    #: acted on (a blackout must cost detection latency, not a
+    #: false-isolation storm).
+    DEGRADED_COVERAGE_THRESHOLD = 0.6
 
     def __init__(
         self,
@@ -68,7 +73,6 @@ class C4DMaster:
         config: Optional[DetectorConfig] = None,
         steering: Optional[JobSteeringService] = None,
         rca: Optional[RootCauseAnalyzer] = None,
-        degraded_coverage_threshold: float = 0.6,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
@@ -76,11 +80,6 @@ class C4DMaster:
         self.config = config or DetectorConfig()
         self.steering = steering
         self.rca = rca
-        #: Below this telemetry coverage fraction the master is in
-        #: degraded mode: verdicts are recorded with scaled-down
-        #: confidence but not acted on (a blackout must cost detection
-        #: latency, not a false-isolation storm).
-        self.degraded_coverage_threshold = degraded_coverage_threshold
         #: Fencing epoch stamped onto steering dispatches; bumped by the
         #: control plane on every recovery/failover.
         self.epoch = 0
@@ -168,7 +167,7 @@ class C4DMaster:
         ``coverage`` (fraction of registered agents with live leases)
         and ``blind_nodes`` (nodes whose leases expired) put the master
         in degraded mode: when coverage drops below
-        ``degraded_coverage_threshold``, or every suspect of a verdict
+        ``DEGRADED_COVERAGE_THRESHOLD``, or every suspect of a verdict
         is a blind node, the verdict is recorded in
         ``degraded_anomalies`` with its confidence scaled to the
         coverage but never dispatched to steering — silence from dead
@@ -209,7 +208,7 @@ class C4DMaster:
         if coverage is not None or blind_nodes:
             blind = set(blind_nodes or ())
             low_coverage = (
-                coverage is not None and coverage < self.degraded_coverage_threshold
+                coverage is not None and coverage < self.DEGRADED_COVERAGE_THRESHOLD
             )
             confident: list[Anomaly] = []
             for anomaly in fresh:

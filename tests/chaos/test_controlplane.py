@@ -113,18 +113,32 @@ def test_scenario_without_plan_is_rejected():
         )
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize(
-    "factory",
-    [master_kill_scenario, failover_scenario, collector_partition_scenario,
-     agent_massacre_scenario],
-)
-def test_calm_journaled_loop_equals_bare_pipeline_loop(factory, seed):
+def _calm_equivalence_inputs():
+    factories = [
+        master_kill_scenario,
+        failover_scenario,
+        collector_partition_scenario,
+        agent_massacre_scenario,
+    ]
+    for factory in factories:
+        for seed in (0, 1, 2):
+            yield pytest.param(factory(seed), id=f"{factory.__name__}-{seed}")
+    # The same factories at the derived seeds a campaign runs them at,
+    # for the five campaign seeds the benchmark runs.
+    for campaign_seed in (0, 1, 10, 11, 15):
+        for scenario in default_campaign(campaign_seed):
+            if scenario.kind is ScenarioKind.CONTROLPLANE:
+                yield pytest.param(
+                    scenario, id=f"campaign{campaign_seed}-{scenario.name}"
+                )
+
+
+@pytest.mark.parametrize("scenario", list(_calm_equivalence_inputs()))
+def test_calm_journaled_loop_equals_bare_pipeline_loop(scenario):
     # With no control-plane fault scheduled, the journaled loop (leases,
     # heartbeats, snapshots, the journaled master) must judge exactly
-    # like the bare PIPELINE loop on a perfect channel — the recall
-    # baseline may then come from either.
-    scenario = factory(seed)
+    # like the bare PIPELINE loop on a perfect channel — which is why the
+    # recall baseline of a control-plane run may come from the bare loop.
     calm = scenario_scorecard_to_dict(
         run(replace(scenario, controlplane=ControlPlanePlan()))
     )

@@ -6,8 +6,9 @@ out, take 4x as long.  Message records follow the rail rings of a
 multi-rail allreduce: worker ``(node, nic)`` sends to ``(node + 1, nic)``.
 The collector keeps its default record-sized windows.
 
-* ``CommSlowDetector``: the scalar-median delay-matrix build against
-  ``build_delay_matrix_reference`` (per-pair ``np.median``).
+* ``CommSlowDetector``: the delay matrix built from the collector's
+  message columns against ``build_delay_matrix_reference`` (per-pair
+  ``np.median``) over the window's records, ``collector.messages(...)``.
 * ``NonCommSlowDetector``: the collector's seq index against a collector
   whose per-operation queries scan the whole window.
 
@@ -18,8 +19,9 @@ At 4,096 ranks the 4,096-record operation window holds a single
 operation, so the non-communication-slow detector never reaches
 ``min_ops_for_slow`` and returns nothing: the straggler goes undetected.
 That is a known defect of record-sized windows (operation-count windows
-would fix it), and the ladder reports it in ``extra_info["anomalies"]``
-rather than hiding it.
+would fix it).  The ladder reports it in ``extra_info["anomalies"]``
+rather than hiding it, and a test pins that the detector counts the
+miss as a ``too_few_ops`` skip in ``c4d_detector_skipped_total``.
 """
 
 import random
@@ -45,7 +47,6 @@ NODES = (8, 128, 512)  # 64, 1,024 and 4,096 ranks
 STEPS = 8
 STEP_SECONDS = 10.0
 BASE_DURATION = 0.02
-BUILDS = {"scalar": build_delay_matrix, "reference": build_delay_matrix_reference}
 
 
 class ScanningCollector(CentralCollector):
@@ -109,16 +110,25 @@ def collectors():
 
 
 @pytest.mark.parametrize("nodes", NODES)
-@pytest.mark.parametrize("build", sorted(BUILDS))
+@pytest.mark.parametrize("build", ["columns", "reference"])
 def test_comm_slow_pass(benchmark, monkeypatch, collectors, build, nodes):
     collector, now = collectors[nodes, CentralCollector]
-    detector = CommSlowDetector(collector, DetectorConfig())
+    config = DetectorConfig()
+    detector = CommSlowDetector(collector, config)
+    since = now - config.slow_window
+    variants = {
+        "columns": build_delay_matrix,
+        # Ignores the view it is handed and builds from the same
+        # window's records (the ladder has one communicator).
+        "reference": lambda _view: build_delay_matrix_reference(collector.messages("c", since)),
+    }
     results = {}
-    for name, fn in BUILDS.items():
+    for name, fn in variants.items():
         monkeypatch.setattr(detectors, "build_delay_matrix", fn)
         results[name] = detector.evaluate(now)
-    assert results["scalar"] == results["reference"]
-    monkeypatch.setattr(detectors, "build_delay_matrix", BUILDS[build])
+    assert results["columns"] == results["reference"]
+    assert results["columns"]  # the degraded NIC is found at every size
+    monkeypatch.setattr(detectors, "build_delay_matrix", variants[build])
     benchmark.group = f"CommSlowDetector pass, {nodes * GPUS} ranks"
     benchmark.extra_info["anomalies"] = len(results[build])
     benchmark.pedantic(detector.evaluate, args=(now,), rounds=5, iterations=1)
@@ -138,3 +148,11 @@ def test_noncomm_slow_pass(benchmark, collectors, index, nodes):
     benchmark.group = f"NonCommSlowDetector pass, {nodes * GPUS} ranks"
     benchmark.extra_info["anomalies"] = len(results[index])
     benchmark.pedantic(detector.evaluate, args=(now,), rounds=5, iterations=1)
+
+
+def test_noncomm_slow_miss_at_4096_ranks_is_a_counted_skip(collectors):
+    collector, now = collectors[NODES[-1], CentralCollector]
+    registry = MetricsRegistry()
+    assert NonCommSlowDetector(collector, DetectorConfig(), registry).evaluate(now) == []
+    skipped = registry.counter("c4d_detector_skipped_total", labels=("detector", "reason"))
+    assert skipped.labels(detector="noncomm_slow", reason="too_few_ops").value == 1

@@ -14,18 +14,20 @@ is uniform; outliers localize the fault:
 Workers are identified by (node, nic) pairs — one worker per GPU in the
 reference design.
 
-:func:`build_delay_matrix` takes each pair's median with a scalar sort
-in one pass over the records: the middle sample for an odd count,
-``(v[h-1] + v[h]) / 2`` for an even one, NaN when any sample is NaN.
+:func:`build_delay_matrix` reads a message window as columns (the
+collector's :class:`~repro.telemetry.collector.MessageView`, filled at
+ingest; a plain iterable of records is packed into the same columns
+first).  It sorts the rows by pair, then rate, and takes each pair's
+median from the sorted run: the middle value for an odd count,
+``(v[h-1] + v[h]) / 2`` for an even one, NaN when any value is NaN.
 Those are the IEEE operations ``np.median`` performs, so the scores are
 bit-for-bit those of :func:`build_delay_matrix_reference`, the per-pair
 ``np.median`` formulation kept as the test oracle, and the pair keys
-keep their first-appearance order.
+keep their first-appearance order in the window.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -33,6 +35,7 @@ import numpy as np
 
 from repro.collective.monitoring import MessageRecord
 from repro.core.c4d.events import Suspect, SuspectKind
+from repro.telemetry.collector import MessageView
 
 Worker = tuple[int, int]  # (node, nic)
 
@@ -84,43 +87,41 @@ class MatrixFinding:
         return bool(self.flagged_pairs)
 
 
-def build_delay_matrix(records: Iterable[MessageRecord]) -> DelayMatrix:
+def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> DelayMatrix:
     """Aggregate transport records into a delay matrix.
 
     Messages with non-positive size or duration are skipped (defensive:
     they carry no rate information).
     """
-    samples: dict[tuple[Worker, Worker], list[float]] = {}
-    poisoned: set[tuple[Worker, Worker]] = set()
-    for record in records:
-        size = record.size_bits
-        # MessageRecord.duration, inlined: this loop runs per record.
-        duration = record.complete_time - record.post_time
-        if size <= 0 or duration <= 0:
-            continue
-        key = ((record.src_node, record.src_nic), (record.dst_node, record.dst_nic))
-        rate = duration / size
-        if rate != rate:
-            poisoned.add(key)
-        values = samples.get(key)
-        if values is None:
-            samples[key] = [rate]
-        else:
-            values.append(rate)
+    if not isinstance(messages, MessageView):
+        messages = MessageView.pack(messages)
+    valid = messages.rows["valid"]
+    pair = messages.rows["pair"][valid]
+    rate = messages.rows["rate"][valid]
     matrix = DelayMatrix()
-    scores = matrix.scores
-    for key, values in samples.items():
-        count = len(values)
-        if key in poisoned:
-            median = math.nan
-        else:
-            values.sort()
-            half = count // 2
-            if count % 2:
-                median = values[half]
-            else:
-                median = (values[half - 1] + values[half]) / 2
-        scores[key] = float(median)
+    if not len(pair):
+        return matrix
+    # Order by pair, then rate: sort the rates, then stable-sort their
+    # pair ids (small unsigned ints sort by radix).  NaN sorts last, so
+    # a run that ends in NaN holds one.
+    order = np.argsort(rate)
+    pair_type = np.min_scalar_type(len(messages.pairs))
+    order = order[np.argsort(pair[order].astype(pair_type), kind="stable")]
+    pair = pair[order]
+    rate = rate[order]
+    starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+    ends = np.append(starts[1:], len(pair))
+    counts = ends - starts
+    median = rate[starts + counts // 2]
+    even = counts % 2 == 0
+    median[even] = (rate[(starts + counts // 2 - 1)[even]] + median[even]) / 2
+    median[np.isnan(rate[ends - 1])] = np.nan
+    # A run's smallest window position is its pair's first appearance.
+    appearance = np.argsort(np.minimum.reduceat(order, starts))
+    pairs = messages.pairs
+    matrix.scores = dict(
+        zip([pairs[i] for i in pair[starts][appearance].tolist()], median[appearance].tolist())
+    )
     return matrix
 
 
@@ -174,10 +175,9 @@ def analyze_delay_matrix(
     if baseline <= 0:
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=0.0)
 
-    flagged = [
-        pair for pair, score in matrix.scores.items() if score / baseline > threshold
-    ]
-    max_ratio = max(score / baseline for score in matrix.scores.values())
+    ratios = [score / baseline for score in matrix.scores.values()]
+    flagged = [pair for pair, ratio in zip(matrix.scores, ratios) if ratio > threshold]
+    max_ratio = max(ratios)
     if not flagged:
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=max_ratio)
 

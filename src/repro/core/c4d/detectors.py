@@ -14,7 +14,20 @@ from typing import Optional
 from repro.core.c4d.delay_matrix import analyze_delay_matrix, build_delay_matrix
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.wait_chain import analyze_wait_chain, analyze_wait_chain_smoothed
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
+
+
+def _skip_counters(
+    metrics: Optional[MetricsRegistry], detector: str, reasons: tuple[str, ...]
+) -> dict:
+    """``reason -> counter`` of communicators a detector's passes skipped."""
+    skipped = get_registry(metrics).counter(
+        "c4d_detector_skipped_total",
+        "Communicators a detector pass skipped for lack of evidence",
+        labels=("detector", "reason"),
+    )
+    return {reason: skipped.labels(detector=detector, reason=reason) for reason in reasons}
 
 
 @dataclass(frozen=True)
@@ -156,11 +169,17 @@ class CommSlowDetector:
 
     name = "comm_slow"
 
-    def __init__(self, collector: CentralCollector, config: DetectorConfig) -> None:
+    def __init__(
+        self,
+        collector: CentralCollector,
+        config: DetectorConfig,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
         self.collector = collector
         self.config = config
         #: Communicators currently inside a slow episode (hysteresis).
         self._active: set[str] = set()
+        self._m_skipped = _skip_counters(metrics, self.name, ("no_records", "too_few_ops"))
 
     def _threshold_for(self, comm_id: str) -> float:
         threshold = self.config.slow_threshold
@@ -181,13 +200,14 @@ class CommSlowDetector:
         anomalies: list[Anomaly] = []
         since = now - self.config.slow_window
         for comm_id in self.collector.comm_ids():
-            records = self.collector.messages(comm_id, since=since)
-            if not records:
+            messages = self.collector.message_view(comm_id, since=since)
+            if not len(messages):
+                self._m_skipped["no_records"].inc()
                 continue
-            seqs = {r.seq for r in records}
-            if len(seqs) < self.config.min_ops_for_slow:
+            if messages.distinct_seqs() < self.config.min_ops_for_slow:
+                self._m_skipped["too_few_ops"].inc()
                 continue
-            matrix = build_delay_matrix(records)
+            matrix = build_delay_matrix(messages)
             finding = analyze_delay_matrix(
                 matrix,
                 threshold=self._threshold_for(comm_id),
@@ -218,9 +238,15 @@ class NonCommSlowDetector:
 
     name = "noncomm_slow"
 
-    def __init__(self, collector: CentralCollector, config: DetectorConfig) -> None:
+    def __init__(
+        self,
+        collector: CentralCollector,
+        config: DetectorConfig,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
         self.collector = collector
         self.config = config
+        self._m_skipped = _skip_counters(metrics, self.name, ("too_few_ops",))
 
     def evaluate(self, now: float) -> list[Anomaly]:
         """Analyze the most recent completed operations per communicator."""
@@ -238,6 +264,7 @@ class NonCommSlowDetector:
         """Default mode: the same straggler in every recent operation."""
         recent_seqs = self.collector.latest_seqs(comm_id, self.config.min_ops_for_slow)
         if len(recent_seqs) < self.config.min_ops_for_slow:
+            self._m_skipped["too_few_ops"].inc()
             return None
         # Require the straggler to persist over all examined ops so a
         # single benign hiccup is not escalated.
@@ -267,6 +294,7 @@ class NonCommSlowDetector:
         """Smoothed mode: averaged lateness over the window (EP-friendly)."""
         recent_seqs = self.collector.latest_seqs(comm_id, self.config.smooth_window_ops)
         if len(recent_seqs) < self.config.smooth_window_ops:
+            self._m_skipped["too_few_ops"].inc()
             return None
         groups = [self.collector.ops_for_seq(comm_id, seq) for seq in recent_seqs]
         finding = analyze_wait_chain_smoothed(

@@ -89,8 +89,8 @@ class C4DMaster:
         self.tracer = tracer
         self.detectors = [
             HangDetector(collector, self.config),
-            CommSlowDetector(collector, self.config),
-            NonCommSlowDetector(collector, self.config),
+            CommSlowDetector(collector, self.config, metrics),
+            NonCommSlowDetector(collector, self.config, metrics),
         ]
         self.anomalies: list[Anomaly] = []
         self.actions: list[SteeringAction] = []

@@ -7,8 +7,12 @@ simulator ground truth.
 
 Beside each operation and launch window the collector keeps a
 ``seq -> records`` index, so the per-operation queries the detectors make
-every pass are lookups rather than window scans.  The index is derived
-state: it is rebuilt on restore and never serialized.
+every pass are lookups rather than window scans.  Beside each message
+window it keeps the window's numeric columns (:class:`MessageColumns`:
+pair id, rate, completion time, seq, valid flag), filled at ingest, so
+the delay-matrix build is a vectorised pass instead of a record loop.
+The index and the columns are derived state: they are rebuilt on
+restore, dropped with their communicator and never serialized.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Iterable, Optional
+
+import numpy as np
 
 from repro.codec import decode, encode
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
@@ -60,6 +66,117 @@ class CommProgress:
         return max(self.last_launch_seq.values())
 
 
+#: One message as the delay matrix reads it.  ``rate`` is
+#: ``(complete_time - post_time) / size_bits``; ``valid`` is False for a
+#: record with non-positive size or duration, whose rate is meaningless
+#: (a NaN size or duration is valid: its NaN rate poisons the pair).
+MESSAGE_ROW = np.dtype(
+    [
+        ("pair", np.int64),
+        ("rate", np.float64),
+        ("complete_time", np.float64),
+        ("seq", np.int64),
+        ("valid", np.bool_),
+    ]
+)
+
+Pair = tuple[tuple[int, int], tuple[int, int]]  # ((src node, nic), (dst node, nic))
+
+
+@dataclass(frozen=True, eq=False)
+class MessageView:
+    """Rows of one message window, in window order, with their pair keys."""
+
+    rows: np.ndarray
+    #: Pair id -> ``((src_node, src_nic), (dst_node, dst_nic))``.
+    pairs: list[Pair]
+
+    @classmethod
+    def pack(cls, records: Iterable[MessageRecord]) -> "MessageView":
+        """The rows of ``records``, as a window holding exactly them."""
+        records = list(records)
+        return MessageColumns.filled(len(records), records).view()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def distinct_seqs(self) -> int:
+        """How many operations the rows come from."""
+        return len(np.unique(self.rows["seq"]))
+
+
+class MessageColumns:
+    """The numeric columns of one communicator's message window.
+
+    A bounded FIFO with the record deque's ``maxlen``, so an eviction
+    drops the same record from both.  Ingest appends a row tuple to a
+    pending list; the next query (or a full pending list) moves pending
+    rows into one numpy buffer.  The buffer grows with the window, to at
+    most twice ``maxlen`` rows, and slides the live rows to its front
+    when its tail is full, so a window is always one contiguous slice.
+    """
+
+    def __init__(self, maxlen: int) -> None:
+        self.maxlen = maxlen
+        self.pairs: list[Pair] = []
+        self._pair_ids: dict[tuple[int, int, int, int], int] = {}
+        self._pending: list[tuple] = []
+        self._rows = np.empty(0, MESSAGE_ROW)
+        self._start = 0
+        self._end = 0
+
+    @classmethod
+    def filled(cls, maxlen: int, records: Iterable[MessageRecord]) -> "MessageColumns":
+        """Columns of ``maxlen`` rows holding ``records``' last rows."""
+        columns = cls(maxlen)
+        for record in records:
+            columns.append(record)
+        return columns
+
+    def append(self, record: MessageRecord) -> None:
+        """Add ``record``'s row, evicting the oldest row when full."""
+        if not self.maxlen:
+            return  # a zero-length window keeps nothing
+        key = (record.src_node, record.src_nic, record.dst_node, record.dst_nic)
+        pair = self._pair_ids.get(key)
+        if pair is None:
+            pair = self._pair_ids[key] = len(self.pairs)
+            self.pairs.append((key[:2], key[2:]))
+        size = record.size_bits
+        complete = record.complete_time
+        duration = complete - record.post_time
+        valid = not (size <= 0 or duration <= 0)
+        self._pending.append((pair, duration / size if valid else 0.0, complete, record.seq, valid))
+        if len(self._pending) == self.maxlen:
+            self._flush()
+
+    def _flush(self) -> None:
+        rows = np.fromiter(self._pending, MESSAGE_ROW, len(self._pending))
+        self._pending.clear()
+        count = len(rows)  # at most maxlen: append flushes a full list
+        keep = min(self._end - self._start, self.maxlen - count)
+        start = self._end - keep
+        if self._end + count > len(self._rows):
+            size = keep + count
+            if 2 * size <= len(self._rows):
+                buffer = self._rows
+            else:
+                buffer = np.empty(2 * size, MESSAGE_ROW)
+            buffer[:keep] = self._rows[start : self._end]
+            self._rows, start, self._end = buffer, 0, keep
+        self._rows[self._end : self._end + count] = rows
+        self._start, self._end = start, self._end + count
+
+    def view(self, since: Optional[float] = None) -> MessageView:
+        """Rows of messages completed at or after ``since`` (all rows if None)."""
+        if self._pending:
+            self._flush()
+        rows = self._rows[self._start : self._end]
+        if since is None:
+            return MessageView(rows.copy(), self.pairs)
+        return MessageView(rows[rows["complete_time"] >= since], self.pairs)
+
+
 class CentralCollector:
     """Bounded per-communicator windows of monitoring records.
 
@@ -84,6 +201,7 @@ class CentralCollector:
         self._ops: dict[str, Deque[OpRecord]] = {}
         self._launches: dict[str, Deque[OpLaunchRecord]] = {}
         self._messages: dict[str, Deque[MessageRecord]] = {}
+        self._message_columns: dict[str, MessageColumns] = {}
         #: Per communicator, seq -> its records in window order.
         self._ops_by_seq: dict[str, dict[int, Deque[OpRecord]]] = {}
         self._launches_by_seq: dict[str, dict[int, Deque[OpLaunchRecord]]] = {}
@@ -171,6 +289,7 @@ class CentralCollector:
         self._ops[record.comm_id] = deque(maxlen=self._op_window)
         self._launches[record.comm_id] = deque(maxlen=self._op_window)
         self._messages[record.comm_id] = deque(maxlen=self._message_window)
+        self._message_columns[record.comm_id] = MessageColumns(self._message_window)
         self._ops_by_seq[record.comm_id] = {}
         self._launches_by_seq[record.comm_id] = {}
         self._m_ingested["communicator"].inc()
@@ -187,6 +306,7 @@ class CentralCollector:
         self._ops.pop(comm_id, None)
         self._launches.pop(comm_id, None)
         self._messages.pop(comm_id, None)
+        self._message_columns.pop(comm_id, None)
         self._ops_by_seq.pop(comm_id, None)
         self._launches_by_seq.pop(comm_id, None)
         self._dropped.pop(comm_id, None)  # refresh insertion order
@@ -228,6 +348,7 @@ class CentralCollector:
         if self._require(record.comm_id) is None:
             return
         self._append_bounded("message", self._messages[record.comm_id], record)
+        self._message_columns[record.comm_id].append(record)
 
     # ------------------------------------------------------------------
     # Queries (used by detectors)
@@ -243,6 +364,13 @@ class CentralCollector:
     def messages(self, comm_id: str, since: float = float("-inf")) -> list[MessageRecord]:
         """Transport records completed at or after ``since``."""
         return [r for r in self._messages.get(comm_id, ()) if r.complete_time >= since]
+
+    def message_view(self, comm_id: str, since: float = float("-inf")) -> MessageView:
+        """:meth:`messages` as columns, for the delay matrix."""
+        columns = self._message_columns.get(comm_id)
+        if columns is None:
+            return MessageView(np.empty(0, MESSAGE_ROW), [])
+        return columns.view(since)
 
     def ops_for_seq(self, comm_id: str, seq: int) -> list[OpRecord]:
         """Per-rank records of one specific operation."""
@@ -325,6 +453,10 @@ class CentralCollector:
         }
         self._launches_by_seq = {
             comm_id: _seq_index(window) for comm_id, window in self._launches.items()
+        }
+        self._message_columns = {
+            comm_id: MessageColumns.filled(self._message_window, window)
+            for comm_id, window in self._messages.items()
         }
         self._dropped = {comm_id: None for comm_id in state["dropped"]}
         self._m_comms.set(len(self.progress))

@@ -10,6 +10,8 @@ from repro.core.c4d.detectors import (
     NonCommSlowDetector,
 )
 from repro.core.c4d.events import AnomalyType, SuspectKind
+from repro.core.c4d.master import C4DMaster
+from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
 
 
@@ -131,6 +133,36 @@ def test_comm_slow_detector_window_excludes_old_records():
             collector.ingest_message(message(seq, i, (i + 1) % 8, duration, complete=1.0))
     detector = CommSlowDetector(collector, DetectorConfig(min_ops_for_slow=2, slow_window=10.0))
     assert detector.evaluate(now=1000.0) == []
+
+
+def skipped(registry, detector, reason):
+    family = registry.counter("c4d_detector_skipped_total", labels=("detector", "reason"))
+    return family.labels(detector=detector, reason=reason).value
+
+
+def test_skipped_communicators_are_counted_by_reason():
+    registry = MetricsRegistry()
+    collector = make_collector()
+    for i in range(4):
+        collector.ingest_message(message(0, i, i + 1, 1.0, complete=1.0))
+    comm_slow = CommSlowDetector(collector, DetectorConfig(min_ops_for_slow=2), registry)
+    assert comm_slow.evaluate(now=2.0) == []  # one seq in the window
+    assert comm_slow.evaluate(now=1000.0) == []  # nothing in the window
+    assert skipped(registry, "comm_slow", "too_few_ops") == 1
+    assert skipped(registry, "comm_slow", "no_records") == 1
+
+    complete_op(collector, 0, end=2.0)
+    complete_op(collector, 1, end=3.0)
+    for config in (DetectorConfig(min_ops_for_slow=3), DetectorConfig(smooth_window_ops=3)):
+        assert NonCommSlowDetector(collector, config, registry).evaluate(now=4.0) == []
+    assert skipped(registry, "noncomm_slow", "too_few_ops") == 2
+
+
+def test_master_counts_skips_in_its_registry():
+    registry = MetricsRegistry()
+    C4DMaster(make_collector(), metrics=registry).evaluate(now=1.0)
+    assert skipped(registry, "comm_slow", "no_records") == 1
+    assert skipped(registry, "noncomm_slow", "too_few_ops") == 1
 
 
 def test_noncomm_slow_requires_persistence():

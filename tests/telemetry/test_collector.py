@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
+from repro.core.c4d.delay_matrix import build_delay_matrix, build_delay_matrix_reference
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
+from tests.core_c4d.test_delay_matrix import EDGE, TIED, same_score
 
 
 def comm_record(comm="c", size=4):
@@ -344,3 +346,77 @@ def test_seq_queries_match_linear_scans(window, steps):
                 )
             for count in range(1, 4):
                 assert collector.latest_seqs(comm, count) == model.latest_seqs(comm, count)
+
+
+# -- the windowed delay matrix against the record-built reference -------
+
+samples = st.one_of(
+    st.sampled_from(TIED), st.sampled_from(EDGE), st.floats(min_value=1e-9, max_value=1e9)
+)
+#: Few pairs, so each holds several samples and first appearances move
+#: as the window slides.
+PAIRS = ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 1, 1), (1, 1, 0, 1))
+#: Whole seconds, so completions tie with each other and with ``since``.
+instants = st.integers(min_value=0, max_value=8).map(float)
+message_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("message"),
+            st.sampled_from(COMMS),
+            st.integers(min_value=0, max_value=5),  # seq
+            st.sampled_from(PAIRS),
+            st.one_of(st.just(100.0), samples),  # size
+            samples,  # duration
+            st.one_of(instants, st.sampled_from(EDGE)),  # completion, out of order
+        ),
+        st.tuples(st.sampled_from(("drop", "register")), st.sampled_from(COMMS)),
+        st.just(("restore",)),
+    ),
+    max_size=60,
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=8),
+    message_steps,
+    st.lists(st.one_of(st.just(float("-inf")), instants), min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_message_view_matches_reference_build(window, steps, sinces):
+    def fresh():
+        return CentralCollector(message_window=window, metrics=MetricsRegistry())
+
+    collector = fresh()
+    for comm in COMMS:
+        collector.ingest_communicator(comm_record(comm))
+    for step in steps:
+        kind = step[0]
+        if kind == "message":
+            _, comm, seq, (src, src_nic, dst, dst_nic), size, duration, complete = step
+            collector.ingest_message(
+                MessageRecord(
+                    comm_id=comm, seq=seq, src_node=src, src_nic=src_nic, dst_node=dst,
+                    dst_nic=dst_nic, src_ip="a", dst_ip="b", qp_num=1, src_port=50000,
+                    message_index=0, size_bits=size, post_time=complete - duration,
+                    complete_time=complete,
+                )
+            )
+        elif kind == "drop":
+            collector.drop_communicator(step[1])
+        elif kind == "register":
+            collector.ingest_communicator(comm_record(step[1]))
+        else:
+            restored = fresh()
+            restored.restore_state(collector.snapshot_state())
+            collector = restored
+        for comm in COMMS:
+            for since in sinces:
+                view = collector.message_view(comm, since)
+                records = collector.messages(comm, since)
+                assert len(view) == len(records)
+                assert view.distinct_seqs() == len({r.seq for r in records})
+                fast = list(build_delay_matrix(view).scores.items())
+                reference = list(build_delay_matrix_reference(records).scores.items())
+                assert [key for key, _ in fast] == [key for key, _ in reference]
+                for (_, a), (_, b) in zip(fast, reference):
+                    assert same_score(a, b), (a, b)

@@ -1,8 +1,11 @@
-"""The one JSON codec shared by the journal, the snapshots and the export.
+"""The one JSON codec, used wherever the control plane needs bytes.
 
 :func:`encode` turns a value into JSON-safe primitives; :func:`decode`
-rebuilds a value of a given type from them.  The wire format is fixed —
-replay digests hash it — and has three rules:
+rebuilds a value of a given type from them.  The journal and snapshots
+keep frozen records as objects; the codec writes the state digest's
+canonical JSON, the analysis export, and the small journal payloads of
+evaluation passes and C4P calls.  The wire format is fixed — replay
+digests hash it — and has three rules:
 
 * dataclasses encode as dicts keyed by field name, nested dataclasses
   inline, except the small value types of :func:`positional_types`, which

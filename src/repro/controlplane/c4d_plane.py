@@ -28,12 +28,6 @@ from typing import Callable, Optional
 
 from repro.cluster.topology import ClusterTopology
 from repro.codec import decode, encode
-from repro.collective.monitoring import (
-    CommunicatorRecord,
-    MessageRecord,
-    OpLaunchRecord,
-    OpRecord,
-)
 from repro.controlplane.journal import FencedOut, JournalStore, state_digest
 from repro.controlplane.lease import LeaseTable
 from repro.core.c4d.detectors import DetectorConfig
@@ -46,16 +40,6 @@ from repro.core.c4d.steering import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
-
-#: Journal entry kind -> the record type its payload encodes; each kind
-#: ingests through the collector's ``ingest_<kind>``.
-_RECORD_TYPES = {
-    "communicator": CommunicatorRecord,
-    "launch": OpLaunchRecord,
-    "op": OpRecord,
-    "message": MessageRecord,
-}
-
 
 class C4DControlPlane:
     """Crash-recoverable owner of the collector, master and steering.
@@ -151,10 +135,10 @@ class C4DControlPlane:
     # point straight at the plane)
     # ------------------------------------------------------------------
     def _ingest(self, kind: str, record, **extra) -> None:
-        """Guard, journal write-ahead, then hand to ``collector.ingest_<kind>``."""
+        """Guard, journal the record itself write-ahead, then ingest it."""
         if not self._guard():
             return
-        self.store.append(kind, {"record": encode(record), **extra}, self.epoch)
+        self.store.append(kind, {"record": record, **extra}, self.epoch)
         getattr(self.collector, "ingest_" + kind)(record, **extra)
 
     def ingest_communicator(self, record, now: float = 0.0) -> None:
@@ -210,7 +194,7 @@ class C4DControlPlane:
         return fresh
 
     def state(self) -> dict:
-        """Full serialized state of the managed components."""
+        """Full state of the managed components (see ``state_digest``)."""
         return {
             "collector": self.collector.snapshot_state(),
             "master": self.master.snapshot_state(),
@@ -266,11 +250,10 @@ class C4DControlPlane:
     def _replay_entry(self, entry) -> None:
         kind = entry.kind
         payload = entry.payload
-        record_type = _RECORD_TYPES.get(kind)
-        if record_type is not None:
-            extra = dict(payload)
-            record = decode(record_type, extra.pop("record"))
-            getattr(self.collector, "ingest_" + kind)(record, **extra)
+        # A record kind replays through the collector's ``ingest_<kind>``.
+        ingest = getattr(self.collector, "ingest_" + kind, None)
+        if ingest is not None:
+            ingest(**payload)
         elif kind == "drop":
             self.collector.drop_communicator(payload["comm_id"])
         elif kind == "evaluate":

@@ -8,8 +8,8 @@ This module gives them a shared durability substrate:
 * **journal entries** are written *ahead* of the mutation they describe
   (record ingestion) or immediately after an evaluation pass with its
   executed outcomes, in a single total order per store;
-* **snapshots** capture the full serialized state at a journal position,
-  bounding replay work;
+* **snapshots** capture the full state at a journal position, bounding
+  replay work;
 * **fencing epochs** make the store single-writer: every append carries
   the writer's epoch, and an epoch older than the store's current one is
   rejected with :class:`FencedOut` — the mechanism that stops a stale or
@@ -20,13 +20,16 @@ Recovery (:meth:`JournalStore.recover`) is one protocol for every
 master: open a new epoch, restore the latest snapshot, replay the
 entries after it, and compare :func:`state_digest` against the
 pre-crash value.  A master supplies only how to restore its state and
-how to replay one entry.  Digests are SHA-256 over canonical JSON
-(sorted keys, no whitespace), so "identical state" is a checkable
+how to replay one entry.  Entries and snapshots hold values (frozen
+records as objects), not encodings; only the digest encodes them, as
+SHA-256 over the canonical JSON (sorted keys, no whitespace) of the
+:mod:`repro.codec` wire format, so "identical state" is a checkable
 single string rather than a vibe.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import time
@@ -50,11 +53,12 @@ class FencedOut(RuntimeError):
 def state_digest(state: dict) -> str:
     """SHA-256 over the canonical JSON encoding of a state dict.
 
-    ``json.dumps`` already encodes tuples as arrays, so the encoding
-    equals that of :func:`repro.codec.encode` of the state without the
-    copying pre-pass.
+    ``json.dumps`` encodes containers and primitives itself (tuples as
+    arrays) and hands each record or enum to :func:`repro.codec.encode`,
+    so the bytes equal those of the codec's encoding of the whole state
+    without building that encoded copy.
     """
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"), default=encode)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -70,7 +74,7 @@ class JournalEntry:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Full serialized state at one journal position."""
+    """Full state at one journal position, as ``snapshot_state`` returned it."""
 
     #: Journal length when the snapshot was taken; replay starts at this
     #: entry index.
@@ -86,6 +90,12 @@ class JournalStore:
     put this on replicated disk; the simulation keeps it in memory — the
     point is the *protocol* (write-ahead ordering, fencing, replay), not
     the medium.
+
+    The store keeps what it is given and copies nothing.  So every
+    ``snapshot_state`` must return a value that no later mutation of the
+    live master reaches (fresh containers around immutable values such
+    as frozen records), and every ``restore_state`` must build fresh
+    containers from it, because one snapshot may be restored many times.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -218,7 +228,7 @@ class JournalStore:
     def snapshot(self, state: dict, epoch: int) -> Snapshot:
         """Record a full-state snapshot at the current journal position."""
         self.check_epoch(epoch)
-        snap = Snapshot(seq=self._next_seq, epoch=epoch, state=encode(state))
+        snap = Snapshot(seq=self._next_seq, epoch=epoch, state=state)
         self.snapshots.append(snap)
         self._m_snapshots.inc()
         return snap
@@ -227,27 +237,29 @@ class JournalStore:
         """Most recent snapshot, or None before the first."""
         return self.snapshots[-1] if self.snapshots else None
 
+    def _index_of(self, seq: int) -> int:
+        """Position of the first entry with ``entry.seq >= seq`` (seq-sorted)."""
+        return bisect.bisect_left(self.entries, seq, key=lambda entry: entry.seq)
+
     def entries_after(self, seq: int) -> list[JournalEntry]:
         """Journal suffix from sequence number ``seq`` (inclusive).
 
-        Filtered by the entries' absolute sequence numbers, not list
+        Found by the entries' absolute sequence numbers, not list
         position, so it stays correct after :meth:`compact`.
         """
-        return [entry for entry in self.entries if entry.seq >= seq]
+        return self.entries[self._index_of(seq):]
 
     def compact(self) -> int:
-        """Drop journal entries already covered by the latest snapshot.
+        """Drop the journal entries the latest snapshot covers.
 
-        Entry indices are preserved by replacing the dropped prefix'
-        storage only conceptually: the journal keeps absolute sequence
-        numbers, so compaction just forgets the prefix.  Returns the
-        number of entries dropped.
+        Sequence numbers stay absolute, so the retained suffix keeps its
+        replay positions.  Returns the number of entries dropped.
         """
         snap = self.latest_snapshot()
         if snap is None:
             return 0
-        dropped = sum(1 for entry in self.entries if entry.seq < snap.seq)
+        dropped = self._index_of(snap.seq)
         if dropped:
-            self.entries = [entry for entry in self.entries if entry.seq >= snap.seq]
+            self.entries = self.entries[dropped:]
             self._m_size.set(len(self.entries))
         return dropped

@@ -23,7 +23,6 @@ from typing import Deque, Iterable, Optional
 
 import numpy as np
 
-from repro.codec import decode, encode
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -388,10 +387,12 @@ class CentralCollector:
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """JSON-safe snapshot of all mutable collector state.
+        """Snapshot of all mutable collector state, detached from it.
 
-        Rank keys in the progress maps become ``[rank, seq]`` pairs so
-        the snapshot survives canonical (sorted-key) JSON encoding.
+        Records are frozen, so each window is a ``tuple`` of the record
+        objects themselves; the digest encodes them.  Rank keys in the
+        progress maps become ``[rank, seq]`` pairs so the snapshot
+        survives canonical (sorted-key) JSON encoding.
         """
         return {
             "op_window": self._op_window,
@@ -399,7 +400,7 @@ class CentralCollector:
             "tombstone_capacity": self._tombstone_capacity,
             "progress": {
                 comm_id: {
-                    "record": encode(progress.record),
+                    "record": progress.record,
                     "last_seq": sorted(progress.last_seq.items()),
                     "last_launch_seq": sorted(progress.last_launch_seq.items()),
                     "last_completion_time": progress.last_completion_time,
@@ -408,20 +409,18 @@ class CentralCollector:
                 }
                 for comm_id, progress in self.progress.items()
             },
-            "ops": {
-                comm_id: [encode(r) for r in window] for comm_id, window in self._ops.items()
-            },
-            "launches": {
-                comm_id: [encode(r) for r in window] for comm_id, window in self._launches.items()
-            },
-            "messages": {
-                comm_id: [encode(r) for r in window] for comm_id, window in self._messages.items()
-            },
+            "ops": {comm_id: tuple(window) for comm_id, window in self._ops.items()},
+            "launches": {comm_id: tuple(window) for comm_id, window in self._launches.items()},
+            "messages": {comm_id: tuple(window) for comm_id, window in self._messages.items()},
             "dropped": list(self._dropped),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Replace all mutable state with a :meth:`snapshot_state` dict."""
+        """Replace all mutable state with a :meth:`snapshot_state` dict.
+
+        Builds fresh containers and never aliases ``state``'s, because
+        one snapshot may be restored many times.
+        """
         self._op_window = state["op_window"]
         self._message_window = state["message_window"]
         self._tombstone_capacity = state["tombstone_capacity"]
@@ -431,23 +430,19 @@ class CentralCollector:
         self._messages = {}
         for comm_id, entry in state["progress"].items():
             self.progress[comm_id] = CommProgress(
-                record=decode(CommunicatorRecord, entry["record"]),
+                record=entry["record"],
                 last_seq={rank: seq for rank, seq in entry["last_seq"]},
                 last_launch_seq={rank: seq for rank, seq in entry["last_launch_seq"]},
                 last_completion_time=entry["last_completion_time"],
                 last_launch_time=entry["last_launch_time"],
                 created_at=entry["created_at"],
             )
-        for comm_id, payloads in state["ops"].items():
-            self._ops[comm_id] = deque(decode(list[OpRecord], payloads), maxlen=self._op_window)
-        for comm_id, payloads in state["launches"].items():
-            self._launches[comm_id] = deque(
-                decode(list[OpLaunchRecord], payloads), maxlen=self._op_window
-            )
-        for comm_id, payloads in state["messages"].items():
-            self._messages[comm_id] = deque(
-                decode(list[MessageRecord], payloads), maxlen=self._message_window
-            )
+        for comm_id, window in state["ops"].items():
+            self._ops[comm_id] = deque(window, maxlen=self._op_window)
+        for comm_id, window in state["launches"].items():
+            self._launches[comm_id] = deque(window, maxlen=self._op_window)
+        for comm_id, window in state["messages"].items():
+            self._messages[comm_id] = deque(window, maxlen=self._message_window)
         self._ops_by_seq = {
             comm_id: _seq_index(window) for comm_id, window in self._ops.items()
         }

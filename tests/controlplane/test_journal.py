@@ -8,9 +8,14 @@ import pytest
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology
 from repro.codec import encode
-from repro.collective.algorithms import OpType
+from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
-from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord
+from repro.collective.monitoring import (
+    CommunicatorRecord,
+    MessageRecord,
+    OpLaunchRecord,
+    OpRecord,
+)
 from repro.collective.selectors import PathRequest
 from repro.controlplane import (
     C4DControlPlane,
@@ -64,6 +69,41 @@ def test_entries_after_uses_absolute_seq_across_compaction():
     assert s.append("op", {"i": 8}, epoch).seq == 8
 
 
+def test_entries_after_on_empty_store():
+    s = store()
+    assert s.entries_after(0) == []
+    assert s.entries_after(5) == []
+    assert s.compact() == 0
+
+
+def test_entries_after_boundaries():
+    s = store()
+    epoch = s.open_epoch()
+    for i in range(6):
+        s.append("op", {"i": i}, epoch)
+    s.snapshot({"n": 6}, epoch)
+    assert [e.seq for e in s.entries_after(0)] == [0, 1, 2, 3, 4, 5]
+    assert s.entries_after(6) == []  # after the last entry
+    assert s.entries_after(60) == []
+    assert s.compact() == 6
+    assert s.compact() == 0  # nothing left to drop
+    for i in range(6, 9):
+        s.append("op", {"i": i}, epoch)
+    # Before the first retained entry: the whole retained journal.
+    assert [e.seq for e in s.entries_after(0)] == [6, 7, 8]
+    assert [e.seq for e in s.entries_after(6)] == [6, 7, 8]
+    # Exactly on a retained entry.
+    assert [e.seq for e in s.entries_after(7)] == [7, 8]
+    s.snapshot({"n": 9}, epoch)
+    s.append("op", {"i": 9}, epoch)
+    s.append("op", {"i": 10}, epoch)
+    assert s.compact() == 3
+    assert [e.seq for e in s.entries] == [9, 10]
+    assert [e.seq for e in s.entries_after(9)] == [9, 10]
+    assert [e.seq for e in s.entries_after(10)] == [10]
+    assert s.entries_after(11) == []
+
+
 def test_compact_without_snapshot_is_noop():
     s = store()
     epoch = s.open_epoch()
@@ -94,7 +134,10 @@ def jsonable_digest(state) -> str:
 
 
 def c4d_plane_state() -> dict:
-    """A C4D plane that ingested every record kind and flagged anomalies."""
+    """A C4D plane that ingested all four record kinds and flagged anomalies.
+
+    The op record carries both enums (``OpType`` and ``Algorithm``).
+    """
     metrics = MetricsRegistry()
     plane = C4DControlPlane(
         ClusterTopology(TESTBED_16_NODES, FlowNetwork(), ecmp_seed=0),
@@ -112,6 +155,11 @@ def c4d_plane_state() -> dict:
                     "c", seq, node, 0, dst, 0, "a", "b", 1, 1, 0, 100.0, 10.0, 10.0 + duration
                 )
             )
+    plane.ingest_op(
+        OpRecord(
+            "c", 0, OpType.ALLREDUCE, Algorithm.RING, "fp16", 1024, 0, ranks[0], 10.0, 10.0, 11.0
+        )
+    )
     for rank in range(3):
         plane.ingest_launch(OpLaunchRecord("c", 2, OpType.ALLREDUCE, rank, ranks[rank], 20.0))
     plane.evaluate(60.0)

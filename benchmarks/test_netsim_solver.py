@@ -1,10 +1,18 @@
-"""Max-min solver size ladder: heap solver vs the vectorized reference.
+"""Max-min solver size ladder: cold and warm solves vs the vectorized reference.
 
 Random NIC-to-NIC flows on the 16-node testbed fabric, 1k to 10k of
 them, each over a full resolved path (NVLink stages, bonded host ports,
-leaf uplink, spine downlink).  Both solvers run on the same instance,
-and must agree bit for bit before either is timed.  Each size is one
-benchmark group, so the table compares the two solvers row by row.
+leaf uplink, spine downlink).  Three rungs per size:
+
+* ``cold`` -- :func:`max_min_rates` without a state, which builds its
+  incidence state from empty;
+* ``warm`` -- a re-solve from the state of the previous active set after
+  two flows completed and two started, Fig. 10a's churn between solves;
+* ``reference`` -- :func:`max_min_rates_reference` on the cold input.
+
+Each rung's result must equal the reference's bit for bit, in key order,
+before it is timed.  Each size is one benchmark group, so the table
+compares the rungs row by row.
 """
 
 import random
@@ -13,13 +21,15 @@ import pytest
 
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology, PathChoice
-from repro.netsim.fairness import max_min_rates, max_min_rates_reference
+from repro.netsim.fairness import FairShareState, max_min_rates, max_min_rates_reference
 from repro.netsim.flows import Flow
 from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry
 
 SIZES = (1_000, 2_000, 5_000, 10_000)
-SOLVERS = {"heap": max_min_rates, "reference": max_min_rates_reference}
+RUNGS = ("cold", "reference", "warm")
+#: Flows that complete, and flows that start, between the warm rung's solves.
+CHURN = 2
 
 
 def fabric_instance(num_flows: int, seed: int = 0):
@@ -47,19 +57,46 @@ def fabric_instance(num_flows: int, seed: int = 0):
 
 @pytest.fixture(scope="module")
 def instances():
-    return {size: fabric_instance(size) for size in SIZES}
+    """Per size: the flows before the churn, the flows after, capacities."""
+    ladder = {}
+    for size in SIZES:
+        flows, capacities = fabric_instance(size + CHURN)
+        ladder[size] = (flows[:size], flows[CHURN:], capacities)
+    return ladder
+
+
+def warm_state(before, capacities):
+    """A state that last solved ``before``."""
+    state = FairShareState()
+    max_min_rates(before, capacities, state=state)
+    return state
+
+
+def hexes(rates):
+    return [(flow_id, rate.hex()) for flow_id, rate in rates.items()]
 
 
 @pytest.mark.parametrize("num_flows", SIZES)
-@pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_max_min_solver(benchmark, instances, solver, num_flows):
-    flows, capacities = instances[num_flows]
-    fast = max_min_rates(flows, capacities)
-    reference = max_min_rates_reference(flows, capacities)
-    assert [r.hex() for r in fast.values()] == [r.hex() for r in reference.values()]
+@pytest.mark.parametrize("rung", RUNGS)
+def test_max_min_solver(benchmark, instances, rung, num_flows):
+    before, after, capacities = instances[num_flows]
+    reference = max_min_rates_reference(before, capacities)
+    assert hexes(max_min_rates(before, capacities)) == hexes(reference)
+    warm = max_min_rates(after, capacities, state=warm_state(before, capacities))
+    assert hexes(warm) == hexes(max_min_rates_reference(after, capacities))
     benchmark.group = f"max_min_rates, {num_flows} flows"
-    benchmark.extra_info["incidences"] = sum(len(flow.path) for flow in flows)
-    rates = benchmark.pedantic(
-        SOLVERS[solver], args=(flows, capacities), rounds=3, iterations=1
-    )
+    benchmark.extra_info["incidences"] = sum(len(flow.path) for flow in before)
+    if rung == "warm":
+        rates = benchmark.pedantic(
+            max_min_rates,
+            setup=lambda: (
+                (after, capacities),
+                {"state": warm_state(before, capacities)},
+            ),
+            rounds=3,
+            iterations=1,
+        )
+    else:
+        solver = max_min_rates if rung == "cold" else max_min_rates_reference
+        rates = benchmark.pedantic(solver, args=(before, capacities), rounds=3, iterations=1)
     assert len(rates) == num_flows

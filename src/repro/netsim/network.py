@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from repro.netsim.congestion import CongestionModel
 from repro.netsim.engine import EventQueue, TimerHandle
-from repro.netsim.fairness import max_min_rates
+from repro.netsim.fairness import FairShareState, max_min_rates
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.links import Link, LinkState
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -67,6 +67,8 @@ class FlowNetwork:
         #: rate_cap, state)`` as that solve saw them, in ``flows`` order.
         self._rates: dict[object, float] = {}
         self._solved: list[tuple] = []
+        #: The solver's incidence state, carried from one solve to the next.
+        self._fair_share = FairShareState()
         #: Set by every change the network sees (a flow added or
         #: completed, a link failed, restored or resized): the next
         #: :meth:`compute_rates` solves without rechecking the flows.
@@ -115,6 +117,7 @@ class FlowNetwork:
             raise ValueError(f"link {link_id!r} needs positive capacity, got {capacity}")
         self.links[link_id].capacity = capacity
         self._capacities[link_id] = capacity
+        self._fair_share.capacity_changed(link_id)
         self._stale = True
 
     def link(self, link_id: object) -> Link:
@@ -258,8 +261,11 @@ class FlowNetwork:
         Without a congestion model, a call whose solver inputs equal the
         last solve's returns that solve's dict: the same flows in the
         same order, each with the same path object, weight, rate cap and
-        state, over the same link states and capacities.  Change a
-        flow's path by replacing it (``flow.path = [...]`` or
+        state, over the same link states and capacities.  Otherwise the
+        solver updates its :class:`~repro.netsim.fairness.FairShareState`
+        by the same inputs (flows that came, went or changed, and links
+        resized by :meth:`set_link_capacity`) and fills from there.
+        Change a flow's path by replacing it (``flow.path = [...]`` or
         :meth:`Flow.reroute`), never by mutating the list in place, and
         do not mutate the returned dict.
         """
@@ -278,7 +284,9 @@ class FlowNetwork:
                     if base is None:
                         base = min(capacities[link_id] for link_id in flow.path)
                     overrides[flow.flow_id] = throttle * base
-        rates = max_min_rates(active, capacities, cap_overrides=overrides)
+        rates = max_min_rates(
+            active, capacities, cap_overrides=overrides, state=self._fair_share
+        )
         solved = []
         for flow in self.flows.values():
             flow.rate = rates.get(flow.flow_id, 0.0)

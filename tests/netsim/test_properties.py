@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.congestion import CongestionModel
-from repro.netsim.fairness import max_min_rates, max_min_rates_reference
+from repro.netsim.fairness import FairShareState, max_min_rates, max_min_rates_reference
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.network import _COMPLETION_REL_EPS, FlowNetwork
 from repro.obs.metrics import MetricsRegistry
@@ -117,8 +117,9 @@ def test_completion_order_matches_size_order_on_shared_link(sizes):
 
 
 # ----------------------------------------------------------------------
-# Differential properties: the heap solver and the cached network state
-# against the vectorized reference solver and a from-scratch recount.
+# Differential properties: the solver, cold and warm, and the cached
+# network state against the vectorized reference solver and a
+# from-scratch recount.
 # ----------------------------------------------------------------------
 def bits(rates):
     """Rates as (flow id, exact float) pairs, in dict order."""
@@ -159,6 +160,52 @@ def test_heap_solver_matches_reference_bit_for_bit(instance):
     fast = max_min_rates(flows, caps, cap_overrides=overrides)
     reference = max_min_rates_reference(flows, caps, cap_overrides=overrides)
     assert bits(fast) == bits(reference)
+
+
+state_op = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.lists(st.sampled_from(LINKS), min_size=1, max_size=5, unique=True),
+        st.sampled_from([1.0, 0.1, 0.2, 0.3, 0.7, 3.0]),
+        st.sampled_from([None, None, 1.0, 0.3]),
+    ),
+    st.tuples(st.just("drop"), st.integers(0, 63)),
+    st.tuples(
+        st.just("reroute"),
+        st.integers(0, 63),
+        st.lists(st.sampled_from(LINKS), min_size=1, max_size=5, unique=True),
+    ),
+    st.tuples(st.just("weight"), st.integers(0, 63), st.sampled_from([0.1, 0.7, 1.0, 3.0])),
+    st.tuples(st.just("capacity"), st.sampled_from(LINKS), st.sampled_from([1.0, 2.0, 3.0])),
+)
+
+
+@given(st.lists(state_op, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_state_churn_matches_reference(ops):
+    # Solver-level churn with tie-prone capacities and weights: flows
+    # come, go, reroute onto shorter or longer paths and change weight,
+    # and links change capacity, between warm solves of one state.
+    caps = {link: 3.0 for link in LINKS}
+    state = FairShareState()
+    active = []
+    for serial, (kind, *args) in enumerate(ops):
+        if kind == "add" or not active:
+            path, weight, rate_cap = args if kind == "add" else (["a"], 1.0, None)
+            active.append(
+                Flow(flow_id=f"f{serial}", path=path, size=1.0, weight=weight, rate_cap=rate_cap)
+            )
+        elif kind == "drop":
+            active.pop(args[0] % len(active))
+        elif kind == "reroute":
+            active[args[0] % len(active)].path = args[1]
+        elif kind == "weight":
+            active[args[0] % len(active)].weight = args[1]
+        else:
+            caps[args[0]] = args[1]
+            state.capacity_changed(args[0])
+        rates = max_min_rates(active, caps, state=state)
+        assert bits(rates) == bits(max_min_rates_reference(active, caps))
 
 
 def reference_active(net):

@@ -1,11 +1,11 @@
 """The one JSON codec, used wherever the control plane needs bytes.
 
-:func:`encode` turns a value into JSON-safe primitives; :func:`decode`
-rebuilds a value of a given type from them.  The journal and snapshots
-keep frozen records as objects; the codec writes the state digest's
-canonical JSON, the analysis export, and the small journal payloads of
-evaluation passes and C4P calls.  The wire format is fixed — replay
-digests hash it — and has three rules:
+The codec encodes only: :func:`encode` turns a value into JSON-safe
+primitives, and nothing turns them back.  The journal and snapshots keep
+values (frozen records and fresh copies of mutable ones), not encodings,
+so recovery never reads the wire format; the codec writes the state
+digest's canonical JSON and the analysis export.  The wire format is
+fixed — replay digests hash it — and has three rules:
 
 * dataclasses encode as dicts keyed by field name, nested dataclasses
   inline, except the small value types of :func:`positional_types`, which
@@ -15,15 +15,14 @@ digests hash it — and has three rules:
   their values; ``str``/``int``/``float``/``bool``/``None`` pass through.
 
 Two canonical orders complete the format: sets encode as lists sorted by
-the ``repr`` of each encoded item, and :func:`encode_pairs` stores a
-tuple-keyed map as ``[key, value]`` pairs sorted the same way.
+the ``repr`` of each encoded item, and a snapshot stores a tuple-keyed
+map as the ``(key, value)`` pairs of :func:`canonical_pairs`, sorted the
+same way by the encoded pair.
 
-Encoding follows the runtime type of each value.  Decoding follows a type
-hint (``OpRecord``, ``tuple[Suspect, ...]``, ``Optional[float]``, ...);
-values typed ``dict`` or as primitives come back as the payload has them.
-Both directions compile one plan per dataclass from
-:func:`typing.get_type_hints` on first use and reuse it afterwards, so
-the per-record cost stays that of hand-written field copying.
+Encoding follows the runtime type of each value.  It compiles one plan
+per dataclass from :func:`typing.get_type_hints` on first use and reuses
+it afterwards, so the per-record cost stays that of hand-written field
+copying.
 """
 
 from __future__ import annotations
@@ -46,29 +45,15 @@ def encode(value):
     return value if convert is None else convert(value)
 
 
-def decode(hint, payload):
-    """Rebuild a value of type ``hint`` from its :func:`encode` form."""
-    convert = _decoder(hint)
-    return payload if convert is None else convert(payload)
-
-
-def encode_pairs(mapping: Mapping) -> list:
-    """A tuple-keyed map as ``[key, value]`` pairs sorted by ``repr``.
+def canonical_pairs(mapping: Mapping) -> list:
+    """A tuple-keyed map's ``(key, value)`` pairs, sorted by encoded ``repr``.
 
     JSON objects only take string keys, so snapshots store such maps as
-    pair lists in this canonical order.
+    pair lists; this order makes their digest canonical.
     """
-    return sorted(([encode(key), encode(value)] for key, value in mapping.items()), key=repr)
+    return sorted(mapping.items(), key=lambda pair: repr(encode(pair)))
 
 
-def decode_pairs(key_hint, value_hint, pairs: list) -> dict:
-    """Inverse of :func:`encode_pairs`."""
-    return dict(decode(list[tuple[key_hint, value_hint]], pairs))
-
-
-# ----------------------------------------------------------------------
-# Encoding: by runtime type
-# ----------------------------------------------------------------------
 def _encode_items(items) -> list:
     return [encode(item) for item in items]
 
@@ -87,7 +72,7 @@ def _encoder(cls: type) -> _Converter:
     if issubclass(cls, enum.Enum):
         return attrgetter("value")
     if dataclasses.is_dataclass(cls):
-        return _dataclass_plan(cls, encoding=True)
+        return _dataclass_plan(cls)
     if issubclass(cls, (tuple, list)):
         return _encode_items
     if issubclass(cls, dict):
@@ -118,38 +103,6 @@ def _is_primitive(hint) -> bool:
     return hint in _PRIMITIVES
 
 
-# ----------------------------------------------------------------------
-# Decoding: by type hint
-# ----------------------------------------------------------------------
-@cache
-def _decoder(hint) -> _Converter:
-    """Converter rebuilding a ``hint``-typed value (None: pass through)."""
-    if _is_primitive(hint):
-        return None
-    origin = typing.get_origin(hint)
-    args = typing.get_args(hint)
-    if origin is tuple and args[-1] is not Ellipsis:
-        converters = [_decoder(arg) for arg in args]
-        return lambda payload: tuple(
-            item if c is None else c(item) for c, item in zip(converters, payload)
-        )
-    if origin in (tuple, list, set):
-        convert = _decoder(args[0])
-        if convert is None:
-            return origin
-        return lambda payload: origin(map(convert, payload))
-    if hint in (tuple, list, set, dict):
-        return hint
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        return hint
-    if dataclasses.is_dataclass(hint):
-        return _dataclass_plan(hint, encoding=False)
-    raise TypeError(f"no codec for type hint {hint!r}")
-
-
-# ----------------------------------------------------------------------
-# Per-dataclass plans
-# ----------------------------------------------------------------------
 @cache
 def positional_types() -> frozenset:
     """The value types that encode as positional lists rather than dicts.
@@ -165,45 +118,32 @@ def positional_types() -> frozenset:
     return frozenset({RankLocation, Suspect, FiveTuple, PathChoice})
 
 
-def _dataclass_plan(cls: type, encoding: bool) -> Callable[[Any], Any]:
-    """One encoder or decoder for ``cls``, built from its field hints.
+def _dataclass_plan(cls: type) -> Callable[[Any], Any]:
+    """One encoder for ``cls``, built from its field hints.
 
     The plan is compiled, as ``dataclasses`` compiles ``__init__``, into
     one expression, so a call costs what the hand-written
-    ``{"seq": obj.seq, ...}`` or ``cls(**payload)`` costs; only fields
-    whose hint needs it go through a converter.  (Reading ``obj.__dict__`` instead
-    would be as short, but on CPython 3.11 it makes every later attribute
-    read of that instance slower.)
+    ``{"seq": obj.seq, ...}`` costs; only fields whose hint needs it go
+    through a converter.  (Reading ``obj.__dict__`` instead would be as
+    short, but on CPython 3.11 it makes every later attribute read of
+    that instance slower.)
     """
     hints = typing.get_type_hints(cls)
     positional = cls in positional_types()
-    make = _field_encoder if encoding else _decoder
-    namespace = {"cls": cls}
+    namespace = {}
     items = []
-    for index, field in enumerate(dataclasses.fields(cls)):
+    for field in dataclasses.fields(cls):
         name = field.name
-        converter = make(hints[name])
-        if encoding:
-            value = f"value.{name}"
-        elif positional:
-            value = f"value[{index}]"
-        elif converter is None:
-            continue  # passed on unchanged by ``**value``
-        else:
-            value = f"value[{name!r}]"
+        value = f"value.{name}"
+        converter = _field_encoder(hints[name])
         if converter is not None:
             namespace[f"convert_{name}"] = converter
             value = f"convert_{name}({value})"
         items.append(value if positional else f"{name!r}: {value}")
     fields = ", ".join(items)
-    if encoding:
-        body = f"[{fields}]" if positional else f"{{{fields}}}"
-    elif positional:
-        body = f"cls({fields})"
-    else:
-        body = f"cls(**{{**value, {fields}}})"
+    body = f"[{fields}]" if positional else f"{{{fields}}}"
     exec(f"def plan(value):\n    return {body}\n", namespace)
     return namespace["plan"]
 
 
-__all__ = ["decode", "decode_pairs", "encode", "encode_pairs", "positional_types"]
+__all__ = ["canonical_pairs", "encode", "positional_types"]

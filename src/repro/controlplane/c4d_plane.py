@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.cluster.topology import ClusterTopology
-from repro.codec import decode, encode
 from repro.controlplane.journal import FencedOut, JournalStore, state_digest
 from repro.controlplane.lease import LeaseTable
 from repro.core.c4d.detectors import DetectorConfig
@@ -177,14 +176,13 @@ class C4DControlPlane:
         actions_before = len(self.steering.actions)
         executed_before = len(self.steering.executed_actions)
         fresh = self.master.evaluate(now, coverage=coverage, blind_nodes=blind)
-        new_actions = self.steering.actions[actions_before:]
         self.store.append(
             "evaluate",
             {
                 "now": now,
                 "coverage": coverage,
                 "blind": blind,
-                "actions": encode(new_actions),
+                "actions": tuple(self.steering.actions[actions_before:]),
             },
             self.epoch,
         )
@@ -257,11 +255,10 @@ class C4DControlPlane:
         elif kind == "drop":
             self.collector.drop_communicator(payload["comm_id"])
         elif kind == "evaluate":
-            actions = decode(list[SteeringAction], payload["actions"])
             # Re-derived actions keep the epoch of the incarnation that
             # executed them; recover() restores the plane's own epoch.
             self.master.epoch = entry.epoch
-            self.steering.begin_replay(actions)
+            self.steering.begin_replay(payload["actions"])
             try:
                 self.master.evaluate(
                     payload["now"],

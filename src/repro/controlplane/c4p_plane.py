@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology
-from repro.codec import decode, decode_pairs, encode, encode_pairs
 from repro.collective.selectors import PathRequest, QpAllocation
 from repro.controlplane.journal import FencedOut, JournalStore
 from repro.controlplane.journal import state_digest as _digest
@@ -94,7 +93,7 @@ class ResilientC4PMaster(C4PMaster):
         qp_nums = [next(c4p_master._qp_counter) for _ in range(request.num_qps)]
         self.store.append(
             "allocate",
-            {"request": encode(request), "qp_nums": qp_nums},
+            {"request": request, "qp_nums": qp_nums},
             self.epoch,
         )
         self._qp_num_override.extend(qp_nums)
@@ -124,7 +123,7 @@ class ResilientC4PMaster(C4PMaster):
             now = self.topology.network.now
         self.store.append(
             "link_failure",
-            {"link": encode(link_id), "now": now, "drain": drain},
+            {"link": link_id, "now": now, "drain": drain},
             self.epoch,
         )
         return super().notify_link_failure(link_id, now, drain)
@@ -146,7 +145,7 @@ class ResilientC4PMaster(C4PMaster):
             self._suppress_journal = False
         self.store.append(
             "maintenance",
-            {"now": now, "probes": encode_pairs(self.last_probe_results)},
+            {"now": now, "probes": dict(self.last_probe_results)},
             self.epoch,
         )
         return report
@@ -197,7 +196,7 @@ class ResilientC4PMaster(C4PMaster):
         if kind == "allocate":
             self._qp_num_override.extend(payload["qp_nums"])
             try:
-                super().allocate(decode(PathRequest, payload["request"]))
+                super().allocate(payload["request"])
             except c4p_master.PathPoolExhausted:
                 # The live call failed the same way; partial state
                 # mutations are re-derived identically.
@@ -207,14 +206,9 @@ class ResilientC4PMaster(C4PMaster):
         elif kind == "release":
             self._release_qps(payload["qp_nums"])
         elif kind == "link_failure":
-            super().notify_link_failure(
-                tuple(payload["link"]), payload["now"], payload["drain"]
-            )
+            super().notify_link_failure(payload["link"], payload["now"], payload["drain"])
         elif kind == "maintenance":
-            super().maintenance(
-                payload["now"],
-                probe_results=decode_pairs(tuple, bool, payload["probes"]),
-            )
+            super().maintenance(payload["now"], probe_results=payload["probes"])
         else:
             raise ValueError(f"unknown journal entry kind {kind!r}")
 

@@ -96,6 +96,8 @@ class JournalStore:
     live master reaches (fresh containers around immutable values such
     as frozen records), and every ``restore_state`` must build fresh
     containers from it, because one snapshot may be restored many times.
+    Nothing here decodes: :mod:`repro.codec` is encode only, and runs
+    just for :func:`state_digest`.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:

@@ -188,7 +188,7 @@ class CommSlowDetector:
         return threshold
 
     def snapshot_state(self) -> dict:
-        """JSON-safe snapshot of the hysteresis state."""
+        """Detached snapshot of the hysteresis state."""
         return {"active": sorted(self._active)}
 
     def restore_state(self, state: dict) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.codec import decode, decode_pairs, encode, encode_pairs
+from repro.codec import canonical_pairs
 from repro.core.c4d.detectors import (
     CommSlowDetector,
     DetectorConfig,
@@ -300,18 +300,18 @@ class C4DMaster:
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """JSON-safe snapshot of the master's mutable detection state.
+        """Detached snapshot of the master's mutable detection state.
 
         The fencing ``epoch`` is deliberately excluded: it identifies
         *which incarnation* holds the state, not the state itself, so a
         recovered master with a bumped epoch still digests identically.
         """
         return {
-            "anomalies": encode(self.anomalies),
-            "actions": encode(self.actions),
-            "degraded_anomalies": encode(self.degraded_anomalies),
-            "last_reported": encode_pairs(self._last_reported),
-            "pending": encode_pairs(self._pending),
+            "anomalies": tuple(self.anomalies),
+            "actions": tuple(self.actions),
+            "degraded_anomalies": tuple(self.degraded_anomalies),
+            "last_reported": canonical_pairs(self._last_reported),
+            "pending": canonical_pairs(self._pending),
             "eval_index": self._eval_index,
             "node_last_action": sorted(self._node_last_action.items()),
             "detectors": {
@@ -323,11 +323,11 @@ class C4DMaster:
 
     def restore_state(self, state: dict) -> None:
         """Replace mutable state with a :meth:`snapshot_state` dict."""
-        self.anomalies = decode(list[Anomaly], state["anomalies"])
-        self.actions = decode(list[SteeringAction], state["actions"])
-        self.degraded_anomalies = decode(list[Anomaly], state["degraded_anomalies"])
-        self._last_reported = decode_pairs(_VerdictKey, float, state["last_reported"])
-        self._pending = decode_pairs(_VerdictKey, tuple[int, int], state["pending"])
+        self.anomalies = list(state["anomalies"])
+        self.actions = list(state["actions"])
+        self.degraded_anomalies = list(state["degraded_anomalies"])
+        self._last_reported = dict(state["last_reported"])
+        self._pending = dict(state["pending"])
         self._eval_index = state["eval_index"]
         self._node_last_action = {node: t for node, t in state["node_last_action"]}
         for detector in self.detectors:

@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
-from repro.codec import decode, encode
 from repro.core.c4d.events import Anomaly
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -403,7 +402,7 @@ class JobSteeringService:
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """JSON-safe snapshot of the service's logical state.
+        """Detached snapshot of the service's logical state.
 
         ``executed_actions``/``executed_log`` are deliberately absent:
         they describe what *this process* physically did and must not be
@@ -412,9 +411,9 @@ class JobSteeringService:
         return {
             "backup_pool": list(self.backup_pool),
             "isolated": sorted(self._isolated),
-            "actions": encode(self.actions),
+            "actions": tuple(self.actions),
             "executed": [
-                [encode(key), epoch, executed_at, encode(action)]
+                (key, epoch, executed_at, action)
                 for key, (epoch, executed_at, action) in sorted(
                     self._executed.items(), key=lambda item: repr(item[0])
                 )
@@ -427,15 +426,10 @@ class JobSteeringService:
         """Replace logical state with a :meth:`snapshot_state` dict."""
         self.backup_pool = list(state["backup_pool"])
         self._isolated = set(state["isolated"])
-        self.actions = decode(list[SteeringAction], state["actions"])
-        # A fault key's detail is a node-id tuple or a communicator id.
+        self.actions = list(state["actions"])
         self._executed = {
-            (kind, tuple(detail) if isinstance(detail, list) else detail): (
-                epoch,
-                executed_at,
-                decode(SteeringAction, action),
-            )
-            for (kind, detail), epoch, executed_at, action in state["executed"]
+            key: (epoch, executed_at, action)
+            for key, epoch, executed_at, action in state["executed"]
         }
         self.dedup_window = state["dedup_window"]
         self.dedup_hits = state["dedup_hits"]

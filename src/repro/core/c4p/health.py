@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.codec import decode_pairs, encode_pairs
+from repro.codec import canonical_pairs
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 
@@ -137,20 +137,21 @@ class LinkHealthTracker:
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """JSON-safe snapshot: link-id tuples become nested lists."""
+        """Detached snapshot: each tuple-keyed map becomes sorted pairs."""
+        failures = {link: tuple(times) for link, times in self._failures.items()}
         return {
-            "state": encode_pairs(self._state),
-            "failures": encode_pairs(self._failures),
-            "quarantined_until": encode_pairs(self._quarantined_until),
-            "streak": encode_pairs(self._streak),
+            "state": canonical_pairs(self._state),
+            "failures": canonical_pairs(failures),
+            "quarantined_until": canonical_pairs(self._quarantined_until),
+            "streak": canonical_pairs(self._streak),
         }
 
     def restore_state(self, state: dict) -> None:
         """Replace the state machine with a :meth:`snapshot_state` dict."""
-        self._state = decode_pairs(tuple, LinkHealthState, state["state"])
-        self._failures = decode_pairs(tuple, list[float], state["failures"])
-        self._quarantined_until = decode_pairs(tuple, float, state["quarantined_until"])
-        self._streak = decode_pairs(tuple, int, state["streak"])
+        self._state = dict(state["state"])
+        self._failures = {link: list(times) for link, times in state["failures"]}
+        self._quarantined_until = dict(state["quarantined_until"])
+        self._streak = dict(state["streak"])
 
     # ------------------------------------------------------------------
     # Transitions

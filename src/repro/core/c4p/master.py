@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology, PathChoice
-from repro.codec import decode, encode
 from repro.collective.selectors import ROCE_DST_PORT, PathRequest, QpAllocation
 from repro.core.c4p.health import LinkHealthConfig, LinkHealthState, LinkHealthTracker
 from repro.core.c4p.probing import PathProber
@@ -54,6 +53,11 @@ class AllocationRecord:
     rail: int
     request: PathRequest
     alloc: QpAllocation
+
+
+def _copy_record(record: AllocationRecord) -> AllocationRecord:
+    """A copy no in-place reassignment of ``record`` or its allocation reaches."""
+    return replace(record, alloc=replace(record.alloc))
 
 
 @dataclass(frozen=True)
@@ -430,11 +434,16 @@ class C4PMaster:
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """JSON-safe snapshot of all mutable traffic-engineering state."""
+        """Detached snapshot of all mutable traffic-engineering state.
+
+        Drains and the load balancer reassign the fields of a live
+        allocation in place, so the snapshot holds copies of each
+        record and its allocation.
+        """
         return {
             "registry": self.registry.snapshot_state(),
             "health": self.health.snapshot_state(),
-            "allocated": [encode(record) for _qp, record in sorted(self._allocated.items())],
+            "allocated": [_copy_record(record) for _qp, record in sorted(self._allocated.items())],
             "synthetic_port": self._synthetic_port,
         }
 
@@ -448,7 +457,7 @@ class C4PMaster:
         self.health.restore_state(state["health"])
         self._allocated = {}
         self._link_qps = {}
-        for record in decode(list[AllocationRecord], state["allocated"]):
+        for record in map(_copy_record, state["allocated"]):
             self._allocated[record.alloc.qp_num] = record
             self._index(record)
         self._synthetic_port = state["synthetic_port"]

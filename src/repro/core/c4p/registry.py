@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cluster.topology import ClusterTopology, PathChoice
-from repro.codec import decode, decode_pairs, encode, encode_pairs
+from repro.codec import canonical_pairs
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 
@@ -189,17 +189,17 @@ class PathRegistry:
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """JSON-safe snapshot: link-id tuples become nested lists."""
+        """Detached snapshot: the tuple-keyed load map becomes sorted pairs."""
         return {
-            "link_load": encode_pairs(self.link_load),
-            "dead_links": encode(self.dead_links),
+            "link_load": canonical_pairs(self.link_load),
+            "dead_links": frozenset(self.dead_links),
             "rr": self._rr,
         }
 
     def restore_state(self, state: dict) -> None:
         """Replace bookkeeping with a :meth:`snapshot_state` dict."""
-        self.link_load = decode_pairs(tuple, int, state["link_load"])
-        self.dead_links = decode(set[tuple], state["dead_links"])
+        self.link_load = dict(state["link_load"])
+        self.dead_links = set(state["dead_links"])
         self._rr = state["rr"]
         self._m_dead.set(len(self.dead_links))
         for link, load in self.link_load.items():

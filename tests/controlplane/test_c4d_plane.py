@@ -75,6 +75,30 @@ def test_evaluate_executes_and_journals(env):
     assert len(evaluate_entry.payload["actions"]) == 1
 
 
+def test_restored_anomalies_keep_their_evidence_types(env):
+    store, leases, metrics = env
+    plane = build_plane(store, leases, metrics)
+    # Rank 3 is silent in two communicators: the master fuses the two
+    # hangs into one node-scoped anomaly whose ``comm_ids`` is a tuple.
+    feed_hang(plane, "c0", 0.0)
+    feed_hang(plane, "c1", 0.0)
+    for node in range(4):
+        leases.heartbeat(node, 20.0)
+    plane.evaluate(60.0)
+    (original,) = plane.master.anomalies
+    assert original.evidence["comm_ids"] == ("c0", "c1")
+    assert plane.snapshot()
+
+    successor = build_plane(store, leases, metrics, active=False)
+    assert successor.recover(now=70.0)["entries_replayed"] == 0
+    (restored,) = successor.master.anomalies
+    (action,) = successor.master.actions
+    # ``repr`` tells a tuple from a list; ``==`` on evidence and the
+    # digest do not.
+    assert repr(restored.evidence) == repr(original.evidence)
+    assert repr(action.anomaly.evidence) == repr(original.evidence)
+
+
 def test_cold_restart_replays_to_identical_digest(env):
     store, leases, metrics = env
     executed = []

@@ -162,6 +162,28 @@ def test_c4d_two_recoveries_from_one_store_agree(env):
     assert second.recover(now=130.0)["digest"] == digest
 
 
+def test_c4d_snapshot_survives_a_degraded_evaluation(env):
+    store, leases, metrics = env
+    executed = []
+    plane = snapshotted_plane(env, executed)
+    digest = plane.state_digest()
+    at_snapshot = store_copy(store)
+
+    # Every lease has lapsed by t=200, so the pass records the new hang
+    # with its evidence annotated in place and acts on nothing.
+    feed_hang(plane, "h2", 2, now=70.0)
+    plane.evaluate(200.0)
+    (degraded,) = plane.master.degraded_anomalies
+    assert degraded.evidence["degraded"] is True
+    assert len(executed) == 1
+    assert plane.state_digest() != digest
+
+    successor = c4d_plane(at_snapshot, leases, metrics, [], active=False)
+    info = successor.recover(now=210.0)
+    assert info["entries_replayed"] == 0
+    assert info["digest"] == digest
+
+
 # ----------------------------------------------------------------------
 # C4P master
 # ----------------------------------------------------------------------
@@ -210,3 +232,42 @@ def test_c4p_two_recoveries_from_one_store_agree():
 
     second = c4p_master(store=pristine, active=False, refresh_on_init=False)
     assert second.recover(now=30.0)["digest"] == digest
+
+
+def test_c4p_snapshot_survives_in_place_reassignment_of_an_allocation():
+    master = c4p_master()
+    allocs = master.allocate(request(0, 0, 4))
+    assert master.snapshot()
+    digest = master.state_digest()
+    at_snapshot = store_copy(master.store)
+
+    # The load balancer sets a live allocation's weight in place, and a
+    # drain reassigns the route fields of the allocation it migrates.
+    allocs[0].weight = 0.25
+    report = master.notify_link_failure(allocs[1].path[2], now=10.0)
+    assert allocs[1] in report.migrated
+    assert master.state_digest() != digest
+
+    successor = c4p_master(store=at_snapshot, active=False, refresh_on_init=False)
+    info = successor.recover(now=20.0)
+    assert info["entries_replayed"] == 0
+    assert info["digest"] == digest
+
+
+def test_c4p_snapshot_survives_a_repeated_link_failure():
+    master = c4p_master()
+    allocs = master.allocate(request(0, 0, 4))
+    link = allocs[0].path[2]
+    master.notify_link_failure(link, now=10.0)
+    assert master.snapshot()
+    digest = master.state_digest()
+    at_snapshot = store_copy(master.store)
+
+    master.health.record_failure(link, now=20.0)
+    assert master.health.failures_in_window(link, now=20.0) == 2
+    assert master.state_digest() != digest
+
+    successor = c4p_master(store=at_snapshot, active=False, refresh_on_init=False)
+    info = successor.recover(now=30.0)
+    assert info["entries_replayed"] == 0
+    assert info["digest"] == digest

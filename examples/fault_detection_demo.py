@@ -102,8 +102,10 @@ def scenario_crash_and_steer() -> None:
 
     steering = JobSteeringService(scenario.topology, backup_nodes=[15])
     rca = RootCauseAnalyzer()
-    master = C4DMaster(collector, steering=steering, rca=rca)
-    for anomaly in master.evaluate(scenario.network.now):
+    master = C4DMaster(collector, steering=steering)
+    fresh = master.evaluate(scenario.network.now)
+    for anomaly in fresh:
+        rca.submit(anomaly)  # hand-off to the offline RCA queue
         suspects = ", ".join(str(s) for s in anomaly.suspects)
         print(f"  detected {anomaly.anomaly_type.value}: suspects [{suspects}]")
     for action in steering.actions:

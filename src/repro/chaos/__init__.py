@@ -40,7 +40,6 @@ from repro.chaos.scenario import (
     spine_maintenance_scenario,
 )
 from repro.chaos.scorecard import (
-    DEFAULT_GRACE,
     CampaignScorecard,
     ControlPlaneMetrics,
     EpisodeOutcome,
@@ -52,6 +51,7 @@ from repro.chaos.scorecard import (
     score_recovery_scenario,
 )
 from repro.chaos.workload import SyntheticFeed
+from repro.obs.trace import DEFAULT_GRACE
 
 __all__ = [
     "ChaosCampaign",

@@ -44,7 +44,6 @@ from repro.chaos.scenario import (
     default_campaign,
 )
 from repro.chaos.scorecard import (
-    DEFAULT_GRACE,
     CampaignScorecard,
     ScenarioScorecard,
     score_recovery_scenario,
@@ -72,9 +71,6 @@ class ChaosCampaign:
     seed:
         Base seed for the default campaign (ignored when ``scenarios``
         is given).
-    grace:
-        Seconds past an episode window's end during which a detection
-        still counts as true.
     observability:
         The :class:`~repro.obs.report.ObservabilityPlane` receiving this
         campaign's metrics and fault spans.  ``None`` creates a private
@@ -86,13 +82,11 @@ class ChaosCampaign:
         self,
         scenarios: Optional[Sequence[ChaosScenario]] = None,
         seed: int = 0,
-        grace: float = DEFAULT_GRACE,
         observability: Optional[ObservabilityPlane] = None,
     ) -> None:
         self.scenarios = (
             list(scenarios) if scenarios is not None else default_campaign(seed)
         )
-        self.grace = grace
         self.obs = observability if observability is not None else ObservabilityPlane()
 
     def run(self) -> CampaignScorecard:
@@ -118,7 +112,7 @@ class ChaosCampaign:
         # never cross scenario boundaries.  The finished tracer is then
         # folded into the campaign-wide plane (metrics were shared all
         # along through self.obs.registry).
-        tracer = FaultTracer(metrics=self.obs.registry, grace=self.grace)
+        tracer = FaultTracer(metrics=self.obs.registry)
         # One span per ground-truth episode.  Fabric scenarios inject no
         # node faults; their runner opens spans for its link faults.
         for episode in scenario.episodes:
@@ -139,10 +133,10 @@ class ChaosCampaign:
             )
         elif scenario.kind is ScenarioKind.CONTROLPLANE:
             card = run_controlplane_scenario(
-                scenario, metrics=self.obs.registry, tracer=tracer, grace=self.grace
+                scenario, metrics=self.obs.registry, tracer=tracer
             )
         else:
-            card, _ = run_feed_loop(scenario, self.obs.registry, tracer, self.grace)
+            card, _ = run_feed_loop(scenario, self.obs.registry, tracer)
         self.obs.tracer.absorb(tracer)
         return card
 
@@ -189,4 +183,4 @@ class ChaosCampaign:
             isolated = event.action.isolated_nodes
             tracer.detection(event.detected_at, isolated)
             tracer.action(event.detected_at, isolated, ready_at=event.action.ready_at)
-        return score_recovery_scenario(scenario, report, grace=self.grace)
+        return score_recovery_scenario(scenario, report)

@@ -51,9 +51,9 @@ from repro.chaos.scenario import (
     ScenarioKind,
 )
 from repro.chaos.scorecard import (
-    DEFAULT_GRACE,
     ControlPlaneMetrics,
     ScenarioScorecard,
+    _action_targets,
     _matching_episodes,
     _steering_action,
     score_controlplane_scenario,
@@ -80,11 +80,26 @@ HEARTBEAT_INTERVAL = 10.0
 LEASE_SECONDS = 30.0
 
 
+def _trace_outcome(tracer: FaultTracer, master: C4DMaster) -> None:
+    """Report a finished run's anomalies and steering actions to ``tracer``.
+
+    After a kill or failover the final master holds every incarnation's
+    history: recovery restores and replays its predecessor's.
+    """
+    for anomaly in master.anomalies:
+        tracer.detection(
+            anomaly.detected_at, anomaly.suspect_nodes, kind=anomaly.anomaly_type.value
+        )
+    for action in master.actions:
+        tracer.action(
+            action.anomaly.detected_at, tuple(_action_targets(action)), ready_at=action.ready_at
+        )
+
+
 def run_feed_loop(
     scenario: ChaosScenario,
     registry: MetricsRegistry,
     tracer: Optional[FaultTracer],
-    grace: float,
 ) -> tuple[ScenarioScorecard, Optional[ControlPlaneMetrics]]:
     """Run the scenario's closed loop once and judge its steering actions.
 
@@ -128,7 +143,7 @@ def run_feed_loop(
                 duplicates += 1
             last_executed[key] = network.now
             if coverage < C4DMaster.DEGRADED_COVERAGE_THRESHOLD and not _matching_episodes(
-                _steering_action(action), scenario.episodes, grace
+                _steering_action(action), scenario.episodes
             ):
                 blackout_false_isolations += len(action.isolated_nodes)
         feed.apply_action(action, sink.drop_communicator)
@@ -145,10 +160,7 @@ def run_feed_loop(
             faults=scenario.steering_faults,
             metrics=registry,
         )
-        master = C4DMaster(
-            sink, HARDENED_DETECTORS, steering=steering, metrics=registry,
-            tracer=tracer,
-        )
+        master = C4DMaster(sink, HARDENED_DETECTORS, steering=steering, metrics=registry)
     else:
         store = JournalStore(metrics=registry)
         leases = LeaseTable(lease_seconds=LEASE_SECONDS, metrics=registry)
@@ -166,7 +178,6 @@ def run_feed_loop(
                 standby=standby,
                 action_listener=on_action,
                 metrics=registry,
-                tracer=tracer,
             )
 
         sink = build_plane(active=True)
@@ -274,6 +285,8 @@ def run_feed_loop(
 
     feed.start()
     network.run(until=scenario.duration)
+    if tracer is not None:
+        _trace_outcome(tracer, master if plan is None else sink.master)
 
     card = score_pipeline_scenario(
         scenario,
@@ -281,7 +294,6 @@ def run_feed_loop(
         channel_stats=channel.stats() if channel is not None else None,
         steps_completed=feed.steps_completed,
         relaunches=feed.relaunches,
-        grace=grace,
     )
     if plan is None:
         return card, None
@@ -315,7 +327,6 @@ def run_controlplane_scenario(
     scenario: ChaosScenario,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[FaultTracer] = None,
-    grace: float = DEFAULT_GRACE,
 ) -> ScenarioScorecard:
     """Execute one CONTROLPLANE scenario and judge it.
 
@@ -327,8 +338,8 @@ def run_controlplane_scenario(
     if scenario.controlplane is None:
         raise ValueError(f"scenario {scenario.name} has no controlplane plan")
     calm = replace(scenario, kind=ScenarioKind.PIPELINE, controlplane=None)
-    baseline, _ = run_feed_loop(calm, MetricsRegistry(), None, grace)
-    card, resilience = run_feed_loop(scenario, get_registry(metrics), tracer, grace)
+    baseline, _ = run_feed_loop(calm, MetricsRegistry(), None)
+    card, resilience = run_feed_loop(scenario, get_registry(metrics), tracer)
     return score_controlplane_scenario(
         card, replace(resilience, baseline_recall=baseline.recall)
     )

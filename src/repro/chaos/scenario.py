@@ -49,6 +49,7 @@ from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology
 from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.steering import SteeringConfig, SteeringFaultModel
+from repro.obs.trace import DEFAULT_GRACE
 from repro.telemetry.unreliable import ChannelConfig
 
 
@@ -81,9 +82,9 @@ class Episode:
         """First moment the fault is active."""
         return min(start for start, _end in self.windows)
 
-    def active_at(self, now: float, grace: float = 0.0) -> bool:
-        """True while any window (stretched by ``grace``) covers ``now``."""
-        return any(start <= now <= end + grace for start, end in self.windows)
+    def active_at(self, now: float) -> bool:
+        """True while any window, stretched by ``DEFAULT_GRACE``, covers ``now``."""
+        return any(start <= now <= end + DEFAULT_GRACE for start, end in self.windows)
 
     def covers_node(self, node: int) -> bool:
         """True when the episode degrades ``node``."""

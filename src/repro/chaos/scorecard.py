@@ -6,7 +6,7 @@ the pipeline did (the steering service's actions, the recovery
 orchestrator's events).  The scorecard joins the two:
 
 * an action is **true** when at least one node it targeted belongs to an
-  episode active at detection time (stretched by a grace window — a
+  episode active at detection time (stretched by ``DEFAULT_GRACE`` — a
   flapping window may close while the debounce is still counting);
 * an action is **false** otherwise, and each node it isolated counts as
   a false isolation (healthy capacity destroyed by ghost telemetry);
@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 from repro.chaos.scenario import ChaosScenario, Episode
 from repro.core.c4d.steering import SteeringAction
-from repro.obs.trace import DEFAULT_GRACE
 from repro.training.recovery import RecoveryReport
 
 
@@ -290,20 +289,18 @@ def _steering_action(action: SteeringAction) -> _Action:
     )
 
 
-def _matching_episodes(
-    action: _Action, episodes: Sequence[Episode], grace: float
-) -> list[Episode]:
+def _matching_episodes(action: _Action, episodes: Sequence[Episode]) -> list[Episode]:
     """Episodes an action correctly responded to."""
     return [
         episode
         for episode in episodes
-        if episode.active_at(action.detected_at, grace=grace)
+        if episode.active_at(action.detected_at)
         and action.targets.intersection(episode.nodes)
     ]
 
 
 def _score(
-    scenario: ChaosScenario, actions: Sequence[_Action], grace: float, **fields
+    scenario: ChaosScenario, actions: Sequence[_Action], **fields
 ) -> ScenarioScorecard:
     """Judge normalized actions against the scenario's ground truth.
 
@@ -321,7 +318,7 @@ def _score(
     for action in actions:
         pool_exhaustions += int(action.pool_exhausted)
         wasted += len(action.doa)
-        matched = _matching_episodes(action, episodes, grace)
+        matched = _matching_episodes(action, episodes)
         if matched:
             true_actions += 1
             for episode in matched:
@@ -371,13 +368,11 @@ def score_pipeline_scenario(
     channel_stats: Optional[dict] = None,
     steps_completed: int = 0,
     relaunches: int = 0,
-    grace: float = DEFAULT_GRACE,
 ) -> ScenarioScorecard:
     """Judge one pipeline run's steering actions against ground truth."""
     return _score(
         scenario,
         [_steering_action(action) for action in actions],
-        grace,
         channel=dict(channel_stats or {}),
         steps_completed=steps_completed,
         relaunches=relaunches,
@@ -441,7 +436,6 @@ def score_controlplane_scenario(
 def score_recovery_scenario(
     scenario: ChaosScenario,
     report: RecoveryReport,
-    grace: float = DEFAULT_GRACE,
 ) -> ScenarioScorecard:
     """Judge one recovery run's events against ground truth."""
     actions = [
@@ -455,7 +449,6 @@ def score_recovery_scenario(
     return _score(
         scenario,
         actions,
-        grace,
         steps_completed=report.completed_steps,
         relaunches=len(report.events),
         restore_fallbacks=sum(event.restore_fallbacks for event in report.events),

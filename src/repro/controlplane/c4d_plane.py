@@ -77,7 +77,6 @@ class C4DControlPlane:
         standby: bool = False,
         action_listener: Optional[Callable[[SteeringAction, float], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
     ) -> None:
         self.topology = topology
         self.backup_nodes = list(backup_nodes)
@@ -88,7 +87,6 @@ class C4DControlPlane:
         self._steering_faults = steering_faults
         self.action_listener = action_listener
         self._metrics = metrics
-        self.tracer = tracer
         self.epoch = 0
         self.active = False
         #: Built as a warm standby — its promotion counts as a failover.
@@ -114,7 +112,6 @@ class C4DControlPlane:
             config=self._detector_config,
             steering=self.steering,
             metrics=self._metrics,
-            tracer=self.tracer,
         )
         self.master.epoch = self.epoch
 
@@ -222,15 +219,9 @@ class C4DControlPlane:
         during replay, then start accepting writes.
         """
         self._build()
-        # Replay must not re-emit detections to the tracer — those all
-        # happened pre-crash.
-        self.master.tracer = None
-        try:
-            self.epoch, replayed = self.store.recover(
-                self._restore, self._replay_entry, standby=self._standby
-            )
-        finally:
-            self.master.tracer = self.tracer
+        self.epoch, replayed = self.store.recover(
+            self._restore, self._replay_entry, standby=self._standby
+        )
         self._standby = False
         self.master.epoch = self.epoch
         self.active = True

@@ -86,6 +86,9 @@ class ResilientC4PMaster(C4PMaster):
         if self._bypass:
             return super().allocate(request)
         self._check_writer()
+        # An unservable request fails here, unjournaled: its entry would
+        # make every later replay raise.
+        self._check_request(request)
         # Draw the QP numbers up front and journal them write-ahead:
         # replay feeds the same numbers through the override queue, so
         # recovered allocations keep their identities even though the

@@ -1,9 +1,11 @@
-"""The C4D master: periodic evaluation, dedup, steering and RCA hand-off.
+"""The C4D master: periodic evaluation, dedup and steering.
 
 Wires the detectors over the central collector (Fig. 5's architecture):
 ``evaluate(now)`` runs all detectors, suppresses repeats of anomalies it
 has already acted on, forwards fresh ones to the steering service
-(isolate + restart) and to the offline root-cause analyzer.
+(isolate + restart) and returns them; the caller ships that return value
+to whatever consumes anomalies in the background (the offline
+root-cause analyzer, a fault tracer).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.core.c4d.detectors import (
     NonCommSlowDetector,
 )
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
-from repro.core.c4d.rca import RootCauseAnalyzer
 from repro.core.c4d.steering import JobSteeringService, SteeringAction
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
@@ -41,8 +42,6 @@ class C4DMaster:
     steering:
         Optional steering service; when present, fresh anomalies trigger
         isolate-and-restart automatically.
-    rca:
-        Optional offline analyzer receiving every fresh anomaly.
 
     Two robustness gates (configured via :class:`DetectorConfig`) sit in
     front of reporting:
@@ -72,21 +71,14 @@ class C4DMaster:
         collector: CentralCollector,
         config: Optional[DetectorConfig] = None,
         steering: Optional[JobSteeringService] = None,
-        rca: Optional[RootCauseAnalyzer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
     ) -> None:
         self.collector = collector
         self.config = config or DetectorConfig()
         self.steering = steering
-        self.rca = rca
         #: Fencing epoch stamped onto steering dispatches; bumped by the
         #: control plane on every recovery/failover.
         self.epoch = 0
-        #: Optional :class:`~repro.obs.trace.FaultTracer`; fresh
-        #: anomalies and steering actions are reported to it so fault
-        #: spans get their ``detect``/``steer``/``recover`` stages.
-        self.tracer = tracer
         self.detectors = [
             HangDetector(collector, self.config),
             CommSlowDetector(collector, self.config, metrics),
@@ -231,12 +223,6 @@ class C4DMaster:
         for anomaly in fresh:
             self.anomalies.append(anomaly)
             self._m_anomalies.labels(type=anomaly.anomaly_type.value).inc()
-            if self.tracer is not None:
-                self.tracer.detection(
-                    now, anomaly.suspect_nodes, kind=anomaly.anomaly_type.value
-                )
-            if self.rca is not None:
-                self.rca.submit(anomaly)
             if self.steering is not None and anomaly.anomaly_type in (
                 AnomalyType.COMM_HANG,
                 AnomalyType.NONCOMM_HANG,
@@ -252,9 +238,6 @@ class C4DMaster:
                     # dedup window) — already executed, nothing to do.
                     continue
                 self.actions.append(action)
-                if self.tracer is not None:
-                    targets = set(action.isolated_nodes) | set(anomaly.suspect_nodes)
-                    self.tracer.action(now, tuple(targets), ready_at=action.ready_at)
         return fresh
 
     @staticmethod

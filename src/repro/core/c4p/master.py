@@ -321,8 +321,18 @@ class C4PMaster:
     # ------------------------------------------------------------------
     # Allocation API (called by per-job selectors)
     # ------------------------------------------------------------------
+    def _check_request(self, request: PathRequest) -> None:
+        """Raise, mutating nothing, unless both NICs exist on one rail."""
+        ends = ((request.src_node, request.src_nic), (request.dst_node, request.dst_nic))
+        for node, nic in ends:
+            if not 0 <= nic < len(self.topology.node(node).nics):
+                raise ValueError(f"node {node} has no nic{nic}")
+        if self.topology.rail_of(request.src_nic) != self.topology.rail_of(request.dst_nic):
+            raise ValueError(f"cross-rail request: nic{request.src_nic} -> nic{request.dst_nic}")
+
     def allocate(self, request: PathRequest) -> list[QpAllocation]:
         """Allocate balanced, plane-preserving routes for a connection."""
+        self._check_request(request)
         rail = self.topology.rail_of(request.src_nic)
         src_nic_obj = self.topology.node(request.src_node).nics[request.src_nic]
         dst_nic_obj = self.topology.node(request.dst_node).nics[request.dst_nic]

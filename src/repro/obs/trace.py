@@ -11,14 +11,15 @@ stitches both sides into per-fault timelines — ordered stages
 * **MTTD** (mean time to detect): ``detect - inject``, per fault;
 * **MTTR** (mean time to recover): ``recover - inject``, per fault;
 * **false positives**: detections matching no injected fault active at
-  detection time (stretched by a grace window, mirroring the chaos
+  detection time (each window stretched by ``DEFAULT_GRACE``, the chaos
   scorecard's convention).
 
 Stages are first-occurrence-wins: a re-detection of the same fault does
 not move its timeline.  All times are simulated seconds on the run's
-clock.  Components report what they see (``detection``/``action`` with
-suspect nodes); the tracer owns the matching against registered ground
-truth, so the pipeline under test never touches ground truth itself.
+clock.  The chaos runners report what the pipeline did (suspect nodes,
+rerouted links); C4D's verdicts and actions are read from the final
+master after the run.  The tracer owns the matching against registered
+ground truth, so the system under test never holds a tracer.
 """
 
 from __future__ import annotations
@@ -82,12 +83,9 @@ class FaultSpan:
             return self.stages["recover"] - self.stages["inject"]
         return None
 
-    def active_at(self, now: float, grace: float = 0.0) -> bool:
-        """True while any activity window (plus grace) covers ``now``."""
-        if not self.windows:
-            injected = self.injected_at
-            return injected is not None and now >= injected
-        return any(start <= now <= end + grace for start, end in self.windows)
+    def active_at(self, now: float) -> bool:
+        """True while any activity window, plus ``DEFAULT_GRACE``, covers ``now``."""
+        return any(start <= now <= end + DEFAULT_GRACE for start, end in self.windows)
 
     def timeline(self) -> list[tuple[str, float]]:
         """Observed stages in canonical order."""
@@ -129,16 +127,10 @@ class FaultTracer:
         Registry receiving the ``obs_fault_*`` series (MTTD/MTTR
         histograms, false-positive counter); ``None`` uses the
         process-wide default registry.
-    grace:
-        Seconds past a fault window's end during which a detection still
-        matches it.
     """
 
-    def __init__(
-        self, metrics: Optional[MetricsRegistry] = None, grace: float = DEFAULT_GRACE
-    ) -> None:
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         registry = get_registry(metrics)
-        self.grace = grace
         self.spans: dict[str, FaultSpan] = {}
         self.false_positives: list[FalsePositive] = []
         self._m_stage = registry.counter(
@@ -163,7 +155,8 @@ class FaultTracer:
         kind: str,
         victims: Sequence = (),
         injected_at: float = 0.0,
-        windows: Optional[Sequence[tuple[float, float]]] = None,
+        *,
+        windows: Sequence[tuple[float, float]],
     ) -> FaultSpan:
         """Open a span for one injected fault (idempotent per id)."""
         span = self.spans.get(fault_id)
@@ -172,7 +165,7 @@ class FaultTracer:
                 fault_id=fault_id,
                 kind=kind,
                 victims=tuple(victims),
-                windows=tuple(tuple(w) for w in windows) if windows else (),
+                windows=tuple(tuple(w) for w in windows),
             )
             self.spans[fault_id] = span
             self.stage(fault_id, "inject", injected_at)
@@ -202,7 +195,7 @@ class FaultTracer:
         return [
             span
             for span in self.spans.values()
-            if span.active_at(now, grace=self.grace) and victims.intersection(span.victims)
+            if span.active_at(now) and victims.intersection(span.victims)
         ]
 
     def observe_symptom(self, now: float, victim) -> None:

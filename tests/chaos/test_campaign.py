@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.export import campaign_scorecard_to_dict
 from repro.chaos import (
+    DEFAULT_GRACE,
     ChaosCampaign,
     ChaosScenario,
     ScenarioKind,
@@ -73,9 +74,11 @@ def test_episode_active_at_with_grace():
         episodes_from_faults((crash, flap)), key=lambda e: e.onset, reverse=True
     )
     assert crash_ep.active_at(1e9)  # permanent fault: window to infinity
+    assert not flap_ep.active_at(49.0)
     assert flap_ep.active_at(59.0)
-    assert not flap_ep.active_at(70.0)
-    assert flap_ep.active_at(70.0, grace=15.0)
+    # The window closed at 60; the grace keeps it matchable that long after.
+    assert flap_ep.active_at(60.0 + DEFAULT_GRACE)
+    assert not flap_ep.active_at(60.0 + DEFAULT_GRACE + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +146,11 @@ def test_score_counts_isolation_storm():
 
 def test_score_respects_grace_window():
     scenario = _scenario_with_one_episode()
-    late = _action([3], detected_at=320.0)  # window closed at 300
-    assert score_pipeline_scenario(scenario, [late], grace=100.0).precision == 1.0
-    assert score_pipeline_scenario(scenario, [late], grace=10.0).precision == 0.0
+    # The window closed at 300.
+    late = _action([3], detected_at=300.0 + DEFAULT_GRACE)
+    too_late = _action([3], detected_at=300.0 + DEFAULT_GRACE + 1.0)
+    assert score_pipeline_scenario(scenario, [late]).precision == 1.0
+    assert score_pipeline_scenario(scenario, [too_late]).precision == 0.0
 
 
 def test_score_recovery_report_pins_every_field():

@@ -12,13 +12,17 @@ import pytest
 
 from repro.chaos import (
     ChaosCampaign,
+    failover_scenario,
     flapping_scenario,
     link_down_scenario,
+    master_kill_scenario,
     run_fabric_scenario,
     spine_maintenance_scenario,
 )
+from repro.controlplane import C4DControlPlane
+from repro.core.c4d.master import C4DMaster
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import render_dashboard
+from repro.obs.report import ObservabilityPlane, render_dashboard
 from repro.obs.trace import FaultTracer
 
 
@@ -123,3 +127,66 @@ def test_scenarios_get_isolated_tracers(campaign):
             assert scenario_name == "link-down[s0]"
         else:
             assert scenario_name == "flapping[s3]"
+
+
+# ----------------------------------------------------------------------
+# The post-run trace equals a live per-pass trace
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "factory, evaluator",
+    [
+        (flapping_scenario, C4DMaster),
+        (master_kill_scenario, C4DControlPlane),
+        (failover_scenario, C4DControlPlane),
+    ],
+)
+def test_post_run_trace_matches_live_passes(monkeypatch, factory, evaluator):
+    """The runner traces the final master's history after the run.
+
+    A reference tracer is fed during the run instead, from each live
+    evaluation pass's fresh anomalies and new steering actions.  Journal
+    replay calls the master directly, so the wrapped plane sees live
+    passes only, and a master kill or failover must not change the
+    outcome.
+    """
+    scenario = factory(0)
+    reference = FaultTracer(metrics=MetricsRegistry())
+    for episode in scenario.episodes:
+        reference.register_fault(
+            f"{scenario.name}/{episode.episode_id}",
+            kind=episode.kind,
+            victims=episode.nodes,
+            injected_at=episode.onset,
+            windows=episode.windows,
+        )
+    evaluate = evaluator.evaluate
+
+    def live_pass(self, now, *args, **kwargs):
+        master = self if isinstance(self, C4DMaster) else self.master
+        known = len(master.actions)
+        fresh = evaluate(self, now, *args, **kwargs)
+        for anomaly in fresh:
+            reference.detection(now, anomaly.suspect_nodes, kind=anomaly.anomaly_type.value)
+        for action in master.actions[known:]:
+            targets = set(action.isolated_nodes) | set(action.anomaly.suspect_nodes)
+            reference.action(now, tuple(targets), ready_at=action.ready_at)
+        return fresh
+
+    monkeypatch.setattr(evaluator, "evaluate", live_pass)
+    campaign = ChaosCampaign(scenarios=[scenario], observability=ObservabilityPlane())
+    campaign.run_scenario(scenario)
+
+    def judged(tracer):
+        # first_record comes from the feed, which the reference skips.
+        return {
+            fault_id: (
+                {k: t for k, t in span.stages.items() if k != "first_record"},
+                span.attrs,
+            )
+            for fault_id, span in tracer.spans.items()
+        }
+
+    traced = campaign.obs.tracer
+    assert judged(traced) == judged(reference)
+    assert traced.false_positives == reference.false_positives
+    assert any("steer" in span.stages for span in reference.spans.values())

@@ -53,6 +53,24 @@ def test_recovery_replays_to_identical_digest():
     assert master.store.recoveries == 1
 
 
+def test_rejected_request_is_not_journaled():
+    metrics = MetricsRegistry()
+    master = exercised_master(metrics)
+    digest = master.state_digest()
+    load = dict(master.registry.link_load)
+    entries = len(master.store.entries)
+    cross_rail = PathRequest(
+        "bad", "job0", src_node=0, src_nic=0, dst_node=1, dst_nic=1, num_qps=2
+    )
+    with pytest.raises(ValueError):
+        master.allocate(cross_rail)
+    assert master.registry.link_load == load
+    assert len(master.store.entries) == entries
+    # A journaled bad request would make every later replay raise.
+    info = recovery_instance(master, metrics).recover(now=40.0)
+    assert info["digest"] == digest
+
+
 def test_stale_master_is_fenced():
     metrics = MetricsRegistry()
     master = exercised_master(metrics)

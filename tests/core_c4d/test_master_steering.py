@@ -141,8 +141,10 @@ def test_master_detects_and_steers(topo):
     collector = _hang_collector()
     steering = JobSteeringService(topo, backup_nodes=[15])
     rca = RootCauseAnalyzer()
-    master = C4DMaster(collector, DetectorConfig(hang_timeout=30.0), steering=steering, rca=rca)
+    master = C4DMaster(collector, DetectorConfig(hang_timeout=30.0), steering=steering)
     fresh = master.evaluate(now=60.0)
+    for found in fresh:
+        rca.submit(found)
     assert len(fresh) == 1
     assert fresh[0].anomaly_type is AnomalyType.NONCOMM_HANG
     assert steering.actions and steering.actions[0].isolated_nodes == (3,)

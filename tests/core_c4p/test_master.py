@@ -237,3 +237,24 @@ def test_maintenance_readmits_link_after_probation():
     assert link in report.recovered
     assert link not in master.registry.dead_links
     assert master.health.state_of(link) is LinkHealthState.HEALTHY
+
+
+@pytest.mark.parametrize(
+    "unservable",
+    [
+        {"dst_nic": 1},  # nic0 and nic1 sit on different rails
+        {"src_nic": 8, "dst_nic": 8},  # a node has nics 0-7
+        {"dst_node": 16},  # the testbed has nodes 0-15
+    ],
+)
+def test_unservable_request_raises_before_acquiring_load(unservable):
+    _topo, master = build()
+    master.allocate(request(qps=2))
+    load = dict(master.registry.link_load)
+    fields = dict(
+        comm_id="c1", job_id="j", src_node=0, src_nic=0, dst_node=1, dst_nic=0, num_qps=2
+    )
+    with pytest.raises((ValueError, IndexError)):
+        master.allocate(PathRequest(**{**fields, **unservable}))
+    assert master.registry.link_load == load
+    assert books_of(master) == {k: v for k, v in load.items() if v}

@@ -10,10 +10,14 @@ from repro.obs.trace import FaultTracer
 def traced_plane():
     plane = ObservabilityPlane()
     tracer = plane.tracer
-    tracer.register_fault("s0/f0", "crash", victims=(3,), injected_at=100.0)
+    tracer.register_fault(
+        "s0/f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, float("inf"))],
+    )
     tracer.detection(130.0, victims=[3], kind="hang")
     tracer.action(140.0, victims=[3], ready_at=400.0)
-    tracer.register_fault("s0/f1", "crash", victims=(5,), injected_at=50.0)
+    tracer.register_fault(
+        "s0/f1", "crash", victims=(5,), injected_at=50.0, windows=[(50.0, float("inf"))],
+    )
     tracer.detection(600.0, victims=[9], kind="hang")
     plane.registry.counter("c4d_evaluations_total").inc(7)
     return plane
@@ -22,7 +26,7 @@ def traced_plane():
 def test_plane_bundles_registry_and_tracer():
     plane = ObservabilityPlane()
     # The tracer records into the plane's registry, not the default one.
-    plane.tracer.register_fault("f0", "crash", injected_at=0.0)
+    plane.tracer.register_fault("f0", "crash", injected_at=0.0, windows=[(0.0, float("inf"))])
     snapshot = plane.registry.snapshot()
     stage = snapshot["obs_fault_stage_total"]["series"]
     assert {"labels": {"stage": "inject"}, "value": 1.0} in stage

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import FaultTracer, latency_histogram
+from repro.obs.trace import DEFAULT_GRACE, FaultTracer, latency_histogram
+
+FOREVER = float("inf")
 
 
-def tracer(grace=240.0):
-    return FaultTracer(metrics=MetricsRegistry(), grace=grace)
+def tracer():
+    return FaultTracer(metrics=MetricsRegistry())
 
 
 # ----------------------------------------------------------------------
@@ -15,7 +17,9 @@ def tracer(grace=240.0):
 # ----------------------------------------------------------------------
 def test_register_fault_opens_span_with_inject_stage():
     t = tracer()
-    span = t.register_fault("f0", "crash", victims=(3,), injected_at=100.0)
+    span = t.register_fault(
+        "f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, FOREVER)],
+    )
     assert span.injected_at == 100.0
     assert not span.detected
     assert span.mttd is None
@@ -23,15 +27,15 @@ def test_register_fault_opens_span_with_inject_stage():
 
 def test_register_fault_is_idempotent():
     t = tracer()
-    first = t.register_fault("f0", "crash", injected_at=100.0)
-    second = t.register_fault("f0", "crash", injected_at=999.0)
+    first = t.register_fault("f0", "crash", injected_at=100.0, windows=[(100.0, FOREVER)])
+    second = t.register_fault("f0", "crash", injected_at=999.0, windows=[(999.0, FOREVER)])
     assert first is second
     assert second.injected_at == 100.0
 
 
 def test_stage_first_occurrence_wins():
     t = tracer()
-    t.register_fault("f0", "crash", injected_at=100.0)
+    t.register_fault("f0", "crash", injected_at=100.0, windows=[(100.0, FOREVER)])
     t.stage("f0", "detect", 130.0, detector="hang")
     t.stage("f0", "detect", 500.0)  # re-detection: timeline unchanged
     span = t.spans["f0"]
@@ -42,7 +46,7 @@ def test_stage_first_occurrence_wins():
 
 def test_stage_validates_name_and_span():
     t = tracer()
-    t.register_fault("f0", "crash")
+    t.register_fault("f0", "crash", windows=[(0.0, FOREVER)])
     with pytest.raises(ValueError):
         t.stage("f0", "teleport", 1.0)
     with pytest.raises(KeyError):
@@ -51,7 +55,7 @@ def test_stage_validates_name_and_span():
 
 def test_timeline_orders_stages_canonically():
     t = tracer()
-    t.register_fault("f0", "crash", injected_at=100.0)
+    t.register_fault("f0", "crash", injected_at=100.0, windows=[(100.0, FOREVER)])
     t.stage("f0", "recover", 400.0)
     t.stage("f0", "detect", 130.0)
     span = t.spans["f0"]
@@ -73,25 +77,25 @@ def test_detection_matches_active_fault_by_victim():
 
 def test_detection_without_matching_fault_is_false_positive():
     t = tracer()
-    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0)
+    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, FOREVER)])
     assert t.detection(130.0, victims=[8], kind="hang") == ()
     assert len(t.false_positives) == 1
     assert t.false_positives[0].victims == (8,)
 
 
 def test_detection_respects_grace_window():
-    t = tracer(grace=50.0)
+    t = tracer()
     t.register_fault("f0", "flap", victims=(3,), injected_at=100.0, windows=[(100.0, 200.0)])
     # Inside grace past the window end: still the same fault.
-    assert t.detection(240.0, victims=[3]) == ("f0",)
+    assert t.detection(200.0 + DEFAULT_GRACE, victims=[3]) == ("f0",)
     # Beyond grace: a new, unexplained detection.
-    assert t.detection(260.0, victims=[3]) == ()
+    assert t.detection(200.0 + DEFAULT_GRACE + 1.0, victims=[3]) == ()
     assert len(t.false_positives) == 1
 
 
 def test_observe_symptom_records_first_record_stage():
     t = tracer()
-    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0)
+    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, FOREVER)])
     t.observe_symptom(110.0, 3)
     t.observe_symptom(115.0, 3)  # later symptom does not move the stage
     assert t.spans["f0"].stages["first_record"] == 110.0
@@ -99,7 +103,7 @@ def test_observe_symptom_records_first_record_stage():
 
 def test_action_stamps_steer_and_recover():
     t = tracer()
-    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0)
+    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, FOREVER)])
     t.action(140.0, victims=[3], ready_at=400.0)
     span = t.spans["f0"]
     assert span.stages["steer"] == 140.0
@@ -113,7 +117,7 @@ def test_action_stamps_steer_and_recover():
 def test_tracer_emits_latency_histograms_and_counters():
     registry = MetricsRegistry()
     t = FaultTracer(metrics=registry)
-    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0)
+    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, FOREVER)])
     t.detection(130.0, victims=[3])
     t.action(140.0, victims=[3], ready_at=400.0)
     t.detection(150.0, victims=[9])  # false positive
@@ -132,7 +136,9 @@ def test_absorb_merges_spans_without_reemitting_metrics():
     registry = MetricsRegistry()
     campaign = FaultTracer(metrics=registry)
     scenario = FaultTracer(metrics=registry)
-    scenario.register_fault("s0/f0", "crash", victims=(3,), injected_at=100.0)
+    scenario.register_fault(
+        "s0/f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, FOREVER)],
+    )
     scenario.detection(130.0, victims=[3])
     scenario.detection(150.0, victims=[9])
     stage_counts = {
@@ -153,8 +159,8 @@ def test_absorb_merges_spans_without_reemitting_metrics():
 def test_absorb_rejects_duplicate_fault_ids():
     campaign = tracer()
     other = tracer()
-    campaign.register_fault("f0", "crash")
-    other.register_fault("f0", "crash")
+    campaign.register_fault("f0", "crash", windows=[(0.0, FOREVER)])
+    other.register_fault("f0", "crash", windows=[(0.0, FOREVER)])
     with pytest.raises(ValueError):
         campaign.absorb(other)
 
@@ -164,8 +170,8 @@ def test_absorb_rejects_duplicate_fault_ids():
 # ----------------------------------------------------------------------
 def test_accounting_summary():
     t = tracer()
-    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0)
-    t.register_fault("f1", "crash", victims=(5,), injected_at=200.0)
+    t.register_fault("f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, FOREVER)])
+    t.register_fault("f1", "crash", victims=(5,), injected_at=200.0, windows=[(200.0, FOREVER)])
     t.detection(130.0, victims=[3])
     t.action(140.0, victims=[3], ready_at=400.0)
     t.detection(700.0, victims=[9])

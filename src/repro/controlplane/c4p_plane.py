@@ -201,8 +201,8 @@ class ResilientC4PMaster(C4PMaster):
             try:
                 super().allocate(payload["request"])
             except c4p_master.PathPoolExhausted:
-                # The live call failed the same way; partial state
-                # mutations are re-derived identically.
+                # The live call failed the same way and rolled back
+                # every QP it had allocated; so does the replay.
                 pass
             finally:
                 self._qp_num_override.clear()

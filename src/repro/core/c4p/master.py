@@ -331,7 +331,13 @@ class C4PMaster:
             raise ValueError(f"cross-rail request: nic{request.src_nic} -> nic{request.dst_nic}")
 
     def allocate(self, request: PathRequest) -> list[QpAllocation]:
-        """Allocate balanced, plane-preserving routes for a connection."""
+        """Allocate balanced, plane-preserving routes for a connection.
+
+        All or nothing: when a later QP finds no healthy route, the QPs
+        already allocated for this request are released — allocation
+        table, reverse index and link loads — before
+        :class:`PathPoolExhausted` propagates.
+        """
         self._check_request(request)
         rail = self.topology.rail_of(request.src_nic)
         src_nic_obj = self.topology.node(request.src_node).nics[request.src_nic]
@@ -340,7 +346,14 @@ class C4PMaster:
         for q in range(request.num_qps):
             side = q % 2
             dst_side = side if self.enforce_plane else (q // 2) % 2
-            choice = self.registry.acquire(rail, side, dst_side=dst_side)
+            try:
+                choice = self.registry.acquire(rail, side, dst_side=dst_side)
+            except PathPoolExhausted:
+                for alloc in allocations:
+                    record = self._allocated.pop(alloc.qp_num)
+                    self._deindex(record)
+                    self.registry.release(rail, alloc.choice)
+                raise
             src_port = self._source_port(src_nic_obj.ip_address, dst_nic_obj.ip_address, rail, choice)
             five_tuple = FiveTuple(
                 src_ip=src_nic_obj.ip_address,

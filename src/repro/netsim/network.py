@@ -12,6 +12,15 @@ Link failures are first-class: :meth:`FlowNetwork.fail_link` stalls the
 flows whose path crosses the dead link and hands them to an optional
 ``reroute_handler`` — the hook through which the routing layer (plain
 ECMP reconvergence, or C4P's dynamic load balancer) reacts.
+
+Between two events the loop walks the active flows once.  Each solve
+keeps the active flows, each with its path's :class:`Link` objects
+(resolved once per path object), and its rates in the same order, so
+:meth:`FlowNetwork._advance` moves every flow's bits onto its links by
+position, with no lookup, and notes the flows it leaves with no bits.
+Those are the completions, unless a link is down or the step advanced
+no time: then a caller may have moved bits off a flow outside that
+pass, and the completions come from a scan of every flow.
 """
 
 from __future__ import annotations
@@ -61,12 +70,20 @@ class FlowNetwork:
         #: transferring, and no path needs checking.
         self._links_down = 0
         #: The active flows of the last :meth:`compute_rates`, which the
-        #: loop advances and completes until the next solve.
+        #: loop advances and completes until the next solve, each one's
+        #: path as links, and the solve's rates, all three in one order.
         self._active: list[Flow] = []
-        #: The last solve's rates, and each flow's ``(flow, path, weight,
-        #: rate_cap, state)`` as that solve saw them, in ``flows`` order.
+        self._hops: list[tuple[Link, ...]] = []
         self._rates: dict[object, float] = {}
+        #: Each flow's ``(flow, path, weight, rate_cap, state)`` as the
+        #: last solve saw them, in ``flows`` order.
         self._solved: list[tuple] = []
+        #: Flow id -> ``(path, links)``: each live flow's path object and
+        #: its links, re-resolved when the path is replaced.
+        self._resolved: dict[object, tuple] = {}
+        #: The flows the last :meth:`_advance` left with no bits, or None
+        #: when :meth:`_fire_completions` must scan every flow.
+        self._finished: Optional[list[Flow]] = None
         #: The solver's incidence state, carried from one solve to the next.
         self._fair_share = FairShareState()
         #: Set by every change the network sees (a flow added or
@@ -160,8 +177,9 @@ class FlowNetwork:
         for link_id in flow.path:
             if link_id not in self.links:
                 raise KeyError(f"flow {flow.flow_id!r} references unknown link {link_id!r}")
+        hops = self._resolve(flow)
         flow.start_time = self.now
-        if any(not self.links[link_id].is_up for link_id in flow.path):
+        if any(not link.is_up for link in hops):
             flow.state = FlowState.STALLED
         self.flows[flow.flow_id] = flow
         self._stale = True
@@ -172,6 +190,13 @@ class FlowNetwork:
         """Generate a unique flow id (handy for transient transfers)."""
         self._flow_seq += 1
         return f"{prefix}-{self._flow_seq}"
+
+    def _resolve(self, flow: Flow) -> tuple[Link, ...]:
+        """Resolve ``flow``'s path to links and keep them with the path object."""
+        links = self.links
+        hops = tuple([links[link_id] for link_id in flow.path])
+        self._resolved[flow.flow_id] = (flow.path, hops)
+        return hops
 
     @property
     def active_flows(self) -> list[Flow]:
@@ -266,14 +291,37 @@ class FlowNetwork:
         by the same inputs (flows that came, went or changed, and links
         resized by :meth:`set_link_capacity`) and fills from there.
         Change a flow's path by replacing it (``flow.path = [...]`` or
-        :meth:`Flow.reroute`), never by mutating the list in place, and
-        do not mutate the returned dict.
+        :meth:`Flow.reroute`), never by mutating the list in place: a new
+        path object is also what makes the network resolve the flow's
+        links again.  Do not mutate the returned dict.
         """
         if self.congestion is None and not self._stale and not self._flows_changed():
             return self._rates
         self._stale = False
-        active = self.active_flows
+        # One walk: what the next call compares, the active flows, each
+        # with its links, and a zero rate for every other flow.
+        active_state = FlowState.ACTIVE
+        links_down = self._links_down
+        resolved = self._resolved
+        solved = []
+        active: list[Flow] = []
+        hops: list[tuple[Link, ...]] = []
+        for flow in self.flows.values():
+            path = flow.path
+            state = flow.state
+            solved.append((flow, path, flow.weight, flow.rate_cap, state))
+            if state is active_state:
+                known, flow_hops = resolved[flow.flow_id]
+                if known is not path:
+                    flow_hops = self._resolve(flow)
+                if not links_down or all(link.is_up for link in flow_hops):
+                    active.append(flow)
+                    hops.append(flow_hops)
+                    continue
+            flow.rate = 0.0
+        self._solved = solved
         self._active = active
+        self._hops = hops
         capacities = self._capacities
         overrides: dict[object, float] = {}
         if self.congestion is not None:
@@ -287,16 +335,19 @@ class FlowNetwork:
         rates = max_min_rates(
             active, capacities, cap_overrides=overrides, state=self._fair_share
         )
-        solved = []
-        for flow in self.flows.values():
-            flow.rate = rates.get(flow.flow_id, 0.0)
-            solved.append((flow, flow.path, flow.weight, flow.rate_cap, flow.state))
+        # The solver keys its dict in active-list order.
+        for flow, rate in zip(active, rates.values()):
+            flow.rate = rate
         self._rates = rates
-        self._solved = solved
         return rates
 
     def _flows_changed(self) -> bool:
-        """Whether a flow changed behind the network since the last solve."""
+        """Whether a flow changed behind the network since the last solve.
+
+        The snapshot, not the solver's own diff, answers this: the diff
+        compares the active flows only, and recomputing the active set
+        checks every link of every flow while a link is down.
+        """
         if len(self.flows) != len(self._solved):
             return True
         for current, (flow, path, weight, rate_cap, state) in zip(
@@ -316,17 +367,24 @@ class FlowNetwork:
     # Internals
     # ------------------------------------------------------------------
     # The three steps below run between one compute_rates() and the next,
-    # so the active flows and their rates are those of the last solve.
+    # so the active flows, their links and their rates (``rates`` is that
+    # solve's dict, keyed in active-list order) are those of the last
+    # solve.  _advance is the one walk over them that moves bits, and
+    # it notes the completions; _fire_completions scans every flow
+    # instead when a link is down (an ACTIVE flow off the active list
+    # may have had its bits moved off by a caller) or when no time
+    # passed (_advance walked nothing, and a caller may have done the
+    # same to an active flow).
     def _next_completion_time(self, rates: dict[object, float]) -> Optional[float]:
+        # now + min(x) is min(now + x): rounding keeps the order.
         best: Optional[float] = None
-        for flow in self._active:
-            rate = rates.get(flow.flow_id, 0.0)
+        for flow, rate in zip(self._active, rates.values()):
             if rate <= 0:
                 continue
-            eta = self.now + flow.remaining / rate
+            eta = flow.remaining / rate
             if best is None or eta < best:
                 best = eta
-        return best
+        return None if best is None else self.now + best
 
     def _advance(self, dt: float, rates: dict[object, float]) -> None:
         if dt < 0:
@@ -334,29 +392,32 @@ class FlowNetwork:
         if dt == 0:
             return
         active = self._active
-        links = self.links
+        finished = []
         # Flow-major, path order: each link's counters sum in the same
         # order as one Link.account() call per incidence would.
-        for flow in active:
-            transferred = rates.get(flow.flow_id, 0.0) * dt
-            flow.remaining = max(0.0, flow.remaining - transferred)
-            for link_id in flow.path:
-                link = links[link_id]
+        for flow, hops, rate in zip(active, self._hops, rates.values()):
+            transferred = rate * dt
+            remaining = flow.remaining - transferred
+            flow.remaining = remaining = remaining if remaining > 0.0 else 0.0
+            if remaining <= _COMPLETION_REL_EPS * flow.size:
+                finished.append(flow)
+            for link in hops:
                 link.bits_carried += transferred
                 link.window_bits += transferred
+        self._finished = finished
         if self.congestion is not None:
             self.congestion.observe(active, rates, self._capacities, dt)
 
     def _fire_completions(self) -> None:
-        # With a link down, an ACTIVE flow may sit outside the active set
-        # and still be done (its remaining bits moved off by the caller).
-        candidates = self.flows.values() if self._links_down else self._active
-        finished = [
-            flow
-            for flow in candidates
-            if flow.state is FlowState.ACTIVE
-            and flow.remaining <= _COMPLETION_REL_EPS * flow.size
-        ]
+        finished = self._finished
+        self._finished = None
+        if finished is None or self._links_down:
+            finished = [
+                flow
+                for flow in self.flows.values()
+                if flow.state is FlowState.ACTIVE
+                and flow.remaining <= _COMPLETION_REL_EPS * flow.size
+            ]
         if finished:
             self._stale = True
         for flow in finished:
@@ -368,6 +429,7 @@ class FlowNetwork:
                     self.links[link_id].account(flow.remaining)
             flow.remaining = 0.0
             del self.flows[flow.flow_id]
+            del self._resolved[flow.flow_id]
             self.completed_flows.append(flow)
             if self.congestion is not None:
                 self.congestion.forget(flow)

@@ -170,6 +170,21 @@ def test_reallocate_rolls_back_on_exhaustion():
     assert {k: v for k, v in master.registry.link_load.items() if v} == books_of(master)
 
 
+def test_allocate_rolls_back_earlier_qps_on_exhaustion():
+    spec = TESTBED_16_NODES
+    _topo, master = build(search_ports=False)
+    # Side 1 of rail 0 has no uplink left: QP 0 (side 0) gets a route,
+    # QP 1 (side 1) finds none.
+    for spine in range(spec.spines_per_rail):
+        for k in range(spec.uplink_ports_per_spine):
+            master.registry.mark_dead(master.topology.leaf_up(0, 1, spine, k))
+    with pytest.raises(PathPoolExhausted):
+        master.allocate(request(qps=2))
+    assert master.allocation_count() == 0
+    assert sum(master.registry.link_load.values()) == 0
+    assert master._link_qps == {}
+
+
 def test_drain_migrates_every_qp_and_resets_weights():
     _topo, master = build(search_ports=False)
     requests = []

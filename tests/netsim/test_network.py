@@ -342,3 +342,72 @@ def test_every_solver_input_change_forces_a_solve(solve_count, change, expected)
     change(net, flow)
     assert net.compute_rates() == expected
     assert solve_count() == 2
+
+
+def test_flow_emptied_by_a_caller_completes_with_no_time_passing():
+    # The step after the timer advances no time, so no pass over the
+    # active flows sees the emptied flow: the completion scan must.
+    net = build_net(("a", 10 * GBPS))
+    f = Flow(flow_id="f", path=["a"], size=10 * GBPS)
+    g = Flow(flow_id="g", path=["a"], size=10 * GBPS)
+    net.add_flow(f)
+    net.add_flow(g)
+
+    def take_remaining():
+        f.remaining = 0.0
+        net.schedule(0.0, check_completed)
+
+    def check_completed():
+        # Fires at the next event, still at t=0.5; raising here also
+        # stops a loop that would otherwise step by zero forever.
+        assert f.state is FlowState.COMPLETED
+
+    net.schedule(0.5, take_remaining)
+    net.run(until=0.75)
+    assert f.state is FlowState.COMPLETED
+    assert f.end_time == 0.5
+    assert net.compute_rates() == {"g": 10 * GBPS}
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        lambda net, f: f.reroute(["c", "d"]),
+        lambda net, f: setattr(f, "path", ["c", "d"]),
+        lambda net, f: (net.fail_link("a"), f.reroute(["c", "d"])),
+    ],
+    ids=["reroute", "path", "stalled_reroute"],
+)
+def test_bits_follow_a_replaced_path(move):
+    net = build_net(("a", GBPS), ("b", GBPS), ("c", GBPS), ("d", GBPS))
+    flow = Flow(flow_id="f", path=["a", "b"], size=4 * GBPS)
+    net.add_flow(flow)
+    net.run(until=1.0)
+    move(net, flow)
+    net.reset_link_windows()
+    net.run(until=2.0)
+    assert [net.link(l).window_bits for l in "abcd"] == [0.0, 0.0, GBPS, GBPS]
+    assert [net.link(l).bits_carried for l in "abcd"] == [GBPS] * 4
+
+
+def test_completed_flows_leave_no_resolved_links():
+    net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS))
+    launched = []
+
+    def launch(_done=None):
+        if len(launched) < 200:
+            flow = Flow(
+                flow_id=f"f{len(launched)}",
+                path=["a", "b"] if len(launched) % 2 else ["b"],
+                size=GBPS * (1 + len(launched) % 3),
+                on_complete=launch,
+            )
+            launched.append(flow)
+            net.add_flow(flow)
+        assert set(net._resolved) == set(net.flows)
+
+    for _ in range(4):
+        launch()
+    net.run()
+    assert len(net.completed_flows) == 200
+    assert net._resolved == {}

@@ -1,5 +1,7 @@
 """Tests for the workload builders."""
 
+import itertools
+
 import pytest
 
 from repro.cluster.specs import TESTBED_16_NODES
@@ -80,3 +82,41 @@ def test_scaling_sweep_job_sizes():
     job = scaling_sweep_job(2, use_c4p=False)
     assert job.spec.plan.world_size == 16
     assert job.spec.global_batch == pytest.approx(16)
+
+
+def fig10a_ecmp_digest():
+    """SHA-256 over the fig10a ECMP case's link counters and flow end times."""
+    import hashlib
+
+    from repro.cluster.topology import ClusterTopology
+    from repro.netsim.network import FlowNetwork
+    from repro.obs.metrics import MetricsRegistry
+    from repro.workloads.generator import Scenario
+
+    network = FlowNetwork(metrics=MetricsRegistry())
+    topology = ClusterTopology(TESTBED_16_NODES, network, ecmp_seed=0)
+    scenario = Scenario(network=network, topology=topology, master=None)
+    for runner in concurrent_allreduce_jobs(scenario, max_ops=2, warmup_ops=1):
+        runner.start()
+    network.run()
+    digest = hashlib.sha256()
+    for link_id, link in network.links.items():
+        digest.update(repr((link_id, link.bits_carried.hex(), link.window_bits.hex())).encode())
+    for flow in network.completed_flows:
+        digest.update(repr((flow.flow_id, flow.end_time.hex())).encode())
+    return digest.hexdigest(), len(network.completed_flows)
+
+
+def test_fig10a_ecmp_case_is_bit_identical(monkeypatch):
+    # 8 jobs, up to 256 concurrent flows on 6-hop paths: every link
+    # counter and every completion time, bit for bit.  Flow ids carry
+    # the communicator and QP numbers, so both counters start as in a
+    # fresh interpreter.
+    from repro.collective import communicator, selectors
+
+    monkeypatch.setattr(communicator, "_comm_counter", itertools.count())
+    monkeypatch.setattr(selectors, "_qp_counter", itertools.count(1000))
+    assert fig10a_ecmp_digest() == (
+        "236fefd13d0270e468829a99f8bd1f3ad793e6566b8681b1cbfd9bbbf8335777",
+        1258,
+    )

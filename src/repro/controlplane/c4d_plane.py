@@ -130,24 +130,40 @@ class C4DControlPlane:
     # Ingestion (duck-types the CentralCollector API, so agents can
     # point straight at the plane)
     # ------------------------------------------------------------------
-    def _ingest(self, kind: str, record, **extra) -> None:
-        """Guard, journal the record itself write-ahead, then ingest it."""
-        if not self._guard():
-            return
-        self.store.append(kind, {"record": record, **extra}, self.epoch)
-        getattr(self.collector, "ingest_" + kind)(record, **extra)
+    def _admit(self, comm_id: str) -> bool:
+        """Guard, then refuse a record the collector would reject.
+
+        A record for a never-registered communicator raises before it is
+        journaled, so no entry can fail its replay.  A straggler for a
+        dropped communicator is admitted: the collector counts and
+        discards it.
+        """
+        if not (self.active and self.epoch == self.store.epoch):
+            return self._guard()  # demotes this plane and returns False
+        collector = self.collector
+        if comm_id not in collector.progress:
+            collector.require_known(comm_id)
+        return True
 
     def ingest_communicator(self, record, now: float = 0.0) -> None:
-        self._ingest("communicator", record, now=now)
+        if self._guard():
+            self.store.append("communicator", {"record": record, "now": now}, self.epoch)
+            self.collector.ingest_communicator(record, now=now)
 
     def ingest_launch(self, record) -> None:
-        self._ingest("launch", record)
+        if self._admit(record.comm_id):
+            self.store.append("launch", {"record": record}, self.epoch)
+            self.collector.ingest_launch(record)
 
     def ingest_op(self, record) -> None:
-        self._ingest("op", record)
+        if self._admit(record.comm_id):
+            self.store.append("op", {"record": record}, self.epoch)
+            self.collector.ingest_op(record)
 
     def ingest_message(self, record) -> None:
-        self._ingest("message", record)
+        if self._admit(record.comm_id):
+            self.store.append("message", {"record": record}, self.epoch)
+            self.collector.ingest_message(record)
 
     def drop_communicator(self, comm_id: str) -> None:
         if not self._guard():

@@ -34,7 +34,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.codec import encode
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -62,9 +62,8 @@ def state_digest(state: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class JournalEntry:
-    """One journaled mutation."""
+class JournalEntry(NamedTuple):
+    """One journaled mutation (a tuple: immutable and cheap to build)."""
 
     seq: int
     epoch: int
@@ -121,10 +120,10 @@ class JournalStore:
         )
         #: The entries counter's child per entry kind, resolved once.
         self._m_entries_by_kind: dict = {}
-        self._m_size = registry.gauge(
+        registry.gauge(
             "controlplane_journal_size",
             "Entries currently retained in a control-plane journal",
-        )
+        ).set_function(lambda: len(self.entries))
         self._m_snapshots = registry.counter(
             "controlplane_snapshots_total", "Control-plane state snapshots taken"
         )
@@ -164,12 +163,9 @@ class JournalStore:
         self._m_epoch.set(self.epoch)
         return self.epoch
 
-    def check_epoch(self, epoch: int) -> None:
-        """Raise :class:`FencedOut` when ``epoch`` is no longer current."""
-        if epoch != self.epoch:
-            raise FencedOut(
-                f"writer epoch {epoch} is stale (store is at epoch {self.epoch})"
-            )
+    def _fenced(self, epoch: int) -> FencedOut:
+        """The error for a write from ``epoch``, which is no longer current."""
+        return FencedOut(f"writer epoch {epoch} is stale (store is at epoch {self.epoch})")
 
     def record_fence(self) -> None:
         """Count one fenced-out write (called by the demoting writer)."""
@@ -216,20 +212,21 @@ class JournalStore:
     # ------------------------------------------------------------------
     def append(self, kind: str, payload: dict, epoch: int) -> JournalEntry:
         """Append one mutation; the caller must hold the current epoch."""
-        self.check_epoch(epoch)
-        entry = JournalEntry(seq=self._next_seq, epoch=epoch, kind=kind, payload=payload)
+        if epoch != self.epoch:
+            raise self._fenced(epoch)
+        entry = JournalEntry(self._next_seq, epoch, kind, payload)
         self._next_seq += 1
         self.entries.append(entry)
         counter = self._m_entries_by_kind.get(kind)
         if counter is None:
             counter = self._m_entries_by_kind[kind] = self._m_entries.labels(kind=kind)
         counter.inc()
-        self._m_size.set(len(self.entries))
         return entry
 
     def snapshot(self, state: dict, epoch: int) -> Snapshot:
         """Record a full-state snapshot at the current journal position."""
-        self.check_epoch(epoch)
+        if epoch != self.epoch:
+            raise self._fenced(epoch)
         snap = Snapshot(seq=self._next_seq, epoch=epoch, state=state)
         self.snapshots.append(snap)
         self._m_snapshots.inc()
@@ -263,5 +260,4 @@ class JournalStore:
         dropped = self._index_of(snap.seq)
         if dropped:
             self.entries = self.entries[dropped:]
-            self._m_size.set(len(self.entries))
         return dropped

@@ -37,7 +37,7 @@ class LeaseTable:
         )
         self._m_heartbeats = registry.counter(
             "controlplane_heartbeats_total", "Agent lease renewals received"
-        )
+        ).labels()
         self._m_expired = registry.counter(
             "controlplane_lease_expiries_total",
             "Leases observed expired at a coverage query",

@@ -175,7 +175,11 @@ class MetricFamily:
             self._children[()] = _KINDS[kind](**instrument_kwargs)
 
     def labels(self, **labels: object):
-        """The child instrument for one label-value combination."""
+        """The child instrument for one label-value combination.
+
+        On an unlabeled family, ``labels()`` returns its sole instrument;
+        a hot path holds that child instead of going through the family.
+        """
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"{self.name} expects labels {self.label_names}, got {tuple(labels)}"

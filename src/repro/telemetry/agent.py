@@ -11,6 +11,8 @@ node whose agent is dead.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
@@ -52,7 +54,6 @@ class AgentPlane:
         leases=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.collector = collector
         self.channel = channel
         self.leases = leases
         self._clock = clock or (lambda: 0.0)
@@ -65,41 +66,40 @@ class AgentPlane:
         #: Nodes whose agent process is dead — their records vanish.
         self._dead_agents: set[int] = set()
         self.backfilled_records = 0
+        #: The target, and per record kind its ``ingest_<kind>`` method.
+        self.retarget(collector)
         registry = get_registry(metrics)
         self._m_forwarded = registry.counter(
             "telemetry_agent_records_forwarded_total",
             "Records shipped by C4 agents toward the master",
-        )
+        ).labels()
         self._m_flushes = registry.counter(
             "telemetry_agent_flushes_total",
             "Buffered-mode flush passes across all agents",
-        )
+        ).labels()
         self._m_buffered = registry.gauge(
             "telemetry_agent_buffered_records",
             "Records currently waiting in agent buffers",
-        )
+        ).labels()
         self._m_dropped = registry.counter(
             "telemetry_agent_records_dropped_total",
             "Records lost because the producing node's agent was dead",
-        )
+        ).labels()
         self._m_backfilled = registry.counter(
             "telemetry_agent_backfilled_records_total",
             "Records backfilled to the master after a suspension ended",
-        )
+        ).labels()
 
     def start_agent(self, node_id: int) -> None:
         """Start a node's agent before its first record (heartbeats cover it)."""
         self._buffers.setdefault(node_id, [])
 
-    def _ship(self, kind: str, record) -> None:
-        """Hand one record to the collector's ``ingest_<kind>``."""
-        ingest = getattr(self.collector, "ingest_" + kind)
-        if self.channel is None:
-            ingest(record)
-        else:
-            self.channel.send(lambda: ingest(record))
-
     def _deliver(self, node_id: int, kind: str, record) -> None:
+        """Ship one record to the target's ``ingest_<kind>``, or hold it.
+
+        Over a lossy channel the record keeps the target it was sent
+        to, even if :meth:`retarget` runs while it is in flight.
+        """
         if node_id in self._dead_agents:
             self._m_dropped.inc()
             return
@@ -115,7 +115,11 @@ class AgentPlane:
             return
         if self.leases is not None:
             self.leases.heartbeat(node_id, self._clock())
-        self._ship(kind, record)
+        ingest = self._ingest[kind]
+        if self.channel is None:
+            ingest(record)
+        else:
+            self.channel.send(partial(ingest, record))
         self._m_forwarded.inc()
 
     def _live_nodes(self) -> list[int]:
@@ -145,9 +149,14 @@ class AgentPlane:
         for record, registered_at in self._pending_comms:
             self.collector.ingest_communicator(record, now=registered_at)
         flushed = 0
+        channel = self.channel
         for buffer in self._buffers.values():
             for kind, record in buffer:
-                self._ship(kind, record)
+                ingest = self._ingest[kind]
+                if channel is None:
+                    ingest(record)
+                else:
+                    channel.send(partial(ingest, record))
             flushed += len(buffer)
             buffer.clear()
         self._m_flushes.inc()
@@ -191,6 +200,9 @@ class AgentPlane:
     def retarget(self, collector) -> None:
         """Point every agent at a new master incarnation."""
         self.collector = collector
+        self._ingest = {
+            kind: getattr(collector, "ingest_" + kind) for kind in ("launch", "op", "message")
+        }
 
     # ------------------------------------------------------------------
     # MonitoringSink interface

@@ -128,14 +128,14 @@ class MessageColumns:
     def filled(cls, maxlen: int, records: Iterable[MessageRecord]) -> "MessageColumns":
         """Columns of ``maxlen`` rows holding ``records``' last rows."""
         columns = cls(maxlen)
-        for record in records:
-            columns.append(record)
+        if maxlen:
+            rows = [columns._row(record) for record in records][-maxlen:]
+            columns._rows = np.fromiter(rows, MESSAGE_ROW, len(rows))
+            columns._end = len(rows)
         return columns
 
-    def append(self, record: MessageRecord) -> None:
-        """Add ``record``'s row, evicting the oldest row when full."""
-        if not self.maxlen:
-            return  # a zero-length window keeps nothing
+    def _row(self, record: MessageRecord) -> tuple:
+        """``record``'s row; its pair gets the next id at first appearance."""
         key = (record.src_node, record.src_nic, record.dst_node, record.dst_nic)
         pair = self._pair_ids.get(key)
         if pair is None:
@@ -145,7 +145,13 @@ class MessageColumns:
         complete = record.complete_time
         duration = complete - record.post_time
         valid = not (size <= 0 or duration <= 0)
-        self._pending.append((pair, duration / size if valid else 0.0, complete, record.seq, valid))
+        return (pair, duration / size if valid else 0.0, complete, record.seq, valid)
+
+    def append(self, record: MessageRecord) -> None:
+        """Add ``record``'s row, evicting the oldest row when full."""
+        if not self.maxlen:
+            return  # a zero-length window keeps nothing
+        self._pending.append(self._row(record))
         if len(self._pending) == self.maxlen:
             self._flush()
 
@@ -245,28 +251,25 @@ class CentralCollector:
             "Communicators currently registered with the collector",
         )
 
-    def _append_bounded(self, kind: str, window: Deque, record) -> None:
-        """Append to a bounded window, counting the eviction it causes."""
-        if window.maxlen is not None and len(window) == window.maxlen:
-            self._m_evicted[kind].inc()
-        window.append(record)
-        self._m_ingested[kind].inc()
+    def _append(self, kind: str, window: Deque, index: Optional[dict], record) -> None:
+        """Append to a bounded window, counting the record and any eviction.
 
-    def _append_indexed(self, kind: str, window: Deque, index: dict, record) -> None:
-        """:meth:`_append_bounded`, keeping the window's seq index in step.
-
+        ``index`` is the window's seq index, kept in step when given.
         The window is FIFO, so within one seq bucket the evicted record
         is always the bucket's front.
         """
-        if window and len(window) == window.maxlen:
-            evicted = window[0].seq
-            bucket = index[evicted]
-            bucket.popleft()
-            if not bucket:
-                del index[evicted]
-        self._append_bounded(kind, window, record)
-        if not window:
-            return  # a zero-length window keeps nothing
+        if len(window) == window.maxlen:
+            self._m_evicted[kind].inc()
+            if index is not None and window:
+                evicted = window[0].seq
+                bucket = index[evicted]
+                bucket.popleft()
+                if not bucket:
+                    del index[evicted]
+        window.append(record)
+        self._m_ingested[kind].inc()
+        if index is None or not window:
+            return  # no index, or a zero-length window that keeps nothing
         bucket = index.get(record.seq)
         if bucket is None:
             index[record.seq] = deque((record,))
@@ -318,36 +321,38 @@ class CentralCollector:
 
     def ingest_launch(self, record: OpLaunchRecord) -> None:
         """Record a per-rank operation startup."""
-        progress = self._require(record.comm_id)
+        comm_id = record.comm_id
+        progress = self.progress.get(comm_id)
         if progress is None:
+            self._discard(comm_id)
             return
         progress.last_launch_seq[record.rank] = max(
             progress.last_launch_seq.get(record.rank, -1), record.seq
         )
         progress.last_launch_time = max(progress.last_launch_time, record.launch_time)
-        comm_id = record.comm_id
-        self._append_indexed(
-            "launch", self._launches[comm_id], self._launches_by_seq[comm_id], record
-        )
+        self._append("launch", self._launches[comm_id], self._launches_by_seq[comm_id], record)
 
     def ingest_op(self, record: OpRecord) -> None:
         """Record a completed per-rank operation."""
-        progress = self._require(record.comm_id)
+        comm_id = record.comm_id
+        progress = self.progress.get(comm_id)
         if progress is None:
+            self._discard(comm_id)
             return
         progress.last_seq[record.rank] = max(
             progress.last_seq.get(record.rank, -1), record.seq
         )
         progress.last_completion_time = max(progress.last_completion_time, record.end_time)
-        comm_id = record.comm_id
-        self._append_indexed("op", self._ops[comm_id], self._ops_by_seq[comm_id], record)
+        self._append("op", self._ops[comm_id], self._ops_by_seq[comm_id], record)
 
     def ingest_message(self, record: MessageRecord) -> None:
         """Record a transport-layer message."""
-        if self._require(record.comm_id) is None:
+        comm_id = record.comm_id
+        if comm_id not in self.progress:
+            self._discard(comm_id)
             return
-        self._append_bounded("message", self._messages[record.comm_id], record)
-        self._message_columns[record.comm_id].append(record)
+        self._append("message", self._messages[comm_id], None, record)
+        self._message_columns[comm_id].append(record)
 
     # ------------------------------------------------------------------
     # Queries (used by detectors)
@@ -456,24 +461,24 @@ class CentralCollector:
         self._dropped = {comm_id: None for comm_id in state["dropped"]}
         self._m_comms.set(len(self.progress))
 
-    def _require(self, comm_id: str):
-        """Progress for a live communicator, None for a dropped one.
+    def _discard(self, comm_id: str) -> None:
+        """Refuse a record for a communicator that is not registered.
 
         Records for a communicator that was never registered are a
         programming error and raise; records for a *dropped* one are
         expected stragglers (telemetry in flight when the incarnation
-        was torn down) and are discarded by the caller.
+        was torn down), counted and discarded.
         """
-        progress = self.progress.get(comm_id)
-        if progress is None:
-            if comm_id in self._dropped:
-                self._m_stragglers.inc()
-                return None
+        self.require_known(comm_id)
+        self._m_stragglers.inc()
+
+    def require_known(self, comm_id: str) -> None:
+        """Raise :class:`KeyError` unless ``comm_id`` is registered or dropped."""
+        if comm_id not in self.progress and comm_id not in self._dropped:
             raise KeyError(
                 f"records for unregistered communicator {comm_id!r}; "
                 "ingest_communicator must come first"
             )
-        return progress
 
 
 def _seq_index(window: Iterable) -> dict[int, Deque]:

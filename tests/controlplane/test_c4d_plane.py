@@ -4,9 +4,14 @@ import pytest
 
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology
-from repro.collective.algorithms import OpType
+from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
-from repro.collective.monitoring import CommunicatorRecord, OpLaunchRecord
+from repro.collective.monitoring import (
+    CommunicatorRecord,
+    MessageRecord,
+    OpLaunchRecord,
+    OpRecord,
+)
 from repro.controlplane import C4DControlPlane, JournalStore, LeaseTable
 from repro.core.c4d.detectors import DetectorConfig
 from repro.netsim.network import FlowNetwork
@@ -167,3 +172,41 @@ def test_degraded_mode_suppresses_under_blackout(env):
     assert executed == []
     assert plane.master.degraded_anomalies
     assert plane.master.degraded_anomalies[-1].evidence["degraded"] is True
+
+
+@pytest.mark.parametrize("kind", ["launch", "op", "message"])
+def test_record_for_unregistered_communicator_is_refused_before_the_journal(env, kind):
+    store, leases, metrics = env
+    plane = build_plane(store, leases, metrics)
+    feed_hang(plane, "c", 0.0)
+    entries = len(store.entries)
+    ghost = {
+        "launch": OpLaunchRecord("ghost", 0, OpType.ALLREDUCE, 0, RANKS[0], 1.0),
+        "op": OpRecord(
+            "ghost", 0, OpType.ALLREDUCE, Algorithm.RING, "fp16", 1, 0, RANKS[0], 1.0, 1.0, 2.0
+        ),
+        "message": MessageRecord(
+            "ghost", 0, 0, 0, 1, 0, "a", "b", 1, 1, 0, 1.0, 1.0, 2.0
+        ),
+    }[kind]
+    with pytest.raises(KeyError, match="ghost"):
+        getattr(plane, "ingest_" + kind)(ghost)
+    # Nothing was journaled, so a recovery replays cleanly.
+    assert len(store.entries) == entries
+    digest = plane.state_digest()
+    successor = build_plane(store, leases, metrics, active=False)
+    assert successor.recover(now=10.0)["digest"] == digest
+
+
+def test_straggler_for_dropped_communicator_is_journaled(env):
+    store, leases, metrics = env
+    plane = build_plane(store, leases, metrics)
+    feed_hang(plane, "c", 0.0)
+    plane.drop_communicator("c")
+    late = OpLaunchRecord("c", 1, OpType.ALLREDUCE, 3, RANKS[3], 5.0)
+    plane.ingest_launch(late)
+    assert store.entries[-1].kind == "launch"
+    assert store.entries[-1].payload == {"record": late}
+    digest = plane.state_digest()
+    successor = build_plane(store, leases, metrics, active=False)
+    assert successor.recover(now=10.0)["digest"] == digest

@@ -75,7 +75,7 @@ def generate(nodes: int, seed: int = 0):
 
 
 def records(steps) -> int:
-    return sum(len(l) + len(o) + len(m) for _now, l, o, m in steps)
+    return sum(len(launches) + len(ops) + len(messages) for _now, launches, ops, messages in steps)
 
 
 class Clock:

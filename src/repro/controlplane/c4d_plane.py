@@ -37,8 +37,13 @@ from repro.core.c4d.steering import (
     SteeringConfig,
     SteeringFaultModel,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
+
+#: Journal entry kinds that carry one record, replayed through the
+#: collector's ``ingest_<kind>``.
+_RECORD_KINDS = ("launch", "op", "message")
+
 
 class C4DControlPlane:
     """Crash-recoverable owner of the collector, master and steering.
@@ -91,6 +96,18 @@ class C4DControlPlane:
         self.active = False
         #: Built as a warm standby — its promotion counts as a failover.
         self._standby = standby and not active
+        #: Agent records refused because this plane was fenced out; they
+        #: reach no master (the store counts the same writes among its
+        #: fence rejections).
+        self._m_lost_fenced = (
+            get_registry(metrics)
+            .counter(
+                "telemetry_records_lost_total",
+                "Agent records that reached no master, by reason",
+                labels=("reason",),
+            )
+            .labels(reason="fenced")
+        )
         self._build()
         if active:
             self.epoch = self.store.open_epoch()
@@ -100,6 +117,10 @@ class C4DControlPlane:
     def _build(self) -> None:
         """(Re)construct the collector/steering/master stack."""
         self.collector = CentralCollector(metrics=self._metrics)
+        #: Kind -> the collector's ingest method, for replaying record entries.
+        self._replay_ingest = {
+            kind: getattr(self.collector, "ingest_" + kind) for kind in _RECORD_KINDS
+        }
         self.steering = JobSteeringService(
             self.topology,
             backup_nodes=self.backup_nodes,
@@ -133,12 +154,14 @@ class C4DControlPlane:
     def _admit(self, comm_id: str) -> bool:
         """Guard, then refuse a record the collector would reject.
 
-        A record for a never-registered communicator raises before it is
+        A record refused by the guard is counted as lost telemetry.  A
+        record for a never-registered communicator raises before it is
         journaled, so no entry can fail its replay.  A straggler for a
         dropped communicator is admitted: the collector counts and
         discards it.
         """
         if not (self.active and self.epoch == self.store.epoch):
+            self._m_lost_fenced.inc()
             return self._guard()  # demotes this plane and returns False
         collector = self.collector
         if comm_id not in collector.progress:
@@ -149,6 +172,8 @@ class C4DControlPlane:
         if self._guard():
             self.store.append("communicator", {"record": record, "now": now}, self.epoch)
             self.collector.ingest_communicator(record, now=now)
+        else:
+            self._m_lost_fenced.inc()
 
     def ingest_launch(self, record) -> None:
         if self._admit(record.comm_id):
@@ -232,12 +257,15 @@ class C4DControlPlane:
         Works for both a restarted instance (crash recovery) and a warm
         standby (failover): both run :meth:`JournalStore.recover` on
         freshly built components, with physical side effects suppressed
-        during replay, then start accepting writes.
+        during replay, then start accepting writes.  Replayed records
+        leave the collector's record counters alone: they were counted
+        when first ingested, and the store counts the replay.
         """
         self._build()
-        self.epoch, replayed = self.store.recover(
-            self._restore, self._replay_entry, standby=self._standby
-        )
+        with self.collector.uncounted():
+            self.epoch, replayed = self.store.recover(
+                self._restore, self._replay_entry, standby=self._standby
+            )
         self._standby = False
         self.master.epoch = self.epoch
         self.active = True
@@ -253,12 +281,14 @@ class C4DControlPlane:
         self.steering.restore_state(state["steering"])
 
     def _replay_entry(self, entry) -> None:
+        ingest = self._replay_ingest.get(entry.kind)
+        if ingest is not None:
+            ingest(entry.payload["record"])
+            return
         kind = entry.kind
         payload = entry.payload
-        # A record kind replays through the collector's ``ingest_<kind>``.
-        ingest = getattr(self.collector, "ingest_" + kind, None)
-        if ingest is not None:
-            ingest(**payload)
+        if kind == "communicator":
+            self.collector.ingest_communicator(payload["record"], now=payload["now"])
         elif kind == "drop":
             self.collector.drop_communicator(payload["comm_id"])
         elif kind == "evaluate":

@@ -21,22 +21,23 @@ master: open a new epoch, restore the latest snapshot, replay the
 entries after it, and compare :func:`state_digest` against the
 pre-crash value.  A master supplies only how to restore its state and
 how to replay one entry.  Entries and snapshots hold values (frozen
-records as objects), not encodings; only the digest encodes them, as
+records as objects), not encodings; only the digest writes them, as
 SHA-256 over the canonical JSON (sorted keys, no whitespace) of the
 :mod:`repro.codec` wire format, so "identical state" is a checkable
-single string rather than a vibe.
+single string rather than a vibe.  The codec's compiled writers stream
+that text into the hash in chunks, so the digest never holds the
+state's whole text or an encoded copy of it.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from repro.codec import encode
+from repro.codec import feed_canonical
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 
@@ -51,15 +52,18 @@ class FencedOut(RuntimeError):
 
 
 def state_digest(state: dict) -> str:
-    """SHA-256 over the canonical JSON encoding of a state dict.
+    """SHA-256 over the canonical JSON text of a state dict.
 
-    ``json.dumps`` encodes containers and primitives itself (tuples as
-    arrays) and hands each record or enum to :func:`repro.codec.encode`,
-    so the bytes equal those of the codec's encoding of the whole state
-    without building that encoded copy.
+    The hashed bytes are ``json.dumps(state, sort_keys=True,
+    separators=(",", ":"), default=repro.codec.encode)``, written by
+    :func:`repro.codec.feed_canonical`: sorted-field writers compiled per
+    record type, the exact ``json.dumps`` text for any value outside its
+    type hints, and long record windows fed to the hash a chunk at a
+    time.  Nothing is cached between calls.
     """
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"), default=encode)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    feed_canonical(state, digest.update)
+    return digest.hexdigest()
 
 
 class JournalEntry(NamedTuple):

@@ -18,13 +18,14 @@ restore, dropped with their communicator and never serialized.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Optional
+from typing import Deque, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Counter, MetricsRegistry, get_registry
 
 
 @dataclass
@@ -250,6 +251,24 @@ class CentralCollector:
             "telemetry_registered_communicators",
             "Communicators currently registered with the collector",
         )
+
+    @contextmanager
+    def uncounted(self) -> Iterator[None]:
+        """Ingest without moving the per-record counters.
+
+        Inside the block, ingested records, window evictions and
+        straggler discards are counted on private instruments that no
+        registry holds.  For journal replay, whose records were counted
+        when they were first ingested.
+        """
+        counted = self._m_ingested, self._m_evicted, self._m_stragglers
+        self._m_ingested = {kind: Counter() for kind in self._m_ingested}
+        self._m_evicted = {kind: Counter() for kind in self._m_evicted}
+        self._m_stragglers = Counter()
+        try:
+            yield
+        finally:
+            self._m_ingested, self._m_evicted, self._m_stragglers = counted
 
     def _append(self, kind: str, window: Deque, index: Optional[dict], record) -> None:
         """Append to a bounded window, counting the record and any eviction.

@@ -3,12 +3,16 @@
 import hashlib
 import itertools
 import json
+import math
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.specs import TESTBED_16_NODES
-from repro.cluster.topology import ClusterTopology
-from repro.codec import encode
+from repro.cluster.topology import ClusterTopology, PathChoice
+from repro.codec import canonical_pairs, encode
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import (
@@ -25,8 +29,13 @@ from repro.controlplane import (
     ResilientC4PMaster,
     state_digest,
 )
+from repro.controlplane.journal import JournalEntry
+from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
+from repro.core.c4d.steering import SteeringAction
 from repro.core.c4p import master as c4p_master
+from repro.core.c4p.health import LinkHealthState
 from repro.netsim.network import FlowNetwork
+from repro.netsim.routing import FiveTuple
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -213,6 +222,125 @@ def test_state_digest_is_pinned(make_state, digest, monkeypatch):
     # process does, so the digest does not depend on test order.
     monkeypatch.setattr(c4p_master, "_qp_counter", itertools.count(500000))
     assert state_digest(make_state()) == digest
+
+
+def reference_digest(state) -> str:
+    """The digest's definition: SHA-256 of ``json.dumps`` with the codec."""
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"), default=encode)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 2.5]
+SPECIAL_TEXT = ["", "é", "日本", '"q"', "back\\slash", "\n\t\x00\x1f", "\ud800", "\u2028"]
+
+
+@dataclass
+class Labelled(dict):
+    """A dataclass ``json.dumps`` writes as the (empty) dict it is."""
+
+    label: str = ""
+
+
+texts = st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL_TEXT))
+floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+# What a hint promises, and what a field may hold instead: a bool in an
+# int field, an int or a float subclass in a float field, None anywhere
+# a hint is ``Optional``.
+ints = st.one_of(st.integers(), st.booleans())
+float_fields = st.one_of(floats, st.integers(), st.booleans(), floats.map(np.float64))
+optional_ints = st.one_of(st.none(), ints)
+
+locations = st.builds(RankLocation, ints, ints)
+suspects = st.builds(
+    Suspect, st.sampled_from(SuspectKind), optional_ints, optional_ints, optional_ints,
+    optional_ints,
+)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, texts)
+evidence = st.dictionaries(texts, st.one_of(scalars, st.lists(scalars, max_size=3).map(tuple)))
+anomalies = st.builds(
+    Anomaly, st.sampled_from(AnomalyType), texts, float_fields,
+    st.lists(suspects, max_size=3).map(tuple), evidence,
+)
+records = st.one_of(
+    locations,
+    suspects,
+    anomalies,
+    st.builds(FiveTuple, texts, texts, ints, ints, ints),
+    st.builds(PathChoice, ints, ints, ints, ints, ints),
+    st.builds(CommunicatorRecord, texts, ints, st.lists(locations, max_size=3).map(tuple)),
+    st.builds(
+        OpLaunchRecord, texts, ints, st.sampled_from(OpType), ints, locations, float_fields
+    ),
+    st.builds(
+        OpRecord, texts, ints, st.sampled_from(OpType), st.sampled_from(Algorithm), texts,
+        ints, ints, locations, float_fields, float_fields, float_fields,
+    ),
+    st.builds(
+        MessageRecord, texts, ints, ints, ints, ints, ints, texts, texts, ints, ints, ints,
+        float_fields, float_fields, float_fields,
+    ),
+    st.builds(
+        SteeringAction, anomalies, st.lists(ints, max_size=2).map(tuple),
+        st.lists(ints, max_size=2).map(tuple), float_fields, st.booleans(), ints,
+        float_fields, st.lists(ints, max_size=2).map(list),
+    ),
+)
+hashables = st.one_of(st.integers(), texts, st.tuples(st.integers(), texts))
+leaves = st.one_of(
+    scalars,
+    records,
+    st.builds(Labelled, texts),
+    st.sampled_from(LinkHealthState),
+    st.frozensets(hashables, max_size=4),
+    st.sets(hashables, max_size=4),
+    st.dictionaries(
+        st.tuples(texts, st.integers()), st.sampled_from(LinkHealthState), max_size=3
+    ).map(canonical_pairs),
+)
+values = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(records, min_size=2, max_size=5).map(tuple),
+        st.dictionaries(texts, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.builds(
+            JournalEntry, st.integers(), st.integers(), texts,
+            st.dictionaries(texts, children, max_size=2),
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(texts, values, max_size=5))
+def test_state_digest_equals_reference_json(state):
+    assert state_digest(state) == reference_digest(state)
+
+
+def message(index: int, complete=None) -> MessageRecord:
+    complete = 10.0 + index / 7 if complete is None else complete
+    return MessageRecord("c", index, 0, 1, 2, 1, "a", "b", 1, 1, 0, 1e9, 10.0, complete)
+
+
+@pytest.mark.parametrize("length", [1024, 1025, 2048, 2500])
+def test_streamed_windows_equal_reference_json(length):
+    # Long windows are fed to the hash a chunk at a time; the chunk
+    # boundaries, a NaN record past the first chunk and a mixed-type
+    # window must not move a byte.
+    window = tuple(message(index) for index in range(length))
+    mixed = window[:-1] + (RankLocation(1, 2),)
+    nan_late = window[:1030] + (message(1030, math.nan),) + window[1031:]
+    state = {
+        "windows": {"c": window, "mixed": mixed, "nan": nan_late},
+        "pairs": [(rank, rank + 1) for rank in range(length)],
+        "scalars": list(range(length)),
+        "texts": [str(index) for index in range(length)],
+        "empty": {"list": [], "tuple": (), "dict": {}},
+    }
+    assert state_digest(state) == reference_digest(state)
 
 
 def test_entries_counter_per_kind():

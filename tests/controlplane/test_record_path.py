@@ -51,6 +51,7 @@ FAMILIES = (
     "telemetry_agent_records_dropped_total",
     "telemetry_agent_records_forwarded_total",
     "telemetry_records_ingested_total",
+    "telemetry_records_lost_total",
     "telemetry_registered_communicators",
     "telemetry_straggler_records_total",
     "telemetry_window_evictions_total",
@@ -183,7 +184,7 @@ def test_record_path_keeps_its_books():
         "abandoned": 4,
     }
     # Records in flight at the failover reach the fenced primary, which
-    # journals nothing and counts one rejection per record.
+    # journals nothing and counts one rejection and one lost record each.
     assert store.fence_rejections == 21
     kinds = Counter((entry.epoch, entry.kind) for entry in store.entries)
     assert kinds == {
@@ -197,7 +198,9 @@ def test_record_path_keeps_its_books():
     assert journal_digest(records) == (
         "7271f074d2f89cd23d619f51c72b83f6b645b83e7970b27d927d2d46fcf217bb"
     )
-    # Ingested counts include the successor's replay of the journal.
+    # Each record is counted once: the successor's replay of the journal
+    # moves no ingest or eviction counter.  Journaled minus ingested is
+    # the 21 stragglers, 7 of each kind.
     assert series(registry) == {
         ("controlplane_fence_rejections_total", ()): 21.0,
         ("controlplane_heartbeats_total", ()): 25082.0,
@@ -212,18 +215,31 @@ def test_record_path_keeps_its_books():
         ("telemetry_agent_flushes_total", ()): 1.0,
         ("telemetry_agent_records_dropped_total", ()): 12.0,
         ("telemetry_agent_records_forwarded_total", ()): 25098.0,
-        ("telemetry_records_ingested_total", (("kind", "communicator"),)): 6.0,
-        ("telemetry_records_ingested_total", (("kind", "launch"),)): 8382.0,
-        ("telemetry_records_ingested_total", (("kind", "message"),)): 33338.0,
-        ("telemetry_records_ingested_total", (("kind", "op"),)): 8384.0,
+        ("telemetry_records_ingested_total", (("kind", "communicator"),)): 3.0,
+        ("telemetry_records_ingested_total", (("kind", "launch"),)): 4195.0,
+        ("telemetry_records_ingested_total", (("kind", "message"),)): 16673.0,
+        ("telemetry_records_ingested_total", (("kind", "op"),)): 4197.0,
+        ("telemetry_records_lost_total", (("reason", "fenced"),)): 21.0,
         ("telemetry_registered_communicators", ()): 2.0,
         ("telemetry_straggler_records_total", ()): 21.0,
-        ("telemetry_window_evictions_total", (("kind", "launch"),)): 128.0,
-        ("telemetry_window_evictions_total", (("kind", "message"),)): 512.0,
-        ("telemetry_window_evictions_total", (("kind", "op"),)): 128.0,
+        ("telemetry_window_evictions_total", (("kind", "launch"),)): 64.0,
+        ("telemetry_window_evictions_total", (("kind", "message"),)): 256.0,
+        ("telemetry_window_evictions_total", (("kind", "op"),)): 64.0,
     }
 
     # Compaction empties the journal, and its size gauge follows.
     assert successor.snapshot()
     assert store.compact() == 25090
     assert series(registry)[("controlplane_journal_size", ())] == 0.0
+
+
+def test_replay_counts_no_record_twice():
+    registry, store, successor, _channel = run_sequence()
+    replayed = registry.counter("controlplane_replayed_entries_total")
+    before, replayed_before = series(registry), replayed.value
+    info = successor.recover(now=800.0)
+    assert info["entries_replayed"] == len(store.entries) > 0
+    assert replayed.value == replayed_before + info["entries_replayed"]
+    # The replay re-ingests every journaled record, and re-discards the
+    # stragglers, without touching the collector's record counters.
+    assert series(registry) == before

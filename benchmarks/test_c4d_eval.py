@@ -17,7 +17,7 @@ is timed; each size is one benchmark group.
 
 At 4,096 ranks the 4,096-record operation window holds a single
 operation, so the non-communication-slow detector never reaches
-``min_ops_for_slow`` and returns nothing: the straggler goes undetected.
+``MIN_OPS_FOR_SLOW`` and returns nothing: the straggler goes undetected.
 That is a known defect of record-sized windows (operation-count windows
 would fix it).  The ladder reports it in ``extra_info["anomalies"]``
 rather than hiding it, and a test pins that the detector counts the

@@ -16,7 +16,7 @@ testbed:
 Run:  python examples/traffic_engineering_demo.py
 """
 
-from repro.core.c4p import C4PMaster, DynamicLoadBalancer, LoadBalancerConfig, PathProber
+from repro.core.c4p import C4PMaster, DynamicLoadBalancer, PathProber
 from repro.workloads.generator import build_cluster, concurrent_allreduce_jobs, fig12_spec
 
 
@@ -62,9 +62,7 @@ def demo_failure_recovery() -> None:
         for runner in runners:
             runner.start()
         if dynamic:
-            balancer = DynamicLoadBalancer(
-                [r.context for r in runners], LoadBalancerConfig(interval=0.02)
-            )
+            balancer = DynamicLoadBalancer([r.context for r in runners])
             balancer.start()
         scenario.network.schedule(
             0.1, lambda s=scenario: s.network.fail_link(("lup", 0, 0, 0, 0))

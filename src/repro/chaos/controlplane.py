@@ -129,7 +129,7 @@ def run_feed_loop(
     demoted: Optional[tuple[C4DControlPlane, int]] = None
 
     def on_action(action: SteeringAction, coverage: float) -> None:
-        """Physical execution hook: audit the action, relaunch the job.
+        """Audit one physically executed action, then relaunch the job.
 
         Closing the loop: the feed tears the current incarnation down
         and relaunches on the survivors plus replacements once the
@@ -176,7 +176,6 @@ def run_feed_loop(
                 steering_faults=scenario.steering_faults,
                 active=active,
                 standby=standby,
-                action_listener=on_action,
                 metrics=registry,
             )
 
@@ -203,15 +202,16 @@ def run_feed_loop(
 
     def evaluate_tick() -> None:
         nonlocal coverage_min
-        if plan is None:
-            executed = len(steering.executed_actions)
-            master.evaluate(network.now)
-            for action in steering.executed_actions[executed:]:
-                on_action(action, 1.0)
-        else:
-            coverage_min = min(coverage_min, leases.coverage(network.now))
-            if not down:
-                sink.evaluate(network.now)
+        coverage = 1.0
+        if plan is not None:
+            coverage = leases.coverage(network.now)
+            coverage_min = min(coverage_min, coverage)
+        if plan is None or not down:
+            executed = (steering if plan is None else sink.steering).executed_actions
+            before = len(executed)
+            (master if plan is None else sink).evaluate(network.now)
+            for action in executed[before:]:
+                on_action(action, coverage)
         if network.now + EVALUATION_INTERVAL <= scenario.duration:
             network.schedule(EVALUATION_INTERVAL, evaluate_tick)
 

@@ -169,9 +169,8 @@ class FabricPlan:
         ``link_id`` inside its window are hold-down violations.  Each
         window runs from just after that link's *first* failure (before
         it the link is legitimately healthy) until its last hold-down
-        expires under the default
-        :class:`~repro.core.c4p.health.LinkHealthConfig` escalation
-        schedule.
+        expires under the escalation schedule of
+        :class:`~repro.core.c4p.health.LinkHealthTracker`.
     """
 
     events: tuple[FabricEvent, ...]
@@ -423,7 +422,7 @@ def flapping_link_scenario(seed: int, duration: float = 400.0) -> ChaosScenario:
     both links out of the pool until they stop flapping.  The guard
     window runs from the first failure to the last hold-down expiry
     (failures at 60/110/160 and 80/130/180 escalate 30 s → 60 s → 120 s
-    under the default :class:`LinkHealthConfig`).
+    under :class:`~repro.core.c4p.health.LinkHealthTracker`'s hold-down).
     """
     spec = TESTBED_16_NODES
     rail = seed % spec.rails

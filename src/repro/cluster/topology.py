@@ -27,7 +27,7 @@ where ``side`` is 0 (left) or 1 (right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.cluster.hardware import Node, PortSide
 from repro.cluster.specs import ClusterSpec
@@ -180,42 +180,25 @@ class ClusterTopology:
         dst_node: int,
         dst_nic: int,
         choice: PathChoice,
-        include_nvlink: bool = True,
     ) -> list[tuple]:
-        """Materialize a route into an ordered list of link ids."""
+        """Materialize a route into an ordered list of link ids.
+
+        The route starts and ends on the two nodes' NVLink stages.
+        """
         rail = self.rail_of(src_nic)
         if rail != self.rail_of(dst_nic):
             raise ValueError(
                 f"cross-rail path requested: nic{src_nic} (rail {rail}) -> "
                 f"nic{dst_nic} (rail {self.rail_of(dst_nic)})"
             )
-        path: list[tuple] = []
-        if include_nvlink:
-            path.append(self.nvlink(src_node))
-        path.extend(
-            [
-                self.host_up(src_node, src_nic, choice.src_side),
-                self.leaf_up(rail, choice.src_side, choice.spine, choice.up_port),
-                self.spine_down(rail, choice.spine, choice.dst_side, choice.down_port),
-                self.host_down(dst_node, dst_nic, choice.dst_side),
-            ]
-        )
-        if include_nvlink:
-            path.append(self.nvlink(dst_node))
-        return path
-
-    def intra_node_path(self, node: int) -> list[tuple]:
-        """Route for NVLink-only (same node) communication."""
-        return [self.nvlink(node)]
-
-    def candidate_choices(self, rail: int) -> Iterator[PathChoice]:
-        """All routes between any two NICs of a rail, healthy spines only."""
-        for src_side in (0, 1):
-            for spine in self.enabled_spines(rail):
-                for up_port in range(self.spec.uplink_ports_per_spine):
-                    for dst_side in (0, 1):
-                        for down_port in range(self.spec.uplink_ports_per_spine):
-                            yield PathChoice(src_side, spine, up_port, dst_side, down_port)
+        return [
+            self.nvlink(src_node),
+            self.host_up(src_node, src_nic, choice.src_side),
+            self.leaf_up(rail, choice.src_side, choice.spine, choice.up_port),
+            self.spine_down(rail, choice.spine, choice.dst_side, choice.down_port),
+            self.host_down(dst_node, dst_nic, choice.dst_side),
+            self.nvlink(dst_node),
+        ]
 
     # ------------------------------------------------------------------
     # ECMP routing (the baseline the paper improves upon)
@@ -282,7 +265,3 @@ class ClusterTopology:
             for spine in range(self.spec.spines_per_rail)
             for k in range(self.spec.uplink_ports_per_spine)
         ]
-
-    def schedulable_nodes(self) -> list[Node]:
-        """Nodes available to host workers."""
-        return [node for node in self.nodes if node.is_schedulable]

@@ -111,10 +111,6 @@ class Communicator:
         """Monotonic per-communicator operation sequence number."""
         return next(self._seq)
 
-    def rank_index(self, location: RankLocation) -> int:
-        """Rank number of a location within this communicator."""
-        return self.ranks.index(location)
-
     def __repr__(self) -> str:
         return (
             f"Communicator({self.comm_id!r}, size={self.size}, "

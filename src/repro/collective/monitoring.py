@@ -163,7 +163,3 @@ class RecordingSink:
     def ops_for_seq(self, comm_id: str, seq: int) -> list["OpRecord"]:
         """All per-rank op records of one collective operation."""
         return [r for r in self.ops if r.comm_id == comm_id and r.seq == seq]
-
-    def messages_for_seq(self, comm_id: str, seq: int) -> list["MessageRecord"]:
-        """All transport records of one collective operation."""
-        return [r for r in self.messages if r.comm_id == comm_id and r.seq == seq]

@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 from repro.collective.selectors import PathRequest, QpAllocation
 from repro.netsim.flows import Flow, FlowState
 
+#: Weight of the newest sample in a QP's rate EWMA.
+RATE_ALPHA = 0.5
+
 
 @dataclass
 class Connection:
@@ -47,7 +50,7 @@ class Connection:
         """Fraction of the connection's traffic carried by one QP."""
         return alloc.weight / self.total_weight
 
-    def observe_rate(self, qp_num: int, rate: float, alpha: float = 0.5) -> None:
+    def observe_rate(self, qp_num: int, rate: float) -> None:
         """Fold one completed transfer's achieved rate into the EWMA."""
         if rate <= 0:
             return
@@ -55,7 +58,7 @@ class Connection:
         if previous is None:
             self.qp_rate_ewma[qp_num] = rate
         else:
-            self.qp_rate_ewma[qp_num] = alpha * rate + (1 - alpha) * previous
+            self.qp_rate_ewma[qp_num] = RATE_ALPHA * rate + (1 - RATE_ALPHA) * previous
 
     def prune_finished(self) -> None:
         """Drop completed/stalled-forever flows from the active list."""

@@ -24,25 +24,24 @@ pre-crash one — which the chaos scorecard checks.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.cluster.topology import ClusterTopology
 from repro.controlplane.journal import FencedOut, JournalStore, state_digest
 from repro.controlplane.lease import LeaseTable
 from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.master import C4DMaster
-from repro.core.c4d.steering import (
-    JobSteeringService,
-    SteeringAction,
-    SteeringConfig,
-    SteeringFaultModel,
-)
+from repro.core.c4d.steering import JobSteeringService, SteeringConfig, SteeringFaultModel
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
 
 #: Journal entry kinds that carry one record, replayed through the
 #: collector's ``ingest_<kind>``.
 _RECORD_KINDS = ("launch", "op", "message")
+#: Metric families of the components :meth:`C4DControlPlane._build`
+#: makes (collector, steering, master and its detectors).  A replay
+#: leaves their counters and histograms as it found them.
+_REBUILT_FAMILIES = ("telemetry_", "steering_", "c4d_")
 
 
 class C4DControlPlane:
@@ -63,10 +62,9 @@ class C4DControlPlane:
         builds an inert instance that only :meth:`recover` activates —
         a cold restart, or (with ``standby=True``) a warm standby whose
         promotion counts as a failover.
-    action_listener:
-        Called with ``(action, coverage)`` for each steering action
-        *physically executed* by this plane — the hook campaign runners
-        use, since it survives component rebuilds across recoveries.
+
+    The steering actions this plane physically executes are the new
+    tail of ``steering.executed_actions`` after each :meth:`evaluate`.
     """
 
     def __init__(
@@ -80,7 +78,6 @@ class C4DControlPlane:
         steering_faults: Optional[SteeringFaultModel] = None,
         active: bool = True,
         standby: bool = False,
-        action_listener: Optional[Callable[[SteeringAction, float], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.topology = topology
@@ -90,7 +87,6 @@ class C4DControlPlane:
         self._detector_config = detector_config
         self._steering_config = steering_config
         self._steering_faults = steering_faults
-        self.action_listener = action_listener
         self._metrics = metrics
         self.epoch = 0
         self.active = False
@@ -212,7 +208,6 @@ class C4DControlPlane:
         coverage = self.leases.coverage(now)
         blind = self.leases.blind_nodes(now)
         actions_before = len(self.steering.actions)
-        executed_before = len(self.steering.executed_actions)
         fresh = self.master.evaluate(now, coverage=coverage, blind_nodes=blind)
         self.store.append(
             "evaluate",
@@ -224,9 +219,6 @@ class C4DControlPlane:
             },
             self.epoch,
         )
-        if self.action_listener is not None:
-            for action in self.steering.executed_actions[executed_before:]:
-                self.action_listener(action, coverage)
         return fresh
 
     def state(self) -> dict:
@@ -257,12 +249,13 @@ class C4DControlPlane:
         Works for both a restarted instance (crash recovery) and a warm
         standby (failover): both run :meth:`JournalStore.recover` on
         freshly built components, with physical side effects suppressed
-        during replay, then start accepting writes.  Replayed records
-        leave the collector's record counters alone: they were counted
-        when first ingested, and the store counts the replay.
+        during replay, then start accepting writes.  The replay leaves
+        the counters and histograms of the rebuilt components alone:
+        their records and evaluations were counted the first time, and
+        the store counts the replay.
         """
         self._build()
-        with self.collector.uncounted():
+        with get_registry(self._metrics).held(_REBUILT_FAMILIES):
             self.epoch, replayed = self.store.recover(
                 self._restore, self._replay_entry, standby=self._standby
             )

@@ -60,10 +60,6 @@ class LeaseTable:
         self._expiry[node_id] = now + self.lease_seconds
         self._m_heartbeats.inc()
 
-    def deregister(self, node_id: int) -> None:
-        """Drop a node's lease entirely (planned removal)."""
-        self._expiry.pop(node_id, None)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -143,11 +143,15 @@ def build_delay_matrix_reference(records: Iterable[MessageRecord]) -> DelayMatri
     return matrix
 
 
-def analyze_delay_matrix(
-    matrix: DelayMatrix,
-    threshold: float = 1.8,
-    row_fraction: float = 0.6,
-) -> MatrixFinding:
+#: Default flagging ratio: a pair is flagged when its score exceeds
+#: this multiple of the cluster median.
+SLOW_THRESHOLD = 1.8
+#: A worker is promoted from "flagged pairs" to a WORKER suspect when at
+#: least this fraction of its observed row+column pairs are flagged.
+ROW_FRACTION = 0.6
+
+
+def analyze_delay_matrix(matrix: DelayMatrix, threshold: float = SLOW_THRESHOLD) -> MatrixFinding:
     """Localize slow components from a delay matrix.
 
     Parameters
@@ -157,10 +161,6 @@ def analyze_delay_matrix(
     threshold:
         A pair is flagged when its score exceeds ``threshold`` x the
         cluster median.
-    row_fraction:
-        A worker is promoted from "flagged pairs" to a WORKER suspect
-        when at least this fraction of its observed row+column pairs are
-        flagged.
 
     Notes
     -----
@@ -195,7 +195,7 @@ def analyze_delay_matrix(
     worker_suspects = [
         worker
         for worker, hits in hit.items()
-        if hits / observed[worker] >= row_fraction and hits >= 2
+        if hits / observed[worker] >= ROW_FRACTION and hits >= 2
     ]
 
     suspects: list[Suspect] = [

@@ -11,11 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.c4d.delay_matrix import analyze_delay_matrix, build_delay_matrix
+from repro.core.c4d.delay_matrix import SLOW_THRESHOLD, analyze_delay_matrix, build_delay_matrix
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.wait_chain import analyze_wait_chain, analyze_wait_chain_smoothed
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
+
+#: Minimum completed operations inside the window before slow analysis
+#: runs (avoids judging from a cold start).
+MIN_OPS_FOR_SLOW = 2
 
 
 def _skip_counters(
@@ -43,18 +47,8 @@ class DetectorConfig:
     slow_window:
         Seconds of transport records analyzed per communication-slow
         evaluation.
-    slow_threshold:
-        Delay-matrix flagging ratio (pair median vs cluster median).
-    row_fraction:
-        Fraction of a worker's pairs that must be flagged to promote it
-        to a worker suspect.
     wait_min_lateness:
         Absolute straggler lateness floor in seconds.
-    wait_relative_threshold:
-        Robust multiple of launch-time MAD for straggler flagging.
-    min_ops_for_slow:
-        Minimum completed operations inside the window before slow
-        analysis runs (avoids judging from a cold start).
     smooth_window_ops:
         When > 0, the non-communication-slow detector averages per-rank
         lateness over this many recent operations instead of requiring a
@@ -75,18 +69,14 @@ class DetectorConfig:
     slow_hysteresis:
         Communication-slow threshold hysteresis in (0, 1].  Once a
         communicator is flagged slow, it stays flagged until its worst
-        ratio drops below ``slow_threshold * slow_hysteresis`` — a
+        ratio drops below ``SLOW_THRESHOLD * slow_hysteresis`` — a
         flapping link hovering at the threshold cannot toggle the
         detector every window.  1.0 disables hysteresis.
     """
 
     hang_timeout: float = 30.0
     slow_window: float = 60.0
-    slow_threshold: float = 1.8
-    row_fraction: float = 0.6
     wait_min_lateness: float = 0.05
-    wait_relative_threshold: float = 3.0
-    min_ops_for_slow: int = 2
     smooth_window_ops: int = 0
     debounce_evaluations: int = 1
     node_action_cooldown: float = 0.0
@@ -182,7 +172,7 @@ class CommSlowDetector:
         self._m_skipped = _skip_counters(metrics, self.name, ("no_records", "too_few_ops"))
 
     def _threshold_for(self, comm_id: str) -> float:
-        threshold = self.config.slow_threshold
+        threshold = SLOW_THRESHOLD
         if comm_id in self._active:
             threshold *= self.config.slow_hysteresis
         return threshold
@@ -204,15 +194,11 @@ class CommSlowDetector:
             if not len(messages):
                 self._m_skipped["no_records"].inc()
                 continue
-            if messages.distinct_seqs() < self.config.min_ops_for_slow:
+            if messages.distinct_seqs() < MIN_OPS_FOR_SLOW:
                 self._m_skipped["too_few_ops"].inc()
                 continue
             matrix = build_delay_matrix(messages)
-            finding = analyze_delay_matrix(
-                matrix,
-                threshold=self._threshold_for(comm_id),
-                row_fraction=self.config.row_fraction,
-            )
+            finding = analyze_delay_matrix(matrix, threshold=self._threshold_for(comm_id))
             if not finding.is_anomalous or not finding.suspects:
                 self._active.discard(comm_id)
                 continue
@@ -262,8 +248,8 @@ class NonCommSlowDetector:
 
     def _evaluate_persistent(self, comm_id: str, now: float) -> Optional[Anomaly]:
         """Default mode: the same straggler in every recent operation."""
-        recent_seqs = self.collector.latest_seqs(comm_id, self.config.min_ops_for_slow)
-        if len(recent_seqs) < self.config.min_ops_for_slow:
+        recent_seqs = self.collector.latest_seqs(comm_id, MIN_OPS_FOR_SLOW)
+        if len(recent_seqs) < MIN_OPS_FOR_SLOW:
             self._m_skipped["too_few_ops"].inc()
             return None
         # Require the straggler to persist over all examined ops so a
@@ -272,11 +258,7 @@ class NonCommSlowDetector:
         lateness = 0.0
         for seq in recent_seqs:
             records = self.collector.ops_for_seq(comm_id, seq)
-            finding = analyze_wait_chain(
-                records,
-                min_lateness=self.config.wait_min_lateness,
-                relative_threshold=self.config.wait_relative_threshold,
-            )
+            finding = analyze_wait_chain(records, min_lateness=self.config.wait_min_lateness)
             per_seq_suspects.append(set(finding.suspects))
             lateness = max(lateness, finding.lateness)
         persistent = set.intersection(*per_seq_suspects) if per_seq_suspects else set()
@@ -297,11 +279,7 @@ class NonCommSlowDetector:
             self._m_skipped["too_few_ops"].inc()
             return None
         groups = [self.collector.ops_for_seq(comm_id, seq) for seq in recent_seqs]
-        finding = analyze_wait_chain_smoothed(
-            groups,
-            min_lateness=self.config.wait_min_lateness,
-            relative_threshold=self.config.wait_relative_threshold,
-        )
+        finding = analyze_wait_chain_smoothed(groups, min_lateness=self.config.wait_min_lateness)
         if not finding.is_anomalous:
             return None
         return Anomaly(

@@ -35,7 +35,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SteeringConfig:
-    """Latencies and retry policy of the automated recovery pipeline.
+    """Latencies of the automated recovery pipeline.
 
     Defaults follow §IV-B: C4D cuts detection+localization "to mere tens
     of seconds", while "additional minutes are still required by the
@@ -45,25 +45,24 @@ class SteeringConfig:
     ----------
     isolation_seconds / restart_seconds:
         Happy-path action latencies.
-    max_isolation_attempts:
-        Tries per node before the isolation is abandoned (the node stays
-        in the job; the operator is paged via ``failed_isolations``).
-    backoff_base_seconds / backoff_cap_seconds:
-        Capped exponential backoff between isolation retries: attempt
-        ``k`` waits ``min(base * 2**k, cap)`` seconds.
     """
 
     isolation_seconds: float = 120.0
     restart_seconds: float = 180.0
-    max_isolation_attempts: int = 3
-    backoff_base_seconds: float = 15.0
-    backoff_cap_seconds: float = 120.0
 
-    def retry_backoff(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (0-based), capped."""
-        return min(
-            self.backoff_base_seconds * (2.0 ** attempt), self.backoff_cap_seconds
-        )
+
+#: Tries per node before an isolation is abandoned (the node stays in the
+#: job; the operator is paged via ``failed_isolations``).
+MAX_ISOLATION_ATTEMPTS = 3
+#: Capped exponential backoff between isolation retries: attempt ``k``
+#: waits ``min(BACKOFF_BASE_SECONDS * 2**k, BACKOFF_CAP_SECONDS)``.
+BACKOFF_BASE_SECONDS = 15.0
+BACKOFF_CAP_SECONDS = 120.0
+
+
+def retry_backoff(attempt: int) -> float:
+    """Backoff before retry ``attempt`` (0-based), capped."""
+    return min(BACKOFF_BASE_SECONDS * (2.0 ** attempt), BACKOFF_CAP_SECONDS)
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class JobSteeringService:
     backup_nodes:
         Node ids reserved as spares (not used by running jobs).
     config:
-        Action latencies and retry policy.
+        Action latencies.
     faults:
         Optional failure injection for the steering actions themselves
         (chaos campaigns); ``None`` gives the happy path.
@@ -235,14 +234,14 @@ class JobSteeringService:
         """
         attempts = 0
         backoff = 0.0
-        while attempts < self.config.max_isolation_attempts:
+        while attempts < MAX_ISOLATION_ATTEMPTS:
             attempts += 1
             if self.faults is None or not self.faults.isolation_fails():
                 self.topology.node(node_id).isolate()
                 self._isolated.add(node_id)
                 return True, attempts, backoff
-            if attempts < self.config.max_isolation_attempts:
-                backoff += self.config.retry_backoff(attempts - 1)
+            if attempts < MAX_ISOLATION_ATTEMPTS:
+                backoff += retry_backoff(attempts - 1)
         logger.warning(
             "isolation of node %d failed after %d attempts; node stays in job",
             node_id,

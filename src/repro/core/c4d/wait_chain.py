@@ -21,6 +21,11 @@ import numpy as np
 from repro.collective.monitoring import OpRecord
 from repro.core.c4d.events import Suspect, SuspectKind
 
+#: A rank is a straggler when its lateness exceeds this multiple of the
+#: median absolute deviation of launch times (robust against benign
+#: jitter).
+RELATIVE_THRESHOLD = 3.0
+
 
 @dataclass(frozen=True)
 class WaitChainFinding:
@@ -39,9 +44,7 @@ class WaitChainFinding:
 
 
 def analyze_wait_chain(
-    records: Sequence[OpRecord],
-    min_lateness: float = 0.0,
-    relative_threshold: float = 3.0,
+    records: Sequence[OpRecord], min_lateness: float = 0.0
 ) -> WaitChainFinding:
     """Identify stragglers from one operation's per-rank records.
 
@@ -51,10 +54,6 @@ def analyze_wait_chain(
         Per-rank op records of a single (comm_id, seq).
     min_lateness:
         Absolute floor (seconds) below which lateness is ignored.
-    relative_threshold:
-        A rank is a straggler when its lateness exceeds
-        ``relative_threshold`` x the median absolute deviation of launch
-        times (robust against benign jitter).
     """
     if len(records) < 3:
         return WaitChainFinding(suspects=(), lateness=0.0, median_wait=0.0)
@@ -68,7 +67,7 @@ def analyze_wait_chain(
 
     # Robust cutoff: benign jitter scales with the MAD; a true straggler
     # stands far outside it.
-    cutoff = max(min_lateness, relative_threshold * max(mad, 1e-9))
+    cutoff = max(min_lateness, RELATIVE_THRESHOLD * max(mad, 1e-9))
     straggler_idx = [i for i, late in enumerate(lateness) if late > cutoff]
     if not straggler_idx:
         return WaitChainFinding(suspects=(), lateness=max_lateness, median_wait=median_wait)
@@ -85,9 +84,7 @@ def analyze_wait_chain(
 
 
 def analyze_wait_chain_smoothed(
-    op_groups: Sequence[Sequence[OpRecord]],
-    min_lateness: float = 0.0,
-    relative_threshold: float = 3.0,
+    op_groups: Sequence[Sequence[OpRecord]], min_lateness: float = 0.0
 ) -> WaitChainFinding:
     """Straggler detection on *averaged* lateness over several operations.
 
@@ -123,7 +120,7 @@ def analyze_wait_chain_smoothed(
     median_mean = float(np.median(means))
     mad = float(np.median(np.abs(means - median_mean)))
     lateness = means - median_mean
-    cutoff = max(min_lateness, relative_threshold * max(mad, 1e-9))
+    cutoff = max(min_lateness, RELATIVE_THRESHOLD * max(mad, 1e-9))
     straggler_ranks = [
         rank for rank, late in zip(ranks, lateness, strict=True) if late > cutoff
     ]

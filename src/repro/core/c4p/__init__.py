@@ -12,8 +12,8 @@ Cluster-scale traffic engineering for collective communication:
    continuously measures.
 """
 
-from repro.core.c4p.health import LinkHealthConfig, LinkHealthState, LinkHealthTracker
-from repro.core.c4p.load_balance import DynamicLoadBalancer, LoadBalancerConfig
+from repro.core.c4p.health import LinkHealthState, LinkHealthTracker
+from repro.core.c4p.load_balance import DynamicLoadBalancer
 from repro.core.c4p.master import AllocationRecord, C4PMaster, DrainReport, MaintenanceReport
 from repro.core.c4p.probing import PathProber, ProbeResult
 from repro.core.c4p.registry import PathPoolExhausted, PathRegistry
@@ -24,7 +24,6 @@ __all__ = [
     "PathPoolExhausted",
     "PathProber",
     "ProbeResult",
-    "LinkHealthConfig",
     "LinkHealthState",
     "LinkHealthTracker",
     "AllocationRecord",
@@ -33,5 +32,4 @@ __all__ = [
     "MaintenanceReport",
     "C4PSelector",
     "DynamicLoadBalancer",
-    "LoadBalancerConfig",
 ]

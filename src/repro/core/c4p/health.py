@@ -16,13 +16,13 @@ The tracker below gives each fabric link a three-state lifecycle::
        └────────── N consecutive successful probes ──────────────┘
 
 * a failure quarantines the link under an **exponential hold-down**:
-  the k-th failure inside ``flap_window`` holds the link out for
-  ``hold_down_base * 2**(k-1)`` seconds (capped at ``hold_down_max``),
+  the k-th failure inside ``FLAP_WINDOW`` holds the link out for
+  ``HOLD_DOWN_BASE * 2**(k-1)`` seconds (capped at ``HOLD_DOWN_MAX``),
   so a flapping link stays quarantined longer each time it misbehaves;
 * probe results during the hold-down are ignored entirely — a flap's
   "up" half must not count toward recovery;
 * once the hold-down expires, the link enters **probation** and must
-  pass ``probation_probes`` consecutive incremental probes before the
+  pass ``PROBATION_PROBES`` consecutive incremental probes before the
   master re-admits it; a single failed probe re-quarantines it with an
   escalated hold-down.
 """
@@ -30,7 +30,6 @@ The tracker below gives each fabric link a three-state lifecycle::
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.codec import canonical_pairs
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -44,47 +43,21 @@ class LinkHealthState(enum.Enum):
     PROBATION = "probation"
 
 
-@dataclass(frozen=True)
-class LinkHealthConfig:
-    """Flap-damping tunables.
-
-    Attributes
-    ----------
-    hold_down_base:
-        Quarantine seconds after the first failure in a window.
-    hold_down_max:
-        Cap on the exponential hold-down.
-    flap_window:
-        Seconds over which failures count toward hold-down escalation;
-        older failures age out.
-    probation_probes:
-        Consecutive successful probes (after the hold-down) required
-        before a link returns to service.
-    """
-
-    hold_down_base: float = 30.0
-    hold_down_max: float = 480.0
-    flap_window: float = 900.0
-    probation_probes: int = 3
-
-    def __post_init__(self) -> None:
-        if self.hold_down_base <= 0 or self.hold_down_max < self.hold_down_base:
-            raise ValueError("need 0 < hold_down_base <= hold_down_max")
-        if self.flap_window <= 0:
-            raise ValueError("flap_window must be positive")
-        if self.probation_probes < 1:
-            raise ValueError("probation_probes must be >= 1")
-
-
 class LinkHealthTracker:
     """Per-link failure history, hold-down timers and probation streaks."""
 
-    def __init__(
-        self,
-        config: LinkHealthConfig | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.config = config or LinkHealthConfig()
+    #: Quarantine seconds after the first failure in a window.
+    HOLD_DOWN_BASE = 30.0
+    #: Cap on the exponential hold-down.
+    HOLD_DOWN_MAX = 480.0
+    #: Seconds over which failures count toward hold-down escalation;
+    #: older failures age out.
+    FLAP_WINDOW = 900.0
+    #: Consecutive successful probes (after the hold-down) required
+    #: before a link returns to service.
+    PROBATION_PROBES = 3
+
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self._state: dict[tuple, LinkHealthState] = {}
         #: Failure timestamps inside the flap window, per link.
         self._failures: dict[tuple, list[float]] = {}
@@ -122,16 +95,8 @@ class LinkHealthTracker:
 
     def failures_in_window(self, link_id: tuple, now: float) -> int:
         """Failures recorded within the trailing flap window."""
-        cutoff = now - self.config.flap_window
+        cutoff = now - self.FLAP_WINDOW
         return sum(1 for t in self._failures.get(link_id, ()) if t > cutoff)
-
-    def tracked_links(self) -> list[tuple]:
-        """Links currently quarantined or on probation."""
-        return [
-            link
-            for link, state in self._state.items()
-            if state is not LinkHealthState.HEALTHY
-        ]
 
     # ------------------------------------------------------------------
     # Snapshot / restore (control-plane journaling)
@@ -163,14 +128,11 @@ class LinkHealthTracker:
         exponentially — the damping that keeps a flapping link out of
         service instead of letting it oscillate back in.
         """
-        cutoff = now - self.config.flap_window
+        cutoff = now - self.FLAP_WINDOW
         history = [t for t in self._failures.get(link_id, []) if t > cutoff]
         history.append(now)
         self._failures[link_id] = history
-        hold = min(
-            self.config.hold_down_base * 2 ** (len(history) - 1),
-            self.config.hold_down_max,
-        )
+        hold = min(self.HOLD_DOWN_BASE * 2 ** (len(history) - 1), self.HOLD_DOWN_MAX)
         self._enter(link_id, LinkHealthState.QUARANTINED)
         self._quarantined_until[link_id] = now + hold
         self._streak[link_id] = 0
@@ -198,7 +160,7 @@ class LinkHealthTracker:
             self._streak[link_id] = self._streak.get(link_id, 0) + 1
         else:
             return LinkHealthState.HEALTHY
-        if self._streak[link_id] >= self.config.probation_probes:
+        if self._streak[link_id] >= self.PROBATION_PROBES:
             self._enter(link_id, LinkHealthState.HEALTHY)
             self._quarantined_until.pop(link_id, None)
             self._streak.pop(link_id, None)

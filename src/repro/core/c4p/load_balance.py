@@ -17,50 +17,31 @@ Two situations benefit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.collective.context import CollectiveContext
 from repro.collective.transport import Connection
 
 
-@dataclass(frozen=True)
-class LoadBalancerConfig:
-    """Tunables of the dynamic balancer.
+class DynamicLoadBalancer:
+    """Periodic per-connection QP-weight adjustment for one or more jobs.
 
-    Attributes
-    ----------
-    interval:
-        Seconds between balancing passes.
-    trigger_ratio:
-        Minimum fastest/slowest QP rate ratio before weights change.
-    min_weight / max_weight:
-        Clamp on per-QP load shares (a QP never fully drains, so its
-        path keeps being measured — losing the measurement would blind
-        the balancer to recovery).
-    gain:
-        Exponent applied to relative rates when computing new weights;
-        1.0 sets shares proportional to measured rates.
+    New weights are proportional to the measured rates, clamped to
+    ``[MIN_WEIGHT, MAX_WEIGHT]``: a QP never fully drains, so its path
+    keeps being measured (losing the measurement would blind the
+    balancer to recovery).
     """
 
-    interval: float = 0.05
-    trigger_ratio: float = 1.15
-    min_weight: float = 0.1
-    max_weight: float = 4.0
-    gain: float = 1.0
+    #: Seconds between balancing passes.
+    INTERVAL = 0.02
+    #: Minimum fastest/slowest QP rate ratio before weights change.
+    TRIGGER_RATIO = 1.15
+    #: Clamp on per-QP load shares.
+    MIN_WEIGHT = 0.1
+    MAX_WEIGHT = 4.0
 
-
-class DynamicLoadBalancer:
-    """Periodic per-connection QP-weight adjustment for one or more jobs."""
-
-    def __init__(
-        self,
-        contexts: list[CollectiveContext],
-        config: LoadBalancerConfig | None = None,
-    ) -> None:
+    def __init__(self, contexts: list[CollectiveContext]) -> None:
         if not contexts:
             raise ValueError("need at least one context to balance")
         self.contexts = contexts
-        self.config = config or LoadBalancerConfig()
         self.network = contexts[0].network
         self.adjustments = 0
         self._armed = False
@@ -70,7 +51,7 @@ class DynamicLoadBalancer:
         if self._armed:
             return
         self._armed = True
-        self.network.schedule(self.config.interval, self._tick)
+        self.network.schedule(self.INTERVAL, self._tick)
 
     def stop(self) -> None:
         """Disarm after the current tick."""
@@ -82,7 +63,7 @@ class DynamicLoadBalancer:
         for context in self.contexts:
             for connection in context.connections:
                 self.rebalance_connection(connection)
-        self.network.schedule(self.config.interval, self._tick)
+        self.network.schedule(self.INTERVAL, self._tick)
 
     def rebalance_connection(self, connection: Connection) -> bool:
         """Adjust one connection's QP weights from measured rates.
@@ -98,13 +79,11 @@ class DynamicLoadBalancer:
             rates.append(rate)
         fastest = max(rates)
         slowest = min(rates)
-        if fastest / slowest < self.config.trigger_ratio:
+        if fastest / slowest < self.TRIGGER_RATIO:
             return False
-        cfg = self.config
         mean_rate = sum(rates) / len(rates)
         for alloc, rate in zip(connection.allocations, rates, strict=True):
-            weight = (rate / mean_rate) ** cfg.gain
-            weight = min(max(weight, cfg.min_weight), cfg.max_weight)
+            weight = min(max(rate / mean_rate, self.MIN_WEIGHT), self.MAX_WEIGHT)
             connection.set_qp_weight(alloc, weight)
         self.adjustments += 1
         return True

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology, PathChoice
 from repro.collective.selectors import ROCE_DST_PORT, PathRequest, QpAllocation
-from repro.core.c4p.health import LinkHealthConfig, LinkHealthState, LinkHealthTracker
+from repro.core.c4p.health import LinkHealthState, LinkHealthTracker
 from repro.core.c4p.probing import PathProber
 from repro.core.c4p.registry import PathPoolExhausted, PathRegistry
 from repro.netsim.routing import FiveTuple
@@ -105,8 +105,6 @@ class C4PMaster:
         on larger pods a route's exact (uplink, downlink) pair may have
         no matching port, which is why the production system probes and
         catalogs ports rather than solving for them on demand.
-    health_config:
-        Flap-damping tunables for the link health state machine.
     refresh_on_init:
         Probe the fabric and rebuild the dead-link catalog during
         construction (the normal start-up).  Control-plane recovery
@@ -120,7 +118,6 @@ class C4PMaster:
         topology: ClusterTopology,
         enforce_plane: bool = True,
         search_ports: bool | None = None,
-        health_config: Optional[LinkHealthConfig] = None,
         refresh_on_init: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -128,7 +125,7 @@ class C4PMaster:
         obs_registry = get_registry(metrics)
         self.registry = PathRegistry(topology, metrics=obs_registry)
         self.prober = PathProber(topology)
-        self.health = LinkHealthTracker(health_config, metrics=obs_registry)
+        self.health = LinkHealthTracker(metrics=obs_registry)
         self.enforce_plane = enforce_plane
         if search_ports is None:
             spec = topology.spec

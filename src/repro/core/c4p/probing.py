@@ -23,6 +23,8 @@ from repro.cluster.topology import ClusterTopology, PathChoice
 
 #: RoCEv2 destination UDP port used in probe five-tuples.
 ROCE_DST_PORT = 4791
+#: The ephemeral source ports a route search scans.
+SOURCE_PORTS = range(49152, 65536)
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,14 @@ class PathProber:
         dst_ip: str,
         rail: int,
         choice: PathChoice,
-        port_range: range = range(49152, 65536),
     ) -> int:
         """Search for a source port steering traffic onto ``choice``.
 
         The returned port makes the leaf's hash pick (spine, up_port)
         and the spine's hash pick (dst_side, down_port), so unmodified
         switches route the flow along the planned path.  Raises
-        ``LookupError`` when no port works (practically impossible for
-        real fan-outs; reachable in tests with tiny port ranges).
+        ``LookupError`` when no port in :data:`SOURCE_PORTS` works
+        (practically impossible for real fan-outs).
         """
         spec = self.topology.spec
         up_fanout = spec.spines_per_rail * spec.uplink_ports_per_spine
@@ -69,13 +70,13 @@ class PathProber:
         hash_down = hasher.port_hasher(
             src_ip, dst_ip, ROCE_DST_PORT, stage=f"down:{rail}:{choice.spine}"
         )
-        for port in port_range:
+        for port in SOURCE_PORTS:
             if hash_up(port) % up_fanout != wanted_up:
                 continue
             if hash_down(port) % down_fanout == wanted_down:
                 return port
         raise LookupError(
-            f"no source port in {port_range} steers onto {choice} (rail {rail})"
+            f"no source port in {SOURCE_PORTS} steers onto {choice} (rail {rail})"
         )
 
     def reprobe(self, links) -> dict[tuple, bool]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import Summary, summarize
-from repro.core.c4p.load_balance import DynamicLoadBalancer, LoadBalancerConfig
+from repro.core.c4p.load_balance import DynamicLoadBalancer
 from repro.workloads.generator import build_cluster, concurrent_allreduce_jobs, fig12_spec
 
 FAILED_UPLINK = ("lup", 0, 0, 0, 0)
@@ -57,9 +57,7 @@ def _run_mode(
     for runner in runners:
         runner.start()
     if dynamic:
-        balancer = DynamicLoadBalancer(
-            [r.context for r in runners], LoadBalancerConfig(interval=0.02)
-        )
+        balancer = DynamicLoadBalancer([r.context for r in runners])
         balancer.start()
     scenario.network.schedule(
         failure_time, lambda: scenario.network.fail_link(FAILED_UPLINK)

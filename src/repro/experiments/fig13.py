@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
-from repro.core.c4p.load_balance import DynamicLoadBalancer, LoadBalancerConfig
+from repro.core.c4p.load_balance import DynamicLoadBalancer
 from repro.netsim.units import GBPS
 from repro.workloads.generator import build_cluster, concurrent_allreduce_jobs, fig12_spec
 
@@ -54,9 +54,7 @@ def _run_mode(
     for runner in runners:
         runner.start()
     if dynamic:
-        balancer = DynamicLoadBalancer(
-            [r.context for r in runners], LoadBalancerConfig(interval=0.02)
-        )
+        balancer = DynamicLoadBalancer([r.context for r in runners])
         balancer.start()
     network = scenario.network
     network.schedule(failure_time, lambda: network.fail_link(FAILED_UPLINK))

@@ -13,7 +13,7 @@ failures — without simulating individual packets, which keeps month-long
 and 512-GPU experiments tractable.
 """
 
-from repro.netsim.congestion import CongestionConfig, CongestionModel
+from repro.netsim.congestion import CongestionModel
 from repro.netsim.engine import EventQueue, TimerHandle
 from repro.netsim.fairness import max_min_rates, max_min_rates_reference
 from repro.netsim.flows import Flow, FlowState
@@ -34,7 +34,6 @@ __all__ = [
     "FlowNetwork",
     "EcmpHasher",
     "CongestionModel",
-    "CongestionConfig",
     "GBPS",
     "MBPS",
     "KIB",

@@ -25,75 +25,47 @@ capacity is underutilized, which results in an absence of queue buildup".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.netsim.flows import Flow
 
 
-@dataclass
-class CongestionConfig:
-    """Tunables of the fluid DCQCN model.
-
-    Attributes
-    ----------
-    cnp_per_bit:
-        CNPs generated per ECN-marked bit.  Calibrated against Fig. 11's
-        operating point — a bonded port driving the DCQCN oscillation
-        around a saturated spine tier receives ~15,000 CNP/s (senders
-        spend only part of each oscillation above the marking threshold,
-        hence the constant exceeds the naive 15e3/350e9).
-    saturation_threshold:
-        Fraction of capacity above which a link counts as saturated.
-    throttle_decrease:
-        Mean multiplicative decrease applied per tick to flows crossing
-        a saturated link.
-    throttle_recover:
-        Additive recovery per tick for unthrottled flows.
-    throttle_floor:
-        Lower bound of the throttle multiplier.
-    jitter:
-        Standard deviation of the stochastic component of the decrease,
-        modelling the feedback-delay-driven oscillation of DCQCN.
-    tick_interval:
-        Seconds between congestion-control updates.
-    """
-
-    cnp_per_bit: float = 1.0e-7
-    saturation_threshold: float = 0.999
-    throttle_decrease: float = 0.06
-    throttle_recover: float = 0.02
-    throttle_floor: float = 0.7
-    jitter: float = 0.35
-    tick_interval: float = 0.01
-
-
-@dataclass
 class CongestionModel:
     """Tracks CNP counters and per-flow throttle multipliers.
 
-    ``link_filter`` restricts congestion management to the links where
-    DCQCN actually runs: it should return True for Ethernet fabric links
-    and False for virtual stages such as NVLink (which is lossless and
-    credit-based, not ECN-marked).  The cluster layer wires this up.
+    Congestion management covers the links where DCQCN actually runs:
+    the Ethernet fabric, not the virtual NVLink stages (link ids
+    ``("nvl", ...)``), which are lossless and credit-based, never
+    ECN-marked.
     """
 
-    config: CongestionConfig = field(default_factory=CongestionConfig)
-    seed: int = 0
-    link_filter: object = None  # Optional[Callable[[object], bool]]
+    #: CNPs generated per ECN-marked bit.  Calibrated against Fig. 11's
+    #: operating point — a bonded port driving the DCQCN oscillation
+    #: around a saturated spine tier receives ~15,000 CNP/s (senders
+    #: spend only part of each oscillation above the marking threshold,
+    #: hence the constant exceeds the naive 15e3/350e9).
+    CNP_PER_BIT = 1.0e-7
+    #: Fraction of capacity above which a link counts as saturated.
+    SATURATION_THRESHOLD = 0.999
+    #: Mean multiplicative decrease applied per tick to flows crossing a
+    #: saturated link.
+    THROTTLE_DECREASE = 0.06
+    #: Additive recovery per tick for unthrottled flows.
+    THROTTLE_RECOVER = 0.02
+    #: Lower bound of the throttle multiplier.
+    THROTTLE_FLOOR = 0.7
+    #: Standard deviation of the stochastic component of the decrease,
+    #: modelling the feedback-delay-driven oscillation of DCQCN.
+    JITTER = 0.35
+    #: Seconds between congestion-control updates.
+    TICK_INTERVAL = 0.01
 
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+    def __init__(self) -> None:
+        self._rng = np.random.default_rng(0)
         #: CNPs received, keyed by whatever the caller uses to identify a
         #: sender port (flows carry it in ``metadata["cnp_key"]``).
         self.cnp_counts: dict[object, float] = {}
         self._throttle: dict[object, float] = {}
-
-    def _managed(self, link_id: object) -> bool:
-        if self.link_filter is None:
-            return True
-        return bool(self.link_filter(link_id))
 
     @staticmethod
     def _state_key(flow: Flow) -> object:
@@ -135,12 +107,12 @@ class CongestionModel:
             # multiply with the number of congested hops.
             if not any(link_id in saturated for link_id in flow.path):
                 continue
-            cnps = rate * dt * self.config.cnp_per_bit
+            cnps = rate * dt * self.CNP_PER_BIT
             key = flow.metadata.get("cnp_key", flow.flow_id)
             self.cnp_counts[key] = self.cnp_counts.get(key, 0.0) + cnps
 
     def tick(self, flows: list[Flow], rates: dict[object, float], capacities: dict[object, float]) -> None:
-        """Update per-flow throttles once per ``tick_interval``."""
+        """Update per-flow throttles once per ``TICK_INTERVAL``."""
         saturated = self._saturated_links(flows, rates, capacities)
         congested_keys: dict[object, bool] = {}
         for flow in flows:
@@ -150,13 +122,11 @@ class CongestionModel:
         for key, congested in congested_keys.items():
             current = self._throttle.get(key, 1.0)
             if congested:
-                noise = max(0.0, 1.0 + self.config.jitter * self._rng.standard_normal())
-                current *= 1.0 - self.config.throttle_decrease * noise
+                noise = max(0.0, 1.0 + self.JITTER * self._rng.standard_normal())
+                current *= 1.0 - self.THROTTLE_DECREASE * noise
             else:
-                current += self.config.throttle_recover
-            self._throttle[key] = float(
-                np.clip(current, self.config.throttle_floor, 1.0)
-            )
+                current += self.THROTTLE_RECOVER
+            self._throttle[key] = float(np.clip(current, self.THROTTLE_FLOOR, 1.0))
 
     def forget(self, flow: Flow) -> None:
         """Drop ephemeral (per-flow-keyed) state once a flow completes.
@@ -177,10 +147,10 @@ class CongestionModel:
         for flow in flows:
             rate = rates.get(flow.flow_id, 0.0)
             for link_id in flow.path:
-                if self._managed(link_id):
+                if link_id[0] != "nvl":
                     link_load[link_id] = link_load.get(link_id, 0.0) + rate
         return {
             link_id
             for link_id, load in link_load.items()
-            if load >= self.config.saturation_threshold * capacities[link_id]
+            if load >= self.SATURATION_THRESHOLD * capacities[link_id]
         }

@@ -444,7 +444,7 @@ class FlowNetwork:
         if self._cc_timer is not None and not self._cc_timer.cancelled:
             if self._cc_timer.time > self.now:
                 return
-        interval = self.congestion.config.tick_interval
+        interval = self.congestion.TICK_INTERVAL
         self._cc_timer = self._queue.schedule(self.now + interval, self._cc_tick)
 
     def _cc_tick(self) -> None:
@@ -455,7 +455,7 @@ class FlowNetwork:
             return
         rates = {flow.flow_id: flow.rate for flow in active}
         self.congestion.tick(active, rates, self._capacities)
-        interval = self.congestion.config.tick_interval
+        interval = self.congestion.TICK_INTERVAL
         self._cc_timer = self._queue.schedule(self.now + interval, self._cc_tick)
 
     def reset_link_windows(self) -> None:

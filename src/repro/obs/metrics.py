@@ -26,10 +26,12 @@ event.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 import threading
 from collections import deque
-from typing import Callable, Iterable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 #: Default histogram buckets: fault-handling latencies span milliseconds
 #: (detector evaluation) to tens of minutes (MTTR), so the bounds are
@@ -271,6 +273,39 @@ class MetricsRegistry:
     def families(self) -> list[MetricFamily]:
         """Every registered family, name-sorted."""
         return [self._families[name] for name in sorted(self._families)]
+
+    @contextmanager
+    def held(self, prefixes: tuple[str, ...]) -> Iterator[None]:
+        """Undo on exit what the block adds to some counters and histograms.
+
+        Covers the counter and histogram families whose names start with
+        one of ``prefixes``: each series gets its value back, in place,
+        and a series the block created is removed.  Gauges report
+        current state and are left as the block set them.  For work that
+        re-derives state already counted once, such as a journal replay.
+        """
+        saved = [
+            (
+                family,
+                {
+                    key: [copy.copy(getattr(child, slot)) for slot in child.__slots__]
+                    for key, child in family._children.items()
+                },
+            )
+            for family in self.families()
+            if family.kind != "gauge" and family.name.startswith(prefixes)
+        ]
+        try:
+            yield
+        finally:
+            for family, before in saved:
+                for key in list(family._children):
+                    if key not in before:
+                        del family._children[key]
+                for key, values in before.items():
+                    child = family._children[key]
+                    for slot, value in zip(child.__slots__, values, strict=True):
+                        setattr(child, slot, value)
 
     # ------------------------------------------------------------------
     # Exporters

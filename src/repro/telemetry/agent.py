@@ -75,7 +75,7 @@ class AgentPlane:
         ).labels()
         self._m_flushes = registry.counter(
             "telemetry_agent_flushes_total",
-            "Buffered-mode flush passes across all agents",
+            "Resume backfills: passes that flush every agent buffer after a suspension",
         ).labels()
         self._m_buffered = registry.gauge(
             "telemetry_agent_buffered_records",

@@ -18,14 +18,13 @@ restore, dropped with their communicator and never serialized.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Iterator, Optional
+from typing import Deque, Iterable, Optional
 
 import numpy as np
 
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
-from repro.obs.metrics import Counter, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 
 @dataclass
@@ -186,23 +185,19 @@ class MessageColumns:
 class CentralCollector:
     """Bounded per-communicator windows of monitoring records.
 
-    Parameters
-    ----------
-    op_window:
-        Operation-layer records retained per communicator.
-    message_window:
-        Transport-layer records retained per communicator.
-    metrics:
-        Observability registry; ``None`` uses the process default.
+    ``metrics`` is the observability registry; ``None`` uses the process
+    default.
     """
 
-    def __init__(
-        self,
-        op_window: int = 4096,
-        message_window: int = 16384,
-        tombstone_capacity: int = 1024,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    #: Operation-layer records retained per communicator (launch and
+    #: completion windows alike).
+    OP_WINDOW = 4096
+    #: Transport-layer records retained per communicator.
+    MESSAGE_WINDOW = 16384
+    #: Dropped-communicator tombstones retained.
+    TOMBSTONE_CAPACITY = 1024
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.progress: dict[str, CommProgress] = {}
         self._ops: dict[str, Deque[OpRecord]] = {}
         self._launches: dict[str, Deque[OpLaunchRecord]] = {}
@@ -211,9 +206,6 @@ class CentralCollector:
         #: Per communicator, seq -> its records in window order.
         self._ops_by_seq: dict[str, dict[int, Deque[OpRecord]]] = {}
         self._launches_by_seq: dict[str, dict[int, Deque[OpLaunchRecord]]] = {}
-        self._op_window = op_window
-        self._message_window = message_window
-        self._tombstone_capacity = tombstone_capacity
         #: Communicators explicitly deregistered; late records for them
         #: (e.g. still in flight on a lossy channel) are discarded
         #: silently instead of raising.  Insertion-ordered and bounded:
@@ -252,24 +244,6 @@ class CentralCollector:
             "Communicators currently registered with the collector",
         )
 
-    @contextmanager
-    def uncounted(self) -> Iterator[None]:
-        """Ingest without moving the per-record counters.
-
-        Inside the block, ingested records, window evictions and
-        straggler discards are counted on private instruments that no
-        registry holds.  For journal replay, whose records were counted
-        when they were first ingested.
-        """
-        counted = self._m_ingested, self._m_evicted, self._m_stragglers
-        self._m_ingested = {kind: Counter() for kind in self._m_ingested}
-        self._m_evicted = {kind: Counter() for kind in self._m_evicted}
-        self._m_stragglers = Counter()
-        try:
-            yield
-        finally:
-            self._m_ingested, self._m_evicted, self._m_stragglers = counted
-
     def _append(self, kind: str, window: Deque, index: Optional[dict], record) -> None:
         """Append to a bounded window, counting the record and any eviction.
 
@@ -307,10 +281,10 @@ class CentralCollector:
             last_launch_seq={rank: -1 for rank in range(record.size)},
             created_at=now,
         )
-        self._ops[record.comm_id] = deque(maxlen=self._op_window)
-        self._launches[record.comm_id] = deque(maxlen=self._op_window)
-        self._messages[record.comm_id] = deque(maxlen=self._message_window)
-        self._message_columns[record.comm_id] = MessageColumns(self._message_window)
+        self._ops[record.comm_id] = deque(maxlen=self.OP_WINDOW)
+        self._launches[record.comm_id] = deque(maxlen=self.OP_WINDOW)
+        self._messages[record.comm_id] = deque(maxlen=self.MESSAGE_WINDOW)
+        self._message_columns[record.comm_id] = MessageColumns(self.MESSAGE_WINDOW)
         self._ops_by_seq[record.comm_id] = {}
         self._launches_by_seq[record.comm_id] = {}
         self._m_ingested["communicator"].inc()
@@ -332,7 +306,7 @@ class CentralCollector:
         self._launches_by_seq.pop(comm_id, None)
         self._dropped.pop(comm_id, None)  # refresh insertion order
         self._dropped[comm_id] = None
-        while len(self._dropped) > self._tombstone_capacity:
+        while len(self._dropped) > self.TOMBSTONE_CAPACITY:
             oldest = next(iter(self._dropped))
             del self._dropped[oldest]
             self._m_tombstones_evicted.inc()
@@ -416,12 +390,14 @@ class CentralCollector:
         Records are frozen, so each window is a ``tuple`` of the record
         objects themselves; the digest encodes them.  Rank keys in the
         progress maps become ``[rank, seq]`` pairs so the snapshot
-        survives canonical (sorted-key) JSON encoding.
+        survives canonical (sorted-key) JSON encoding.  The window sizes
+        are constants that restore does not read; they stay in the
+        snapshot so a digest names the windows its state was kept in.
         """
         return {
-            "op_window": self._op_window,
-            "message_window": self._message_window,
-            "tombstone_capacity": self._tombstone_capacity,
+            "op_window": self.OP_WINDOW,
+            "message_window": self.MESSAGE_WINDOW,
+            "tombstone_capacity": self.TOMBSTONE_CAPACITY,
             "progress": {
                 comm_id: {
                     "record": progress.record,
@@ -445,9 +421,6 @@ class CentralCollector:
         Builds fresh containers and never aliases ``state``'s, because
         one snapshot may be restored many times.
         """
-        self._op_window = state["op_window"]
-        self._message_window = state["message_window"]
-        self._tombstone_capacity = state["tombstone_capacity"]
         self.progress = {}
         self._ops = {}
         self._launches = {}
@@ -462,11 +435,11 @@ class CentralCollector:
                 created_at=entry["created_at"],
             )
         for comm_id, window in state["ops"].items():
-            self._ops[comm_id] = deque(window, maxlen=self._op_window)
+            self._ops[comm_id] = deque(window, maxlen=self.OP_WINDOW)
         for comm_id, window in state["launches"].items():
-            self._launches[comm_id] = deque(window, maxlen=self._op_window)
+            self._launches[comm_id] = deque(window, maxlen=self.OP_WINDOW)
         for comm_id, window in state["messages"].items():
-            self._messages[comm_id] = deque(window, maxlen=self._message_window)
+            self._messages[comm_id] = deque(window, maxlen=self.MESSAGE_WINDOW)
         self._ops_by_seq = {
             comm_id: _seq_index(window) for comm_id, window in self._ops.items()
         }
@@ -474,7 +447,7 @@ class CentralCollector:
             comm_id: _seq_index(window) for comm_id, window in self._launches.items()
         }
         self._message_columns = {
-            comm_id: MessageColumns.filled(self._message_window, window)
+            comm_id: MessageColumns.filled(self.MESSAGE_WINDOW, window)
             for comm_id, window in self._messages.items()
         }
         self._dropped = {comm_id: None for comm_id in state["dropped"]}

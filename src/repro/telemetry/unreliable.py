@@ -9,7 +9,7 @@ observability (the adversarial condition CCL-D and Mycroft style
 evaluations focus on).
 
 The channel is *at-least-once with bounded retries*: a dropped send is
-retried after ``retransmit_timeout`` up to ``max_retries`` times, so a
+retried after ``RETRANSMIT_TIMEOUT`` up to ``MAX_RETRIES`` times, so a
 drop usually manifests as extra latency, occasionally as a permanent
 hole.  Duplicates model spurious retransmits.  All randomness flows
 through one seeded generator, keeping campaigns reproducible.
@@ -21,47 +21,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Fixed agent→master shipping delay, in simulated seconds.
+BASE_LATENCY = 0.5
+#: Mean of an exponential latency jitter added per attempt.
+JITTER = 0.5
+#: Wait before retrying a lost attempt.
+RETRANSMIT_TIMEOUT = 5.0
+#: Retries after the first attempt.
+MAX_RETRIES = 8
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Unreliability knobs for the agent→master record path.
+    """Unreliability rates of one scenario's agent→master record path.
 
     Attributes
     ----------
     drop_rate:
         Probability one delivery *attempt* is lost.  With retries, the
-        chance a record is lost forever is ``drop_rate ** (max_retries
+        chance a record is lost forever is ``drop_rate ** (MAX_RETRIES
         + 1)``.
     duplicate_rate:
         Probability a successful delivery is followed by a duplicate.
-    base_latency:
-        Fixed agent→master shipping delay, in simulated seconds.
-    jitter:
-        Mean of an exponential latency jitter added per attempt.
-    retransmit_timeout:
-        Wait before retrying a lost attempt.
-    max_retries:
-        Retries after the first attempt; 0 makes every drop permanent.
     """
 
     drop_rate: float = 0.0
     duplicate_rate: float = 0.0
-    base_latency: float = 0.5
-    jitter: float = 0.5
-    retransmit_timeout: float = 5.0
-    max_retries: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop_rate must be in [0, 1)")
         if not 0.0 <= self.duplicate_rate <= 1.0:
             raise ValueError("duplicate_rate must be in [0, 1]")
-        if self.base_latency < 0 or self.jitter < 0:
-            raise ValueError("latencies must be non-negative")
-        if self.retransmit_timeout <= 0:
-            raise ValueError("retransmit_timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
 
 
 class UnreliableChannel:
@@ -98,7 +89,7 @@ class UnreliableChannel:
         cfg = self.config
         if self._rng.random() < cfg.drop_rate:
             self.dropped_attempts += 1
-            if attempt >= cfg.max_retries:
+            if attempt >= MAX_RETRIES:
                 self.abandoned += 1
                 return
             # Retransmits are jittered like deliveries: a bare round-number
@@ -107,17 +98,13 @@ class UnreliableChannel:
             # the shared channel RNG in timer-tie-break order — a real
             # ordering race (caught by `repro lint --racecheck`).  Real
             # retransmit timers wobble anyway.
-            retry_delay = cfg.retransmit_timeout
-            if cfg.jitter > 0:
-                retry_delay += float(self._rng.exponential(cfg.jitter))
+            retry_delay = RETRANSMIT_TIMEOUT + float(self._rng.exponential(JITTER))
             self.network.schedule(
                 retry_delay,
                 lambda: self._attempt(deliver, attempt + 1),
             )
             return
-        delay = cfg.base_latency
-        if cfg.jitter > 0:
-            delay += float(self._rng.exponential(cfg.jitter))
+        delay = BASE_LATENCY + float(self._rng.exponential(JITTER))
 
         def arrival() -> None:
             self.delivered += 1
@@ -126,7 +113,7 @@ class UnreliableChannel:
         self.network.schedule(delay, arrival)
         if self._rng.random() < cfg.duplicate_rate:
             self.duplicated += 1
-            self.network.schedule(delay + cfg.base_latency, deliver)
+            self.network.schedule(delay + BASE_LATENCY, deliver)
 
     @property
     def in_flight(self) -> int:

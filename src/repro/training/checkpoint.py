@@ -42,10 +42,6 @@ class CheckpointPolicy:
             raise ValueError("time must be non-negative")
         return min(time_since_last_checkpoint, self.interval_seconds)
 
-    def expected_lost_work(self) -> float:
-        """Mean loss for a crash uniform within the interval."""
-        return self.interval_seconds / 2.0
-
     def overhead_fraction(self) -> float:
         """Fraction of runtime spent saving checkpoints."""
         return self.save_seconds / self.interval_seconds

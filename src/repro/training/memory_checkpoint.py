@@ -161,8 +161,3 @@ class InMemoryCheckpointer:
         if not candidates:
             return crash_step
         return max(0, crash_step - candidates[-1].step - 1)
-
-    @property
-    def memory_bits(self) -> float:
-        """Host memory currently held by snapshots."""
-        return sum(s.size_bits for s in self.snapshots)

@@ -58,10 +58,6 @@ class ParallelismPlan:
         """Total GPU count."""
         return self.tp * self.pp * self.dp
 
-    def gpus_required(self) -> int:
-        """Alias for world_size (readability at call sites)."""
-        return self.world_size
-
     def nodes_required(self, gpus_per_node: int) -> int:
         """Nodes needed for this plan."""
         if self.world_size % gpus_per_node != 0 and self.world_size > gpus_per_node:

@@ -56,12 +56,7 @@ def build_cluster(
     ("intentionally reduced the number of active spine switches by
     half", Fig. 10b).
     """
-    model = None
-    if congestion:
-        # DCQCN manages the Ethernet fabric only; the virtual NVLink
-        # stages are lossless and never ECN-marked.
-        model = CongestionModel(link_filter=lambda link_id: link_id[0] != "nvl")
-    network = FlowNetwork(congestion=model)
+    network = FlowNetwork(congestion=CongestionModel() if congestion else None)
     topology = ClusterTopology(spec, network, ecmp_seed=ecmp_seed)
     if disable_spines_per_rail:
         for rail in range(spec.rails):
@@ -138,10 +133,13 @@ def allreduce_benchmark(
     )
 
 
+#: Jobs, and nodes per job, of the Fig. 10 contention setup.
+CONCURRENT_JOBS = 8
+NODES_PER_JOB = 2
+
+
 def concurrent_allreduce_jobs(
     scenario: Scenario,
-    num_jobs: int = 8,
-    nodes_per_job: int = 2,
     size_bits: float = 1 * GIB,
     max_ops: int = 8,
     warmup_ops: int = 2,
@@ -151,11 +149,11 @@ def concurrent_allreduce_jobs(
 ) -> list[RepeatedOp]:
     """The Fig. 10 setup: disjoint 2-node jobs saturating the spines."""
     spec = scenario.topology.spec
-    if num_jobs * nodes_per_job > spec.num_nodes:
+    if CONCURRENT_JOBS * NODES_PER_JOB > spec.num_nodes:
         raise ValueError("not enough nodes for the requested jobs")
     runners = []
-    for j in range(num_jobs):
-        node_ids = list(range(j * nodes_per_job, (j + 1) * nodes_per_job))
+    for j in range(CONCURRENT_JOBS):
+        node_ids = list(range(j * NODES_PER_JOB, (j + 1) * NODES_PER_JOB))
         runners.append(
             allreduce_benchmark(
                 scenario,

@@ -50,13 +50,6 @@ def test_resolve_path_structure(topo):
     ]
 
 
-def test_resolve_path_without_nvlink(topo):
-    choice = PathChoice(0, 0, 0, 0, 0)
-    path = topo.resolve_path(0, 0, 1, 0, choice, include_nvlink=False)
-    assert ("nvl", 0) not in path
-    assert len(path) == 4
-
-
 def test_cross_rail_path_rejected(topo):
     choice = PathChoice(0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
@@ -123,29 +116,11 @@ def test_disable_spine(topo):
     assert not topo.network.link(topo.spine_down(0, 3, 1, 0)).is_up
 
 
-def test_candidate_choices_skip_disabled_spines(topo):
-    topo.disable_spine(0, 0)
-    spines = {c.spine for c in topo.candidate_choices(0)}
-    assert 0 not in spines
-    assert len(spines) == TESTBED_16_NODES.spines_per_rail - 1
-
-
 def test_leaf_uplinks_enumeration(topo):
     spec = TESTBED_16_NODES
     uplinks = topo.leaf_uplinks(1, 0)
     assert len(uplinks) == spec.spines_per_rail * spec.uplink_ports_per_spine
     assert all(link[0] == "lup" and link[1] == 1 and link[2] == 0 for link in uplinks)
-
-
-def test_schedulable_nodes_excludes_isolated(topo):
-    topo.node(4).isolate()
-    nodes = topo.schedulable_nodes()
-    assert all(n.node_id != 4 for n in nodes)
-    assert len(nodes) == 15
-
-
-def test_intra_node_path(topo):
-    assert topo.intra_node_path(7) == [("nvl", 7)]
 
 
 def test_ecmp_spreads_across_spines(topo):

@@ -69,12 +69,6 @@ def test_seq_monotonic():
     assert comm.next_seq() == 1
 
 
-def test_rank_index():
-    ranks = contiguous_ranks([0, 1], 2)
-    comm = Communicator(ranks)
-    assert comm.rank_index(RankLocation(1, 0)) == 2
-
-
 def test_comm_ids_unique_by_default():
     c1 = Communicator(contiguous_ranks([0], 1))
     c2 = Communicator(contiguous_ranks([0], 1))

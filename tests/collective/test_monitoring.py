@@ -84,10 +84,3 @@ def test_ops_for_seq_filters():
     sink.on_op(op_record(seq=1, rank=1))
     assert len(sink.ops_for_seq("c", 1)) == 2
     assert sink.ops_for_seq("c", 2) == []
-
-
-def test_messages_for_seq_filters():
-    sink = RecordingSink()
-    sink.on_message(message_record(seq=0))
-    sink.on_message(message_record(seq=3))
-    assert len(sink.messages_for_seq("c", 3)) == 1

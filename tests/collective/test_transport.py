@@ -55,7 +55,7 @@ def test_observe_rate_ewma(conn):
     qp = conn.allocations[0].qp_num
     conn.observe_rate(qp, 100.0)
     assert conn.qp_rate_ewma[qp] == 100.0
-    conn.observe_rate(qp, 200.0, alpha=0.5)
+    conn.observe_rate(qp, 200.0)  # RATE_ALPHA weighs the new sample by 0.5
     assert conn.qp_rate_ewma[qp] == pytest.approx(150.0)
 
 

@@ -20,22 +20,16 @@ from repro.obs.metrics import MetricsRegistry
 RANKS = tuple(RankLocation(i, 0) for i in range(4))
 
 
-def build_plane(store, leases, metrics, executed=None, **kwargs):
+def build_plane(store, leases, metrics, **kwargs):
     # Each incarnation gets a fresh topology: physical node state is not
     # journaled (isolations are never re-executed by replay).
     topo = ClusterTopology(TESTBED_16_NODES, FlowNetwork(), ecmp_seed=0)
-    sink = executed if executed is not None else []
-
-    def listener(action, coverage):
-        sink.append((action, coverage))
-
     return C4DControlPlane(
         topo,
         backup_nodes=[14, 15],
         store=store,
         leases=leases,
         detector_config=DetectorConfig(hang_timeout=30.0),
-        action_listener=listener,
         metrics=metrics,
         **kwargs,
     )
@@ -62,21 +56,19 @@ def env():
 
 def test_evaluate_executes_and_journals(env):
     store, leases, metrics = env
-    executed = []
-    plane = build_plane(store, leases, metrics, executed=executed)
+    plane = build_plane(store, leases, metrics)
     feed_hang(plane, "c", 0.0)
     for node in range(4):
         leases.heartbeat(node, 20.0)  # keep coverage above the degraded gate
     fresh = plane.evaluate(60.0)
     assert len(fresh) == 1
-    assert len(executed) == 1
-    action, coverage = executed[0]
+    (action,) = plane.steering.executed_actions
     assert action.isolated_nodes == (3,)
     # Ingestions are journaled write-ahead, the pass with its outcome.
     kinds = [entry.kind for entry in store.entries]
     assert kinds == ["communicator", "launch", "launch", "launch", "evaluate"]
     evaluate_entry = store.entries[-1]
-    assert evaluate_entry.payload["coverage"] == coverage
+    assert evaluate_entry.payload["coverage"] == leases.coverage(60.0) == 1.0
     assert len(evaluate_entry.payload["actions"]) == 1
 
 
@@ -106,8 +98,7 @@ def test_restored_anomalies_keep_their_evidence_types(env):
 
 def test_cold_restart_replays_to_identical_digest(env):
     store, leases, metrics = env
-    executed = []
-    plane = build_plane(store, leases, metrics, executed=executed)
+    plane = build_plane(store, leases, metrics)
     feed_hang(plane, "c", 0.0)
     for node in range(4):
         leases.heartbeat(node, 20.0)
@@ -117,13 +108,12 @@ def test_cold_restart_replays_to_identical_digest(env):
     plane.evaluate(70.0)
     digest = plane.state_digest()
 
-    relaunched = []
-    successor = build_plane(store, leases, metrics, executed=relaunched, active=False)
+    successor = build_plane(store, leases, metrics, active=False)
     info = successor.recover(now=80.0)
     assert info["digest"] == digest
     assert successor.state_digest() == digest
     # Replay re-derives bookkeeping only: no physical re-execution.
-    assert relaunched == []
+    assert successor.steering.executed_actions == []
     assert store.recoveries == 1
     assert store.failovers == 0  # a cold restart is not a failover
     # Snapshot bounded the replay to the post-snapshot suffix.
@@ -161,15 +151,14 @@ def test_stale_plane_demotes_silently(env):
 
 def test_degraded_mode_suppresses_under_blackout(env):
     store, leases, metrics = env
-    executed = []
-    plane = build_plane(store, leases, metrics, executed=executed)
+    plane = build_plane(store, leases, metrics)
     feed_hang(plane, "c", 100.0)
     # Only node 0 still beats; 3 of 4 leases expire -> coverage 0.25,
     # below the 0.6 gate.
     leases.heartbeat(0, 130.0)
     fresh = plane.evaluate(150.0)
     assert fresh == []
-    assert executed == []
+    assert plane.steering.executed_actions == []
     assert plane.master.degraded_anomalies
     assert plane.master.degraded_anomalies[-1].evidence["degraded"] is True
 

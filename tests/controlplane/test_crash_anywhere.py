@@ -69,14 +69,13 @@ RANKS = tuple(RankLocation(node, 0) for node in range(4))
 DETECTOR_CONFIG = DetectorConfig(hang_timeout=30.0)
 
 
-def c4d_plane(store, leases, metrics, executed, **kwargs):
+def c4d_plane(store, leases, metrics, **kwargs):
     return C4DControlPlane(
         ClusterTopology(TESTBED_16_NODES, FlowNetwork(), ecmp_seed=0),
         backup_nodes=[14, 15],
         store=store,
         leases=leases,
         detector_config=DETECTOR_CONFIG,
-        action_listener=lambda action, coverage: executed.append(action),
         metrics=metrics,
         **kwargs,
     )
@@ -124,24 +123,22 @@ def test_c4d_plane_recovers_at_every_journal_position():
     leases = LeaseTable(lease_seconds=60.0, metrics=metrics)
     for node in range(4):
         leases.register(node, 0.0)
-    executed = []
-    plane = c4d_plane(store, leases, metrics, executed)
+    plane = c4d_plane(store, leases, metrics)
     crash = CrashPoints(store, plane.state_digest)
     run_c4d_history(plane, leases, crash)
 
     # The history covers what the recovery path must re-derive.
-    kinds = {action.anomaly.anomaly_type for action in executed}
+    kinds = {action.anomaly.anomaly_type for action in plane.steering.executed_actions}
     assert {AnomalyType.NONCOMM_HANG, AnomalyType.COMM_SLOW} <= kinds
     assert crash.labels().count("snapshot") == 2
     assert "compact" in crash.labels()
     assert len(crash.points) == store._next_seq + 3
 
     for label, crashed_store, digest in crash.points:
-        relaunched = []
-        successor = c4d_plane(crashed_store, leases, metrics, relaunched, active=False)
+        successor = c4d_plane(crashed_store, leases, metrics, active=False)
         info = successor.recover(now=80.0)
         assert info["digest"] == digest, f"digest mismatch after {label}"
-        assert relaunched == [], f"action re-executed after {label}"
+        assert successor.steering.executed_actions == [], f"action re-executed after {label}"
 
 
 # ----------------------------------------------------------------------

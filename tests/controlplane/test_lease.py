@@ -43,14 +43,6 @@ def test_coverage_fraction():
     assert t.blind_nodes(40.0) == [1, 2, 3]
 
 
-def test_deregister_drops_lease():
-    t = table()
-    t.register(0, 0.0)
-    t.deregister(0)
-    assert t.registered() == []
-    t.deregister(0)  # idempotent
-
-
 def test_rejects_nonpositive_lease():
     with pytest.raises(ValueError):
         LeaseTable(lease_seconds=0.0, metrics=MetricsRegistry())

@@ -12,6 +12,8 @@ pinned, so a faster path must keep the same books.
 import hashlib
 from collections import Counter
 
+import pytest
+
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology
 from repro.collective.algorithms import Algorithm, OpType
@@ -25,6 +27,7 @@ from repro.collective.monitoring import (
 from repro.controlplane import C4DControlPlane, JournalStore, LeaseTable
 from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry
+from repro.telemetry import unreliable
 from repro.telemetry.agent import AgentPlane
 from repro.telemetry.unreliable import ChannelConfig, UnreliableChannel
 
@@ -93,13 +96,20 @@ def deliver(agents: AgentPlane, records) -> None:
         agents.on_message(record)
 
 
-def series(registry: MetricsRegistry) -> dict:
-    """``(family, labels) -> value`` for every series of :data:`FAMILIES`."""
+def series(registry: MetricsRegistry, prefixes: tuple[str, ...] = ()) -> dict:
+    """``(family, labels) -> value`` for every series of :data:`FAMILIES`.
+
+    Families whose names start with one of ``prefixes`` are added; a
+    histogram's value is its ``(count, sum)``.
+    """
     out = {}
     for family in registry.families():
-        if family.name in FAMILIES:
+        if family.name in FAMILIES or family.name.startswith(prefixes):
             for labels, child in family.series():
-                value = child.read() if family.kind == "gauge" else child.value
+                if family.kind == "histogram":
+                    value = (child.count, child.sum)
+                else:
+                    value = child.read() if family.kind == "gauge" else child.value
                 out[(family.name, tuple(sorted(labels.items())))] = value
     return out
 
@@ -111,6 +121,14 @@ def journal_digest(entries) -> str:
 
 
 def run_sequence():
+    # The lossy channel retries once, so records in flight at the
+    # failover are still there to be refused by the fenced primary.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unreliable, "MAX_RETRIES", 1)
+        return _run_sequence()
+
+
+def _run_sequence():
     registry = MetricsRegistry()
     net = FlowNetwork(metrics=registry)
     store = JournalStore(metrics=registry)
@@ -125,9 +143,7 @@ def run_sequence():
 
     primary = plane(active=True)
     agents = AgentPlane(primary, clock=lambda: net.now, leases=leases, metrics=registry)
-    channel = UnreliableChannel(
-        net, ChannelConfig(drop_rate=0.3, duplicate_rate=0.3, max_retries=1), seed=3
-    )
+    channel = UnreliableChannel(net, ChannelConfig(drop_rate=0.3, duplicate_rate=0.3), seed=3)
     lossy = AgentPlane(
         primary, clock=lambda: net.now, channel=channel, leases=leases, metrics=registry
     )
@@ -235,11 +251,14 @@ def test_record_path_keeps_its_books():
 
 def test_replay_counts_no_record_twice():
     registry, store, successor, _channel = run_sequence()
+    successor.evaluate(800.0)
     replayed = registry.counter("controlplane_replayed_entries_total")
-    before, replayed_before = series(registry), replayed.value
+    before, replayed_before = series(registry, ("c4d_",)), replayed.value
+    assert before[("c4d_evaluations_total", ())] == 1.0
     info = successor.recover(now=800.0)
     assert info["entries_replayed"] == len(store.entries) > 0
     assert replayed.value == replayed_before + info["entries_replayed"]
-    # The replay re-ingests every journaled record, and re-discards the
-    # stragglers, without touching the collector's record counters.
-    assert series(registry) == before
+    # The replay re-ingests every journaled record, re-discards the
+    # stragglers and re-runs the evaluation, without touching the
+    # collector's record counters or the master's and detectors' series.
+    assert series(registry, ("c4d_",)) == before

@@ -57,14 +57,13 @@ def env():
     return JournalStore(metrics=metrics), leases, metrics
 
 
-def c4d_plane(store, leases, metrics, executed, **kwargs):
+def c4d_plane(store, leases, metrics, **kwargs):
     return C4DControlPlane(
         ClusterTopology(TESTBED_16_NODES, FlowNetwork(), ecmp_seed=0),
         backup_nodes=[14, 15],
         store=store,
         leases=leases,
         detector_config=DetectorConfig(hang_timeout=30.0),
-        action_listener=lambda action, coverage: executed.append(action),
         metrics=metrics,
         **kwargs,
     )
@@ -99,46 +98,45 @@ def feed_hang(plane, comm_id, silent_rank, now) -> None:
             plane.ingest_launch(OpLaunchRecord(comm_id, 0, OpType.ALLREDUCE, rank, loc, now))
 
 
-def evaluate_with_action(plane, leases, executed, now) -> None:
+def evaluate_with_action(plane, leases, now) -> None:
     for node in range(4):
         leases.heartbeat(node, now - 10.0)
-    before = len(executed)
+    before = len(plane.steering.executed_actions)
     plane.evaluate(now)
-    assert len(executed) == before + 1
+    assert len(plane.steering.executed_actions) == before + 1
 
 
-def snapshotted_plane(env, executed):
+def snapshotted_plane(env):
     """A plane that ingested every record kind, acted once and snapshotted."""
     store, leases, metrics = env
-    plane = c4d_plane(store, leases, metrics, executed)
+    plane = c4d_plane(store, leases, metrics)
     plane.ingest_communicator(CommunicatorRecord("c", 4, RANKS), now=0.0)
     feed_seqs(plane, "c", range(4))
     feed_hang(plane, "h1", 3, now=10.0)
-    evaluate_with_action(plane, leases, executed, now=60.0)
+    evaluate_with_action(plane, leases, now=60.0)
     assert plane.snapshot()
     return plane
 
 
 def test_c4d_snapshot_survives_later_mutation_of_the_live_plane(env):
     store, leases, metrics = env
-    executed = []
-    plane = snapshotted_plane(env, executed)
+    plane = snapshotted_plane(env)
     digest = plane.state_digest()
     at_snapshot = store_copy(store)
 
     # Evict every record the snapshot saw from all three windows: one
     # message, one op and one launch per rank and seq.
     collector = plane.collector
-    feed_seqs(plane, "c", range(4, 4 + collector._message_window // len(RANKS)))
+    feed_seqs(plane, "c", range(4, 4 + collector.MESSAGE_WINDOW // len(RANKS)))
     assert min(op.seq for op in collector.ops("c")) >= 4
     assert min(message.seq for message in collector.messages("c")) >= 4
     assert not any(collector.launches_for_seq("c", seq) for seq in range(4))
     plane.drop_communicator("c")
     feed_hang(plane, "h2", 2, now=70.0)
-    evaluate_with_action(plane, leases, executed, now=120.0)
+    evaluate_with_action(plane, leases, now=120.0)
     assert plane.state_digest() != digest
 
-    successor = c4d_plane(at_snapshot, leases, metrics, [], active=False)
+    successor = c4d_plane(at_snapshot, leases, metrics, active=False)
     info = successor.recover(now=130.0)
     assert info["entries_replayed"] == 0
     assert info["digest"] == digest
@@ -146,26 +144,24 @@ def test_c4d_snapshot_survives_later_mutation_of_the_live_plane(env):
 
 def test_c4d_two_recoveries_from_one_store_agree(env):
     store, leases, metrics = env
-    executed = []
-    snapshotted_plane(env, executed)
+    snapshotted_plane(env)
     pristine = store_copy(store)
 
-    first = c4d_plane(store, leases, metrics, executed, active=False)
+    first = c4d_plane(store, leases, metrics, active=False)
     digest = first.recover(now=65.0)["digest"]
     feed_seqs(first, "c", range(4, 8))
     first.drop_communicator("c")
     feed_hang(first, "h2", 2, now=70.0)
-    evaluate_with_action(first, leases, executed, now=120.0)
+    evaluate_with_action(first, leases, now=120.0)
     assert first.state_digest() != digest
 
-    second = c4d_plane(pristine, leases, metrics, [], active=False)
+    second = c4d_plane(pristine, leases, metrics, active=False)
     assert second.recover(now=130.0)["digest"] == digest
 
 
 def test_c4d_snapshot_survives_a_degraded_evaluation(env):
     store, leases, metrics = env
-    executed = []
-    plane = snapshotted_plane(env, executed)
+    plane = snapshotted_plane(env)
     digest = plane.state_digest()
     at_snapshot = store_copy(store)
 
@@ -175,10 +171,10 @@ def test_c4d_snapshot_survives_a_degraded_evaluation(env):
     plane.evaluate(200.0)
     (degraded,) = plane.master.degraded_anomalies
     assert degraded.evidence["degraded"] is True
-    assert len(executed) == 1
+    assert len(plane.steering.executed_actions) == 1
     assert plane.state_digest() != digest
 
-    successor = c4d_plane(at_snapshot, leases, metrics, [], active=False)
+    successor = c4d_plane(at_snapshot, leases, metrics, active=False)
     info = successor.recover(now=210.0)
     assert info["entries_replayed"] == 0
     assert info["digest"] == digest

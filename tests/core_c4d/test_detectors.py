@@ -3,6 +3,7 @@
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
+from repro.core.c4d import detectors
 from repro.core.c4d.detectors import (
     CommSlowDetector,
     DetectorConfig,
@@ -108,7 +109,7 @@ def test_comm_slow_detector_needs_enough_ops():
     collector = make_collector()
     for i in range(4):
         collector.ingest_message(message(0, i, i + 1, 1.0, complete=1.0))
-    detector = CommSlowDetector(collector, DetectorConfig(min_ops_for_slow=2))
+    detector = CommSlowDetector(collector, DetectorConfig())
     assert detector.evaluate(now=2.0) == []
 
 
@@ -119,7 +120,7 @@ def test_comm_slow_detector_flags_degraded_pair():
             j = (i + 1) % 8
             duration = 4.0 if (i, j) == (2, 3) else 1.0
             collector.ingest_message(message(seq, i, j, duration, complete=seq + 1.0))
-    detector = CommSlowDetector(collector, DetectorConfig(min_ops_for_slow=2, slow_window=100.0))
+    detector = CommSlowDetector(collector, DetectorConfig(slow_window=100.0))
     anomalies = detector.evaluate(now=2.0)
     assert len(anomalies) == 1
     assert anomalies[0].anomaly_type is AnomalyType.COMM_SLOW
@@ -131,7 +132,7 @@ def test_comm_slow_detector_window_excludes_old_records():
         for i in range(8):
             duration = 4.0 if i == 2 else 1.0
             collector.ingest_message(message(seq, i, (i + 1) % 8, duration, complete=1.0))
-    detector = CommSlowDetector(collector, DetectorConfig(min_ops_for_slow=2, slow_window=10.0))
+    detector = CommSlowDetector(collector, DetectorConfig(slow_window=10.0))
     assert detector.evaluate(now=1000.0) == []
 
 
@@ -140,12 +141,12 @@ def skipped(registry, detector, reason):
     return family.labels(detector=detector, reason=reason).value
 
 
-def test_skipped_communicators_are_counted_by_reason():
+def test_skipped_communicators_are_counted_by_reason(monkeypatch):
     registry = MetricsRegistry()
     collector = make_collector()
     for i in range(4):
         collector.ingest_message(message(0, i, i + 1, 1.0, complete=1.0))
-    comm_slow = CommSlowDetector(collector, DetectorConfig(min_ops_for_slow=2), registry)
+    comm_slow = CommSlowDetector(collector, DetectorConfig(), registry)
     assert comm_slow.evaluate(now=2.0) == []  # one seq in the window
     assert comm_slow.evaluate(now=1000.0) == []  # nothing in the window
     assert skipped(registry, "comm_slow", "too_few_ops") == 1
@@ -153,8 +154,10 @@ def test_skipped_communicators_are_counted_by_reason():
 
     complete_op(collector, 0, end=2.0)
     complete_op(collector, 1, end=3.0)
-    for config in (DetectorConfig(min_ops_for_slow=3), DetectorConfig(smooth_window_ops=3)):
-        assert NonCommSlowDetector(collector, config, registry).evaluate(now=4.0) == []
+    smoothed = NonCommSlowDetector(collector, DetectorConfig(smooth_window_ops=3), registry)
+    assert smoothed.evaluate(now=4.0) == []
+    monkeypatch.setattr(detectors, "MIN_OPS_FOR_SLOW", 3)
+    assert NonCommSlowDetector(collector, DetectorConfig(), registry).evaluate(now=4.0) == []
     assert skipped(registry, "noncomm_slow", "too_few_ops") == 2
 
 
@@ -172,7 +175,7 @@ def test_noncomm_slow_requires_persistence():
     # Straggler only in one of the two ops -> not persistent.
     complete_op(collector, 0, end=2.0, launches=launches_straggler)
     complete_op(collector, 1, end=4.0, launches=[3.0] * SIZE)
-    detector = NonCommSlowDetector(collector, DetectorConfig(min_ops_for_slow=2))
+    detector = NonCommSlowDetector(collector, DetectorConfig())
     assert detector.evaluate(now=5.0) == []
 
 
@@ -182,7 +185,7 @@ def test_noncomm_slow_detects_persistent_straggler():
         launches = [float(seq)] * SIZE
         launches[5] = seq + 1.0
         complete_op(collector, seq, end=seq + 2.0, launches=launches)
-    detector = NonCommSlowDetector(collector, DetectorConfig(min_ops_for_slow=2))
+    detector = NonCommSlowDetector(collector, DetectorConfig())
     anomalies = detector.evaluate(now=10.0)
     assert len(anomalies) == 1
     suspect = anomalies[0].suspects[0]

@@ -13,7 +13,12 @@ from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.master import C4DMaster
 from repro.core.c4d.rca import RootCauseAnalyzer
-from repro.core.c4d.steering import JobSteeringService, SteeringConfig, SteeringFaultModel
+from repro.core.c4d.steering import (
+    JobSteeringService,
+    SteeringConfig,
+    SteeringFaultModel,
+    retry_backoff,
+)
 from repro.netsim.network import FlowNetwork
 from repro.telemetry.collector import CentralCollector
 
@@ -279,10 +284,9 @@ def test_dead_on_arrival_replacements_are_recorded(topo):
 
 
 def test_retry_backoff_is_capped():
-    config = SteeringConfig(backoff_base_seconds=15.0, backoff_cap_seconds=120.0)
-    assert config.retry_backoff(0) == 15.0
-    assert config.retry_backoff(2) == 60.0
-    assert config.retry_backoff(10) == 120.0  # capped
+    assert retry_backoff(0) == 15.0
+    assert retry_backoff(2) == 60.0
+    assert retry_backoff(10) == 120.0  # capped
 
 
 # ----------------------------------------------------------------------

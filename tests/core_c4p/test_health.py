@@ -1,14 +1,15 @@
 """Tests for the link health state machine and flap damping."""
 
-import pytest
-
-from repro.core.c4p.health import LinkHealthConfig, LinkHealthState, LinkHealthTracker
+from repro.core.c4p.health import LinkHealthState, LinkHealthTracker
 
 LINK = ("lup", 0, 0, 3, 1)
 
 
-def tracker(**kwargs):
-    return LinkHealthTracker(LinkHealthConfig(**kwargs)) if kwargs else LinkHealthTracker()
+def tracker(monkeypatch=None, **constants):
+    """A tracker, with class constants such as ``FLAP_WINDOW`` patched."""
+    for name, value in constants.items():
+        monkeypatch.setattr(LinkHealthTracker, name, value)
+    return LinkHealthTracker()
 
 
 def test_unknown_link_is_healthy():
@@ -18,7 +19,7 @@ def test_unknown_link_is_healthy():
 
 
 def test_failure_quarantines_with_base_holddown():
-    t = tracker(hold_down_base=30.0)
+    t = tracker()
     hold = t.record_failure(LINK, now=100.0)
     assert hold == 30.0
     assert t.state_of(LINK) is LinkHealthState.QUARANTINED
@@ -26,7 +27,7 @@ def test_failure_quarantines_with_base_holddown():
 
 
 def test_repeat_failures_escalate_exponentially():
-    t = tracker(hold_down_base=30.0, hold_down_max=480.0, flap_window=900.0)
+    t = tracker()
     assert t.record_failure(LINK, 0.0) == 30.0
     assert t.record_failure(LINK, 50.0) == 60.0
     assert t.record_failure(LINK, 100.0) == 120.0
@@ -35,16 +36,16 @@ def test_repeat_failures_escalate_exponentially():
     assert t.record_failure(LINK, 250.0) == 480.0  # capped
 
 
-def test_failures_age_out_of_flap_window():
-    t = tracker(hold_down_base=30.0, flap_window=100.0)
+def test_failures_age_out_of_flap_window(monkeypatch):
+    t = tracker(monkeypatch, FLAP_WINDOW=100.0)
     t.record_failure(LINK, 0.0)
     t.record_failure(LINK, 10.0)
     # Both old failures are outside the window by now: back to base.
     assert t.record_failure(LINK, 500.0) == 30.0
 
 
-def test_probes_during_holddown_are_ignored_both_ways():
-    t = tracker(hold_down_base=100.0)
+def test_probes_during_holddown_are_ignored_both_ways(monkeypatch):
+    t = tracker(monkeypatch, HOLD_DOWN_BASE=100.0)
     t.record_failure(LINK, 0.0)
     # A flap's transient "up" must not start recovery...
     assert t.record_probe(LINK, 10.0, healthy=True) is LinkHealthState.QUARANTINED
@@ -55,17 +56,16 @@ def test_probes_during_holddown_are_ignored_both_ways():
 
 
 def test_recovery_requires_probation_streak():
-    t = tracker(hold_down_base=30.0, probation_probes=3)
+    t = tracker()
     t.record_failure(LINK, 0.0)
     assert t.record_probe(LINK, 31.0, True) is LinkHealthState.PROBATION
     assert t.record_probe(LINK, 32.0, True) is LinkHealthState.PROBATION
     assert t.record_probe(LINK, 33.0, True) is LinkHealthState.HEALTHY
     assert t.state_of(LINK) is LinkHealthState.HEALTHY
-    assert t.tracked_links() == []
 
 
 def test_failed_probe_in_probation_requarantines_escalated():
-    t = tracker(hold_down_base=30.0)
+    t = tracker()
     t.record_failure(LINK, 0.0)
     assert t.record_probe(LINK, 31.0, True) is LinkHealthState.PROBATION
     assert t.record_probe(LINK, 32.0, False) is LinkHealthState.QUARANTINED
@@ -73,20 +73,10 @@ def test_failed_probe_in_probation_requarantines_escalated():
     assert t.quarantined_until(LINK) == 32.0 + 60.0
 
 
-def test_relapse_after_recovery_resumes_escalation():
-    t = tracker(hold_down_base=30.0, probation_probes=1, flap_window=900.0)
+def test_relapse_after_recovery_resumes_escalation(monkeypatch):
+    t = tracker(monkeypatch, PROBATION_PROBES=1)
     t.record_failure(LINK, 0.0)
     assert t.record_probe(LINK, 31.0, True) is LinkHealthState.HEALTHY
     # History survives recovery: the relapse is the second failure.
     assert t.record_failure(LINK, 40.0) == 60.0
 
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LinkHealthConfig(hold_down_base=0.0)
-    with pytest.raises(ValueError):
-        LinkHealthConfig(hold_down_base=100.0, hold_down_max=50.0)
-    with pytest.raises(ValueError):
-        LinkHealthConfig(flap_window=-1.0)
-    with pytest.raises(ValueError):
-        LinkHealthConfig(probation_probes=0)

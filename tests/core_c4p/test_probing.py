@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology, PathChoice
+from repro.core.c4p import probing
 from repro.core.c4p.probing import PathProber
 from repro.netsim.network import FlowNetwork
 from repro.netsim.routing import FiveTuple
@@ -28,10 +29,11 @@ def test_find_source_port_steers_both_stages(prober):
     assert divmod(down, spec.uplink_ports_per_spine) == (0, 3)
 
 
-def test_find_source_port_tiny_range_fails(prober):
+def test_find_source_port_tiny_range_fails(prober, monkeypatch):
+    monkeypatch.setattr(probing, "SOURCE_PORTS", range(50000, 50002))
     choice = PathChoice(0, 0, 0, 0, 0)
     with pytest.raises(LookupError):
-        prober.find_source_port("a", "b", 0, choice, port_range=range(50000, 50002))
+        prober.find_source_port("a", "b", 0, choice)
 
 
 def test_probe_route_healthy(prober):

@@ -7,7 +7,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.collective.algorithms import OpType
 from repro.collective.context import CollectiveContext
 from repro.collective.placement import contiguous_ranks
-from repro.core.c4p.load_balance import DynamicLoadBalancer, LoadBalancerConfig
+from repro.core.c4p.load_balance import DynamicLoadBalancer
 from repro.core.c4p.master import C4PMaster
 from repro.core.c4p.selector import C4PSelector
 from repro.netsim.network import FlowNetwork
@@ -71,12 +71,13 @@ def test_load_balancer_requires_context():
         DynamicLoadBalancer([])
 
 
-def test_load_balancer_shifts_weights():
+def test_load_balancer_shifts_weights(monkeypatch):
+    monkeypatch.setattr(DynamicLoadBalancer, "INTERVAL", 0.005)
     net, topo, _master, ctx = build()
     # Degrade one physical port so its QP measures a lower rate.
     topo.set_port_scale(0, 0, 0, 0.25)
     comm = ctx.communicator(contiguous_ranks(range(2), 8))
-    balancer = DynamicLoadBalancer([ctx], LoadBalancerConfig(interval=0.005))
+    balancer = DynamicLoadBalancer([ctx])
     ctx.run_op(comm, OpType.ALLREDUCE, 1 * GIB)
     net.run(until=1.0)
     balancer.start()
@@ -99,7 +100,7 @@ def test_balancer_hysteresis_leaves_balanced_alone():
     comm = ctx.communicator(contiguous_ranks(range(2), 8))
     handle = ctx.run_op(comm, OpType.ALLREDUCE, 1 * GIB)
     net.run()
-    balancer = DynamicLoadBalancer([ctx], LoadBalancerConfig(interval=0.005))
+    balancer = DynamicLoadBalancer([ctx])
     for conn in ctx.connections:
         assert not balancer.rebalance_connection(conn)
 
@@ -110,8 +111,7 @@ def test_balancer_weight_clamps():
     comm = ctx.communicator(contiguous_ranks(range(2), 8))
     ctx.run_op(comm, OpType.ALLREDUCE, 1 * GIB)
     net.run()
-    config = LoadBalancerConfig(min_weight=0.1, max_weight=4.0)
-    balancer = DynamicLoadBalancer([ctx], config)
+    balancer = DynamicLoadBalancer([ctx])
     for conn in ctx.connections:
         balancer.rebalance_connection(conn)
         for alloc in conn.allocations:

@@ -15,7 +15,7 @@ from repro.collective.placement import contiguous_ranks
 from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.events import AnomalyType
 from repro.core.c4d.master import C4DMaster
-from repro.core.c4p.load_balance import DynamicLoadBalancer, LoadBalancerConfig
+from repro.core.c4p.load_balance import DynamicLoadBalancer
 from repro.netsim.units import GIB
 from repro.telemetry.agent import AgentPlane
 from repro.telemetry.collector import CentralCollector
@@ -73,7 +73,7 @@ def test_fig12_shape_dynamic_lb_recovers_link_failure():
             runner.start()
         if dynamic:
             contexts = [r.context for r in runners]
-            balancer = DynamicLoadBalancer(contexts, LoadBalancerConfig(interval=0.02))
+            balancer = DynamicLoadBalancer(contexts)
             balancer.start()
         # Fail one of the 8 uplinks mid-run.
         scenario.network.schedule(

@@ -337,7 +337,7 @@ def apply_churn(net, op, serial):
 @given(st.lists(churn_op, min_size=1, max_size=40), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_network_churn_matches_reference(ops, congested):
-    net = ShadowNetwork(CongestionModel(seed=0) if congested else None)
+    net = ShadowNetwork(CongestionModel() if congested else None)
     for link_id in CHURN_LINKS:
         net.add_link(link_id, 10.0)
     for serial, op in enumerate(ops):

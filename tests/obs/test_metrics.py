@@ -152,6 +152,31 @@ def test_reset_drops_families():
     assert registry.counter("events_total").value == 0.0
 
 
+def test_held_undoes_counters_and_histograms_of_matching_families():
+    registry = MetricsRegistry()
+    ingested = registry.counter("c4d_ingested_total", labels=("kind",))
+    bound = ingested.labels(kind="op")  # held by a component across the block
+    bound.inc(3)
+    latency = registry.histogram("c4d_eval_seconds")
+    latency.observe(0.5)
+    depth = registry.gauge("c4d_depth")
+    other = registry.counter("store_replayed_total")
+    before = registry.snapshot()
+    with registry.held(("c4d_",)):
+        bound.inc(5)
+        ingested.labels(kind="message").inc()  # a series the block creates
+        latency.observe(2.0)
+        depth.set(7)
+        other.inc(4)
+    after = registry.snapshot()
+    for name in ("c4d_ingested_total", "c4d_eval_seconds"):
+        assert after[name] == before[name]
+    assert depth.value == 7.0  # gauges report current state
+    assert other.value == 4.0  # families outside the prefixes count on
+    bound.inc()  # the component's bound child still feeds the family
+    assert ingested.labels(kind="op").value == 4.0
+
+
 def test_get_registry_resolves_default():
     own = MetricsRegistry()
     assert get_registry(own) is own

@@ -120,8 +120,9 @@ def test_latest_seqs():
     assert collector.latest_seqs("c", 2) == [3, 4]
 
 
-def test_window_bound():
-    collector = CentralCollector(op_window=3)
+def test_window_bound(monkeypatch):
+    monkeypatch.setattr(CentralCollector, "OP_WINDOW", 3)
+    collector = CentralCollector()
     collector.ingest_communicator(comm_record())
     for seq in range(10):
         collector.ingest_op(op(seq=seq))
@@ -171,9 +172,10 @@ def counter_value(registry, name, **labels):
     return (family.labels(**labels) if labels else family).value
 
 
-def test_op_window_evictions_counted_only_on_overflow():
+def test_op_window_evictions_counted_only_on_overflow(monkeypatch):
+    monkeypatch.setattr(CentralCollector, "OP_WINDOW", 3)
     registry = MetricsRegistry()
-    collector = CentralCollector(op_window=3, metrics=registry)
+    collector = CentralCollector(metrics=registry)
     collector.ingest_communicator(comm_record())
     for seq in range(5):
         collector.ingest_op(op(seq=seq))
@@ -185,13 +187,15 @@ def test_op_window_evictions_counted_only_on_overflow():
     assert counter_value(registry, "telemetry_window_evictions_total", kind="op") == 2
 
 
-def test_eviction_counters_are_per_kind():
+def test_eviction_counters_are_per_kind(monkeypatch):
+    monkeypatch.setattr(CentralCollector, "OP_WINDOW", 2)
+    monkeypatch.setattr(CentralCollector, "MESSAGE_WINDOW", 1)
     registry = MetricsRegistry()
-    collector = CentralCollector(op_window=2, message_window=1, metrics=registry)
+    collector = CentralCollector(metrics=registry)
     collector.ingest_communicator(comm_record())
     collector.ingest_launch(launch(seq=0))
     collector.ingest_launch(launch(seq=1))
-    collector.ingest_launch(launch(seq=2))  # launches share op_window
+    collector.ingest_launch(launch(seq=2))  # launches share OP_WINDOW
     collector.ingest_message(message(seq=0))
     collector.ingest_message(message(seq=1))
     assert counter_value(registry, "telemetry_window_evictions_total", kind="launch") == 1
@@ -308,7 +312,9 @@ class ModelWindows:
 @settings(max_examples=200, deadline=None)
 def test_seq_queries_match_linear_scans(window, steps):
     def fresh():
-        return CentralCollector(op_window=window, metrics=MetricsRegistry())
+        collector = CentralCollector(metrics=MetricsRegistry())
+        collector.OP_WINDOW = window  # the class constant, patched per instance
+        return collector
 
     collector = fresh()
     model = ModelWindows(window)
@@ -384,7 +390,9 @@ message_steps = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_message_view_matches_reference_build(window, steps, sinces):
     def fresh():
-        return CentralCollector(message_window=window, metrics=MetricsRegistry())
+        collector = CentralCollector(metrics=MetricsRegistry())
+        collector.MESSAGE_WINDOW = window  # the class constant, patched per instance
+        return collector
 
     collector = fresh()
     for comm in COMMS:

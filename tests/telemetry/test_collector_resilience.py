@@ -52,15 +52,16 @@ def message(comm="c", seq=0, complete=1.0):
     )
 
 
-def collector(**kwargs):
-    return CentralCollector(metrics=MetricsRegistry(), **kwargs)
+def collector():
+    return CentralCollector(metrics=MetricsRegistry())
 
 
 # ----------------------------------------------------------------------
 # Tombstone eviction
 # ----------------------------------------------------------------------
-def test_tombstone_fifo_evicts_oldest():
-    c = collector(tombstone_capacity=2)
+def test_tombstone_fifo_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(CentralCollector, "TOMBSTONE_CAPACITY", 2)
+    c = collector()
     for comm in ("a", "b", "c"):
         c.ingest_communicator(comm_record(comm))
         c.drop_communicator(comm)
@@ -72,8 +73,9 @@ def test_tombstone_fifo_evicts_oldest():
     c.ingest_op(op(comm="c"))
 
 
-def test_redropping_refreshes_tombstone_order():
-    c = collector(tombstone_capacity=2)
+def test_redropping_refreshes_tombstone_order(monkeypatch):
+    monkeypatch.setattr(CentralCollector, "TOMBSTONE_CAPACITY", 2)
+    c = collector()
     for comm in ("a", "b"):
         c.ingest_communicator(comm_record(comm))
         c.drop_communicator(comm)
@@ -85,8 +87,9 @@ def test_redropping_refreshes_tombstone_order():
     c.ingest_op(op(comm="a"))  # still tombstoned: silent
 
 
-def test_reregistration_clears_tombstone():
-    c = collector(tombstone_capacity=2)
+def test_reregistration_clears_tombstone(monkeypatch):
+    monkeypatch.setattr(CentralCollector, "TOMBSTONE_CAPACITY", 2)
+    c = collector()
     c.ingest_communicator(comm_record("a"))
     c.drop_communicator("a")
     c.ingest_communicator(comm_record("a"))  # a new incarnation
@@ -139,8 +142,9 @@ def test_restart_preserves_state_verbatim():
     successor.ingest_op(op(comm="gone"))
 
 
-def test_restart_keeps_windows_bounded():
-    c = collector(op_window=4)
+def test_restart_keeps_windows_bounded(monkeypatch):
+    monkeypatch.setattr(CentralCollector, "OP_WINDOW", 4)
+    c = collector()
     c.ingest_communicator(comm_record("c", size=2))
     for seq in range(4):
         c.ingest_op(op(seq=seq, rank=0, end=float(seq)))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.network import FlowNetwork
+from repro.telemetry import unreliable
 from repro.telemetry.unreliable import ChannelConfig, UnreliableChannel
 
 
@@ -16,20 +17,20 @@ def _run_channel(config, sends, seed=0):
     return channel, delivered
 
 
-def test_perfect_channel_delivers_everything_with_latency():
-    config = ChannelConfig(base_latency=0.5, jitter=0.0)
-    channel, delivered = _run_channel(config, sends=20)
+def test_perfect_channel_delivers_everything_with_latency(monkeypatch):
+    monkeypatch.setattr(unreliable, "JITTER", 0.0)
+    channel, delivered = _run_channel(ChannelConfig(), sends=20)
     assert len(delivered) == 20
     assert channel.delivered == 20
     assert channel.dropped_attempts == 0
     assert all(when == pytest.approx(0.5) for _i, when in delivered)
 
 
-def test_drops_become_delays_not_losses():
+def test_drops_become_delays_not_losses(monkeypatch):
     # At-least-once: a dropped attempt retransmits after the timeout,
     # so with bounded loss every record still arrives — late.
-    config = ChannelConfig(drop_rate=0.5, retransmit_timeout=5.0, max_retries=32)
-    channel, delivered = _run_channel(config, sends=200, seed=3)
+    monkeypatch.setattr(unreliable, "MAX_RETRIES", 32)
+    channel, delivered = _run_channel(ChannelConfig(drop_rate=0.5), sends=200, seed=3)
     assert {i for i, _w in delivered} == set(range(200))
     assert channel.dropped_attempts > 0
     assert channel.abandoned == 0
@@ -44,16 +45,16 @@ def test_duplicates_are_delivered_twice():
     assert len(delivered) == 100 + channel.duplicated
 
 
-def test_retry_budget_exhaustion_abandons():
-    config = ChannelConfig(drop_rate=0.95, retransmit_timeout=1.0, max_retries=1)
-    channel, delivered = _run_channel(config, sends=100, seed=2)
+def test_retry_budget_exhaustion_abandons(monkeypatch):
+    monkeypatch.setattr(unreliable, "MAX_RETRIES", 1)
+    channel, delivered = _run_channel(ChannelConfig(drop_rate=0.95), sends=100, seed=2)
     assert channel.abandoned > 0
     assert len(delivered) == 100 - channel.abandoned
 
 
 def test_stats_and_in_flight_accounting():
     network = FlowNetwork()
-    channel = UnreliableChannel(network, ChannelConfig(base_latency=1.0), seed=0)
+    channel = UnreliableChannel(network, ChannelConfig(), seed=0)
     channel.send(lambda: None)
     assert channel.in_flight == 1
     network.run(until=10.0)
@@ -63,7 +64,7 @@ def test_stats_and_in_flight_accounting():
 
 
 def test_deterministic_under_seed():
-    config = ChannelConfig(drop_rate=0.3, duplicate_rate=0.2, jitter=0.4)
+    config = ChannelConfig(drop_rate=0.3, duplicate_rate=0.2)
     channel_a, delivered_a = _run_channel(config, sends=150, seed=9)
     channel_b, delivered_b = _run_channel(config, sends=150, seed=9)
     assert delivered_a == delivered_b
@@ -75,7 +76,3 @@ def test_config_validation():
         ChannelConfig(drop_rate=1.5)
     with pytest.raises(ValueError):
         ChannelConfig(duplicate_rate=-0.1)
-    with pytest.raises(ValueError):
-        ChannelConfig(base_latency=-1.0)
-    with pytest.raises(ValueError):
-        ChannelConfig(max_retries=-1)

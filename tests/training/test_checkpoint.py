@@ -25,10 +25,6 @@ def test_lost_work_rejects_negative():
         CheckpointPolicy(interval_seconds=600).lost_work(-1)
 
 
-def test_expected_lost_work():
-    assert CheckpointPolicy(interval_seconds=600).expected_lost_work() == 300
-
-
 def test_overhead_fraction():
     policy = CheckpointPolicy(interval_seconds=600, save_seconds=6)
     assert policy.overhead_fraction() == pytest.approx(0.01)

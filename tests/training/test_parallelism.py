@@ -8,7 +8,6 @@ from repro.training.parallelism import ParallelismPlan
 def test_world_size():
     plan = ParallelismPlan(tp=8, pp=2, dp=4)
     assert plan.world_size == 64
-    assert plan.gpus_required() == 64
 
 
 def test_validation():

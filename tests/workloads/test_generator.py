@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.cluster.specs import TESTBED_16_NODES
+from repro.cluster.specs import TESTBED_16_NODES, ClusterSpec
 from repro.netsim.units import GIB
 from repro.workloads.generator import (
     FIG14_SPECS,
@@ -44,16 +44,17 @@ def test_allreduce_benchmark_runs():
 
 def test_concurrent_jobs_disjoint_nodes():
     scenario = build_cluster()
-    runners = concurrent_allreduce_jobs(scenario, num_jobs=4, nodes_per_job=2, max_ops=1)
+    runners = concurrent_allreduce_jobs(scenario, max_ops=1)
     comms = [r.comm for r in runners]
     nodes = [n for comm in comms for n in comm.node_sequence]
     assert len(nodes) == len(set(nodes))
 
 
 def test_concurrent_jobs_capacity_check():
-    scenario = build_cluster()
+    # Eight two-node jobs need sixteen nodes.
+    scenario = build_cluster(ClusterSpec(num_nodes=15))
     with pytest.raises(ValueError):
-        concurrent_allreduce_jobs(scenario, num_jobs=9, nodes_per_job=2)
+        concurrent_allreduce_jobs(scenario)
 
 
 def test_fig14_specs_match_paper_configs():

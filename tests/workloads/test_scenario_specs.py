@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.netsim.flows import Flow
 from repro.netsim.units import GBPS
 from repro.workloads.generator import build_cluster, fig10b_spec, fig12_spec
 
@@ -39,8 +40,10 @@ def test_congestion_excludes_nvlink():
     scenario = build_cluster(congestion=True)
     model = scenario.network.congestion
     assert model is not None
-    assert model.link_filter(("lup", 0, 0, 0, 0))
-    assert not model.link_filter(("nvl", 3))
+    fabric, nvlink = ("lup", 0, 0, 0, 0), ("nvl", 3)
+    flows = [Flow("f", [fabric], GBPS), Flow("g", [nvlink], GBPS)]
+    model.observe(flows, {"f": GBPS, "g": GBPS}, {fabric: GBPS, nvlink: GBPS}, dt=1.0)
+    assert set(model.cnp_counts) == {"f"}
 
 
 def test_no_congestion_by_default():

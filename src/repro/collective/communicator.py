@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-_comm_counter = itertools.count()
-
 
 @dataclass(frozen=True)
 class RankLocation:
@@ -35,13 +33,13 @@ class RankLocation:
 class Communicator:
     """An ordered set of ranks participating in collectives together."""
 
-    def __init__(self, ranks: Sequence[RankLocation], comm_id: str | None = None) -> None:
+    def __init__(self, ranks: Sequence[RankLocation], comm_id: str) -> None:
         if not ranks:
             raise ValueError("a communicator needs at least one rank")
         if len(set(ranks)) != len(ranks):
             raise ValueError("duplicate rank locations in communicator")
         self.ranks: list[RankLocation] = list(ranks)
-        self.comm_id = comm_id or f"comm-{next(_comm_counter)}"
+        self.comm_id = comm_id
         self._seq = itertools.count()
         # Node sequence in first-appearance order (ring order at node level).
         seen: dict[int, None] = {}

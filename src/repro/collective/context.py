@@ -180,8 +180,11 @@ class CollectiveContext:
     def communicator(
         self, ranks: Sequence[RankLocation], comm_id: Optional[str] = None
     ) -> Communicator:
-        """Create a communicator and log its communicator-layer record."""
-        comm = Communicator(ranks, comm_id=comm_id)
+        """Create a communicator and log its communicator-layer record.
+
+        An unnamed communicator is numbered by the network it runs on.
+        """
+        comm = Communicator(ranks, comm_id or f"comm-{next(self.network.comm_numbers)}")
         if self.sink is not None:
             self.sink.on_communicator(
                 CommunicatorRecord(comm_id=comm.comm_id, size=comm.size, ranks=tuple(comm.ranks))

@@ -159,7 +159,3 @@ class RecordingSink:
         self.launches.clear()
         self.ops.clear()
         self.messages.clear()
-
-    def ops_for_seq(self, comm_id: str, seq: int) -> list["OpRecord"]:
-        """All per-rank op records of one collective operation."""
-        return [r for r in self.ops if r.comm_id == comm_id and r.seq == seq]

@@ -15,7 +15,6 @@ concurrent jobs collide on spine uplinks (Fig. 10's degradation).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -26,8 +25,6 @@ from repro.netsim.routing import EcmpHasher, FiveTuple
 
 #: RoCEv2 destination UDP port.
 ROCE_DST_PORT = 4791
-
-_qp_counter = itertools.count(1000)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class EcmpPathSelector:
             )
             allocations.append(
                 QpAllocation(
-                    qp_num=next(_qp_counter),
+                    qp_num=next(self.topology.network.qp_numbers),
                     src_port=src_port,
                     five_tuple=five_tuple,
                     choice=choice,

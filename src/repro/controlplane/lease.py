@@ -63,14 +63,6 @@ class LeaseTable:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def registered(self) -> list[int]:
-        """All nodes holding a lease, live or expired."""
-        return sorted(self._expiry)
-
-    def live(self, now: float) -> list[int]:
-        """Nodes whose lease has not expired."""
-        return sorted(node for node, expiry in self._expiry.items() if now < expiry)
-
     def blind_nodes(self, now: float) -> list[int]:
         """Nodes whose lease expired — silence from them means nothing."""
         expired = sorted(node for node, expiry in self._expiry.items() if now >= expiry)

@@ -182,9 +182,6 @@ class JobSteeringService:
         #: excluded from the digest — this is what campaign runners
         #: score and react to.
         self.executed_actions: list[SteeringAction] = []
-        #: ``(fault_key, epoch)`` per executed action, for duplicate
-        #: accounting across restarts.
-        self.executed_log: list[tuple[tuple, int]] = []
         #: fault_key -> (epoch, executed_at, action) for executed
         #: verdicts still inside the dedup window.
         self._executed: dict[tuple, tuple[int, float, SteeringAction]] = {}
@@ -193,8 +190,7 @@ class JobSteeringService:
         #: Replay mode: queued reconstructed actions applied as pure
         #: bookkeeping (no topology/RNG side effects).
         self._replay_queue: Optional[list[SteeringAction]] = None
-        #: Every node this service ever isolated (for return_to_pool
-        #: validation and idempotency).
+        #: Every node this service ever isolated (part of the digest).
         self._isolated: set[int] = set()
         registry = get_registry(metrics)
         self._m_actions = registry.counter(
@@ -385,7 +381,6 @@ class JobSteeringService:
         )
         self.actions.append(action)
         self.executed_actions.append(action)
-        self.executed_log.append((key, epoch))
         self._executed[key] = (epoch, now, action)
         self._m_actions.inc()
         self._m_isolated.inc(len(isolated))
@@ -403,9 +398,9 @@ class JobSteeringService:
     def snapshot_state(self) -> dict:
         """Detached snapshot of the service's logical state.
 
-        ``executed_actions``/``executed_log`` are deliberately absent:
-        they describe what *this process* physically did and must not be
-        resurrected into a recovered instance.
+        ``executed_actions`` is deliberately absent: it describes what
+        *this process* physically did and must not be resurrected into a
+        recovered instance.
         """
         return {
             "backup_pool": list(self.backup_pool),
@@ -433,22 +428,3 @@ class JobSteeringService:
         self.dedup_window = state["dedup_window"]
         self.dedup_hits = state["dedup_hits"]
         self._m_pool.set(len(self.backup_pool))
-
-    def return_to_pool(self, node_id: int) -> bool:
-        """Return a repaired node to the backup pool.
-
-        Idempotent: a node already back in the pool is left alone
-        (returns False).  A node this service never isolated is
-        rejected — returning an arbitrary node would let duplicate ids
-        into the pool.
-        """
-        if node_id not in self._isolated:
-            raise ValueError(
-                f"node {node_id} was never isolated by this steering service"
-            )
-        if node_id in self.backup_pool:
-            return False
-        self.topology.node(node_id).restore()
-        self.backup_pool.append(node_id)
-        self._m_pool.set(len(self.backup_pool))
-        return True

@@ -93,11 +93,6 @@ class LinkHealthTracker:
         """End of the current hold-down (``-inf`` when not quarantined)."""
         return self._quarantined_until.get(link_id, float("-inf"))
 
-    def failures_in_window(self, link_id: tuple, now: float) -> int:
-        """Failures recorded within the trailing flap window."""
-        cutoff = now - self.FLAP_WINDOW
-        return sum(1 for t in self._failures.get(link_id, ()) if t > cutoff)
-
     # ------------------------------------------------------------------
     # Snapshot / restore (control-plane journaling)
     # ------------------------------------------------------------------

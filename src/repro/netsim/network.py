@@ -25,6 +25,7 @@ pass, and the completions come from a scan of every flow.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from typing import Callable, Optional
@@ -97,6 +98,10 @@ class FlowNetwork:
         self._queue = EventQueue()
         self._cc_timer: Optional[TimerHandle] = None
         self._flow_seq = 0
+        #: The simulated world's id sources: numbers for unnamed
+        #: communicators and for the QPs of ECMP connections.
+        self.comm_numbers = itertools.count()
+        self.qp_numbers = itertools.count(1000)
         self._running = False
         registry = get_registry(metrics)
         registry.gauge(

@@ -1,18 +1,19 @@
 """Central collector: the C4D master's cluster-wide record store.
 
-Holds bounded windows of operation- and transport-layer records per
-communicator plus per-rank progress (last completed sequence number).
-The detectors in :mod:`repro.core.c4d` query this store; they never see
+Each registered communicator has one entry (:class:`CommProgress`): its
+per-rank progress (last launched and completed sequence numbers) and
+bounded windows of its operation- and transport-layer records.  The
+detectors in :mod:`repro.core.c4d` query this store; they never see
 simulator ground truth.
 
-Beside each operation and launch window the collector keeps a
+Beside each operation and launch window the entry keeps a
 ``seq -> records`` index, so the per-operation queries the detectors make
-every pass are lookups rather than window scans.  Beside each message
+every pass are lookups rather than window scans.  Beside the message
 window it keeps the window's numeric columns (:class:`MessageColumns`:
 pair id, rate, completion time, seq, valid flag), filled at ingest, so
 the delay-matrix build is a vectorised pass instead of a record loop.
 The index and the columns are derived state: they are rebuilt on
-restore, dropped with their communicator and never serialized.
+restore, dropped with their entry and never serialized.
 """
 
 from __future__ import annotations
@@ -29,9 +30,22 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 
 @dataclass
 class CommProgress:
-    """Progress bookkeeping for one communicator."""
+    """The collector's entry for one communicator: progress and windows.
+
+    The windows and their derived state take no part in equality or
+    ``repr``; the snapshot writes the windows beside the progress.
+    """
 
     record: CommunicatorRecord
+    #: Bounded record windows, oldest first.
+    ops: Deque[OpRecord] = field(compare=False, repr=False)
+    launches: Deque[OpLaunchRecord] = field(compare=False, repr=False)
+    messages: Deque[MessageRecord] = field(compare=False, repr=False)
+    #: ``messages`` as numeric columns, for the delay matrix.
+    message_columns: MessageColumns = field(compare=False, repr=False)
+    #: seq -> its records in window order, over ``ops`` and ``launches``.
+    ops_by_seq: dict[int, Deque[OpRecord]] = field(compare=False, repr=False)
+    launches_by_seq: dict[int, Deque[OpLaunchRecord]] = field(compare=False, repr=False)
     #: Last completed op sequence per rank (-1 before the first op).
     last_seq: dict[int, int] = field(default_factory=dict)
     #: Last *launched* op sequence per rank (-1 before the first op).
@@ -49,13 +63,6 @@ class CommProgress:
         if not self.last_seq:
             return -1
         return min(self.last_seq.values())
-
-    @property
-    def max_seq(self) -> int:
-        """Fastest rank's completed sequence number."""
-        if not self.last_seq:
-            return -1
-        return max(self.last_seq.values())
 
     @property
     def max_launch_seq(self) -> int:
@@ -182,8 +189,12 @@ class MessageColumns:
         return MessageView(rows[rows["complete_time"] >= since], self.pairs)
 
 
+#: What the queries read for a communicator that is not registered.
+_UNREGISTERED = CommProgress(CommunicatorRecord("", 0, ()), (), (), (), MessageColumns(0), {}, {})
+
+
 class CentralCollector:
-    """Bounded per-communicator windows of monitoring records.
+    """One entry per registered communicator: progress and record windows.
 
     ``metrics`` is the observability registry; ``None`` uses the process
     default.
@@ -198,14 +209,8 @@ class CentralCollector:
     TOMBSTONE_CAPACITY = 1024
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        #: Registered communicator -> its entry.
         self.progress: dict[str, CommProgress] = {}
-        self._ops: dict[str, Deque[OpRecord]] = {}
-        self._launches: dict[str, Deque[OpLaunchRecord]] = {}
-        self._messages: dict[str, Deque[MessageRecord]] = {}
-        self._message_columns: dict[str, MessageColumns] = {}
-        #: Per communicator, seq -> its records in window order.
-        self._ops_by_seq: dict[str, dict[int, Deque[OpRecord]]] = {}
-        self._launches_by_seq: dict[str, dict[int, Deque[OpLaunchRecord]]] = {}
         #: Communicators explicitly deregistered; late records for them
         #: (e.g. still in flight on a lossy channel) are discarded
         #: silently instead of raising.  Insertion-ordered and bounded:
@@ -269,24 +274,36 @@ class CentralCollector:
         else:
             bucket.append(record)
 
+    def _entry(
+        self,
+        record: CommunicatorRecord,
+        ops: Iterable[OpRecord] = (),
+        launches: Iterable[OpLaunchRecord] = (),
+        messages: Iterable[MessageRecord] = (),
+        **progress,
+    ) -> CommProgress:
+        """An entry with ``progress`` fields and fresh windows of the given records."""
+        ops = deque(ops, maxlen=self.OP_WINDOW)
+        launches = deque(launches, maxlen=self.OP_WINDOW)
+        messages = deque(messages, maxlen=self.MESSAGE_WINDOW)
+        columns = MessageColumns.filled(self.MESSAGE_WINDOW, messages)
+        return CommProgress(
+            record, ops, launches, messages, columns, _seq_index(ops), _seq_index(launches),
+            **progress,
+        )
+
     # ------------------------------------------------------------------
     # Ingestion (called by agents)
     # ------------------------------------------------------------------
     def ingest_communicator(self, record: CommunicatorRecord, now: float = 0.0) -> None:
         """Register a communicator."""
         self._dropped.pop(record.comm_id, None)
-        self.progress[record.comm_id] = CommProgress(
-            record=record,
-            last_seq={rank: -1 for rank in range(record.size)},
-            last_launch_seq={rank: -1 for rank in range(record.size)},
+        self.progress[record.comm_id] = self._entry(
+            record,
+            last_seq=dict.fromkeys(range(record.size), -1),
+            last_launch_seq=dict.fromkeys(range(record.size), -1),
             created_at=now,
         )
-        self._ops[record.comm_id] = deque(maxlen=self.OP_WINDOW)
-        self._launches[record.comm_id] = deque(maxlen=self.OP_WINDOW)
-        self._messages[record.comm_id] = deque(maxlen=self.MESSAGE_WINDOW)
-        self._message_columns[record.comm_id] = MessageColumns(self.MESSAGE_WINDOW)
-        self._ops_by_seq[record.comm_id] = {}
-        self._launches_by_seq[record.comm_id] = {}
         self._m_ingested["communicator"].inc()
         self._m_comms.set(len(self.progress))
 
@@ -298,12 +315,6 @@ class CentralCollector:
         flight on a lossy channel are silently ignored on arrival.
         """
         self.progress.pop(comm_id, None)
-        self._ops.pop(comm_id, None)
-        self._launches.pop(comm_id, None)
-        self._messages.pop(comm_id, None)
-        self._message_columns.pop(comm_id, None)
-        self._ops_by_seq.pop(comm_id, None)
-        self._launches_by_seq.pop(comm_id, None)
         self._dropped.pop(comm_id, None)  # refresh insertion order
         self._dropped[comm_id] = None
         while len(self._dropped) > self.TOMBSTONE_CAPACITY:
@@ -314,38 +325,34 @@ class CentralCollector:
 
     def ingest_launch(self, record: OpLaunchRecord) -> None:
         """Record a per-rank operation startup."""
-        comm_id = record.comm_id
-        progress = self.progress.get(comm_id)
-        if progress is None:
-            self._discard(comm_id)
+        entry = self.progress.get(record.comm_id)
+        if entry is None:
+            self._discard(record.comm_id)
             return
-        progress.last_launch_seq[record.rank] = max(
-            progress.last_launch_seq.get(record.rank, -1), record.seq
+        entry.last_launch_seq[record.rank] = max(
+            entry.last_launch_seq.get(record.rank, -1), record.seq
         )
-        progress.last_launch_time = max(progress.last_launch_time, record.launch_time)
-        self._append("launch", self._launches[comm_id], self._launches_by_seq[comm_id], record)
+        entry.last_launch_time = max(entry.last_launch_time, record.launch_time)
+        self._append("launch", entry.launches, entry.launches_by_seq, record)
 
     def ingest_op(self, record: OpRecord) -> None:
         """Record a completed per-rank operation."""
-        comm_id = record.comm_id
-        progress = self.progress.get(comm_id)
-        if progress is None:
-            self._discard(comm_id)
+        entry = self.progress.get(record.comm_id)
+        if entry is None:
+            self._discard(record.comm_id)
             return
-        progress.last_seq[record.rank] = max(
-            progress.last_seq.get(record.rank, -1), record.seq
-        )
-        progress.last_completion_time = max(progress.last_completion_time, record.end_time)
-        self._append("op", self._ops[comm_id], self._ops_by_seq[comm_id], record)
+        entry.last_seq[record.rank] = max(entry.last_seq.get(record.rank, -1), record.seq)
+        entry.last_completion_time = max(entry.last_completion_time, record.end_time)
+        self._append("op", entry.ops, entry.ops_by_seq, record)
 
     def ingest_message(self, record: MessageRecord) -> None:
         """Record a transport-layer message."""
-        comm_id = record.comm_id
-        if comm_id not in self.progress:
-            self._discard(comm_id)
+        entry = self.progress.get(record.comm_id)
+        if entry is None:
+            self._discard(record.comm_id)
             return
-        self._append("message", self._messages[comm_id], None, record)
-        self._message_columns[comm_id].append(record)
+        self._append("message", entry.messages, None, record)
+        entry.message_columns.append(record)
 
     # ------------------------------------------------------------------
     # Queries (used by detectors)
@@ -356,30 +363,29 @@ class CentralCollector:
 
     def ops(self, comm_id: str, since: float = float("-inf")) -> list[OpRecord]:
         """Operation records completed at or after ``since``."""
-        return [r for r in self._ops.get(comm_id, ()) if r.end_time >= since]
+        entry = self.progress.get(comm_id, _UNREGISTERED)
+        return [r for r in entry.ops if r.end_time >= since]
 
     def messages(self, comm_id: str, since: float = float("-inf")) -> list[MessageRecord]:
         """Transport records completed at or after ``since``."""
-        return [r for r in self._messages.get(comm_id, ()) if r.complete_time >= since]
+        entry = self.progress.get(comm_id, _UNREGISTERED)
+        return [r for r in entry.messages if r.complete_time >= since]
 
     def message_view(self, comm_id: str, since: float = float("-inf")) -> MessageView:
         """:meth:`messages` as columns, for the delay matrix."""
-        columns = self._message_columns.get(comm_id)
-        if columns is None:
-            return MessageView(np.empty(0, MESSAGE_ROW), [])
-        return columns.view(since)
+        return self.progress.get(comm_id, _UNREGISTERED).message_columns.view(since)
 
     def ops_for_seq(self, comm_id: str, seq: int) -> list[OpRecord]:
         """Per-rank records of one specific operation."""
-        return list(self._ops_by_seq.get(comm_id, {}).get(seq, ()))
+        return list(self.progress.get(comm_id, _UNREGISTERED).ops_by_seq.get(seq, ()))
 
     def launches_for_seq(self, comm_id: str, seq: int) -> list[OpLaunchRecord]:
         """Per-rank startup records of one specific operation."""
-        return list(self._launches_by_seq.get(comm_id, {}).get(seq, ()))
+        return list(self.progress.get(comm_id, _UNREGISTERED).launches_by_seq.get(seq, ()))
 
     def latest_seqs(self, comm_id: str, count: int) -> list[int]:
         """The most recent ``count`` completed sequence numbers."""
-        return sorted(self._ops_by_seq.get(comm_id, ()))[-count:]
+        return sorted(self.progress.get(comm_id, _UNREGISTERED).ops_by_seq)[-count:]
 
     # ------------------------------------------------------------------
     # Snapshot / restore (control-plane journaling)
@@ -400,18 +406,18 @@ class CentralCollector:
             "tombstone_capacity": self.TOMBSTONE_CAPACITY,
             "progress": {
                 comm_id: {
-                    "record": progress.record,
-                    "last_seq": sorted(progress.last_seq.items()),
-                    "last_launch_seq": sorted(progress.last_launch_seq.items()),
-                    "last_completion_time": progress.last_completion_time,
-                    "last_launch_time": progress.last_launch_time,
-                    "created_at": progress.created_at,
+                    "record": entry.record,
+                    "last_seq": sorted(entry.last_seq.items()),
+                    "last_launch_seq": sorted(entry.last_launch_seq.items()),
+                    "last_completion_time": entry.last_completion_time,
+                    "last_launch_time": entry.last_launch_time,
+                    "created_at": entry.created_at,
                 }
-                for comm_id, progress in self.progress.items()
+                for comm_id, entry in self.progress.items()
             },
-            "ops": {comm_id: tuple(window) for comm_id, window in self._ops.items()},
-            "launches": {comm_id: tuple(window) for comm_id, window in self._launches.items()},
-            "messages": {comm_id: tuple(window) for comm_id, window in self._messages.items()},
+            "ops": {comm_id: tuple(e.ops) for comm_id, e in self.progress.items()},
+            "launches": {comm_id: tuple(e.launches) for comm_id, e in self.progress.items()},
+            "messages": {comm_id: tuple(e.messages) for comm_id, e in self.progress.items()},
             "dropped": list(self._dropped),
         }
 
@@ -421,34 +427,19 @@ class CentralCollector:
         Builds fresh containers and never aliases ``state``'s, because
         one snapshot may be restored many times.
         """
-        self.progress = {}
-        self._ops = {}
-        self._launches = {}
-        self._messages = {}
-        for comm_id, entry in state["progress"].items():
-            self.progress[comm_id] = CommProgress(
-                record=entry["record"],
-                last_seq={rank: seq for rank, seq in entry["last_seq"]},
-                last_launch_seq={rank: seq for rank, seq in entry["last_launch_seq"]},
-                last_completion_time=entry["last_completion_time"],
-                last_launch_time=entry["last_launch_time"],
-                created_at=entry["created_at"],
+        self.progress = {
+            comm_id: self._entry(
+                saved["record"],
+                state["ops"][comm_id],
+                state["launches"][comm_id],
+                state["messages"][comm_id],
+                last_seq=dict(saved["last_seq"]),
+                last_launch_seq=dict(saved["last_launch_seq"]),
+                last_completion_time=saved["last_completion_time"],
+                last_launch_time=saved["last_launch_time"],
+                created_at=saved["created_at"],
             )
-        for comm_id, window in state["ops"].items():
-            self._ops[comm_id] = deque(window, maxlen=self.OP_WINDOW)
-        for comm_id, window in state["launches"].items():
-            self._launches[comm_id] = deque(window, maxlen=self.OP_WINDOW)
-        for comm_id, window in state["messages"].items():
-            self._messages[comm_id] = deque(window, maxlen=self.MESSAGE_WINDOW)
-        self._ops_by_seq = {
-            comm_id: _seq_index(window) for comm_id, window in self._ops.items()
-        }
-        self._launches_by_seq = {
-            comm_id: _seq_index(window) for comm_id, window in self._launches.items()
-        }
-        self._message_columns = {
-            comm_id: MessageColumns.filled(self.MESSAGE_WINDOW, window)
-            for comm_id, window in self._messages.items()
+            for comm_id, saved in state["progress"].items()
         }
         self._dropped = {comm_id: None for comm_id in state["dropped"]}
         self._m_comms.set(len(self.progress))

@@ -115,11 +115,6 @@ class UnreliableChannel:
             self.duplicated += 1
             self.network.schedule(delay + BASE_LATENCY, deliver)
 
-    @property
-    def in_flight(self) -> int:
-        """Records sent but neither delivered nor abandoned yet."""
-        return self.sent - self.delivered - self.abandoned
-
     def stats(self) -> dict:
         """Counter snapshot for reports and scorecards."""
         return {

@@ -75,12 +75,3 @@ def test_recording_sink_clear():
     sink.on_op(op_record())
     sink.clear()
     assert sink.ops == []
-
-
-def test_ops_for_seq_filters():
-    sink = RecordingSink()
-    sink.on_op(op_record(seq=0))
-    sink.on_op(op_record(seq=1))
-    sink.on_op(op_record(seq=1, rank=1))
-    assert len(sink.ops_for_seq("c", 1)) == 2
-    assert sink.ops_for_seq("c", 2) == []

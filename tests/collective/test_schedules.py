@@ -18,7 +18,7 @@ from repro.workloads.generator import build_cluster
 
 
 def comm_of(nodes, gpus=8):
-    return Communicator(contiguous_ranks(range(nodes), gpus))
+    return Communicator(contiguous_ranks(range(nodes), gpus), "c")
 
 
 def total_bits(phases):

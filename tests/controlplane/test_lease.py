@@ -14,23 +14,24 @@ def test_register_and_expiry():
     t = table()
     t.register(0, 0.0)
     t.register(1, 0.0)
-    assert t.live(10.0) == [0, 1]
     assert t.blind_nodes(10.0) == []
+    assert t.coverage(10.0) == 1.0
     # Expiry is inclusive at now >= expiry.
-    assert t.live(30.0) == []
     assert t.blind_nodes(30.0) == [0, 1]
+    assert t.coverage(30.0) == 0.0
 
 
 def test_heartbeat_renews_and_auto_registers():
     t = table()
     t.register(0, 0.0)
     t.heartbeat(0, 20.0)
-    assert t.live(40.0) == [0]
+    assert t.blind_nodes(40.0) == []
     # A heartbeat from an unknown node is a registration — the recovery
     # path after a master restart needs no explicit handshake.
     t.heartbeat(7, 40.0)
-    assert 7 in t.registered()
-    assert 7 in t.live(41.0)
+    assert t.blind_nodes(60.0) == [0]
+    assert t.coverage(60.0) == 0.5
+    assert t.blind_nodes(70.0) == [0, 7]
 
 
 def test_coverage_fraction():

@@ -259,8 +259,8 @@ def test_c4p_snapshot_survives_a_repeated_link_failure():
     digest = master.state_digest()
     at_snapshot = store_copy(master.store)
 
-    master.health.record_failure(link, now=20.0)
-    assert master.health.failures_in_window(link, now=20.0) == 2
+    # The second failure inside the flap window doubles the hold-down.
+    assert master.health.record_failure(link, now=20.0) == 2 * master.health.HOLD_DOWN_BASE
     assert master.state_digest() != digest
 
     successor = c4p_master(store=at_snapshot, active=False, refresh_on_init=False)

@@ -81,14 +81,6 @@ def test_steering_pool_exhaustion(topo):
     assert action.replacement_nodes == ()
 
 
-def test_return_to_pool_restores(topo):
-    service = JobSteeringService(topo, backup_nodes=[])
-    service.handle(anomaly(node=2), now=0.0)
-    service.return_to_pool(2)
-    assert topo.node(2).is_schedulable
-    assert 2 in service.backup_pool
-
-
 def test_steering_config_latencies(topo):
     service = JobSteeringService(
         topo, backup_nodes=[], config=SteeringConfig(isolation_seconds=10, restart_seconds=20)
@@ -209,20 +201,6 @@ def test_master_aggregates_cross_communicator_suspects():
 # ----------------------------------------------------------------------
 # Hardened steering: idempotency, pool exhaustion, retries, DOA spares
 # ----------------------------------------------------------------------
-def test_return_to_pool_rejects_never_isolated(topo):
-    service = JobSteeringService(topo, backup_nodes=[])
-    with pytest.raises(ValueError):
-        service.return_to_pool(7)
-
-
-def test_return_to_pool_is_idempotent(topo):
-    service = JobSteeringService(topo, backup_nodes=[])
-    service.handle(anomaly(node=2), now=0.0)
-    assert service.return_to_pool(2) is True
-    assert service.return_to_pool(2) is False  # second call is a no-op
-    assert service.backup_pool == [2]  # no duplicate id
-
-
 def test_pool_exhaustion_sets_structured_field(topo, caplog):
     service = JobSteeringService(topo, backup_nodes=[14])
     both = Anomaly(

@@ -51,8 +51,9 @@ def test_probes_during_holddown_are_ignored_both_ways(monkeypatch):
     assert t.record_probe(LINK, 10.0, healthy=True) is LinkHealthState.QUARANTINED
     # ...and a still-dead link must not escalate once per probe tick.
     assert t.record_probe(LINK, 20.0, healthy=False) is LinkHealthState.QUARANTINED
-    assert t.failures_in_window(LINK, 20.0) == 1
     assert t.quarantined_until(LINK) == 100.0  # unchanged
+    # The ignored probe recorded no failure: the next one escalates once.
+    assert t.record_failure(LINK, 200.0) == 200.0
 
 
 def test_recovery_requires_probation_streak():

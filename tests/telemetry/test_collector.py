@@ -64,7 +64,7 @@ def test_progress_tracking():
     assert progress.created_at == 5.0
     assert progress.min_seq == -1
     collector.ingest_op(op(seq=0, rank=0))
-    assert progress.max_seq == 0
+    assert progress.last_seq == {0: 0, 1: -1}
     assert progress.min_seq == -1  # rank 1 hasn't completed
     collector.ingest_op(op(seq=0, rank=1))
     assert progress.min_seq == 0
@@ -161,7 +161,7 @@ def test_reregistering_dropped_communicator_revives_it():
     collector.drop_communicator("c")
     collector.ingest_communicator(comm_record())
     collector.ingest_op(op(seq=0))
-    assert collector.progress["c"].max_seq == 0
+    assert collector.progress["c"].last_seq[0] == 0
 
 
 # ----------------------------------------------------------------------
@@ -237,10 +237,9 @@ def test_out_of_order_ops_do_not_regress_progress():
     # reordering): the per-rank high-water marks must not move backward.
     collector.ingest_op(op(seq=2, rank=0, end=20.0))
     progress = collector.progress["c"]
-    assert progress.last_seq[0] == 5
+    assert progress.last_seq == {0: 5, 1: -1}  # rank 1 still silent
     assert progress.last_completion_time == 50.0
-    assert progress.max_seq == 5
-    assert progress.min_seq == -1  # rank 1 still silent
+    assert progress.min_seq == -1
 
 
 def test_out_of_order_launches_do_not_regress_progress():
@@ -343,6 +342,10 @@ def test_seq_queries_match_linear_scans(window, steps):
             restored = fresh()
             restored.restore_state(collector.snapshot_state())
             collector = restored
+        snapshot = collector.snapshot_state()
+        assert snapshot["ops"] == {comm: tuple(w) for comm, w in model.ops.items()}
+        assert snapshot["launches"] == {comm: tuple(w) for comm, w in model.launches.items()}
+        assert snapshot["messages"] == {comm: () for comm in model.ops}
         for comm in COMMS:
             assert collector.ops(comm) == list(model.ops.get(comm, ()))
             for seq in range(6):
@@ -395,28 +398,36 @@ def test_message_view_matches_reference_build(window, steps, sinces):
         return collector
 
     collector = fresh()
+    model = {}  # comm -> its message window, kept the obvious way
     for comm in COMMS:
         collector.ingest_communicator(comm_record(comm))
+        model[comm] = deque(maxlen=window)
     for step in steps:
         kind = step[0]
         if kind == "message":
             _, comm, seq, (src, src_nic, dst, dst_nic), size, duration, complete = step
-            collector.ingest_message(
-                MessageRecord(
-                    comm_id=comm, seq=seq, src_node=src, src_nic=src_nic, dst_node=dst,
-                    dst_nic=dst_nic, src_ip="a", dst_ip="b", qp_num=1, src_port=50000,
-                    message_index=0, size_bits=size, post_time=complete - duration,
-                    complete_time=complete,
-                )
+            record = MessageRecord(
+                comm_id=comm, seq=seq, src_node=src, src_nic=src_nic, dst_node=dst,
+                dst_nic=dst_nic, src_ip="a", dst_ip="b", qp_num=1, src_port=50000,
+                message_index=0, size_bits=size, post_time=complete - duration,
+                complete_time=complete,
             )
+            collector.ingest_message(record)
+            if comm in model:
+                model[comm].append(record)
         elif kind == "drop":
             collector.drop_communicator(step[1])
+            model.pop(step[1], None)
         elif kind == "register":
             collector.ingest_communicator(comm_record(step[1]))
+            model[step[1]] = deque(maxlen=window)
         else:
             restored = fresh()
             restored.restore_state(collector.snapshot_state())
             collector = restored
+        snapshot = collector.snapshot_state()
+        assert snapshot["messages"] == {comm: tuple(w) for comm, w in model.items()}
+        assert snapshot["ops"] == snapshot["launches"] == {comm: () for comm in model}
         for comm in COMMS:
             for since in sinces:
                 view = collector.message_view(comm, since)

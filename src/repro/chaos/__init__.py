@@ -17,6 +17,7 @@ from repro.chaos.campaign import ChaosCampaign
 from repro.chaos.controlplane import run_controlplane_scenario
 from repro.chaos.fabric import run_fabric_scenario
 from repro.chaos.scenario import (
+    DEFAULT_GRACE,
     HARDENED_DETECTORS,
     ChaosScenario,
     ControlPlanePlan,
@@ -51,7 +52,6 @@ from repro.chaos.scorecard import (
     score_recovery_scenario,
 )
 from repro.chaos.workload import SyntheticFeed
-from repro.obs.trace import DEFAULT_GRACE
 
 __all__ = [
     "ChaosCampaign",

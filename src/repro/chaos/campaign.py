@@ -46,10 +46,11 @@ from repro.chaos.scenario import (
 from repro.chaos.scorecard import (
     CampaignScorecard,
     ScenarioScorecard,
+    register_episodes,
     score_recovery_scenario,
+    trace_verdict,
 )
 from repro.obs.report import ObservabilityPlane
-from repro.obs.trace import FaultTracer
 from repro.training.job import JobSpec
 from repro.training.memory_checkpoint import InMemoryCheckpointer
 from repro.training.models import GPT_22B
@@ -75,7 +76,9 @@ class ChaosCampaign:
         The :class:`~repro.obs.report.ObservabilityPlane` receiving this
         campaign's metrics and fault spans.  ``None`` creates a private
         plane, so every campaign is observable by default; read
-        ``campaign.obs.snapshot()`` after :meth:`run`.
+        ``campaign.obs.snapshot()`` after :meth:`run`.  Fault spans are
+        named ``<scenario>/<episode>``, so one tracer serves every
+        scenario.
     """
 
     def __init__(
@@ -88,6 +91,7 @@ class ChaosCampaign:
             list(scenarios) if scenarios is not None else default_campaign(seed)
         )
         self.obs = observability if observability is not None else ObservabilityPlane()
+        self._ran: set[str] = set()
 
     def run(self) -> CampaignScorecard:
         """Execute every scenario; returns the aggregate scorecard."""
@@ -106,46 +110,35 @@ class ChaosCampaign:
         return CampaignScorecard(scenarios=tuple(cards))
 
     def run_scenario(self, scenario: ChaosScenario) -> ScenarioScorecard:
-        """Execute one scenario of any kind."""
-        # Each scenario gets a private tracer — scenarios reuse node ids
-        # and each has its own simulated clock, so victim matching must
-        # never cross scenario boundaries.  The finished tracer is then
-        # folded into the campaign-wide plane (metrics were shared all
-        # along through self.obs.registry).
-        tracer = FaultTracer(metrics=self.obs.registry)
-        # One span per ground-truth episode.  Fabric scenarios inject no
-        # node faults; their runner opens spans for its link faults.
-        for episode in scenario.episodes:
-            tracer.register_fault(
-                f"{scenario.name}/{episode.episode_id}",
-                kind=episode.kind,
-                victims=episode.nodes,
-                injected_at=episode.onset,
-                windows=episode.windows,
-            )
+        """Execute one scenario of any kind.
+
+        Raises ``ValueError`` for a scenario name this campaign already
+        ran: its fault spans would collide with the earlier run's.
+        """
+        if scenario.name in self._ran:
+            raise ValueError(f"scenario {scenario.name!r} already ran in this campaign")
+        self._ran.add(scenario.name)
+        tracer = self.obs.tracer
+        # Fabric scenarios inject no node faults; their runner opens
+        # spans for its link faults.
+        register_episodes(tracer, scenario)
         if scenario.kind is ScenarioKind.RECOVERY:
-            card = self._run_recovery(scenario, tracer)
-        elif scenario.kind is ScenarioKind.FABRIC:
+            return self._run_recovery(scenario)
+        if scenario.kind is ScenarioKind.FABRIC:
             from repro.chaos.fabric import run_fabric_scenario
 
-            card = run_fabric_scenario(
+            return run_fabric_scenario(scenario, metrics=self.obs.registry, tracer=tracer)
+        if scenario.kind is ScenarioKind.CONTROLPLANE:
+            return run_controlplane_scenario(
                 scenario, metrics=self.obs.registry, tracer=tracer
             )
-        elif scenario.kind is ScenarioKind.CONTROLPLANE:
-            card = run_controlplane_scenario(
-                scenario, metrics=self.obs.registry, tracer=tracer
-            )
-        else:
-            card, _ = run_feed_loop(scenario, self.obs.registry, tracer)
-        self.obs.tracer.absorb(tracer)
+        card, _ = run_feed_loop(scenario, self.obs.registry, tracer)
         return card
 
     # ------------------------------------------------------------------
     # RECOVERY: crash -> detect -> isolate -> checkpoint fallback chain
     # ------------------------------------------------------------------
-    def _run_recovery(
-        self, scenario: ChaosScenario, tracer: FaultTracer
-    ) -> ScenarioScorecard:
+    def _run_recovery(self, scenario: ChaosScenario) -> ScenarioScorecard:
         cluster = build_cluster(ecmp_seed=scenario.seed)
         scheduler = ClusterScheduler(cluster.topology, backup_ratio=1 / 16)
         checkpointer = InMemoryCheckpointer(
@@ -177,10 +170,9 @@ class ChaosCampaign:
 
             cluster.network.schedule(event.time, strike)
         cluster.network.run(until=scenario.duration)
-        # The orchestrator's report carries the lifecycle the tracer
-        # needs; replay it as detection/steer/recover stage observations.
+        # Each recovery event is a verdict; scoring stamps steer/recover.
         for event in report.events:
-            isolated = event.action.isolated_nodes
-            tracer.detection(event.detected_at, isolated)
-            tracer.action(event.detected_at, isolated, ready_at=event.action.ready_at)
-        return score_recovery_scenario(scenario, report)
+            trace_verdict(
+                self.obs.tracer, scenario, event.detected_at, event.action.isolated_nodes
+            )
+        return score_recovery_scenario(scenario, report, self.obs.tracer)

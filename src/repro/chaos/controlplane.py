@@ -41,6 +41,7 @@ same-instant ties.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Optional
 
 from repro.chaos.scenario import (
@@ -54,10 +55,11 @@ from repro.chaos.scorecard import (
     ControlPlaneMetrics,
     ScenarioScorecard,
     _action_targets,
-    _matching_episodes,
-    _steering_action,
+    matching_episodes,
     score_controlplane_scenario,
     score_pipeline_scenario,
+    trace_symptom,
+    trace_verdict,
 )
 from repro.chaos.workload import STEP_SECONDS, SyntheticFeed
 from repro.cluster.specs import ClusterSpec
@@ -78,22 +80,6 @@ SNAPSHOT_INTERVAL = 60.0
 HEARTBEAT_INTERVAL = 10.0
 #: Agent lease TTL.
 LEASE_SECONDS = 30.0
-
-
-def _trace_outcome(tracer: FaultTracer, master: C4DMaster) -> None:
-    """Report a finished run's anomalies and steering actions to ``tracer``.
-
-    After a kill or failover the final master holds every incarnation's
-    history: recovery restores and replays its predecessor's.
-    """
-    for anomaly in master.anomalies:
-        tracer.detection(
-            anomaly.detected_at, anomaly.suspect_nodes, kind=anomaly.anomaly_type.value
-        )
-    for action in master.actions:
-        tracer.action(
-            action.anomaly.detected_at, tuple(_action_targets(action)), ready_at=action.ready_at
-        )
 
 
 def run_feed_loop(
@@ -142,8 +128,8 @@ def run_feed_loop(
             if last is not None and network.now - last < sink.steering.dedup_window:
                 duplicates += 1
             last_executed[key] = network.now
-            if coverage < C4DMaster.DEGRADED_COVERAGE_THRESHOLD and not _matching_episodes(
-                _steering_action(action), scenario.episodes
+            if coverage < C4DMaster.DEGRADED_COVERAGE_THRESHOLD and not matching_episodes(
+                scenario.episodes, action.anomaly.detected_at, _action_targets(action)
             ):
                 blackout_false_isolations += len(action.isolated_nodes)
         feed.apply_action(action, sink.drop_communicator)
@@ -198,7 +184,7 @@ def run_feed_loop(
         seed=scenario.seed,
     )
     if tracer is not None:
-        feed.symptom_observer = tracer.observe_symptom
+        feed.symptom_observer = partial(trace_symptom, tracer, scenario)
 
     def evaluate_tick() -> None:
         nonlocal coverage_min
@@ -286,7 +272,17 @@ def run_feed_loop(
     feed.start()
     network.run(until=scenario.duration)
     if tracer is not None:
-        _trace_outcome(tracer, master if plan is None else sink.master)
+        # After a kill or failover the final master holds every
+        # incarnation's history: recovery restores and replays its
+        # predecessor's.
+        for anomaly in (master if plan is None else sink.master).anomalies:
+            trace_verdict(
+                tracer,
+                scenario,
+                anomaly.detected_at,
+                anomaly.suspect_nodes,
+                kind=anomaly.anomaly_type.value,
+            )
 
     card = score_pipeline_scenario(
         scenario,
@@ -294,6 +290,7 @@ def run_feed_loop(
         channel_stats=channel.stats() if channel is not None else None,
         steps_completed=feed.steps_completed,
         relaunches=feed.relaunches,
+        tracer=tracer,
     )
     if plan is None:
         return card, None

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.cluster.faults import (
@@ -49,8 +50,13 @@ from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology
 from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.steering import SteeringConfig, SteeringFaultModel
-from repro.obs.trace import DEFAULT_GRACE
 from repro.telemetry.unreliable import ChannelConfig
+
+#: Seconds past a fault window's end during which a detection still
+#: counts as true.  Debounce, evaluation cadence and telemetry latency
+#: all sit between fault onset and action; a flapping window can close
+#: in the meantime without making the (correct) detection a ghost.
+DEFAULT_GRACE = 240.0
 
 
 class ScenarioKind(enum.Enum):
@@ -85,10 +91,6 @@ class Episode:
     def active_at(self, now: float) -> bool:
         """True while any window, stretched by ``DEFAULT_GRACE``, covers ``now``."""
         return any(start <= now <= end + DEFAULT_GRACE for start, end in self.windows)
-
-    def covers_node(self, node: int) -> bool:
-        """True when the episode degrades ``node``."""
-        return node in self.nodes
 
 
 def episodes_from_faults(faults: tuple[FaultEvent, ...]) -> tuple[Episode, ...]:
@@ -268,9 +270,13 @@ class ChaosScenario:
     #: CONTROLPLANE kind: the master/telemetry fault schedule.
     controlplane: Optional[ControlPlanePlan] = None
 
-    @property
+    @cached_property
     def episodes(self) -> tuple[Episode, ...]:
-        """Ground-truth episodes derived from the fault plan."""
+        """Ground-truth episodes derived from the fault plan.
+
+        Cached: the harness matches every symptomatic record against
+        them.
+        """
         return episodes_from_faults(self.faults)
 
 

@@ -17,15 +17,22 @@ orchestrator's events).  The scorecard joins the two:
 * **wasted backups** are spares consumed without curing a real fault:
   dead-on-arrival replacements plus replacements issued by false
   actions.
+
+:func:`matching_episodes` is the harness's one ground-truth match.  The
+scorer (which also stamps ``steer`` and ``recover`` on the fault spans),
+:func:`trace_verdict`, :func:`trace_symptom` and the blackout audit all
+call it, so a :class:`~repro.obs.trace.FaultTracer` only records what
+they decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.chaos.scenario import ChaosScenario, Episode
 from repro.core.c4d.steering import SteeringAction
+from repro.obs.trace import FaultTracer
 from repro.training.recovery import RecoveryReport
 
 
@@ -289,23 +296,69 @@ def _steering_action(action: SteeringAction) -> _Action:
     )
 
 
-def _matching_episodes(action: _Action, episodes: Sequence[Episode]) -> list[Episode]:
-    """Episodes an action correctly responded to."""
+def matching_episodes(
+    episodes: Sequence[Episode], now: float, victims: Iterable[int]
+) -> list[Episode]:
+    """Episodes active at ``now`` (grace included) that share a node with ``victims``."""
+    named = set(victims)
     return [
         episode
         for episode in episodes
-        if episode.active_at(action.detected_at)
-        and action.targets.intersection(episode.nodes)
+        if episode.active_at(now) and not named.isdisjoint(episode.nodes)
     ]
 
 
+def _span_id(scenario: ChaosScenario, episode: Episode) -> str:
+    return f"{scenario.name}/{episode.episode_id}"
+
+
+def register_episodes(tracer: FaultTracer, scenario: ChaosScenario) -> None:
+    """Open one fault span per ground-truth episode of ``scenario``."""
+    for episode in scenario.episodes:
+        tracer.register_fault(
+            _span_id(scenario, episode),
+            kind=episode.kind,
+            victims=episode.nodes,
+            injected_at=episode.onset,
+            windows=episode.windows,
+        )
+
+
+def trace_verdict(
+    tracer: FaultTracer,
+    scenario: ChaosScenario,
+    now: float,
+    victims: Sequence[int],
+    kind: str = "",
+) -> None:
+    """Stamp ``detect`` on each episode a verdict names, else record a false positive."""
+    matched = matching_episodes(scenario.episodes, now, victims)
+    if not matched:
+        tracer.false_positive(now, victims, kind)
+    for episode in matched:
+        tracer.stage(_span_id(scenario, episode), "detect", now, detector=kind)
+
+
+def trace_symptom(
+    tracer: FaultTracer, scenario: ChaosScenario, now: float, node: int
+) -> None:
+    """Stamp ``first_record`` on each episode a symptomatic record of ``node`` shows."""
+    for episode in matching_episodes(scenario.episodes, now, (node,)):
+        tracer.stage(_span_id(scenario, episode), "first_record", now)
+
+
 def _score(
-    scenario: ChaosScenario, actions: Sequence[_Action], **fields
+    scenario: ChaosScenario,
+    actions: Sequence[_Action],
+    tracer: Optional[FaultTracer],
+    **fields,
 ) -> ScenarioScorecard:
     """Judge normalized actions against the scenario's ground truth.
 
-    ``fields`` fills the scorecard's run-specific counters (channel,
-    progress, restore fallbacks, completion).
+    ``tracer``, when given, gets ``steer`` and ``recover`` stamped on
+    each episode an action matched.  ``fields`` fills the scorecard's
+    run-specific counters (channel, progress, restore fallbacks,
+    completion).
     """
     episodes = scenario.episodes
     first_match: dict[str, _Action] = {}
@@ -318,15 +371,19 @@ def _score(
     for action in actions:
         pool_exhaustions += int(action.pool_exhausted)
         wasted += len(action.doa)
-        matched = _matching_episodes(action, episodes)
+        matched = matching_episodes(episodes, action.detected_at, action.targets)
         if matched:
             true_actions += 1
             for episode in matched:
                 first_match.setdefault(episode.episode_id, action)
                 counts = isolations[episode.episode_id]
                 for node in action.isolated:
-                    if episode.covers_node(node):
+                    if node in episode.nodes:
                         counts[node] = counts.get(node, 0) + 1
+                if tracer is not None:
+                    fault_id = _span_id(scenario, episode)
+                    tracer.stage(fault_id, "steer", action.detected_at)
+                    tracer.stage(fault_id, "recover", action.ready_at)
         else:
             false_actions += 1
             false_isolations += len(action.isolated)
@@ -368,11 +425,13 @@ def score_pipeline_scenario(
     channel_stats: Optional[dict] = None,
     steps_completed: int = 0,
     relaunches: int = 0,
+    tracer: Optional[FaultTracer] = None,
 ) -> ScenarioScorecard:
     """Judge one pipeline run's steering actions against ground truth."""
     return _score(
         scenario,
         [_steering_action(action) for action in actions],
+        tracer,
         channel=dict(channel_stats or {}),
         steps_completed=steps_completed,
         relaunches=relaunches,
@@ -436,6 +495,7 @@ def score_controlplane_scenario(
 def score_recovery_scenario(
     scenario: ChaosScenario,
     report: RecoveryReport,
+    tracer: Optional[FaultTracer] = None,
 ) -> ScenarioScorecard:
     """Judge one recovery run's events against ground truth."""
     actions = [
@@ -449,6 +509,7 @@ def score_recovery_scenario(
     return _score(
         scenario,
         actions,
+        tracer,
         steps_completed=report.completed_steps,
         relaunches=len(report.events),
         restore_fallbacks=sum(event.restore_fallbacks for event in report.events),

@@ -85,7 +85,8 @@ class SyntheticFeed:
         self.relaunches = 0
         #: Optional ``(now, node)`` callback fired when a record shaped
         #: by an active fault is emitted (or withheld, for crashes) — the
-        #: observability tracer's ``first_record`` stage hook.
+        #: harness's ``first_record`` stamp
+        #: (:func:`~repro.chaos.scorecard.trace_symptom`).
         self.symptom_observer = None
 
     # ------------------------------------------------------------------

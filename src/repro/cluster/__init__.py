@@ -15,7 +15,7 @@ from repro.cluster.faults import (
     FaultRates,
     FaultType,
 )
-from repro.cluster.hardware import ComponentHealth, Gpu, Nic, NicPort, Node, PortSide
+from repro.cluster.hardware import ComponentHealth, Gpu, Nic, Node
 from repro.cluster.specs import TESTBED_16_NODES, ClusterSpec, pod_spec
 from repro.cluster.topology import ClusterTopology
 
@@ -25,9 +25,7 @@ __all__ = [
     "pod_spec",
     "Gpu",
     "Nic",
-    "NicPort",
     "Node",
-    "PortSide",
     "ComponentHealth",
     "ClusterTopology",
     "FaultType",

@@ -1,4 +1,4 @@
-"""Hardware inventory objects: GPUs, NIC ports, NICs, nodes.
+"""Hardware inventory objects: GPUs, NICs, nodes.
 
 These carry identity and *health* state.  The simulator's data plane
 lives in :mod:`repro.netsim`; the objects here are what the fault
@@ -8,27 +8,13 @@ injector degrades and what C4D's steering service isolates and replaces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-
-class PortSide(enum.Enum):
-    """Which leaf of the rail pair a physical NIC port attaches to."""
-
-    LEFT = "L"
-    RIGHT = "R"
-
-    @property
-    def index(self) -> int:
-        """0 for LEFT, 1 for RIGHT (used in link naming and hashing)."""
-        return 0 if self is PortSide.LEFT else 1
+from dataclasses import dataclass
 
 
 class ComponentHealth(enum.Enum):
     """Coarse health state used by steering and scheduling."""
 
     HEALTHY = "healthy"
-    DEGRADED = "degraded"  # slow but functional (straggler)
-    FAILED = "failed"  # crash-inducing
     ISOLATED = "isolated"  # removed from scheduling by the steering service
 
 
@@ -38,33 +24,7 @@ class Gpu:
 
     node_id: int
     index: int
-    health: ComponentHealth = ComponentHealth.HEALTHY
     compute_scale: float = 1.0
-
-    @property
-    def gpu_id(self) -> str:
-        """Stable identifier, e.g. ``node3/gpu5``."""
-        return f"node{self.node_id}/gpu{self.index}"
-
-
-@dataclass
-class NicPort:
-    """One physical port of a dual-port NIC.
-
-    ``bandwidth_scale`` < 1.0 models a degraded port (e.g. CRC storms or
-    a flapping optic reducing effective throughput).
-    """
-
-    node_id: int
-    nic_index: int
-    side: PortSide
-    health: ComponentHealth = ComponentHealth.HEALTHY
-    bandwidth_scale: float = 1.0
-
-    @property
-    def port_id(self) -> str:
-        """Stable identifier, e.g. ``node3/nic2/L``."""
-        return f"node{self.node_id}/nic{self.nic_index}/{self.side.value}"
 
 
 @dataclass
@@ -73,20 +33,6 @@ class Nic:
 
     node_id: int
     index: int
-    ports: dict[PortSide, NicPort] = field(default_factory=dict)
-    health: ComponentHealth = ComponentHealth.HEALTHY
-
-    def __post_init__(self) -> None:
-        if not self.ports:
-            self.ports = {
-                side: NicPort(node_id=self.node_id, nic_index=self.index, side=side)
-                for side in PortSide
-            }
-
-    @property
-    def nic_id(self) -> str:
-        """Stable identifier, e.g. ``node3/nic2``."""
-        return f"node{self.node_id}/nic{self.index}"
 
     @property
     def ip_address(self) -> str:
@@ -102,9 +48,6 @@ class Node:
     gpus: list[Gpu]
     nics: list[Nic]
     health: ComponentHealth = ComponentHealth.HEALTHY
-    #: Multiplier on non-communication step time (data loading, host
-    #: preprocessing).  >1.0 models a straggler node.
-    host_slowdown: float = 1.0
 
     @classmethod
     def build(cls, node_id: int, gpus_per_node: int, nics_per_node: int) -> "Node":
@@ -121,7 +64,7 @@ class Node:
     @property
     def is_schedulable(self) -> bool:
         """True if the node can host training workers."""
-        return self.health in (ComponentHealth.HEALTHY, ComponentHealth.DEGRADED)
+        return self.health is ComponentHealth.HEALTHY
 
     def worst_gpu_scale(self) -> float:
         """Slowest GPU's compute scale (gates the node's compute speed in
@@ -131,16 +74,3 @@ class Node:
     def isolate(self) -> None:
         """Remove the node from scheduling (C4D steering action)."""
         self.health = ComponentHealth.ISOLATED
-
-    def restore(self) -> None:
-        """Return the node to service after repair."""
-        self.health = ComponentHealth.HEALTHY
-        self.host_slowdown = 1.0
-        for gpu in self.gpus:
-            gpu.health = ComponentHealth.HEALTHY
-            gpu.compute_scale = 1.0
-        for nic in self.nics:
-            nic.health = ComponentHealth.HEALTHY
-            for port in nic.ports.values():
-                port.health = ComponentHealth.HEALTHY
-                port.bandwidth_scale = 1.0

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cluster.hardware import Node, PortSide
+from repro.cluster.hardware import Node
 from repro.cluster.specs import ClusterSpec
 from repro.netsim.network import FlowNetwork
 from repro.netsim.routing import EcmpHasher, FiveTuple
@@ -153,8 +153,6 @@ class ClusterTopology:
         nominal = self.spec.port_capacity
         self.network.set_link_capacity(self.host_up(node, nic, side), nominal * scale)
         self.network.set_link_capacity(self.host_down(node, nic, side), nominal * scale)
-        port_side = PortSide.LEFT if side == 0 else PortSide.RIGHT
-        self.nodes[node].nics[nic].ports[port_side].bandwidth_scale = scale
 
     def disable_spine(self, rail: int, spine: int) -> None:
         """Administratively remove a spine from a rail (fails its links)."""

@@ -21,7 +21,7 @@ from repro.core.c4d.detectors import (
     NonCommSlowDetector,
 )
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
-from repro.core.c4d.steering import JobSteeringService, SteeringAction
+from repro.core.c4d.steering import JobSteeringService
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
 
@@ -85,7 +85,6 @@ class C4DMaster:
             NonCommSlowDetector(collector, self.config, metrics),
         ]
         self.anomalies: list[Anomaly] = []
-        self.actions: list[SteeringAction] = []
         #: Verdicts withheld because the master was in degraded mode.
         self.degraded_anomalies: list[Anomaly] = []
         self._last_reported: dict[_VerdictKey, float] = {}
@@ -232,12 +231,9 @@ class C4DMaster:
                 for node in anomaly.suspect_nodes:
                     self._node_last_action[node] = now
                 self._m_actions.inc()
-                action = self.steering.handle(anomaly, now, epoch=self.epoch)
-                if action is None:
-                    # Duplicate verdict (same fault key inside the
-                    # dedup window) — already executed, nothing to do.
-                    continue
-                self.actions.append(action)
+                # A duplicate verdict (same fault key inside the dedup
+                # window) was already executed; handle() skips it.
+                self.steering.handle(anomaly, now, epoch=self.epoch)
         return fresh
 
     @staticmethod
@@ -291,7 +287,9 @@ class C4DMaster:
         """
         return {
             "anomalies": tuple(self.anomalies),
-            "actions": tuple(self.actions),
+            # Written for the digest's sake only: restore reads the
+            # steering service's own snapshot.
+            "actions": tuple(self.steering.actions) if self.steering is not None else (),
             "degraded_anomalies": tuple(self.degraded_anomalies),
             "last_reported": canonical_pairs(self._last_reported),
             "pending": canonical_pairs(self._pending),
@@ -307,7 +305,6 @@ class C4DMaster:
     def restore_state(self, state: dict) -> None:
         """Replace mutable state with a :meth:`snapshot_state` dict."""
         self.anomalies = list(state["anomalies"])
-        self.actions = list(state["actions"])
         self.degraded_anomalies = list(state["degraded_anomalies"])
         self._last_reported = dict(state["last_reported"])
         self._pending = dict(state["pending"])

@@ -3,10 +3,13 @@
 One :class:`ObservabilityPlane` bundles the two halves of the
 observability layer — a :class:`~repro.obs.metrics.MetricsRegistry` and
 a :class:`~repro.obs.trace.FaultTracer` — so a chaos campaign or an
-experiment run can attach both with one object.  :func:`build_snapshot`
-turns a plane into the machine-readable report (per-fault spans,
-MTTD/MTTR accounting, every metric series) and :func:`render_dashboard`
-renders that snapshot as the ``repro obs`` terminal view.
+experiment run can attach both with one object; a campaign stamps every
+scenario's fault spans on the plane's one tracer.  :func:`build_snapshot`
+turns a plane into the machine-readable report (per-fault spans, false
+positives, MTTD/MTTR accounting, every metric series) and
+:func:`render_dashboard` renders that snapshot as the ``repro obs``
+terminal view.  Neither reads ground truth: the spans arrive already
+judged by :mod:`repro.chaos.scorecard`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,6 @@
 """Fault-lifecycle tracing: one span per fault, end to end.
 
-The chaos harness injects faults with known ground truth; the pipeline
-reacts through detection, steering and recovery.  :class:`FaultTracer`
-stitches both sides into per-fault timelines — ordered stages
+A :class:`FaultTracer` records per-fault timelines — ordered stages
 
     inject → first_record → detect → steer → recover
 
@@ -10,16 +8,15 @@ stitches both sides into per-fault timelines — ordered stages
 
 * **MTTD** (mean time to detect): ``detect - inject``, per fault;
 * **MTTR** (mean time to recover): ``recover - inject``, per fault;
-* **false positives**: detections matching no injected fault active at
-  detection time (each window stretched by ``DEFAULT_GRACE``, the chaos
-  scorecard's convention).
+* **false positives**: detections that matched no injected fault.
 
 Stages are first-occurrence-wins: a re-detection of the same fault does
 not move its timeline.  All times are simulated seconds on the run's
-clock.  The chaos runners report what the pipeline did (suspect nodes,
-rerouted links); C4D's verdicts and actions are read from the final
-master after the run.  The tracer owns the matching against registered
-ground truth, so the system under test never holds a tracer.
+clock.  The tracer only records.  Whoever holds the ground truth decides
+which fault a pipeline output belongs to: the chaos harness
+(:mod:`repro.chaos.scorecard`) matches verdicts, symptoms and actions
+against its injected episodes and stamps the stages here, so the system
+under test never holds a tracer.
 """
 
 from __future__ import annotations
@@ -31,12 +28,6 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 
 #: Canonical stage order of one fault's lifecycle.
 STAGES = ("inject", "first_record", "detect", "steer", "recover")
-
-#: Seconds past a fault window's end during which a detection still
-#: counts as true.  Debounce, evaluation cadence and telemetry latency
-#: all sit between fault onset and action; a flapping window can close
-#: in the meantime without making the (correct) detection a ghost.
-DEFAULT_GRACE = 240.0
 
 #: MTTD/MTTR bucket bounds: detection is expected within tens of
 #: seconds, recovery within minutes (Table III's accounting).
@@ -82,10 +73,6 @@ class FaultSpan:
         if "inject" in self.stages and "recover" in self.stages:
             return self.stages["recover"] - self.stages["inject"]
         return None
-
-    def active_at(self, now: float) -> bool:
-        """True while any activity window, plus ``DEFAULT_GRACE``, covers ``now``."""
-        return any(start <= now <= end + DEFAULT_GRACE for start, end in self.windows)
 
     def timeline(self) -> list[tuple[str, float]]:
         """Observed stages in canonical order."""
@@ -147,7 +134,7 @@ class FaultTracer:
         )
 
     # ------------------------------------------------------------------
-    # Ground truth side (the chaos runner)
+    # Recording
     # ------------------------------------------------------------------
     def register_fault(
         self,
@@ -188,69 +175,10 @@ class FaultTracer:
         if stage == "recover" and span.mttr is not None:
             self._m_mttr.observe(span.mttr)
 
-    # ------------------------------------------------------------------
-    # Pipeline side (what the system under test observed)
-    # ------------------------------------------------------------------
-    def _matching(self, now: float, victims: set) -> list[FaultSpan]:
-        return [
-            span
-            for span in self.spans.values()
-            if span.active_at(now) and victims.intersection(span.victims)
-        ]
-
-    def observe_symptom(self, now: float, victim) -> None:
-        """First anomalous record attributable to ``victim`` (telemetry side)."""
-        for span in self._matching(now, {victim}):
-            self.stage(span.fault_id, "first_record", now)
-
-    def detection(self, now: float, victims: Sequence, kind: str = "") -> tuple[str, ...]:
-        """A detector verdict naming ``victims``; returns matched fault ids.
-
-        A verdict matching no registered fault active at ``now`` is a
-        false positive.
-        """
-        matched = self._matching(now, set(victims))
-        if not matched:
-            self.false_positives.append(
-                FalsePositive(time=now, victims=tuple(victims), kind=kind)
-            )
-            self._m_false.inc()
-            return ()
-        for span in matched:
-            self.stage(span.fault_id, "detect", now, detector=kind)
-        return tuple(span.fault_id for span in matched)
-
-    def action(
-        self, now: float, victims: Sequence, ready_at: Optional[float] = None
-    ) -> tuple[str, ...]:
-        """A steering/reroute action on ``victims``; returns matched fault ids.
-
-        ``now`` stamps the ``steer`` stage; ``ready_at`` (when given) the
-        ``recover`` stage — the simulated moment the job/fabric is whole
-        again.
-        """
-        matched = self._matching(now, set(victims))
-        for span in matched:
-            self.stage(span.fault_id, "steer", now)
-            if ready_at is not None:
-                self.stage(span.fault_id, "recover", ready_at)
-        return tuple(span.fault_id for span in matched)
-
-    def absorb(self, other: "FaultTracer") -> None:
-        """Merge another tracer's spans and false positives into this one.
-
-        Campaigns give every scenario its own tracer — each scenario has
-        its own simulated clock and reuses node ids, so victim matching
-        must never cross scenarios — and fold the finished tracers into
-        one campaign-wide view here.  Metric series are NOT re-emitted:
-        when both tracers share a registry the stages were already
-        counted once, at observation time.
-        """
-        for fault_id, span in other.spans.items():
-            if fault_id in self.spans:
-                raise ValueError(f"duplicate fault span {fault_id!r} on absorb")
-            self.spans[fault_id] = span
-        self.false_positives.extend(other.false_positives)
+    def false_positive(self, now: float, victims: Sequence, kind: str = "") -> None:
+        """Record a detection that matched no injected fault."""
+        self.false_positives.append(FalsePositive(time=now, victims=tuple(victims), kind=kind))
+        self._m_false.inc()
 
     # ------------------------------------------------------------------
     # Accounting

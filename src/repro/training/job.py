@@ -180,7 +180,7 @@ class TrainingJob:
 
     def _compute_time_of_node(self, node_id: int, base: float) -> float:
         node = self.context.topology.node(node_id)
-        return base / node.worst_gpu_scale() * node.host_slowdown
+        return base / node.worst_gpu_scale()
 
     def _begin_step(self) -> None:
         network = self.context.network

@@ -25,12 +25,17 @@ from repro.chaos import (
 from repro.chaos.scorecard import (
     EpisodeOutcome,
     ScenarioScorecard,
+    register_episodes,
     score_pipeline_scenario,
     score_recovery_scenario,
+    trace_symptom,
+    trace_verdict,
 )
 from repro.cluster.faults import FaultClass, FaultEvent, FaultInjector, FaultType
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.steering import SteeringAction
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import FaultTracer
 from repro.training.recovery import RecoveryEvent, RecoveryReport
 
 
@@ -151,6 +156,69 @@ def test_score_respects_grace_window():
     too_late = _action([3], detected_at=300.0 + DEFAULT_GRACE + 1.0)
     assert score_pipeline_scenario(scenario, [late]).precision == 1.0
     assert score_pipeline_scenario(scenario, [too_late]).precision == 0.0
+
+
+# ----------------------------------------------------------------------
+# Fault spans stamped by the harness's one matcher
+# ----------------------------------------------------------------------
+def _traced_scenario():
+    scenario = _scenario_with_one_episode()
+    tracer = FaultTracer(metrics=MetricsRegistry())
+    register_episodes(tracer, scenario)
+    return scenario, tracer, tracer.spans["unit/flap0"]
+
+
+def test_verdict_stamps_detect():
+    scenario, tracer, span = _traced_scenario()
+    trace_verdict(tracer, scenario, 130.0, (3, 7), kind="noncomm_slow")
+    assert span.stages["detect"] == 130.0
+    assert span.attrs["detector"] == "noncomm_slow"
+    assert not tracer.false_positives
+
+
+def test_unmatched_verdict_is_false_positive():
+    scenario, tracer, span = _traced_scenario()
+    trace_verdict(tracer, scenario, 130.0, (8,), kind="noncomm_slow")  # wrong node
+    trace_verdict(tracer, scenario, 300.0 + DEFAULT_GRACE + 1.0, (3,))  # past grace
+    assert not span.detected
+    assert [(fp.time, fp.victims) for fp in tracer.false_positives] == [
+        (130.0, (8,)),
+        (300.0 + DEFAULT_GRACE + 1.0, (3,)),
+    ]
+
+
+def test_symptom_stamps_first_record():
+    scenario, tracer, span = _traced_scenario()
+    trace_symptom(tracer, scenario, 90.0, 3)  # before onset
+    trace_symptom(tracer, scenario, 110.0, 7)  # a healthy node
+    trace_symptom(tracer, scenario, 120.0, 3)
+    trace_symptom(tracer, scenario, 125.0, 3)  # later symptom: stage unchanged
+    assert span.stages["first_record"] == 120.0
+
+
+def test_score_stamps_steer_and_recover():
+    scenario, tracer, span = _traced_scenario()
+    actions = [_action([7], detected_at=140.0), _action([3], detected_at=150.0)]
+    score_pipeline_scenario(scenario, actions, tracer=tracer)
+    assert span.stages["steer"] == 150.0
+    assert span.stages["recover"] == 330.0
+    assert span.mttr == pytest.approx(230.0)
+
+
+def test_rerun_of_a_scenario_name_raises_before_running(monkeypatch):
+    runs = []
+
+    def fake_feed_loop(scenario, registry, tracer):
+        runs.append(scenario.name)
+        return score_pipeline_scenario(scenario, []), None
+
+    monkeypatch.setattr("repro.chaos.campaign.run_feed_loop", fake_feed_loop)
+    scenario = _scenario_with_one_episode()
+    runner = ChaosCampaign(scenarios=[scenario])
+    runner.run_scenario(scenario)
+    with pytest.raises(ValueError, match="already ran"):
+        runner.run_scenario(replace(scenario, seed=1))
+    assert runs == ["unit"]
 
 
 def test_score_recovery_report_pins_every_field():

@@ -19,6 +19,7 @@ from repro.chaos import (
     run_fabric_scenario,
     spine_maintenance_scenario,
 )
+from repro.chaos.scorecard import matching_episodes
 from repro.controlplane import C4DControlPlane
 from repro.core.c4d.master import C4DMaster
 from repro.obs.metrics import MetricsRegistry
@@ -118,9 +119,10 @@ def test_campaign_metrics_cover_every_layer(campaign):
 
 
 def test_scenarios_get_isolated_tracers(campaign):
-    # Node ids are reused across scenarios; matching must not leak. The
-    # flapping scenario's compute-node victims (small ints) must never
-    # appear on a fabric span and vice versa.
+    # Node ids are reused across scenarios, and one tracer holds every
+    # scenario's spans; matching runs per scenario, so it must not leak.
+    # The flapping scenario's compute-node victims (small ints) must
+    # never appear on a fabric span and vice versa.
     for span in campaign.obs.tracer.spans.values():
         scenario_name = span.fault_id.split("/")[0]
         if span.kind.startswith("link_down"):
@@ -144,10 +146,10 @@ def test_post_run_trace_matches_live_passes(monkeypatch, factory, evaluator):
     """The runner traces the final master's history after the run.
 
     A reference tracer is fed during the run instead, from each live
-    evaluation pass's fresh anomalies and new steering actions.  Journal
-    replay calls the master directly, so the wrapped plane sees live
-    passes only, and a master kill or failover must not change the
-    outcome.
+    evaluation pass's fresh anomalies and new steering actions, matched
+    against the scenario's episodes as they happen.  Journal replay
+    calls the master directly, so the wrapped plane sees live passes
+    only, and a master kill or failover must not change the outcome.
     """
     scenario = factory(0)
     reference = FaultTracer(metrics=MetricsRegistry())
@@ -162,14 +164,23 @@ def test_post_run_trace_matches_live_passes(monkeypatch, factory, evaluator):
     evaluate = evaluator.evaluate
 
     def live_pass(self, now, *args, **kwargs):
-        master = self if isinstance(self, C4DMaster) else self.master
-        known = len(master.actions)
+        known = len(self.steering.actions)
         fresh = evaluate(self, now, *args, **kwargs)
         for anomaly in fresh:
-            reference.detection(now, anomaly.suspect_nodes, kind=anomaly.anomaly_type.value)
-        for action in master.actions[known:]:
+            kind = anomaly.anomaly_type.value
+            matched = matching_episodes(scenario.episodes, now, anomaly.suspect_nodes)
+            if not matched:
+                reference.false_positive(now, anomaly.suspect_nodes, kind)
+            for episode in matched:
+                reference.stage(
+                    f"{scenario.name}/{episode.episode_id}", "detect", now, detector=kind
+                )
+        for action in self.steering.actions[known:]:
             targets = set(action.isolated_nodes) | set(action.anomaly.suspect_nodes)
-            reference.action(now, tuple(targets), ready_at=action.ready_at)
+            for episode in matching_episodes(scenario.episodes, now, targets):
+                fault_id = f"{scenario.name}/{episode.episode_id}"
+                reference.stage(fault_id, "steer", now)
+                reference.stage(fault_id, "recover", action.ready_at)
         return fresh
 
     monkeypatch.setattr(evaluator, "evaluate", live_pass)

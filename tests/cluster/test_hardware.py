@@ -1,6 +1,6 @@
 """Tests for hardware inventory objects."""
 
-from repro.cluster.hardware import ComponentHealth, Nic, Node, PortSide
+from repro.cluster.hardware import ComponentHealth, Nic, Node
 
 
 def test_node_build_counts():
@@ -8,24 +8,6 @@ def test_node_build_counts():
     assert len(node.gpus) == 8
     assert len(node.nics) == 8
     assert node.name == "node3"
-
-
-def test_nic_has_both_ports():
-    nic = Nic(node_id=1, index=2)
-    assert set(nic.ports) == {PortSide.LEFT, PortSide.RIGHT}
-    assert nic.ports[PortSide.LEFT].side is PortSide.LEFT
-
-
-def test_port_side_index():
-    assert PortSide.LEFT.index == 0
-    assert PortSide.RIGHT.index == 1
-
-
-def test_identifiers():
-    node = Node.build(5, 8, 8)
-    assert node.gpus[2].gpu_id == "node5/gpu2"
-    assert node.nics[3].nic_id == "node5/nic3"
-    assert node.nics[3].ports[PortSide.RIGHT].port_id == "node5/nic3/R"
 
 
 def test_nic_ip_is_deterministic_and_unique():
@@ -48,22 +30,3 @@ def test_isolate_and_schedulable():
     node.isolate()
     assert node.health is ComponentHealth.ISOLATED
     assert not node.is_schedulable
-
-
-def test_degraded_still_schedulable():
-    node = Node.build(0, 8, 8)
-    node.health = ComponentHealth.DEGRADED
-    assert node.is_schedulable
-
-
-def test_restore_clears_all_degradations():
-    node = Node.build(0, 8, 8)
-    node.gpus[1].compute_scale = 0.3
-    node.nics[2].ports[PortSide.LEFT].bandwidth_scale = 0.5
-    node.host_slowdown = 2.0
-    node.isolate()
-    node.restore()
-    assert node.health is ComponentHealth.HEALTHY
-    assert node.worst_gpu_scale() == 1.0
-    assert node.nics[2].ports[PortSide.LEFT].bandwidth_scale == 1.0
-    assert node.host_slowdown == 1.0

@@ -89,7 +89,7 @@ def test_restored_anomalies_keep_their_evidence_types(env):
     successor = build_plane(store, leases, metrics, active=False)
     assert successor.recover(now=70.0)["entries_replayed"] == 0
     (restored,) = successor.master.anomalies
-    (action,) = successor.master.actions
+    (action,) = successor.steering.actions
     # ``repr`` tells a tuple from a list; ``==`` on evidence and the
     # digest do not.
     assert repr(restored.evidence) == repr(original.evidence)

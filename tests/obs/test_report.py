@@ -13,12 +13,13 @@ def traced_plane():
     tracer.register_fault(
         "s0/f0", "crash", victims=(3,), injected_at=100.0, windows=[(100.0, float("inf"))],
     )
-    tracer.detection(130.0, victims=[3], kind="hang")
-    tracer.action(140.0, victims=[3], ready_at=400.0)
+    tracer.stage("s0/f0", "detect", 130.0, detector="hang")
+    tracer.stage("s0/f0", "steer", 140.0)
+    tracer.stage("s0/f0", "recover", 400.0)
     tracer.register_fault(
         "s0/f1", "crash", victims=(5,), injected_at=50.0, windows=[(50.0, float("inf"))],
     )
-    tracer.detection(600.0, victims=[9], kind="hang")
+    tracer.false_positive(600.0, victims=[9], kind="hang")
     plane.registry.counter("c4d_evaluations_total").inc(7)
     return plane
 

@@ -83,20 +83,6 @@ def test_slow_gpu_inflates_compute():
     assert slowed == pytest.approx(2 * healthy)
 
 
-def test_host_slowdown_inflates_compute():
-    net, topo, job = build_job(JOB1)
-    topo.node(2).host_slowdown = 3.0
-    job.run_steps(1)
-    net.run()
-    assert job.steps[0].compute_seconds > 0
-    net2, _topo2, job2 = build_job(JOB1)
-    job2.run_steps(1)
-    net2.run()
-    assert job.steps[0].compute_seconds == pytest.approx(
-        3 * job2.steps[0].compute_seconds
-    )
-
-
 def test_dp1_job_has_no_comm():
     spec = JobSpec("solo", LLAMA_7B, ParallelismPlan(tp=8, dp=1), global_batch=8)
     net, _topo, job = build_job(spec, nodes=[0])

@@ -179,11 +179,23 @@ def test_verdict_stamps_detect():
 def test_unmatched_verdict_is_false_positive():
     scenario, tracer, span = _traced_scenario()
     trace_verdict(tracer, scenario, 130.0, (8,), kind="noncomm_slow")  # wrong node
-    trace_verdict(tracer, scenario, 300.0 + DEFAULT_GRACE + 1.0, (3,))  # past grace
     assert not span.detected
+    assert [(fp.time, fp.victims, fp.kind) for fp in tracer.false_positives] == [
+        (130.0, (8,), "noncomm_slow")
+    ]
+
+
+def test_verdict_respects_grace_window():
+    scenario, tracer, span = _traced_scenario()
+    # The window closed at 300; a verdict inside grace is still that episode.
+    trace_verdict(tracer, scenario, 300.0 + DEFAULT_GRACE, (3,))
+    assert span.stages["detect"] == 300.0 + DEFAULT_GRACE
+    assert not tracer.false_positives
+    # Beyond grace: a new, unexplained verdict.
+    trace_verdict(tracer, scenario, 300.0 + DEFAULT_GRACE + 1.0, (3,))
+    assert span.stages["detect"] == 300.0 + DEFAULT_GRACE
     assert [(fp.time, fp.victims) for fp in tracer.false_positives] == [
-        (130.0, (8,)),
-        (300.0 + DEFAULT_GRACE + 1.0, (3,)),
+        (300.0 + DEFAULT_GRACE + 1.0, (3,))
     ]
 
 

@@ -23,7 +23,10 @@ median from the sorted run: the middle value for an odd count,
 Those are the IEEE operations ``np.median`` performs, so the scores are
 bit-for-bit those of :func:`build_delay_matrix_reference`, the per-pair
 ``np.median`` formulation kept as the test oracle, and the pair keys
-keep their first-appearance order in the window.
+keep their first-appearance order in the window.  A window of at most
+:data:`~repro.core.c4d.median.MAX_PLAIN` rows (a small communicator's)
+skips numpy's per-call set-up: each pair's rates are gathered into a
+list, in window order, and take :func:`~repro.core.c4d.median.median`.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 
 from repro.collective.monitoring import MessageRecord
 from repro.core.c4d.events import Suspect, SuspectKind
+from repro.core.c4d.median import MAX_PLAIN, median
 from repro.telemetry.collector import MessageView
 
 Worker = tuple[int, int]  # (node, nic)
@@ -65,11 +69,7 @@ class DelayMatrix:
         """Cluster-wide median delay score (the healthy reference)."""
         if not self.scores:
             raise ValueError("empty delay matrix")
-        return float(np.median(list(self.scores.values())))
-
-    def ratio(self, src: Worker, dst: Worker) -> float:
-        """A pair's score relative to the baseline."""
-        return self.scores[(src, dst)] / self.baseline()
+        return median(list(self.scores.values()))
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,8 @@ def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> Delay
     """
     if not isinstance(messages, MessageView):
         messages = MessageView.pack(messages)
+    if len(messages) <= MAX_PLAIN:
+        return _build_plain(messages)
     valid = messages.rows["valid"]
     pair = messages.rows["pair"][valid]
     rate = messages.rows["rate"][valid]
@@ -112,17 +114,30 @@ def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> Delay
     starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
     ends = np.append(starts[1:], len(pair))
     counts = ends - starts
-    median = rate[starts + counts // 2]
+    medians = rate[starts + counts // 2]
     even = counts % 2 == 0
-    median[even] = (rate[(starts + counts // 2 - 1)[even]] + median[even]) / 2
-    median[np.isnan(rate[ends - 1])] = np.nan
+    medians[even] = (rate[(starts + counts // 2 - 1)[even]] + medians[even]) / 2
+    medians[np.isnan(rate[ends - 1])] = np.nan
     # A run's smallest window position is its pair's first appearance.
     appearance = np.argsort(np.minimum.reduceat(order, starts))
     pairs = messages.pairs
     matrix.scores = dict(
-        zip([pairs[i] for i in pair[starts][appearance].tolist()], median[appearance].tolist())
+        zip([pairs[i] for i in pair[starts][appearance].tolist()], medians[appearance].tolist())
     )
     return matrix
+
+
+def _build_plain(messages: MessageView) -> DelayMatrix:
+    """:func:`build_delay_matrix` of a short window, in plain Python."""
+    rows = messages.rows
+    samples: dict[int, list[float]] = {}
+    for pair, rate, valid in zip(
+        rows["pair"].tolist(), rows["rate"].tolist(), rows["valid"].tolist()
+    ):
+        if valid:
+            samples.setdefault(pair, []).append(rate)
+    pairs = messages.pairs
+    return DelayMatrix({pairs[pair]: median(rates) for pair, rates in samples.items()})
 
 
 def build_delay_matrix_reference(records: Iterable[MessageRecord]) -> DelayMatrix:
@@ -182,20 +197,23 @@ def analyze_delay_matrix(matrix: DelayMatrix, threshold: float = SLOW_THRESHOLD)
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=max_ratio)
 
     # Per-worker flagged/observed tallies over rows (as src) and columns
-    # (as dst).
-    observed: dict[Worker, int] = {}
+    # (as dst).  Only a worker with two flagged pairs can be promoted, so
+    # only those workers' observed pairs are counted.
     hit: dict[Worker, int] = {}
-    for (src, dst), _score in matrix.scores.items():
-        observed[src] = observed.get(src, 0) + 1
-        observed[dst] = observed.get(dst, 0) + 1
     for src, dst in flagged:
         hit[src] = hit.get(src, 0) + 1
         hit[dst] = hit.get(dst, 0) + 1
+    observed = {worker: 0 for worker, hits in hit.items() if hits >= 2}
+    for src, dst in matrix.scores:
+        if src in observed:
+            observed[src] += 1
+        if dst in observed:
+            observed[dst] += 1
 
     worker_suspects = [
         worker
         for worker, hits in hit.items()
-        if hits / observed[worker] >= ROW_FRACTION and hits >= 2
+        if hits >= 2 and hits / observed[worker] >= ROW_FRACTION
     ]
 
     suspects: list[Suspect] = [

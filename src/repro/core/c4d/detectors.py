@@ -4,16 +4,30 @@ Each detector implements ``evaluate(now) -> list[Anomaly]``; the C4D
 master runs them periodically.  Detectors are pure consumers of
 monitoring records — they never look at simulator ground truth, so their
 localization accuracy in tests measures the real pipeline.
+
+A pass pays for new evidence only.  The slow detectors keep what they
+derived on the communicator's collector entry (``CommProgress``), which
+drops it when the records it came from change: each seq's wait-chain
+finding, and the last comm-slow outcome over the message window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
-from repro.core.c4d.delay_matrix import SLOW_THRESHOLD, analyze_delay_matrix, build_delay_matrix
+from repro.core.c4d.delay_matrix import (
+    SLOW_THRESHOLD,
+    MatrixFinding,
+    analyze_delay_matrix,
+    build_delay_matrix,
+)
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
-from repro.core.c4d.wait_chain import analyze_wait_chain, analyze_wait_chain_smoothed
+from repro.core.c4d.wait_chain import (
+    WaitChainFinding,
+    analyze_wait_chain_smoothed,
+    find_stragglers,
+)
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
 
@@ -148,6 +162,17 @@ class HangDetector:
         return anomalies
 
 
+class _SlowPass(NamedTuple):
+    """One comm-slow pass over a communicator's message window."""
+
+    threshold: float
+    since: float
+    #: Completion time of the oldest row the pass read (inf: none).
+    oldest: float
+    #: A skip reason, or the delay-matrix finding.
+    outcome: Union[str, MatrixFinding]
+
+
 class CommSlowDetector:
     """Detects communication slowdowns via the delay matrix (Fig. 7).
 
@@ -190,15 +215,10 @@ class CommSlowDetector:
         anomalies: list[Anomaly] = []
         since = now - self.config.slow_window
         for comm_id in self.collector.comm_ids():
-            messages = self.collector.message_view(comm_id, since=since)
-            if not len(messages):
-                self._m_skipped["no_records"].inc()
+            finding = self._outcome(comm_id, since, self._threshold_for(comm_id))
+            if isinstance(finding, str):  # a skip reason
+                self._m_skipped[finding].inc()
                 continue
-            if messages.distinct_seqs() < MIN_OPS_FOR_SLOW:
-                self._m_skipped["too_few_ops"].inc()
-                continue
-            matrix = build_delay_matrix(messages)
-            finding = analyze_delay_matrix(matrix, threshold=self._threshold_for(comm_id))
             if not finding.is_anomalous or not finding.suspects:
                 self._active.discard(comm_id)
                 continue
@@ -217,6 +237,33 @@ class CommSlowDetector:
                 )
             )
         return anomalies
+
+    def _outcome(self, comm_id: str, since: float, threshold: float) -> Union[str, MatrixFinding]:
+        """The skip reason or delay-matrix finding of ``comm_id``'s window.
+
+        The last pass's outcome is reused while it would come out the
+        same: no message arrived since (the collector then drops it), no
+        row it read has aged past ``since``, ``since`` has not moved back
+        over rows it left out, and the threshold is unchanged.
+        """
+        entry = self.collector.progress[comm_id]
+        last = entry.message_finding
+        if last is not None and last.threshold == threshold and last.since <= since <= last.oldest:
+            return last.outcome
+        messages = self.collector.message_view(comm_id, since=since)
+        oldest = float("inf")
+        if not len(messages):
+            outcome = "no_records"
+        else:
+            oldest = float(messages.rows["complete_time"].min())
+            seqs = messages.rows["seq"]
+            # MIN_OPS_FOR_SLOW = 2 operations: two distinct seqs.
+            if seqs.min() == seqs.max():
+                outcome = "too_few_ops"
+            else:
+                outcome = analyze_delay_matrix(build_delay_matrix(messages), threshold=threshold)
+        entry.message_finding = _SlowPass(threshold, since, oldest, outcome)
+        return outcome
 
 
 class NonCommSlowDetector:
@@ -257,8 +304,7 @@ class NonCommSlowDetector:
         per_seq_suspects: list[set[Suspect]] = []
         lateness = 0.0
         for seq in recent_seqs:
-            records = self.collector.ops_for_seq(comm_id, seq)
-            finding = analyze_wait_chain(records, min_lateness=self.config.wait_min_lateness)
+            finding = self._wait_chain(comm_id, seq)
             per_seq_suspects.append(set(finding.suspects))
             lateness = max(lateness, finding.lateness)
         persistent = set.intersection(*per_seq_suspects) if per_seq_suspects else set()
@@ -271,6 +317,21 @@ class NonCommSlowDetector:
             suspects=tuple(sorted(persistent, key=str)),
             evidence={"lateness": lateness, "seqs": tuple(recent_seqs)},
         )
+
+    def _wait_chain(self, comm_id: str, seq: int) -> WaitChainFinding:
+        """``seq``'s wait-chain finding, analysed once per state of its records.
+
+        The finding stays on the collector's entry until a record joins
+        or leaves the seq's op bucket.
+        """
+        findings = self.collector.progress[comm_id].seq_findings
+        min_lateness = self.config.wait_min_lateness
+        cached = findings.get(seq)
+        if cached is not None and cached[0] == min_lateness:
+            return cached[1]
+        finding = find_stragglers(self.collector.ops_for_seq(comm_id, seq), min_lateness)
+        findings[seq] = (min_lateness, finding)
+        return finding
 
     def _evaluate_smoothed(self, comm_id: str, now: float) -> Optional[Anomaly]:
         """Smoothed mode: averaged lateness over the window (EP-friendly)."""

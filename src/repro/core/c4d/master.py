@@ -55,6 +55,10 @@ class C4DMaster:
       anomalies implicating it are suppressed for
       ``node_action_cooldown`` seconds, so a flapping fault cannot
       drive repeated isolations of the same episode.
+
+    A verdict naming more nodes than one localization may isolate (see
+    :attr:`SCOPE_MIN_NODES`) is recorded in ``degraded_anomalies`` and
+    never dispatched, whatever the coverage.
     """
 
     #: Seconds during which an identical (type, comm, suspects) anomaly
@@ -65,6 +69,12 @@ class C4DMaster:
     #: acted on (a blackout must cost detection latency, not a
     #: false-isolation storm).
     DEGRADED_COVERAGE_THRESHOLD = 0.6
+    #: A verdict naming more nodes than the larger of this count and
+    #: :attr:`SCOPE_SHARE` of its communicator's nodes is out of scope:
+    #: no single localization may isolate a large share of the job
+    #: (Table I puts 82.5% of crashes on one node).
+    SCOPE_MIN_NODES = 4
+    SCOPE_SHARE = 1 / 16
 
     def __init__(
         self,
@@ -115,7 +125,7 @@ class C4DMaster:
         )
         self._m_suppressed = {
             gate: suppressed.labels(gate=gate)
-            for gate in ("debounce", "cooldown", "node_cooldown", "degraded")
+            for gate in ("debounce", "cooldown", "node_cooldown", "degraded", "scope")
         }
         self._m_anomalies = registry.counter(
             "c4d_anomalies_total", "Fresh anomalies acted on", labels=("type",)
@@ -147,6 +157,13 @@ class C4DMaster:
             for node in nodes
         )
 
+    def _out_of_scope(self, anomaly: Anomaly) -> bool:
+        """True when ``anomaly`` names too many nodes to act on."""
+        entry = self.collector.progress.get(anomaly.comm_id)
+        comm_nodes = len({rank.node for rank in entry.record.ranks}) if entry else 0
+        bound = max(self.SCOPE_MIN_NODES, comm_nodes * self.SCOPE_SHARE)
+        return len(anomaly.suspect_nodes) > bound
+
     def evaluate(
         self,
         now: float,
@@ -163,7 +180,8 @@ class C4DMaster:
         ``degraded_anomalies`` with its confidence scaled to the
         coverage but never dispatched to steering — silence from dead
         agents is indistinguishable from a hang, and acting on it would
-        be a false-isolation storm.
+        be a false-isolation storm.  An out-of-scope verdict is recorded
+        there too, marked degraded but with no confidence.
         """
         self._eval_index += 1
         self._m_evals.inc()
@@ -196,29 +214,26 @@ class C4DMaster:
         gated = [a for a in fresh if not self._node_in_cooldown(a, now)]
         self._m_suppressed["node_cooldown"].inc(len(fresh) - len(gated))
         fresh = gated
-        if coverage is not None or blind_nodes:
-            blind = set(blind_nodes or ())
-            low_coverage = (
-                coverage is not None and coverage < self.DEGRADED_COVERAGE_THRESHOLD
-            )
-            confident: list[Anomaly] = []
-            for anomaly in fresh:
+        blind = set(blind_nodes or ())
+        low_coverage = coverage is not None and coverage < self.DEGRADED_COVERAGE_THRESHOLD
+        confident: list[Anomaly] = []
+        for anomaly in fresh:
+            # evidence is compare/hash-excluded, so annotating in place
+            # is safe on the frozen dataclass.
+            if self._out_of_scope(anomaly):
+                gate = "scope"
+            else:
                 nodes = anomaly.suspect_nodes
-                all_blind = bool(nodes) and bool(blind) and all(
-                    node in blind for node in nodes
-                )
-                if low_coverage or all_blind:
-                    # evidence is compare/hash-excluded, so annotating
-                    # in place is safe on the frozen dataclass.
-                    anomaly.evidence["confidence"] = (
-                        coverage if coverage is not None else 0.0
-                    )
-                    anomaly.evidence["degraded"] = True
-                    self.degraded_anomalies.append(anomaly)
-                    self._m_suppressed["degraded"].inc()
+                all_blind = bool(nodes) and bool(blind) and all(node in blind for node in nodes)
+                if not (low_coverage or all_blind):
+                    confident.append(anomaly)
                     continue
-                confident.append(anomaly)
-            fresh = confident
+                gate = "degraded"
+                anomaly.evidence["confidence"] = coverage if coverage is not None else 0.0
+            anomaly.evidence["degraded"] = True
+            self.degraded_anomalies.append(anomaly)
+            self._m_suppressed[gate].inc()
+        fresh = confident
         for anomaly in fresh:
             self.anomalies.append(anomaly)
             self._m_anomalies.labels(type=anomaly.anomaly_type.value).inc()

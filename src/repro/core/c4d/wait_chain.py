@@ -8,18 +8,22 @@ wait times at the BSP barrier: the straggler launches *latest* and waits
 *least*, while everyone else shows inflated waits.
 
 The analysis reads only operation-layer records (launch / transfer-start
-timestamps logged by the patched kernels).
+timestamps logged by the patched kernels).  :func:`find_stragglers` is
+the detector's plain-Python form of :func:`analyze_wait_chain`, which is
+kept unchanged as its differential test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign, isfinite
 from typing import Sequence
 
 import numpy as np
 
 from repro.collective.monitoring import OpRecord
 from repro.core.c4d.events import Suspect, SuspectKind
+from repro.core.c4d.median import MAX_PLAIN, median
 
 #: A rank is a straggler when its lateness exceeds this multiple of the
 #: median absolute deviation of launch times (robust against benign
@@ -79,6 +83,44 @@ def analyze_wait_chain(
             device=records[i].location.gpu,
         )
         for i in straggler_idx
+    )
+    return WaitChainFinding(suspects=suspects, lateness=max_lateness, median_wait=median_wait)
+
+
+def find_stragglers(records: Sequence[OpRecord], min_lateness: float = 0.0) -> WaitChainFinding:
+    """:func:`analyze_wait_chain`, bit for bit, in plain Python.
+
+    The medians come from :func:`~repro.core.c4d.median.median`.  The
+    deviations from the median launch are taken over the sorted launches,
+    so they arrive as one descending and one ascending run, which the
+    MAD's sort merges in linear time.  Three cases go to
+    :func:`analyze_wait_chain` itself: fewer than 3 or more than
+    :data:`~repro.core.c4d.median.MAX_PLAIN` records, and launches whose
+    result could hang on numpy's choice between equal values (a
+    non-finite launch, or a zero maximum lateness beside a negative-zero
+    launch).
+    """
+    if not 3 <= len(records) <= MAX_PLAIN:
+        return analyze_wait_chain(records, min_lateness)
+    launches = [r.launch_time for r in records]
+    if not isfinite(sum(launches)):
+        return analyze_wait_chain(records, min_lateness)
+    ordered = sorted(launches)
+    median_launch = median(ordered)
+    max_lateness = ordered[-1] - median_launch
+    if max_lateness == 0.0 and any(
+        launch == 0.0 and copysign(1.0, launch) < 0 for launch in launches
+    ):
+        return analyze_wait_chain(records, min_lateness)
+    mad = median([abs(launch - median_launch) for launch in ordered])
+    median_wait = median([r.start_time - r.launch_time for r in records])
+    cutoff = max(min_lateness, RELATIVE_THRESHOLD * max(mad, 1e-9))
+    if not max_lateness > cutoff:
+        return WaitChainFinding(suspects=(), lateness=max_lateness, median_wait=median_wait)
+    suspects = tuple(
+        Suspect(kind=SuspectKind.WORKER, node=r.location.node, device=r.location.gpu)
+        for r, launch in zip(records, launches)
+        if launch - median_launch > cutoff
     )
     return WaitChainFinding(suspects=suspects, lateness=max_lateness, median_wait=median_wait)
 

@@ -12,15 +12,20 @@ every pass are lookups rather than window scans.  Beside the message
 window it keeps the window's numeric columns (:class:`MessageColumns`:
 pair id, rate, completion time, seq, valid flag), filled at ingest, so
 the delay-matrix build is a vectorised pass instead of a record loop.
-The index and the columns are derived state: they are rebuilt on
-restore, dropped with their entry and never serialized.
+The entry also holds what the detectors derived from its windows, so a
+pass analyses only new evidence: a finding per seq, which the collector
+drops whenever a record joins or leaves that seq's op bucket, and one
+finding over the message window, dropped whenever a message arrives.
+The index, the columns and the findings are derived state: they are
+rebuilt (the findings start empty) on restore, dropped with their entry
+and never serialized.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Optional
+from typing import Any, Deque, Iterable, Optional
 
 import numpy as np
 
@@ -56,6 +61,10 @@ class CommProgress:
     last_launch_time: float = float("-inf")
     #: Time the communicator was registered.
     created_at: float = 0.0
+    #: seq -> a detector's finding from that seq's op records.
+    seq_findings: dict[int, Any] = field(default_factory=dict, compare=False, repr=False)
+    #: A detector's finding from the message window.
+    message_finding: Any = field(default=None, compare=False, repr=False)
 
     @property
     def min_seq(self) -> int:
@@ -105,10 +114,6 @@ class MessageView:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def distinct_seqs(self) -> int:
-        """How many operations the rows come from."""
-        return len(np.unique(self.rows["seq"]))
 
 
 class MessageColumns:
@@ -249,12 +254,20 @@ class CentralCollector:
             "Communicators currently registered with the collector",
         )
 
-    def _append(self, kind: str, window: Deque, index: Optional[dict], record) -> None:
+    def _append(
+        self,
+        kind: str,
+        window: Deque,
+        index: Optional[dict],
+        record,
+        findings: Optional[dict] = None,
+    ) -> None:
         """Append to a bounded window, counting the record and any eviction.
 
         ``index`` is the window's seq index, kept in step when given.
         The window is FIFO, so within one seq bucket the evicted record
-        is always the bucket's front.
+        is always the bucket's front.  ``findings`` (per seq) loses the
+        finding of each seq whose bucket changes.
         """
         if len(window) == window.maxlen:
             self._m_evicted[kind].inc()
@@ -264,10 +277,14 @@ class CentralCollector:
                 bucket.popleft()
                 if not bucket:
                     del index[evicted]
+                if findings:
+                    findings.pop(evicted, None)
         window.append(record)
         self._m_ingested[kind].inc()
         if index is None or not window:
             return  # no index, or a zero-length window that keeps nothing
+        if findings:
+            findings.pop(record.seq, None)
         bucket = index.get(record.seq)
         if bucket is None:
             index[record.seq] = deque((record,))
@@ -343,7 +360,7 @@ class CentralCollector:
             return
         entry.last_seq[record.rank] = max(entry.last_seq.get(record.rank, -1), record.seq)
         entry.last_completion_time = max(entry.last_completion_time, record.end_time)
-        self._append("op", entry.ops, entry.ops_by_seq, record)
+        self._append("op", entry.ops, entry.ops_by_seq, record, entry.seq_findings)
 
     def ingest_message(self, record: MessageRecord) -> None:
         """Record a transport-layer message."""
@@ -353,6 +370,7 @@ class CentralCollector:
             return
         self._append("message", entry.messages, None, record)
         entry.message_columns.append(record)
+        entry.message_finding = None
 
     # ------------------------------------------------------------------
     # Queries (used by detectors)

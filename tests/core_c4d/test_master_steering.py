@@ -20,6 +20,7 @@ from repro.core.c4d.steering import (
     retry_backoff,
 )
 from repro.netsim.network import FlowNetwork
+from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
 
 
@@ -315,3 +316,39 @@ def test_node_action_cooldown_suppresses_reisolation(topo):
     assert len(steering.actions) == 1
     # After the cooldown expires, the node is actionable again.
     assert len(master.evaluate(now=700.0)) == 1
+
+
+class _RecordingSteering:
+    """Records what the master dispatches; isolates nothing."""
+
+    def __init__(self) -> None:
+        self.handled = []
+
+    def handle(self, anomaly, now, epoch=0):
+        self.handled.append(anomaly)
+
+
+def test_verdict_naming_half_the_job_isolates_nothing():
+    # 8,192 ranks on 1,024 nodes; the 4,096 ranks of nodes 0-511 never
+    # launch: one hang naming 4,096 workers on 512 nodes, far past the
+    # larger of 4 nodes and 1/16 of the communicator's 1,024.
+    ranks = tuple(RankLocation(rank // 8, rank % 8) for rank in range(8192))
+    collector = CentralCollector(metrics=MetricsRegistry())
+    collector.ingest_communicator(CommunicatorRecord("c", len(ranks), ranks), now=0.0)
+    for rank in range(4096, 8192):
+        collector.ingest_launch(OpLaunchRecord("c", 0, OpType.ALLREDUCE, rank, ranks[rank], 1.0))
+    registry = MetricsRegistry()
+    steering = _RecordingSteering()
+    master = C4DMaster(
+        collector, DetectorConfig(hang_timeout=30.0), steering=steering, metrics=registry
+    )
+    assert master.evaluate(now=60.0) == []
+    assert steering.handled == [] and master.anomalies == []
+    (degraded,) = master.degraded_anomalies
+    assert degraded.anomaly_type is AnomalyType.NONCOMM_HANG
+    assert len(degraded.suspects) == 4096
+    assert degraded.suspect_nodes == list(range(512))
+    assert degraded.evidence["degraded"] is True
+    suppressed = registry.counter("c4d_suppressions_total", labels=("gate",))
+    assert suppressed.labels(gate="scope").value == 1
+    assert suppressed.labels(gate="degraded").value == 0

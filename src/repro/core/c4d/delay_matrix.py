@@ -23,10 +23,7 @@ median from the sorted run: the middle value for an odd count,
 Those are the IEEE operations ``np.median`` performs, so the scores are
 bit-for-bit those of :func:`build_delay_matrix_reference`, the per-pair
 ``np.median`` formulation kept as the test oracle, and the pair keys
-keep their first-appearance order in the window.  A window of at most
-:data:`~repro.core.c4d.median.MAX_PLAIN` rows (a small communicator's)
-skips numpy's per-call set-up: each pair's rates are gathered into a
-list, in window order, and take :func:`~repro.core.c4d.median.median`.
+keep their first-appearance order in the window.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import numpy as np
 
 from repro.collective.monitoring import MessageRecord
 from repro.core.c4d.events import Suspect, SuspectKind
-from repro.core.c4d.median import MAX_PLAIN, median
+from repro.core.c4d.median import median
 from repro.telemetry.collector import MessageView
 
 Worker = tuple[int, int]  # (node, nic)
@@ -95,8 +92,6 @@ def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> Delay
     """
     if not isinstance(messages, MessageView):
         messages = MessageView.pack(messages)
-    if len(messages) <= MAX_PLAIN:
-        return _build_plain(messages)
     valid = messages.rows["valid"]
     pair = messages.rows["pair"][valid]
     rate = messages.rows["rate"][valid]
@@ -125,19 +120,6 @@ def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> Delay
         zip([pairs[i] for i in pair[starts][appearance].tolist()], medians[appearance].tolist())
     )
     return matrix
-
-
-def _build_plain(messages: MessageView) -> DelayMatrix:
-    """:func:`build_delay_matrix` of a short window, in plain Python."""
-    rows = messages.rows
-    samples: dict[int, list[float]] = {}
-    for pair, rate, valid in zip(
-        rows["pair"].tolist(), rows["rate"].tolist(), rows["valid"].tolist()
-    ):
-        if valid:
-            samples.setdefault(pair, []).append(rate)
-    pairs = messages.pairs
-    return DelayMatrix({pairs[pair]: median(rates) for pair, rates in samples.items()})
 
 
 def build_delay_matrix_reference(records: Iterable[MessageRecord]) -> DelayMatrix:

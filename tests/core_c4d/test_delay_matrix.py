@@ -1,13 +1,11 @@
 """Tests for the Fig. 7 delay-matrix analysis."""
 
 import math
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collective.monitoring import MessageRecord
-from repro.core.c4d import delay_matrix
 from repro.core.c4d.delay_matrix import (
     DelayMatrix,
     analyze_delay_matrix,
@@ -167,28 +165,15 @@ def same_score(a: float, b: float) -> bool:
     return a.hex() == b.hex()
 
 
-def assert_build_matches_reference(records):
+@given(message_lists())
+@settings(max_examples=300, deadline=None)
+def test_build_matches_reference_bit_for_bit(records):
     fast = list(build_delay_matrix(records).scores.items())
     reference = list(build_delay_matrix_reference(records).scores.items())
     assert [key for key, _ in fast] == [key for key, _ in reference]
     for (_, a), (_, b) in zip(fast, reference):
         assert type(a) is float
         assert same_score(a, b), (a, b)
-
-
-@given(message_lists())
-@settings(max_examples=300, deadline=None)
-def test_build_matches_reference_bit_for_bit(records):
-    assert_build_matches_reference(records)
-
-
-@given(message_lists())
-@settings(max_examples=300, deadline=None)
-def test_columnar_build_matches_reference_bit_for_bit(records):
-    # Windows this short take the plain-Python build; force the sort of
-    # the columns that longer windows take.
-    with patch.object(delay_matrix, "MAX_PLAIN", -1):
-        assert_build_matches_reference(records)
 
 
 def test_build_median_of_even_count_averages_middle_pair():

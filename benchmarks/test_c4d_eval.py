@@ -8,14 +8,16 @@ out, take 4x as long.  Message records follow the rail rings of a
 multi-rail allreduce: worker ``(node, nic)`` sends to ``(node + 1, nic)``.
 The collector keeps its default record-sized windows.
 
-* ``CommSlowDetector``: the delay matrix built from the collector's
-  message columns against ``build_delay_matrix_reference`` (per-pair
-  ``np.median``) over the window's records, ``collector.messages(...)``.
+* ``CommSlowDetector``: the delay matrix built and analysed as columns
+  against the test oracles: ``build_delay_matrix_reference`` (per-pair
+  ``np.median``) over the window's records, ``collector.messages(...)``,
+  analysed by ``analyze_delay_matrix_reference`` (a walk over the
+  ``{pair: score}`` dict).
 * ``NonCommSlowDetector``: the collector's seq index against a collector
   whose per-operation queries scan the whole window.
 
-Both variants of a detector must return the same anomalies before either
-is timed; each size is one benchmark group.  Every ladder pass starts
+Both variants of a detector must return the same anomalies, evidence
+included, before either is timed; each size is one benchmark group.  Every ladder pass starts
 from entries that keep no findings (:func:`forget`), so it analyses the
 whole window, as a first pass does.
 
@@ -37,9 +39,9 @@ communicator, as in steady state: the slow detectors reuse the wait-chain
 finding of every operation a previous pass analysed, and redo the delay
 matrix of each changed message window.  A reference master over its own
 collector analyses every operation again on every pass with the numpy
-wait chain (``analyze_wait_chain``) and builds every matrix with
-``build_delay_matrix_reference``.  Both must report the same anomalies
-pass by pass, and each fault must surface as one NODE verdict, fused
+wait chain (``analyze_wait_chain``) and builds and analyses every matrix
+with the two oracles.  Both must report the same anomalies, evidence
+included, pass by pass, and each fault must surface as one NODE verdict, fused
 across its two communicators by ``C4DMaster._aggregate_by_node``.
 """
 
@@ -56,13 +58,17 @@ from repro.collective.monitoring import (
     OpRecord,
 )
 from repro.core.c4d import detectors
-from repro.core.c4d.delay_matrix import build_delay_matrix, build_delay_matrix_reference
+from repro.core.c4d.delay_matrix import analyze_delay_matrix, build_delay_matrix
 from repro.core.c4d.detectors import CommSlowDetector, DetectorConfig, NonCommSlowDetector
 from repro.core.c4d.events import AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.master import C4DMaster
 from repro.core.c4d.wait_chain import analyze_wait_chain
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
+from tests.core_c4d.test_delay_matrix import (
+    analyze_delay_matrix_reference,
+    build_delay_matrix_reference,
+)
 
 GPUS = 8
 NODES = (8, 128, 512)  # 64, 1,024 and 4,096 ranks
@@ -121,6 +127,11 @@ def fill(collector: CentralCollector, nodes: int, seed: int = 0) -> float:
     return STEP_SECONDS * STEPS + 5.0
 
 
+def described(anomalies) -> list:
+    """Each anomaly's type, communicator, suspects and evidence."""
+    return [(a.anomaly_type, a.comm_id, a.suspects, a.evidence) for a in anomalies]
+
+
 def forget(collector: CentralCollector) -> None:
     """Drop the findings the detectors kept, so a pass analyses everything."""
     for entry in collector.progress.values():
@@ -146,19 +157,27 @@ def test_comm_slow_pass(benchmark, monkeypatch, collectors, build, nodes):
     detector = CommSlowDetector(collector, config)
     since = now - config.slow_window
     variants = {
-        "columns": build_delay_matrix,
+        "columns": (build_delay_matrix, analyze_delay_matrix),
         # Ignores the view it is handed and builds from the same
         # window's records (the ladder has one communicator).
-        "reference": lambda _view: build_delay_matrix_reference(collector.messages("c", since)),
+        "reference": (
+            lambda _view: build_delay_matrix_reference(collector.messages("c", since)),
+            analyze_delay_matrix_reference,
+        ),
     }
+
+    def use(name):
+        monkeypatch.setattr(detectors, "build_delay_matrix", variants[name][0])
+        monkeypatch.setattr(detectors, "analyze_delay_matrix", variants[name][1])
+
     results = {}
-    for name, fn in variants.items():
-        monkeypatch.setattr(detectors, "build_delay_matrix", fn)
+    for name in variants:
+        use(name)
         forget(collector)
         results[name] = detector.evaluate(now)
-    assert results["columns"] == results["reference"]
+    assert described(results["columns"]) == described(results["reference"])
     assert results["columns"]  # the degraded NIC is found at every size
-    monkeypatch.setattr(detectors, "build_delay_matrix", variants[build])
+    use(build)
     benchmark.group = f"CommSlowDetector pass, {nodes * GPUS} ranks"
     benchmark.extra_info["anomalies"] = len(results[build])
     benchmark.pedantic(
@@ -244,17 +263,19 @@ def tp_dp_step(layout, seq: int, rng: random.Random) -> list:
 
 
 class ReferenceCommSlow(CommSlowDetector):
-    """Every window's matrix built again, per pair, on every pass."""
+    """Every window's matrix built again, per pair, and walked as a dict."""
 
     def _outcome(self, comm_id, since, threshold):
         self.collector.progress[comm_id].message_finding = None
-        build, detectors.build_delay_matrix = detectors.build_delay_matrix, (
-            lambda _view: build_delay_matrix_reference(self.collector.messages(comm_id, since))
+        build, analyze = detectors.build_delay_matrix, detectors.analyze_delay_matrix
+        detectors.build_delay_matrix = lambda _view: build_delay_matrix_reference(
+            self.collector.messages(comm_id, since)
         )
+        detectors.analyze_delay_matrix = analyze_delay_matrix_reference
         try:
             return super()._outcome(comm_id, since, threshold)
         finally:
-            detectors.build_delay_matrix = build
+            detectors.build_delay_matrix, detectors.analyze_delay_matrix = build, analyze
 
 
 class ReferenceNonCommSlow(NonCommSlowDetector):
@@ -306,10 +327,6 @@ class TpDpRun:
         if self.unchecked is None:
             return
         (now, fresh), self.unchecked = self.unchecked, None
-
-        def described(anomalies):
-            return [(a.anomaly_type, a.comm_id, a.suspects, a.evidence) for a in anomalies]
-
         assert described(fresh) == described(self.masters[1].evaluate(now))
 
 

@@ -15,7 +15,6 @@ from repro.core.c4d.delay_matrix import (
     MatrixFinding,
     analyze_delay_matrix,
     build_delay_matrix,
-    build_delay_matrix_reference,
 )
 from repro.core.c4d.detectors import (
     CommSlowDetector,
@@ -42,7 +41,6 @@ __all__ = [
     "MatrixFinding",
     "analyze_delay_matrix",
     "build_delay_matrix",
-    "build_delay_matrix_reference",
     "WaitChainFinding",
     "analyze_wait_chain",
     "analyze_wait_chain_smoothed",

@@ -14,59 +14,74 @@ is uniform; outliers localize the fault:
 Workers are identified by (node, nic) pairs — one worker per GPU in the
 reference design.
 
+The pass stays in arrays from the window to the verdict.
 :func:`build_delay_matrix` reads a message window as columns (the
 collector's :class:`~repro.telemetry.collector.MessageView`, filled at
 ingest; a plain iterable of records is packed into the same columns
 first).  It sorts the rows by pair, then rate, and takes each pair's
 median from the sorted run: the middle value for an odd count,
 ``(v[h-1] + v[h]) / 2`` for an even one, NaN when any value is NaN.
-Those are the IEEE operations ``np.median`` performs, so the scores are
-bit-for-bit those of :func:`build_delay_matrix_reference`, the per-pair
-``np.median`` formulation kept as the test oracle, and the pair keys
-keep their first-appearance order in the window.
+Those are the IEEE operations ``np.median`` performs.  The matrix it
+returns is columns too: the pair keys in their first-appearance order in
+the window, a score array, and each pair's source and destination worker
+ids as the window numbered them.  :func:`analyze_delay_matrix` divides
+the scores by their median in one vector expression and counts each
+worker's flagged and observed pairs with ``np.bincount``; Python touches
+only the flagged pairs and their workers.
+
+The per-pair ``np.median`` build and the dict walk that the analysis
+replaced are kept as differential test oracles in
+``tests/core_c4d/test_delay_matrix.py``: the scores, suspects, flagged
+pairs, baseline and maximum ratio must match them bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import isnan
 from typing import Iterable
 
 import numpy as np
 
 from repro.collective.monitoring import MessageRecord
 from repro.core.c4d.events import Suspect, SuspectKind
-from repro.core.c4d.median import median
-from repro.telemetry.collector import MessageView
-
-Worker = tuple[int, int]  # (node, nic)
+from repro.core.c4d.median import MAX_PLAIN, median
+from repro.telemetry.collector import MessageView, Pair, Worker
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class DelayMatrix:
-    """Normalized per-pair delay scores.
+    """Normalized per-pair delay scores, as columns.
 
-    ``scores[(src, dst)]`` is the median seconds-per-bit of messages on
-    that directed worker pair — size-normalized so different message
-    sizes are comparable, exactly why the paper monitors at the
-    transport layer where sizes are deterministic.
+    ``values[i]`` is the median seconds-per-bit of the messages on the
+    directed worker pair ``pairs[i]`` — size-normalized so different
+    message sizes are comparable, exactly why the paper monitors at the
+    transport layer where sizes are deterministic.  ``ends[i]`` holds
+    that pair's source and destination worker ids.
     """
 
-    scores: dict[tuple[Worker, Worker], float] = field(default_factory=dict)
+    pairs: list[Pair]
+    values: np.ndarray
+    ends: np.ndarray
+
+    @property
+    def scores(self) -> dict[Pair, float]:
+        """``{pair: score}``, in the matrix's pair order."""
+        return dict(zip(self.pairs, self.values.tolist()))
 
     @property
     def workers(self) -> list[Worker]:
         """All workers appearing as a source or destination."""
-        seen: dict[Worker, None] = {}
-        for src, dst in self.scores:
-            seen.setdefault(src, None)
-            seen.setdefault(dst, None)
-        return list(seen)
+        return list(dict.fromkeys(worker for pair in self.pairs for worker in pair))
 
     def baseline(self) -> float:
         """Cluster-wide median delay score (the healthy reference)."""
-        if not self.scores:
+        if not self.pairs:
             raise ValueError("empty delay matrix")
-        return median(list(self.scores.values()))
+        # The plain median sorts a list; above MAX_PLAIN numpy's runs
+        # on the array itself.
+        values = self.values
+        return median(values if len(values) > MAX_PLAIN else values.tolist())
 
 
 @dataclass(frozen=True)
@@ -74,7 +89,7 @@ class MatrixFinding:
     """Result of analyzing a delay matrix."""
 
     suspects: tuple[Suspect, ...]
-    flagged_pairs: tuple[tuple[Worker, Worker], ...]
+    flagged_pairs: tuple[Pair, ...]
     baseline: float
     max_ratio: float
 
@@ -92,52 +107,34 @@ def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> Delay
     """
     if not isinstance(messages, MessageView):
         messages = MessageView.pack(messages)
-    valid = messages.rows["valid"]
-    pair = messages.rows["pair"][valid]
-    rate = messages.rows["rate"][valid]
-    matrix = DelayMatrix()
+    pair = messages.pair
+    rate = messages.rate
     if not len(pair):
-        return matrix
+        return DelayMatrix([], rate, messages.ends[:0])
     # Order by pair, then rate: sort the rates, then stable-sort their
     # pair ids (small unsigned ints sort by radix).  NaN sorts last, so
     # a run that ends in NaN holds one.
-    order = np.argsort(rate)
+    order = rate.argsort()
     pair_type = np.min_scalar_type(len(messages.pairs))
-    order = order[np.argsort(pair[order].astype(pair_type), kind="stable")]
+    order = order[pair[order].astype(pair_type).argsort(kind="stable")]
     pair = pair[order]
     rate = rate[order]
-    starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
-    ends = np.append(starts[1:], len(pair))
-    counts = ends - starts
-    medians = rate[starts + counts // 2]
+    # Each pair's run of rates is [starts[i], stops[i]).
+    bounds = np.concatenate(([0], (pair[1:] != pair[:-1]).nonzero()[0] + 1, [len(pair)]))
+    starts, stops = bounds[:-1], bounds[1:]
+    counts = stops - starts
+    middle = starts + counts // 2
+    medians = rate[middle]
     even = counts % 2 == 0
-    medians[even] = (rate[(starts + counts // 2 - 1)[even]] + medians[even]) / 2
-    medians[np.isnan(rate[ends - 1])] = np.nan
+    medians[even] = (rate[middle[even] - 1] + medians[even]) / 2
+    medians[np.isnan(rate[stops - 1])] = np.nan
     # A run's smallest window position is its pair's first appearance.
-    appearance = np.argsort(np.minimum.reduceat(order, starts))
+    appearance = np.minimum.reduceat(order, starts).argsort()
+    ids = pair[starts][appearance]
     pairs = messages.pairs
-    matrix.scores = dict(
-        zip([pairs[i] for i in pair[starts][appearance].tolist()], medians[appearance].tolist())
+    return DelayMatrix(
+        [pairs[i] for i in ids.tolist()], medians[appearance], np.take(messages.ends, ids, axis=0)
     )
-    return matrix
-
-
-def build_delay_matrix_reference(records: Iterable[MessageRecord]) -> DelayMatrix:
-    """Per-pair ``np.median`` formulation of :func:`build_delay_matrix`.
-
-    Kept unchanged as the differential test oracle: the fast build must
-    return the same scores, bit for bit, in the same key order.
-    """
-    samples: dict[tuple[Worker, Worker], list[float]] = {}
-    for record in records:
-        if record.size_bits <= 0 or record.duration <= 0:
-            continue
-        key = ((record.src_node, record.src_nic), (record.dst_node, record.dst_nic))
-        samples.setdefault(key, []).append(record.duration / record.size_bits)
-    matrix = DelayMatrix()
-    for key, values in samples.items():
-        matrix.scores[key] = float(np.median(values))
-    return matrix
 
 
 #: Default flagging ratio: a pair is flagged when its score exceeds
@@ -166,37 +163,40 @@ def analyze_delay_matrix(matrix: DelayMatrix, threshold: float = SLOW_THRESHOLD)
     flagged — the intersection logic below promotes exactly that worker,
     matching the paper's row/column reading of Fig. 7.
     """
-    if not matrix.scores:
+    if not matrix.pairs:
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=float("nan"), max_ratio=0.0)
     baseline = matrix.baseline()
     if baseline <= 0:
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=0.0)
 
-    ratios = [score / baseline for score in matrix.scores.values()]
-    flagged = [pair for pair, ratio in zip(matrix.scores, ratios) if ratio > threshold]
-    max_ratio = max(ratios)
-    if not flagged:
+    ratios = matrix.values / baseline
+    # The largest ratio as Python's ``max`` scans for it: a NaN in first
+    # place is the result, a later NaN is passed over (as ``fmax`` does).
+    max_ratio = float(ratios[0])
+    if not isnan(max_ratio):
+        max_ratio = float(np.fmax.reduce(ratios))
+    flagged = (ratios > threshold).nonzero()[0]
+    if not len(flagged):
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=max_ratio)
 
-    # Per-worker flagged/observed tallies over rows (as src) and columns
-    # (as dst).  Only a worker with two flagged pairs can be promoted, so
-    # only those workers' observed pairs are counted.
-    hit: dict[Worker, int] = {}
-    for src, dst in flagged:
-        hit[src] = hit.get(src, 0) + 1
-        hit[dst] = hit.get(dst, 0) + 1
-    observed = {worker: 0 for worker, hits in hit.items() if hits >= 2}
-    for src, dst in matrix.scores:
-        if src in observed:
-            observed[src] += 1
-        if dst in observed:
-            observed[dst] += 1
+    # A worker is promoted when it has two flagged pairs (rows as src,
+    # columns as dst) and they are ROW_FRACTION of its observed ones.
+    flagged_ends = np.take(matrix.ends, flagged, axis=0)
+    observed = np.bincount(matrix.ends.ravel())
+    hits = np.bincount(flagged_ends.ravel(), minlength=len(observed))
+    candidates = (hits >= 2).nonzero()[0]
+    promoted = set(candidates[hits[candidates] / observed[candidates] >= ROW_FRACTION].tolist())
 
-    worker_suspects = [
-        worker
-        for worker, hits in hit.items()
-        if hits >= 2 and hits / observed[worker] >= ROW_FRACTION
-    ]
+    pairs = matrix.pairs
+    flagged_pairs = [pairs[i] for i in flagged.tolist()]
+    # Promoted workers in their first appearance among the flagged pairs.
+    promoted_workers: dict[Worker, None] = {}
+    if promoted:
+        for pair, pair_ends in zip(flagged_pairs, flagged_ends.tolist()):
+            for worker, worker_id in zip(pair, pair_ends):
+                if worker_id in promoted:
+                    promoted_workers[worker] = None
+    worker_suspects = list(promoted_workers)
 
     suspects: list[Suspect] = [
         Suspect(kind=SuspectKind.WORKER, node=node, device=nic)
@@ -215,11 +215,13 @@ def analyze_delay_matrix(matrix: DelayMatrix, threshold: float = SLOW_THRESHOLD)
 
     # Remaining flagged pairs not explained by a worker/node suspect are
     # connection suspects.
-    explained = set(worker_suspects) | {
-        (node, nic) for node, nic in worker_suspects
-    }
-    for src, dst in flagged:
-        if src in explained or dst in explained or src[0] in node_suspects or dst[0] in node_suspects:
+    for src, dst in flagged_pairs:
+        if (
+            src in promoted_workers
+            or dst in promoted_workers
+            or src[0] in node_suspects
+            or dst[0] in node_suspects
+        ):
             continue
         suspects.append(
             Suspect(
@@ -233,7 +235,7 @@ def analyze_delay_matrix(matrix: DelayMatrix, threshold: float = SLOW_THRESHOLD)
 
     return MatrixFinding(
         suspects=tuple(suspects),
-        flagged_pairs=tuple(flagged),
+        flagged_pairs=tuple(flagged_pairs),
         baseline=baseline,
         max_ratio=max_ratio,
     )

@@ -255,8 +255,8 @@ class CommSlowDetector:
         if not len(messages):
             outcome = "no_records"
         else:
-            oldest = float(messages.rows["complete_time"].min())
-            seqs = messages.rows["seq"]
+            oldest = float(messages.complete_time.min())
+            seqs = messages.seq
             # MIN_OPS_FOR_SLOW = 2 operations: two distinct seqs.
             if seqs.min() == seqs.max():
                 outcome = "too_few_ops"

@@ -66,9 +66,5 @@ class Anomaly:
 
     @property
     def suspect_nodes(self) -> list[int]:
-        """Distinct nodes implicated by the suspects."""
-        nodes = []
-        for suspect in self.suspects:
-            if suspect.node is not None and suspect.node not in nodes:
-                nodes.append(suspect.node)
-        return nodes
+        """Distinct nodes implicated by the suspects, in first-appearance order."""
+        return list(dict.fromkeys(s.node for s in self.suspects if s.node is not None))

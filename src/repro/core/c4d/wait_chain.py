@@ -38,8 +38,6 @@ class WaitChainFinding:
     suspects: tuple[Suspect, ...]
     #: Straggler lateness relative to the median launch, in seconds.
     lateness: float
-    #: Median launch-to-start wait across ranks, in seconds.
-    median_wait: float
 
     @property
     def is_anomalous(self) -> bool:
@@ -60,11 +58,9 @@ def analyze_wait_chain(
         Absolute floor (seconds) below which lateness is ignored.
     """
     if len(records) < 3:
-        return WaitChainFinding(suspects=(), lateness=0.0, median_wait=0.0)
+        return WaitChainFinding(suspects=(), lateness=0.0)
     launches = np.array([r.launch_time for r in records])
-    waits = np.array([r.wait_time for r in records])
     median_launch = float(np.median(launches))
-    median_wait = float(np.median(waits))
     mad = float(np.median(np.abs(launches - median_launch)))
     lateness = launches - median_launch
     max_lateness = float(lateness.max())
@@ -74,7 +70,7 @@ def analyze_wait_chain(
     cutoff = max(min_lateness, RELATIVE_THRESHOLD * max(mad, 1e-9))
     straggler_idx = [i for i, late in enumerate(lateness) if late > cutoff]
     if not straggler_idx:
-        return WaitChainFinding(suspects=(), lateness=max_lateness, median_wait=median_wait)
+        return WaitChainFinding(suspects=(), lateness=max_lateness)
 
     suspects = tuple(
         Suspect(
@@ -84,7 +80,7 @@ def analyze_wait_chain(
         )
         for i in straggler_idx
     )
-    return WaitChainFinding(suspects=suspects, lateness=max_lateness, median_wait=median_wait)
+    return WaitChainFinding(suspects=suspects, lateness=max_lateness)
 
 
 def find_stragglers(records: Sequence[OpRecord], min_lateness: float = 0.0) -> WaitChainFinding:
@@ -113,16 +109,15 @@ def find_stragglers(records: Sequence[OpRecord], min_lateness: float = 0.0) -> W
     ):
         return analyze_wait_chain(records, min_lateness)
     mad = median([abs(launch - median_launch) for launch in ordered])
-    median_wait = median([r.start_time - r.launch_time for r in records])
     cutoff = max(min_lateness, RELATIVE_THRESHOLD * max(mad, 1e-9))
     if not max_lateness > cutoff:
-        return WaitChainFinding(suspects=(), lateness=max_lateness, median_wait=median_wait)
+        return WaitChainFinding(suspects=(), lateness=max_lateness)
     suspects = tuple(
         Suspect(kind=SuspectKind.WORKER, node=r.location.node, device=r.location.gpu)
         for r, launch in zip(records, launches)
         if launch - median_launch > cutoff
     )
-    return WaitChainFinding(suspects=suspects, lateness=max_lateness, median_wait=median_wait)
+    return WaitChainFinding(suspects=suspects, lateness=max_lateness)
 
 
 def analyze_wait_chain_smoothed(
@@ -144,14 +139,12 @@ def analyze_wait_chain_smoothed(
     """
     groups = [list(g) for g in op_groups if len(g) >= 3]
     if not groups:
-        return WaitChainFinding(suspects=(), lateness=0.0, median_wait=0.0)
+        return WaitChainFinding(suspects=(), lateness=0.0)
     rank_lateness: dict[int, list[float]] = {}
     locations: dict[int, object] = {}
-    median_waits = []
     for group in groups:
         launches = np.array([r.launch_time for r in group])
         median_launch = float(np.median(launches))
-        median_waits.append(float(np.median([r.wait_time for r in group])))
         for record in group:
             rank_lateness.setdefault(record.rank, []).append(
                 record.launch_time - median_launch
@@ -168,9 +161,7 @@ def analyze_wait_chain_smoothed(
     ]
     max_lateness = float(lateness.max()) if len(lateness) else 0.0
     if not straggler_ranks:
-        return WaitChainFinding(
-            suspects=(), lateness=max_lateness, median_wait=float(np.median(median_waits))
-        )
+        return WaitChainFinding(suspects=(), lateness=max_lateness)
     suspects = tuple(
         Suspect(
             kind=SuspectKind.WORKER,
@@ -179,8 +170,4 @@ def analyze_wait_chain_smoothed(
         )
         for rank in straggler_ranks
     )
-    return WaitChainFinding(
-        suspects=suspects,
-        lateness=max_lateness,
-        median_wait=float(np.median(median_waits)),
-    )
+    return WaitChainFinding(suspects=suspects, lateness=max_lateness)

@@ -10,15 +10,17 @@ Beside each operation and launch window the entry keeps a
 ``seq -> records`` index, so the per-operation queries the detectors make
 every pass are lookups rather than window scans.  Beside the message
 window it keeps the window's numeric columns (:class:`MessageColumns`:
-pair id, rate, completion time, seq, valid flag), filled at ingest, so
-the delay-matrix build is a vectorised pass instead of a record loop.
+pair id, rate, completion time, seq, valid flag), filled at ingest, and
+numbers each pair and its source and destination workers at their first
+appearance, so the delay matrix is built and analysed as arrays instead
+of a record loop.
 The entry also holds what the detectors derived from its windows, so a
 pass analyses only new evidence: a finding per seq, which the collector
 drops whenever a record joins or leaves that seq's op bucket, and one
 finding over the message window, dropped whenever a message arrives.
-The index, the columns and the findings are derived state: they are
-rebuilt (the findings start empty) on restore, dropped with their entry
-and never serialized.
+The index, the columns with their numbering and the findings are
+derived state: they are rebuilt (the findings start empty) on restore,
+dropped with their entry and never serialized.
 """
 
 from __future__ import annotations
@@ -95,16 +97,26 @@ MESSAGE_ROW = np.dtype(
     ]
 )
 
-Pair = tuple[tuple[int, int], tuple[int, int]]  # ((src node, nic), (dst node, nic))
+Worker = tuple[int, int]  # (node, nic)
+Pair = tuple[Worker, Worker]  # (src, dst)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class MessageView:
-    """Rows of one message window, in window order, with their pair keys."""
+    """The columns of one message window, in window order.
 
-    rows: np.ndarray
+    ``seq`` and ``complete_time`` hold every row; ``pair`` and ``rate``
+    only the valid ones.
+    """
+
+    seq: np.ndarray
+    complete_time: np.ndarray
+    pair: np.ndarray
+    rate: np.ndarray
     #: Pair id -> ``((src_node, src_nic), (dst_node, dst_nic))``.
     pairs: list[Pair]
+    #: Pair id -> its source and destination worker ids.
+    ends: np.ndarray
 
     @classmethod
     def pack(cls, records: Iterable[MessageRecord]) -> "MessageView":
@@ -113,7 +125,7 @@ class MessageView:
         return MessageColumns.filled(len(records), records).view()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.seq)
 
 
 class MessageColumns:
@@ -125,12 +137,19 @@ class MessageColumns:
     rows into one numpy buffer.  The buffer grows with the window, to at
     most twice ``maxlen`` rows, and slides the live rows to its front
     when its tail is full, so a window is always one contiguous slice.
+
+    A pair gets the next pair id at its first appearance, and each of its
+    two workers not seen before gets the next worker id.
     """
 
     def __init__(self, maxlen: int) -> None:
         self.maxlen = maxlen
         self.pairs: list[Pair] = []
         self._pair_ids: dict[tuple[int, int, int, int], int] = {}
+        self._worker_ids: dict[Worker, int] = {}
+        #: Source and destination worker id of each pair, flat.
+        self._ends: list[int] = []
+        self._ends_array = np.empty((0, 2), np.intp)
         self._pending: list[tuple] = []
         self._rows = np.empty(0, MESSAGE_ROW)
         self._start = 0
@@ -152,7 +171,10 @@ class MessageColumns:
         pair = self._pair_ids.get(key)
         if pair is None:
             pair = self._pair_ids[key] = len(self.pairs)
-            self.pairs.append((key[:2], key[2:]))
+            ends = (key[:2], key[2:])
+            self.pairs.append(ends)
+            for worker in ends:
+                self._ends.append(self._worker_ids.setdefault(worker, len(self._worker_ids)))
         size = record.size_bits
         complete = record.complete_time
         duration = complete - record.post_time
@@ -188,10 +210,22 @@ class MessageColumns:
         """Rows of messages completed at or after ``since`` (all rows if None)."""
         if self._pending:
             self._flush()
+        if len(self._ends_array) != len(self.pairs):
+            self._ends_array = np.array(self._ends, np.intp).reshape(-1, 2)
         rows = self._rows[self._start : self._end]
+        complete = rows["complete_time"]
+        valid = rows["valid"]
         if since is None:
-            return MessageView(rows.copy(), self.pairs)
-        return MessageView(rows[rows["complete_time"] >= since], self.pairs)
+            seq = rows["seq"].copy()
+            complete = complete.copy()
+        else:
+            kept = complete >= since
+            seq = rows["seq"][kept]
+            complete = complete[kept]
+            valid = valid & kept
+        return MessageView(
+            seq, complete, rows["pair"][valid], rows["rate"][valid], self.pairs, self._ends_array
+        )
 
 
 #: What the queries read for a communicator that is not registered.

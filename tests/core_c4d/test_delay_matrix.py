@@ -1,18 +1,123 @@
-"""Tests for the Fig. 7 delay-matrix analysis."""
+"""Tests for the Fig. 7 delay-matrix analysis.
+
+The module also holds the differential oracles of the columnar build and
+analysis: :func:`build_delay_matrix_reference` (per-pair ``np.median``)
+and :func:`analyze_delay_matrix_reference` (a walk over the
+``{pair: score}`` dict).
+"""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collective.monitoring import MessageRecord
 from repro.core.c4d.delay_matrix import (
-    DelayMatrix,
+    ROW_FRACTION,
+    SLOW_THRESHOLD,
+    MatrixFinding,
     analyze_delay_matrix,
     build_delay_matrix,
-    build_delay_matrix_reference,
 )
-from repro.core.c4d.events import SuspectKind
+from repro.core.c4d.events import Suspect, SuspectKind
+from repro.core.c4d.median import MAX_PLAIN
+
+
+# -- the differential oracles ------------------------------------------
+
+
+def build_delay_matrix_reference(records) -> dict:
+    """``{pair: score}`` of ``records``, each score a per-pair ``np.median``.
+
+    The pairs keep their first appearance among the valid records.
+    """
+    samples = {}
+    for record in records:
+        if record.size_bits <= 0 or record.duration <= 0:
+            continue
+        key = ((record.src_node, record.src_nic), (record.dst_node, record.dst_nic))
+        samples.setdefault(key, []).append(record.duration / record.size_bits)
+    return {key: float(np.median(values)) for key, values in samples.items()}
+
+
+def analyze_delay_matrix_reference(scores: dict, threshold: float = SLOW_THRESHOLD):
+    """:func:`analyze_delay_matrix` as a walk over a ``{pair: score}`` dict."""
+    if not scores:
+        return MatrixFinding(suspects=(), flagged_pairs=(), baseline=float("nan"), max_ratio=0.0)
+    baseline = float(np.median(list(scores.values())))
+    if baseline <= 0:
+        return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=0.0)
+
+    ratios = [score / baseline for score in scores.values()]
+    flagged = [pair for pair, ratio in zip(scores, ratios) if ratio > threshold]
+    max_ratio = max(ratios)
+    if not flagged:
+        return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=max_ratio)
+
+    # Per-worker flagged/observed tallies over rows (as src) and columns
+    # (as dst).  Only a worker with two flagged pairs can be promoted, so
+    # only those workers' observed pairs are counted.
+    hit = {}
+    for src, dst in flagged:
+        hit[src] = hit.get(src, 0) + 1
+        hit[dst] = hit.get(dst, 0) + 1
+    observed = {worker: 0 for worker, hits in hit.items() if hits >= 2}
+    for src, dst in scores:
+        if src in observed:
+            observed[src] += 1
+        if dst in observed:
+            observed[dst] += 1
+    worker_suspects = [
+        worker
+        for worker, hits in hit.items()
+        if hits >= 2 and hits / observed[worker] >= ROW_FRACTION
+    ]
+    suspects = [
+        Suspect(kind=SuspectKind.WORKER, node=node, device=nic) for node, nic in worker_suspects
+    ]
+    by_node = {}
+    for node, _nic in worker_suspects:
+        by_node[node] = by_node.get(node, 0) + 1
+    node_suspects = {node for node, count in by_node.items() if count >= 2}
+    if node_suspects:
+        suspects = [s for s in suspects if s.node not in node_suspects] + [
+            Suspect(kind=SuspectKind.NODE, node=node) for node in sorted(node_suspects)
+        ]
+    explained = set(worker_suspects)
+    for src, dst in flagged:
+        if src in explained or dst in explained:
+            continue
+        if src[0] in node_suspects or dst[0] in node_suspects:
+            continue
+        suspects.append(
+            Suspect(
+                kind=SuspectKind.CONNECTION,
+                node=src[0],
+                device=src[1],
+                peer_node=dst[0],
+                peer_device=dst[1],
+            )
+        )
+    return MatrixFinding(
+        suspects=tuple(suspects),
+        flagged_pairs=tuple(flagged),
+        baseline=baseline,
+        max_ratio=max_ratio,
+    )
+
+
+def assert_same_finding(found: MatrixFinding, expected: MatrixFinding) -> None:
+    """Equal suspects and flagged pairs, in order; baseline and max ratio bit for bit."""
+    assert found.suspects == expected.suspects
+    assert found.flagged_pairs == expected.flagged_pairs
+    for name in ("baseline", "max_ratio"):
+        a, b = getattr(found, name), getattr(expected, name)
+        assert type(a) is float, name
+        assert same_score(a, b), (name, a, b)
+
+
+# -- unit tests --------------------------------------------------------
 
 
 def message(src, dst, duration, size=100.0, src_nic=0, dst_nic=0):
@@ -54,7 +159,7 @@ def test_healthy_matrix_not_anomalous():
 
 
 def test_empty_matrix():
-    finding = analyze_delay_matrix(DelayMatrix())
+    finding = analyze_delay_matrix(build_delay_matrix([]))
     assert not finding.is_anomalous
 
 
@@ -120,6 +225,16 @@ def test_workers_enumeration():
     assert len(matrix.workers) == 4
 
 
+def test_matrix_columns_line_up():
+    records = [message(2, 3, 1.0), message(0, 1, 2.0, src_nic=1), message(2, 3, 3.0)]
+    matrix = build_delay_matrix(records)
+    assert matrix.pairs == [((2, 0), (3, 0)), ((0, 1), (1, 0))]
+    assert matrix.values.tolist() == [0.02, 0.02]
+    # Worker ids in first appearance: (2, 0), (3, 0), (0, 1), (1, 0).
+    assert matrix.ends.tolist() == [[0, 1], [2, 3]]
+    assert matrix.scores == {((2, 0), (3, 0)): 0.02, ((0, 1), (1, 0)): 0.02}
+
+
 # -- the scalar median build against the np.median reference ----------
 
 #: Few distinct values, so exact ties and repeated medians are common.
@@ -169,7 +284,7 @@ def same_score(a: float, b: float) -> bool:
 @settings(max_examples=300, deadline=None)
 def test_build_matches_reference_bit_for_bit(records):
     fast = list(build_delay_matrix(records).scores.items())
-    reference = list(build_delay_matrix_reference(records).scores.items())
+    reference = list(build_delay_matrix_reference(records).items())
     assert [key for key, _ in fast] == [key for key, _ in reference]
     for (_, a), (_, b) in zip(fast, reference):
         assert type(a) is float
@@ -186,3 +301,90 @@ def test_build_nan_sample_poisons_its_pair_only():
     scores = build_delay_matrix(records).scores
     assert math.isnan(scores[((0, 0), (1, 0))])
     assert scores[((1, 0), (2, 0))] == pytest.approx(0.01)
+
+
+# -- the columnar analysis against the dict walk -------------------------
+
+WORKERS = [(node, nic) for node in range(3) for nic in range(2)]
+#: Thresholds of a plain pass and of hysteresis passes; a slow pair's
+#: factor is drawn from the same values, so ratios land exactly on them.
+THRESHOLDS = (SLOW_THRESHOLD, SLOW_THRESHOLD * 0.9, SLOW_THRESHOLD * 0.6)
+FACTORS = (1.0, 2.0, 4.0, *THRESHOLDS)
+#: Sizes that make a message invalid (skipped) or its rate zero or NaN.
+ODD_SIZES = (0.0, -1.0, math.inf, math.nan)
+thresholds = st.one_of(
+    st.sampled_from(THRESHOLDS),
+    st.floats(min_value=0.05, max_value=1.0).map(lambda h: SLOW_THRESHOLD * h),
+)
+
+
+@st.composite
+def windows(draw):
+    """Messages among six workers of three nodes, some workers slow.
+
+    A message of a slow worker takes a slow factor longer, in and out.
+    Each window also draws a few odd samples that its messages take now
+    and then: a non-positive duration or size (skipped), an unbounded
+    size (a zero rate), an unbounded duration and NaN.  Its usual
+    healthy sample is 1, a random one, or one that makes the baseline 0
+    or unbounded (and then some ratios NaN).
+    """
+    slow = draw(st.sets(st.sampled_from(WORKERS), max_size=4))
+    jitter = draw(st.floats(min_value=0.5, max_value=2.0))
+    usual_duration, usual_size = draw(
+        st.sampled_from(((1.0, 1.0), (1.0, 1.0), (jitter, 1.0), (1.0, math.inf), (math.inf, 1.0)))
+    )
+    odd_durations = tuple(draw(st.lists(st.sampled_from(EDGE), max_size=2)))
+    odd_sizes = tuple(draw(st.lists(st.sampled_from(ODD_SIZES), max_size=2)))
+    records = []
+    for _ in range(draw(st.integers(min_value=0, max_value=50))):
+        src, dst = draw(st.sampled_from(WORKERS)), draw(st.sampled_from(WORKERS))
+        if src in slow or dst in slow:
+            durations = FACTORS
+        else:
+            durations = (usual_duration,) * 4
+        duration = draw(st.sampled_from(durations + odd_durations))
+        size = draw(st.sampled_from((usual_size,) * 4 + odd_sizes))
+        records.append(message(src[0], dst[0], duration, size, src[1], dst[1]))
+    return records
+
+
+@given(windows(), thresholds)
+@settings(max_examples=400, deadline=None)
+def test_analysis_matches_dict_walk(records, threshold):
+    with np.errstate(invalid="ignore"):
+        found = analyze_delay_matrix(build_delay_matrix(records), threshold)
+        expected = analyze_delay_matrix_reference(
+            build_delay_matrix_reference(records), threshold
+        )
+    assert_same_finding(found, expected)
+
+
+@st.composite
+def rings(draw):
+    """A ring of about MAX_PLAIN workers, eight to a node, some slow.
+
+    Worker ``k`` sends to ``k + 1``; both pairs of a slow worker are
+    slow, and two slow workers of one node make a node suspect.
+    """
+    count = draw(st.integers(min_value=MAX_PLAIN - 2, max_value=MAX_PLAIN + 2))
+    slow = draw(st.sets(st.integers(min_value=0, max_value=count - 1), max_size=6))
+    # One NaN sample makes the baseline NaN; most rings hold none.
+    undefined = draw(st.sampled_from((None, None, None, draw(st.integers(0, count - 1)))))
+    factor = draw(st.sampled_from(FACTORS))
+    records = []
+    for k in range(count):
+        j = (k + 1) % count
+        duration = factor if slow & {k, j} else 1.0
+        if k == undefined:
+            duration = math.nan
+        records.append(message(k // 8, j // 8, duration, 1.0, k % 8, j % 8))
+    return records
+
+
+@given(rings(), thresholds)
+@settings(max_examples=60, deadline=None)
+def test_analysis_matches_dict_walk_around_max_plain(records, threshold):
+    found = analyze_delay_matrix(build_delay_matrix(records), threshold)
+    expected = analyze_delay_matrix_reference(build_delay_matrix_reference(records), threshold)
+    assert_same_finding(found, expected)

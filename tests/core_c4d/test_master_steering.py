@@ -318,6 +318,20 @@ def test_node_action_cooldown_suppresses_reisolation(topo):
     assert len(master.evaluate(now=700.0)) == 1
 
 
+def test_suspect_nodes_keep_first_appearance_order():
+    suspects = (
+        Suspect(SuspectKind.WORKER, node=5, device=1),
+        Suspect(SuspectKind.CONNECTION, node=2, device=0, peer_node=9, peer_device=0),
+        Suspect(SuspectKind.UNKNOWN),
+        Suspect(SuspectKind.NODE, node=5),
+        Suspect(SuspectKind.WORKER, node=0, device=3),
+        Suspect(SuspectKind.NODE, node=2),
+    )
+    anomaly = Anomaly(AnomalyType.COMM_SLOW, "c", 0.0, suspects)
+    # A connection names its source node only.
+    assert anomaly.suspect_nodes == [5, 2, 0]
+
+
 class _RecordingSteering:
     """Records what the master dispatches; isolates nothing."""
 

@@ -2,16 +2,24 @@
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
-from repro.core.c4d.delay_matrix import build_delay_matrix, build_delay_matrix_reference
+from repro.core.c4d.delay_matrix import analyze_delay_matrix, build_delay_matrix
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
-from tests.core_c4d.test_delay_matrix import EDGE, TIED, same_score
+from tests.core_c4d.test_delay_matrix import (
+    EDGE,
+    TIED,
+    analyze_delay_matrix_reference,
+    assert_same_finding,
+    build_delay_matrix_reference,
+    same_score,
+)
 
 
 def comm_record(comm="c", size=4):
@@ -433,9 +441,14 @@ def test_message_view_matches_reference_build(window, steps, sinces):
                 view = collector.message_view(comm, since)
                 records = collector.messages(comm, since)
                 assert len(view) == len(records)
-                assert view.rows["seq"].tolist() == [r.seq for r in records]
-                fast = list(build_delay_matrix(view).scores.items())
-                reference = list(build_delay_matrix_reference(records).scores.items())
-                assert [key for key, _ in fast] == [key for key, _ in reference]
-                for (_, a), (_, b) in zip(fast, reference):
+                assert view.seq.tolist() == [r.seq for r in records]
+                matrix = build_delay_matrix(view)
+                reference = build_delay_matrix_reference(records)
+                fast = list(matrix.scores.items())
+                assert [key for key, _ in fast] == list(reference)
+                for (_, a), b in zip(fast, reference.values()):
                     assert same_score(a, b), (a, b)
+                with np.errstate(invalid="ignore"):
+                    assert_same_finding(
+                        analyze_delay_matrix(matrix), analyze_delay_matrix_reference(reference)
+                    )

@@ -7,10 +7,11 @@ a chain of peers waiting on it (paper §III-A).  C4D compares per-rank
 wait times at the BSP barrier: the straggler launches *latest* and waits
 *least*, while everyone else shows inflated waits.
 
-The analysis reads only operation-layer records (launch / transfer-start
-timestamps logged by the patched kernels).  :func:`find_stragglers` is
-the detector's plain-Python form of :func:`analyze_wait_chain`, which is
-kept unchanged as its differential test oracle.
+The analysis reads only operation-layer records: the launch timestamps
+logged by the patched kernels, since the latest launch is the shortest
+wait.  :func:`find_stragglers` is the detector's plain-Python form of
+:func:`analyze_wait_chain`, which is kept as its differential test
+oracle.
 """
 
 from __future__ import annotations

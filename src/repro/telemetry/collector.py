@@ -213,18 +213,22 @@ class MessageColumns:
         if len(self._ends_array) != len(self.pairs):
             self._ends_array = np.array(self._ends, np.intp).reshape(-1, 2)
         rows = self._rows[self._start : self._end]
-        complete = rows["complete_time"]
-        valid = rows["valid"]
         if since is None:
-            seq = rows["seq"].copy()
-            complete = complete.copy()
+            kept = np.ones(len(rows), np.bool_)
         else:
-            kept = complete >= since
-            seq = rows["seq"][kept]
-            complete = complete[kept]
-            valid = valid & kept
+            kept = rows["complete_time"] >= since
+            # Rows arrive about in completion order, so the kept rows are
+            # mostly a suffix: the columns are read from the first of them.
+            first = kept.argmax() if len(kept) else 0
+            rows, kept = rows[first:], kept[first:]
+        valid = rows["valid"] & kept
         return MessageView(
-            seq, complete, rows["pair"][valid], rows["rate"][valid], self.pairs, self._ends_array
+            rows["seq"][kept],
+            rows["complete_time"][kept],
+            rows["pair"][valid],
+            rows["rate"][valid],
+            self.pairs,
+            self._ends_array,
         )
 
 

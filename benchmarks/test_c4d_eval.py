@@ -17,9 +17,10 @@ The collector keeps its default record-sized windows.
   whose per-operation queries scan the whole window.
 
 Both variants of a detector must return the same anomalies, evidence
-included, before either is timed; each size is one benchmark group.  Every ladder pass starts
-from entries that keep no findings (:func:`forget`), so it analyses the
-whole window, as a first pass does.
+included, before either is timed; each size is one benchmark group.  Every
+non-communication-slow ladder pass starts from entries that keep no
+wait-chain findings (:func:`forget`), so it analyses the whole window, as
+a first pass does; the comm-slow detector keeps nothing.
 
 At 4,096 ranks the 4,096-record operation window holds a single
 operation, so the non-communication-slow detector never reaches
@@ -35,9 +36,10 @@ per GPU index, 136 at 1,024 ranks and 520 at 4,096.  GPU 3 of node 5
 straggles 2 s in ``tp5`` and ``dp3``; NIC 2 of node 9 is 4x slow in
 ``tp9`` and ``dp2``.  Each timed round feeds one more step (not timed)
 and times one full master pass, so the pass finds one new operation per
-communicator, as in steady state: the slow detectors reuse the wait-chain
-finding of every operation a previous pass analysed, and redo the delay
-matrix of each changed message window.  A reference master over its own
+communicator, as in steady state: the non-communication-slow detector
+reuses the wait-chain finding of every operation a previous pass
+analysed, and the comm-slow detector builds every message window's delay
+matrix.  A reference master over its own
 collector analyses every operation again on every pass with the numpy
 wait chain (``analyze_wait_chain``) and builds and analyses every matrix
 with the two oracles.  Both must report the same anomalies, evidence
@@ -136,7 +138,6 @@ def forget(collector: CentralCollector) -> None:
     """Drop the findings the detectors kept, so a pass analyses everything."""
     for entry in collector.progress.values():
         entry.seq_findings.clear()
-        entry.message_finding = None
 
 
 @pytest.fixture(scope="module")
@@ -173,16 +174,13 @@ def test_comm_slow_pass(benchmark, monkeypatch, collectors, build, nodes):
     results = {}
     for name in variants:
         use(name)
-        forget(collector)
         results[name] = detector.evaluate(now)
     assert described(results["columns"]) == described(results["reference"])
     assert results["columns"]  # the degraded NIC is found at every size
     use(build)
     benchmark.group = f"CommSlowDetector pass, {nodes * GPUS} ranks"
     benchmark.extra_info["anomalies"] = len(results[build])
-    benchmark.pedantic(
-        detector.evaluate, args=(now,), setup=lambda: forget(collector), rounds=5, iterations=1
-    )
+    benchmark.pedantic(detector.evaluate, args=(now,), rounds=5, iterations=1)
 
 
 @pytest.mark.parametrize("nodes", NODES)
@@ -266,7 +264,6 @@ class ReferenceCommSlow(CommSlowDetector):
     """Every window's matrix built again, per pair, and walked as a dict."""
 
     def _outcome(self, comm_id, since, threshold):
-        self.collector.progress[comm_id].message_finding = None
         build, analyze = detectors.build_delay_matrix, detectors.analyze_delay_matrix
         detectors.build_delay_matrix = lambda _view: build_delay_matrix_reference(
             self.collector.messages(comm_id, since)

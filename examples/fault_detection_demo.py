@@ -23,7 +23,7 @@ from repro.cluster.faults import FaultInjector
 from repro.collective.algorithms import OpType
 from repro.collective.context import CollectiveContext, RepeatedOp
 from repro.collective.placement import contiguous_ranks
-from repro.core.c4d import C4DMaster, DetectorConfig, JobSteeringService, RootCauseAnalyzer
+from repro.core.c4d import C4DMaster, DetectorConfig, JobSteeringService
 from repro.netsim.units import GIB
 from repro.telemetry.agent import AgentPlane
 from repro.telemetry.collector import CentralCollector
@@ -101,19 +101,15 @@ def scenario_crash_and_steer() -> None:
     scenario.network.run()
 
     steering = JobSteeringService(scenario.topology, backup_nodes=[15])
-    rca = RootCauseAnalyzer()
     master = C4DMaster(collector, steering=steering)
     fresh = master.evaluate(scenario.network.now)
     for anomaly in fresh:
-        rca.submit(anomaly)  # hand-off to the offline RCA queue
         suspects = ", ".join(str(s) for s in anomaly.suspects)
         print(f"  detected {anomaly.anomaly_type.value}: suspects [{suspects}]")
     for action in steering.actions:
         print(f"  steering: isolated nodes {list(action.isolated_nodes)}, "
               f"backups {list(action.replacement_nodes)}, "
               f"job ready at t={action.ready_at:.0f}s")
-    report = rca.report()
-    print(f"  offline RCA queue: {report.total_cases} case(s) filed")
 
 
 def main() -> None:

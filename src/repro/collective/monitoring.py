@@ -81,11 +81,6 @@ class OpRecord:
         """Launch-to-completion time observed by this rank."""
         return self.end_time - self.launch_time
 
-    @property
-    def wait_time(self) -> float:
-        """Time this rank spent waiting for peers before transfer began."""
-        return self.start_time - self.launch_time
-
 
 @dataclass(frozen=True)
 class MessageRecord:

@@ -5,8 +5,7 @@ communication hang, non-communication hang, communication slow and
 non-communication slow — from the monitoring records of the enhanced
 communication library, localizes the faulty component, and drives the
 job steering service (isolate, pull in a backup node, restart from the
-last checkpoint) while queueing the event for offline root-cause
-analysis.
+last checkpoint).
 """
 
 from repro.core.c4d.classifier import CauseBucket, classify_fault
@@ -24,7 +23,6 @@ from repro.core.c4d.detectors import (
 )
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.master import C4DMaster
-from repro.core.c4d.rca import RcaReport, RootCauseAnalyzer
 from repro.core.c4d.steering import JobSteeringService, SteeringAction, SteeringConfig
 from repro.core.c4d.wait_chain import (
     WaitChainFinding,
@@ -52,8 +50,6 @@ __all__ = [
     "JobSteeringService",
     "SteeringAction",
     "SteeringConfig",
-    "RootCauseAnalyzer",
-    "RcaReport",
     "classify_fault",
     "CauseBucket",
 ]

@@ -1,19 +1,15 @@
 """Root-cause classification: from opaque symptoms to Table I buckets.
 
 From the user's perspective almost every crash is an undifferentiated
-"NCCL Error" (Table I); C4D's value is mapping the observed syndrome
-plus device telemetry onto the actual cause bucket so the steering
-service isolates the right component and offline RCA gets a labeled
-event.
+"NCCL Error" (Table I); campaigns tabulate their ground-truth faults
+into the table's cause buckets.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.cluster.faults import FaultEvent, FaultType
-from repro.core.c4d.events import Anomaly, AnomalyType, SuspectKind
 
 
 class CauseBucket(enum.Enum):
@@ -40,30 +36,3 @@ def classify_fault(event: FaultEvent) -> CauseBucket:
     """Bucket a ground-truth fault event (campaign tabulation)."""
     return FAULT_TO_BUCKET.get(event.fault_type, CauseBucket.UNKNOWN)
 
-
-def classify_anomaly(anomaly: Anomaly, device_error_hint: Optional[FaultType] = None) -> CauseBucket:
-    """Bucket a detected anomaly from its syndrome and suspects.
-
-    ``device_error_hint`` carries out-of-band device telemetry (XID /
-    ECC counters the agents also scrape); when present it dominates.
-    Without it, the classification falls back on the syndrome shape:
-
-    * a non-communication hang localized to a worker whose process died
-      is characteristically a CUDA-level error;
-    * communication hangs with no localized worker look like transport
-      ACK timeouts;
-    * slow syndromes map to CCL timeouts when they eventually kill the
-      job.
-    """
-    if device_error_hint is not None:
-        return FAULT_TO_BUCKET.get(device_error_hint, CauseBucket.UNKNOWN)
-    localized = any(
-        s.kind in (SuspectKind.WORKER, SuspectKind.NODE) for s in anomaly.suspects
-    )
-    if anomaly.anomaly_type is AnomalyType.NONCOMM_HANG:
-        return CauseBucket.CUDA_ERROR if localized else CauseBucket.UNKNOWN
-    if anomaly.anomaly_type is AnomalyType.COMM_HANG:
-        return CauseBucket.ACK_TIMEOUT
-    if anomaly.anomaly_type in (AnomalyType.COMM_SLOW, AnomalyType.NONCOMM_SLOW):
-        return CauseBucket.CCL_TIMEOUT
-    return CauseBucket.UNKNOWN

@@ -18,10 +18,12 @@ The pass stays in arrays from the window to the verdict.
 :func:`build_delay_matrix` reads a message window as columns (the
 collector's :class:`~repro.telemetry.collector.MessageView`, filled at
 ingest; a plain iterable of records is packed into the same columns
-first).  It sorts the rows by pair, then rate, and takes each pair's
-median from the sorted run: the middle value for an odd count,
-``(v[h-1] + v[h]) / 2`` for an even one, NaN when any value is NaN.
-Those are the IEEE operations ``np.median`` performs.  The matrix it
+first).  The collector marks a message whose size or rate is not a
+finite positive number invalid, so every rate the build reads is one.
+It sorts the rows by pair, then rate, and takes each pair's median from
+the sorted run: the middle value for an odd count, ``(v[h-1] + v[h]) /
+2`` for an even one.  Those are the IEEE operations ``np.median``
+performs.  The matrix it
 returns is columns too: the pair keys in their first-appearance order in
 the window, a score array, and each pair's source and destination worker
 ids as the window numbered them.  :func:`analyze_delay_matrix` divides
@@ -38,7 +40,6 @@ pairs, baseline and maximum ratio must match them bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan
 from typing import Iterable
 
 import numpy as np
@@ -102,8 +103,8 @@ class MatrixFinding:
 def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> DelayMatrix:
     """Aggregate transport records into a delay matrix.
 
-    Messages with non-positive size or duration are skipped (defensive:
-    they carry no rate information).
+    Messages whose size or rate is not a finite positive number are
+    skipped: they carry no rate information.
     """
     if not isinstance(messages, MessageView):
         messages = MessageView.pack(messages)
@@ -112,8 +113,7 @@ def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> Delay
     if not len(pair):
         return DelayMatrix([], rate, messages.ends[:0])
     # Order by pair, then rate: sort the rates, then stable-sort their
-    # pair ids (small unsigned ints sort by radix).  NaN sorts last, so
-    # a run that ends in NaN holds one.
+    # pair ids (small unsigned ints sort by radix).
     order = rate.argsort()
     pair_type = np.min_scalar_type(len(messages.pairs))
     order = order[pair[order].astype(pair_type).argsort(kind="stable")]
@@ -127,7 +127,6 @@ def build_delay_matrix(messages: MessageView | Iterable[MessageRecord]) -> Delay
     medians = rate[middle]
     even = counts % 2 == 0
     medians[even] = (rate[middle[even] - 1] + medians[even]) / 2
-    medians[np.isnan(rate[stops - 1])] = np.nan
     # A run's smallest window position is its pair's first appearance.
     appearance = np.minimum.reduceat(order, starts).argsort()
     ids = pair[starts][appearance]
@@ -170,11 +169,7 @@ def analyze_delay_matrix(matrix: DelayMatrix, threshold: float = SLOW_THRESHOLD)
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=0.0)
 
     ratios = matrix.values / baseline
-    # The largest ratio as Python's ``max`` scans for it: a NaN in first
-    # place is the result, a later NaN is passed over (as ``fmax`` does).
-    max_ratio = float(ratios[0])
-    if not isnan(max_ratio):
-        max_ratio = float(np.fmax.reduce(ratios))
+    max_ratio = float(ratios.max())
     flagged = (ratios > threshold).nonzero()[0]
     if not len(flagged):
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=max_ratio)

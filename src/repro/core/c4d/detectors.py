@@ -5,16 +5,17 @@ master runs them periodically.  Detectors are pure consumers of
 monitoring records — they never look at simulator ground truth, so their
 localization accuracy in tests measures the real pipeline.
 
-A pass pays for new evidence only.  The slow detectors keep what they
-derived on the communicator's collector entry (``CommProgress``), which
-drops it when the records it came from change: each seq's wait-chain
-finding, and the last comm-slow outcome over the message window.
+The non-communication-slow detector keeps each seq's wait-chain finding
+on the communicator's collector entry (``CommProgress.seq_findings``),
+which drops it when a record joins or leaves the seq's op bucket, so an
+operation is analysed once per state of its records.  The comm-slow
+pass keeps nothing: it runs from the message window to the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from repro.core.c4d.delay_matrix import (
     SLOW_THRESHOLD,
@@ -162,17 +163,6 @@ class HangDetector:
         return anomalies
 
 
-class _SlowPass(NamedTuple):
-    """One comm-slow pass over a communicator's message window."""
-
-    threshold: float
-    since: float
-    #: Completion time of the oldest row the pass read (inf: none).
-    oldest: float
-    #: A skip reason, or the delay-matrix finding.
-    outcome: Union[str, MatrixFinding]
-
-
 class CommSlowDetector:
     """Detects communication slowdowns via the delay matrix (Fig. 7).
 
@@ -239,31 +229,15 @@ class CommSlowDetector:
         return anomalies
 
     def _outcome(self, comm_id: str, since: float, threshold: float) -> Union[str, MatrixFinding]:
-        """The skip reason or delay-matrix finding of ``comm_id``'s window.
-
-        The last pass's outcome is reused while it would come out the
-        same: no message arrived since (the collector then drops it), no
-        row it read has aged past ``since``, ``since`` has not moved back
-        over rows it left out, and the threshold is unchanged.
-        """
-        entry = self.collector.progress[comm_id]
-        last = entry.message_finding
-        if last is not None and last.threshold == threshold and last.since <= since <= last.oldest:
-            return last.outcome
+        """The skip reason or delay-matrix finding of ``comm_id``'s window."""
         messages = self.collector.message_view(comm_id, since=since)
-        oldest = float("inf")
         if not len(messages):
-            outcome = "no_records"
-        else:
-            oldest = float(messages.complete_time.min())
-            seqs = messages.seq
-            # MIN_OPS_FOR_SLOW = 2 operations: two distinct seqs.
-            if seqs.min() == seqs.max():
-                outcome = "too_few_ops"
-            else:
-                outcome = analyze_delay_matrix(build_delay_matrix(messages), threshold=threshold)
-        entry.message_finding = _SlowPass(threshold, since, oldest, outcome)
-        return outcome
+            return "no_records"
+        seqs = messages.seq
+        # MIN_OPS_FOR_SLOW = 2 operations: two distinct seqs.
+        if seqs.min() == seqs.max():
+            return "too_few_ops"
+        return analyze_delay_matrix(build_delay_matrix(messages), threshold=threshold)
 
 
 class NonCommSlowDetector:
@@ -322,15 +296,15 @@ class NonCommSlowDetector:
         """``seq``'s wait-chain finding, analysed once per state of its records.
 
         The finding stays on the collector's entry until a record joins
-        or leaves the seq's op bucket.
+        or leaves the seq's op bucket.  One detector, with one frozen
+        config, reads each collector, so the finding needs no key.
         """
         findings = self.collector.progress[comm_id].seq_findings
-        min_lateness = self.config.wait_min_lateness
-        cached = findings.get(seq)
-        if cached is not None and cached[0] == min_lateness:
-            return cached[1]
-        finding = find_stragglers(self.collector.ops_for_seq(comm_id, seq), min_lateness)
-        findings[seq] = (min_lateness, finding)
+        finding = findings.get(seq)
+        if finding is None:
+            finding = findings[seq] = find_stragglers(
+                self.collector.ops_for_seq(comm_id, seq), self.config.wait_min_lateness
+            )
         return finding
 
     def _evaluate_smoothed(self, comm_id: str, now: float) -> Optional[Anomaly]:

@@ -13,14 +13,14 @@ window it keeps the window's numeric columns (:class:`MessageColumns`:
 pair id, rate, completion time, seq, valid flag), filled at ingest, and
 numbers each pair and its source and destination workers at their first
 appearance, so the delay matrix is built and analysed as arrays instead
-of a record loop.
-The entry also holds what the detectors derived from its windows, so a
-pass analyses only new evidence: a finding per seq, which the collector
-drops whenever a record joins or leaves that seq's op bucket, and one
-finding over the message window, dropped whenever a message arrives.
-The index, the columns with their numbering and the findings are
-derived state: they are rebuilt (the findings start empty) on restore,
-dropped with their entry and never serialized.
+of a record loop.  A message whose size or rate is not a finite positive
+number is marked invalid there and never reaches the matrix.
+The entry also holds the wait-chain finding of each seq, which the
+collector drops whenever a record joins or leaves that seq's op bucket,
+so an operation is analysed once per state of its records.  The index,
+the columns with their numbering and the findings are derived state:
+they are rebuilt (the findings start empty) on restore, dropped with
+their entry and never serialized.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ class CommProgress:
     created_at: float = 0.0
     #: seq -> a detector's finding from that seq's op records.
     seq_findings: dict[int, Any] = field(default_factory=dict, compare=False, repr=False)
-    #: A detector's finding from the message window.
-    message_finding: Any = field(default=None, compare=False, repr=False)
 
     @property
     def min_seq(self) -> int:
@@ -85,8 +83,9 @@ class CommProgress:
 
 #: One message as the delay matrix reads it.  ``rate`` is
 #: ``(complete_time - post_time) / size_bits``; ``valid`` is False for a
-#: record with non-positive size or duration, whose rate is meaningless
-#: (a NaN size or duration is valid: its NaN rate poisons the pair).
+#: record whose size or rate is not a finite positive number (a
+#: non-positive, NaN or unbounded size or duration), which carries no
+#: rate information.
 MESSAGE_ROW = np.dtype(
     [
         ("pair", np.int64),
@@ -97,6 +96,8 @@ MESSAGE_ROW = np.dtype(
     ]
 )
 
+_INF = float("inf")
+
 Worker = tuple[int, int]  # (node, nic)
 Pair = tuple[Worker, Worker]  # (src, dst)
 
@@ -105,12 +106,10 @@ Pair = tuple[Worker, Worker]  # (src, dst)
 class MessageView:
     """The columns of one message window, in window order.
 
-    ``seq`` and ``complete_time`` hold every row; ``pair`` and ``rate``
-    only the valid ones.
+    ``seq`` holds every row; ``pair`` and ``rate`` only the valid ones.
     """
 
     seq: np.ndarray
-    complete_time: np.ndarray
     pair: np.ndarray
     rate: np.ndarray
     #: Pair id -> ``((src_node, src_nic), (dst_node, dst_nic))``.
@@ -177,9 +176,8 @@ class MessageColumns:
                 self._ends.append(self._worker_ids.setdefault(worker, len(self._worker_ids)))
         size = record.size_bits
         complete = record.complete_time
-        duration = complete - record.post_time
-        valid = not (size <= 0 or duration <= 0)
-        return (pair, duration / size if valid else 0.0, complete, record.seq, valid)
+        rate = (complete - record.post_time) / size if 0 < size < _INF else 0.0
+        return (pair, rate, complete, record.seq, 0 < rate < _INF)
 
     def append(self, record: MessageRecord) -> None:
         """Add ``record``'s row, evicting the oldest row when full."""
@@ -224,7 +222,6 @@ class MessageColumns:
         valid = rows["valid"] & kept
         return MessageView(
             rows["seq"][kept],
-            rows["complete_time"][kept],
             rows["pair"][valid],
             rows["rate"][valid],
             self.pairs,
@@ -408,7 +405,6 @@ class CentralCollector:
             return
         self._append("message", entry.messages, None, record)
         entry.message_columns.append(record)
-        entry.message_finding = None
 
     # ------------------------------------------------------------------
     # Queries (used by detectors)

@@ -49,7 +49,6 @@ def message_record(seq=0, src=0, dst=1, post=0.0, complete=1.0, size=100.0, comm
 def test_op_record_derived_times():
     record = op_record(launch=1.0, start=2.5, end=4.0)
     assert record.duration == 3.0
-    assert record.wait_time == 1.5
 
 
 def test_message_record_duration():

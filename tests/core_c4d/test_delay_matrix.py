@@ -3,16 +3,21 @@
 The module also holds the differential oracles of the columnar build and
 analysis: :func:`build_delay_matrix_reference` (per-pair ``np.median``)
 and :func:`analyze_delay_matrix_reference` (a walk over the
-``{pair: score}`` dict).
+``{pair: score}`` dict).  The reference build skips the records the
+collector marks invalid: those whose size or rate is not a finite
+positive number.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collective.monitoring import MessageRecord
+from repro.collective.communicator import RankLocation
+from repro.collective.monitoring import CommunicatorRecord, MessageRecord
 from repro.core.c4d.delay_matrix import (
     ROW_FRACTION,
     SLOW_THRESHOLD,
@@ -20,8 +25,11 @@ from repro.core.c4d.delay_matrix import (
     analyze_delay_matrix,
     build_delay_matrix,
 )
+from repro.core.c4d.detectors import CommSlowDetector, DetectorConfig
 from repro.core.c4d.events import Suspect, SuspectKind
 from repro.core.c4d.median import MAX_PLAIN
+from repro.obs.metrics import MetricsRegistry
+from repro.telemetry.collector import CentralCollector
 
 
 # -- the differential oracles ------------------------------------------
@@ -34,10 +42,11 @@ def build_delay_matrix_reference(records) -> dict:
     """
     samples = {}
     for record in records:
-        if record.size_bits <= 0 or record.duration <= 0:
+        size = record.size_bits
+        if not (0 < size < math.inf and 0 < record.duration / size < math.inf):
             continue
         key = ((record.src_node, record.src_nic), (record.dst_node, record.dst_nic))
-        samples.setdefault(key, []).append(record.duration / record.size_bits)
+        samples.setdefault(key, []).append(record.duration / size)
     return {key: float(np.median(values)) for key, values in samples.items()}
 
 
@@ -239,7 +248,7 @@ def test_matrix_columns_line_up():
 
 #: Few distinct values, so exact ties and repeated medians are common.
 TIED = (0.5, 1.0, 1.0, 2.0, 3.0)
-#: Skipped (non-positive), unbounded and undefined samples.
+#: Non-positive, unbounded and undefined samples: all of them skipped.
 EDGE = (0.0, -1.0, math.inf, math.nan)
 sample_values = st.one_of(
     st.sampled_from(TIED),
@@ -296,11 +305,37 @@ def test_build_median_of_even_count_averages_middle_pair():
     assert build_delay_matrix(records).scores[((0, 0), (1, 0))] == pytest.approx(0.025)
 
 
-def test_build_nan_sample_poisons_its_pair_only():
-    records = [message(0, 1, 1.0), message(0, 1, math.nan), message(1, 2, 1.0)]
-    scores = build_delay_matrix(records).scores
-    assert math.isnan(scores[((0, 0), (1, 0))])
-    assert scores[((1, 0), (2, 0))] == pytest.approx(0.01)
+def test_build_skips_non_finite_samples():
+    records = [
+        message(0, 1, 1.0),
+        message(0, 1, math.nan),
+        message(0, 1, math.inf),
+        message(0, 1, 1.0, size=math.nan),
+        message(0, 1, 1.0, size=math.inf),
+        message(1, 2, math.nan),
+    ]
+    assert build_delay_matrix(records).scores == {((0, 0), (1, 0)): 0.01}
+
+
+def test_non_finite_messages_leave_a_slow_nic_flagged():
+    # Worker (3, 0)'s NIC is 4x slow, in and out.  One message has a NaN
+    # size and one an unbounded duration; neither may blind the window.
+    records = ring_messages(8, overrides={(2, 3): 4.0, (3, 4): 4.0})
+    records.append(message(5, 6, 1.0, size=math.nan))
+    records.append(message(6, 7, math.inf))
+    collector = CentralCollector(metrics=MetricsRegistry())
+    ranks = tuple(RankLocation(node, 0) for node in range(8))
+    collector.ingest_communicator(CommunicatorRecord("c", len(ranks), ranks))
+    for seq in (0, 1):
+        for record in records:
+            collector.ingest_message(dataclasses.replace(record, seq=seq))
+    detector = CommSlowDetector(collector, DetectorConfig(), MetricsRegistry())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (anomaly,) = detector.evaluate(10.0)
+    assert anomaly.suspects == (Suspect(kind=SuspectKind.WORKER, node=3, device=0),)
+    assert set(anomaly.evidence["flagged_pairs"]) == {((2, 0), (3, 0)), ((3, 0), (4, 0))}
+    assert anomaly.evidence["max_ratio"] == pytest.approx(4.0)
 
 
 # -- the columnar analysis against the dict walk -------------------------
@@ -310,7 +345,7 @@ WORKERS = [(node, nic) for node in range(3) for nic in range(2)]
 #: factor is drawn from the same values, so ratios land exactly on them.
 THRESHOLDS = (SLOW_THRESHOLD, SLOW_THRESHOLD * 0.9, SLOW_THRESHOLD * 0.6)
 FACTORS = (1.0, 2.0, 4.0, *THRESHOLDS)
-#: Sizes that make a message invalid (skipped) or its rate zero or NaN.
+#: Sizes that make a message invalid (skipped).
 ODD_SIZES = (0.0, -1.0, math.inf, math.nan)
 thresholds = st.one_of(
     st.sampled_from(THRESHOLDS),
@@ -324,10 +359,10 @@ def windows(draw):
 
     A message of a slow worker takes a slow factor longer, in and out.
     Each window also draws a few odd samples that its messages take now
-    and then: a non-positive duration or size (skipped), an unbounded
-    size (a zero rate), an unbounded duration and NaN.  Its usual
-    healthy sample is 1, a random one, or one that makes the baseline 0
-    or unbounded (and then some ratios NaN).
+    and then: a non-positive, unbounded or NaN duration or size, which
+    make the message invalid (skipped).  Its usual healthy sample is 1,
+    a random one, or an unbounded one, which leaves only the slow
+    workers' messages in the matrix.
     """
     slow = draw(st.sets(st.sampled_from(WORKERS), max_size=4))
     jitter = draw(st.floats(min_value=0.5, max_value=2.0))
@@ -352,7 +387,8 @@ def windows(draw):
 @given(windows(), thresholds)
 @settings(max_examples=400, deadline=None)
 def test_analysis_matches_dict_walk(records, threshold):
-    with np.errstate(invalid="ignore"):
+    # No NaN reaches the matrix, so no ratio is undefined.
+    with np.errstate(invalid="raise"):
         found = analyze_delay_matrix(build_delay_matrix(records), threshold)
         expected = analyze_delay_matrix_reference(
             build_delay_matrix_reference(records), threshold
@@ -369,7 +405,7 @@ def rings(draw):
     """
     count = draw(st.integers(min_value=MAX_PLAIN - 2, max_value=MAX_PLAIN + 2))
     slow = draw(st.sets(st.integers(min_value=0, max_value=count - 1), max_size=6))
-    # One NaN sample makes the baseline NaN; most rings hold none.
+    # One NaN sample drops its pair from the matrix; most rings hold none.
     undefined = draw(st.sampled_from((None, None, None, draw(st.integers(0, count - 1)))))
     factor = draw(st.sampled_from(FACTORS))
     records = []

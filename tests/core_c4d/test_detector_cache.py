@@ -1,14 +1,13 @@
-"""The slow detectors' per-entry findings against passes that redo everything.
+"""The wait-chain findings kept per entry against passes that redo everything.
 
-A master whose comm-slow and non-comm-slow detectors reuse what the
+A master whose non-comm-slow detector reuses the wait-chain findings the
 collector entry kept must report the same anomalies, and reach the same
-state digest, as a master that analyses every operation and message
-window again on every pass with the numpy wait chain.  The collectors
-keep small windows, so records are evicted; the feed repeats records
-(a lossy channel's duplicates), sends late records into seqs that were
-already analysed, restores the collector from its snapshot, and moves
-the evaluation clock by steps that may age rows out of the comm-slow
-window or go back.
+state digest, as a master that analyses every operation again on every
+pass with the numpy wait chain.  The collectors keep small windows, so
+records are evicted; the feed repeats records (a lossy channel's
+duplicates), sends late records into seqs that were already analysed,
+restores the collector from its snapshot, and moves the evaluation
+clock forwards and back.
 """
 
 from hypothesis import given, settings
@@ -18,7 +17,7 @@ from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
 from repro.controlplane.journal import state_digest
-from repro.core.c4d.detectors import CommSlowDetector, DetectorConfig, NonCommSlowDetector
+from repro.core.c4d.detectors import DetectorConfig, NonCommSlowDetector
 from repro.core.c4d.master import C4DMaster
 from repro.core.c4d.wait_chain import analyze_wait_chain
 from repro.obs.metrics import MetricsRegistry
@@ -43,18 +42,8 @@ class Logged:
         return verdicts
 
 
-class CachedCommSlow(Logged, CommSlowDetector):
-    pass
-
-
 class CachedNonCommSlow(Logged, NonCommSlowDetector):
     pass
-
-
-class UncachedCommSlow(Logged, CommSlowDetector):
-    def _outcome(self, comm_id, since, threshold):
-        self.collector.progress[comm_id].message_finding = None
-        return super()._outcome(comm_id, since, threshold)
 
 
 class UncachedNonCommSlow(Logged, NonCommSlowDetector):
@@ -128,38 +117,29 @@ configs = st.builds(
 
 
 class Side:
-    """A collector and its master; ``uncached`` redoes every analysis."""
+    """A collector and its master; ``uncached`` redoes every wait chain."""
 
     def __init__(self, config: DetectorConfig, uncached: bool) -> None:
+        self.config = config
         self.collector = SmallWindows(metrics=MetricsRegistry())
         self.registry = MetricsRegistry()
         self.master = C4DMaster(self.collector, config, metrics=self.registry)
-        classes = (UncachedCommSlow, UncachedNonCommSlow) if uncached else (
-            CachedCommSlow, CachedNonCommSlow
-        )
-        self.master.detectors[1:] = [cls(self.collector, config, self.registry) for cls in classes]
-        for detector in self.master.detectors[1:]:
-            detector.passes = []
+        cls = UncachedNonCommSlow if uncached else CachedNonCommSlow
+        self.noncomm_slow = cls(self.collector, config, self.registry)
+        self.noncomm_slow.passes = []
+        self.master.detectors[2] = self.noncomm_slow
         for comm, ranks in COMMS.items():
             self.collector.ingest_communicator(CommunicatorRecord(comm, len(ranks), ranks))
 
     def evaluate(self, now: float) -> tuple:
-        """This pass's fresh anomalies, raw verdicts and skip counts."""
-        comm_slow = self.master.detectors[1]
-        thresholds = {comm: comm_slow._threshold_for(comm) for comm in self.collector.progress}
+        """This pass's fresh anomalies, raw wait-chain verdicts and skip counts."""
         fresh = [
             (a.anomaly_type, a.comm_id, a.suspects, a.detected_at, a.evidence)
             for a in self.master.evaluate(now)
         ]
-        # What the pass kept is what a fresh look at its window gives.
-        since = now - comm_slow.config.slow_window
-        for comm, entry in self.collector.progress.items():
-            kept, entry.message_finding = entry.message_finding, None
-            assert kept.outcome == comm_slow._outcome(comm, since, thresholds[comm])
-            entry.message_finding = kept
         skipped = self.registry.counter("c4d_detector_skipped_total", labels=("detector", "reason"))
         skips = sorted((tuple(labels.items()), child.value) for labels, child in skipped.series())
-        return fresh, [d.passes[-1] for d in self.master.detectors[1:]], skips
+        return fresh, self.noncomm_slow.passes[-1], skips
 
     def restore(self) -> None:
         self.collector.restore_state(self.collector.snapshot_state())
@@ -172,9 +152,9 @@ class Side:
     def assert_findings_current(self) -> None:
         """Every kept wait-chain finding is what its seq's records give now."""
         for comm_id, entry in self.collector.progress.items():
-            for seq, (min_lateness, finding) in entry.seq_findings.items():
+            for seq, finding in entry.seq_findings.items():
                 records = self.collector.ops_for_seq(comm_id, seq)
-                assert finding == analyze_wait_chain(records, min_lateness)
+                assert finding == analyze_wait_chain(records, self.config.wait_min_lateness)
 
 
 @given(configs, st.lists(events, min_size=5, max_size=50))
@@ -194,7 +174,7 @@ def test_cached_passes_match_uncached_reference(config, feed):
             cached.restore()
             reference.restore()
             entries = cached.collector.progress.values()
-            assert all(not e.seq_findings and e.message_finding is None for e in entries)
+            assert all(not e.seq_findings for e in entries)
             continue
         if kind == "ops":
             records = list(op_records(*event[1:]))

@@ -1,4 +1,4 @@
-"""Tests for the C4D master, steering service, classifier and RCA."""
+"""Tests for the C4D master, steering service and classifier."""
 
 import pytest
 
@@ -8,11 +8,10 @@ from repro.cluster.topology import ClusterTopology
 from repro.collective.algorithms import OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, OpLaunchRecord
-from repro.core.c4d.classifier import CauseBucket, classify_anomaly, classify_fault
+from repro.core.c4d.classifier import CauseBucket, classify_fault
 from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.master import C4DMaster
-from repro.core.c4d.rca import RootCauseAnalyzer
 from repro.core.c4d.steering import (
     JobSteeringService,
     SteeringConfig,
@@ -97,33 +96,6 @@ def test_classify_fault_buckets():
     assert classify_fault(other) is CauseBucket.UNKNOWN
 
 
-def test_classify_anomaly_by_syndrome():
-    assert classify_anomaly(anomaly(atype=AnomalyType.NONCOMM_HANG)) is CauseBucket.CUDA_ERROR
-    assert classify_anomaly(anomaly(atype=AnomalyType.COMM_HANG)) is CauseBucket.ACK_TIMEOUT
-    assert classify_anomaly(anomaly(atype=AnomalyType.COMM_SLOW)) is CauseBucket.CCL_TIMEOUT
-
-
-def test_classify_anomaly_hint_dominates():
-    result = classify_anomaly(
-        anomaly(atype=AnomalyType.COMM_HANG), device_error_hint=FaultType.CUDA_ERROR
-    )
-    assert result is CauseBucket.CUDA_ERROR
-
-
-def test_rca_report():
-    rca = RootCauseAnalyzer()
-    rca.submit(anomaly(atype=AnomalyType.COMM_HANG))
-    rca.submit(anomaly(atype=AnomalyType.COMM_HANG))
-    rca.submit(
-        anomaly(atype=AnomalyType.NONCOMM_HANG),
-        fault_context=FaultEvent(0.0, FaultType.CUDA_ERROR, FaultClass.CRASH, True, 1),
-    )
-    report = rca.report()
-    assert report.total_cases == 3
-    assert report.proportion(CauseBucket.ACK_TIMEOUT) == pytest.approx(2 / 3)
-    assert report.proportion(CauseBucket.CUDA_ERROR) == pytest.approx(1 / 3)
-
-
 def _hang_collector():
     collector = CentralCollector()
     ranks = tuple(RankLocation(i, 0) for i in range(4))
@@ -138,15 +110,11 @@ def _hang_collector():
 def test_master_detects_and_steers(topo):
     collector = _hang_collector()
     steering = JobSteeringService(topo, backup_nodes=[15])
-    rca = RootCauseAnalyzer()
     master = C4DMaster(collector, DetectorConfig(hang_timeout=30.0), steering=steering)
     fresh = master.evaluate(now=60.0)
-    for found in fresh:
-        rca.submit(found)
     assert len(fresh) == 1
     assert fresh[0].anomaly_type is AnomalyType.NONCOMM_HANG
     assert steering.actions and steering.actions[0].isolated_nodes == (3,)
-    assert rca.report().total_cases == 1
 
 
 def test_master_cooldown_suppresses_repeats(topo):

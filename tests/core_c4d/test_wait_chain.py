@@ -58,7 +58,7 @@ def test_straggler_wait_semantics():
     launches[2] = 1.0
     records = records_with_launches(launches)
     finding = analyze_wait_chain(records)
-    least_waiting = min(records, key=lambda r: r.wait_time).location
+    least_waiting = min(records, key=lambda r: r.start_time - r.launch_time).location
     assert [(s.node, s.device) for s in finding.suspects] == [
         (least_waiting.node, least_waiting.gpu)
     ]

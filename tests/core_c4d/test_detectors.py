@@ -97,6 +97,39 @@ def test_hang_respects_timeout():
     assert detector.evaluate(now=31.5) != []
 
 
+#: Twice what the launch window holds, so one operation's launches overflow it.
+LARGE = 2 * CentralCollector.OP_WINDOW
+
+
+def large_hang(missing=()):
+    """A ``LARGE``-rank communicator whose seq 1 every rank but ``missing`` launched."""
+    collector = CentralCollector(metrics=MetricsRegistry())
+    ranks = tuple(RankLocation(i // 8, i % 8) for i in range(LARGE))
+    collector.ingest_communicator(CommunicatorRecord("c", LARGE, ranks), now=0.0)
+    for rank in range(LARGE):
+        if rank not in missing:
+            collector.ingest_launch(
+                OpLaunchRecord("c", 1, OpType.ALLREDUCE, rank, ranks[rank], 1.0)
+            )
+    return HangDetector(collector, DetectorConfig(hang_timeout=30.0)).evaluate(now=60.0)
+
+
+def test_comm_hang_at_8192_ranks_outlives_the_launch_window():
+    anomalies = large_hang()
+    assert len(anomalies) == 1
+    assert anomalies[0].anomaly_type is AnomalyType.COMM_HANG
+    assert [s.kind for s in anomalies[0].suspects] == [SuspectKind.UNKNOWN]
+
+
+def test_noncomm_hang_at_8192_ranks_names_only_the_missing_rank():
+    anomalies = large_hang(missing={5000})
+    assert len(anomalies) == 1
+    assert anomalies[0].anomaly_type is AnomalyType.NONCOMM_HANG
+    assert [(s.kind, s.node, s.device) for s in anomalies[0].suspects] == [
+        (SuspectKind.WORKER, 625, 0)
+    ]
+
+
 def message(seq, src, dst, duration, complete):
     return MessageRecord(
         comm_id="c", seq=seq, src_node=src, src_nic=0, dst_node=dst, dst_nic=0,

@@ -10,6 +10,8 @@ from repro.collective.algorithms import Algorithm, OpType
 from repro.collective.communicator import RankLocation
 from repro.collective.monitoring import CommunicatorRecord, MessageRecord, OpLaunchRecord, OpRecord
 from repro.core.c4d.delay_matrix import analyze_delay_matrix, build_delay_matrix
+from repro.core.c4d.detectors import DetectorConfig, HangDetector
+from repro.core.c4d.events import AnomalyType, SuspectKind
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.collector import CentralCollector
 from tests.core_c4d.test_delay_matrix import (
@@ -296,14 +298,28 @@ class ModelWindows:
         self.window = window
         self.ops: dict[str, deque] = {}
         self.launches: dict[str, deque] = {}
+        #: Every launch record since registration: an unbounded window.
+        self.all_launches: dict[str, list] = {}
 
     def register(self, comm: str) -> None:
         self.ops[comm] = deque(maxlen=self.window)
         self.launches[comm] = deque(maxlen=self.window)
+        self.all_launches[comm] = []
 
     def drop(self, comm: str) -> None:
         self.ops.pop(comm, None)
         self.launches.pop(comm, None)
+        self.all_launches.pop(comm, None)
+
+    def hang_verdict(self, comm: str) -> tuple:
+        """The hang verdict a scan of every launch record gives."""
+        launches = self.all_launches[comm]
+        stuck = max(r.seq for r in launches)
+        missing = set(range(comm_record(comm).size)) - {r.rank for r in launches if r.seq == stuck}
+        if missing:
+            suspects = tuple((SuspectKind.WORKER, 0, rank) for rank in sorted(missing))
+            return AnomalyType.NONCOMM_HANG, suspects, stuck
+        return AnomalyType.COMM_HANG, ((SuspectKind.UNKNOWN, None, None),), stuck
 
     def ops_for_seq(self, comm: str, seq: int) -> list:
         return [r for r in self.ops.get(comm, ()) if r.seq == seq]
@@ -340,6 +356,7 @@ def test_seq_queries_match_linear_scans(window, steps):
             collector.ingest_launch(launch(comm, seq, rank, t=float(t)))
             if comm in model.launches:
                 model.launches[comm].append(launch(comm, seq, rank, t=float(t)))
+                model.all_launches[comm].append(launch(comm, seq, rank, t=float(t)))
         elif kind == "drop":
             collector.drop_communicator(step[1])
             model.drop(step[1])
@@ -363,6 +380,12 @@ def test_seq_queries_match_linear_scans(window, steps):
                 )
             for count in range(1, 4):
                 assert collector.latest_seqs(comm, count) == model.latest_seqs(comm, count)
+        # No timeout: the detector fires whenever a launch is outstanding.
+        hangs = HangDetector(collector, DetectorConfig(hang_timeout=0.0)).evaluate(float(t))
+        for anomaly in hangs:
+            suspects = tuple((s.kind, s.node, s.device) for s in anomaly.suspects)
+            verdict = (anomaly.anomaly_type, suspects, anomaly.evidence["stuck_seq"])
+            assert verdict == model.hang_verdict(anomaly.comm_id)
 
 
 # -- the windowed delay matrix against the record-built reference -------

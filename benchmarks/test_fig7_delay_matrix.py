@@ -9,6 +9,7 @@ analyzer must localize them.
 from benchmarks.conftest import run_once
 from repro.core.c4d.events import SuspectKind
 from repro.experiments import fig7
+from tests.workloads.test_experiments import render_heatmap
 
 
 def test_fig7_delay_matrix_syndrome(benchmark):
@@ -16,7 +17,7 @@ def test_fig7_delay_matrix_syndrome(benchmark):
     print()
     print(fig7.format_result(result))
     print()
-    print(fig7.render_heatmap(result.matrix))
+    print(render_heatmap(result.matrix))
     benchmark.extra_info["max_ratio"] = result.finding.max_ratio
 
     # The degraded NIC shows as both an outgoing and an incoming hot

@@ -21,10 +21,11 @@ import pytest
 
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology, PathChoice
-from repro.netsim.fairness import FairShareState, max_min_rates, max_min_rates_reference
+from repro.netsim.fairness import FairShareState, max_min_rates
 from repro.netsim.flows import Flow
 from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry
+from tests.netsim.test_fairness import max_min_rates_reference
 
 SIZES = (1_000, 2_000, 5_000, 10_000)
 RUNGS = ("cold", "reference", "warm")

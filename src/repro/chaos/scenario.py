@@ -283,20 +283,15 @@ class ChaosScenario:
 # ----------------------------------------------------------------------
 # Scenario factories
 # ----------------------------------------------------------------------
-def flapping_scenario(
-    seed: int,
-    episodes: int = 2,
-    drop_rate: float = 0.10,
-    job_nodes: int = 8,
-    duration: float = 1800.0,
-) -> ChaosScenario:
+def flapping_scenario(seed: int) -> ChaosScenario:
     """Flapping hosts under lossy telemetry — the acceptance scenario."""
+    job_nodes, duration = 8, 1800.0
     injector = FaultInjector(seed=seed)
     faults = tuple(
         injector.sample_flapping(
             duration_seconds=duration * 0.6,
             num_nodes=job_nodes,
-            episodes=episodes,
+            episodes=2,
             mean_active_seconds=240.0,
             mean_quiet_seconds=120.0,
             max_recurrences=3,
@@ -308,17 +303,13 @@ def flapping_scenario(
         job_nodes=job_nodes,
         duration=duration,
         faults=faults,
-        channel=ChannelConfig(drop_rate=drop_rate, duplicate_rate=0.05),
+        channel=ChannelConfig(drop_rate=0.10, duplicate_rate=0.05),
     )
 
 
-def cascade_scenario(
-    seed: int,
-    group_size: int = 3,
-    job_nodes: int = 8,
-    duration: float = 1500.0,
-) -> ChaosScenario:
+def cascade_scenario(seed: int) -> ChaosScenario:
     """A correlated ToR-style cascade degrading a contiguous node group."""
+    group_size, job_nodes, duration = 3, 8, 1500.0
     injector = FaultInjector(seed=seed)
     faults = tuple(
         injector.sample_cascades(
@@ -340,13 +331,9 @@ def cascade_scenario(
     )
 
 
-def crash_under_loss_scenario(
-    seed: int,
-    drop_rate: float = 0.10,
-    job_nodes: int = 8,
-    duration: float = 1200.0,
-) -> ChaosScenario:
+def crash_under_loss_scenario(seed: int) -> ChaosScenario:
     """A hard worker crash with degraded steering under lossy telemetry."""
+    job_nodes = 8
     injector = FaultInjector(seed=seed)
     victim = int(injector.pick_victims(list(range(job_nodes)), 1)[0])
     onset = 60.0 + (seed % 5) * 30.0
@@ -361,16 +348,16 @@ def crash_under_loss_scenario(
         name=f"crash[s{seed}]",
         seed=seed,
         job_nodes=job_nodes,
-        duration=duration,
+        duration=1200.0,
         faults=(crash,),
-        channel=ChannelConfig(drop_rate=drop_rate, duplicate_rate=0.05),
+        channel=ChannelConfig(drop_rate=0.10, duplicate_rate=0.05),
         steering_faults=SteeringFaultModel(
             isolation_failure_rate=0.3, replacement_doa_rate=0.2, seed=seed
         ),
     )
 
 
-def checkpoint_corruption_scenario(seed: int, corrupt_newest: int = 1) -> ChaosScenario:
+def checkpoint_corruption_scenario(seed: int) -> ChaosScenario:
     """A crash whose newest snapshot(s) are corrupted at restore time."""
     injector = FaultInjector(seed=seed)
     victim = int(injector.pick_victims(list(range(4)), 1)[0])
@@ -388,14 +375,14 @@ def checkpoint_corruption_scenario(seed: int, corrupt_newest: int = 1) -> ChaosS
         job_nodes=4,
         duration=800.0,
         faults=(crash,),
-        corrupt_newest=corrupt_newest,
+        corrupt_newest=1,
     )
 
 
 # ----------------------------------------------------------------------
 # Fabric (C4P) scenario factories
 # ----------------------------------------------------------------------
-def link_down_scenario(seed: int, duration: float = 300.0) -> ChaosScenario:
+def link_down_scenario(seed: int) -> ChaosScenario:
     """Mid-job leaf-spine link death with out-of-band notification (Fig. 12).
 
     The acceptance scenario for drain-and-migrate: every QP on the dead
@@ -415,12 +402,12 @@ def link_down_scenario(seed: int, duration: float = 300.0) -> ChaosScenario:
         name=f"link-down[s{seed}]",
         seed=seed,
         kind=ScenarioKind.FABRIC,
-        duration=duration,
+        duration=300.0,
         fabric=plan,
     )
 
 
-def flapping_link_scenario(seed: int, duration: float = 400.0) -> ChaosScenario:
+def flapping_link_scenario(seed: int) -> ChaosScenario:
     """Two links flapping out of phase (Fig. 13's adversarial cousin).
 
     When link A dies while link B is in its quiet half, B is exactly
@@ -460,12 +447,12 @@ def flapping_link_scenario(seed: int, duration: float = 400.0) -> ChaosScenario:
         name=f"flapping-link[s{seed}]",
         seed=seed,
         kind=ScenarioKind.FABRIC,
-        duration=duration,
+        duration=400.0,
         fabric=plan,
     )
 
 
-def spine_maintenance_scenario(seed: int, duration: float = 300.0) -> ChaosScenario:
+def spine_maintenance_scenario(seed: int) -> ChaosScenario:
     """A whole spine silently taken down (unannounced maintenance).
 
     No notification reaches the master — detection must come from the
@@ -491,12 +478,12 @@ def spine_maintenance_scenario(seed: int, duration: float = 300.0) -> ChaosScena
         name=f"spine-maintenance[s{seed}]",
         seed=seed,
         kind=ScenarioKind.FABRIC,
-        duration=duration,
+        duration=300.0,
         fabric=plan,
     )
 
 
-def dual_plane_scenario(seed: int, duration: float = 300.0) -> ChaosScenario:
+def dual_plane_scenario(seed: int) -> ChaosScenario:
     """Correlated failures on *both* planes at the same instant.
 
     The drain must keep every migrated QP in its original plane (left
@@ -525,7 +512,7 @@ def dual_plane_scenario(seed: int, duration: float = 300.0) -> ChaosScenario:
         name=f"dual-plane[s{seed}]",
         seed=seed,
         kind=ScenarioKind.FABRIC,
-        duration=duration,
+        duration=300.0,
         fabric=plan,
     )
 
@@ -543,7 +530,7 @@ def _crash(time: float, victim: int) -> FaultEvent:
     )
 
 
-def master_kill_scenario(seed: int, duration: float = 900.0) -> ChaosScenario:
+def master_kill_scenario(seed: int) -> ChaosScenario:
     """The C4D master dies mid-campaign and restarts from its journal.
 
     One worker crash lands before the kill (its verdict and isolation
@@ -561,13 +548,13 @@ def master_kill_scenario(seed: int, duration: float = 900.0) -> ChaosScenario:
         kind=ScenarioKind.CONTROLPLANE,
         job_nodes=8,
         backup_nodes=2,
-        duration=duration,
+        duration=900.0,
         faults=(_crash(60.3, victims[0]), _crash(600.3, victims[1])),
         controlplane=plan,
     )
 
 
-def failover_scenario(seed: int, duration: float = 900.0) -> ChaosScenario:
+def failover_scenario(seed: int) -> ChaosScenario:
     """A warm standby is promoted while the old primary still runs.
 
     Identical fault plan to :func:`master_kill_scenario`, but recovery
@@ -586,13 +573,13 @@ def failover_scenario(seed: int, duration: float = 900.0) -> ChaosScenario:
         kind=ScenarioKind.CONTROLPLANE,
         job_nodes=8,
         backup_nodes=2,
-        duration=duration,
+        duration=900.0,
         faults=(_crash(60.3, victims[0]), _crash(600.3, victims[1])),
         controlplane=plan,
     )
 
 
-def collector_partition_scenario(seed: int, duration: float = 720.0) -> ChaosScenario:
+def collector_partition_scenario(seed: int) -> ChaosScenario:
     """Agents partitioned from the collector: a total telemetry blackout.
 
     The master stays up and keeps evaluating while every record and
@@ -611,13 +598,13 @@ def collector_partition_scenario(seed: int, duration: float = 720.0) -> ChaosSce
         kind=ScenarioKind.CONTROLPLANE,
         job_nodes=8,
         backup_nodes=2,
-        duration=duration,
+        duration=720.0,
         faults=(_crash(60.3, victim),),
         controlplane=plan,
     )
 
 
-def agent_massacre_scenario(seed: int, duration: float = 900.0) -> ChaosScenario:
+def agent_massacre_scenario(seed: int) -> ChaosScenario:
     """Half the agents die; their nodes go dark while staying healthy.
 
     Four of eight agents are killed for two hundred seconds — coverage
@@ -639,7 +626,7 @@ def agent_massacre_scenario(seed: int, duration: float = 900.0) -> ChaosScenario
         kind=ScenarioKind.CONTROLPLANE,
         job_nodes=8,
         backup_nodes=2,
-        duration=duration,
+        duration=900.0,
         faults=(_crash(500.3, victim),),
         controlplane=plan,
     )

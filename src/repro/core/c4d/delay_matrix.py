@@ -165,8 +165,6 @@ def analyze_delay_matrix(matrix: DelayMatrix, threshold: float = SLOW_THRESHOLD)
     if not matrix.pairs:
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=float("nan"), max_ratio=0.0)
     baseline = matrix.baseline()
-    if baseline <= 0:
-        return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=0.0)
 
     ratios = matrix.values / baseline
     max_ratio = float(ratios.max())

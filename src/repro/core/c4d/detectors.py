@@ -107,9 +107,9 @@ class HangDetector:
     A communicator whose launches have stopped producing completions for
     longer than ``hang_timeout``:
 
-    * ranks whose startup record for the stuck sequence is missing never
-      reached the collective → **non-communication hang**, localized to
-      exactly those workers;
+    * ranks that never launched the stuck sequence (the largest any rank
+      launched) never reached the collective → **non-communication
+      hang**, localized to exactly those workers;
     * all ranks launched but none completed → **communication hang**
       (network-level), reported at communicator scope.
     """
@@ -133,11 +133,16 @@ class HangDetector:
             stalled_for = now - stall_reference
             if stalled_for < self.config.hang_timeout:
                 continue
+            # Per-rank progress, not the bounded launch window: the stuck
+            # seq is the largest any rank launched, so a rank launched it
+            # exactly when its own last launch reached it.
             stuck_seq = launched
-            launch_records = self.collector.launches_for_seq(comm_id, stuck_seq)
-            launched_ranks = {r.rank for r in launch_records}
-            all_ranks = set(range(progress.record.size))
-            missing = sorted(all_ranks - launched_ranks)
+            last_launch = progress.last_launch_seq
+            missing = [
+                rank
+                for rank in range(progress.record.size)
+                if last_launch.get(rank, -1) < stuck_seq
+            ]
             if missing:
                 suspects = tuple(
                     Suspect(

@@ -3,9 +3,9 @@
 Wires the detectors over the central collector (Fig. 5's architecture):
 ``evaluate(now)`` runs all detectors, suppresses repeats of anomalies it
 has already acted on, forwards fresh ones to the steering service
-(isolate + restart) and returns them; the caller ships that return value
-to whatever consumes anomalies in the background (the offline
-root-cause analyzer, a fault tracer).
+(isolate + restart) and returns them; the caller acts on that return
+value as it needs (the recovery orchestrator restarts the job on a
+hang verdict).
 """
 
 from __future__ import annotations

@@ -68,30 +68,6 @@ def run(
     )
 
 
-def render_heatmap(matrix: DelayMatrix, width: int = 4) -> str:
-    """ASCII rendering of the normalized delay matrix (the paper's grid).
-
-    Rows are source workers, columns destination workers; cells show the
-    pair's delay relative to the cluster median ('.' for unobserved
-    pairs).  Ring communicators populate one off-diagonal band.
-    """
-    workers = sorted(matrix.workers)
-    baseline = matrix.baseline()
-    header = " " * 8 + "".join(f"{w[0]}/{w[1]}".rjust(width + 1) for w in workers)
-    lines = [header]
-    for src in workers:
-        cells = []
-        for dst in workers:
-            score = matrix.scores.get((src, dst))
-            cells.append(
-                ".".rjust(width + 1)
-                if score is None
-                else f"{score / baseline:.1f}".rjust(width + 1)
-            )
-        lines.append(f"{src[0]}/{src[1]}".ljust(8) + "".join(cells))
-    return "\n".join(lines)
-
-
 def format_result(result: Fig7Result) -> str:
     """Render the flagged pairs and the localization verdict."""
     baseline = result.matrix.baseline()

@@ -15,7 +15,7 @@ and 512-GPU experiments tractable.
 
 from repro.netsim.congestion import CongestionModel
 from repro.netsim.engine import EventQueue, TimerHandle
-from repro.netsim.fairness import max_min_rates, max_min_rates_reference
+from repro.netsim.fairness import max_min_rates
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.links import Link, LinkState
 from repro.netsim.network import FlowNetwork
@@ -30,7 +30,6 @@ __all__ = [
     "Flow",
     "FlowState",
     "max_min_rates",
-    "max_min_rates_reference",
     "FlowNetwork",
     "EcmpHasher",
     "CongestionModel",

@@ -26,7 +26,6 @@ pass, and the completions come from a scan of every flow.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from typing import Callable, Optional
 
@@ -471,25 +470,3 @@ class FlowNetwork:
     def stalled_flows(self) -> list[Flow]:
         """Flows currently stalled on a failed link."""
         return [f for f in self.flows.values() if f.state == FlowState.STALLED]
-
-    def sanity_check(self) -> None:
-        """Verify internal invariants; raises AssertionError on violation.
-
-        Checks that no link is oversubscribed by the current rate
-        allocation and that all flow bookkeeping is consistent.  Used by
-        property-based tests.
-        """
-        rates = self.compute_rates()
-        load: dict[object, float] = {}
-        for flow in self.active_flows:
-            for link_id in flow.path:
-                load[link_id] = load.get(link_id, 0.0) + rates.get(flow.flow_id, 0.0)
-        for link_id, total in load.items():
-            capacity = self.links[link_id].capacity
-            if total > capacity * (1 + 1e-9) + 1e-6:
-                raise AssertionError(
-                    f"link {link_id!r} oversubscribed: {total} > {capacity}"
-                )
-        for flow in self.flows.values():
-            if flow.remaining < 0 or math.isnan(flow.remaining):
-                raise AssertionError(f"flow {flow.flow_id!r} has bad remaining {flow.remaining}")

@@ -6,14 +6,15 @@ bounded windows of its operation- and transport-layer records.  The
 detectors in :mod:`repro.core.c4d` query this store; they never see
 simulator ground truth.
 
-Beside each operation and launch window the entry keeps a
-``seq -> records`` index, so the per-operation queries the detectors make
-every pass are lookups rather than window scans.  Beside the message
-window it keeps the window's numeric columns (:class:`MessageColumns`:
-pair id, rate, completion time, seq, valid flag), filled at ingest, and
-numbers each pair and its source and destination workers at their first
-appearance, so the delay matrix is built and analysed as arrays instead
-of a record loop.  A message whose size or rate is not a finite positive
+Beside the operation window the entry keeps a ``seq -> records`` index,
+so the per-operation queries the detectors make every pass are lookups
+rather than window scans.  The launch window has no index: the hang
+detector reads per-rank launch progress, which no window bounds.
+Beside the message window the entry keeps the window's numeric columns
+(:class:`MessageColumns`: pair id, rate, completion time, seq, valid
+flag), filled at ingest, and numbers each pair and its source and
+destination workers at their first appearance, so the delay matrix is
+built and analysed as arrays instead of a record loop.  A message whose size or rate is not a finite positive
 number is marked invalid there and never reaches the matrix.
 The entry also holds the wait-chain finding of each seq, which the
 collector drops whenever a record joins or leaves that seq's op bucket,
@@ -50,9 +51,8 @@ class CommProgress:
     messages: Deque[MessageRecord] = field(compare=False, repr=False)
     #: ``messages`` as numeric columns, for the delay matrix.
     message_columns: MessageColumns = field(compare=False, repr=False)
-    #: seq -> its records in window order, over ``ops`` and ``launches``.
+    #: seq -> its records in window order, over ``ops``.
     ops_by_seq: dict[int, Deque[OpRecord]] = field(compare=False, repr=False)
-    launches_by_seq: dict[int, Deque[OpLaunchRecord]] = field(compare=False, repr=False)
     #: Last completed op sequence per rank (-1 before the first op).
     last_seq: dict[int, int] = field(default_factory=dict)
     #: Last *launched* op sequence per rank (-1 before the first op).
@@ -230,7 +230,7 @@ class MessageColumns:
 
 
 #: What the queries read for a communicator that is not registered.
-_UNREGISTERED = CommProgress(CommunicatorRecord("", 0, ()), (), (), (), MessageColumns(0), {}, {})
+_UNREGISTERED = CommProgress(CommunicatorRecord("", 0, ()), (), (), (), MessageColumns(0), {})
 
 
 class CentralCollector:
@@ -289,42 +289,12 @@ class CentralCollector:
             "Communicators currently registered with the collector",
         )
 
-    def _append(
-        self,
-        kind: str,
-        window: Deque,
-        index: Optional[dict],
-        record,
-        findings: Optional[dict] = None,
-    ) -> None:
-        """Append to a bounded window, counting the record and any eviction.
-
-        ``index`` is the window's seq index, kept in step when given.
-        The window is FIFO, so within one seq bucket the evicted record
-        is always the bucket's front.  ``findings`` (per seq) loses the
-        finding of each seq whose bucket changes.
-        """
+    def _append(self, kind: str, window: Deque, record) -> None:
+        """Append to a bounded window, counting the record and any eviction."""
         if len(window) == window.maxlen:
             self._m_evicted[kind].inc()
-            if index is not None and window:
-                evicted = window[0].seq
-                bucket = index[evicted]
-                bucket.popleft()
-                if not bucket:
-                    del index[evicted]
-                if findings:
-                    findings.pop(evicted, None)
         window.append(record)
         self._m_ingested[kind].inc()
-        if index is None or not window:
-            return  # no index, or a zero-length window that keeps nothing
-        if findings:
-            findings.pop(record.seq, None)
-        bucket = index.get(record.seq)
-        if bucket is None:
-            index[record.seq] = deque((record,))
-        else:
-            bucket.append(record)
 
     def _entry(
         self,
@@ -339,10 +309,7 @@ class CentralCollector:
         launches = deque(launches, maxlen=self.OP_WINDOW)
         messages = deque(messages, maxlen=self.MESSAGE_WINDOW)
         columns = MessageColumns.filled(self.MESSAGE_WINDOW, messages)
-        return CommProgress(
-            record, ops, launches, messages, columns, _seq_index(ops), _seq_index(launches),
-            **progress,
-        )
+        return CommProgress(record, ops, launches, messages, columns, _seq_index(ops), **progress)
 
     # ------------------------------------------------------------------
     # Ingestion (called by agents)
@@ -385,17 +352,38 @@ class CentralCollector:
             entry.last_launch_seq.get(record.rank, -1), record.seq
         )
         entry.last_launch_time = max(entry.last_launch_time, record.launch_time)
-        self._append("launch", entry.launches, entry.launches_by_seq, record)
+        self._append("launch", entry.launches, record)
 
     def ingest_op(self, record: OpRecord) -> None:
-        """Record a completed per-rank operation."""
+        """Record a completed per-rank operation.
+
+        The seq index keeps step with the window, which is FIFO, so the
+        evicted record is always the front of its seq's bucket.  Each
+        seq whose bucket changes loses its finding.
+        """
         entry = self.progress.get(record.comm_id)
         if entry is None:
             self._discard(record.comm_id)
             return
         entry.last_seq[record.rank] = max(entry.last_seq.get(record.rank, -1), record.seq)
         entry.last_completion_time = max(entry.last_completion_time, record.end_time)
-        self._append("op", entry.ops, entry.ops_by_seq, record, entry.seq_findings)
+        ops, index, findings = entry.ops, entry.ops_by_seq, entry.seq_findings
+        if ops and len(ops) == ops.maxlen:
+            evicted = ops[0].seq
+            bucket = index[evicted]
+            bucket.popleft()
+            if not bucket:
+                del index[evicted]
+            findings.pop(evicted, None)
+        self._append("op", ops, record)
+        if not ops:
+            return  # a zero-length window keeps nothing
+        findings.pop(record.seq, None)
+        bucket = index.get(record.seq)
+        if bucket is None:
+            index[record.seq] = deque((record,))
+        else:
+            bucket.append(record)
 
     def ingest_message(self, record: MessageRecord) -> None:
         """Record a transport-layer message."""
@@ -403,7 +391,7 @@ class CentralCollector:
         if entry is None:
             self._discard(record.comm_id)
             return
-        self._append("message", entry.messages, None, record)
+        self._append("message", entry.messages, record)
         entry.message_columns.append(record)
 
     # ------------------------------------------------------------------
@@ -432,8 +420,8 @@ class CentralCollector:
         return list(self.progress.get(comm_id, _UNREGISTERED).ops_by_seq.get(seq, ()))
 
     def launches_for_seq(self, comm_id: str, seq: int) -> list[OpLaunchRecord]:
-        """Per-rank startup records of one specific operation."""
-        return list(self.progress.get(comm_id, _UNREGISTERED).launches_by_seq.get(seq, ()))
+        """Per-rank startup records of one specific operation, by a window scan."""
+        return [r for r in self.progress.get(comm_id, _UNREGISTERED).launches if r.seq == seq]
 
     def latest_seqs(self, comm_id: str, count: int) -> list[int]:
         """The most recent ``count`` completed sequence numbers."""

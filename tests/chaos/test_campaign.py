@@ -314,7 +314,7 @@ def test_flapping_under_lossy_telemetry_meets_acceptance():
     # Flapping faults + 10% telemetry drop: the hardened pipeline must
     # keep detection precision >= 0.9 with zero isolation storms (no
     # node isolated more than once per fault episode).
-    scenario = flapping_scenario(seed=0, drop_rate=0.10)
+    scenario = flapping_scenario(seed=0)
     assert scenario.channel.drop_rate == pytest.approx(0.10)
     card = ChaosCampaign([scenario]).run_scenario(scenario)
     assert card.precision >= 0.9

@@ -55,8 +55,6 @@ def analyze_delay_matrix_reference(scores: dict, threshold: float = SLOW_THRESHO
     if not scores:
         return MatrixFinding(suspects=(), flagged_pairs=(), baseline=float("nan"), max_ratio=0.0)
     baseline = float(np.median(list(scores.values())))
-    if baseline <= 0:
-        return MatrixFinding(suspects=(), flagged_pairs=(), baseline=baseline, max_ratio=0.0)
 
     ratios = [score / baseline for score in scores.values()]
     flagged = [pair for pair, ratio in zip(scores, ratios) if ratio > threshold]

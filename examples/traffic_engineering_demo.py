@@ -57,7 +57,7 @@ def demo_failure_recovery() -> None:
         scenario = build_cluster(fig12_spec(), use_c4p=True, ecmp_seed=6)
         runners = concurrent_allreduce_jobs(
             scenario, max_ops=10_000, warmup_ops=0, stop_time=1.5,
-            dynamic=dynamic, qp_work_stealing=dynamic,
+            dynamic=dynamic,
         )
         for runner in runners:
             runner.start()

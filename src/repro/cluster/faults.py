@@ -10,9 +10,8 @@ Two kinds of faults are modelled:
 
 * **crash faults** — kill the job; consumed by the month-scale lifetime
   simulations (Tables I and III);
-* **degradations** — slow GPUs / NIC ports / hosts and link failures;
-  consumed by the runtime experiments (Figs. 7, 12, 13) and by C4D's
-  slow-detection tests.
+* **degradations** — slow NIC ports; consumed by the runtime
+  experiments (Figs. 7, 12, 13) and by C4D's slow-detection tests.
 
 On top of those, the chaos harness (:mod:`repro.chaos`) draws three
 adversarial families that production diagnosis systems must survive:
@@ -61,14 +60,10 @@ class FaultType(enum.Enum):
     ACK_TIMEOUT = "ack_timeout"
     NETWORK_OTHER = "network_other"
     # Degradations (non-crash):
-    SLOW_GPU = "slow_gpu"
     SLOW_NIC_PORT = "slow_nic_port"
-    SLOW_HOST = "slow_host"
-    LINK_FAILURE = "link_failure"
     # Adversarial families (chaos harness):
     FLAPPING_HOST = "flapping_host"
     TOR_CASCADE = "tor_cascade"
-    CHECKPOINT_CORRUPTION = "checkpoint_corruption"
 
 
 class FaultClass(enum.Enum):

@@ -75,11 +75,6 @@ class ClusterSpec:
     # Derived quantities
     # ------------------------------------------------------------------
     @property
-    def total_gpus(self) -> int:
-        """Total GPU count across the cluster."""
-        return self.num_nodes * self.gpus_per_node
-
-    @property
     def nics_per_rail(self) -> int:
         """NICs of one node attached to each rail."""
         return self.nics_per_node // self.rails
@@ -90,25 +85,10 @@ class ClusterSpec:
         return self.port_gbps * GBPS
 
     @property
-    def bonded_capacity(self) -> float:
-        """Logical bonded NIC capacity in bits/s (two ports)."""
-        return 2 * self.port_capacity
-
-    @property
     def uplink_capacity(self) -> float:
         """One leaf-spine physical link's capacity in bits/s, after
         applying the oversubscription ratio."""
         return self.uplink_port_gbps * GBPS / self.oversubscription
-
-    @property
-    def leaf_downlink_ports(self) -> int:
-        """Host-facing ports per leaf switch."""
-        return self.num_nodes * self.nics_per_rail
-
-    @property
-    def leaf_uplink_ports(self) -> int:
-        """Spine-facing ports per leaf switch."""
-        return self.spines_per_rail * self.uplink_ports_per_spine
 
     @property
     def nvlink_capacity(self) -> float:

@@ -4,13 +4,10 @@ The simulator needs, for each (operation, algorithm) pair, how many bits
 cross every inter-node ring edge when each rank contributes ``size``
 bits.  For the ring family this is the textbook accounting:
 
-* allreduce      = reduce-scatter + all-gather = 2(n-1)/n x size
-* reduce-scatter =                                (n-1)/n x size
-* all-gather     =                                (n-1)/n x size
-* broadcast      = pipelined chain              = size
-* alltoall       = pairwise exchange; handled separately because its
+* allreduce = reduce-scatter + all-gather = 2(n-1)/n x size
+* alltoall  = pairwise exchange; handled separately because its
   node-level traffic is all-to-all rather than ring-shaped.
-* send/recv      = point-to-point;  size.
+* send/recv = point-to-point;  size.
 
 The bus-bandwidth metric reported by nccl-tests follows the same
 convention: ``busbw = traffic_factor * size / time``, which makes busbw
@@ -27,9 +24,6 @@ class OpType(enum.Enum):
     """Collective operation types supported by the library."""
 
     ALLREDUCE = "allreduce"
-    REDUCE_SCATTER = "reduce_scatter"
-    ALL_GATHER = "all_gather"
-    BROADCAST = "broadcast"
     ALLTOALL = "alltoall"
     SEND_RECV = "send_recv"
 
@@ -41,16 +35,12 @@ class Algorithm(enum.Enum):
     PAIRWISE = "pairwise"
     PIPELINE = "pipeline"
     HALVING_DOUBLING = "halving_doubling"
-    TREE = "tree"
     HIERARCHICAL = "hierarchical"
 
 
 #: Which algorithms can realize each operation.
 SUPPORTED_ALGORITHMS = {
     OpType.ALLREDUCE: (Algorithm.RING, Algorithm.HALVING_DOUBLING, Algorithm.HIERARCHICAL),
-    OpType.REDUCE_SCATTER: (Algorithm.RING,),
-    OpType.ALL_GATHER: (Algorithm.RING,),
-    OpType.BROADCAST: (Algorithm.PIPELINE, Algorithm.TREE),
     OpType.ALLTOALL: (Algorithm.PAIRWISE,),
     OpType.SEND_RECV: (Algorithm.PIPELINE,),
 }
@@ -59,9 +49,6 @@ SUPPORTED_ALGORITHMS = {
 #: Default algorithm per operation (the paper's benchmarks force ring).
 DEFAULT_ALGORITHM = {
     OpType.ALLREDUCE: Algorithm.RING,
-    OpType.REDUCE_SCATTER: Algorithm.RING,
-    OpType.ALL_GATHER: Algorithm.RING,
-    OpType.BROADCAST: Algorithm.PIPELINE,
     OpType.ALLTOALL: Algorithm.PAIRWISE,
     OpType.SEND_RECV: Algorithm.PIPELINE,
 }
@@ -80,10 +67,6 @@ def traffic_factor(op: OpType, n_ranks: int) -> float:
     n = float(n_ranks)
     if op is OpType.ALLREDUCE:
         return 2.0 * (n - 1.0) / n
-    if op in (OpType.REDUCE_SCATTER, OpType.ALL_GATHER):
-        return (n - 1.0) / n
-    if op is OpType.BROADCAST:
-        return 1.0
     if op is OpType.ALLTOALL:
         return (n - 1.0) / n
     if op is OpType.SEND_RECV:

@@ -100,11 +100,6 @@ class Communicator:
             return []
         return [(nodes[i], nodes[(i + 1) % len(nodes)]) for i in range(len(nodes))]
 
-    def chain_node_edges(self) -> list[tuple[int, int]]:
-        """Ring order without the wrap edge (pipelined broadcast chain)."""
-        nodes = self.node_sequence
-        return [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
-
     def next_seq(self) -> int:
         """Monotonic per-communicator operation sequence number."""
         return next(self._seq)

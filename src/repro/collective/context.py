@@ -41,7 +41,6 @@ from repro.collective.schedules import (
     hierarchical_allreduce_phases,
     pairwise_alltoall_phases,
     ring_phases,
-    tree_phases,
 )
 from repro.collective.selectors import EcmpPathSelector, PathRequest, PathSelector, QpAllocation
 from repro.collective.transport import Connection
@@ -49,8 +48,8 @@ from repro.netsim.flows import Flow
 from repro.netsim.links import Link
 from repro.netsim.units import GBPS
 
-#: Bits per element for the supported data types.
-DTYPE_BITS = {"fp8": 8, "fp16": 16, "bf16": 16, "fp32": 32, "fp64": 64}
+#: Every operation moves fp16 elements.
+FP16_BITS = 16
 
 
 def _dispatch_link_down(link: Link, flows: Sequence[Flow]) -> None:
@@ -77,12 +76,10 @@ class OpHandle:
     op_type: OpType
     algorithm: Algorithm
     size_bits: float
-    dtype: str
     launch_times: list[float]
     start_time: float
     end_time: float = math.nan
     done: bool = False
-    hung: bool = False
     on_complete: Optional[Callable[["OpHandle"], None]] = None
     #: (connection, allocation) -> completion time of that QP's flow.
     qp_end_times: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -241,11 +238,9 @@ class CollectiveContext:
         comm: Communicator,
         op_type: OpType,
         size_bits: float,
-        dtype: str = "fp16",
         entry_offsets: Optional[Sequence[float]] = None,
         on_complete: Optional[Callable[[OpHandle], None]] = None,
         algorithm: Optional[Algorithm] = None,
-        hang: bool = False,
         absent_ranks: Iterable[int] = (),
     ) -> OpHandle:
         """Launch one collective operation at the current simulated time.
@@ -254,9 +249,9 @@ class CollectiveContext:
         and "this rank launched the kernel" — how compute/data-loading
         skew (including straggler nodes) reaches the BSP barrier.
 
-        ``hang=True`` models a communication hang: kernels launch, the
-        operation never completes.  ``absent_ranks`` never launch at all
-        (crashed worker), which is the non-communication-hang syndrome.
+        ``absent_ranks`` never launch at all (crashed worker), which is
+        the non-communication-hang syndrome: the present ranks' kernels
+        launch and the operation never completes.
         """
         if size_bits <= 0:
             raise ValueError("size_bits must be positive")
@@ -279,7 +274,6 @@ class CollectiveContext:
             op_type=op_type,
             algorithm=algorithm,
             size_bits=size_bits,
-            dtype=dtype,
             launch_times=launches,
             start_time=start_time,
             on_complete=on_complete,
@@ -302,8 +296,7 @@ class CollectiveContext:
                     )
                 )
 
-        if hang or absent:
-            handle.hung = True
+        if absent:
             # Kernels of present ranks launch and then wait forever; no
             # completion records are ever produced.  C4D sees the stalled
             # sequence numbers.
@@ -343,22 +336,12 @@ class CollectiveContext:
         if algorithm is Algorithm.RING:
             return 0.0, ring_phases(comm, op, size), 0.0
         if algorithm is Algorithm.PIPELINE:
-            channels = len(comm.channels())
-            if op is OpType.SEND_RECV:
-                nodes = comm.node_sequence
-                phase = [Transfer(nodes[0], nodes[1], size / channels)]
-                return 0.0, [phase], 0.0
-            # Pipelined broadcast: the chain (no wrap edge) streams the
-            # full payload through every hop concurrently.
-            phase = [
-                Transfer(src, dst, size / channels)
-                for src, dst in comm.chain_node_edges()
-            ]
+            # Point-to-point: the only operation the pipeline realizes.
+            nodes = comm.node_sequence
+            phase = [Transfer(nodes[0], nodes[1], size / len(comm.channels()))]
             return 0.0, [phase], 0.0
         if algorithm is Algorithm.HALVING_DOUBLING:
             return 0.0, halving_doubling_phases(comm, size), 0.0
-        if algorithm is Algorithm.TREE:
-            return 0.0, tree_phases(comm, size), 0.0
         if algorithm is Algorithm.PAIRWISE:
             return 0.0, pairwise_alltoall_phases(comm, size), 0.0
         if algorithm is Algorithm.HIERARCHICAL:
@@ -494,7 +477,7 @@ class CollectiveContext:
         if self.sink is None:
             return
         comm = handle.comm
-        element_count = int(handle.size_bits // DTYPE_BITS.get(handle.dtype, 16))
+        element_count = int(handle.size_bits // FP16_BITS)
         for rank, location in enumerate(comm.ranks):
             self.sink.on_op(
                 OpRecord(
@@ -502,7 +485,7 @@ class CollectiveContext:
                     seq=handle.seq,
                     op_type=handle.op_type,
                     algorithm=handle.algorithm,
-                    dtype=handle.dtype,
+                    dtype="fp16",
                     element_count=element_count,
                     rank=rank,
                     location=location,

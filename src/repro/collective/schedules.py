@@ -4,8 +4,9 @@ The engine executes a collective as a sequence of *phases*; each phase
 is a set of concurrent node-level transfers and phases are separated by
 a barrier (the structure of recursive algorithms).  The ring family
 collapses to a single steady-state phase — its pipelining means every
-edge is busy for the whole operation — while halving-doubling, tree and
-hierarchical algorithms are genuinely phased.
+edge is busy for the whole operation — while halving-doubling and
+pairwise alltoall are genuinely phased, and hierarchical allreduce
+brackets its fabric ring with NVLink stages.
 
 The paper's benchmarks force the ring algorithm (§IV-A) to make busbw
 comparable; the other schedules exist because ACCL has them, and they
@@ -93,29 +94,6 @@ def halving_doubling_phases(comm: Communicator, size_bits: float) -> list[Phase]
     for phase in reversed(phases[:]):
         mirrored = [Transfer(t.src_node, t.dst_node, t.bits_per_channel) for t in phase]
         phases.append(mirrored)
-    return phases
-
-
-def tree_phases(comm: Communicator, size_bits: float) -> list[Phase]:
-    """Binomial-tree broadcast from node rank 0.
-
-    Round ``k`` doubles the number of nodes holding the data; each
-    holder sends the full payload to a node ``2^k`` positions away.
-    """
-    nodes = comm.node_sequence
-    n = len(nodes)
-    if n < 2:
-        return []
-    channels = len(comm.channels())
-    per_channel = size_bits / channels
-    phases: list[Phase] = []
-    have = 1
-    while have < n:
-        phase: Phase = []
-        for i in range(min(have, n - have)):
-            phase.append(Transfer(nodes[i], nodes[i + have], per_channel))
-        phases.append(phase)
-        have *= 2
     return phases
 
 

@@ -36,12 +36,6 @@ class Connection:
     qp_rate_ewma: dict[int, float] = field(default_factory=dict)
 
     @property
-    def key(self) -> tuple[int, int, int, int]:
-        """(src_node, src_nic, dst_node, dst_nic)."""
-        req = self.request
-        return (req.src_node, req.src_nic, req.dst_node, req.dst_nic)
-
-    @property
     def total_weight(self) -> float:
         """Sum of QP weights (load shares are weight / total)."""
         return sum(alloc.weight for alloc in self.allocations)

@@ -70,11 +70,6 @@ class DelayMatrix:
         """``{pair: score}``, in the matrix's pair order."""
         return dict(zip(self.pairs, self.values.tolist()))
 
-    @property
-    def workers(self) -> list[Worker]:
-        """All workers appearing as a source or destination."""
-        return list(dict.fromkeys(worker for pair in self.pairs for worker in pair))
-
     def baseline(self) -> float:
         """Cluster-wide median delay score (the healthy reference)."""
         if not self.pairs:

@@ -187,18 +187,16 @@ class C4DMaster:
         self._m_evals.inc()
         fresh: list[Anomaly] = []
         for detector in self.detectors:
-            # Stub/custom detectors need not declare a metric label name.
-            label = getattr(detector, "name", type(detector).__name__)
             # Wall clock is observability-only here: it times the
             # detector's own compute for the eval-latency histogram and
             # never feeds simulated time or verdict logic.
             started = time.perf_counter()  # repro: noqa[SIM001]
             verdicts = detector.evaluate(now)
-            self._m_eval_seconds.labels(detector=label).observe(
+            self._m_eval_seconds.labels(detector=detector.name).observe(
                 time.perf_counter() - started  # repro: noqa[SIM001]
             )
             if verdicts:
-                self._m_verdicts.labels(detector=label).inc(len(verdicts))
+                self._m_verdicts.labels(detector=detector.name).inc(len(verdicts))
             for anomaly in verdicts:
                 key = (anomaly.anomaly_type, anomaly.comm_id, anomaly.suspects)
                 if not self._debounced(key):
@@ -237,12 +235,7 @@ class C4DMaster:
         for anomaly in fresh:
             self.anomalies.append(anomaly)
             self._m_anomalies.labels(type=anomaly.anomaly_type.value).inc()
-            if self.steering is not None and anomaly.anomaly_type in (
-                AnomalyType.COMM_HANG,
-                AnomalyType.NONCOMM_HANG,
-                AnomalyType.COMM_SLOW,
-                AnomalyType.NONCOMM_SLOW,
-            ):
+            if self.steering is not None:
                 for node in anomaly.suspect_nodes:
                     self._node_last_action[node] = now
                 self._m_actions.inc()
@@ -326,6 +319,6 @@ class C4DMaster:
         self._eval_index = state["eval_index"]
         self._node_last_action = {node: t for node, t in state["node_last_action"]}
         for detector in self.detectors:
-            snapshot = state["detectors"].get(getattr(detector, "name", ""))
+            snapshot = state["detectors"].get(detector.name)
             if snapshot is not None and hasattr(detector, "restore_state"):
                 detector.restore_state(snapshot)

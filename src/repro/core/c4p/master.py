@@ -486,17 +486,6 @@ class C4PMaster:
         """QP numbers currently routed over one fabric link."""
         return tuple(sorted(self._link_qps.get(link_id, ())))
 
-    def residual_qps_on_dead_links(self) -> tuple[int, ...]:
-        """QPs the master still has placed on links it knows are dead."""
-        residual: set[int] = set()
-        for link in self.registry.dead_links:
-            residual.update(self._link_qps.get(link, ()))
-        return tuple(sorted(residual))
-
-    def allocation_count(self) -> int:
-        """Live allocations in the table (for invariant checks)."""
-        return len(self._allocated)
-
     def _next_synthetic_port(self) -> int:
         port = 49152 + self._synthetic_port % 16384
         self._synthetic_port += 1

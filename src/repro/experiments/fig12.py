@@ -52,7 +52,6 @@ def _run_mode(
         warmup_ops=0,
         stop_time=run_until,
         dynamic=dynamic,
-        qp_work_stealing=dynamic,
     )
     for runner in runners:
         runner.start()

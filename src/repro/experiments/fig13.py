@@ -49,7 +49,6 @@ def _run_mode(
         warmup_ops=0,
         stop_time=sample_end,
         dynamic=dynamic,
-        qp_work_stealing=dynamic,
     )
     for runner in runners:
         runner.start()

@@ -24,6 +24,7 @@ diverging event pair so the race can be chased to its scheduling site.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from contextlib import contextmanager
@@ -52,9 +53,10 @@ class PerturbedEventQueue(EventQueue):
         super().__init__()
         # EventQueue.schedule draws from next(self._seq); feeding it a
         # seeded random stream perturbs exactly the tie-break half of the
-        # (time, seq) ordering and nothing else.  (-1 is an unreachable
-        # sentinel: getrandbits is non-negative.)
-        self._seq = iter(lambda: rng.getrandbits(62), -1)
+        # (time, seq) ordering and nothing else.  The counter paired with
+        # each draw keeps seq unique when two draws collide, so a tie
+        # never falls through to comparing callbacks.
+        self._seq = ((rng.getrandbits(62), n) for n in itertools.count())
 
 
 @contextmanager

@@ -14,7 +14,7 @@ and 512-GPU experiments tractable.
 """
 
 from repro.netsim.congestion import CongestionModel
-from repro.netsim.engine import EventQueue, TimerHandle
+from repro.netsim.engine import EventQueue
 from repro.netsim.fairness import max_min_rates
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.links import Link, LinkState
@@ -24,7 +24,6 @@ from repro.netsim.units import GBPS, GIB, KIB, MBPS, MIB
 
 __all__ = [
     "EventQueue",
-    "TimerHandle",
     "Link",
     "LinkState",
     "Flow",

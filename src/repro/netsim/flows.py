@@ -83,11 +83,6 @@ class Flow:
         """Wall-clock (simulated) duration; NaN until completed."""
         return self.end_time - self.start_time
 
-    @property
-    def mean_rate(self) -> float:
-        """Average achieved rate in bits/s; NaN until completed."""
-        return self.size / self.duration
-
     def reroute(self, new_path: Sequence[object]) -> None:
         """Replace the flow's path (e.g. after a link failure).
 

@@ -30,7 +30,7 @@ import time
 from typing import Callable, Optional
 
 from repro.netsim.congestion import CongestionModel
-from repro.netsim.engine import EventQueue, TimerHandle
+from repro.netsim.engine import EventQueue
 from repro.netsim.fairness import FairShareState, max_min_rates
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.links import Link, LinkState
@@ -95,7 +95,9 @@ class FlowNetwork:
         #: flow alive; flows left stalled transfer nothing.
         self.reroute_handler: Optional[Callable[[Link, list[Flow]], None]] = None
         self._queue = EventQueue()
-        self._cc_timer: Optional[TimerHandle] = None
+        #: Due time of the latest congestion tick scheduled, or None
+        #: once a tick found no active flow and scheduled no successor.
+        self._cc_due: Optional[float] = None
         self._flow_seq = 0
         #: The simulated world's id sources: numbers for unnamed
         #: communicators and for the QPs of ECMP connections.
@@ -104,7 +106,7 @@ class FlowNetwork:
         self._running = False
         registry = get_registry(metrics)
         registry.gauge(
-            "netsim_event_queue_depth", "Timer heap entries (incl. cancelled)"
+            "netsim_event_queue_depth", "Timer heap entries"
         ).set_function(self._queue.depth)
         registry.gauge(
             "netsim_timers_scheduled", "Timers ever scheduled on the event loop"
@@ -218,17 +220,17 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self._queue.schedule(self.now + delay, callback)
+        self._queue.schedule(self.now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> TimerHandle:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        return self._queue.schedule(time, callback)
+        self._queue.schedule(time, callback)
 
     # ------------------------------------------------------------------
     # Simulation loop
@@ -445,28 +447,23 @@ class FlowNetwork:
     def _ensure_cc_timer(self) -> None:
         if self.congestion is None:
             return
-        if self._cc_timer is not None and not self._cc_timer.cancelled:
-            if self._cc_timer.time > self.now:
-                return
-        interval = self.congestion.TICK_INTERVAL
-        self._cc_timer = self._queue.schedule(self.now + interval, self._cc_tick)
+        if self._cc_due is not None and self._cc_due > self.now:
+            return
+        self._cc_due = self.now + self.congestion.TICK_INTERVAL
+        self._queue.schedule(self._cc_due, self._cc_tick)
 
     def _cc_tick(self) -> None:
         assert self.congestion is not None
         active = self.active_flows
         if not active:
-            self._cc_timer = None
+            self._cc_due = None
             return
         rates = {flow.flow_id: flow.rate for flow in active}
         self.congestion.tick(active, rates, self._capacities)
-        interval = self.congestion.TICK_INTERVAL
-        self._cc_timer = self._queue.schedule(self.now + interval, self._cc_tick)
+        self._cc_due = self.now + self.congestion.TICK_INTERVAL
+        self._queue.schedule(self._cc_due, self._cc_tick)
 
     def reset_link_windows(self) -> None:
         """Zero every link's windowed byte counter (start a sample window)."""
         for link in self.links.values():
             link.reset_window()
-
-    def stalled_flows(self) -> list[Flow]:
-        """Flows currently stalled on a failed link."""
-        return [f for f in self.flows.values() if f.state == FlowState.STALLED]

@@ -363,11 +363,6 @@ class MetricsRegistry:
                 lines.append(f"{family.name}_count{_labels(labels)} {child.count}")
         return "\n".join(lines) + "\n"
 
-    def reset(self) -> None:
-        """Drop every family (test isolation helper)."""
-        with self._lock:
-            self._families.clear()
-
 
 def _labels(labels: dict[str, str]) -> str:
     if not labels:

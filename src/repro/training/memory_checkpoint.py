@@ -120,21 +120,6 @@ class InMemoryCheckpointer:
                 corrupted += 1
         return corrupted
 
-    def latest(self, before_time: Optional[float] = None) -> Optional[Snapshot]:
-        """Most recent snapshot, optionally taken strictly before a time.
-
-        A crash at time T can only restore from snapshots completed
-        before T (an in-flight save is lost with the process).  Validity
-        is *not* checked here — use :meth:`restore` for the validated
-        fallback chain.
-        """
-        candidates = (
-            self.snapshots
-            if before_time is None
-            else [s for s in self.snapshots if s.time < before_time]
-        )
-        return candidates[-1] if candidates else None
-
     def restore(self, crash_time: float) -> Optional[Snapshot]:
         """Pick the restore point for a crash and count the event.
 

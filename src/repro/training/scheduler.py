@@ -59,11 +59,6 @@ class ClusterScheduler:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def active_capacity(self) -> int:
-        """Schedulable nodes in the active pool."""
-        return len(self.free_nodes())
-
     def free_nodes(self) -> list[int]:
         """Active-pool nodes that are healthy and unallocated."""
         return [
@@ -75,12 +70,6 @@ class ClusterScheduler:
     def allocation_of(self, job_name: str) -> Optional[Allocation]:
         """The job's current grant, if any."""
         return self._allocations.get(job_name)
-
-    def utilization(self) -> float:
-        """Busy fraction of the active pool."""
-        if not self._active_pool:
-            return 0.0
-        return len(self._busy & set(self._active_pool)) / len(self._active_pool)
 
     # ------------------------------------------------------------------
     # Placement

@@ -111,20 +111,19 @@ def allreduce_benchmark(
     warmup_ops: int = 2,
     job_id: str = "bench",
     dynamic: bool = True,
-    qp_work_stealing: bool = True,
 ) -> RepeatedOp:
     """An nccl-test-style back-to-back allreduce over full nodes.
 
-    ``dynamic``/``qp_work_stealing`` together select C4P's mode: static
-    traffic engineering plans paths once and never shifts load (both
-    False-ish), while the deployed system re-posts chunks to the fastest
-    QP and re-allocates paths on failure.
+    ``dynamic`` selects C4P's mode: static traffic engineering
+    (``False``) plans paths once and never shifts load, while the
+    deployed system re-posts chunks to the fastest QP (QP work stealing)
+    and re-allocates paths on failure.
     """
     context = CollectiveContext(
         scenario.topology,
         selector=scenario.selector(dynamic),
         job_id=job_id,
-        qp_work_stealing=qp_work_stealing,
+        qp_work_stealing=dynamic,
     )
     gpus = scenario.topology.spec.gpus_per_node
     comm = context.communicator(contiguous_ranks(nodes, gpus), comm_id=job_id)
@@ -145,7 +144,6 @@ def concurrent_allreduce_jobs(
     warmup_ops: int = 2,
     stop_time: Optional[float] = None,
     dynamic: bool = True,
-    qp_work_stealing: bool = True,
 ) -> list[RepeatedOp]:
     """The Fig. 10 setup: disjoint 2-node jobs saturating the spines."""
     spec = scenario.topology.spec
@@ -163,7 +161,6 @@ def concurrent_allreduce_jobs(
                 warmup_ops=warmup_ops,
                 job_id=f"job{j}",
                 dynamic=dynamic,
-                qp_work_stealing=qp_work_stealing,
             )
         )
     if stop_time is not None:

@@ -6,10 +6,18 @@ from repro.cluster.specs import TESTBED_16_NODES, ClusterSpec, pod_spec
 from repro.netsim.units import GBPS
 
 
+def leaf_ports(spec):
+    """(host-facing, spine-facing) ports of one leaf switch."""
+    return (
+        spec.num_nodes * spec.nics_per_rail,
+        spec.spines_per_rail * spec.uplink_ports_per_spine,
+    )
+
+
 def test_testbed_matches_paper_table2():
     spec = TESTBED_16_NODES
     assert spec.num_nodes == 16
-    assert spec.total_gpus == 128
+    assert spec.num_nodes * spec.gpus_per_node == 128
     assert spec.gpus_per_node == 8
     assert spec.nics_per_node == 8
     assert spec.port_gbps == 200.0
@@ -19,12 +27,13 @@ def test_testbed_matches_paper_table2():
 
 
 def test_testbed_is_one_to_one():
-    spec = TESTBED_16_NODES
-    assert spec.leaf_uplink_ports == spec.leaf_downlink_ports
+    downlinks, uplinks = leaf_ports(TESTBED_16_NODES)
+    assert uplinks == downlinks
 
 
 def test_bonded_capacity_is_400g():
-    assert TESTBED_16_NODES.bonded_capacity == pytest.approx(400 * GBPS)
+    # Two bonded ports per logical NIC.
+    assert 2 * TESTBED_16_NODES.port_capacity == pytest.approx(400 * GBPS)
 
 
 def test_nvlink_cap_matches_peak_busbw():
@@ -57,8 +66,8 @@ def test_with_oversubscription_scales_uplinks():
 
 def test_pod_spec_is_one_to_one():
     for nodes in (2, 8, 32, 64):
-        spec = pod_spec(nodes)
-        assert spec.leaf_uplink_ports >= spec.leaf_downlink_ports
+        downlinks, uplinks = leaf_ports(pod_spec(nodes))
+        assert uplinks >= downlinks
 
 
 def test_pod_spec_caps_at_512_gpus():

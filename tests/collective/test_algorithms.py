@@ -20,18 +20,6 @@ def test_factor_approaches_two_for_large_n():
     assert traffic_factor(OpType.ALLREDUCE, 10_000) == pytest.approx(2.0, abs=1e-3)
 
 
-def test_reduce_scatter_and_allgather_are_half_allreduce():
-    for n in (2, 8, 64):
-        ar = traffic_factor(OpType.ALLREDUCE, n)
-        rs = traffic_factor(OpType.REDUCE_SCATTER, n)
-        ag = traffic_factor(OpType.ALL_GATHER, n)
-        assert rs + ag == pytest.approx(ar)
-
-
-def test_broadcast_factor_is_one():
-    assert traffic_factor(OpType.BROADCAST, 7) == 1.0
-
-
 def test_single_rank_factor_zero():
     assert traffic_factor(OpType.ALLREDUCE, 1) == 0.0
 

@@ -11,7 +11,6 @@ from repro.collective.schedules import (
     hierarchical_allreduce_phases,
     pairwise_alltoall_phases,
     ring_phases,
-    tree_phases,
 )
 from repro.netsim.units import GIB
 from repro.workloads.generator import build_cluster
@@ -68,24 +67,6 @@ def test_halving_doubling_payloads_shrink_then_grow():
     assert sizes[:3] == sizes[5:2:-1]
 
 
-def test_tree_phases_double_coverage():
-    comm = comm_of(8)
-    phases = tree_phases(comm, 1000.0)
-    assert len(phases) == 3
-    assert [len(p) for p in phases] == [1, 2, 4]
-
-
-def test_tree_non_power_of_two():
-    comm = comm_of(5, gpus=2)
-    phases = tree_phases(comm, 1000.0)
-    covered = {comm.node_sequence[0]}
-    for phase in phases:
-        for transfer in phase:
-            assert transfer.src_node in covered
-            covered.add(transfer.dst_node)
-    assert covered == set(comm.node_sequence)
-
-
 def test_pairwise_alltoall_covers_all_pairs():
     comm = comm_of(4)
     phases = pairwise_alltoall_phases(comm, 1000.0)
@@ -116,8 +97,6 @@ def test_hierarchical_single_node():
         (OpType.ALLREDUCE, Algorithm.RING),
         (OpType.ALLREDUCE, Algorithm.HALVING_DOUBLING),
         (OpType.ALLREDUCE, Algorithm.HIERARCHICAL),
-        (OpType.BROADCAST, Algorithm.PIPELINE),
-        (OpType.BROADCAST, Algorithm.TREE),
         (OpType.ALLTOALL, Algorithm.PAIRWISE),
     ],
 )

@@ -24,7 +24,8 @@ def conn():
 
 
 def test_key(conn):
-    assert conn.key == (0, 0, 1, 0)
+    req = conn.request
+    assert (req.src_node, req.src_nic, req.dst_node, req.dst_nic) == (0, 0, 1, 0)
 
 
 def test_equal_shares_initially(conn):

@@ -132,6 +132,11 @@ def books_of(master):
     return expected
 
 
+def residual_qps_on_dead_links(master):
+    """QPs the master still has placed on links it knows are dead."""
+    return {qp for link in master.registry.dead_links for qp in master.qps_on_link(link)}
+
+
 def test_reverse_index_tracks_allocations():
     _topo, master = build(search_ports=False)
     req = request()
@@ -163,7 +168,7 @@ def test_reallocate_rolls_back_on_exhaustion():
     # Crash-safe: books and allocation read exactly as before the attempt.
     assert master.registry.link_load == loads_before
     assert alloc.choice == choice_before
-    assert master.allocation_count() == 1
+    assert len(master._allocated) == 1
     rail = master.topology.rail_of(req.src_nic)
     for link in master.registry.links_of(rail, alloc.choice):
         assert alloc.qp_num in master.qps_on_link(link)
@@ -180,7 +185,7 @@ def test_allocate_rolls_back_earlier_qps_on_exhaustion():
             master.registry.mark_dead(master.topology.leaf_up(0, 1, spine, k))
     with pytest.raises(PathPoolExhausted):
         master.allocate(request(qps=2))
-    assert master.allocation_count() == 0
+    assert len(master._allocated) == 0
     assert sum(master.registry.link_load.values()) == 0
     assert master._link_qps == {}
 
@@ -205,7 +210,7 @@ def test_drain_migrates_every_qp_and_resets_weights():
     assert report.stranded == ()
     assert {a.qp_num for a in report.migrated} == set(victims)
     assert master.qps_on_link(link) == ()
-    assert master.residual_qps_on_dead_links() == ()
+    assert residual_qps_on_dead_links(master) == set()
     assert all(a.weight == 1.0 for a in report.migrated)
     assert sorted(migrated_seen) == sorted(victims)
     assert {k: v for k, v in master.registry.link_load.items() if v} == books_of(master)

@@ -10,6 +10,7 @@ from repro.collective.placement import contiguous_ranks
 from repro.core.c4p.load_balance import DynamicLoadBalancer
 from repro.core.c4p.master import C4PMaster
 from repro.core.c4p.selector import C4PSelector
+from repro.netsim.flows import FlowState
 from repro.netsim.network import FlowNetwork
 from repro.netsim.units import GIB
 
@@ -43,7 +44,7 @@ def test_dynamic_reroute_on_failure():
     net.schedule(0.05, kill)
     net.run()
     assert handle.done
-    assert not net.stalled_flows()
+    assert all(flow.state is not FlowState.STALLED for flow in net.flows.values())
 
 
 def test_static_mode_falls_back_to_ecmp():
@@ -86,7 +87,10 @@ def test_load_balancer_shifts_weights(monkeypatch):
     net.run(until=2.0)
     balancer.stop()
     degraded_conns = [
-        c for c in ctx.connections if c.key == (0, 0, 1, 0)
+        c
+        for c in ctx.connections
+        if (c.request.src_node, c.request.src_nic, c.request.dst_node, c.request.dst_nic)
+        == (0, 0, 1, 0)
     ]
     assert degraded_conns
     conn = degraded_conns[0]

@@ -67,7 +67,7 @@ def test_fig12_shape_dynamic_lb_recovers_link_failure():
         # Static TE = planned paths, no chunk re-posting, no path moves.
         scenario = build_cluster(fig12_spec(), use_c4p=True, ecmp_seed=6)
         runners = concurrent_allreduce_jobs(
-            scenario, max_ops=40, warmup_ops=0, dynamic=dynamic, qp_work_stealing=dynamic
+            scenario, max_ops=40, warmup_ops=0, dynamic=dynamic
         )
         for runner in runners:
             runner.start()

@@ -78,6 +78,25 @@ def test_perturbed_queue_preserves_cross_timestamp_order() -> None:
     assert fired == ["early", "late"]
 
 
+class _ConstantRng:
+    """An RNG whose every draw collides."""
+
+    def getrandbits(self, _bits: int) -> int:
+        return 7
+
+
+def test_perturbed_queue_never_compares_callbacks_on_colliding_draws() -> None:
+    # Callables define no ordering: a tie that reached them would raise.
+    fired: list[int] = []
+    queue = PerturbedEventQueue(_ConstantRng())  # type: ignore[arg-type]
+    for index in range(1000):
+        queue.schedule(1.0, lambda index=index: fired.append(index))
+    for callback in queue.pop_due(1.0):
+        callback()
+    # The counter paired with each draw breaks the ties in scheduling order.
+    assert fired == list(range(1000))
+
+
 def test_timeline_digest_is_content_addressed() -> None:
     a = [{"t": 1.0, "stage": "detect"}]
     assert timeline_digest(a) == timeline_digest([dict(a[0])])

@@ -62,7 +62,7 @@ def test_single_flow_completion_time():
     net.run()
     assert flow.state is FlowState.COMPLETED
     assert flow.end_time == pytest.approx(1.0)
-    assert flow.mean_rate == pytest.approx(10 * GBPS)
+    assert flow.size / flow.duration == pytest.approx(10 * GBPS)
 
 
 def test_two_flows_share_then_speed_up():
@@ -113,7 +113,7 @@ def test_fail_link_stalls_flow():
     net.run(until=5.0)
     assert flow.state is FlowState.STALLED
     assert flow.remaining == pytest.approx(9 * GBPS)
-    assert net.stalled_flows() == [flow]
+    assert [f for f in net.flows.values() if f.state is FlowState.STALLED] == [flow]
 
 
 def test_reroute_handler_invoked():

@@ -143,15 +143,6 @@ def test_render_prometheus_exposition():
     assert "latency_seconds_count 1" in text
 
 
-def test_reset_drops_families():
-    registry = MetricsRegistry()
-    registry.counter("events_total").inc()
-    registry.reset()
-    assert registry.families() == []
-    # Re-registering after reset starts from zero.
-    assert registry.counter("events_total").value == 0.0
-
-
 def test_held_undoes_counters_and_histograms_of_matching_families():
     registry = MetricsRegistry()
     ingested = registry.counter("c4d_ingested_total", labels=("kind",))

@@ -66,12 +66,12 @@ PINNED = [
         },
     ),
     (
-        OpRecord("c0", 7, OpType.ALL_GATHER, Algorithm.TREE, "fp16", 1024, 1, LOC, 1.5, 1.75, 2.25),
+        OpRecord("c0", 7, OpType.ALLTOALL, Algorithm.PAIRWISE, "fp16", 1024, 1, LOC, 1.5, 1.75, 2.25),
         {
             "comm_id": "c0",
             "seq": 7,
-            "op_type": "all_gather",
-            "algorithm": "tree",
+            "op_type": "alltoall",
+            "algorithm": "pairwise",
             "dtype": "fp16",
             "element_count": 1024,
             "rank": 1,

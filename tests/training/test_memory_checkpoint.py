@@ -42,13 +42,13 @@ def test_latest_respects_crash_time():
     for step in range(3):
         ckpt.maybe_save(step, now=float(step))
     # Crash at t=1.5: the snapshot at t=2 does not exist yet.
-    snapshot = ckpt.latest(before_time=1.5)
+    snapshot = ckpt.restore(crash_time=1.5)
     assert snapshot is not None and snapshot.step == 1
 
 
 def test_latest_none_before_first_save():
     ckpt = InMemoryCheckpointer(interval_steps=10)
-    assert ckpt.latest() is None
+    assert ckpt.restore(crash_time=100.0) is None
     assert ckpt.lost_steps(7, crash_time=100.0) == 7
 
 

@@ -14,17 +14,23 @@ def build(num_nodes=16, backup_ratio=1 / 16):
     return topo, ClusterScheduler(topo, backup_ratio=backup_ratio)
 
 
+def utilization(topo, scheduler):
+    """Busy fraction of the active pool, for a cluster with no node isolated."""
+    active = topo.spec.num_nodes - len(scheduler.backup_nodes)
+    return 1 - len(scheduler.free_nodes()) / active
+
+
 def test_paper_backup_provisioning():
     # 136-node pool -> 128 active + 8 backups at the paper's 1/16 ratio.
     topo, scheduler = build(num_nodes=16, backup_ratio=1 / 16)
     assert scheduler.backup_nodes == (15,)
-    assert scheduler.active_capacity == 15
+    assert len(scheduler.free_nodes()) == 15
 
 
 def test_zero_backup_ratio():
     _topo, scheduler = build(backup_ratio=0.0)
     assert scheduler.backup_nodes == ()
-    assert scheduler.active_capacity == 16
+    assert len(scheduler.free_nodes()) == 16
 
 
 def test_invalid_ratio():
@@ -64,7 +70,7 @@ def test_release_returns_nodes():
     _topo, scheduler = build()
     scheduler.allocate("job", 4)
     scheduler.release("job")
-    assert scheduler.active_capacity == 15
+    assert len(scheduler.free_nodes()) == 15
     assert scheduler.allocation_of("job") is None
 
 
@@ -92,14 +98,14 @@ def test_fragmented_fallback():
 
 
 def test_reassign_records_nodes_and_busy_set():
-    _topo, scheduler = build()
+    topo, scheduler = build()
     scheduler.allocate("job", 4)
     allocation = scheduler.reassign("job", (0, 15, 3))
     assert allocation.nodes == (0, 15, 3)
     assert scheduler.allocation_of("job") == allocation
     # Nodes 1 and 2 left the job, so they are free again.
     assert scheduler.free_nodes()[:4] == [1, 2, 4, 5]
-    assert scheduler.utilization() == pytest.approx(2 / 15)
+    assert utilization(topo, scheduler) == pytest.approx(2 / 15)
 
 
 def test_reassign_unknown_job():
@@ -109,7 +115,7 @@ def test_reassign_unknown_job():
 
 
 def test_utilization():
-    _topo, scheduler = build()
-    assert scheduler.utilization() == 0.0
+    topo, scheduler = build()
+    assert utilization(topo, scheduler) == 0.0
     scheduler.allocate("job", 5)
-    assert scheduler.utilization() == pytest.approx(5 / 15)
+    assert utilization(topo, scheduler) == pytest.approx(5 / 15)

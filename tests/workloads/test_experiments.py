@@ -53,7 +53,7 @@ def render_heatmap(matrix: DelayMatrix, width: int = 4) -> str:
     pair's delay relative to the cluster median ('.' for unobserved
     pairs).  Ring communicators populate one off-diagonal band.
     """
-    workers = sorted(matrix.workers)
+    workers = sorted({worker for pair in matrix.pairs for worker in pair})
     baseline = matrix.baseline()
     header = " " * 8 + "".join(f"{w[0]}/{w[1]}".rjust(width + 1) for w in workers)
     lines = [header]
@@ -75,7 +75,8 @@ def test_fig7_heatmap_renders():
     heatmap = render_heatmap(result.matrix)
     lines = heatmap.splitlines()
     # Header + one row per worker.
-    assert len(lines) == len(result.matrix.workers) + 1
+    workers = {worker for pair in result.matrix.pairs for worker in pair}
+    assert len(lines) == len(workers) + 1
     assert "." in heatmap  # unobserved pairs
 
 

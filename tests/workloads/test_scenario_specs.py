@@ -13,7 +13,7 @@ def test_fig12_spec_has_eight_uplinks_per_leaf():
     assert spec.spines_per_rail == 8
     assert spec.uplink_ports_per_spine == 1
     # 1:1 against the 32 x 200G downlinks.
-    downlink = spec.leaf_downlink_ports * spec.port_capacity
+    downlink = spec.num_nodes * spec.nics_per_rail * spec.port_capacity
     uplink = spec.spines_per_rail * spec.uplink_capacity
     assert uplink == pytest.approx(downlink)
 
@@ -23,7 +23,7 @@ def test_fig10b_spec_sits_at_saturation_boundary():
     # With half the spines disabled, live capacity must be slightly
     # below the NVLink-capped demand (32 flows x ~181 Gbps per leaf).
     live_capacity = (spec.spines_per_rail // 2) * spec.uplink_capacity
-    demand = spec.leaf_downlink_ports * spec.nvlink_busbw_gbps * GBPS / 2
+    demand = spec.num_nodes * spec.nics_per_rail * spec.nvlink_busbw_gbps * GBPS / 2
     assert 0.9 < live_capacity / demand < 1.05
 
 

@@ -14,7 +14,8 @@ Usage::
     python -m repro lint --racecheck link-down --replays 5   # dynamic race detector
 
 Each experiment prints the same rows/series the paper reports; see
-EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+EXPERIMENTS.md for the recorded paper-vs-measured comparison.  ``--seed``
+applies to every experiment: it replaces the experiment's default seed.
 """
 
 from __future__ import annotations
@@ -27,24 +28,15 @@ import sys
 # a negative or wildly wrong duration.
 from time import perf_counter
 
-from repro.experiments import EXPERIMENTS, fig10
+from repro.experiments import EXPERIMENTS
 
 
 def _run_one(name: str, seed: int | None) -> None:
-    module, description = EXPERIMENTS[name]
+    run, format_result, description = EXPERIMENTS[name]
     print(f"--- {name}: {description} ---")
     started = perf_counter()
-    kwargs = {}
-    if seed is not None:
-        # Every runner takes exactly one seed-like parameter.
-        for param in ("seed", "ecmp_seed"):
-            if param in module.run.__code__.co_varnames[: module.run.__code__.co_argcount]:
-                kwargs[param] = seed
-                break
-    if module is fig10:
-        kwargs["oversub_2to1"] = name.endswith("b")
-    result = module.run(**kwargs)
-    print(module.format_result(result))
+    result = run() if seed is None else run(seed=seed)
+    print(format_result(result))
     print(f"[{name} finished in {perf_counter() - started:.1f}s]\n")
 
 
@@ -211,7 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     run_parser = subparsers.add_parser("run", help="run one experiment (or 'all')")
     run_parser.add_argument("experiment", help="experiment name from 'list', or 'all'")
     run_parser.add_argument(
-        "--seed", type=int, default=None, help="override the experiment's seed"
+        "--seed",
+        type=int,
+        default=None,
+        help="override the experiment's seed (every experiment takes one)",
     )
     run_parser.add_argument(
         "--obs",
@@ -303,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_chaos(args.seed, args.json, args.kind, args.obs)
 
     if args.command == "list":
-        for name, (_module, description) in EXPERIMENTS.items():
+        for name, (_run, _format, description) in EXPERIMENTS.items():
             print(f"{name:8s} {description}")
         return 0
 

@@ -27,7 +27,6 @@ where ``side`` is 0 (left) or 1 (right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.cluster.hardware import Node
 from repro.cluster.specs import ClusterSpec
@@ -208,12 +207,12 @@ class ClusterTopology:
         dst_node: int,
         dst_nic: int,
         five_tuple: FiveTuple,
-        src_side: Optional[int] = None,
+        src_side: int,
     ) -> PathChoice:
         """Route a flow the way the unmodified fabric would.
 
-        The bond driver hashes the flow onto a transmit port (unless
-        ``src_side`` pins it), the leaf hashes onto a (spine, port)
+        The flow leaves on bonded port ``src_side`` (the bond driver pins
+        QP q to port q % 2), the leaf hashes onto a (spine, port)
         uplink, and the spine hashes onto a (side, port) downlink.  Dead
         links are left out of the hash, modelling ECMP reconvergence
         (which is exactly the clumpy rerouting visible in the paper's
@@ -221,8 +220,6 @@ class ClusterTopology:
         """
         rail = self.rail_of(src_nic)
         spec = self.spec
-        if src_side is None:
-            src_side = self.ecmp.choose(five_tuple, 2, stage=f"bond:{src_node}:{src_nic}")
 
         # Hash over the *live* next-hop set, as real switches do: the
         # ECMP group shrinks when members fail, so surviving flows

@@ -43,7 +43,6 @@ class DynamicLoadBalancer:
             raise ValueError("need at least one context to balance")
         self.contexts = contexts
         self.network = contexts[0].network
-        self.adjustments = 0
         self._armed = False
 
     def start(self) -> None:
@@ -85,7 +84,6 @@ class DynamicLoadBalancer:
         for alloc, rate in zip(connection.allocations, rates, strict=True):
             weight = min(max(rate / mean_rate, self.MIN_WEIGHT), self.MAX_WEIGHT)
             connection.set_qp_weight(alloc, weight)
-        self.adjustments += 1
         return True
 
 

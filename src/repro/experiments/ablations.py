@@ -54,13 +54,13 @@ def _single_allreduce(make_selector, ecmp_seed: int, **context_kwargs) -> float:
     return handle.busbw_per_nic_gbps
 
 
-def run(ecmp_seed: int = 9) -> AblationResult:
+def run(seed: int = 9) -> AblationResult:
     """Run all four ablations."""
     plane = {}
     for enforce in (True, False):
         plane[enforce] = _single_allreduce(
             lambda s, e=enforce: C4PSelector(C4PMaster(s.topology, enforce_plane=e)),
-            ecmp_seed,
+            seed,
         )
 
     stealing = {}

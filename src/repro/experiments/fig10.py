@@ -8,6 +8,10 @@ from repro.analysis.report import format_table
 from repro.analysis.stats import Summary, summarize
 from repro.workloads.generator import build_cluster, concurrent_allreduce_jobs, fig10b_spec
 
+#: Allreduces per job, of which the first ``WARMUP`` are not measured.
+OPS = 10
+WARMUP = 3
+
 
 @dataclass(frozen=True)
 class Fig10Result:
@@ -33,7 +37,7 @@ class Fig10Result:
         return self.summary_with.mean / self.summary_without.mean - 1.0
 
 
-def _run_case(use_c4p: bool, oversub_2to1: bool, ops: int, warmup: int, seed: int):
+def _run_case(use_c4p: bool, oversub_2to1: bool, seed: int):
     if oversub_2to1:
         scenario = build_cluster(
             fig10b_spec(),
@@ -44,24 +48,19 @@ def _run_case(use_c4p: bool, oversub_2to1: bool, ops: int, warmup: int, seed: in
         )
     else:
         scenario = build_cluster(use_c4p=use_c4p, ecmp_seed=seed)
-    runners = concurrent_allreduce_jobs(scenario, max_ops=ops, warmup_ops=warmup)
+    runners = concurrent_allreduce_jobs(scenario, max_ops=OPS, warmup_ops=WARMUP)
     for runner in runners:
         runner.start()
     scenario.network.run()
     return tuple(runner.mean_busbw_gbps for runner in runners)
 
 
-def run(
-    oversub_2to1: bool = False,
-    ops: int = 10,
-    warmup: int = 3,
-    ecmp_seed: int = 4,
-) -> Fig10Result:
+def run(oversub_2to1: bool = False, seed: int = 4) -> Fig10Result:
     """Run the 8-job contention experiment with and without C4P."""
     return Fig10Result(
         oversub_2to1=oversub_2to1,
-        without_c4p=_run_case(False, oversub_2to1, ops, warmup, ecmp_seed),
-        with_c4p=_run_case(True, oversub_2to1, ops, warmup, ecmp_seed),
+        without_c4p=_run_case(False, oversub_2to1, seed),
+        with_c4p=_run_case(True, oversub_2to1, seed),
     )
 
 

@@ -8,6 +8,9 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table
 from repro.workloads.generator import build_cluster, concurrent_allreduce_jobs, fig10b_spec
 
+#: Allreduces per job.
+OPS = 12
+
 
 @dataclass(frozen=True)
 class Fig11Result:
@@ -32,16 +35,16 @@ class Fig11Result:
         return values[0], values[-1]
 
 
-def run(ops: int = 12, ecmp_seed: int = 4) -> Fig11Result:
+def run(seed: int = 4) -> Fig11Result:
     """The Fig. 10b run, reading the congestion model's CNP counters."""
     scenario = build_cluster(
         fig10b_spec(),
         use_c4p=True,
-        ecmp_seed=ecmp_seed,
+        ecmp_seed=seed,
         congestion=True,
         disable_spines_per_rail=4,
     )
-    runners = concurrent_allreduce_jobs(scenario, max_ops=ops, warmup_ops=0)
+    runners = concurrent_allreduce_jobs(scenario, max_ops=OPS, warmup_ops=0)
     for runner in runners:
         runner.start()
     scenario.network.run()

@@ -10,6 +10,9 @@ from repro.core.c4p.load_balance import DynamicLoadBalancer
 from repro.workloads.generator import build_cluster, concurrent_allreduce_jobs, fig12_spec
 
 FAILED_UPLINK = ("lup", 0, 0, 0, 0)
+#: Simulated seconds at which the uplink fails, and at which the run ends.
+FAILURE_TIME = 0.1
+RUN_UNTIL = 2.5
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,13 @@ class Fig12Result:
         )
 
 
-def _run_mode(
-    dynamic: bool, failure_time: float, run_until: float, ecmp_seed: int
-) -> Fig12Mode:
-    scenario = build_cluster(fig12_spec(), use_c4p=True, ecmp_seed=ecmp_seed)
+def _run_mode(dynamic: bool, seed: int) -> Fig12Mode:
+    scenario = build_cluster(fig12_spec(), use_c4p=True, ecmp_seed=seed)
     runners = concurrent_allreduce_jobs(
         scenario,
         max_ops=10_000,
         warmup_ops=0,
-        stop_time=run_until,
+        stop_time=RUN_UNTIL,
         dynamic=dynamic,
     )
     for runner in runners:
@@ -59,34 +60,27 @@ def _run_mode(
         balancer = DynamicLoadBalancer([r.context for r in runners])
         balancer.start()
     scenario.network.schedule(
-        failure_time, lambda: scenario.network.fail_link(FAILED_UPLINK)
+        FAILURE_TIME, lambda: scenario.network.fail_link(FAILED_UPLINK)
     )
-    scenario.network.run(until=run_until)
+    scenario.network.run(until=RUN_UNTIL)
     before = tuple(
         h.busbw_per_nic_gbps
         for r in runners
         for h in r.handles
-        if h.end_time <= failure_time
+        if h.end_time <= FAILURE_TIME
     )
     after = tuple(
         h.busbw_per_nic_gbps
         for r in runners
         for h in r.handles
-        if h.start_time > failure_time + 0.05
+        if h.start_time > FAILURE_TIME + 0.05
     )
     return Fig12Mode(dynamic=dynamic, before=before, after=after)
 
 
-def run(
-    failure_time: float = 0.1,
-    run_until: float = 2.5,
-    ecmp_seed: int = 6,
-) -> Fig12Result:
+def run(seed: int = 6) -> Fig12Result:
     """Run both modes through the mid-run uplink failure."""
-    return Fig12Result(
-        static=_run_mode(False, failure_time, run_until, ecmp_seed),
-        dynamic=_run_mode(True, failure_time, run_until, ecmp_seed),
-    )
+    return Fig12Result(static=_run_mode(False, seed), dynamic=_run_mode(True, seed))
 
 
 def format_result(result: Fig12Result) -> str:

@@ -10,6 +10,11 @@ from repro.netsim.units import GBPS
 from repro.workloads.generator import build_cluster, concurrent_allreduce_jobs, fig12_spec
 
 FAILED_UPLINK = ("lup", 0, 0, 0, 0)
+#: Simulated seconds at which the uplink fails.
+FAILURE_TIME = 0.5
+#: Window over which the uplink rates are averaged.
+SAMPLE_START = 0.8
+SAMPLE_END = 2.3
 
 
 @dataclass(frozen=True)
@@ -35,19 +40,13 @@ class Fig13Result:
         return max(live.values()) - min(live.values())
 
 
-def _run_mode(
-    dynamic: bool,
-    failure_time: float,
-    sample_start: float,
-    sample_end: float,
-    ecmp_seed: int,
-) -> dict[tuple, float]:
-    scenario = build_cluster(fig12_spec(), use_c4p=True, ecmp_seed=ecmp_seed)
+def _run_mode(dynamic: bool, seed: int) -> dict[tuple, float]:
+    scenario = build_cluster(fig12_spec(), use_c4p=True, ecmp_seed=seed)
     runners = concurrent_allreduce_jobs(
         scenario,
         max_ops=10_000,
         warmup_ops=0,
-        stop_time=sample_end,
+        stop_time=SAMPLE_END,
         dynamic=dynamic,
     )
     for runner in runners:
@@ -56,26 +55,20 @@ def _run_mode(
         balancer = DynamicLoadBalancer([r.context for r in runners])
         balancer.start()
     network = scenario.network
-    network.schedule(failure_time, lambda: network.fail_link(FAILED_UPLINK))
-    network.schedule(sample_start, network.reset_link_windows)
-    network.run(until=sample_end)
-    window = sample_end - sample_start
+    network.schedule(FAILURE_TIME, lambda: network.fail_link(FAILED_UPLINK))
+    network.schedule(SAMPLE_START, network.reset_link_windows)
+    network.run(until=SAMPLE_END)
+    window = SAMPLE_END - SAMPLE_START
     return {
         link_id: network.link(link_id).window_rate(window) / GBPS
         for link_id in scenario.topology.leaf_uplinks(0, 0)
     }
 
 
-def run(
-    failure_time: float = 0.5,
-    sample_start: float = 0.8,
-    sample_end: float = 2.3,
-    ecmp_seed: int = 6,
-) -> Fig13Result:
+def run(seed: int = 6) -> Fig13Result:
     """Measure leaf-uplink utilization after the failure in both modes."""
     return Fig13Result(
-        static_rates=_run_mode(False, failure_time, sample_start, sample_end, ecmp_seed),
-        dynamic_rates=_run_mode(True, failure_time, sample_start, sample_end, ecmp_seed),
+        static_rates=_run_mode(False, seed), dynamic_rates=_run_mode(True, seed)
     )
 
 

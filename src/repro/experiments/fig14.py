@@ -13,6 +13,9 @@ PAPER = {
     "job3": (None, None),
 }
 
+#: Training steps per job and mode; the first is warm-up.
+STEPS = 3
+
 
 @dataclass(frozen=True)
 class JobResult:
@@ -36,16 +39,16 @@ class Fig14Result:
     jobs: dict[str, JobResult]
 
 
-def run(steps: int = 3, ecmp_seed: int = 12) -> Fig14Result:
+def run(seed: int = 12) -> Fig14Result:
     """Train each Fig. 14 job with and without C4P."""
     jobs = {}
     for which in ("job1", "job2", "job3"):
         measured = {}
         comm_fraction = 0.0
         for use_c4p in (False, True):
-            scenario = build_cluster(use_c4p=use_c4p, ecmp_seed=ecmp_seed)
+            scenario = build_cluster(use_c4p=use_c4p, ecmp_seed=seed)
             job = fig14_jobs(scenario, which)
-            job.run_steps(steps)
+            job.run_steps(STEPS)
             scenario.network.run()
             measured[use_c4p] = job.throughput_samples_per_second(skip=1)
             if not use_c4p:

@@ -7,7 +7,10 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table
 from repro.workloads.generator import scaling_sweep_job
 
-DEFAULT_SCALES = (2, 4, 8, 16, 32, 64)
+#: Nodes per point of the sweep (16 to 512 GPUs).
+SCALES = (2, 4, 8, 16, 32, 64)
+#: Training steps per point; the first is warm-up.
+STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -46,18 +49,14 @@ class Fig3Result:
         return self.points[-1].ratio
 
 
-def run(
-    scales: tuple[int, ...] = DEFAULT_SCALES,
-    steps: int = 2,
-    ecmp_seed: int = 2,
-) -> Fig3Result:
+def run(seed: int = 2) -> Fig3Result:
     """Weak-scaling sweep of GPT-22B, ECMP baseline vs collision-free."""
     points = []
-    for nodes in scales:
+    for nodes in SCALES:
         throughput = {}
         for use_c4p in (False, True):
-            job = scaling_sweep_job(nodes, use_c4p=use_c4p, ecmp_seed=ecmp_seed)
-            job.run_steps(steps)
+            job = scaling_sweep_job(nodes, use_c4p=use_c4p, ecmp_seed=seed)
+            job.run_steps(STEPS)
             job.context.network.run()
             throughput[use_c4p] = job.throughput_samples_per_second(skip=1)
         points.append(

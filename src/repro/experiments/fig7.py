@@ -19,6 +19,15 @@ from repro.core.c4d.delay_matrix import (
 from repro.netsim.units import GIB
 from repro.workloads.generator import build_cluster
 
+#: The degraded NIC: both of its ports run at ``PORT_SCALE`` of line rate.
+VICTIM_NODE = 3
+VICTIM_NIC = 5
+PORT_SCALE = 0.25
+#: Nodes of the data-parallel communicator.
+NUM_NODES = 8
+#: Allreduces whose messages build the matrix.
+OPS = 5
+
 
 @dataclass(frozen=True)
 class Fig7Result:
@@ -38,33 +47,26 @@ class Fig7Result:
         )
 
 
-def run(
-    victim_node: int = 3,
-    victim_nic: int = 5,
-    port_scale: float = 0.25,
-    num_nodes: int = 8,
-    ops: int = 5,
-    ecmp_seed: int = 11,
-) -> Fig7Result:
+def run(seed: int = 11) -> Fig7Result:
     """Degrade one NIC, run allreduces, build and analyze the matrix."""
-    scenario = build_cluster(ecmp_seed=ecmp_seed)
+    scenario = build_cluster(ecmp_seed=seed)
     sink = RecordingSink()
     context = CollectiveContext(scenario.topology, sink=sink)
-    comm = context.communicator(contiguous_ranks(range(num_nodes), 8), comm_id="dp")
+    comm = context.communicator(contiguous_ranks(range(NUM_NODES), 8), comm_id="dp")
     injector = FaultInjector(seed=0)
     for side in (0, 1):
         injector.degrade_nic_port(
-            scenario.topology, node=victim_node, nic=victim_nic, side=side, scale=port_scale
+            scenario.topology, node=VICTIM_NODE, nic=VICTIM_NIC, side=side, scale=PORT_SCALE
         )
-    runner = RepeatedOp(context, comm, OpType.ALLREDUCE, 1 * GIB, max_ops=ops)
+    runner = RepeatedOp(context, comm, OpType.ALLREDUCE, 1 * GIB, max_ops=OPS)
     runner.start()
     scenario.network.run()
     matrix = build_delay_matrix(sink.messages)
     return Fig7Result(
         matrix=matrix,
         finding=analyze_delay_matrix(matrix),
-        injected_node=victim_node,
-        injected_nic=victim_nic,
+        injected_node=VICTIM_NODE,
+        injected_nic=VICTIM_NIC,
     )
 
 

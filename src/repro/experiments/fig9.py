@@ -7,7 +7,11 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table
 from repro.workloads.generator import allreduce_benchmark, build_cluster
 
-DEFAULT_SCALES = (2, 4, 8, 16)
+#: Nodes per point of the sweep (16 to 128 GPUs).
+SCALES = (2, 4, 8, 16)
+#: Allreduces per run, of which the first ``WARMUP`` are not measured.
+OPS = 6
+WARMUP = 2
 
 
 @dataclass(frozen=True)
@@ -46,20 +50,15 @@ class Fig9Result:
         return min(p.busbw_without for p in self.points)
 
 
-def run(
-    scales: tuple[int, ...] = DEFAULT_SCALES,
-    ops: int = 6,
-    warmup: int = 2,
-    ecmp_seed: int = 9,
-) -> Fig9Result:
+def run(seed: int = 9) -> Fig9Result:
     """Measure allreduce busbw with and without C4P at each scale."""
     points = []
-    for nodes in scales:
+    for nodes in SCALES:
         busbw = {}
         for use_c4p in (False, True):
-            scenario = build_cluster(use_c4p=use_c4p, ecmp_seed=ecmp_seed)
+            scenario = build_cluster(use_c4p=use_c4p, ecmp_seed=seed)
             runner = allreduce_benchmark(
-                scenario, list(range(nodes)), max_ops=ops, warmup_ops=warmup
+                scenario, list(range(nodes)), max_ops=OPS, warmup_ops=WARMUP
             )
             runner.start()
             scenario.network.run()

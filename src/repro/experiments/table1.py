@@ -9,6 +9,10 @@ from repro.analysis.report import format_table
 from repro.cluster.faults import USER_VIEW, FaultEvent, FaultInjector, FaultType
 
 MONTH_SECONDS = 30 * 24 * 3600.0
+#: Length of the sampled fault campaign.
+MONTHS = 24
+#: Size of the job (Table I's 4,096-GPU job, 8 GPUs per node).
+NUM_GPUS = 4096
 
 #: Paper's Table I: root cause -> (proportion, local fraction).
 PAPER_MIX = {
@@ -60,11 +64,11 @@ class Table1Result:
         return sum(r.proportion for r in self.rows if r.users_view == "NCCL Error")
 
 
-def run(months: int = 24, num_gpus: int = 4096, seed: int = 0) -> Table1Result:
+def run(seed: int = 0) -> Table1Result:
     """Sample a fault campaign and tabulate it Table I-style."""
     injector = FaultInjector(seed=seed)
     events: list[FaultEvent] = injector.sample_crashes(
-        MONTH_SECONDS * months, num_gpus=num_gpus, num_nodes=num_gpus // 8
+        MONTH_SECONDS * MONTHS, num_gpus=NUM_GPUS, num_nodes=NUM_GPUS // 8
     )
     by_type: dict[FaultType, list[FaultEvent]] = defaultdict(list)
     for event in events:
@@ -87,7 +91,7 @@ def run(months: int = 24, num_gpus: int = 4096, seed: int = 0) -> Table1Result:
     return Table1Result(
         rows=tuple(rows),
         total_events=len(events),
-        months=months,
+        months=MONTHS,
         local_fraction=local_total,
     )
 

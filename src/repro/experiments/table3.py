@@ -10,9 +10,11 @@ from repro.training.lifetime import (
     C4D_OPERATIONS,
     DowntimeBreakdown,
     LifetimeConfig,
-    OperationsModel,
     simulate_lifetime,
 )
+
+#: GPUs of the simulated cluster.
+NUM_GPUS = 2400
 
 #: Paper's Table III totals.
 PAPER = {
@@ -64,17 +66,12 @@ class Table3Result:
         return self.total_before / self.total_after
 
 
-def run(
-    seed: int = 7,
-    num_gpus: int = 2400,
-    before_model: OperationsModel = BASELINE_OPERATIONS,
-    after_model: OperationsModel = C4D_OPERATIONS,
-) -> Table3Result:
+def run(seed: int = 7) -> Table3Result:
     """Simulate one month under both operations regimes."""
-    config = LifetimeConfig(seed=seed, num_gpus=num_gpus)
+    config = LifetimeConfig(seed=seed, num_gpus=NUM_GPUS)
     return Table3Result(
-        before=simulate_lifetime(config, before_model),
-        after=simulate_lifetime(config, after_model),
+        before=simulate_lifetime(config, BASELINE_OPERATIONS),
+        after=simulate_lifetime(config, C4D_OPERATIONS),
     )
 
 

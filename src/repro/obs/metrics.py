@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-import threading
 from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -170,7 +169,6 @@ class MetricFamily:
         self.label_names = tuple(label_names)
         self._instrument_kwargs = instrument_kwargs
         self._children: dict[tuple[str, ...], object] = {}
-        self._lock = threading.Lock()
         if not self.label_names:
             # Unlabeled: materialize the sole child eagerly so the family
             # itself can be used as the instrument.
@@ -189,8 +187,7 @@ class MetricFamily:
         key = tuple(str(labels[name]) for name in self.label_names)
         child = self._children.get(key)
         if child is None:
-            with self._lock:
-                child = self._children.setdefault(key, _KINDS[self.kind](**self._instrument_kwargs))
+            child = self._children[key] = _KINDS[self.kind](**self._instrument_kwargs)
         return child
 
     def _default(self):
@@ -236,21 +233,19 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
-        self._lock = threading.Lock()
 
     def _register(self, name: str, kind: str, help: str, labels: Sequence[str], **kwargs) -> MetricFamily:
-        with self._lock:
-            family = self._families.get(name)
-            if family is not None:
-                if family.kind != kind or family.label_names != tuple(labels):
-                    raise ValueError(
-                        f"metric {name!r} already registered as {family.kind} "
-                        f"with labels {family.label_names}"
-                    )
-                return family
-            family = MetricFamily(name, kind, help=help, label_names=labels, **kwargs)
-            self._families[name] = family
+        family = self._families.get(name)
+        if family is not None:
+            if family.kind != kind or family.label_names != tuple(labels):
+                raise ValueError(
+                    f"metric {name!r} already registered as {family.kind} "
+                    f"with labels {family.label_names}"
+                )
             return family
+        family = MetricFamily(name, kind, help=help, label_names=labels, **kwargs)
+        self._families[name] = family
+        return family
 
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:
         """Register (or fetch) a counter family."""

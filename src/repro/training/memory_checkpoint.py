@@ -4,8 +4,7 @@ The paper attributes the collapse of post-checkpoint cost to
 high-frequency checkpointing "similar to the prior work [Gemini],
 capable of saving checkpoints approximately every 10 iterations".  This
 module provides the engine: bounded in-memory snapshots taken every N
-steps with a small save cost, plus restore bookkeeping that the
-lifetime model and training jobs consume.
+steps with a small save cost, and the restore point of a crash.
 
 Snapshots carry a checksum computed at save time.  Restore validates it
 and walks back through older snapshots when the newest is corrupted
@@ -20,9 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-def _checksum(step: int, time: float, size_bits: float) -> int:
+def _checksum(step: int, time: float) -> int:
     """Cheap deterministic digest standing in for a content hash."""
-    return hash((step, round(time, 9), round(size_bits, 9))) & 0xFFFFFFFF
+    return hash((step, round(time, 9))) & 0xFFFFFFFF
 
 
 @dataclass
@@ -36,17 +35,16 @@ class Snapshot:
 
     step: int
     time: float
-    size_bits: float
     checksum: int = 0
 
     def __post_init__(self) -> None:
         if self.checksum == 0:
-            self.checksum = _checksum(self.step, self.time, self.size_bits)
+            self.checksum = _checksum(self.step, self.time)
 
     @property
     def is_valid(self) -> bool:
         """True when the stored checksum matches the content."""
-        return self.checksum == _checksum(self.step, self.time, self.size_bits)
+        return self.checksum == _checksum(self.step, self.time)
 
     def corrupt(self) -> None:
         """Damage the snapshot in place (chaos injection)."""
@@ -67,8 +65,6 @@ class InMemoryCheckpointer:
     capacity:
         Snapshots retained; older ones are evicted (host memory is
         finite — Gemini keeps a small ring plus a remote replica).
-    state_bits:
-        Size of one snapshot, recorded for capacity accounting.
     """
 
     def __init__(
@@ -76,7 +72,6 @@ class InMemoryCheckpointer:
         interval_steps: int = 10,
         save_seconds: float = 0.5,
         capacity: int = 2,
-        state_bits: float = 0.0,
     ) -> None:
         if interval_steps < 1:
             raise ValueError("interval_steps must be >= 1")
@@ -87,12 +82,7 @@ class InMemoryCheckpointer:
         self.interval_steps = interval_steps
         self.save_seconds = save_seconds
         self.capacity = capacity
-        self.state_bits = state_bits
         self.snapshots: list[Snapshot] = []
-        self.saves = 0
-        self.restores = 0
-        #: Corrupted snapshots skipped across all restores.
-        self.fallbacks = 0
         #: Fallback depth of the most recent restore (0 = newest
         #: snapshot was valid).
         self.last_restore_fallbacks = 0
@@ -103,10 +93,9 @@ class InMemoryCheckpointer:
             raise ValueError("step must be non-negative")
         if (step + 1) % self.interval_steps != 0:
             return 0.0
-        self.snapshots.append(Snapshot(step=step, time=now, size_bits=self.state_bits))
+        self.snapshots.append(Snapshot(step=step, time=now))
         if len(self.snapshots) > self.capacity:
             self.snapshots.pop(0)
-        self.saves += 1
         return self.save_seconds
 
     def corrupt_latest(self, count: int = 1) -> int:
@@ -121,7 +110,7 @@ class InMemoryCheckpointer:
         return corrupted
 
     def restore(self, crash_time: float) -> Optional[Snapshot]:
-        """Pick the restore point for a crash and count the event.
+        """Pick the restore point for a crash.
 
         Walks newest→oldest through snapshots completed before the
         crash, skipping any that fail integrity validation; the skip
@@ -132,17 +121,6 @@ class InMemoryCheckpointer:
         self.last_restore_fallbacks = 0
         for snapshot in reversed(candidates):
             if snapshot.is_valid:
-                self.restores += 1
                 return snapshot
             self.last_restore_fallbacks += 1
-            self.fallbacks += 1
         return None
-
-    def lost_steps(self, crash_step: int, crash_time: float) -> int:
-        """Steps of work lost by a crash (step granularity)."""
-        candidates = [
-            s for s in self.snapshots if s.time < crash_time and s.is_valid
-        ]
-        if not candidates:
-            return crash_step
-        return max(0, crash_step - candidates[-1].step - 1)

@@ -49,7 +49,7 @@ def test_message_record_dict(tmp_path):
 def test_write_json_handles_dataclasses_and_enums(tmp_path):
     from repro.experiments import table1
 
-    result = table1.run(months=3, seed=1)
+    result = table1.run(seed=1)
     path = write_json(tmp_path / "table1.json", result)
     payload = json.loads(path.read_text())
     assert payload["total_events"] == result.total_events

@@ -96,7 +96,6 @@ def test_load_balancer_shifts_weights(monkeypatch):
     conn = degraded_conns[0]
     weights = {a.choice.src_side: a.weight for a in conn.allocations}
     assert weights[1] > weights[0]  # healthy side carries more load
-    assert balancer.adjustments > 0
 
 
 def test_balancer_hysteresis_leaves_balanced_alone():

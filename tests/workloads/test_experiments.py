@@ -5,6 +5,9 @@ the runner/result/formatting machinery on the fast ones and the CLI's
 dispatch logic.
 """
 
+import inspect
+from functools import partial
+
 from repro.cli import main
 from repro.core.c4d.delay_matrix import DelayMatrix
 from repro.experiments import EXPERIMENTS, fig7, table1, table3
@@ -16,14 +19,17 @@ def test_registry_covers_every_table_and_figure():
         "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig14",
         "ablations",
     }
-    for module, description in EXPERIMENTS.values():
-        assert callable(module.run)
-        assert callable(module.format_result)
+    for run, format_result, description in EXPERIMENTS.values():
+        assert callable(format_result)
         assert description
+        # Every experiment takes a seed; fig10 also tells 10a from 10b.
+        params = set(inspect.signature(run).parameters)
+        assert "seed" in params and params <= {"seed", "oversub_2to1"}
+    assert EXPERIMENTS["fig10b"][0].keywords == {"oversub_2to1": True}
 
 
 def test_table1_runner_result_shape():
-    result = table1.run(months=6, seed=1)
+    result = table1.run(seed=1)
     assert len(result.rows) == 5
     assert 0.9 < sum(r.proportion for r in result.rows) <= 1.0 + 1e-9
     assert 0 < result.local_fraction < 1
@@ -40,7 +46,7 @@ def test_table3_runner_result_shape():
 
 
 def test_fig7_runner_localizes():
-    result = fig7.run(victim_node=2, victim_nic=1, ops=4)
+    result = fig7.run()
     assert result.localized
     text = fig7.format_result(result)
     assert "localized" in text
@@ -71,7 +77,7 @@ def render_heatmap(matrix: DelayMatrix, width: int = 4) -> str:
 
 
 def test_fig7_heatmap_renders():
-    result = fig7.run(ops=3)
+    result = fig7.run()
     heatmap = render_heatmap(result.matrix)
     lines = heatmap.splitlines()
     # Header + one row per worker.
@@ -96,6 +102,26 @@ def test_cli_run_table3(capsys):
 def test_cli_run_with_seed(capsys):
     assert main(["run", "table1", "--seed", "9"]) == 0
     assert "Table I" in capsys.readouterr().out
+
+
+def test_cli_run_passes_the_seed_to_every_experiment(monkeypatch, capsys):
+    calls = {}
+
+    def stub_for(name, run):
+        def stub(**kwargs):
+            calls[name] = kwargs
+            return name
+
+        # Keep what the registry binds, such as fig10b's oversub_2to1.
+        return partial(stub, **getattr(run, "keywords", {}))
+
+    for name, (run, _format, description) in list(EXPERIMENTS.items()):
+        monkeypatch.setitem(EXPERIMENTS, name, (stub_for(name, run), str, description))
+    for name in EXPERIMENTS:
+        assert main(["run", name, "--seed", "5"]) == 0
+    expected = {name: {"seed": 5} for name in EXPERIMENTS}
+    expected["fig10b"]["oversub_2to1"] = True
+    assert calls == expected
 
 
 def test_cli_unknown_experiment(capsys):

@@ -128,7 +128,7 @@ def test_journaled_ingest(benchmark, nodes):
     agents, clock = journaled_path(nodes)
     plane = deliver(agents, clock, communicator, steps)
     assert state_digest(plane.collector.snapshot_state()) == state_digest(bare.snapshot_state())
-    assert len(plane.store.entries) == 1 + records(steps)
+    assert len(plane.store) == 1 + records(steps)
 
     benchmark.group = f"Journaled ingest through the agents, {nodes * GPUS} ranks"
     benchmark.extra_info["records"] = records(steps)

@@ -67,7 +67,8 @@ def recovered_plane(nodes: int):
         metrics=MetricsRegistry(),
     )
     info = fresh.recover(now=clock.now)
-    assert info["entries_replayed"] == len(plane.store.entries_after(plane.store.snapshots[-1].seq))
+    replayed = plane.store.entries_after(plane.store.snapshots[-1].seq)
+    assert info["entries_replayed"] == len(list(replayed))
     return plane, fresh, info
 
 

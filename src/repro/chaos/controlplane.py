@@ -304,7 +304,7 @@ def run_feed_loop(
         replay_digest_match=recovered is None or recovered["digest"] == digest_at_kill,
         replay_digest=recovered["digest"] if recovered is not None else "",
         entries_replayed=recovered["entries_replayed"] if recovered is not None else 0,
-        journal_entries=len(store.entries),
+        journal_entries=len(store),
         snapshots=len(store.snapshots),
         recovery_seconds=(
             plan.recover_at - plan.kill_at if recovered is not None else None

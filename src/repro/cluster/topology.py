@@ -200,15 +200,7 @@ class ClusterTopology:
     # ------------------------------------------------------------------
     # ECMP routing (the baseline the paper improves upon)
     # ------------------------------------------------------------------
-    def ecmp_choice(
-        self,
-        src_node: int,
-        src_nic: int,
-        dst_node: int,
-        dst_nic: int,
-        five_tuple: FiveTuple,
-        src_side: int,
-    ) -> PathChoice:
+    def ecmp_choice(self, src_nic: int, five_tuple: FiveTuple, src_side: int) -> PathChoice:
         """Route a flow the way the unmodified fabric would.
 
         The flow leaves on bonded port ``src_side`` (the bond driver pins

@@ -100,14 +100,7 @@ class EcmpPathSelector:
             # The bond driver pins QP q to physical port q % 2; the fabric
             # then hashes the rest of the route.
             side = q % 2
-            choice = self.topology.ecmp_choice(
-                request.src_node,
-                request.src_nic,
-                request.dst_node,
-                request.dst_nic,
-                five_tuple,
-                src_side=side,
-            )
+            choice = self.topology.ecmp_choice(request.src_nic, five_tuple, src_side=side)
             path = self.topology.resolve_path(
                 request.src_node, request.src_nic, request.dst_node, request.dst_nic, choice
             )
@@ -135,12 +128,7 @@ class EcmpPathSelector:
             if request is None or alloc is None:
                 continue
             choice = self.topology.ecmp_choice(
-                request.src_node,
-                request.src_nic,
-                request.dst_node,
-                request.dst_nic,
-                alloc.five_tuple,
-                src_side=alloc.choice.src_side,
+                request.src_nic, alloc.five_tuple, src_side=alloc.choice.src_side
             )
             path = self.topology.resolve_path(
                 request.src_node, request.src_nic, request.dst_node, request.dst_nic, choice

@@ -13,7 +13,6 @@ from repro.controlplane.c4d_plane import C4DControlPlane
 from repro.controlplane.c4p_plane import ResilientC4PMaster
 from repro.controlplane.journal import (
     FencedOut,
-    JournalEntry,
     JournalStore,
     Snapshot,
     state_digest,
@@ -23,7 +22,6 @@ from repro.controlplane.lease import LeaseTable
 __all__ = [
     "C4DControlPlane",
     "FencedOut",
-    "JournalEntry",
     "JournalStore",
     "LeaseTable",
     "ResilientC4PMaster",

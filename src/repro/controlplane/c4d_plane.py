@@ -35,7 +35,7 @@ from repro.core.c4d.steering import JobSteeringService, SteeringConfig, Steering
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
 
-#: Journal entry kinds that carry one record, replayed through the
+#: Journal entry kinds whose payload is one record, replayed through the
 #: collector's ``ingest_<kind>``.
 _RECORD_KINDS = ("launch", "op", "message")
 #: Metric families of the components :meth:`C4DControlPlane._build`
@@ -173,17 +173,17 @@ class C4DControlPlane:
 
     def ingest_launch(self, record) -> None:
         if self._admit(record.comm_id):
-            self.store.append("launch", {"record": record}, self.epoch)
+            self.store.append("launch", record, self.epoch)
             self.collector.ingest_launch(record)
 
     def ingest_op(self, record) -> None:
         if self._admit(record.comm_id):
-            self.store.append("op", {"record": record}, self.epoch)
+            self.store.append("op", record, self.epoch)
             self.collector.ingest_op(record)
 
     def ingest_message(self, record) -> None:
         if self._admit(record.comm_id):
-            self.store.append("message", {"record": record}, self.epoch)
+            self.store.append("message", record, self.epoch)
             self.collector.ingest_message(record)
 
     def drop_communicator(self, comm_id: str) -> None:
@@ -273,13 +273,12 @@ class C4DControlPlane:
         self.master.restore_state(state["master"])
         self.steering.restore_state(state["steering"])
 
-    def _replay_entry(self, entry) -> None:
-        ingest = self._replay_ingest.get(entry.kind)
+    def _replay_entry(self, row) -> None:
+        _seq, epoch, kind, payload = row
+        ingest = self._replay_ingest.get(kind)
         if ingest is not None:
-            ingest(entry.payload["record"])
+            ingest(payload)
             return
-        kind = entry.kind
-        payload = entry.payload
         if kind == "communicator":
             self.collector.ingest_communicator(payload["record"], now=payload["now"])
         elif kind == "drop":
@@ -287,7 +286,7 @@ class C4DControlPlane:
         elif kind == "evaluate":
             # Re-derived actions keep the epoch of the incarnation that
             # executed them; recover() restores the plane's own epoch.
-            self.master.epoch = entry.epoch
+            self.master.epoch = epoch
             self.steering.begin_replay(payload["actions"])
             try:
                 self.master.evaluate(

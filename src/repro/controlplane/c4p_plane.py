@@ -193,9 +193,8 @@ class ResilientC4PMaster(C4PMaster):
                 self.registry.release(record.rail, record.alloc.choice)
                 self._m_releases.inc()
 
-    def _replay_entry(self, entry) -> None:
-        kind = entry.kind
-        payload = entry.payload
+    def _replay_entry(self, row) -> None:
+        _seq, _epoch, kind, payload = row
         if kind == "allocate":
             self._qp_num_override.extend(payload["qp_nums"])
             try:

@@ -31,11 +31,11 @@ state's whole text or an encoded copy of it.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from itertools import islice
+from typing import Any, Callable, Iterator, Optional
 
 from repro.codec import feed_canonical
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -66,21 +66,17 @@ def state_digest(state: dict) -> str:
     return digest.hexdigest()
 
 
-class JournalEntry(NamedTuple):
-    """One journaled mutation (a tuple: immutable and cheap to build)."""
-
-    seq: int
-    epoch: int
-    kind: str
-    payload: dict
+#: One journal entry as :meth:`JournalStore.entries_after` yields it:
+#: ``(seq, epoch, kind, payload)``.
+Row = tuple[int, int, str, Any]
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """Full state at one journal position, as ``snapshot_state`` returned it."""
 
-    #: Journal length when the snapshot was taken; replay starts at this
-    #: entry index.
+    #: Sequence number of the first entry the snapshot does not cover;
+    #: replay starts there.
     seq: int
     epoch: int
     state: dict
@@ -101,15 +97,25 @@ class JournalStore:
     containers from it, because one snapshot may be restored many times.
     Nothing here decodes: :mod:`repro.codec` is encode only, and runs
     just for :func:`state_digest`.
+
+    The journal is three parallel columns, one item per entry: the
+    writer's epoch, the entry kind and the payload.  A record entry's
+    payload is the frozen record itself.  An entry's sequence number is
+    implicit: :attr:`first_seq` plus its position.  So an append
+    allocates no object the cyclic garbage collector tracks, and a long
+    journal does not keep triggering full collections.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.entries: list[JournalEntry] = []
+        self.epochs: list[int] = []
+        self.kinds: list[str] = []
+        self.payloads: list[Any] = []
         self.snapshots: list[Snapshot] = []
         #: Current writer epoch; appends from older epochs are fenced.
         self.epoch = 0
-        #: Next absolute sequence number (monotonic across compaction).
-        self._next_seq = 0
+        #: Absolute sequence number of the first retained entry; it
+        #: moves only when :meth:`compact` drops a prefix.
+        self.first_seq = 0
         #: Recoveries completed against this store, by any master.
         self.recoveries = 0
         #: The subset of :attr:`recoveries` that promoted a warm standby.
@@ -127,7 +133,7 @@ class JournalStore:
         registry.gauge(
             "controlplane_journal_size",
             "Entries currently retained in a control-plane journal",
-        ).set_function(lambda: len(self.entries))
+        ).set_function(self.__len__)
         self._m_snapshots = registry.counter(
             "controlplane_snapshots_total", "Control-plane state snapshots taken"
         )
@@ -179,16 +185,16 @@ class JournalStore:
     def recover(
         self,
         restore: Callable[[dict], None],
-        replay: Callable[[JournalEntry], None],
+        replay: Callable[[Row], None],
         standby: bool = False,
     ) -> tuple[int, int]:
         """Claim writership and rebuild a master's state from this store.
 
         Opens a new epoch (fencing out every earlier writer), passes the
         latest snapshot's state to ``restore`` (skipped before the first
-        snapshot), then each later entry to ``replay`` in ``seq`` order.
-        ``standby`` marks a warm-standby promotion, counted as a
-        failover.  Returns ``(epoch, entries_replayed)``.
+        snapshot), then each later entry's :data:`Row` to ``replay`` in
+        ``seq`` order.  ``standby`` marks a warm-standby promotion,
+        counted as a failover.  Returns ``(epoch, entries_replayed)``.
         """
         # Wall clock here is observability-only: it times the replay for
         # the metrics and never feeds simulated time or any verdict.
@@ -197,41 +203,49 @@ class JournalStore:
         snap = self.latest_snapshot()
         if snap is not None:
             restore(snap.state)
-        entries = self.entries_after(snap.seq if snap is not None else 0)
-        for entry in entries:
-            replay(entry)
+        seq = snap.seq if snap is not None else 0
+        replayed = len(self.kinds) - self._index_of(seq)
+        for row in self.entries_after(seq):
+            replay(row)
         self._m_replay_seconds.observe(
             time.perf_counter() - started  # repro: noqa[SIM001]
         )
         self.recoveries += 1
         self._m_recoveries.inc()
-        self._m_replayed.inc(len(entries))
+        self._m_replayed.inc(replayed)
         if standby:
             self.failovers += 1
             self._m_failovers.inc()
-        return epoch, len(entries)
+        return epoch, replayed
 
     # ------------------------------------------------------------------
     # Journal / snapshot
     # ------------------------------------------------------------------
-    def append(self, kind: str, payload: dict, epoch: int) -> JournalEntry:
-        """Append one mutation; the caller must hold the current epoch."""
+    def __len__(self) -> int:
+        """Entries currently retained (compaction drops covered ones)."""
+        return len(self.kinds)
+
+    def append(self, kind: str, payload: Any, epoch: int) -> None:
+        """Append one mutation; the caller must hold the current epoch.
+
+        ``payload`` is kept as given: a frozen record for a record entry,
+        a dict of the entry's inputs otherwise.
+        """
         if epoch != self.epoch:
             raise self._fenced(epoch)
-        entry = JournalEntry(self._next_seq, epoch, kind, payload)
-        self._next_seq += 1
-        self.entries.append(entry)
+        self.epochs.append(epoch)
+        self.kinds.append(kind)
+        self.payloads.append(payload)
         counter = self._m_entries_by_kind.get(kind)
         if counter is None:
             counter = self._m_entries_by_kind[kind] = self._m_entries.labels(kind=kind)
         counter.inc()
-        return entry
 
     def snapshot(self, state: dict, epoch: int) -> Snapshot:
         """Record a full-state snapshot at the current journal position."""
         if epoch != self.epoch:
             raise self._fenced(epoch)
-        snap = Snapshot(seq=self._next_seq, epoch=epoch, state=state)
+        snap = Snapshot(seq=self.first_seq + len(self.kinds), epoch=epoch, state=state)
         self.snapshots.append(snap)
         self._m_snapshots.inc()
         return snap
@@ -241,16 +255,24 @@ class JournalStore:
         return self.snapshots[-1] if self.snapshots else None
 
     def _index_of(self, seq: int) -> int:
-        """Position of the first entry with ``entry.seq >= seq`` (seq-sorted)."""
-        return bisect.bisect_left(self.entries, seq, key=lambda entry: entry.seq)
+        """Position of the first retained entry whose seq is ``>= seq``."""
+        return min(max(seq - self.first_seq, 0), len(self.kinds))
 
-    def entries_after(self, seq: int) -> list[JournalEntry]:
-        """Journal suffix from sequence number ``seq`` (inclusive).
+    def entries_after(self, seq: int) -> Iterator[Row]:
+        """The :data:`Row` of each entry from sequence number ``seq`` on.
 
-        Found by the entries' absolute sequence numbers, not list
-        position, so it stays correct after :meth:`compact`.
+        Found by absolute sequence numbers, not list position, so it
+        stays correct after :meth:`compact`.  The rows are read from the
+        columns as they are iterated and stop at the entries present at
+        the call; consume them before the next :meth:`compact`.
         """
-        return self.entries[self._index_of(seq):]
+        start = self._index_of(seq)
+        return zip(
+            range(self.first_seq + start, self.first_seq + len(self.kinds)),
+            islice(self.epochs, start, None),
+            islice(self.kinds, start, None),
+            islice(self.payloads, start, None),
+        )
 
     def compact(self) -> int:
         """Drop the journal entries the latest snapshot covers.
@@ -263,5 +285,8 @@ class JournalStore:
             return 0
         dropped = self._index_of(snap.seq)
         if dropped:
-            self.entries = self.entries[dropped:]
+            del self.epochs[:dropped]
+            del self.kinds[:dropped]
+            del self.payloads[:dropped]
+            self.first_seq += dropped
         return dropped

@@ -57,27 +57,27 @@ def test_cross_rail_path_rejected(topo):
 
 
 def test_ecmp_path_links_exist(topo):
-    choice = topo.ecmp_choice(0, 0, 5, 0, FT, src_side=0)
+    choice = topo.ecmp_choice(0, FT, src_side=0)
     path = topo.resolve_path(0, 0, 5, 0, choice)
     for link_id in path:
         assert link_id in topo.network.links
 
 
 def test_ecmp_deterministic(topo):
-    c1 = topo.ecmp_choice(0, 0, 5, 0, FT, src_side=0)
-    c2 = topo.ecmp_choice(0, 0, 5, 0, FT, src_side=0)
+    c1 = topo.ecmp_choice(0, FT, src_side=0)
+    c2 = topo.ecmp_choice(0, FT, src_side=0)
     assert c1 == c2
 
 
 def test_ecmp_pinned_src_side(topo):
-    choice = topo.ecmp_choice(0, 0, 5, 0, FT, src_side=1)
+    choice = topo.ecmp_choice(0, FT, src_side=1)
     assert choice.src_side == 1
 
 
 def test_ecmp_avoids_failed_uplink(topo):
-    base = topo.ecmp_choice(0, 0, 5, 0, FT, src_side=0)
+    base = topo.ecmp_choice(0, FT, src_side=0)
     topo.network.fail_link(topo.leaf_up(0, base.src_side, base.spine, base.up_port))
-    rerouted = topo.ecmp_choice(0, 0, 5, 0, FT, src_side=base.src_side)
+    rerouted = topo.ecmp_choice(0, FT, src_side=base.src_side)
     assert (rerouted.spine, rerouted.up_port) != (base.spine, base.up_port)
 
 
@@ -87,7 +87,7 @@ def test_ecmp_raises_when_all_uplinks_dead(topo):
         for k in range(spec.uplink_ports_per_spine):
             topo.network.fail_link(topo.leaf_up(0, 0, spine, k))
     with pytest.raises(RuntimeError):
-        topo.ecmp_choice(0, 0, 5, 0, FT, src_side=0)
+        topo.ecmp_choice(0, FT, src_side=0)
 
 
 def test_set_port_scale_is_idempotent(topo):
@@ -127,6 +127,6 @@ def test_ecmp_spreads_across_spines(topo):
     spines = set()
     for port in range(50000, 50100):
         ft = FiveTuple(src_ip="10.0.0.0", dst_ip="10.0.0.9", src_port=port, dst_port=4791)
-        spines.add(topo.ecmp_choice(0, 0, 9, 0, ft, src_side=0).spine)
+        spines.add(topo.ecmp_choice(0, ft, src_side=0).spine)
     # 100 flows should reach most of the 8 spines.
     assert len(spines) >= 6

@@ -65,11 +65,10 @@ def test_evaluate_executes_and_journals(env):
     (action,) = plane.steering.executed_actions
     assert action.isolated_nodes == (3,)
     # Ingestions are journaled write-ahead, the pass with its outcome.
-    kinds = [entry.kind for entry in store.entries]
-    assert kinds == ["communicator", "launch", "launch", "launch", "evaluate"]
-    evaluate_entry = store.entries[-1]
-    assert evaluate_entry.payload["coverage"] == leases.coverage(60.0) == 1.0
-    assert len(evaluate_entry.payload["actions"]) == 1
+    assert store.kinds == ["communicator", "launch", "launch", "launch", "evaluate"]
+    evaluated = store.payloads[-1]
+    assert evaluated["coverage"] == leases.coverage(60.0) == 1.0
+    assert len(evaluated["actions"]) == 1
 
 
 def test_restored_anomalies_keep_their_evidence_types(env):
@@ -118,7 +117,7 @@ def test_cold_restart_replays_to_identical_digest(env):
     assert store.failovers == 0  # a cold restart is not a failover
     # Snapshot bounded the replay to the post-snapshot suffix.
     snap = store.latest_snapshot()
-    assert info["entries_replayed"] == len(store.entries_after(snap.seq))
+    assert info["entries_replayed"] == len(list(store.entries_after(snap.seq)))
 
 
 def test_standby_promotion_counts_failover(env):
@@ -138,13 +137,13 @@ def test_stale_plane_demotes_silently(env):
     successor = build_plane(store, leases, metrics, active=False)
     successor.recover(now=10.0)
 
-    entries_before = len(store.entries)
+    entries_before = len(store)
     # The stale plane's writes are rejected without raising: ingestion
     # paths are called from agent callbacks that must not explode.
     plane.ingest_communicator(CommunicatorRecord("late", 4, RANKS), now=11.0)
     assert plane.evaluate(12.0) == []
     assert plane.snapshot() is False
-    assert len(store.entries) == entries_before
+    assert len(store) == entries_before
     assert plane.active is False
     assert store.fence_rejections == 3
 
@@ -168,7 +167,7 @@ def test_record_for_unregistered_communicator_is_refused_before_the_journal(env,
     store, leases, metrics = env
     plane = build_plane(store, leases, metrics)
     feed_hang(plane, "c", 0.0)
-    entries = len(store.entries)
+    entries = len(store)
     ghost = {
         "launch": OpLaunchRecord("ghost", 0, OpType.ALLREDUCE, 0, RANKS[0], 1.0),
         "op": OpRecord(
@@ -181,7 +180,7 @@ def test_record_for_unregistered_communicator_is_refused_before_the_journal(env,
     with pytest.raises(KeyError, match="ghost"):
         getattr(plane, "ingest_" + kind)(ghost)
     # Nothing was journaled, so a recovery replays cleanly.
-    assert len(store.entries) == entries
+    assert len(store) == entries
     digest = plane.state_digest()
     successor = build_plane(store, leases, metrics, active=False)
     assert successor.recover(now=10.0)["digest"] == digest
@@ -194,8 +193,8 @@ def test_straggler_for_dropped_communicator_is_journaled(env):
     plane.drop_communicator("c")
     late = OpLaunchRecord("c", 1, OpType.ALLREDUCE, 3, RANKS[3], 5.0)
     plane.ingest_launch(late)
-    assert store.entries[-1].kind == "launch"
-    assert store.entries[-1].payload == {"record": late}
+    assert store.kinds[-1] == "launch"
+    assert store.payloads[-1] == late
     digest = plane.state_digest()
     successor = build_plane(store, leases, metrics, active=False)
     assert successor.recover(now=10.0)["digest"] == digest

@@ -49,7 +49,7 @@ def test_recovery_replays_to_identical_digest():
     assert info["digest"] == digest
     # The mid-history snapshot bounded replay to the suffix.
     snap = master.store.latest_snapshot()
-    assert info["entries_replayed"] == len(master.store.entries_after(snap.seq))
+    assert info["entries_replayed"] == len(list(master.store.entries_after(snap.seq)))
     assert master.store.recoveries == 1
 
 
@@ -58,14 +58,14 @@ def test_rejected_request_is_not_journaled():
     master = exercised_master(metrics)
     digest = master.state_digest()
     load = dict(master.registry.link_load)
-    entries = len(master.store.entries)
+    entries = len(master.store)
     cross_rail = PathRequest(
         "bad", "job0", src_node=0, src_nic=0, dst_node=1, dst_nic=1, num_qps=2
     )
     with pytest.raises(ValueError):
         master.allocate(cross_rail)
     assert master.registry.link_load == load
-    assert len(master.store.entries) == entries
+    assert len(master.store) == entries
     # A journaled bad request would make every later replay raise.
     info = recovery_instance(master, metrics).recover(now=40.0)
     assert info["digest"] == digest
@@ -102,14 +102,14 @@ def test_compound_operations_journal_one_entry_per_cause():
     metrics = MetricsRegistry()
     master = ResilientC4PMaster(topo(), metrics=metrics)
     allocs = master.allocate(request())
-    before = [e.kind for e in master.store.entries]
+    before = list(master.store.kinds)
     # A silent failure: only the maintenance pass's re-probe finds it.
     dead = allocs[0].path[2]
     master.topology.network.fail_link(dead)
     report = master.maintenance(now=6.0)
     assert dead in report.newly_dead
     assert report.migrated_qps > 0
-    after = [e.kind for e in master.store.entries]
+    after = list(master.store.kinds)
     # The nested quarantine and drain journal nothing of their own —
     # replay re-derives them from the single maintenance entry.
     assert after == before + ["maintenance"]

@@ -38,7 +38,9 @@ from repro.obs.metrics import MetricsRegistry
 def frozen_copy(store: JournalStore) -> JournalStore:
     """The store as a crash at this instant leaves it."""
     clone = copy.copy(store)
-    clone.entries = list(store.entries)
+    clone.epochs = list(store.epochs)
+    clone.kinds = list(store.kinds)
+    clone.payloads = list(store.payloads)
     clone.snapshots = list(store.snapshots)
     return clone
 
@@ -132,7 +134,7 @@ def test_c4d_plane_recovers_at_every_journal_position():
     assert {AnomalyType.NONCOMM_HANG, AnomalyType.COMM_SLOW} <= kinds
     assert crash.labels().count("snapshot") == 2
     assert "compact" in crash.labels()
-    assert len(crash.points) == store._next_seq + 3
+    assert len(crash.points) == store.first_seq + len(store) + 3
 
     for label, crashed_store, digest in crash.points:
         successor = c4d_plane(crashed_store, leases, metrics, active=False)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from repro.controlplane import (
     ResilientC4PMaster,
     state_digest,
 )
-from repro.controlplane.journal import JournalEntry
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.steering import SteeringAction
 from repro.core.c4p import master as c4p_master
@@ -43,13 +43,18 @@ def store():
     return JournalStore(metrics=MetricsRegistry())
 
 
+def seqs(s: JournalStore, seq: int = 0) -> list[int]:
+    """Sequence numbers of the rows ``s.entries_after(seq)`` yields."""
+    return [row[0] for row in s.entries_after(seq)]
+
+
 def test_append_assigns_monotonic_seq():
     s = store()
     epoch = s.open_epoch()
-    first = s.append("op", {"x": 1}, epoch)
-    second = s.append("op", {"x": 2}, epoch)
-    assert (first.seq, second.seq) == (0, 1)
-    assert first.epoch == second.epoch == epoch
+    s.append("op", {"x": 1}, epoch)
+    s.append("op", {"x": 2}, epoch)
+    assert list(s.entries_after(0)) == [(0, epoch, "op", {"x": 1}), (1, epoch, "op", {"x": 2})]
+    assert (s.epochs, s.kinds, s.payloads) == ([epoch, epoch], ["op", "op"], [{"x": 1}, {"x": 2}])
 
 
 def test_stale_epoch_is_fenced():
@@ -74,16 +79,17 @@ def test_entries_after_uses_absolute_seq_across_compaction():
         s.append("op", {"i": i}, epoch)
     assert s.compact() == 5
     snap = s.latest_snapshot()
-    assert [e.payload["i"] for e in s.entries_after(snap.seq)] == [5, 6, 7]
+    assert [row[3]["i"] for row in s.entries_after(snap.seq)] == [5, 6, 7]
     # Sequence numbers keep counting after compaction — replay positions
     # stay stable even though the prefix storage is gone.
-    assert s.append("op", {"i": 8}, epoch).seq == 8
+    s.append("op", {"i": 8}, epoch)
+    assert seqs(s) == [5, 6, 7, 8]
 
 
 def test_entries_after_on_empty_store():
     s = store()
-    assert s.entries_after(0) == []
-    assert s.entries_after(5) == []
+    assert list(s.entries_after(0)) == []
+    assert list(s.entries_after(5)) == []
     assert s.compact() == 0
 
 
@@ -93,26 +99,27 @@ def test_entries_after_boundaries():
     for i in range(6):
         s.append("op", {"i": i}, epoch)
     s.snapshot({"n": 6}, epoch)
-    assert [e.seq for e in s.entries_after(0)] == [0, 1, 2, 3, 4, 5]
-    assert s.entries_after(6) == []  # after the last entry
-    assert s.entries_after(60) == []
+    assert seqs(s, 0) == [0, 1, 2, 3, 4, 5]
+    assert seqs(s, 6) == []  # after the last entry
+    assert seqs(s, 60) == []
     assert s.compact() == 6
     assert s.compact() == 0  # nothing left to drop
     for i in range(6, 9):
         s.append("op", {"i": i}, epoch)
     # Before the first retained entry: the whole retained journal.
-    assert [e.seq for e in s.entries_after(0)] == [6, 7, 8]
-    assert [e.seq for e in s.entries_after(6)] == [6, 7, 8]
+    assert seqs(s, 0) == [6, 7, 8]
+    assert seqs(s, 6) == [6, 7, 8]
     # Exactly on a retained entry.
-    assert [e.seq for e in s.entries_after(7)] == [7, 8]
+    assert seqs(s, 7) == [7, 8]
     s.snapshot({"n": 9}, epoch)
     s.append("op", {"i": 9}, epoch)
     s.append("op", {"i": 10}, epoch)
     assert s.compact() == 3
-    assert [e.seq for e in s.entries] == [9, 10]
-    assert [e.seq for e in s.entries_after(9)] == [9, 10]
-    assert [e.seq for e in s.entries_after(10)] == [10]
-    assert s.entries_after(11) == []
+    assert (s.first_seq, len(s)) == (9, 2)
+    assert [row[3] for row in s.entries_after(0)] == [{"i": 9}, {"i": 10}]
+    assert seqs(s, 9) == [9, 10]
+    assert seqs(s, 10) == [10]
+    assert seqs(s, 11) == []
 
 
 def test_compact_without_snapshot_is_noop():
@@ -120,7 +127,7 @@ def test_compact_without_snapshot_is_noop():
     epoch = s.open_epoch()
     s.append("op", {}, epoch)
     assert s.compact() == 0
-    assert len(s.entries) == 1
+    assert len(s) == 1
 
 
 def test_latest_snapshot_none_before_first():
@@ -241,6 +248,15 @@ class Labelled(dict):
     label: str = ""
 
 
+class Entry(NamedTuple):
+    """A named tuple ``json.dumps`` writes as the list it is."""
+
+    seq: int
+    epoch: int
+    kind: str
+    payload: dict
+
+
 texts = st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL_TEXT))
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 # What a hint promises, and what a field may hold instead: a bool in an
@@ -306,7 +322,7 @@ values = st.recursive(
         st.dictionaries(texts, children, max_size=4),
         st.dictionaries(st.integers(), children, max_size=3),
         st.builds(
-            JournalEntry, st.integers(), st.integers(), texts,
+            Entry, st.integers(), st.integers(), texts,
             st.dictionaries(texts, children, max_size=2),
         ),
     ),
@@ -376,8 +392,7 @@ def test_recover_restores_latest_snapshot_then_replays_suffix():
         s.append("op", {"i": i}, epoch)
     new_epoch, count, restored, replayed = recover_calls(s)
     assert restored == [{"n": 2}]
-    assert [e.seq for e in replayed] == [2, 3, 4]
-    assert [e.payload["i"] for e in replayed] == [2, 3, 4]
+    assert replayed == [(seq, epoch, "op", {"i": seq}) for seq in (2, 3, 4)]
     assert count == 3
     assert new_epoch == s.epoch == epoch + 1
 
@@ -389,7 +404,7 @@ def test_recover_without_snapshot_replays_everything():
         s.append("op", {"i": i}, epoch)
     new_epoch, count, restored, replayed = recover_calls(s)
     assert restored == []
-    assert [e.seq for e in replayed] == [0, 1, 2, 3]
+    assert [row[0] for row in replayed] == [0, 1, 2, 3]
     assert count == 4
     assert new_epoch == epoch + 1
     # The recovering writer holds the only current epoch.

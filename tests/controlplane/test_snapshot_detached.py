@@ -40,7 +40,9 @@ RANKS = tuple(RankLocation(node, 0) for node in range(4))
 def store_copy(store: JournalStore) -> JournalStore:
     """The store as a crash at this instant leaves it."""
     clone = copy.copy(store)
-    clone.entries = list(store.entries)
+    clone.epochs = list(store.epochs)
+    clone.kinds = list(store.kinds)
+    clone.payloads = list(store.payloads)
     clone.snapshots = list(store.snapshots)
     return clone
 

@@ -41,9 +41,7 @@ def test_source_ports_actually_steer():
     # reproduce the planned route.
     topo, master = build()
     alloc = master.allocate(request())[0]
-    choice = topo.ecmp_choice(
-        0, 0, 1, 0, alloc.five_tuple, src_side=alloc.choice.src_side
-    )
+    choice = topo.ecmp_choice(0, alloc.five_tuple, src_side=alloc.choice.src_side)
     assert choice == alloc.choice
 
 

@@ -273,8 +273,7 @@ class C4DControlPlane:
         self.master.restore_state(state["master"])
         self.steering.restore_state(state["steering"])
 
-    def _replay_entry(self, row) -> None:
-        _seq, epoch, kind, payload = row
+    def _replay_entry(self, seq: int, epoch: int, kind: str, payload) -> None:
         ingest = self._replay_ingest.get(kind)
         if ingest is not None:
             ingest(payload)

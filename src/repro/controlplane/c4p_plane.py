@@ -193,8 +193,7 @@ class ResilientC4PMaster(C4PMaster):
                 self.registry.release(record.rail, record.alloc.choice)
                 self._m_releases.inc()
 
-    def _replay_entry(self, row) -> None:
-        _seq, _epoch, kind, payload = row
+    def _replay_entry(self, seq: int, epoch: int, kind: str, payload) -> None:
         if kind == "allocate":
             self._qp_num_override.extend(payload["qp_nums"])
             try:

@@ -185,16 +185,17 @@ class JournalStore:
     def recover(
         self,
         restore: Callable[[dict], None],
-        replay: Callable[[Row], None],
+        replay: Callable[[int, int, str, Any], None],
         standby: bool = False,
     ) -> tuple[int, int]:
         """Claim writership and rebuild a master's state from this store.
 
         Opens a new epoch (fencing out every earlier writer), passes the
         latest snapshot's state to ``restore`` (skipped before the first
-        snapshot), then each later entry's :data:`Row` to ``replay`` in
-        ``seq`` order.  ``standby`` marks a warm-standby promotion,
-        counted as a failover.  Returns ``(epoch, entries_replayed)``.
+        snapshot), then the fields of each later entry's :data:`Row` to
+        ``replay`` as ``replay(seq, epoch, kind, payload)``, in ``seq``
+        order.  ``standby`` marks a warm-standby promotion, counted as a
+        failover.  Returns ``(epoch, entries_replayed)``.
         """
         # Wall clock here is observability-only: it times the replay for
         # the metrics and never feeds simulated time or any verdict.
@@ -203,10 +204,11 @@ class JournalStore:
         snap = self.latest_snapshot()
         if snap is not None:
             restore(snap.state)
-        seq = snap.seq if snap is not None else 0
-        replayed = len(self.kinds) - self._index_of(seq)
-        for row in self.entries_after(seq):
-            replay(row)
+        start = snap.seq if snap is not None else 0
+        replayed = len(self.kinds) - self._index_of(start)
+        # Unpacked in the loop, so zip reuses one row tuple throughout.
+        for seq, entry_epoch, kind, payload in self.entries_after(start):
+            replay(seq, entry_epoch, kind, payload)
         self._m_replay_seconds.observe(
             time.perf_counter() - started  # repro: noqa[SIM001]
         )

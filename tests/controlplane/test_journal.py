@@ -377,7 +377,7 @@ def test_entries_counter_per_kind():
 def recover_calls(s, **kwargs):
     """Run :meth:`JournalStore.recover` and record what it handed over."""
     restored, replayed = [], []
-    epoch, count = s.recover(restored.append, replayed.append, **kwargs)
+    epoch, count = s.recover(restored.append, lambda *row: replayed.append(row), **kwargs)
     return epoch, count, restored, replayed
 
 

@@ -15,7 +15,8 @@ Usage::
 
 Each experiment prints the same rows/series the paper reports; see
 EXPERIMENTS.md for the recorded paper-vs-measured comparison.  ``--seed``
-applies to every experiment: it replaces the experiment's default seed.
+replaces the experiment's default seed; README.md names the experiments
+whose output does not depend on it.
 """
 
 from __future__ import annotations

@@ -264,6 +264,52 @@ def test_flow_returning_ahead_of_newer_flows_in_the_state():
     solve_warm(state, [f3, f1], caps)
 
 
+def counting_rebuilds(monkeypatch, state):
+    """Count ``state``'s rebuilds from empty; returns the count list."""
+    rebuilds = []
+    rebuild = state._rebuild
+
+    def counting(*args):
+        rebuilds.append(1)
+        return rebuild(*args)
+
+    monkeypatch.setattr(state, "_rebuild", counting)
+    return rebuilds
+
+
+def test_flow_inserted_between_retained_flows_needs_no_rebuild(monkeypatch):
+    caps = {"a": 10.0, "b": 6.0, "c": 3.0}
+    f1 = _flow("f1", ["a"])
+    f2 = _flow("f2", ["a", "b"], weight=0.7)
+    f3 = _flow("f3", ["b", "c"], rate_cap=2.0)
+    f0 = _flow("f0", ["c", "a"], weight=0.3)
+    f4 = _flow("f4", ["b"], weight=0.2, rate_cap=1.0)
+    state = FairShareState()
+    solve_warm(state, [f1, f3], caps)
+    rebuilds = counting_rebuilds(monkeypatch, state)
+    # A new flow between two retained ones, then new flows at the front,
+    # in an inner gap and at the back, in one update.
+    for flows in ([f1, f2, f3], [f0, f1, f4, f2, f3, _flow("f5", ["c"])]):
+        warm = solve_warm(state, flows, caps)
+        assert bits(warm) == bits(max_min_rates(flows, caps))
+    assert rebuilds == []
+
+
+def test_used_up_gap_rebuilds_the_state(monkeypatch):
+    # Each solve puts one more flow right behind f1, halving the gap
+    # before the flow placed last time, until no key is left in it.
+    caps = {"a": 5.0, "b": 7.0}
+    first, last = _flow("first", ["a", "b"]), _flow("last", ["b"], weight=0.3)
+    state = FairShareState()
+    solve_warm(state, [first, last], caps)
+    rebuilds = counting_rebuilds(monkeypatch, state)
+    between = []
+    for i in range(40):
+        between.insert(0, _flow(f"f{i}", ["a"] if i % 2 else ["b", "a"], weight=0.1 + i % 3))
+        solve_warm(state, [first, *between, last], caps)
+    assert 0 < len(rebuilds) < 5
+
+
 def test_path_listing_a_link_twice():
     caps = {"a": 9.0, "b": 4.0, "c": 7.0}
     f1 = _flow("f1", ["a", "b", "a"], weight=0.5)

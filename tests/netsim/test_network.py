@@ -4,9 +4,12 @@ import math
 
 import pytest
 
+from repro.netsim.congestion import CongestionModel
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.network import FlowNetwork
 from repro.netsim.units import GBPS
+from repro.obs.metrics import MetricsRegistry
+from tests.netsim.test_properties import bits, reference_rates
 
 
 def build_net(*links):
@@ -433,3 +436,98 @@ def test_completed_flows_leave_no_resolved_links():
     net.run()
     assert len(net.completed_flows) == 200
     assert net._resolved == {}
+
+
+# ----------------------------------------------------------------------
+# Canonical order and the memo of solved sets
+# ----------------------------------------------------------------------
+def checked_rates(net):
+    """``compute_rates`` against the reference over the canonical order."""
+    rates = net.compute_rates()
+    assert bits(rates) == bits(reference_rates(net))
+    return rates
+
+
+def signature_of(net, flow):
+    checked_rates(net)
+    return net._resolved[flow.flow_id][4]
+
+
+def test_capacity_change_between_two_solves_of_one_set(solve_count):
+    net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS))
+    net.add_flow(Flow(flow_id="f", path=["a", "b"], size=GBPS))
+    net.add_flow(Flow(flow_id="g", path=["b"], size=GBPS))
+    assert checked_rates(net) == {"f": 5 * GBPS, "g": 5 * GBPS}
+    net.set_link_capacity("b", 4 * GBPS)
+    assert checked_rates(net) == {"f": 2 * GBPS, "g": 2 * GBPS}
+    net.set_link_capacity("b", 10 * GBPS)
+    assert checked_rates(net) == {"f": 5 * GBPS, "g": 5 * GBPS}
+    assert solve_count() == 3
+
+
+def test_congestion_overrides_bypass_the_memo(solve_count):
+    net = FlowNetwork(congestion=CongestionModel(), metrics=MetricsRegistry())
+    net.add_link("a", 10 * GBPS)
+    net.add_flow(Flow(flow_id="f", path=["a"], size=GBPS))
+    net.add_flow(Flow(flow_id="g", path=["a"], size=GBPS))
+    assert checked_rates(net) == {"f": 5 * GBPS, "g": 5 * GBPS}
+    assert solve_count() == 1
+    net.congestion._throttle["f"] = 0.2
+    for _ in range(2):
+        assert checked_rates(net) == {"f": 2 * GBPS, "g": 8 * GBPS}
+    assert solve_count() == 3
+    # With no throttle left, the set's first solve comes from the memo.
+    del net.congestion._throttle["f"]
+    assert checked_rates(net) == {"f": 5 * GBPS, "g": 5 * GBPS}
+    assert solve_count() == 3
+
+
+def test_weight_change_or_reroute_gives_a_new_signature():
+    net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS))
+    f = net.add_flow(Flow(flow_id="f", path=["a"], size=GBPS))
+    g = net.add_flow(Flow(flow_id="g", path=["a"], size=GBPS))
+    shared = signature_of(net, g)
+    assert signature_of(net, f) == shared
+    f.weight = 3.0
+    weighted = signature_of(net, f)
+    assert net.compute_rates() == {"g": 2.5 * GBPS, "f": 7.5 * GBPS}
+    f.reroute(["b"])
+    rerouted = signature_of(net, f)
+    assert len({shared, weighted, rerouted}) == 3
+    # Back to g's path and weight: back to g's signature, interned once.
+    f.weight = 1.0
+    f.path = ["a"]
+    assert signature_of(net, f) == shared
+    assert net.compute_rates() == {"f": 5 * GBPS, "g": 5 * GBPS}
+
+
+def test_memo_and_signature_table_stay_bounded(monkeypatch):
+    # A dynamic load balancer keeps re-weighting flows, so new
+    # signatures never stop coming; ring steps keep re-posting flows.
+    monkeypatch.setattr(FlowNetwork, "MEMO_SIZE", 8)
+    monkeypatch.setattr(FlowNetwork, "SIGNATURE_LIMIT", 32)
+    net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS), ("c", 10 * GBPS))
+    paths = (["a", "b"], ["b"], ["c", "a"], ["a"])
+    posted = [0]
+
+    def repost(done=None):
+        path = paths[posted[0] % len(paths)]
+        posted[0] += 1
+        net.add_flow(
+            Flow(flow_id=f"f{posted[0]}", path=path, size=GBPS * (1 + posted[0] % 3),
+                 on_complete=repost)
+        )
+
+    for _ in range(6):
+        repost()
+    memo_sizes, table_sizes = [], []
+    for step in range(300):
+        live = list(net.flows.values())
+        live[step % len(live)].weight = 1.0 + step % 13 / 4
+        net.run(until=net.now + 0.05)
+        checked_rates(net)
+        memo_sizes.append(len(net._memo))
+        table_sizes.append(len(net._signature_ids))
+        assert table_sizes[-1] <= FlowNetwork.SIGNATURE_LIMIT + len(net.flows)
+    assert max(memo_sizes) == FlowNetwork.MEMO_SIZE
+    assert max(table_sizes) > FlowNetwork.SIGNATURE_LIMIT > min(table_sizes[100:])

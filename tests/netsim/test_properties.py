@@ -218,8 +218,16 @@ def reference_active(net):
     ]
 
 
+def canonical_order(net, flows):
+    """``flows`` in ``net``'s canonical order: by the id of each flow's
+    signature, looked up afresh, and equal ids in the given order."""
+    ids = net._signature_ids
+    return sorted(flows, key=lambda flow: ids[(tuple(flow.path), flow.weight, flow.rate_cap)])
+
+
 def reference_rates(net):
-    active = reference_active(net)
+    """The reference solve of ``net``'s active set, in canonical order."""
+    active = canonical_order(net, reference_active(net))
     capacities = {link_id: link.capacity for link_id, link in net.links.items()}
     overrides = {}
     if net.congestion is not None:
@@ -351,3 +359,90 @@ def test_network_churn_matches_reference(ops, congested):
     net.run(until=net.now + 5.0)
     for link_id, link in net.links.items():
         assert link.bits_carried.hex() == net.expected_bits.get(link_id, 0.0).hex()
+
+
+# ----------------------------------------------------------------------
+# Canonical order: a set of flows gets the same rates whatever order its
+# flows were posted in.
+# ----------------------------------------------------------------------
+flow_spec = st.tuples(
+    st.lists(st.sampled_from(CHURN_LINKS), min_size=1, max_size=3, unique=True),
+    st.sampled_from([1.0, 1.0, 0.1, 0.2, 0.3, 0.7, 3.0]),
+    st.sampled_from([None, None, 1.0, 0.3]),
+)
+
+
+def posting_order(specs, draw_index):
+    """A random order of ``specs``' indexes that meets each distinct
+    signature first where ``specs`` does.
+
+    Signature ids number first appearances, so this is the order freedom
+    that leaves a network's ids, and with them its canonical order, as
+    posting ``specs`` in list order gives.
+    """
+    keys = [(tuple(path), weight, cap) for path, weight, cap in specs]
+    new = list(dict.fromkeys(keys))
+    remaining = list(range(len(specs)))
+    seen = set()
+    order = []
+    while remaining:
+        allowed = [i for i in remaining if keys[i] in seen or keys[i] == new[len(seen)]]
+        index = allowed[draw_index(len(allowed))]
+        remaining.remove(index)
+        seen.add(keys[index])
+        order.append(index)
+    return order
+
+
+def post(net, specs, order, tag):
+    """Add one flow per spec, in ``order``; returns flow id -> spec."""
+    posted = {}
+    for index in order:
+        path, weight, cap = specs[index]
+        flow_id = f"{tag}{index}"
+        net.add_flow(Flow(flow_id=flow_id, path=path, size=1.0, weight=weight, rate_cap=cap))
+        posted[flow_id] = repr(specs[index])
+    return posted
+
+
+def rates_by_signature(net, posted):
+    """The solve's rates as a multiset per signature, checked against the
+    reference over the canonical order."""
+    rates = net.compute_rates()
+    assert bits(rates) == bits(reference_rates(net))
+    return sorted((posted[flow_id], rate.hex()) for flow_id, rate in rates.items())
+
+
+@given(
+    st.lists(flow_spec, min_size=1, max_size=10),
+    # No link fails, so every flow completes; no capacity changes, which
+    # would renumber the signatures.
+    st.lists(churn_op.filter(lambda op: op[0] not in ("fail", "fail_silently", "capacity")),
+             max_size=12),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_set_of_flows_gets_one_set_of_rates_in_any_order(specs, churn, data):
+    def draw_index(n):
+        return data.draw(st.integers(0, n - 1))
+
+    def network():
+        net = FlowNetwork(metrics=MetricsRegistry())
+        for link_id in CHURN_LINKS:
+            net.add_link(link_id, 3.0)
+        return net
+
+    in_order = network()
+    expected = rates_by_signature(in_order, post(in_order, specs, range(len(specs)), "f"))
+    for _ in range(2):
+        fresh = network()
+        order = posting_order(specs, draw_index)
+        assert rates_by_signature(fresh, post(fresh, specs, order, "f")) == expected
+    # The first network again, after other flows came, changed and went:
+    # the same set, in yet another order, takes the memo's rates.
+    in_order.run()
+    for serial, op in enumerate(churn):
+        apply_churn(in_order, op, f"churn{serial}")
+    in_order.run()
+    order = posting_order(specs, draw_index)
+    assert rates_by_signature(in_order, post(in_order, specs, order, "again")) == expected

@@ -30,9 +30,13 @@ numbers:
 * **Keys.**  Each flow reserves a run of integer keys, one per path
   position plus one for its cap, and runs grow along the active list.
   A link's key is that of its first incidence, so keys sort as the
-  reference numbers links.  A flow rerouted onto a longer path than its
-  run, or one that would land ahead of an older flow (a stalled flow
-  coming back, a flow re-added), rebuilds the state from empty.
+  reference numbers links.  A rebuild spaces the runs' bases
+  ``_SPACING`` apart, and a new flow takes its run from the gap between
+  its neighbours' runs, wherever in the list it lands.  The state
+  rebuilds from empty only when that gap is used up, when a retained
+  flow changes position (a stalled flow coming back, a flow re-added or
+  moved by the caller's order), or when a flow is rerouted onto a
+  longer path than its run.
 * **Sums.**  A slot's member list stays in active-list order, and its
   pending weight is summed over it from zero whenever it changes.
 * **Private links become bounds.**  A link that one incidence crosses
@@ -66,6 +70,10 @@ from repro.netsim.flows import Flow
 #: float residue left by the weight subtractions).
 _WEIGHT_EPS = 1e-15
 
+#: Distance between consecutive bases after a rebuild: the keys a flow
+#: added later between two flows can take.
+_SPACING = 1 << 24
+
 
 class _Member:
     """One flow as the state holds it: its inputs, slots and bound."""
@@ -83,7 +91,7 @@ class _Member:
         #: Keys ``base .. base + span`` are this flow's: path position p
         #: has key ``base + p`` and the cap ``base + len(path)``.  Bases
         #: grow along the active list, so keys sort as the reference
-        #: numbers links.
+        #: numbers links; a new flow's base is set when it is placed.
         self.base = base
         self.span = len(flow.path)
         #: Slot of each path link, in path order.
@@ -133,8 +141,6 @@ class FairShareState:
         #: Members in active-list order, and by ``id(flow)``.
         self._members: list[_Member] = []
         self._by_flow: dict[int, _Member] = {}
-        #: The first key the next new member gets.
-        self._next_key = 0
         #: Links whose capacity changed since the last solve.
         self._changed_links: list[object] = []
 
@@ -160,23 +166,27 @@ class FairShareState:
             dirty_slots[slot] = None
         self._changed_links.clear()
         members = []
-        added = 0
-        last = -1
+        kept = []
+        # New members since the last retained one, and the first key
+        # after that one's run: they are placed when the walk meets the
+        # next retained member, whose base bounds the gap.
+        fresh = []
+        free = None
         for flow in flows:
             cap = overrides.get(flow.flow_id, flow.rate_cap) if overrides else flow.rate_cap
             member = get(id(flow))
             if member is None:
-                member = _Member(flow, float(flow.weight), cap, self._next_key)
-                self._next_key += member.span + 1
+                member = _Member(flow, float(flow.weight), cap, 0)
                 by_flow[id(flow)] = member
-                self._attach(member, capacities, dirty_slots)
                 dirty_members[member] = None
-                added += 1
-                last = math.inf  # a retained flow after this one is out of order
+                fresh.append(member)
             else:
-                if member.base <= last:
+                if free is not None and member.base < free:
                     return self._rebuild(flows, capacities, overrides)
-                last = member.base
+                if fresh:
+                    if not self._place(fresh, free, member.base, capacities, dirty_slots):
+                        return self._rebuild(flows, capacities, overrides)
+                    fresh = []
                 if member.path is not flow.path:
                     if len(flow.path) > member.span:
                         return self._rebuild(flows, capacities, overrides)
@@ -192,14 +202,18 @@ class FairShareState:
                 if member.cap != cap:
                     member.cap = cap
                     dirty_members[member] = None
+                free = member.base + member.span + 1
+                kept.append(member)
             members.append(member)
-        if len(members) - added < len(self._members):
-            # Retained members lead ``members`` in their old order, so
-            # the old members the walk does not meet are the flows that
-            # left.
+        if fresh:
+            if not self._place(fresh, free, None, capacities, dirty_slots):
+                return self._rebuild(flows, capacities, overrides)
+        if len(kept) < len(self._members):
+            # Retained members keep their old order, so the old members
+            # the walk did not keep are the flows that left.
             position = 0
             for member in self._members:
-                if position < len(members) and members[position] is member:
+                if position < len(kept) and kept[position] is member:
                     position += 1
                     continue
                 self._detach(member, dirty_slots)
@@ -209,6 +223,35 @@ class FairShareState:
         self._members = members
         self._refresh_slots(dirty_slots, dirty_members)
         self._refresh_members(dirty_members)
+
+    def _place(self, run: list, free, limit, capacities, dirty: dict) -> bool:
+        """Give ``run``'s new members runs of keys from ``free`` to ``limit``.
+
+        ``free`` is the first key after the previous member's run and
+        ``limit`` the next member's base; either is None at that end of
+        the list.  The runs are spread evenly over the gap, leaving room
+        on both sides.  Returns False, placing nothing, when the gap is
+        too small.
+        """
+        count = len(run)
+        if limit is None:
+            step = _SPACING
+            if free is None:
+                free = 0
+        elif free is None:
+            step = _SPACING
+            free = limit - (count + 1) * _SPACING
+        else:
+            step = (limit - free) // (count + 1)
+        for member in run:
+            if member.span >= step:
+                return False
+        base = free
+        for member in run:
+            base += step
+            member.base = base
+            self._attach(member, capacities, dirty)
+        return True
 
     def _attach(self, member: _Member, capacities, dirty: dict) -> None:
         """Add ``member``'s incidences to its path's slots, in base order."""
@@ -248,7 +291,7 @@ class FairShareState:
         for flow in flows:
             cap = overrides.get(flow.flow_id, flow.rate_cap) if overrides else flow.rate_cap
             member = _Member(flow, float(flow.weight), cap, base)
-            base += member.span + 1
+            base += max(_SPACING, member.span + 1)
             slots = member.slots
             for link_id in flow.path:
                 slot = slot_of.get(link_id)
@@ -261,7 +304,6 @@ class FairShareState:
                 slots.append(slot)
             members.append(member)
             by_flow[id(flow)] = member
-        self._next_key = base
         num_slots = len(crossing)
         self._capacity = [float(capacities[link_id]) for link_id in slot_of]
         self._pending = [0.0] * num_slots

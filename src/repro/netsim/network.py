@@ -13,14 +13,26 @@ flows whose path crosses the dead link and hands them to an optional
 ``reroute_handler`` — the hook through which the routing layer (plain
 ECMP reconvergence, or C4P's dynamic load balancer) reacts.
 
-Between two events the loop walks the active flows once.  Each solve
-keeps the active flows, each with its path's :class:`Link` objects
-(resolved once per path object), and its rates in the same order, so
-:meth:`FlowNetwork._advance` moves every flow's bits onto its links by
-position, with no lookup, and notes the flows it leaves with no bits.
-Those are the completions, unless a link is down or the step advanced
-no time: then a caller may have moved bits off a flow outside that
-pass, and the completions come from a scan of every flow.
+Each solve fills in one canonical order, so its rates depend only on
+the multiset of active flows' signatures, (path, weight, rate cap).  A
+flow's signature id is interned when its path is resolved, numbered by
+first appearance; the active flows are sorted by it, flows with equal
+signatures keeping their network order (they are interchangeable).  A
+bounded memo maps the sorted ids to the rates in canonical position, so
+a set of flows that comes back (every ring step re-posts the same
+neighbour sends) is solved once.  Congestion overrides bypass the memo;
+a capacity change clears it, and so does the reset that keeps the
+signature table bounded.
+
+Between two events the loop walks the active flows once, in network
+order.  Each solve keeps the active flows, each with its path's
+:class:`Link` objects (resolved once per path object), and sets every
+flow's ``rate``, so :meth:`FlowNetwork._advance` moves every flow's
+bits onto its links by position, with no lookup, and notes the flows
+it leaves with no bits.  Those are the completions, unless a link is
+down or the step advanced no time: then a caller may have moved bits
+off a flow outside that pass, and the completions come from a scan of
+every flow.
 """
 
 from __future__ import annotations
@@ -52,6 +64,11 @@ class FlowNetwork:
         ideal lossless max-min fair network.
     """
 
+    #: Distinct sets of active flows whose rates the memo keeps.
+    MEMO_SIZE = 64
+    #: Signatures the table may hold before a solve resets it.
+    SIGNATURE_LIMIT = 4096
+
     def __init__(
         self,
         congestion: Optional[CongestionModel] = None,
@@ -69,18 +86,27 @@ class FlowNetwork:
         #: Links currently down.  While it is zero every ACTIVE flow is
         #: transferring, and no path needs checking.
         self._links_down = 0
-        #: The active flows of the last :meth:`compute_rates`, which the
-        #: loop advances and completes until the next solve, each one's
-        #: path as links, and the solve's rates, all three in one order.
+        #: The active flows of the last :meth:`compute_rates` in network
+        #: order, which the loop advances and completes until the next
+        #: solve, each one's path as links, and the solve's rates (keyed
+        #: in canonical order).
         self._active: list[Flow] = []
         self._hops: list[tuple[Link, ...]] = []
         self._rates: dict[object, float] = {}
         #: Each flow's ``(flow, path, weight, rate_cap, state)`` as the
         #: last solve saw them, in ``flows`` order.
         self._solved: list[tuple] = []
-        #: Flow id -> ``(path, links)``: each live flow's path object and
-        #: its links, re-resolved when the path is replaced.
+        #: Flow id -> ``(path, weight, rate_cap, links, signature id)``
+        #: of each live flow, re-resolved when any of the first three
+        #: changes.
         self._resolved: dict[object, tuple] = {}
+        #: ``(path as a tuple, weight, rate_cap)`` -> signature id, in
+        #: first-appearance order.
+        self._signature_ids: dict[tuple, int] = {}
+        #: Sorted signature ids of an active set -> its rates in
+        #: canonical position; at most ``MEMO_SIZE`` entries, oldest
+        #: evicted first.
+        self._memo: dict[tuple, list[float]] = {}
         #: The flows the last :meth:`_advance` left with no bits, or None
         #: when :meth:`_fire_completions` must scan every flow.
         self._finished: Optional[list[Flow]] = None
@@ -141,6 +167,7 @@ class FlowNetwork:
         self.links[link_id].capacity = capacity
         self._capacities[link_id] = capacity
         self._fair_share.capacity_changed(link_id)
+        self._reset_signatures()
         self._stale = True
 
     def link(self, link_id: object) -> Link:
@@ -183,7 +210,7 @@ class FlowNetwork:
         for link_id in flow.path:
             if link_id not in self.links:
                 raise KeyError(f"flow {flow.flow_id!r} references unknown link {link_id!r}")
-        hops = self._resolve(flow)
+        hops = self._resolve(flow)[3]
         flow.start_time = self.now
         if any(not link.is_up for link in hops):
             flow.state = FlowState.STALLED
@@ -197,12 +224,30 @@ class FlowNetwork:
         self._flow_seq += 1
         return f"{prefix}-{self._flow_seq}"
 
-    def _resolve(self, flow: Flow) -> tuple[Link, ...]:
-        """Resolve ``flow``'s path to links and keep them with the path object."""
+    def _resolve(self, flow: Flow) -> tuple:
+        """Resolve ``flow``'s path to links and intern its signature.
+
+        Returns the flow's new ``_resolved`` entry.
+        """
         links = self.links
-        hops = tuple([links[link_id] for link_id in flow.path])
-        self._resolved[flow.flow_id] = (flow.path, hops)
-        return hops
+        path = flow.path
+        signature = (tuple(path), flow.weight, flow.rate_cap)
+        ids = self._signature_ids
+        number = ids.get(signature)
+        if number is None:
+            number = ids[signature] = len(ids)
+        entry = (
+            path, flow.weight, flow.rate_cap, tuple([links[link_id] for link_id in path]), number
+        )
+        self._resolved[flow.flow_id] = entry
+        return entry
+
+    def _reset_signatures(self) -> None:
+        """Number the live flows' signatures afresh, and empty the memo."""
+        self._signature_ids = {}
+        self._memo.clear()
+        for flow in self.flows.values():
+            self._resolve(flow)
 
     @property
     def active_flows(self) -> list[Flow]:
@@ -293,41 +338,60 @@ class FlowNetwork:
         last solve's returns that solve's dict: the same flows in the
         same order, each with the same path object, weight, rate cap and
         state, over the same link states and capacities.  Otherwise the
-        solver updates its :class:`~repro.netsim.fairness.FairShareState`
-        by the same inputs (flows that came, went or changed, and links
-        resized by :meth:`set_link_capacity`) and fills from there.
-        Change a flow's path by replacing it (``flow.path = [...]`` or
-        :meth:`Flow.reroute`), never by mutating the list in place: a new
-        path object is also what makes the network resolve the flow's
-        links again.  Do not mutate the returned dict.
+        active flows are put in canonical order, by signature id with
+        ties in network order, and the dict is keyed in that order.  An
+        active set whose sorted ids the memo holds takes the memo's
+        rates, which are what a solve in that order returns; any other,
+        and every set with congestion overrides, is solved through
+        :func:`~repro.netsim.fairness.max_min_rates`.  The solver updates
+        its :class:`~repro.netsim.fairness.FairShareState` by the flows
+        that came, went or changed since its last solve, and by the
+        links resized by :meth:`set_link_capacity`, and fills from
+        there.  A capacity change empties the memo and renumbers the
+        signatures, as does a solve that finds more than
+        ``SIGNATURE_LIMIT`` of them.  Change a flow's path by replacing
+        it (``flow.path = [...]`` or :meth:`Flow.reroute`), never by
+        mutating the list in place: a new path object is also what makes
+        the network resolve the flow's links again.  Do not mutate the
+        returned dict.
         """
         if self.congestion is None and not self._stale and not self._flows_changed():
             return self._rates
         self._stale = False
+        if len(self._signature_ids) > self.SIGNATURE_LIMIT:
+            self._reset_signatures()
         # One walk: what the next call compares, the active flows, each
-        # with its links, and a zero rate for every other flow.
+        # with its links and signature id, and a zero rate for every
+        # other flow.
         active_state = FlowState.ACTIVE
         links_down = self._links_down
         resolved = self._resolved
         solved = []
         active: list[Flow] = []
         hops: list[tuple[Link, ...]] = []
+        signatures: list[int] = []
         for flow in self.flows.values():
             path = flow.path
+            weight = flow.weight
+            rate_cap = flow.rate_cap
             state = flow.state
-            solved.append((flow, path, flow.weight, flow.rate_cap, state))
+            solved.append((flow, path, weight, rate_cap, state))
             if state is active_state:
-                known, flow_hops = resolved[flow.flow_id]
-                if known is not path:
-                    flow_hops = self._resolve(flow)
+                entry = resolved[flow.flow_id]
+                if entry[0] is not path or entry[1] != weight or entry[2] != rate_cap:
+                    entry = self._resolve(flow)
+                flow_hops = entry[3]
                 if not links_down or all(link.is_up for link in flow_hops):
                     active.append(flow)
                     hops.append(flow_hops)
+                    signatures.append(entry[4])
                     continue
             flow.rate = 0.0
         self._solved = solved
         self._active = active
         self._hops = hops
+        order = sorted(range(len(active)), key=signatures.__getitem__)
+        canonical = [active[i] for i in order]
         capacities = self._capacities
         overrides: dict[object, float] = {}
         if self.congestion is not None:
@@ -338,12 +402,28 @@ class FlowNetwork:
                     if base is None:
                         base = min(capacities[link_id] for link_id in flow.path)
                     overrides[flow.flow_id] = throttle * base
-        rates = max_min_rates(
-            active, capacities, cap_overrides=overrides, state=self._fair_share
-        )
-        # The solver keys its dict in active-list order.
-        for flow, rate in zip(active, rates.values()):
-            flow.rate = rate
+        if overrides:
+            rates = max_min_rates(
+                canonical, capacities, cap_overrides=overrides, state=self._fair_share
+            )
+            for flow, rate in zip(canonical, rates.values()):
+                flow.rate = rate
+        else:
+            memo = self._memo
+            key = tuple([signatures[i] for i in order])
+            known = memo.get(key)
+            if known is None:
+                rates = max_min_rates(canonical, capacities, state=self._fair_share)
+                if len(memo) >= self.MEMO_SIZE:
+                    del memo[next(iter(memo))]
+                memo[key] = list(rates.values())
+                for flow, rate in zip(canonical, rates.values()):
+                    flow.rate = rate
+            else:
+                rates = {}
+                for flow, rate in zip(canonical, known):
+                    flow.rate = rate
+                    rates[flow.flow_id] = rate
         self._rates = rates
         return rates
 
@@ -373,8 +453,8 @@ class FlowNetwork:
     # Internals
     # ------------------------------------------------------------------
     # The three steps below run between one compute_rates() and the next,
-    # so the active flows, their links and their rates (``rates`` is that
-    # solve's dict, keyed in active-list order) are those of the last
+    # so the active flows, their links and their rates (each flow's
+    # ``rate``; ``rates`` is that solve's dict) are those of the last
     # solve.  _advance is the one walk over them that moves bits, and
     # it notes the completions; _fire_completions scans every flow
     # instead when a link is down (an ACTIVE flow off the active list
@@ -384,7 +464,8 @@ class FlowNetwork:
     def _next_completion_time(self, rates: dict[object, float]) -> Optional[float]:
         # now + min(x) is min(now + x): rounding keeps the order.
         best: Optional[float] = None
-        for flow, rate in zip(self._active, rates.values()):
+        for flow in self._active:
+            rate = flow.rate
             if rate <= 0:
                 continue
             eta = flow.remaining / rate
@@ -401,8 +482,8 @@ class FlowNetwork:
         finished = []
         # Flow-major, path order: each link's counters sum in the same
         # order as one Link.account() call per incidence would.
-        for flow, hops, rate in zip(active, self._hops, rates.values()):
-            transferred = rate * dt
+        for flow, hops in zip(active, self._hops):
+            transferred = flow.rate * dt
             remaining = flow.remaining - transferred
             flow.remaining = remaining = remaining if remaining > 0.0 else 0.0
             if remaining <= _COMPLETION_REL_EPS * flow.size:

@@ -15,12 +15,14 @@ bandwidth to other flows).
 :class:`FairShareState`: the incidence lists of the active flows on
 integer link slots, which a :class:`~repro.netsim.network.FlowNetwork`
 keeps between solves and updates by the flows that came, went or
-changed.  A call without a state builds one from empty, in one pass.
+changed.  The network passes the flows in its canonical order, so a new
+flow may land anywhere in the list.  A call without a state builds one
+from empty, in one pass.
 :func:`max_min_rates_reference`, the vectorized numpy formulation, is
 kept as the test oracle in ``tests/netsim/test_fairness.py``.
 
-The two are **bit-for-bit equal**, including the key order of the
-returned dict.  The reference numbers links by first appearance along
+The two are **bit-for-bit equal** on any flow order, including the key
+order of the returned dict.  The reference numbers links by first appearance along
 the flow list (a capped flow's virtual link right after its path), sums
 each link's pending weight in incidence order, freezes at the link
 ``np.argmin`` picks (smallest share, lowest number among ties) and

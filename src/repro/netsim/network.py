@@ -309,7 +309,7 @@ class FlowNetwork:
         sim_start = self.now
         while True:
             rates = self.compute_rates()
-            next_completion = self._next_completion_time(rates)
+            next_completion = self._next_completion_time()
             next_timer = self._queue.next_time()
             candidates = [t for t in (next_completion, next_timer) if t is not None]
             if until is not None:
@@ -377,14 +377,13 @@ class FlowNetwork:
             state = flow.state
             solved.append((flow, path, weight, rate_cap, state))
             if state is active_state:
-                entry = resolved[flow.flow_id]
-                if entry[0] is not path or entry[1] != weight or entry[2] != rate_cap:
-                    entry = self._resolve(flow)
-                flow_hops = entry[3]
+                known, known_weight, known_cap, flow_hops, signature = resolved[flow.flow_id]
+                if known is not path or known_weight != weight or known_cap != rate_cap:
+                    _, _, _, flow_hops, signature = self._resolve(flow)
                 if not links_down or all(link.is_up for link in flow_hops):
                     active.append(flow)
                     hops.append(flow_hops)
-                    signatures.append(entry[4])
+                    signatures.append(signature)
                     continue
             flow.rate = 0.0
         self._solved = solved
@@ -402,28 +401,24 @@ class FlowNetwork:
                     if base is None:
                         base = min(capacities[link_id] for link_id in flow.path)
                     overrides[flow.flow_id] = throttle * base
-        if overrides:
+        # Overrides are solver inputs the signatures do not hold, so a
+        # set solved under them is neither looked up nor kept.
+        key = None if overrides else tuple([signatures[i] for i in order])
+        remembered = None if key is None else self._memo.get(key)
+        if remembered is None:
             rates = max_min_rates(
                 canonical, capacities, cap_overrides=overrides, state=self._fair_share
             )
-            for flow, rate in zip(canonical, rates.values()):
-                flow.rate = rate
-        else:
-            memo = self._memo
-            key = tuple([signatures[i] for i in order])
-            known = memo.get(key)
-            if known is None:
-                rates = max_min_rates(canonical, capacities, state=self._fair_share)
+            remembered = list(rates.values())
+            if key is not None:
+                memo = self._memo
                 if len(memo) >= self.MEMO_SIZE:
                     del memo[next(iter(memo))]
-                memo[key] = list(rates.values())
-                for flow, rate in zip(canonical, rates.values()):
-                    flow.rate = rate
-            else:
-                rates = {}
-                for flow, rate in zip(canonical, known):
-                    flow.rate = rate
-                    rates[flow.flow_id] = rate
+                memo[key] = remembered
+        else:
+            rates = dict(zip([flow.flow_id for flow in canonical], remembered))
+        for flow, rate in zip(canonical, remembered):
+            flow.rate = rate
         self._rates = rates
         return rates
 
@@ -461,7 +456,7 @@ class FlowNetwork:
     # may have had its bits moved off by a caller) or when no time
     # passed (_advance walked nothing, and a caller may have done the
     # same to an active flow).
-    def _next_completion_time(self, rates: dict[object, float]) -> Optional[float]:
+    def _next_completion_time(self) -> Optional[float]:
         # now + min(x) is min(now + x): rounding keeps the order.
         best: Optional[float] = None
         for flow in self._active:

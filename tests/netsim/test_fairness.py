@@ -229,11 +229,19 @@ def solve_warm(state, flows, caps, overrides=None):
     return rates
 
 
+def canonical_order(net, flows):
+    """``flows`` in ``net``'s canonical order: by the id of each flow's
+    signature, looked up afresh, and equal ids in the given order."""
+    ids = net._signature_ids
+    return sorted(flows, key=lambda flow: ids[(tuple(flow.path), flow.weight, flow.rate_cap)])
+
+
 def check_network(net):
-    """The network's rates against a reference solve over its active set."""
+    """The network's rates against a reference solve over its active set,
+    in the network's canonical order."""
     capacities = {link_id: link.capacity for link_id, link in net.links.items()}
-    reference = max_min_rates_reference(net.active_flows, capacities)
     rates = net.compute_rates()
+    reference = max_min_rates_reference(canonical_order(net, net.active_flows), capacities)
     assert bits(rates) == bits(reference)
     return rates
 

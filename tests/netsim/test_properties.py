@@ -9,7 +9,7 @@ from repro.netsim.fairness import FairShareState, max_min_rates
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.network import _COMPLETION_REL_EPS, FlowNetwork
 from repro.obs.metrics import MetricsRegistry
-from tests.netsim.test_fairness import max_min_rates_reference
+from tests.netsim.test_fairness import canonical_order, max_min_rates_reference
 
 LINKS = ["a", "b", "c", "d", "e"]
 
@@ -216,13 +216,6 @@ def reference_active(net):
         for flow in net.flows.values()
         if flow.state == FlowState.ACTIVE and all(net.links[l].is_up for l in flow.path)
     ]
-
-
-def canonical_order(net, flows):
-    """``flows`` in ``net``'s canonical order: by the id of each flow's
-    signature, looked up afresh, and equal ids in the given order."""
-    ids = net._signature_ids
-    return sorted(flows, key=lambda flow: ids[(tuple(flow.path), flow.weight, flow.rate_cap)])
 
 
 def reference_rates(net):

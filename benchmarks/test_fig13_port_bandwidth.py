@@ -31,3 +31,35 @@ def test_fig13_uplink_bandwidth_distribution(benchmark):
     assert all(
         abs(v - mean_dynamic) < 0.25 * mean_dynamic for v in live_dynamic.values()
     )
+
+
+#: ``float.hex()`` of every leaf-0 uplink rate (Gbps) at seed 6, static
+#: then dynamic, uplinks in spine order.  The figure reads these links'
+#: byte counters, so the network's accounting on them must not move a
+#: bit.
+PINNED_STATIC = [
+    "0x0.0p+0",
+    "0x1.b1473b42e586dp+8",
+    "0x1.b1473b42e586dp+8",
+    "0x1.0a9f6ff00d49ep+9",
+    "0x1.d296304d09fbep+8",
+    "0x1.d296304d09fbep+8",
+    "0x1.8fffffffffffep+9",
+    "0x1.d296304d09fbep+8",
+]
+PINNED_DYNAMIC = [
+    "0x0.0p+0",
+    "0x1.8ffffffffff8ap+9",
+    "0x1.54efa375ed408p+9",
+    "0x1.54efa375ed408p+9",
+    "0x1.558f928c0f261p+9",
+    "0x1.8ffffffffff9ep+9",
+    "0x1.8ffffffffff9ep+9",
+    "0x1.8ffffffffff9ep+9",
+]
+
+
+def test_fig13_uplink_rates_are_bit_identical():
+    result = fig13.run()
+    assert [result.static_rates[k].hex() for k in sorted(result.static_rates)] == PINNED_STATIC
+    assert [result.dynamic_rates[k].hex() for k in sorted(result.dynamic_rates)] == PINNED_DYNAMIC

@@ -49,6 +49,8 @@ def _run_mode(dynamic: bool, seed: int) -> dict[tuple, float]:
         stop_time=SAMPLE_END,
         dynamic=dynamic,
     )
+    uplinks = scenario.topology.leaf_uplinks(0, 0)
+    scenario.network.meter(uplinks)
     for runner in runners:
         runner.start()
     if dynamic:
@@ -61,7 +63,7 @@ def _run_mode(dynamic: bool, seed: int) -> dict[tuple, float]:
     window = SAMPLE_END - SAMPLE_START
     return {
         link_id: network.link(link_id).window_rate(window) / GBPS
-        for link_id in scenario.topology.leaf_uplinks(0, 0)
+        for link_id in uplinks
     }
 
 

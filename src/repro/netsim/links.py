@@ -1,10 +1,11 @@
-"""Directed network links with capacity, state and traffic counters.
+"""Directed network links with capacity, state and a traffic counter.
 
 A link is the unit of bandwidth contention.  Every hop a flow traverses
 (NIC port to leaf, leaf to spine, spine to leaf, leaf to NIC port, or an
-intra-node NVLink stage) is one :class:`Link`.  Links accumulate byte
-counters so experiments such as Fig. 13 of the paper (per-switch-port
-bandwidth) can be read directly off the simulator.
+intra-node NVLink stage) is one :class:`Link`.  A link that its network
+meters (:meth:`~repro.netsim.network.FlowNetwork.meter`) accumulates
+the bits it carries, so experiments such as Fig. 13 of the paper
+(per-switch-port bandwidth) can be read directly off the simulator.
 """
 
 from __future__ import annotations
@@ -35,15 +36,18 @@ class Link:
         which keeps the solver's capacity map in step.
     description:
         Optional human-readable label used in reports.
+
+    ``window_bits`` counts carried bits only while the owning network
+    meters the link; an unmetered link's counter stays where it is.
     """
 
     link_id: object
     capacity: float
     description: str = ""
     state: LinkState = LinkState.UP
-    bits_carried: float = field(default=0.0, init=False)
-    #: Windowed counter, reset by :meth:`reset_window`.  Used to compute
-    #: per-port bandwidth over a sampling interval (Fig. 13).
+    #: Windowed counter of a metered link, reset by :meth:`reset_window`.
+    #: Used to compute per-port bandwidth over a sampling interval
+    #: (Fig. 13).
     window_bits: float = field(default=0.0, init=False)
     #: Called with the link after every up/down transition.  The owning
     #: :class:`~repro.netsim.network.FlowNetwork` uses it to count the
@@ -76,8 +80,7 @@ class Link:
             self.on_state_change(self)
 
     def account(self, bits: float) -> None:
-        """Accumulate ``bits`` of carried traffic into both counters."""
-        self.bits_carried += bits
+        """Accumulate ``bits`` of carried traffic into the counter."""
         self.window_bits += bits
 
     def reset_window(self) -> None:

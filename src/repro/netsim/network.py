@@ -25,21 +25,29 @@ a capacity change clears it, and so does the reset that keeps the
 signature table bounded.
 
 Between two events the loop walks the active flows once, in network
-order.  Each solve keeps the active flows, each with its path's
-:class:`Link` objects (resolved once per path object), and sets every
-flow's ``rate``, so :meth:`FlowNetwork._advance` moves every flow's
-bits onto its links by position, with no lookup, and notes the flows
-it leaves with no bits.  Those are the completions, unless a link is
-down or the step advanced no time: then a caller may have moved bits
-off a flow outside that pass, and the completions come from a scan of
-every flow.
+order.  Each solve keeps the active flows and sets every flow's
+``rate``, so :meth:`FlowNetwork._advance` moves every flow's bits with
+no lookup, and notes the flows it leaves with no bits: those are the
+completions.  Byte counters are kept only on the links named to
+:meth:`FlowNetwork.meter`.  Each flow's resolved entry holds its
+metered hops (usually none), and the advance adds its bits to those
+alone, in flow-major, path order, so a metered link sums the same
+terms in the same order as one ``+=`` per incidence would.  A network
+that meters nothing touches no link between events.
+
+A link that goes down marks the flows that cross it, from a link ->
+flows index kept as flows are resolved and completed.  A flow with a
+down hop is blocked: it stays ACTIVE but leaves the active set, so a
+solve reads one membership per flow, not every hop.  A caller may take
+a blocked flow's bits (work stealing), so the completions also check
+the blocked flows.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.netsim.congestion import CongestionModel
 from repro.netsim.engine import EventQueue
@@ -86,19 +94,26 @@ class FlowNetwork:
         #: Links currently down.  While it is zero every ACTIVE flow is
         #: transferring, and no path needs checking.
         self._links_down = 0
+        #: Link id -> the ids of the live flows whose resolved path
+        #: crosses it (a dict used as an ordered set).
+        self._crossing: dict[object, dict[object, None]] = {}
+        #: Flow id -> how many distinct links of its resolved path are
+        #: down, for the blocked flows only: empty while no link is down.
+        self._blocked: dict[object, int] = {}
+        #: Ids of the links that keep byte counters; see :meth:`meter`.
+        self._metered: set = set()
         #: The active flows of the last :meth:`compute_rates` in network
         #: order, which the loop advances and completes until the next
-        #: solve, each one's path as links, and the solve's rates (keyed
-        #: in canonical order).
+        #: solve, those of them with metered hops paired with the hops,
+        #: and the solve's rates (keyed in canonical order).
         self._active: list[Flow] = []
-        self._hops: list[tuple[Link, ...]] = []
+        self._metered_active: list[tuple[Flow, tuple[Link, ...]]] = []
         self._rates: dict[object, float] = {}
-        #: Each flow's ``(flow, path, weight, rate_cap, state)`` as the
-        #: last solve saw them, in ``flows`` order.
-        self._solved: list[tuple] = []
-        #: Flow id -> ``(path, weight, rate_cap, links, signature id)``
-        #: of each live flow, re-resolved when any of the first three
-        #: changes.
+        #: Flow id -> ``(path, weight, rate_cap, metered links, signature
+        #: id, path-minimum capacity)`` of each live flow, re-resolved
+        #: when any of the first three changes.  The path minimum is the
+        #: base of a congestion throttle; without a congestion model it
+        #: is None.
         self._resolved: dict[object, tuple] = {}
         #: ``(path as a tuple, weight, rate_cap)`` -> signature id, in
         #: first-appearance order.
@@ -107,9 +122,8 @@ class FlowNetwork:
         #: canonical position; at most ``MEMO_SIZE`` entries, oldest
         #: evicted first.
         self._memo: dict[tuple, list[float]] = {}
-        #: The flows the last :meth:`_advance` left with no bits, or None
-        #: when :meth:`_fire_completions` must scan every flow.
-        self._finished: Optional[list[Flow]] = None
+        #: The active flows the last :meth:`_advance` left with no bits.
+        self._finished: list[Flow] = []
         #: The solver's incidence state, carried from one solve to the next.
         self._fair_share = FairShareState()
         #: Set by every change the network sees (a flow added or
@@ -158,7 +172,38 @@ class FlowNetwork:
         link.on_state_change = self._link_state_changed
         self.links[link_id] = link
         self._capacities[link_id] = link.capacity
+        self._crossing[link_id] = {}
         return link
+
+    def meter(self, link_ids: Iterable[object]) -> None:
+        """Keep byte counters on these links from now on.
+
+        Only a metered link's ``window_bits`` follows the traffic it
+        carries; every other link's stays where it is.  Metering keeps
+        every signature id and the memo, so no rate moves.
+        """
+        links = self.links
+        for link_id in link_ids:
+            if link_id not in links:
+                raise KeyError(f"cannot meter unknown link {link_id!r}")
+            self._metered.add(link_id)
+        resolved = self._resolved
+        for flow_id, (path, weight, rate_cap, _, signature, path_min) in resolved.items():
+            resolved[flow_id] = (
+                path, weight, rate_cap, self._metered_hops(path), signature, path_min
+            )
+        self._metered_active = [
+            (flow, resolved[flow.flow_id][3])
+            for flow in self._active
+            if resolved[flow.flow_id][3]
+        ]
+
+    def _metered_hops(self, path) -> tuple[Link, ...]:
+        metered = self._metered
+        if not metered:
+            return ()
+        links = self.links
+        return tuple([links[link_id] for link_id in path if link_id in metered])
 
     def set_link_capacity(self, link_id: object, capacity: float) -> None:
         """Change a link's capacity; rates follow at the next event boundary."""
@@ -197,7 +242,19 @@ class FlowNetwork:
         self.links[link_id].restore()
 
     def _link_state_changed(self, link: Link) -> None:
-        self._links_down += 1 if link.state is LinkState.DOWN else -1
+        blocked = self._blocked
+        if link.state is LinkState.DOWN:
+            self._links_down += 1
+            for flow_id in self._crossing[link.link_id]:
+                blocked[flow_id] = blocked.get(flow_id, 0) + 1
+        else:
+            self._links_down -= 1
+            for flow_id in self._crossing[link.link_id]:
+                left = blocked[flow_id] - 1
+                if left:
+                    blocked[flow_id] = left
+                else:
+                    del blocked[flow_id]
         self._stale = True
 
     # ------------------------------------------------------------------
@@ -210,9 +267,9 @@ class FlowNetwork:
         for link_id in flow.path:
             if link_id not in self.links:
                 raise KeyError(f"flow {flow.flow_id!r} references unknown link {link_id!r}")
-        hops = self._resolve(flow)[3]
+        self._resolve(flow)
         flow.start_time = self.now
-        if any(not link.is_up for link in hops):
+        if flow.flow_id in self._blocked:
             flow.state = FlowState.STALLED
         self.flows[flow.flow_id] = flow
         self._stale = True
@@ -225,22 +282,44 @@ class FlowNetwork:
         return f"{prefix}-{self._flow_seq}"
 
     def _resolve(self, flow: Flow) -> tuple:
-        """Resolve ``flow``'s path to links and intern its signature.
+        """Intern ``flow``'s signature and index the links it crosses.
 
         Returns the flow's new ``_resolved`` entry.
         """
-        links = self.links
+        flow_id = flow.flow_id
         path = flow.path
         signature = (tuple(path), flow.weight, flow.rate_cap)
         ids = self._signature_ids
         number = ids.get(signature)
         if number is None:
             number = ids[signature] = len(ids)
-        entry = (
-            path, flow.weight, flow.rate_cap, tuple([links[link_id] for link_id in path]), number
-        )
-        self._resolved[flow.flow_id] = entry
+        known = self._resolved.get(flow_id)
+        if known is None or known[0] is not path:
+            self._uncross(flow_id, known)
+            crossing = self._crossing
+            for link_id in path:
+                crossing[link_id][flow_id] = None
+            if self._links_down:
+                links = self.links
+                down = sum(1 for link_id in dict.fromkeys(path) if not links[link_id].is_up)
+                if down:
+                    self._blocked[flow_id] = down
+        path_min = None
+        if self.congestion is not None:
+            capacities = self._capacities
+            path_min = min([capacities[link_id] for link_id in path])
+        entry = (path, flow.weight, flow.rate_cap, self._metered_hops(path), number, path_min)
+        self._resolved[flow_id] = entry
         return entry
+
+    def _uncross(self, flow_id: object, entry: Optional[tuple]) -> None:
+        """Drop ``flow_id`` from the index under its resolved ``entry``."""
+        if entry is None:
+            return
+        crossing = self._crossing
+        for link_id in entry[0]:
+            crossing[link_id].pop(flow_id, None)
+        self._blocked.pop(flow_id, None)
 
     def _reset_signatures(self) -> None:
         """Number the live flows' signatures afresh, and empty the memo."""
@@ -255,11 +334,19 @@ class FlowNetwork:
         active = FlowState.ACTIVE
         if not self._links_down:
             return [flow for flow in self.flows.values() if flow.state is active]
+        blocked = self._blocked
+        resolved = self._resolved
         links = self.links
+        # A path replaced since the last resolve is checked hop by hop.
         return [
             flow
             for flow in self.flows.values()
-            if flow.state is active and all(links[link_id].is_up for link_id in flow.path)
+            if flow.state is active
+            and (
+                flow.flow_id not in blocked
+                if resolved[flow.flow_id][0] is flow.path
+                else all(links[link_id].is_up for link_id in flow.path)
+            )
         ]
 
     # ------------------------------------------------------------------
@@ -360,38 +447,32 @@ class FlowNetwork:
         self._stale = False
         if len(self._signature_ids) > self.SIGNATURE_LIMIT:
             self._reset_signatures()
-        # One walk: what the next call compares, the active flows, each
-        # with its links and signature id, and a zero rate for every
-        # other flow.
+        # One walk: the active flows, each with its signature id and its
+        # metered hops, and a zero rate for every other flow.
         active_state = FlowState.ACTIVE
         links_down = self._links_down
+        blocked = self._blocked
         resolved = self._resolved
-        solved = []
         active: list[Flow] = []
-        hops: list[tuple[Link, ...]] = []
+        metered_active: list[tuple[Flow, tuple[Link, ...]]] = []
         signatures: list[int] = []
         for flow in self.flows.values():
-            path = flow.path
-            weight = flow.weight
-            rate_cap = flow.rate_cap
-            state = flow.state
-            solved.append((flow, path, weight, rate_cap, state))
-            if state is active_state:
-                known, known_weight, known_cap, flow_hops, signature = resolved[flow.flow_id]
-                if known is not path or known_weight != weight or known_cap != rate_cap:
-                    _, _, _, flow_hops, signature = self._resolve(flow)
-                if not links_down or all(link.is_up for link in flow_hops):
+            if flow.state is active_state:
+                flow_id = flow.flow_id
+                path, weight, rate_cap, metered, signature, _ = resolved[flow_id]
+                if path is not flow.path or weight != flow.weight or rate_cap != flow.rate_cap:
+                    _, _, _, metered, signature, _ = self._resolve(flow)
+                if not links_down or flow_id not in blocked:
                     active.append(flow)
-                    hops.append(flow_hops)
                     signatures.append(signature)
+                    if metered:
+                        metered_active.append((flow, metered))
                     continue
             flow.rate = 0.0
-        self._solved = solved
         self._active = active
-        self._hops = hops
+        self._metered_active = metered_active
         order = sorted(range(len(active)), key=signatures.__getitem__)
         canonical = [active[i] for i in order]
-        capacities = self._capacities
         overrides: dict[object, float] = {}
         if self.congestion is not None:
             for flow in active:
@@ -399,7 +480,7 @@ class FlowNetwork:
                 if throttle < 1.0:
                     base = flow.rate_cap
                     if base is None:
-                        base = min(capacities[link_id] for link_id in flow.path)
+                        base = resolved[flow.flow_id][5]
                     overrides[flow.flow_id] = throttle * base
         # Overrides are solver inputs the signatures do not hold, so a
         # set solved under them is neither looked up nor kept.
@@ -407,7 +488,7 @@ class FlowNetwork:
         remembered = None if key is None else self._memo.get(key)
         if remembered is None:
             rates = max_min_rates(
-                canonical, capacities, cap_overrides=overrides, state=self._fair_share
+                canonical, self._capacities, cap_overrides=overrides, state=self._fair_share
             )
             remembered = list(rates.values())
             if key is not None:
@@ -425,37 +506,42 @@ class FlowNetwork:
     def _flows_changed(self) -> bool:
         """Whether a flow changed behind the network since the last solve.
 
-        The snapshot, not the solver's own diff, answers this: the diff
-        compares the active flows only, and recomputing the active set
-        checks every link of every flow while a link is down.
+        A flow's solver inputs are its resolved entry (path object,
+        weight, rate cap), its state and whether it is blocked; the last
+        solve's active list holds, in network order, the ACTIVE flows
+        that were not blocked.  So nothing changed while every ACTIVE
+        flow matches its entry and the unblocked ones are that list.
         """
-        if len(self.flows) != len(self._solved):
-            return True
-        for current, (flow, path, weight, rate_cap, state) in zip(
-            self.flows.values(), self._solved
-        ):
-            if (
-                current is not flow
-                or flow.path is not path
-                or flow.weight != weight
-                or flow.rate_cap != rate_cap
-                or flow.state is not state
-            ):
+        active_state = FlowState.ACTIVE
+        blocked = self._blocked
+        resolved = self._resolved
+        active = self._active
+        count = len(active)
+        position = 0
+        for flow in self.flows.values():
+            if flow.state is not active_state:
+                continue
+            flow_id = flow.flow_id
+            path, weight, rate_cap, _, _, _ = resolved[flow_id]
+            if path is not flow.path or weight != flow.weight or rate_cap != flow.rate_cap:
                 return True
-        return False
+            if flow_id in blocked:
+                continue
+            if position == count or active[position] is not flow:
+                return True
+            position += 1
+        return position != count
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     # The three steps below run between one compute_rates() and the next,
-    # so the active flows, their links and their rates (each flow's
-    # ``rate``; ``rates`` is that solve's dict) are those of the last
-    # solve.  _advance is the one walk over them that moves bits, and
-    # it notes the completions; _fire_completions scans every flow
-    # instead when a link is down (an ACTIVE flow off the active list
-    # may have had its bits moved off by a caller) or when no time
-    # passed (_advance walked nothing, and a caller may have done the
-    # same to an active flow).
+    # so the active flows, their metered hops and their rates (each
+    # flow's ``rate``; ``rates`` is that solve's dict) are those of the
+    # last solve.  _advance is the one walk over them that moves bits,
+    # and it notes the completions, also when no time passed (a caller
+    # may have moved an active flow's bits off).  An ACTIVE flow off the
+    # active list is blocked, so _fire_completions checks those too.
     def _next_completion_time(self) -> Optional[float]:
         # now + min(x) is min(now + x): rounding keeps the order.
         best: Optional[float] = None
@@ -471,20 +557,23 @@ class FlowNetwork:
     def _advance(self, dt: float, rates: dict[object, float]) -> None:
         if dt < 0:
             raise AssertionError(f"negative dt {dt}")
-        if dt == 0:
-            return
         active = self._active
+        if dt == 0:
+            self._finished = [
+                flow for flow in active if flow.remaining <= _COMPLETION_REL_EPS * flow.size
+            ]
+            return
         finished = []
-        # Flow-major, path order: each link's counters sum in the same
-        # order as one Link.account() call per incidence would.
-        for flow, hops in zip(active, self._hops):
-            transferred = flow.rate * dt
-            remaining = flow.remaining - transferred
+        for flow in active:
+            remaining = flow.remaining - flow.rate * dt
             flow.remaining = remaining = remaining if remaining > 0.0 else 0.0
             if remaining <= _COMPLETION_REL_EPS * flow.size:
                 finished.append(flow)
+        # Flow-major, path order: each metered link's counter sums in the
+        # same order as one Link.account() call per incidence would.
+        for flow, hops in self._metered_active:
+            transferred = flow.rate * dt
             for link in hops:
-                link.bits_carried += transferred
                 link.window_bits += transferred
         self._finished = finished
         if self.congestion is not None:
@@ -492,26 +581,38 @@ class FlowNetwork:
 
     def _fire_completions(self) -> None:
         finished = self._finished
-        self._finished = None
-        if finished is None or self._links_down:
-            finished = [
-                flow
-                for flow in self.flows.values()
-                if flow.state is FlowState.ACTIVE
-                and flow.remaining <= _COMPLETION_REL_EPS * flow.size
-            ]
+        self._finished = []
+        if self._blocked:
+            flows = self.flows
+            for flow_id in self._blocked:
+                flow = flows[flow_id]
+                if (
+                    flow.state is FlowState.ACTIVE
+                    and flow.remaining <= _COMPLETION_REL_EPS * flow.size
+                ):
+                    # A caller took a blocked flow's bits.  One scan puts
+                    # the completions in network order.
+                    finished = [
+                        flow
+                        for flow in flows.values()
+                        if flow.state is FlowState.ACTIVE
+                        and flow.remaining <= _COMPLETION_REL_EPS * flow.size
+                    ]
+                    break
         if finished:
             self._stale = True
         for flow in finished:
             flow.state = FlowState.COMPLETED
             flow.end_time = self.now
+            flow_id = flow.flow_id
+            entry = self._resolved.pop(flow_id)
+            self._uncross(flow_id, entry)
             # Credit the float residue so byte accounting is exact.
             if flow.remaining > 0:
-                for link_id in flow.path:
-                    self.links[link_id].account(flow.remaining)
+                for link in entry[3]:
+                    link.account(flow.remaining)
             flow.remaining = 0.0
-            del self.flows[flow.flow_id]
-            del self._resolved[flow.flow_id]
+            del self.flows[flow_id]
             self.completed_flows.append(flow)
             if self.congestion is not None:
                 self.congestion.forget(flow)

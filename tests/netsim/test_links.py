@@ -30,20 +30,18 @@ def test_negative_capacity_rejected():
         Link(link_id="a", capacity=-5.0)
 
 
-def test_account_accumulates_both_counters():
+def test_account_accumulates_the_counter():
     link = Link(link_id="a", capacity=GBPS)
     link.account(100.0)
     link.account(50.0)
-    assert link.bits_carried == 150.0
     assert link.window_bits == 150.0
 
 
-def test_reset_window_preserves_total():
+def test_reset_window_restarts_the_counter():
     link = Link(link_id="a", capacity=GBPS)
     link.account(100.0)
     link.reset_window()
     link.account(25.0)
-    assert link.bits_carried == 125.0
     assert link.window_bits == 25.0
 
 

@@ -169,14 +169,16 @@ def test_run_until_advances_clock_exactly():
 
 def test_link_byte_accounting():
     net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS))
+    net.meter(["a", "b"])
     net.add_flow(Flow(flow_id="f", path=["a", "b"], size=20 * GBPS))
     net.run()
-    assert net.link("a").bits_carried == pytest.approx(20 * GBPS)
-    assert net.link("b").bits_carried == pytest.approx(20 * GBPS)
+    assert net.link("a").window_bits == pytest.approx(20 * GBPS)
+    assert net.link("b").window_bits == pytest.approx(20 * GBPS)
 
 
 def test_window_rates():
     net = build_net(("a", 10 * GBPS))
+    net.meter(["a"])
     net.add_flow(Flow(flow_id="f", path=["a"], size=10 * GBPS))
     net.reset_link_windows()
     net.run(until=0.5)
@@ -318,6 +320,74 @@ def test_link_failed_behind_the_network_pauses_its_flows():
     assert flow.end_time == pytest.approx(5.0)
 
 
+def count_completion_scans(net):
+    """Give ``net`` a flow table that records the walks over it made from
+    inside ``_fire_completions``; returns that record."""
+    scans = []
+    inside = []
+
+    class Flows(dict):
+        def values(self):
+            if inside:
+                scans.append(1)
+            return super().values()
+
+    net.flows = Flows(net.flows)
+    fire = net._fire_completions
+
+    def counted():
+        inside.append(1)
+        try:
+            fire()
+        finally:
+            inside.pop()
+
+    net._fire_completions = counted
+    return scans
+
+
+def test_flow_on_a_failed_link_is_blocked_and_unblocked_with_no_scan():
+    # "f" crosses "a", which fails silently at t=1 and is back at t=3.
+    net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS))
+    scans = count_completion_scans(net)
+    f = net.add_flow(Flow(flow_id="f", path=["a", "b"], size=20 * GBPS))
+    g = net.add_flow(Flow(flow_id="g", path=["b"], size=100 * GBPS))
+    net.schedule(1.0, net.link("a").fail)
+    net.schedule(3.0, net.link("a").restore)
+    net.schedule(3.0, lambda: None)
+    net.run(until=2.0)
+    assert f.state is FlowState.ACTIVE and f.rate == 0.0
+    assert net._blocked == {"f": 1}
+    assert net.active_flows == [g]
+    assert net.compute_rates() == {"g": 10 * GBPS}
+    net.run(until=4.0)
+    assert net._blocked == {}
+    assert net.active_flows == [f, g]
+    net.run()
+    # 5 Gb before the failure, the other 15 Gb at 5 Gbps after t=3.
+    assert f.end_time == pytest.approx(6.0)
+    assert [flow.flow_id for flow in net.completed_flows] == ["f", "g"]
+    assert scans == []
+
+
+def test_blocked_flow_emptied_by_a_caller_completes():
+    net = build_net(("a", 10 * GBPS), ("b", 10 * GBPS))
+    f = net.add_flow(Flow(flow_id="f", path=["a"], size=20 * GBPS))
+    g = net.add_flow(Flow(flow_id="g", path=["b"], size=20 * GBPS))
+    net.schedule(0.5, net.link("a").fail)
+
+    def take_remaining():
+        f.remaining = 0.0
+
+    net.schedule(1.0, take_remaining)
+    net.run(until=1.5)
+    # Found at the next event: the end of the run.
+    assert f.state is FlowState.COMPLETED
+    assert f.end_time == 1.5
+    assert net._blocked == {}
+    assert g.state is FlowState.ACTIVE
+
+
 @pytest.fixture
 def solve_count(monkeypatch):
     """Count the max-min solves the network runs."""
@@ -405,14 +475,15 @@ def test_flow_emptied_by_a_caller_completes_with_no_time_passing():
 )
 def test_bits_follow_a_replaced_path(move):
     net = build_net(("a", GBPS), ("b", GBPS), ("c", GBPS), ("d", GBPS))
+    net.meter("abcd")
     flow = Flow(flow_id="f", path=["a", "b"], size=4 * GBPS)
     net.add_flow(flow)
     net.run(until=1.0)
+    assert [net.link(l).window_bits for l in "abcd"] == [GBPS, GBPS, 0.0, 0.0]
     move(net, flow)
     net.reset_link_windows()
     net.run(until=2.0)
     assert [net.link(l).window_bits for l in "abcd"] == [0.0, 0.0, GBPS, GBPS]
-    assert [net.link(l).bits_carried for l in "abcd"] == [GBPS] * 4
 
 
 def test_completed_flows_leave_no_resolved_links():
@@ -430,12 +501,14 @@ def test_completed_flows_leave_no_resolved_links():
             launched.append(flow)
             net.add_flow(flow)
         assert set(net._resolved) == set(net.flows)
+        assert set(net._crossing["a"]) | set(net._crossing["b"]) == set(net.flows)
 
     for _ in range(4):
         launch()
     net.run()
     assert len(net.completed_flows) == 200
     assert net._resolved == {}
+    assert net._crossing == {"a": {}, "b": {}}
 
 
 # ----------------------------------------------------------------------

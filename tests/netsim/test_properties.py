@@ -84,6 +84,7 @@ def test_every_flow_is_bottlenecked_somewhere(instance):
 def test_network_conserves_bytes(sizes, capacity):
     net = FlowNetwork()
     net.add_link("l", capacity)
+    net.meter(["l"])
     flows = [
         Flow(flow_id=f"f{i}", path=["l"], size=size) for i, size in enumerate(sizes)
     ]
@@ -91,8 +92,8 @@ def test_network_conserves_bytes(sizes, capacity):
         net.add_flow(flow)
     net.run()
     total = sum(sizes)
-    assert net.link("l").bits_carried <= total * (1 + 1e-6)
-    assert net.link("l").bits_carried >= total * (1 - 1e-6)
+    assert net.link("l").window_bits <= total * (1 + 1e-6)
+    assert net.link("l").window_bits >= total * (1 - 1e-6)
     for flow in flows:
         assert flow.remaining == 0.0
         assert not math.isnan(flow.end_time)
@@ -239,18 +240,26 @@ class ShadowNetwork(FlowNetwork):
 
     Each interval the loop advances by is checked against a reference
     solve over an active set recomputed from scratch, and the shadow adds
-    each active flow's bits to every link of its path, one ``+=`` per
-    incidence in flow order, as per-link ``Link.account`` calls would.
-    Completions must be exactly the ACTIVE flows with no bits left.
+    each active flow's bits to every metered link of its path, one ``+=``
+    per incidence in flow order, as per-link ``Link.account`` calls
+    would, from the moment the link is metered.  Completions must be
+    exactly the ACTIVE flows with no bits left.
     """
 
-    def __init__(self, congestion):
+    def __init__(self, congestion=None):
         super().__init__(congestion=congestion, metrics=MetricsRegistry())
         self.expected_bits = {}
+        self.metered = set()
+
+    def meter(self, link_ids):
+        link_ids = list(link_ids)
+        super().meter(link_ids)
+        self.metered.update(link_ids)
 
     def _carry(self, path, amount):
         for link_id in path:
-            self.expected_bits[link_id] = self.expected_bits.get(link_id, 0.0) + amount
+            if link_id in self.metered:
+                self.expected_bits[link_id] = self.expected_bits.get(link_id, 0.0) + amount
 
     def _advance(self, dt, rates):
         assert bits(rates) == bits(reference_rates(self))
@@ -294,6 +303,7 @@ churn_op = st.one_of(
     st.tuples(st.just("weight"), st.integers(0, 63), st.sampled_from([0.5, 1.0, 3.0])),
     st.tuples(st.just("capacity"), churn_link, st.sampled_from([2.0, 5.0, 10.0])),
     st.tuples(st.just("take_remaining"), st.integers(0, 63), st.sampled_from([0.0, 0.5])),
+    st.tuples(st.just("meter"), st.lists(churn_link, max_size=2, unique=True)),
 )
 
 
@@ -325,6 +335,8 @@ def apply_churn(net, op, serial):
             net.restore_link(link_id)
         else:
             net.set_link_capacity(link_id, args[1])
+    elif kind == "meter":
+        net.meter(args[0])
     elif live:
         flow = live[args[0] % len(live)]
         if kind == "reroute":
@@ -336,22 +348,48 @@ def apply_churn(net, op, serial):
             flow.remaining *= args[1]
 
 
-@given(st.lists(churn_op, min_size=1, max_size=40), st.booleans())
+def check_counters(net):
+    """Metered links hold the shadow's recount exactly; the rest hold 0."""
+    for link_id, link in net.links.items():
+        if link_id in net.metered:
+            assert link.window_bits.hex() == net.expected_bits.get(link_id, 0.0).hex()
+        else:
+            assert link.window_bits == 0.0
+
+
+@given(
+    st.lists(churn_op, min_size=1, max_size=40),
+    st.booleans(),
+    st.lists(churn_link, max_size=len(CHURN_LINKS), unique=True),
+)
 @settings(max_examples=150, deadline=None)
-def test_network_churn_matches_reference(ops, congested):
+def test_network_churn_matches_reference(ops, congested, metered):
     net = ShadowNetwork(CongestionModel() if congested else None)
     for link_id in CHURN_LINKS:
         net.add_link(link_id, 10.0)
+    net.meter(metered)
     for serial, op in enumerate(ops):
         apply_churn(net, op, serial)
         assert bits(net.compute_rates()) == bits(reference_rates(net))
-        for link_id, link in net.links.items():
-            expected = net.expected_bits.get(link_id, 0.0)
-            assert link.bits_carried.hex() == expected.hex()
-            assert link.window_bits.hex() == expected.hex()
+        check_counters(net)
     net.run(until=net.now + 5.0)
-    for link_id, link in net.links.items():
-        assert link.bits_carried.hex() == net.expected_bits.get(link_id, 0.0).hex()
+    check_counters(net)
+
+
+def test_only_metered_links_count_bits():
+    # Three flows share "b"; only "b" and "c" are metered.
+    net = ShadowNetwork()
+    for link_id, capacity in (("a", 3.0), ("b", 7.0), ("c", 5.0)):
+        net.add_link(link_id, capacity)
+    net.meter(["b", "c"])
+    net.add_flow(Flow(flow_id="f", path=["a", "b"], size=1.3))
+    net.add_flow(Flow(flow_id="g", path=["b", "c"], size=2.9, weight=3.0))
+    net.add_flow(Flow(flow_id="h", path=["a", "b", "c"], size=0.7))
+    net.run()
+    assert len(net.completed_flows) == 3
+    assert net.link("a").window_bits == 0.0
+    assert net.expected_bits["b"] > 0 and net.expected_bits["c"] > 0
+    check_counters(net)
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from typing import Callable, Iterable, Optional
 
 from repro.netsim.congestion import CongestionModel
@@ -95,8 +96,9 @@ class FlowNetwork:
         #: transferring, and no path needs checking.
         self._links_down = 0
         #: Link id -> the ids of the live flows whose resolved path
-        #: crosses it (a dict used as an ordered set).
-        self._crossing: dict[object, dict[object, None]] = {}
+        #: crosses it (a dict used as an ordered set); a link gets its
+        #: entry when the first flow crosses it.
+        self._crossing: defaultdict[object, dict[object, None]] = defaultdict(dict)
         #: Flow id -> how many distinct links of its resolved path are
         #: down, for the blocked flows only: empty while no link is down.
         self._blocked: dict[object, int] = {}
@@ -172,7 +174,6 @@ class FlowNetwork:
         link.on_state_change = self._link_state_changed
         self.links[link_id] = link
         self._capacities[link_id] = link.capacity
-        self._crossing[link_id] = {}
         return link
 
     def meter(self, link_ids: Iterable[object]) -> None:

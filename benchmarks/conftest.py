@@ -10,6 +10,8 @@ output.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis.report import format_table
@@ -18,6 +20,14 @@ from repro.analysis.report import format_table
 def run_once(benchmark, fn):
     """Execute a simulation exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def hex_digest(values) -> str:
+    """SHA-256 of the ``float.hex()`` of each value, one per line.
+
+    Pins a long float series bit for bit in one line of a test.
+    """
+    return hashlib.sha256("\n".join(value.hex() for value in values).encode()).hexdigest()
 
 
 def emit(title: str, headers, rows, benchmark=None, **extra):

@@ -43,3 +43,21 @@ def test_fig10b_two_to_one(benchmark):
     assert result.mean_gain > 0.4
     assert 1.0 < s_with.spread < 30.0
     assert s_with.mean < 362.0  # congestion costs something vs Fig 10a
+    # Bit for bit: the run exercises the congestion path of the solver.
+    assert [v.hex() for v in result.without_c4p] == FIG10B_WITHOUT_C4P
+    assert [v.hex() for v in result.with_c4p] == FIG10B_WITH_C4P
+
+
+#: ``float.hex()`` of each job's busbw (Gbps) in the 2:1 run at seed 4,
+#: in job order.
+FIG10B_WITHOUT_C4P = ["0x1.8ffffffffffffp+7"] * 8
+FIG10B_WITH_C4P = [
+    "0x1.4cd08e89e7ec4p+8",
+    "0x1.491fe278b9e7ap+8",
+    "0x1.44496ae93124fp+8",
+    "0x1.48c35af6fd5b4p+8",
+    "0x1.493daf9bf50c8p+8",
+    "0x1.429e0a3b34adcp+8",
+    "0x1.4914359ff83eap+8",
+    "0x1.45216fd8aa777p+8",
+]

@@ -21,7 +21,7 @@ import pytest
 
 from repro.cluster.specs import TESTBED_16_NODES
 from repro.cluster.topology import ClusterTopology, PathChoice
-from repro.netsim.fairness import FairShareState, max_min_rates
+from repro.netsim.fairness import Delta, FairShareState, max_min_rates
 from repro.netsim.flows import Flow
 from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry
@@ -73,6 +73,13 @@ def warm_state(before, capacities):
     return state
 
 
+def churn(before):
+    """The delta from ``before`` to the flows after the churn: the first
+    ``CHURN`` flows left, and as many came at the back."""
+    size = len(before)
+    return Delta(removed=before[:CHURN], added=list(range(size - CHURN, size)))
+
+
 def hexes(rates):
     return [(flow_id, rate.hex()) for flow_id, rate in rates.items()]
 
@@ -83,7 +90,9 @@ def test_max_min_solver(benchmark, instances, rung, num_flows):
     before, after, capacities = instances[num_flows]
     reference = max_min_rates_reference(before, capacities)
     assert hexes(max_min_rates(before, capacities)) == hexes(reference)
-    warm = max_min_rates(after, capacities, state=warm_state(before, capacities))
+    warm = max_min_rates(
+        after, capacities, state=warm_state(before, capacities), delta=churn(before)
+    )
     assert hexes(warm) == hexes(max_min_rates_reference(after, capacities))
     benchmark.group = f"max_min_rates, {num_flows} flows"
     benchmark.extra_info["incidences"] = sum(len(flow.path) for flow in before)
@@ -92,7 +101,7 @@ def test_max_min_solver(benchmark, instances, rung, num_flows):
             max_min_rates,
             setup=lambda: (
                 (after, capacities),
-                {"state": warm_state(before, capacities)},
+                {"state": warm_state(before, capacities), "delta": churn(before)},
             ),
             rounds=3,
             iterations=1,

@@ -408,7 +408,6 @@ class CollectiveContext:
                             "connection": conn,
                             "handle": handle,
                             "share_bits": flow_size,
-                            "job_id": self.job_id,
                             "cnp_key": (conn.request.src_node, conn.request.src_nic),
                             "cc_key": alloc.qp_num,
                         },

@@ -14,10 +14,12 @@ bandwidth to other flows).
 :func:`max_min_rates` is the solver the network uses.  It fills over a
 :class:`FairShareState`: the incidence lists of the active flows on
 integer link slots, which a :class:`~repro.netsim.network.FlowNetwork`
-keeps between solves and updates by the flows that came, went or
-changed.  The network passes the flows in its canonical order, so a new
-flow may land anywhere in the list.  A call without a state builds one
-from empty, in one pass.
+keeps between solves.  The network hands each solve a :class:`Delta`,
+the flows that came, went or changed since the state's last solve, so
+the update costs what changed and never walks every member.  The
+network passes the flows in its canonical order, so a new flow may land
+anywhere in the list.  A call without a state builds one from empty,
+in one pass.
 :func:`max_min_rates_reference`, the vectorized numpy formulation, is
 kept as the test oracle in ``tests/netsim/test_fairness.py``.
 
@@ -34,11 +36,10 @@ numbers:
   A link's key is that of its first incidence, so keys sort as the
   reference numbers links.  A rebuild spaces the runs' bases
   ``_SPACING`` apart, and a new flow takes its run from the gap between
-  its neighbours' runs, wherever in the list it lands.  The state
-  rebuilds from empty only when that gap is used up, when a retained
-  flow changes position (a stalled flow coming back, a flow re-added or
-  moved by the caller's order), or when a flow is rerouted onto a
-  longer path than its run.
+  its neighbours' runs, wherever in the list it lands.  A flow that
+  changed comes back as a new flow, so a kept flow never moves.  The
+  state rebuilds from empty only when it holds no flows or when a gap
+  is used up.
 * **Sums.**  A slot's member list stays in active-list order, and its
   pending weight is summed over it from zero whenever it changes.
 * **Private links become bounds.**  A link that one incidence crosses
@@ -62,9 +63,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from operator import attrgetter
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.netsim.flows import Flow
 
@@ -110,12 +111,30 @@ class _Member:
 _base = attrgetter("base")
 
 
+class Delta(NamedTuple):
+    """How an active list differs from the one a state solved last.
+
+    The flows the state keeps are those it held that ``removed`` does
+    not name; they must appear in the new list in their old order, and
+    every other flow of the new list must be one of ``added``.
+    """
+
+    #: Flows whose members leave the state, in any order; a flow the
+    #: state does not hold is skipped.  A flow that left and came back,
+    #: or whose path, weight or rate cap changed, is removed and added.
+    removed: Iterable[Flow] = ()
+    #: Ascending positions, in the new list, of the flows to add.
+    added: Sequence[int] = ()
+    #: Kept flows whose cap override may have changed.
+    recapped: Iterable[Flow] = ()
+
+
 class FairShareState:
     """Incidence state of :func:`max_min_rates`, kept between solves.
 
-    A state belongs to one capacity map.  Report a capacity change with
-    :meth:`capacity_changed`; paths are compared by identity, so replace
-    a flow's path rather than editing it in place.
+    A state belongs to one capacity map: after a capacity changes, solve
+    from a new state.  Each solve is handed the :class:`Delta` between
+    the active list it solved last and the new one.
     """
 
     def __init__(self) -> None:
@@ -143,86 +162,68 @@ class FairShareState:
         #: Members in active-list order, and by ``id(flow)``.
         self._members: list[_Member] = []
         self._by_flow: dict[int, _Member] = {}
-        #: Links whose capacity changed since the last solve.
-        self._changed_links: list[object] = []
-
-    def capacity_changed(self, link_id: object) -> None:
-        """Re-read ``link_id``'s capacity at the next solve."""
-        if link_id in self._slot_of:
-            self._changed_links.append(link_id)
 
     # ------------------------------------------------------------------
     # Bringing the state up to an active list
     # ------------------------------------------------------------------
-    def _update(self, flows: Sequence[Flow], capacities, overrides) -> None:
-        """Update the state to ``flows`` by diff, or rebuild it from empty."""
+    def _apply(self, flows: Sequence[Flow], capacities, overrides, delta: Delta) -> None:
+        """Bring the state from its last solve to ``flows`` by ``delta``.
+
+        A state with no members builds itself from ``flows`` instead.
+        """
         if not self._members:
             return self._rebuild(flows, capacities, overrides)
+        members = self._members
         by_flow = self._by_flow
-        get = by_flow.get
+        bounds = self._bounds
         dirty_slots: dict[int, None] = {}
         dirty_members: dict[_Member, None] = {}
-        for link_id in self._changed_links:
-            slot = self._slot_of[link_id]
-            self._capacity[slot] = float(capacities[link_id])
-            dirty_slots[slot] = None
-        self._changed_links.clear()
-        members = []
-        kept = []
-        # New members since the last retained one, and the first key
-        # after that one's run: they are placed when the walk meets the
-        # next retained member, whose base bounds the gap.
-        fresh = []
-        free = None
-        for flow in flows:
-            cap = overrides.get(flow.flow_id, flow.rate_cap) if overrides else flow.rate_cap
-            member = get(id(flow))
+        for flow in delta.removed:
+            member = by_flow.pop(id(flow), None)
             if member is None:
-                member = _Member(flow, float(flow.weight), cap, 0)
-                by_flow[id(flow)] = member
-                dirty_members[member] = None
-                fresh.append(member)
-            else:
-                if free is not None and member.base < free:
-                    return self._rebuild(flows, capacities, overrides)
-                if fresh:
-                    if not self._place(fresh, free, member.base, capacities, dirty_slots):
-                        return self._rebuild(flows, capacities, overrides)
-                    fresh = []
-                if member.path is not flow.path:
-                    if len(flow.path) > member.span:
-                        return self._rebuild(flows, capacities, overrides)
-                    self._detach(member, dirty_slots)
-                    member.path = flow.path
-                    self._attach(member, capacities, dirty_slots)
-                    dirty_members[member] = None
-                if member.weight != flow.weight:
-                    member.weight = float(flow.weight)
-                    for slot in member.slots:
-                        dirty_slots[slot] = None
-                    dirty_members[member] = None
+                continue
+            del members[bisect_left(members, member.base, key=_base)]
+            self._detach(member, dirty_slots)
+            if member.bound is not None:
+                del bounds[bisect_left(bounds, member.bound)]
+                member.bound = None  # break the member -> bound -> member cycle
+        for flow in delta.recapped:
+            member = by_flow.get(id(flow))
+            if member is not None:
+                cap = overrides.get(flow.flow_id, flow.rate_cap)
                 if member.cap != cap:
                     member.cap = cap
                     dirty_members[member] = None
-                free = member.base + member.span + 1
-                kept.append(member)
-            members.append(member)
-        if fresh:
-            if not self._place(fresh, free, None, capacities, dirty_slots):
+        # The new flows' positions, in runs of consecutive ones: each run
+        # takes its keys from the gap between the members around it.
+        added = delta.added
+        count = len(added)
+        first = 0
+        while first < count:
+            start = added[first]
+            last = first + 1
+            while last < count and added[last] == added[last - 1] + 1:
+                last += 1
+            run = []
+            for flow in flows[start : start + last - first]:
+                cap = overrides.get(flow.flow_id, flow.rate_cap) if overrides else flow.rate_cap
+                run.append(_Member(flow, float(flow.weight), cap, 0))
+            free = None
+            if start:
+                before = members[start - 1]
+                free = before.base + before.span + 1
+            limit = members[start].base if start < len(members) else None
+            if not self._place(run, free, limit, capacities, dirty_slots):
                 return self._rebuild(flows, capacities, overrides)
-        if len(kept) < len(self._members):
-            # Retained members keep their old order, so the old members
-            # the walk did not keep are the flows that left.
-            position = 0
-            for member in self._members:
-                if position < len(kept) and kept[position] is member:
-                    position += 1
-                    continue
-                self._detach(member, dirty_slots)
-                member.bound = None
-                if by_flow.get(id(member.flow)) is member:
-                    del by_flow[id(member.flow)]
-        self._members = members
+            members[start:start] = run
+            for member in run:
+                by_flow[id(member.flow)] = member
+                dirty_members[member] = None
+            first = last
+        if len(members) != len(flows):
+            raise ValueError(
+                f"the delta leaves {len(members)} members for {len(flows)} flows"
+            )
         self._refresh_slots(dirty_slots, dirty_members)
         self._refresh_members(dirty_members)
 
@@ -313,14 +314,15 @@ class FairShareState:
         self._key = [0] * num_slots
         self._share = [None] * num_slots
         self._refresh_slots(range(num_slots), None)
-        self._refresh_members(members)
+        derive = self._derive
+        self._bounds = sorted([bound for bound in map(derive, members) if bound is not None])
 
     def _refresh_slots(self, slots, dirty_members: Optional[dict]) -> None:
         """Re-derive each slot's class, pending weight, key and heap entry.
 
-        A slot that turned private or shared, or a private one (its
-        capacity may have moved), also dirties its members' bounds; a
-        rebuild passes None, as it refreshes every member anyway.
+        A slot that turned private or shared also dirties its members'
+        bounds; a rebuild passes None, as it refreshes every member
+        anyway.
         """
         capacity = self._capacity
         crossing = self._crossing
@@ -332,7 +334,7 @@ class FairShareState:
         for slot in slots:
             crossed = crossing[slot]
             shared = len(crossed) > 1
-            if dirty_members is not None and (shared != is_shared[slot] or len(crossed) == 1):
+            if dirty_members is not None and shared != is_shared[slot]:
                 for member in crossed:
                     dirty_members[member] = None
             is_shared[slot] = shared
@@ -353,33 +355,38 @@ class FairShareState:
             heads.pop(slot, None)
 
     def _refresh_members(self, members) -> None:
-        """Re-derive each member's shared slots and bound, and sort the bounds."""
+        """Re-derive each member's shared slots and bound, keeping the bounds sorted."""
+        bounds = self._bounds
+        for member in members:
+            old = member.bound
+            if old is not None:
+                del bounds[bisect_left(bounds, old)]
+            bound = self._derive(member)
+            if bound is not None:
+                insort(bounds, bound)
+
+    def _derive(self, member: _Member) -> Optional[tuple]:
+        """Set ``member``'s shared slots and bound from its slots; returns the bound."""
         capacity = self._capacity
         is_shared = self._is_shared
-        for member in members:
-            weight = member.weight
-            shared = []
-            bound = None
-            for position, slot in enumerate(member.slots):
-                if is_shared[slot]:
-                    shared.append(slot)
-                elif weight > _WEIGHT_EPS:
-                    share = capacity[slot] / weight
-                    if bound is None or share < bound[0]:
-                        bound = (share, member.base + position, member)
-            cap = member.cap
-            if cap is not None and weight > _WEIGHT_EPS:
-                share = float(cap) / weight
+        weight = member.weight
+        shared = []
+        bound = None
+        for position, slot in enumerate(member.slots):
+            if is_shared[slot]:
+                shared.append(slot)
+            elif weight > _WEIGHT_EPS:
+                share = capacity[slot] / weight
                 if bound is None or share < bound[0]:
-                    bound = (share, member.base + len(member.slots), member)
-            member.shared = shared
-            member.bound = bound
-        # Dropping the bounds no member holds any more leaves a sorted
-        # run; the sort merges the new ones into it.
-        bounds = [bound for bound in self._bounds if bound[2].bound is bound]
-        bounds += [member.bound for member in members if member.bound is not None]
-        bounds.sort()
-        self._bounds = bounds
+                    bound = (share, member.base + position, member)
+        cap = member.cap
+        if cap is not None and weight > _WEIGHT_EPS:
+            share = float(cap) / weight
+            if bound is None or share < bound[0]:
+                bound = (share, member.base + len(member.slots), member)
+        member.shared = shared
+        member.bound = bound
+        return bound
 
     # ------------------------------------------------------------------
     # Progressive filling
@@ -389,14 +396,15 @@ class FairShareState:
         flows: Sequence[Flow],
         capacities: Mapping[object, float],
         overrides: Mapping[object, float],
+        delta: Delta,
     ) -> dict[object, float]:
-        """Update the state to ``flows`` and fill; see :func:`max_min_rates`."""
+        """Update the state to ``flows`` by ``delta`` and fill; see :func:`max_min_rates`."""
         if not flows:
             if self._members:
                 self._reset()
             return {}
         try:
-            self._update(flows, capacities, overrides)
+            self._apply(flows, capacities, overrides, delta)
         except BaseException:
             self._reset()  # a half-applied update is no base for the next one
             raise
@@ -495,6 +503,7 @@ def max_min_rates(
     capacities: Mapping[object, float],
     cap_overrides: Mapping[object, float] | None = None,
     state: FairShareState | None = None,
+    delta: Delta = Delta(),
 ) -> dict[object, float]:
     """Compute weighted max-min fair rates.
 
@@ -512,8 +521,12 @@ def max_min_rates(
         congestion model to throttle senders without mutating flows.
     state:
         The :class:`FairShareState` of earlier solves over the same
-        ``capacities``; it is updated to ``flows``.  Without one the
-        solve starts from an empty state.
+        ``capacities``; it is updated to ``flows`` by ``delta``.
+        Without one, or with one that holds no flows, the solve builds
+        its state from ``flows``.
+    delta:
+        The :class:`Delta` from the list ``state`` solved last to
+        ``flows``; the default says they are the same flows.
 
     Returns
     -------
@@ -522,4 +535,4 @@ def max_min_rates(
     """
     if state is None:
         state = FairShareState()
-    return state.solve(flows, capacities, cap_overrides or {})
+    return state.solve(flows, capacities, cap_overrides or {}, delta)

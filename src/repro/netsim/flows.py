@@ -25,33 +25,8 @@ class FlowState(enum.Enum):
 
 
 @dataclass
-class Flow:
-    """A finite data transfer over a fixed path.
-
-    Parameters
-    ----------
-    flow_id:
-        Unique hashable identifier.
-    path:
-        Sequence of link ids the flow traverses, in order.  Change it by
-        replacing it (``flow.path = [...]`` or :meth:`reroute`), never
-        by mutating the list in place: the network notices a new path
-        object, not an edited one.
-    size:
-        Total bits to transfer.  Must be positive.
-    weight:
-        Max-min fairness weight (default 1.0).  A flow with weight 2
-        receives twice the share of a weight-1 flow on a shared
-        bottleneck.
-    rate_cap:
-        Optional sender-side rate limit in bits/s (congestion control).
-    on_complete:
-        Callback invoked by the network when the flow finishes; receives
-        the flow.  May start new flows.
-    metadata:
-        Free-form dict for upper layers (source port, QP number, job id,
-        …).  The simulator never reads it.
-    """
+class _FlowFields:
+    """The fields of :class:`Flow`, which adds the solver-input properties."""
 
     flow_id: object
     path: Sequence[object]
@@ -78,6 +53,75 @@ class Flow:
             raise ValueError(f"flow {self.flow_id!r} rate_cap must be positive")
         self.remaining = float(self.size)
 
+
+class Flow(_FlowFields):
+    """A finite data transfer over a fixed path.
+
+    Parameters
+    ----------
+    flow_id:
+        Unique hashable identifier.
+    path:
+        Sequence of link ids the flow traverses, in order.  Change it by
+        replacing it (``flow.path = [...]`` or :meth:`reroute`), never
+        by mutating the list in place: assigning the path is what tells
+        the network, and an edited list tells it nothing.
+    size:
+        Total bits to transfer.  Must be positive.
+    weight:
+        Max-min fairness weight (default 1.0).  A flow with weight 2
+        receives twice the share of a weight-1 flow on a shared
+        bottleneck.
+    rate_cap:
+        Optional sender-side rate limit in bits/s (congestion control).
+    on_complete:
+        Callback invoked by the network when the flow finishes; receives
+        the flow.  May start new flows.
+    metadata:
+        Free-form dict for upper layers (source port, QP number, …).
+        The simulator never reads it.
+
+    ``path``, ``weight`` and ``rate_cap`` are the solver's inputs.  While
+    the flow is live (added to a network and not completed), assigning
+    one of them, or rerouting the flow, tells the network that holds it,
+    which re-solves at its next event boundary.
+    """
+
+    #: The :class:`~repro.netsim.network.FlowNetwork` holding the flow
+    #: while it is live, else None.  Left unannotated so it is not a
+    #: dataclass field: ``repr()`` and comparisons leave it out.
+    _network = None
+
+    @property
+    def path(self) -> Sequence[object]:
+        return self._path
+
+    @path.setter
+    def path(self, path: Sequence[object]) -> None:
+        self._path = path
+        if self._network is not None:
+            self._network._flow_changed(self)
+
+    @property
+    def weight(self) -> float:
+        return self._weight
+
+    @weight.setter
+    def weight(self, weight: float) -> None:
+        self._weight = weight
+        if self._network is not None:
+            self._network._flow_changed(self)
+
+    @property
+    def rate_cap(self) -> Optional[float]:
+        return self._rate_cap
+
+    @rate_cap.setter
+    def rate_cap(self, rate_cap: Optional[float]) -> None:
+        self._rate_cap = rate_cap
+        if self._network is not None:
+            self._network._flow_changed(self)
+
     @property
     def duration(self) -> float:
         """Wall-clock (simulated) duration; NaN until completed."""
@@ -86,11 +130,13 @@ class Flow:
     def reroute(self, new_path: Sequence[object]) -> None:
         """Replace the flow's path (e.g. after a link failure).
 
-        The remaining bits are preserved; the network recomputes rates at
-        the next event boundary.
+        The remaining bits are preserved; a stalled flow is active again,
+        and the network recomputes rates at the next event boundary.
         """
         if not new_path:
             raise ValueError("new_path must be non-empty")
-        self.path = list(new_path)
+        self._path = list(new_path)
         if self.state == FlowState.STALLED:
             self.state = FlowState.ACTIVE
+        if self._network is not None:
+            self._network._flow_changed(self)

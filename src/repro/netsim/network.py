@@ -15,8 +15,9 @@ ECMP reconvergence, or C4P's dynamic load balancer) reacts.
 
 Each solve fills in one canonical order, so its rates depend only on
 the multiset of active flows' signatures, (path, weight, rate cap).  A
-flow's signature id is interned when its path is resolved, numbered by
-first appearance; the active flows are sorted by it, flows with equal
+flow's signature id is interned when it is added, and again at the
+first solve after a write while it is ACTIVE, numbered by first
+appearance; the active flows are sorted by it, flows with equal
 signatures keeping their network order (they are interchangeable).  A
 bounded memo maps the sorted ids to the rates in canonical position, so
 a set of flows that comes back (every ring step re-posts the same
@@ -24,10 +25,19 @@ neighbour sends) is solved once.  Congestion overrides bypass the memo;
 a capacity change clears it, and so does the reset that keeps the
 signature table bounded.
 
-Between two events the loop walks the active flows once, in network
-order.  Each solve keeps the active flows and sets every flow's
-``rate``, so :meth:`FlowNetwork._advance` moves every flow's bits with
-no lookup, and notes the flows it leaves with no bits: those are the
+The network keeps its active structures as things happen, so no solve
+walks every flow.  A flow is active while it is ACTIVE and no link of
+its path is down.  Adding a flow, completing it, a link going down or
+up, and a write to a live flow's path, weight or rate cap (the flow
+reports it, see :class:`~repro.netsim.flows.Flow`) each move that flow
+in or out of the active flows, kept in network order.  The next solve
+interns the signatures of the flows that changed, in network order,
+and places them in the canonical list, kept sorted by (signature id,
+network order) beside the signature ids that form the memo key.  The
+solver's state is handed only the flows that came, went or changed
+since it last filled.  Each solve sets every active flow's ``rate``,
+so :meth:`FlowNetwork._advance` moves every flow's bits with no
+lookup, and notes the flows it leaves with no bits: those are the
 completions.  Byte counters are kept only on the links named to
 :meth:`FlowNetwork.meter`.  Each flow's resolved entry holds its
 metered hops (usually none), and the advance adds its bits to those
@@ -36,23 +46,23 @@ terms in the same order as one ``+=`` per incidence would.  A network
 that meters nothing touches no link between events.
 
 A link that goes down marks the flows that cross it, from a link ->
-flows index kept as flows are resolved and completed.  A flow with a
-down hop is blocked: it stays ACTIVE but leaves the active set, so a
-solve reads one membership per flow, not every hop.  A caller may take
-a blocked flow's bits (work stealing), so the completions also check
-the blocked flows.
+flows index kept as flows are added, written and completed.  A flow with a
+down hop is blocked: it stays ACTIVE but leaves the active flows.  A
+caller may take a blocked flow's bits (work stealing), so the
+completions also check the blocked flows.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Callable, Iterable, Optional
 
 from repro.netsim.congestion import CongestionModel
 from repro.netsim.engine import EventQueue
-from repro.netsim.fairness import FairShareState, max_min_rates
+from repro.netsim.fairness import Delta, FairShareState, max_min_rates
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.links import Link, LinkState
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -92,31 +102,46 @@ class FlowNetwork:
         #: :meth:`add_link` and :meth:`set_link_capacity`; handed to the
         #: solver as is.
         self._capacities: dict[object, float] = {}
-        #: Links currently down.  While it is zero every ACTIVE flow is
-        #: transferring, and no path needs checking.
+        #: Links currently down.  While it is zero no flow is blocked,
+        #: and no path needs checking.
         self._links_down = 0
-        #: Link id -> the ids of the live flows whose resolved path
-        #: crosses it (a dict used as an ordered set); a link gets its
-        #: entry when the first flow crosses it.
+        #: Link id -> the ids of the live flows whose path crosses it (a
+        #: dict used as an ordered set); a link gets its entry when the
+        #: first flow crosses it.
         self._crossing: defaultdict[object, dict[object, None]] = defaultdict(dict)
-        #: Flow id -> how many distinct links of its resolved path are
-        #: down, for the blocked flows only: empty while no link is down.
+        #: Flow id -> how many distinct links of its path are down, for
+        #: the blocked flows only: empty while no link is down.
         self._blocked: dict[object, int] = {}
         #: Ids of the links that keep byte counters; see :meth:`meter`.
         self._metered: set = set()
-        #: The active flows of the last :meth:`compute_rates` in network
-        #: order, which the loop advances and completes until the next
-        #: solve, those of them with metered hops paired with the hops,
-        #: and the solve's rates (keyed in canonical order).
+        #: The active flows in network order (by add sequence), with
+        #: their sequence numbers; those of them with metered hops,
+        #: paired with the hops, and their sequence numbers.
         self._active: list[Flow] = []
+        self._active_seqs: list[int] = []
         self._metered_active: list[tuple[Flow, tuple[Link, ...]]] = []
+        self._metered_seqs: list[int] = []
+        #: The active flows placed in canonical order, their keys
+        #: ``(signature id, sequence)``, their signature ids (the memo
+        #: key), and each placed flow's key by flow id.
+        self._canonical: list[Flow] = []
+        self._canonical_keys: list[tuple[int, int]] = []
+        self._signatures: list[int] = []
+        self._placed: dict[object, tuple[int, int]] = {}
+        #: Flows that joined or left the active flows, or whose solver
+        #: inputs changed, since the last solve: it interns and places
+        #: the active ones and zeroes the others' rates.
+        self._touched: dict[object, Flow] = {}
+        #: The last solve's rates, keyed in canonical order.
         self._rates: dict[object, float] = {}
         #: Flow id -> ``(path, weight, rate_cap, metered links, signature
-        #: id, path-minimum capacity)`` of each live flow, re-resolved
-        #: when any of the first three changes.  The path minimum is the
-        #: base of a congestion throttle; without a congestion model it
-        #: is None.
+        #: id, path-minimum capacity, sequence)`` of each live flow.  A
+        #: write to the flow updates it at once, with the signature None
+        #: until the next solve interns it.  The path minimum is the base
+        #: of a congestion throttle; without a congestion model it is
+        #: None.  The sequence numbers flows in the order they were added.
         self._resolved: dict[object, tuple] = {}
+        self._sequence = itertools.count()
         #: ``(path as a tuple, weight, rate_cap)`` -> signature id, in
         #: first-appearance order.
         self._signature_ids: dict[tuple, int] = {}
@@ -126,12 +151,18 @@ class FlowNetwork:
         self._memo: dict[tuple, list[float]] = {}
         #: The active flows the last :meth:`_advance` left with no bits.
         self._finished: list[Flow] = []
-        #: The solver's incidence state, carried from one solve to the next.
+        #: The solver's incidence state, carried from one fill to the
+        #: next, and what it has not been told yet: the flows placed in
+        #: and taken out of the canonical list since, by ``id(flow)``,
+        #: and the cap overrides it last filled with.
         self._fair_share = FairShareState()
-        #: Set by every change the network sees (a flow added or
-        #: completed, a link failed, restored or resized): the next
-        #: :meth:`compute_rates` solves without rechecking the flows.
-        self._stale = True
+        self._came: dict[int, Flow] = {}
+        self._gone: dict[int, Flow] = {}
+        self._filled_overrides: dict[object, float] = {}
+        #: Set by every change the network sees (a flow added, completed
+        #: or changed, a link failed, restored or resized): until then
+        #: :meth:`compute_rates` returns the last solve's rates.
+        self._changed = True
         #: Called as ``reroute_handler(link, affected_flows)`` when a link
         #: fails.  The handler may call ``flow.reroute(...)`` to keep a
         #: flow alive; flows left stalled transfer nothing.
@@ -189,15 +220,16 @@ class FlowNetwork:
                 raise KeyError(f"cannot meter unknown link {link_id!r}")
             self._metered.add(link_id)
         resolved = self._resolved
-        for flow_id, (path, weight, rate_cap, _, signature, path_min) in resolved.items():
-            resolved[flow_id] = (
-                path, weight, rate_cap, self._metered_hops(path), signature, path_min
-            )
-        self._metered_active = [
-            (flow, resolved[flow.flow_id][3])
-            for flow in self._active
-            if resolved[flow.flow_id][3]
-        ]
+        for flow_id, (path, weight, rate_cap, _, signature, path_min, seq) in resolved.items():
+            metered = self._metered_hops(path)
+            resolved[flow_id] = (path, weight, rate_cap, metered, signature, path_min, seq)
+        self._metered_active = []
+        self._metered_seqs = []
+        for flow, seq in zip(self._active, self._active_seqs):
+            hops = resolved[flow.flow_id][3]
+            if hops:
+                self._metered_active.append((flow, hops))
+                self._metered_seqs.append(seq)
 
     def _metered_hops(self, path) -> tuple[Link, ...]:
         metered = self._metered
@@ -212,9 +244,8 @@ class FlowNetwork:
             raise ValueError(f"link {link_id!r} needs positive capacity, got {capacity}")
         self.links[link_id].capacity = capacity
         self._capacities[link_id] = capacity
-        self._fair_share.capacity_changed(link_id)
         self._reset_signatures()
-        self._stale = True
+        self._changed = True
 
     def link(self, link_id: object) -> Link:
         """Look up a link by id."""
@@ -223,15 +254,20 @@ class FlowNetwork:
     def fail_link(self, link_id: object) -> list[Flow]:
         """Take a link down; stall affected flows and invoke the reroute hook.
 
-        Returns the list of flows that were crossing the link.
+        Returns the ACTIVE flows that were crossing the link, in network
+        order.
         """
         link = self.links[link_id]
         link.fail()
+        flows = self.flows
+        resolved = self._resolved
         affected = [
-            flow
-            for flow in self.flows.values()
-            if link_id in flow.path and flow.state == FlowState.ACTIVE
+            flows[flow_id]
+            for flow_id in self._crossing[link_id]
+            if flows[flow_id].state is FlowState.ACTIVE
         ]
+        affected.sort(key=lambda flow: resolved[flow.flow_id][6])
+        # They are blocked, so stalling them moves none of them.
         for flow in affected:
             flow.state = FlowState.STALLED
         if self.reroute_handler is not None:
@@ -244,19 +280,27 @@ class FlowNetwork:
 
     def _link_state_changed(self, link: Link) -> None:
         blocked = self._blocked
+        flows = self.flows
+        resolved = self._resolved
         if link.state is LinkState.DOWN:
             self._links_down += 1
             for flow_id in self._crossing[link.link_id]:
-                blocked[flow_id] = blocked.get(flow_id, 0) + 1
+                down = blocked.get(flow_id, 0) + 1
+                blocked[flow_id] = down
+                if down == 1:
+                    self._leave(flows[flow_id], resolved[flow_id])
         else:
             self._links_down -= 1
             for flow_id in self._crossing[link.link_id]:
                 left = blocked[flow_id] - 1
                 if left:
                     blocked[flow_id] = left
-                else:
-                    del blocked[flow_id]
-        self._stale = True
+                    continue
+                del blocked[flow_id]
+                flow = flows[flow_id]
+                if flow.state is FlowState.ACTIVE:
+                    self._join(flow, resolved[flow_id])
+        self._changed = True
 
     # ------------------------------------------------------------------
     # Flow management
@@ -268,12 +312,15 @@ class FlowNetwork:
         for link_id in flow.path:
             if link_id not in self.links:
                 raise KeyError(f"flow {flow.flow_id!r} references unknown link {link_id!r}")
-        self._resolve(flow)
+        entry = self._resolve(flow, next(self._sequence))
         flow.start_time = self.now
         if flow.flow_id in self._blocked:
             flow.state = FlowState.STALLED
         self.flows[flow.flow_id] = flow
-        self._stale = True
+        flow._network = self
+        if flow.state is FlowState.ACTIVE:
+            self._join(flow, entry)
+        self._changed = True
         self._ensure_cc_timer()
         return flow
 
@@ -282,19 +329,25 @@ class FlowNetwork:
         self._flow_seq += 1
         return f"{prefix}-{self._flow_seq}"
 
-    def _resolve(self, flow: Flow) -> tuple:
-        """Intern ``flow``'s signature and index the links it crosses.
+    def _flow_changed(self, flow: Flow) -> None:
+        """A live flow's path, weight, rate cap or state was written."""
+        flow_id = flow.flow_id
+        entry = self._resolved[flow_id]
+        self._leave(flow, entry)
+        entry = self._index(flow, entry, entry[6])
+        if flow.state is FlowState.ACTIVE and flow_id not in self._blocked:
+            self._join(flow, entry)
+        self._touched[flow_id] = flow
+        self._changed = True
 
-        Returns the flow's new ``_resolved`` entry.
+    def _index(self, flow: Flow, known: Optional[tuple], seq: int) -> tuple:
+        """Index the links ``flow`` crosses; returns its new entry.
+
+        ``known`` is the flow's old entry, if any.  The new entry has no
+        signature id until :meth:`_intern` gives it one.
         """
         flow_id = flow.flow_id
         path = flow.path
-        signature = (tuple(path), flow.weight, flow.rate_cap)
-        ids = self._signature_ids
-        number = ids.get(signature)
-        if number is None:
-            number = ids[signature] = len(ids)
-        known = self._resolved.get(flow_id)
         if known is None or known[0] is not path:
             self._uncross(flow_id, known)
             crossing = self._crossing
@@ -309,9 +362,26 @@ class FlowNetwork:
         if self.congestion is not None:
             capacities = self._capacities
             path_min = min([capacities[link_id] for link_id in path])
-        entry = (path, flow.weight, flow.rate_cap, self._metered_hops(path), number, path_min)
+        entry = (path, flow.weight, flow.rate_cap, self._metered_hops(path), None, path_min, seq)
         self._resolved[flow_id] = entry
         return entry
+
+    def _intern(self, flow_id: object, entry: tuple) -> tuple:
+        """Give ``entry`` its signature id; returns the flow's new entry."""
+        path, weight, rate_cap, metered, _, path_min, seq = entry
+        signature = (tuple(path), weight, rate_cap)
+        ids = self._signature_ids
+        number = ids.get(signature)
+        if number is None:
+            number = ids[signature] = len(ids)
+        entry = (path, weight, rate_cap, metered, number, path_min, seq)
+        self._resolved[flow_id] = entry
+        return entry
+
+    def _resolve(self, flow: Flow, seq: int) -> tuple:
+        """Index ``flow``'s links and intern its signature; returns its entry."""
+        entry = self._index(flow, self._resolved.get(flow.flow_id), seq)
+        return self._intern(flow.flow_id, entry)
 
     def _uncross(self, flow_id: object, entry: Optional[tuple]) -> None:
         """Drop ``flow_id`` from the index under its resolved ``entry``."""
@@ -323,32 +393,146 @@ class FlowNetwork:
         self._blocked.pop(flow_id, None)
 
     def _reset_signatures(self) -> None:
-        """Number the live flows' signatures afresh, and empty the memo."""
+        """Number the live flows' signatures afresh, and empty the memo.
+
+        The canonical list is sorted again and the solver starts from a
+        new state.
+        """
         self._signature_ids = {}
         self._memo.clear()
-        for flow in self.flows.values():
-            self._resolve(flow)
+        resolved = self._resolved
+        flows = self.flows
+        for flow in flows.values():
+            self._resolve(flow, resolved[flow.flow_id][6])
+        keys = [(resolved[flow.flow_id][4], resolved[flow.flow_id][6]) for flow in self._active]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._canonical = [self._active[i] for i in order]
+        self._canonical_keys = [keys[i] for i in order]
+        self._signatures = [key[0] for key in self._canonical_keys]
+        self._placed = dict(zip([flow.flow_id for flow in self._canonical], self._canonical_keys))
+        # Every active flow is placed, so of the touched flows only the
+        # others are left: their rates are zero.
+        for flow_id, flow in self._touched.items():
+            if flows.get(flow_id) is flow and flow_id not in self._placed:
+                flow.rate = 0.0
+        self._touched = {}
+        self._restart_fair_share()
+
+    def _restart_fair_share(self) -> None:
+        """Let the next fill build its state from the canonical list."""
+        self._fair_share = FairShareState()
+        self._came = {}
+        self._gone = {}
+        self._filled_overrides = {}
+
+    # The active structures.  _join and _leave keep the active flows in
+    # network order as a flow starts or stops transferring; _place and
+    # _unplace keep the canonical list, which a flow joins at the next
+    # solve, once its signature is interned.
+    def _join(self, flow: Flow, entry: tuple) -> None:
+        seq = entry[6]
+        position = bisect_left(self._active_seqs, seq)
+        self._active_seqs.insert(position, seq)
+        self._active.insert(position, flow)
+        hops = entry[3]
+        if hops:
+            position = bisect_left(self._metered_seqs, seq)
+            self._metered_seqs.insert(position, seq)
+            self._metered_active.insert(position, (flow, hops))
+        self._touched[flow.flow_id] = flow
+        self._changed = True
+
+    def _leave(self, flow: Flow, entry: tuple) -> None:
+        """Take ``flow`` out of the active structures, if it is in them."""
+        seq = entry[6]
+        seqs = self._active_seqs
+        position = bisect_left(seqs, seq)
+        if position == len(seqs) or seqs[position] != seq:
+            return
+        del seqs[position]
+        del self._active[position]
+        seqs = self._metered_seqs
+        position = bisect_left(seqs, seq)
+        if position < len(seqs) and seqs[position] == seq:
+            del seqs[position]
+            del self._metered_active[position]
+        self._unplace(flow)
+        self._touched[flow.flow_id] = flow
+        self._changed = True
+
+    def _place(self, flow: Flow, key: tuple[int, int]) -> None:
+        position = bisect_left(self._canonical_keys, key)
+        self._canonical_keys.insert(position, key)
+        self._canonical.insert(position, flow)
+        self._signatures.insert(position, key[0])
+        self._placed[flow.flow_id] = key
+        self._came[id(flow)] = flow
+
+    def _unplace(self, flow: Flow) -> None:
+        key = self._placed.pop(flow.flow_id, None)
+        if key is None:
+            return
+        position = bisect_left(self._canonical_keys, key)
+        del self._canonical_keys[position]
+        del self._canonical[position]
+        del self._signatures[position]
+        self._came.pop(id(flow), None)
+        self._gone[id(flow)] = flow
+        if len(self._gone) > len(self._canonical):
+            # The state is further from the list than a rebuild is.
+            self._restart_fair_share()
+
+    def _place_touched(self) -> None:
+        """Intern and place the touched flows, and zero the others' rates.
+
+        The flows are taken in network order, as a walk over every flow
+        would meet them, so their signatures are numbered as it would
+        number them.
+        """
+        flows = self.flows
+        resolved = self._resolved
+        blocked = self._blocked
+        touched = [flow for flow_id, flow in self._touched.items() if flows.get(flow_id) is flow]
+        self._touched = {}
+        touched.sort(key=lambda flow: resolved[flow.flow_id][6])
+        active_state = FlowState.ACTIVE
+        for flow in touched:
+            flow_id = flow.flow_id
+            if flow.state is not active_state:
+                flow.rate = 0.0
+                continue
+            entry = resolved[flow_id]
+            if entry[4] is None:
+                entry = self._intern(flow_id, entry)
+            if flow_id in blocked:
+                flow.rate = 0.0
+            else:
+                self._place(flow, (entry[4], entry[6]))
+
+    def _fill_delta(self, overrides: dict[object, float]) -> Delta:
+        """What the solver's state has not been told since it last filled."""
+        placed = self._placed
+        keys = self._canonical_keys
+        added = sorted(
+            [bisect_left(keys, placed[flow.flow_id]) for flow in self._came.values()]
+        )
+        recapped = []
+        filled = self._filled_overrides
+        if filled or overrides:
+            flows = self.flows
+            changed = [flow_id for flow_id, cap in overrides.items() if filled.get(flow_id) != cap]
+            changed += [flow_id for flow_id in filled if flow_id not in overrides]
+            recapped = [flows[flow_id] for flow_id in changed if flow_id in flows]
+        delta = Delta(list(self._gone.values()), added, recapped)
+        self._came = {}
+        self._gone = {}
+        self._filled_overrides = overrides
+        return delta
 
     @property
     def active_flows(self) -> list[Flow]:
-        """Flows currently transferring (not stalled, not complete)."""
-        active = FlowState.ACTIVE
-        if not self._links_down:
-            return [flow for flow in self.flows.values() if flow.state is active]
-        blocked = self._blocked
-        resolved = self._resolved
-        links = self.links
-        # A path replaced since the last resolve is checked hop by hop.
-        return [
-            flow
-            for flow in self.flows.values()
-            if flow.state is active
-            and (
-                flow.flow_id not in blocked
-                if resolved[flow.flow_id][0] is flow.path
-                else all(links[link_id].is_up for link_id in flow.path)
-            )
-        ]
+        """Flows currently transferring (not stalled, blocked or complete)."""
+        return list(self._active)
 
     # ------------------------------------------------------------------
     # Timers
@@ -422,61 +606,39 @@ class FlowNetwork:
     def compute_rates(self) -> dict[object, float]:
         """Instantaneous max-min fair rates of the active flows.
 
-        Without a congestion model, a call whose solver inputs equal the
-        last solve's returns that solve's dict: the same flows in the
-        same order, each with the same path object, weight, rate cap and
-        state, over the same link states and capacities.  Otherwise the
-        active flows are put in canonical order, by signature id with
-        ties in network order, and the dict is keyed in that order.  An
-        active set whose sorted ids the memo holds takes the memo's
-        rates, which are what a solve in that order returns; any other,
-        and every set with congestion overrides, is solved through
+        Without a congestion model, a call with no change since the last
+        solve (no flow added, completed or written, no link failed,
+        restored or resized) returns that solve's dict.  Otherwise the
+        flows touched since are interned and placed in the canonical
+        list, by signature id with ties in network order, and the dict is
+        keyed in that order.  An active set whose sorted ids the memo
+        holds takes the memo's rates, which are what a solve in that
+        order returns; any other, and every set with congestion
+        overrides, is solved through
         :func:`~repro.netsim.fairness.max_min_rates`.  The solver updates
         its :class:`~repro.netsim.fairness.FairShareState` by the flows
-        that came, went or changed since its last solve, and by the
-        links resized by :meth:`set_link_capacity`, and fills from
-        there.  A capacity change empties the memo and renumbers the
-        signatures, as does a solve that finds more than
-        ``SIGNATURE_LIMIT`` of them.  Change a flow's path by replacing
-        it (``flow.path = [...]`` or :meth:`Flow.reroute`), never by
-        mutating the list in place: a new path object is also what makes
-        the network resolve the flow's links again.  Do not mutate the
-        returned dict.
+        placed in and taken out of the canonical list since it last
+        filled, and by the flows whose cap override changed, and fills
+        from there.  A capacity change empties the memo, renumbers the
+        signatures and starts the solver from a new state, as does a
+        solve that finds more than ``SIGNATURE_LIMIT`` signatures.
+        Change a flow's path by replacing it (``flow.path = [...]`` or
+        :meth:`Flow.reroute`), never by mutating the list in place: only
+        the assignment reaches the network.  Do not mutate the returned
+        dict.
         """
-        if self.congestion is None and not self._stale and not self._flows_changed():
+        if self.congestion is None and not self._changed:
             return self._rates
-        self._stale = False
+        self._changed = False
         if len(self._signature_ids) > self.SIGNATURE_LIMIT:
             self._reset_signatures()
-        # One walk: the active flows, each with its signature id and its
-        # metered hops, and a zero rate for every other flow.
-        active_state = FlowState.ACTIVE
-        links_down = self._links_down
-        blocked = self._blocked
-        resolved = self._resolved
-        active: list[Flow] = []
-        metered_active: list[tuple[Flow, tuple[Link, ...]]] = []
-        signatures: list[int] = []
-        for flow in self.flows.values():
-            if flow.state is active_state:
-                flow_id = flow.flow_id
-                path, weight, rate_cap, metered, signature, _ = resolved[flow_id]
-                if path is not flow.path or weight != flow.weight or rate_cap != flow.rate_cap:
-                    _, _, _, metered, signature, _ = self._resolve(flow)
-                if not links_down or flow_id not in blocked:
-                    active.append(flow)
-                    signatures.append(signature)
-                    if metered:
-                        metered_active.append((flow, metered))
-                    continue
-            flow.rate = 0.0
-        self._active = active
-        self._metered_active = metered_active
-        order = sorted(range(len(active)), key=signatures.__getitem__)
-        canonical = [active[i] for i in order]
+        if self._touched:
+            self._place_touched()
+        canonical = self._canonical
         overrides: dict[object, float] = {}
         if self.congestion is not None:
-            for flow in active:
+            resolved = self._resolved
+            for flow in self._active:
                 throttle = self.congestion.throttle_of(flow)
                 if throttle < 1.0:
                     base = flow.rate_cap
@@ -485,11 +647,15 @@ class FlowNetwork:
                     overrides[flow.flow_id] = throttle * base
         # Overrides are solver inputs the signatures do not hold, so a
         # set solved under them is neither looked up nor kept.
-        key = None if overrides else tuple([signatures[i] for i in order])
+        key = None if overrides else tuple(self._signatures)
         remembered = None if key is None else self._memo.get(key)
         if remembered is None:
             rates = max_min_rates(
-                canonical, self._capacities, cap_overrides=overrides, state=self._fair_share
+                canonical,
+                self._capacities,
+                cap_overrides=overrides,
+                state=self._fair_share,
+                delta=self._fill_delta(overrides),
             )
             remembered = list(rates.values())
             if key is not None:
@@ -504,45 +670,17 @@ class FlowNetwork:
         self._rates = rates
         return rates
 
-    def _flows_changed(self) -> bool:
-        """Whether a flow changed behind the network since the last solve.
-
-        A flow's solver inputs are its resolved entry (path object,
-        weight, rate cap), its state and whether it is blocked; the last
-        solve's active list holds, in network order, the ACTIVE flows
-        that were not blocked.  So nothing changed while every ACTIVE
-        flow matches its entry and the unblocked ones are that list.
-        """
-        active_state = FlowState.ACTIVE
-        blocked = self._blocked
-        resolved = self._resolved
-        active = self._active
-        count = len(active)
-        position = 0
-        for flow in self.flows.values():
-            if flow.state is not active_state:
-                continue
-            flow_id = flow.flow_id
-            path, weight, rate_cap, _, _, _ = resolved[flow_id]
-            if path is not flow.path or weight != flow.weight or rate_cap != flow.rate_cap:
-                return True
-            if flow_id in blocked:
-                continue
-            if position == count or active[position] is not flow:
-                return True
-            position += 1
-        return position != count
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     # The three steps below run between one compute_rates() and the next,
-    # so the active flows, their metered hops and their rates (each
-    # flow's ``rate``; ``rates`` is that solve's dict) are those of the
-    # last solve.  _advance is the one walk over them that moves bits,
-    # and it notes the completions, also when no time passed (a caller
-    # may have moved an active flow's bits off).  An ACTIVE flow off the
-    # active list is blocked, so _fire_completions checks those too.
+    # which change nothing, so the active flows, their metered hops and
+    # their rates (each flow's ``rate``; ``rates`` is that solve's dict)
+    # are those of the last solve.  _advance is the one walk over them
+    # that moves bits, and it notes the completions, also when no time
+    # passed (a caller may have moved an active flow's bits off).  An
+    # ACTIVE flow off the active list is blocked, so _fire_completions
+    # checks those too.
     def _next_completion_time(self) -> Optional[float]:
         # now + min(x) is min(now + x): rounding keeps the order.
         best: Optional[float] = None
@@ -585,29 +723,27 @@ class FlowNetwork:
         self._finished = []
         if self._blocked:
             flows = self.flows
+            # A caller may have taken a blocked flow's bits.
+            emptied = []
             for flow_id in self._blocked:
                 flow = flows[flow_id]
                 if (
                     flow.state is FlowState.ACTIVE
                     and flow.remaining <= _COMPLETION_REL_EPS * flow.size
                 ):
-                    # A caller took a blocked flow's bits.  One scan puts
-                    # the completions in network order.
-                    finished = [
-                        flow
-                        for flow in flows.values()
-                        if flow.state is FlowState.ACTIVE
-                        and flow.remaining <= _COMPLETION_REL_EPS * flow.size
-                    ]
-                    break
-        if finished:
-            self._stale = True
+                    emptied.append(flow)
+            if emptied:
+                resolved = self._resolved
+                finished = sorted(finished + emptied, key=lambda flow: resolved[flow.flow_id][6])
         for flow in finished:
             flow.state = FlowState.COMPLETED
             flow.end_time = self.now
             flow_id = flow.flow_id
             entry = self._resolved.pop(flow_id)
+            self._leave(flow, entry)
             self._uncross(flow_id, entry)
+            flow._network = None
+            self._changed = True
             # Credit the float residue so byte accounting is exact.
             if flow.remaining > 0:
                 for link in entry[3]:

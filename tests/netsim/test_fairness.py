@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import pytest
 
-from repro.netsim.fairness import FairShareState, max_min_rates
+from repro.netsim.fairness import Delta, FairShareState, max_min_rates
 from repro.netsim.flows import Flow
 from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry
@@ -108,6 +108,56 @@ def max_min_rates_reference(
 
 def _flow(fid, path, weight=1.0, rate_cap=None):
     return Flow(flow_id=fid, path=path, size=1.0, weight=weight, rate_cap=rate_cap)
+
+
+class ListDriven:
+    """A :class:`FairShareState` solved from whole active lists.
+
+    Each call derives the :class:`Delta` from the list, the flows'
+    inputs and the cap overrides of the call before.  A flow that left,
+    whose path (by identity), weight or rate cap changed, or that moved
+    ahead of a flow it followed, is removed, and added again if it is
+    still in the list.  A kept flow whose override moved is recapped.
+    """
+
+    def __init__(self):
+        self.state = FairShareState()
+        self.last = []
+        self.inputs = {}
+        self.overrides = {}
+
+    def restart(self):
+        """Start from a new state, as after a capacity change."""
+        self.__init__()
+
+    def __call__(self, flows, caps, overrides=None):
+        overrides = overrides or {}
+        position = {id(flow): i for i, flow in enumerate(self.last)}
+        kept = set()
+        previous = -1
+        for flow in flows:
+            at = position.get(id(flow))
+            if at is None or at < previous:
+                continue
+            path, weight, rate_cap = self.inputs[id(flow)]
+            if path is flow.path and weight == flow.weight and rate_cap == flow.rate_cap:
+                kept.add(id(flow))
+                previous = at
+        delta = Delta(
+            removed=[flow for flow in self.last if id(flow) not in kept],
+            added=[i for i, flow in enumerate(flows) if id(flow) not in kept],
+            recapped=[
+                flow
+                for flow in flows
+                if id(flow) in kept
+                and overrides.get(flow.flow_id) != self.overrides.get(flow.flow_id)
+            ],
+        )
+        rates = max_min_rates(flows, caps, cap_overrides=overrides, state=self.state, delta=delta)
+        self.last = list(flows)
+        self.inputs = {id(flow): (flow.path, flow.weight, flow.rate_cap) for flow in flows}
+        self.overrides = dict(overrides)
+        return rates
 
 
 def test_empty_input():
@@ -222,9 +272,10 @@ def bits(rates):
     return [(flow_id, rate.hex()) for flow_id, rate in rates.items()]
 
 
-def solve_warm(state, flows, caps, overrides=None):
-    """Re-solve from ``state`` and check it against the reference."""
-    rates = max_min_rates(flows, caps, cap_overrides=overrides, state=state)
+def solve_warm(warm, flows, caps, overrides=None):
+    """Re-solve with the :class:`ListDriven` ``warm`` and check it
+    against the reference."""
+    rates = warm(flows, caps, overrides)
     assert bits(rates) == bits(max_min_rates_reference(flows, caps, cap_overrides=overrides))
     return rates
 
@@ -265,11 +316,11 @@ def test_stalled_flow_reactivated_ahead_of_newer_flows():
 def test_flow_returning_ahead_of_newer_flows_in_the_state():
     caps = {"a": 10.0, "b": 6.0}
     f1, f2, f3 = _flow("f1", ["a"]), _flow("f2", ["a", "b"]), _flow("f3", ["b"])
-    state = FairShareState()
-    solve_warm(state, [f1, f2, f3], caps)
-    solve_warm(state, [f1, f3], caps)
-    solve_warm(state, [f1, f2, f3], caps)
-    solve_warm(state, [f3, f1], caps)
+    warm = ListDriven()
+    solve_warm(warm, [f1, f2, f3], caps)
+    solve_warm(warm, [f1, f3], caps)
+    solve_warm(warm, [f1, f2, f3], caps)
+    solve_warm(warm, [f3, f1], caps)
 
 
 def counting_rebuilds(monkeypatch, state):
@@ -292,14 +343,14 @@ def test_flow_inserted_between_retained_flows_needs_no_rebuild(monkeypatch):
     f3 = _flow("f3", ["b", "c"], rate_cap=2.0)
     f0 = _flow("f0", ["c", "a"], weight=0.3)
     f4 = _flow("f4", ["b"], weight=0.2, rate_cap=1.0)
-    state = FairShareState()
-    solve_warm(state, [f1, f3], caps)
-    rebuilds = counting_rebuilds(monkeypatch, state)
+    warm = ListDriven()
+    solve_warm(warm, [f1, f3], caps)
+    rebuilds = counting_rebuilds(monkeypatch, warm.state)
     # A new flow between two retained ones, then new flows at the front,
     # in an inner gap and at the back, in one update.
     for flows in ([f1, f2, f3], [f0, f1, f4, f2, f3, _flow("f5", ["c"])]):
-        warm = solve_warm(state, flows, caps)
-        assert bits(warm) == bits(max_min_rates(flows, caps))
+        rates = solve_warm(warm, flows, caps)
+        assert bits(rates) == bits(max_min_rates(flows, caps))
     assert rebuilds == []
 
 
@@ -308,13 +359,13 @@ def test_used_up_gap_rebuilds_the_state(monkeypatch):
     # before the flow placed last time, until no key is left in it.
     caps = {"a": 5.0, "b": 7.0}
     first, last = _flow("first", ["a", "b"]), _flow("last", ["b"], weight=0.3)
-    state = FairShareState()
-    solve_warm(state, [first, last], caps)
-    rebuilds = counting_rebuilds(monkeypatch, state)
+    warm = ListDriven()
+    solve_warm(warm, [first, last], caps)
+    rebuilds = counting_rebuilds(monkeypatch, warm.state)
     between = []
     for i in range(40):
         between.insert(0, _flow(f"f{i}", ["a"] if i % 2 else ["b", "a"], weight=0.1 + i % 3))
-        solve_warm(state, [first, *between, last], caps)
+        solve_warm(warm, [first, *between, last], caps)
     assert 0 < len(rebuilds) < 5
 
 
@@ -326,21 +377,21 @@ def test_path_listing_a_link_twice():
     assert bits(max_min_rates([f1, f2, f3], caps)) == bits(
         max_min_rates_reference([f1, f2, f3], caps)
     )
-    state = FairShareState()
-    solve_warm(state, [f1, f2, f3], caps)
-    solve_warm(state, [f1, f3], caps)
-    solve_warm(state, [f1, f3, _flow("f4", ["a", "a"])], caps)
+    warm = ListDriven()
+    solve_warm(warm, [f1, f2, f3], caps)
+    solve_warm(warm, [f1, f3], caps)
+    solve_warm(warm, [f1, f3, _flow("f4", ["a", "a"])], caps)
     f1.path = ["c", "a"]
-    solve_warm(state, [f1, f3], caps)
+    solve_warm(warm, [f1, f3], caps)
 
 
 def test_link_goes_private_then_shared_then_private():
     caps = {"a": 10.0, "b": 4.0, "c": 10.0}
     f1, f2 = _flow("f1", ["a", "b"]), _flow("f2", ["b", "c"])
-    state = FairShareState()
-    assert solve_warm(state, [f1], caps) == {"f1": 4.0}
-    assert solve_warm(state, [f1, f2], caps) == {"f1": 2.0, "f2": 2.0}
-    assert solve_warm(state, [f1], caps) == {"f1": 4.0}
+    warm = ListDriven()
+    assert solve_warm(warm, [f1], caps) == {"f1": 4.0}
+    assert solve_warm(warm, [f1, f2], caps) == {"f1": 2.0, "f2": 2.0}
+    assert solve_warm(warm, [f1], caps) == {"f1": 4.0}
 
 
 def test_rerouted_flow_keeps_its_place_ahead_of_newer_flows():
@@ -349,10 +400,10 @@ def test_rerouted_flow_keeps_its_place_ahead_of_newer_flows():
     caps = {"l0": 1.0, "l1": 1.0}
     f0 = _flow("f0", ["l0", "l1"], weight=0.2, rate_cap=0.3)
     f1 = _flow("f1", ["l0", "l1"], weight=3.0)
-    state = FairShareState()
-    solve_warm(state, [f0, f1], caps)
+    warm = ListDriven()
+    solve_warm(warm, [f0, f1], caps)
     f0.path = ["l1"]
-    solve_warm(state, [f0, f1, _flow("f2", ["l0"], weight=0.2)], caps)
+    solve_warm(warm, [f0, f1, _flow("f2", ["l0"], weight=0.2)], caps)
 
 
 def test_reroute_onto_a_longer_path():
@@ -361,12 +412,12 @@ def test_reroute_onto_a_longer_path():
     f0 = _flow("f0", ["l0"], weight=3.0, rate_cap=1.0)
     f1 = _flow("f1", ["l3", "l4", "l1"], weight=3.0, rate_cap=1.0)
     flows = [f0, f1, _flow("f2", ["l0"], weight=0.1)]
-    state = FairShareState()
-    solve_warm(state, flows, caps)
+    warm = ListDriven()
+    solve_warm(warm, flows, caps)
     f0.path = ["l1", "l3", "l4"]
-    assert solve_warm(state, flows, caps) == {"f0": 0.5, "f1": 0.5, "f2": 2.0}
+    assert solve_warm(warm, flows, caps) == {"f0": 0.5, "f1": 0.5, "f2": 2.0}
     f0.path = ["l2"]
-    solve_warm(state, flows, caps)
+    solve_warm(warm, flows, caps)
 
 
 def test_private_link_tied_with_cap_freezes_first():
@@ -380,7 +431,7 @@ def test_private_link_tied_with_cap_freezes_first():
         _flow("f1", ["l0"], weight=0.7),
         _flow("f2", ["l1"], rate_cap=1.0),
     ]
-    rates = solve_warm(FairShareState(), flows, caps)
+    rates = solve_warm(ListDriven(), flows, caps)
     assert rates["f1"] > rates["f0"]
     assert bits(max_min_rates(flows, caps)) == bits(rates)
 
@@ -388,9 +439,9 @@ def test_private_link_tied_with_cap_freezes_first():
 def test_cap_override_changes_between_solves():
     caps = {"a": 10.0, "b": 8.0}
     flows = [_flow("f1", ["a"], rate_cap=4.0), _flow("f2", ["a", "b"]), _flow("f3", ["b"])]
-    state = FairShareState()
+    warm = ListDriven()
     for overrides in ({"f1": 2.0}, {"f1": 3.0}, {}, {"f2": 1.0, "f3": 0.5}, None):
-        solve_warm(state, flows, caps, overrides)
+        solve_warm(warm, flows, caps, overrides)
 
 
 def test_set_link_capacity_on_private_and_shared_links():
@@ -412,10 +463,10 @@ def test_cold_and_warm_calls_agree_in_bits_and_key_order():
         _flow(f"f{i}", [f"l{(i * 7 + j) % 6}" for j in range(1 + i % 3)], weight=1.0 + i % 4 / 2)
         for i in range(24)
     ]
-    state = FairShareState()
+    solve = ListDriven()
     for start in range(0, 16, 2):
         active = pool[start : start + 9]
-        warm = max_min_rates(active, caps, state=state)
+        warm = solve(active, caps)
         cold = max_min_rates(active, caps)
         assert bits(warm) == bits(cold) == bits(max_min_rates_reference(active, caps))
 

@@ -5,11 +5,11 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.congestion import CongestionModel
-from repro.netsim.fairness import FairShareState, max_min_rates
+from repro.netsim.fairness import max_min_rates
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.network import _COMPLETION_REL_EPS, FlowNetwork
 from repro.obs.metrics import MetricsRegistry
-from tests.netsim.test_fairness import canonical_order, max_min_rates_reference
+from tests.netsim.test_fairness import ListDriven, canonical_order, max_min_rates_reference
 
 LINKS = ["a", "b", "c", "d", "e"]
 
@@ -186,10 +186,11 @@ state_op = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_state_churn_matches_reference(ops):
     # Solver-level churn with tie-prone capacities and weights: flows
-    # come, go, reroute onto shorter or longer paths and change weight,
-    # and links change capacity, between warm solves of one state.
+    # come, go, reroute onto shorter or longer paths and change weight
+    # between warm solves of one state, each handed the delta from the
+    # last list; a capacity change starts a new state, as in the network.
     caps = {link: 3.0 for link in LINKS}
-    state = FairShareState()
+    warm = ListDriven()
     active = []
     for serial, (kind, *args) in enumerate(ops):
         if kind == "add" or not active:
@@ -205,8 +206,8 @@ def test_state_churn_matches_reference(ops):
             active[args[0] % len(active)].weight = args[1]
         else:
             caps[args[0]] = args[1]
-            state.capacity_changed(args[0])
-        rates = max_min_rates(active, caps, state=state)
+            warm.restart()
+        rates = warm(active, caps)
         assert bits(rates) == bits(max_min_rates_reference(active, caps))
 
 
@@ -301,6 +302,8 @@ churn_op = st.one_of(
     st.tuples(st.just("fail_silently"), churn_link),
     st.tuples(st.just("restore"), churn_link),
     st.tuples(st.just("weight"), st.integers(0, 63), st.sampled_from([0.5, 1.0, 3.0])),
+    st.tuples(st.just("path"), st.integers(0, 63), churn_path),
+    st.tuples(st.just("rate_cap"), st.integers(0, 63), st.sampled_from([None, 1.0, 3.0])),
     st.tuples(st.just("capacity"), churn_link, st.sampled_from([2.0, 5.0, 10.0])),
     st.tuples(st.just("take_remaining"), st.integers(0, 63), st.sampled_from([0.0, 0.5])),
     st.tuples(st.just("meter"), st.lists(churn_link, max_size=2, unique=True)),
@@ -343,6 +346,10 @@ def apply_churn(net, op, serial):
             flow.reroute(args[1])
         elif kind == "weight":
             flow.weight = args[1]
+        elif kind == "path":
+            flow.path = args[1]
+        elif kind == "rate_cap":
+            flow.rate_cap = args[1]
         else:
             # A caller moving in-flight bits off a flow (work stealing).
             flow.remaining *= args[1]
@@ -370,6 +377,8 @@ def test_network_churn_matches_reference(ops, congested, metered):
     net.meter(metered)
     for serial, op in enumerate(ops):
         apply_churn(net, op, serial)
+        # The active flows the network keeps are those a scan finds.
+        assert net.active_flows == reference_active(net)
         assert bits(net.compute_rates()) == bits(reference_rates(net))
         check_counters(net)
     net.run(until=net.now + 5.0)

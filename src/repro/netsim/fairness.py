@@ -39,7 +39,8 @@ numbers:
   its neighbours' runs, wherever in the list it lands.  A flow that
   changed comes back as a new flow, so a kept flow never moves.  The
   state rebuilds from empty only when it holds no flows or when a gap
-  is used up.
+  is used up.  The network starts a new state after a link capacity
+  changes, or once more flows have left than it still holds.
 * **Sums.**  A slot's member list stays in active-list order, and its
   pending weight is summed over it from zero whenever it changes.
 * **Private links become bounds.**  A link that one incidence crosses

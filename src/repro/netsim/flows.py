@@ -52,6 +52,13 @@ class _FlowFields:
         if self.rate_cap is not None and self.rate_cap <= 0:
             raise ValueError(f"flow {self.flow_id!r} rate_cap must be positive")
         self.remaining = float(self.size)
+        # Set every attribute a flow comes to hold now, in one order, so
+        # that all flows share one key table: a flow that adds them later,
+        # in the order its life takes, gets a dict of its own.
+        self.start_time = self.end_time = math.nan
+        self.rate = 0.0
+        self.state = FlowState.ACTIVE
+        self._network = None
 
 
 class Flow(_FlowFields):
